@@ -1,25 +1,26 @@
-// Overlapped vs inline out-of-core execution, measured on real kernels.
+// Out-of-core vs in-core execution on the same executor, measured on
+// real kernels.
 //
 //   build/bench/bench_async_exec [output.json]
 //
-// For each OOC workload (ResNet-50 and AlexNet under a device capacity
-// tight enough to force swap traffic) the bench runs one real training
-// iteration two ways:
+// For each OOC workload (ResNet-50, AlexNet and an Inception toy under a
+// device capacity tight enough to force swap traffic) the bench runs one
+// real training iteration two ways through exec::AsyncExecutor, with the
+// same compute and copy worker counts:
 //
-//   inline — sim::Runtime drives the DataBackend directly: every swap
-//            copy executes on the compute thread, blocking the kernels
-//            around it;
-//   async  — the same schedule is exported as an op stream and replayed
-//            through exec::AsyncExecutor, with dedicated H2D/D2H copy
-//            workers retiring transfers while the compute thread runs.
+//   incore — the keep-all stream on a device that holds every feature
+//            map (planner::record_incore_stream): the paper's in-core
+//            comparison point;
+//   async  — the out-of-core schedule, its swaps retired by dedicated
+//            H2D/D2H copy workers while the compute workers run.
 //
-// Both paths are verified bit-identical to a serial in-core reference
-// before timing; a fast-but-wrong executor aborts the bench. `speedup`
-// is inline_seconds / async_seconds (>1 = overlap helped). The `cpus`
-// field records std::thread::hardware_concurrency(): on a single-CPU
-// host the copy workers timeshare with compute, so speedup ~1.0 is the
-// honest expectation there and the JSON says so (tools/bench_compare.py
-// compares like against like only).
+// Every run is verified bit-identical to the serial in-core reference
+// (planner::run_incore_reference); a fast-but-wrong executor aborts the
+// bench. `vs_incore` is incore_seconds / async_seconds (higher is
+// better; 1.0 = out-of-core execution costs nothing). The `cpus` field
+// records std::thread::hardware_concurrency(): on a single-CPU host the
+// copy workers timeshare with compute, and tools/bench_compare.py
+// compares like against like only.
 #include <chrono>
 #include <cstdio>
 #include <cstring>
@@ -45,9 +46,9 @@ struct Row {
   std::string policy;
   int copy_workers = 1;
   int compute_workers = 1;
-  double inline_seconds = 0.0;
+  double incore_seconds = 0.0;
   double async_seconds = 0.0;
-  double speedup = 0.0;
+  double vs_incore = 0.0;
   std::size_t swapped_bytes = 0;
 };
 
@@ -98,57 +99,13 @@ double seconds_since(std::chrono::steady_clock::time_point t0) {
       .count();
 }
 
-void check_reference(const Workload& w, const sim::DataBackend& got,
-                     const char* what) {
-  // Capacity does not affect numerics, so an in-core reference on a
-  // roomy machine is always available.
-  cost::MachineConfig roomy = cost::x86_pcie();
-  sim::CostTimeModel tm(w.g, roomy);
-  sim::Runtime rt(w.g, w.tape, roomy, tm);
-  sim::DataBackend ref(w.g, kSeed);
-  sim::RunOptions ro;
-  ro.data = &ref;
-  const auto r =
-      rt.run(sim::Classification(w.g, sim::ValueClass::kKeep), ro);
-  const float a = got.loss();
-  const float b = ref.loss();
-  if (!r.ok || std::memcmp(&a, &b, sizeof(float)) != 0 ||
-      got.param_norm() != ref.param_norm()) {
-    std::fprintf(stderr, "%s %s: NOT bit-identical to in-core reference\n",
-                 w.name.c_str(), what);
-    std::exit(1);
-  }
-}
-
-/// Best-of-`reps` wall time for one inline iteration (runtime drives the
-/// backend, swaps execute on the compute thread).
-double time_inline(const Workload& w, const sim::Classification& c,
-                   int reps, std::size_t* swapped) {
-  double best = 1e300;
-  for (int rep = 0; rep < reps; ++rep) {
-    sim::DataBackend data(w.g, kSeed);
-    sim::RunOptions ro;
-    ro.data = &data;
-    const auto t0 = std::chrono::steady_clock::now();
-    const auto r = w.rt->run(c, ro);
-    const double s = seconds_since(t0);
-    if (!r.ok) {
-      std::fprintf(stderr, "%s inline run failed: %s\n", w.name.c_str(),
-                   r.failure.c_str());
-      std::exit(1);
-    }
-    *swapped = r.swapped_bytes;
-    if (s < best) best = s;
-    if (rep == reps - 1) check_reference(w, data, "inline");
-  }
-  return best;
-}
-
-/// Best-of-`reps` wall time for the same schedule replayed through the
-/// AsyncExecutor (export time excluded — the stream is recorded once and
-/// reused, as a training loop would).
-double time_async(const Workload& w, const exec::OpStream& stream,
-                  int copy_workers, int compute_workers, int reps) {
+/// Best-of-`reps` wall time for one iteration of `stream` replayed
+/// through the AsyncExecutor from a fresh backend (export time excluded —
+/// the stream is recorded once and reused, as a training loop would).
+/// Exits unless every run is bit-identical to `ref`.
+double time_replay(const Workload& w, const exec::OpStream& stream,
+                   int copy_workers, int compute_workers, int reps,
+                   const sim::DataBackend& ref, const char* what) {
   const exec::AsyncExecutor executor(w.g, stream);
   exec::AsyncOptions ao;
   ao.workers_per_copy_lane = copy_workers;
@@ -161,12 +118,19 @@ double time_async(const Workload& w, const exec::OpStream& stream,
     const auto res = executor.run(data, ao);
     const double s = seconds_since(t0);
     if (!res.ok) {
-      std::fprintf(stderr, "%s async run failed: %s\n", w.name.c_str(),
+      std::fprintf(stderr, "%s %s run failed: %s\n", w.name.c_str(), what,
                    res.failure.c_str());
       std::exit(1);
     }
+    const float a = data.loss();
+    const float b = ref.loss();
+    if (std::memcmp(&a, &b, sizeof(float)) != 0 ||
+        data.param_norm() != ref.param_norm()) {
+      std::fprintf(stderr, "%s %s: NOT bit-identical to in-core reference\n",
+                   w.name.c_str(), what);
+      std::exit(1);
+    }
     if (s < best) best = s;
-    if (rep == reps - 1) check_reference(w, data, "async");
   }
   return best;
 }
@@ -202,6 +166,12 @@ void run_workload(Workload& w, int capacity_pct, int reps,
   const auto plan = planner.plan();
   if (plan.feasible) policies.push_back({"pooch", plan.classes});
 
+  // The serial in-core reference every timed run must match, and the
+  // in-core stream the baseline replays.
+  sim::DataBackend ref(w.g, kSeed);
+  planner::run_incore_reference(w.g, w.tape, ref, 1);
+  const exec::OpStream incore = planner::record_incore_stream(w.g, w.tape);
+
   for (auto& p : policies) {
     exec::OpStream stream;
     try {
@@ -212,27 +182,31 @@ void run_workload(Workload& w, int capacity_pct, int reps,
       continue;
     }
     std::size_t swapped = 0;
-    const double inline_s = time_inline(w, p.classes, reps, &swapped);
-    // The copy-worker sweep at serial compute (the PR-5 shape), then the
-    // compute-worker sweep at 2 copy workers: one axis moves at a time
-    // so regressions bisect cleanly.
+    for (const exec::StreamOp& op : stream.ops) {
+      if (op.type == exec::OpType::kSwapOut) swapped += op.bytes;
+    }
+    // The copy-worker sweep at serial compute, then the compute-worker
+    // sweep at 2 copy workers: one axis moves at a time so regressions
+    // bisect cleanly.
     const std::pair<int, int> sweep[] = {{1, 1}, {2, 1}, {2, 2}, {2, 4}};
     for (const auto& [copy, compute] : sweep) {
-      const double async_s = time_async(w, stream, copy, compute, reps);
       Row r;
       r.model = w.name;
       r.policy = p.name;
       r.copy_workers = copy;
       r.compute_workers = compute;
-      r.inline_seconds = inline_s;
-      r.async_seconds = async_s;
-      r.speedup = async_s > 0.0 ? inline_s / async_s : 0.0;
+      r.incore_seconds =
+          time_replay(w, incore, copy, compute, reps, ref, "in-core");
+      r.async_seconds =
+          time_replay(w, stream, copy, compute, reps, ref, p.name);
+      r.vs_incore =
+          r.async_seconds > 0.0 ? r.incore_seconds / r.async_seconds : 0.0;
       r.swapped_bytes = swapped;
       rows.push_back(r);
-      std::printf("| %-10s | %-8s | %4d | %7d | %10.4f | %10.4f | %7.3f |\n",
+      std::printf("| %-10s | %-8s | %4d | %7d | %10.4f | %10.4f | %9.3f |\n",
                   r.model.c_str(), r.policy.c_str(), r.copy_workers,
-                  r.compute_workers, r.inline_seconds, r.async_seconds,
-                  r.speedup);
+                  r.compute_workers, r.incore_seconds, r.async_seconds,
+                  r.vs_incore);
     }
   }
 }
@@ -251,12 +225,12 @@ void write_json(const char* path, const std::vector<Row>& rows) {
     std::fprintf(f,
                  "    {\"model\": \"%s\", \"policy\": \"%s\", "
                  "\"copy_workers\": %d, \"compute_workers\": %d, "
-                 "\"inline_seconds\": %.6f, "
-                 "\"async_seconds\": %.6f, \"speedup\": %.3f, "
+                 "\"incore_seconds\": %.6f, "
+                 "\"async_seconds\": %.6f, \"vs_incore\": %.3f, "
                  "\"swapped_bytes\": %zu}%s\n",
                  r.model.c_str(), r.policy.c_str(), r.copy_workers,
-                 r.compute_workers, r.inline_seconds, r.async_seconds,
-                 r.speedup, r.swapped_bytes, i + 1 < rows.size() ? "," : "");
+                 r.compute_workers, r.incore_seconds, r.async_seconds,
+                 r.vs_incore, r.swapped_bytes, i + 1 < rows.size() ? "," : "");
   }
   std::fprintf(f, "  ]\n}\n");
   std::fclose(f);
@@ -264,10 +238,10 @@ void write_json(const char* path, const std::vector<Row>& rows) {
 }
 
 int run(const char* json_path) {
-  std::printf("| model      | policy   | copy | compute | inline (s) "
-              "| async (s)  | speedup |\n"
+  std::printf("| model      | policy   | copy | compute | incore (s) "
+              "| async (s)  | vs incore |\n"
               "|------------|----------|------|---------|------------"
-              "|------------|---------|\n");
+              "|------------|-----------|\n");
   std::vector<Row> rows;
   // Small-resolution ResNet-50 and stock AlexNet: OOC once the device is
   // clamped to 60% of the keep-all peak, yet one real iteration stays in

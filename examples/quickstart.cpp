@@ -8,11 +8,14 @@
 //   1. build a computation graph with the model zoo,
 //   2. describe the machine (a 64 MiB "GPU", slow interconnect),
 //   3. run PoocH: profile -> classify -> execute,
-//   4. train a few iterations under the plan with real kernels,
-//   5. compare against an in-core run on an unconstrained device.
+//   4. train a few iterations under the plan with real kernels: export
+//      the plan's schedule as an op stream and replay it through the
+//      asynchronous out-of-core executor,
+//   5. compare against the serial in-core reference.
 #include <cstdio>
 
 #include "common/strings.hpp"
+#include "exec/async_executor.hpp"
 #include "graph/autodiff.hpp"
 #include "kernels/kernel_context.hpp"
 #include "models/models.hpp"
@@ -61,16 +64,18 @@ int main() {
   // 4. Train 5 iterations with real data under the plan, running the
   // numeric kernels across 4 threads (the reference run below stays
   // serial — every kernel is bit-identical at any thread count, so the
-  // comparison still demands exact equality).
+  // comparison still demands exact equality). The schedule is recorded
+  // once and replayed every iteration, as a training loop would.
+  exec::OpStream stream =
+      planner::record_op_stream(runtime, result.plan.classes);
+  const exec::AsyncExecutor executor(g, stream);
   kernels::KernelContext kctx(/*threads=*/4);
   sim::DataBackend ooc_backend(g, /*seed=*/42, /*learning_rate=*/0.05f,
                                &kctx);
-  sim::RunOptions ro;
-  ro.data = &ooc_backend;
   std::printf("\ntraining under the PoocH classification:\n");
   for (int i = 0; i < 5; ++i) {
-    ro.iteration = static_cast<std::uint64_t>(i);
-    const auto r = runtime.run(result.plan.classes, ro);
+    stream.iteration = static_cast<std::uint64_t>(i);
+    const auto r = executor.run(ooc_backend);
     if (!r.ok) {
       std::printf("iteration %d failed: %s\n", i, r.failure.c_str());
       return 1;
@@ -78,18 +83,10 @@ int main() {
     std::printf("  iter %d: loss %.4f\n", i, ooc_backend.loss());
   }
 
-  // 5. The same 5 iterations in-core on an unconstrained device — and on
-  // a single thread — must produce bit-identical numbers.
-  const auto big = cost::test_machine(4096);
-  const sim::CostTimeModel big_hw(g, big);
-  const sim::Runtime big_rt(g, tape, big, big_hw);
+  // 5. The same 5 iterations in-core — keep-all, one compute worker, a
+  // single kernel thread — must produce bit-identical numbers.
   sim::DataBackend ref_backend(g, /*seed=*/42, /*learning_rate=*/0.05f);
-  sim::RunOptions ref_ro;
-  ref_ro.data = &ref_backend;
-  for (int i = 0; i < 5; ++i) {
-    ref_ro.iteration = static_cast<std::uint64_t>(i);
-    big_rt.run(sim::Classification(g, sim::ValueClass::kKeep), ref_ro);
-  }
+  planner::run_incore_reference(g, tape, ref_backend, 5);
   const bool identical = ooc_backend.loss() == ref_backend.loss() &&
                          ooc_backend.param_norm() == ref_backend.param_norm();
   std::printf("\nout-of-core vs in-core after 5 iterations: %s\n",

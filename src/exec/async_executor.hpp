@@ -10,11 +10,11 @@
 //   - `workers_per_copy_lane` dedicated threads each serve the D2H and
 //     H2D lanes, popping ready ops in stream-index (FIFO) order.
 // An op becomes ready when its per-op dependency counter reaches zero.
-// The dependency edges are NOT just the stream's recorded cross-lane
-// edges: exec::build_schedule rederives the full RAW/WAR/WAW hazard
-// partial order over value/grad/param/host slots, so ops touching
-// disjoint slots run concurrently while order-sensitive chains (e.g.
-// gradient accumulation) replay in serial program order. Each op still
+// The stream itself carries no edges: exec::build_schedule derives the
+// full RAW/WAR/WAW hazard partial order over value/grad/param/host slots
+// from the ops' footprints, so ops touching disjoint slots run
+// concurrently while order-sensitive chains (e.g. gradient accumulation)
+// replay in serial program order. Each op still
 // owns one exec::Event, signalled on completion — by dispatch time every
 // dependency event is already set, so the waits are free; they carry the
 // acquire/release edges and the completion-sequence numbers the ordering
@@ -26,6 +26,11 @@
 // whenever unexecuted ops remain the lowest-indexed one has every dep
 // already completed — it is in some lane's ready queue, so some worker
 // is always runnable, at any worker count.
+//
+// This executor is the only code that runs real kernels: sim::Runtime
+// only simulates and exports the op list. One compute worker replays
+// the stream in serial program order, which is why the keep-all stream
+// on one worker is the in-core reference (planner::run_incore_reference).
 //
 // Why the result is bit-identical to the serial in-core run: every
 // kernel is bit-exact at any thread count, ops whose footprints are
@@ -131,8 +136,7 @@ class AsyncExecutor {
   AsyncExecutor(const graph::Graph& graph, const OpStream& stream);
 
   /// Execute the stream against `data`. The backend must be freshly
-  /// seeded (or carried over from the previous iteration's run) exactly
-  /// as it would be for a serial Runtime::run with the same schedule.
+  /// seeded, or carried over from the previous iteration's run.
   /// Reusable: each call replays the same stream.
   AsyncResult run(sim::DataBackend& data,
                   const AsyncOptions& options = {}) const;

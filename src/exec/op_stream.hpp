@@ -1,36 +1,27 @@
-// Replayable op stream: the schedule the simulator executed, exported as
-// a dependency graph the AsyncExecutor can run with real threads.
+// Replayable op stream: the schedule the simulator scored, exported as a
+// plain op list the AsyncExecutor runs with real threads.
 //
-// When `sim::RunOptions::export_stream` is set, the runtime emits one
-// StreamOp at every point where it would drive a `sim::DataBackend`
-// call: forward/backward/recompute/update on the compute lane, swap-outs
-// on the D2H lane, swap-ins on the H2D lane, and the frees that retire
-// feature maps and gradients. Ops are emitted in the simulator's program
-// order, so the stream's index order is simultaneously
-//   (a) a topological order of the dependency edges (every dep index is
-//       smaller than the op that carries it), and
-//   (b) per lane, the simulated start-time order (the runtime's stream
-//       cursors are monotone).
-// Property (a) makes FIFO replay deadlock-free: at any instant the
-// lowest-indexed unexecuted op has all dependencies already executed.
-// Property (b) means FIFO replay reproduces the simulated stream order.
+// When `sim::RunOptions::export_stream` is set, the runtime appends one
+// StreamOp for every piece of real work its schedule implies:
+// forward/backward/recompute/update on the compute lane, swap-outs on the
+// D2H lane, swap-ins on the H2D lane, and the frees that retire feature
+// maps and gradients. Ops are appended in the simulator's program order,
+// so per lane the stream's index order is the simulated start-time order
+// (the runtime's stream cursors are monotone), and replaying the whole
+// stream in index order on one thread is serial program order.
 //
-// Dependency edges come from per-value-slot serialization: each op lists
-// the previous toucher of every value slot it reads, moves, or writes,
-// but only when that toucher runs on a *different* lane — same-lane
-// ordering is already guaranteed by FIFO replay. Parameter and gradient
-// slots are touched exclusively by compute-lane ops (swaps move feature
-// maps only), so they never contribute edges.
+// The stream carries no dependency edges. exec::build_schedule derives
+// every happens-before edge from the ops' read/write footprints; since
+// each edge points from a lower to a higher index, the index order is a
+// topological order of that DAG and replay cannot deadlock.
 //
-// Cancelled prefetches (the rescue chain's cancel_latest_prefetch) are
-// tombstoned by the builder and compacted out in finish(), with every
-// surviving dep index remapped — an exported stream can never contain a
-// dangling H2D op that no longer has a consumer.
+// A prefetch the rescue chain cancels (the transfer never ran) is erased
+// from the stream again, mirroring how the timeline drops it — an
+// exported stream never contains a dangling H2D op without a consumer.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
-#include <span>
 #include <string>
 #include <vector>
 
@@ -62,9 +53,6 @@ struct StreamOp {
   OpType type{};
   graph::NodeId node = graph::kNoNode;
   graph::ValueId value = -1;
-  /// Indices of ops that must complete before this one may start.
-  /// Always strictly smaller than this op's own index; cross-lane only.
-  std::vector<std::int32_t> deps;
   /// Transfer size for swaps; freed host bytes for a releasing free.
   std::size_t bytes = 0;
   /// kFreeValue that also retires the host (swap-file) copy.
@@ -78,69 +66,21 @@ struct OpStream {
   std::vector<StreamOp> ops;
   /// Iteration index the schedule was exported for (dropout key epoch).
   std::uint64_t iteration = 0;
-  /// Ops the builder tombstoned (cancelled prefetches), for stats.
-  int cancelled_ops = 0;
 
   int count(OpType type) const;
   int lane_count(Lane lane) const;
 
-  /// Structural self-check: dep indices are in range and acyclic by
-  /// construction (dep < op), edges are cross-lane, and replaying the
-  /// stream in index order keeps every read residency-correct — each
-  /// forward/backward/recompute input is device-resident when used, a
-  /// swap-in targets a host-resident, device-absent slot (a dangling or
-  /// duplicated H2D op is reported here), and frees drop live copies.
+  /// Structural self-check: replaying the stream in index order keeps
+  /// every read residency-correct — each forward/backward/recompute
+  /// input is device-resident when used, a swap-in targets a
+  /// host-resident, device-absent slot (a dangling or duplicated H2D op
+  /// is reported here), and frees drop live copies.
   /// Returns human-readable violations; empty means the stream is sound.
   std::vector<std::string> validate(
       const graph::Graph& graph,
       const std::vector<graph::BwdStep>& tape) const;
 
   std::string to_string(const graph::Graph& graph) const;
-};
-
-/// Incremental builder used by the runtime. Tracks the last toucher of
-/// every value slot so each emission gets its cross-lane dependency
-/// edges; supports tombstoning the latest swap-in of a value when the
-/// rescue chain cancels a prefetch.
-class OpStreamBuilder {
- public:
-  explicit OpStreamBuilder(int num_values);
-
-  /// Append an op touching `touched` value slots (read, moved, or
-  /// written — all serialize equally because swap-out is a destructive
-  /// move). Returns the op's index.
-  int emit(OpType type, graph::NodeId node, graph::ValueId value,
-           std::span<const graph::ValueId> touched, std::size_t bytes,
-           double sim_start, double sim_end);
-
-  /// Convenience for single-value ops (swaps, frees).
-  int emit_value(OpType type, graph::ValueId value, std::size_t bytes,
-                 double sim_start, double sim_end);
-
-  /// Tombstone the most recent, still-unconsumed kSwapIn of `value`
-  /// (mirrors Runtime's cancel_latest_prefetch + unrecord_swapin). The
-  /// cancelled op is guaranteed dependency-free on the consumer side:
-  /// cancellation is only legal while no later op has touched the slot.
-  void cancel_swapin(graph::ValueId value);
-
-  /// Mark the last emitted kFreeValue-style retirement of `value` as
-  /// also releasing `bytes` of host swap space.
-  void set_releases_host(int op_index, std::size_t bytes);
-
-  /// Compact tombstones, remap dep indices, and hand the stream over.
-  /// The builder is left empty.
-  OpStream finish(std::uint64_t iteration);
-
-  int size() const { return static_cast<int>(ops_.size()); }
-
- private:
-  std::vector<StreamOp> ops_;
-  std::vector<char> cancelled_;
-  /// Per value slot: index of the last op that touched it, -1 if none.
-  std::vector<std::int32_t> last_toucher_;
-  /// For swap-ins only: the toucher the slot had before the swap-in,
-  /// so cancel_swapin can roll the chain back.
-  std::vector<std::int32_t> prev_toucher_of_op_;
 };
 
 }  // namespace pooch::exec

@@ -155,9 +155,6 @@ Schedule build_schedule(const graph::Graph& graph,
     footprint_of(graph, step_of_node, rs, op, fp);
 
     std::vector<std::int32_t>& deps = sched.deps[i];
-    // Start from the recorded cross-lane edges (a subset of the hazard
-    // edges — kept so replay is never less conservative than serial).
-    deps = op.deps;
     for (std::int32_t r : fp.reads) {
       ResourceState& st = state[static_cast<std::size_t>(r)];
       if (st.last_writer >= 0) deps.push_back(st.last_writer);

@@ -1,15 +1,8 @@
 // Hazard analysis and critical-path priorities for multi-worker replay.
 //
-// The exported OpStream's recorded dependency edges are *cross-lane
-// last-toucher* edges: they are sufficient exactly when the compute lane
-// replays in serial program order, because same-lane ordering then comes
-// for free. Once several compute workers run concurrently that implicit
-// ordering disappears — e.g. two forwards may both be reading a value
-// when a swap-out that depended only on the *last* of them starts moving
-// the buffer out from under the first.
-//
-// build_schedule therefore rederives a complete happens-before partial
-// order from per-op read/write footprints over four resource spaces:
+// An exported OpStream is a plain op list without dependency edges.
+// build_schedule derives the complete happens-before partial order from
+// per-op read/write footprints over four resource spaces:
 //
 //   VALUE(v)  device feature map v          (values_ slot)
 //   GRAD(v)   feature-map gradient of v     (grads_ slot)
@@ -26,12 +19,13 @@
 // gradient accumulation replays in serial program order and the result
 // stays bit-identical to the serial run at any worker count (kernels are
 // bit-exact at any thread count; disjoint-slot ops commute exactly).
+// The same rules order the lanes against each other: a swap-in reads
+// HOST(v), so it waits for the swap-out that wrote it, and a swap-out
+// writes VALUE(v), so it waits for every forward still reading v.
 //
-// The recorded stream deps are unioned in (they are provably a subset of
-// the hazard edges, but the union keeps replay at least as conservative
-// as the serial executor ever was). Dep indices remain strictly smaller
-// than the op that carries them, so the stream's index order is still a
-// topological order and dependency-counted dispatch cannot deadlock.
+// Dep indices are strictly smaller than the op that carries them, so
+// the stream's index order is a topological order and dependency-counted
+// dispatch cannot deadlock.
 #pragma once
 
 #include <cstdint>
@@ -51,8 +45,7 @@ namespace pooch::exec {
 /// successor lists, and critical-path priorities.
 struct Schedule {
   /// Per op: indices that must complete first (sorted, deduplicated,
-  /// strictly smaller than the op's own index). Superset of the
-  /// stream's recorded `StreamOp::deps`.
+  /// strictly smaller than the op's own index).
   std::vector<std::vector<std::int32_t>> deps;
   /// Transpose of `deps`.
   std::vector<std::vector<std::int32_t>> succs;

@@ -473,13 +473,10 @@ ValidationReport TimelineValidator::check_replay(
   std::map<NodeId, const std::vector<ValueId>*> needed_by_node;
   for (const auto& step : tape_) needed_by_node[step.node] = &step.needed;
 
-  // The full happens-before partial order, rederived here independently
-  // of whatever the executor dispatched on: recorded cross-lane edges
-  // unioned with every compute-lane RAW/WAR/WAW hazard over the
-  // value/grad/param/host slots. Under a multi-worker compute lane the
-  // recorded edges alone are vacuous-pass material — two concurrent
-  // readers never recorded an edge between themselves and a destructive
-  // move only recorded the *last* of them.
+  // The full happens-before partial order, derived from the stream's op
+  // footprints: every RAW/WAR/WAW hazard over the value/grad/param/host
+  // slots, within and across lanes. The residency oracle below audits
+  // the same replay without any edges at all, from the graph and tape.
   const exec::Schedule sched = exec::build_schedule(graph_, tape_, stream);
 
   // Well-formedness and dependency edges (exact, via sequence numbers;
@@ -531,8 +528,8 @@ ValidationReport TimelineValidator::check_replay(
   }
 
   // Residency oracle, derived from the graph and tape independently of
-  // the recorded dependency edges: every read must land on a window
-  // where the value is materialized.
+  // the dependency edges: every read must land on a window where the
+  // value is materialized.
   ReplayHistory hist;
   hist.by_value.resize(static_cast<std::size_t>(graph_.num_values()));
   for (std::size_t i = 0; i < stream.ops.size(); ++i) {
@@ -605,8 +602,8 @@ ValidationReport TimelineValidator::check_replay(
   }
   // No kill may land inside a reader's window: a reader that *started*
   // on a materialized value must also *finish* before a swap-out moves
-  // the buffer or a free drops it. This is exactly the hazard the
-  // recorded last-toucher edges miss once readers run concurrently.
+  // the buffer or a free drops it. This is exactly the hazard a missing
+  // WAR edge would let through once readers run concurrently.
   for (std::size_t i = 0; i < stream.ops.size(); ++i) {
     const exec::StreamOp& op = stream.ops[i];
     if (op.type != exec::OpType::kSwapOut &&

@@ -6,6 +6,7 @@
 
 #include "common/error.hpp"
 #include "common/logging.hpp"
+#include "cost/machine.hpp"
 #include "graph/liveness.hpp"
 #include "obs/stats.hpp"
 
@@ -90,13 +91,41 @@ exec::OpStream record_op_stream(const sim::Runtime& runtime,
                                 const sim::Classification& classes,
                                 sim::RunOptions options) {
   exec::OpStream stream;
-  options.data = nullptr;  // pure scheduling pass, no numerics
   options.export_stream = &stream;
   sim::RunResult r = runtime.run(classes, options);
   if (!r.ok) {
     throw Error("record_op_stream: simulation failed: " + r.failure);
   }
   return stream;
+}
+
+exec::OpStream record_incore_stream(const graph::Graph& graph,
+                                    const std::vector<graph::BwdStep>& tape) {
+  // Capacity shapes the schedule, never the numerics: on a device that
+  // holds every feature map the keep-all run cannot (simulated-)OOM.
+  cost::MachineConfig roomy = cost::x86_pcie();
+  roomy.gpu_capacity_bytes =
+      std::max(roomy.gpu_capacity_bytes,
+               graph::incore_peak_bytes(graph) * 2 + (std::size_t{1} << 30));
+  const sim::CostTimeModel time_model(graph, roomy);
+  const sim::Runtime runtime(graph, tape, roomy, time_model);
+  return record_op_stream(runtime,
+                          sim::Classification(graph, sim::ValueClass::kKeep));
+}
+
+void run_incore_reference(const graph::Graph& graph,
+                          const std::vector<graph::BwdStep>& tape,
+                          sim::DataBackend& data, int iterations) {
+  exec::OpStream stream = record_incore_stream(graph, tape);
+  const exec::AsyncExecutor executor(graph, stream);
+  for (int i = 0; i < iterations; ++i) {
+    stream.iteration = static_cast<std::uint64_t>(i);
+    const exec::AsyncResult res = executor.run(data);
+    if (!res.ok) {
+      throw Error("in-core reference iteration " + std::to_string(i) +
+                  " failed: " + res.failure);
+    }
+  }
 }
 
 namespace {
@@ -129,7 +158,7 @@ exec::OpStream record_plan_stream(const sim::Runtime& runtime,
 }
 
 /// Predicted iteration time of `plan` under `runtime`'s time model,
-/// mirroring execute_plan's autotuned choice (no data backend attached).
+/// mirroring execute_plan's autotuned choice.
 double predict_iteration_time(const sim::Runtime& runtime,
                               const PlannerResult& plan) {
   const sim::RunResult r = execute_plan(runtime, plan, {});
@@ -304,26 +333,15 @@ MeasuredPipelineResult run_pooch_measured(
   // Phase 6: the whole measured trajectory — across warm-ups, both
   // plans, and the re-records — must be bit-identical to serial in-core
   // training of the same iterations (the transparency contract).
-  {
-    cost::MachineConfig roomy = machine;
-    roomy.gpu_capacity_bytes =
-        std::max(roomy.gpu_capacity_bytes,
-                 graph::incore_peak_bytes(graph) * 2 + (std::size_t{1} << 30));
-    sim::Runtime ref_runtime(graph, tape, roomy, ground_truth);
-    sim::DataBackend ref(graph, options.data_seed, options.learning_rate);
-    const sim::Classification keep(graph, sim::ValueClass::kKeep);
-    sim::RunOptions ro;
-    ro.data = &ref;
-    bool ref_ok = true;
-    for (std::uint64_t it = 0; it < next_iteration && ref_ok; ++it) {
-      ro.iteration = it;
-      ref_ok = ref_runtime.run(keep, ro).ok;
-    }
-    out.loss = data.loss();
+  out.loss = data.loss();
+  sim::DataBackend ref(graph, options.data_seed, options.learning_rate);
+  try {
+    run_incore_reference(graph, tape, ref, out.iterations_executed);
     const float want = ref.loss();
-    out.bit_identical = ref_ok &&
-                        std::memcmp(&out.loss, &want, sizeof(float)) == 0 &&
+    out.bit_identical = std::memcmp(&out.loss, &want, sizeof(float)) == 0 &&
                         data.param_norm() == ref.param_norm();
+  } catch (const Error& e) {
+    out.failure = e.what();
   }
 
   if (stats && model) {
@@ -348,16 +366,6 @@ MeasuredPipelineResult run_pooch_measured(
     out.failure = "measured execution not bit-identical to in-core";
   }
   return out;
-}
-
-sim::RunResult execute_classification(const graph::Graph& graph,
-                                      const std::vector<graph::BwdStep>& tape,
-                                      const cost::MachineConfig& machine,
-                                      const sim::TimeModel& ground_truth,
-                                      const sim::Classification& classes,
-                                      const sim::RunOptions& run_options) {
-  sim::Runtime runtime(graph, tape, machine, ground_truth);
-  return runtime.run(classes, run_options);
 }
 
 }  // namespace pooch::planner

@@ -15,6 +15,7 @@
 #include "pooch/planner.hpp"
 #include "profile/measured_profile.hpp"
 #include "profile/profiler.hpp"
+#include "sim/data_backend.hpp"
 
 namespace pooch::kernels {
 class KernelContext;
@@ -62,14 +63,28 @@ sim::RunResult execute_plan(const sim::Runtime& runtime,
                             const PlannerResult& plan,
                             sim::RunOptions options = {});
 
-/// Simulate `classes` on `runtime` (no data backend) and return the
-/// exported replayable op stream for exec::AsyncExecutor. Throws
+/// Simulate `classes` on `runtime` and return the exported replayable op
+/// stream for exec::AsyncExecutor. Throws
 /// pooch::Error when the simulation cannot complete under `options`
 /// (simulated OOM) — an infeasible classification has no schedule to
 /// replay.
 exec::OpStream record_op_stream(const sim::Runtime& runtime,
                                 const sim::Classification& classes,
                                 sim::RunOptions options = {});
+
+/// The in-core schedule: `graph`'s keep-all op stream, recorded on a
+/// device large enough to keep every feature map resident.
+exec::OpStream record_incore_stream(const graph::Graph& graph,
+                                    const std::vector<graph::BwdStep>& tape);
+
+/// The in-core reference every out-of-core execution is verified
+/// against: train `data` through iterations [0, iterations) by replaying
+/// record_incore_stream on one compute worker — serial program order.
+/// Throws pooch::Error when the export or a replay fails, so a reference
+/// that did not run can never compare equal.
+void run_incore_reference(const graph::Graph& graph,
+                          const std::vector<graph::BwdStep>& tape,
+                          sim::DataBackend& data, int iterations);
 
 // ---------------------------------------------------------------------
 // Measured-profile calibration loop (docs/PROFILING.md).
@@ -158,14 +173,5 @@ MeasuredPipelineResult run_pooch_measured(
     const graph::Graph& graph, const std::vector<graph::BwdStep>& tape,
     const cost::MachineConfig& machine, const sim::TimeModel& ground_truth,
     const MeasuredPipelineOptions& options = {});
-
-/// Execute an externally supplied classification (used by the baselines
-/// and by the paper's cross-environment experiment in §5.2).
-sim::RunResult execute_classification(const graph::Graph& graph,
-                                      const std::vector<graph::BwdStep>& tape,
-                                      const cost::MachineConfig& machine,
-                                      const sim::TimeModel& ground_truth,
-                                      const sim::Classification& classes,
-                                      const sim::RunOptions& run_options);
 
 }  // namespace pooch::planner

@@ -315,9 +315,9 @@ void DataBackend::backward(NodeId id, std::uint64_t iteration) {
 
 void DataBackend::swap_out(ValueId v) {
   POOCH_CHECK_MSG(value_resident(v), "swap_out of non-resident v" << v);
-  // Move the buffer host-side instead of deep-copying: the runtime frees
-  // the device copy right after a swap-out anyway, and moving keeps peak
-  // footprint at one copy of the tensor instead of two.
+  // Move the buffer host-side instead of deep-copying: a swap-out frees
+  // the device copy anyway, and moving keeps peak footprint at one copy
+  // of the tensor instead of two.
   host_[static_cast<std::size_t>(v)] =
       std::move(values_[static_cast<std::size_t>(v)]);
   values_[static_cast<std::size_t>(v)] = Tensor();
@@ -327,7 +327,7 @@ void DataBackend::swap_in(ValueId v) {
   Tensor& h = host_[static_cast<std::size_t>(v)];
   POOCH_CHECK_MSG(h.numel() > 0 && h.materialized(),
                   "swap_in without host copy for v" << v);
-  // Copy, not move: the runtime treats a swapped-in value as a clean
+  // Copy, not move: the schedule treats a swapped-in value as a clean
   // page whose host copy stays valid — rescue eviction drops the device
   // buffer without re-writing host and re-fetches later.
   values_[static_cast<std::size_t>(v)] = h;

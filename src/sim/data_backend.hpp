@@ -1,9 +1,10 @@
-// Real numeric execution attached to the virtual GPU.
+// Real numeric state of one training job.
 //
-// The runtime drives this backend in program order: forward/backward
-// kernels, host<->device copies, frees, and the SGD update. "Device"
-// tensors live in values_/grads_; a swap-out copies to host_ and drops the
-// device buffer, mirroring what the timing layer schedules.
+// exec::AsyncExecutor drives this backend by replaying an exported op
+// stream: forward/backward kernels, host<->device copies, frees, and the
+// SGD update, each op one call below. "Device" tensors live in
+// values_/grads_; a swap-out moves to host_ and drops the device buffer,
+// mirroring what the simulator scheduled.
 //
 // Its purpose is verification: a training iteration executed under any
 // feasible classification must produce bit-identical losses, gradients
@@ -52,9 +53,9 @@ class DataBackend {
     kernels::KernelContext* prev_ctx_;
   };
 
-  // --- ops invoked by the runtime in program order ---
+  // --- ops invoked by the executor, one per StreamOp ---
   /// Re-installs the input batch (mirrors the per-iteration H2D upload of
-  /// training data); called by the runtime at the start of every run.
+  /// training data); the first op of every exported stream.
   void begin_iteration();
   void forward(graph::NodeId node, std::uint64_t iteration);
   void backward(graph::NodeId node, std::uint64_t iteration);

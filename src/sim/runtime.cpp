@@ -113,9 +113,9 @@ class Exec {
         opts_.fixed_swapin_schedule != nullptr &&
         opts_.fixed_swapin_schedule->size() ==
             static_cast<std::size_t>(g_.num_values());
-    if (opts_.export_stream) {
-      opts_.export_stream->ops.clear();
-      xb_.emplace(g_.num_values());
+    if (xs_) {
+      xs_->ops.clear();
+      xs_->iteration = opts_.iteration;
     }
     build_prefetch_queue();
     build_free_indices();
@@ -128,7 +128,6 @@ class Exec {
     result_.ok = true;
     result_.iteration_time = t_comp_;
     bump("runtime.runs");
-    if (xb_) *opts_.export_stream = xb_->finish(opts_.iteration);
     finalize();
     return std::move(result_);
   }
@@ -138,6 +137,7 @@ class Exec {
     result_.oom = true;
     result_.failure = std::move(why);
     bump("runtime.oom");
+    if (xs_) xs_->ops.clear();  // only a completed schedule is exported
     finalize();
     return std::move(result_);
   }
@@ -150,26 +150,33 @@ class Exec {
 
   // ---- op-stream export ----------------------------------------------
   //
-  // Every site that would drive a DataBackend call also emits a StreamOp
-  // when export is on, whether or not a backend is attached, so the
-  // exported schedule reproduces the serial call sequence exactly.
+  // Every piece of real work the schedule implies is appended to the
+  // exported stream in program order (see exec/op_stream.hpp).
 
-  void export_compute(exec::OpType type, NodeId node,
-                      std::span<const ValueId> touched, double start,
+  void emit(exec::OpType type, NodeId node, ValueId value, std::size_t bytes,
+            double start, double end, bool releases_host = false) {
+    if (!xs_) return;
+    xs_->ops.push_back(exec::StreamOp{type, node, value, bytes, releases_host,
+                                      start, end});
+  }
+
+  void export_compute(exec::OpType type, NodeId node, double start,
                       double end) {
-    if (!xb_) return;
-    xb_->emit(type, node,
-              type == exec::OpType::kForward ||
-                      type == exec::OpType::kRecompute
-                  ? g_.node(node).output
-                  : -1,
-              touched, 0, start, end);
+    if (!xs_) return;
+    const bool produces = type == exec::OpType::kForward ||
+                          type == exec::OpType::kRecompute;
+    emit(type, node, produces ? g_.node(node).output : -1, 0, start, end);
+  }
+
+  void export_swap(exec::OpType type, ValueId v, double start, double end) {
+    if (!xs_) return;
+    emit(type, kNoNode, v, vbytes(v), start, end);
   }
 
   void export_free_value(ValueId v, double t, bool releases_host) {
-    if (!xb_) return;
-    const int i = xb_->emit_value(exec::OpType::kFreeValue, v, 0, t, t);
-    if (releases_host) xb_->set_releases_host(i, vbytes(v));
+    if (!xs_) return;
+    emit(exec::OpType::kFreeValue, kNoNode, v, releases_host ? vbytes(v) : 0,
+         t, t, releases_host);
   }
 
   // ---- metrics -----------------------------------------------------
@@ -357,18 +364,31 @@ class Exec {
   }
 
   /// A cancelled prefetch never ran its DMA: take it back out of the
-  /// timeline (busy accounting and, when recorded, the op span itself),
-  /// or the H2D stream would show two transfers over the same interval
-  /// after the cursor rollback. The duration comes from the H2D cursor
-  /// (this prefetch is the stream's latest issue, so the cursor sits at
-  /// its end) — never from re-querying the time model, whose noisy
-  /// profiling variant draws fresh jitter per call.
+  /// timeline (busy accounting and, when recorded, the op span itself)
+  /// and out of the exported stream, or the H2D stream would show two
+  /// transfers over the same interval after the cursor rollback. The
+  /// duration comes from the H2D cursor (this prefetch is the stream's
+  /// latest issue, so the cursor sits at its end) — never from
+  /// re-querying the time model, whose noisy profiling variant draws
+  /// fresh jitter per call.
   void unrecord_swapin(const IssuedPrefetch& p) {
     result_.timeline.h2d_busy -= t_h2d_ - p.h2d_start;
-    if (!opts_.record_timeline) return;
-    auto& ops = result_.timeline.ops;
+    if (xs_) erase_latest(xs_->ops, p.value, [](const exec::StreamOp& op) {
+      return op.type == exec::OpType::kSwapIn;
+    });
+    if (opts_.record_timeline) {
+      erase_latest(result_.timeline.ops, p.value, [](const OpRecord& op) {
+        return op.kind == OpKind::kSwapIn;
+      });
+    }
+  }
+
+  /// Erase the latest entry of `ops` on `value` that satisfies `is_swapin`.
+  template <typename Op, typename Pred>
+  static void erase_latest(std::vector<Op>& ops, ValueId value,
+                           Pred is_swapin) {
     for (auto it = ops.rbegin(); it != ops.rend(); ++it) {
-      if (it->kind == OpKind::kSwapIn && it->value == p.value) {
+      if (is_swapin(*it) && it->value == value) {
         ops.erase(std::next(it).base());
         return;
       }
@@ -391,10 +411,6 @@ class Exec {
     s.swapin_issued = false;
     s.dev.reset();
     s.ready = 0.0;
-    if (opts_.data) opts_.data->free_value(p.value);
-    // Mirror unrecord_swapin in the exported stream: the transfer never
-    // ran, so tombstone it rather than pairing it with a free.
-    if (xb_) xb_->cancel_swapin(p.value);
     next_q_ = std::min(next_q_, p.queue_index);
     bump("runtime.rescue.cancel_prefetch");
     return true;
@@ -419,7 +435,6 @@ class Exec {
       s.swapin_issued = false;
       s.dev.reset();
       s.ready = 0.0;
-      if (opts_.data) opts_.data->free_value(it->value);
       export_free_value(it->value, now, /*releases_host=*/false);
       next_q_ = std::min(next_q_, it->queue_index);
       issued_.erase(std::next(it).base());
@@ -454,7 +469,6 @@ class Exec {
     s.dev.reset();
     s.swapin_issued = false;
     s.ready = 0.0;
-    if (opts_.data) opts_.data->free_value(best);
     export_free_value(best, now, /*releases_host=*/false);
     bump("runtime.rescue.wait_inflight_prefetch");
     return true;
@@ -483,7 +497,6 @@ class Exec {
     s.dev.reset();
     s.swapin_issued = false;
     s.ready = 0.0;
-    if (opts_.data) opts_.data->free_value(best);
     export_free_value(best, now, /*releases_host=*/false);
     bump("runtime.rescue.evict_clean_resident");
     return true;
@@ -557,11 +570,7 @@ class Exec {
     t_d2h_ = end;
     s.d2h_end = end;
     s.on_host = true;
-    if (opts_.data) {
-      opts_.data->swap_out(v);
-      opts_.data->free_value(v);
-    }
-    if (xb_) xb_->emit_value(exec::OpType::kSwapOut, v, vbytes(v), start, end);
+    export_swap(exec::OpType::kSwapOut, v, start, end);
     // The device buffer is reclaimable only once the copy has finished.
     schedule_free(*s.dev, end, v, /*from_d2h=*/true);
     s.dev.reset();
@@ -599,8 +608,7 @@ class Exec {
     s.dev = off;
     s.ready = end;
     s.swapin_issued = true;
-    if (opts_.data) opts_.data->swap_in(v);
-    if (xb_) xb_->emit_value(exec::OpType::kSwapIn, v, vbytes(v), start, end);
+    export_swap(exec::OpType::kSwapIn, v, start, end);
     if (!blocking) {
       issued_.push_back(IssuedPrefetch{v, off, start, prev_cursor,
                                        queue_index});
@@ -675,9 +683,7 @@ class Exec {
   // ---- forward phase -------------------------------------------------
 
   void place_graph_inputs() {
-    if (opts_.data) opts_.data->begin_iteration();
-    export_compute(exec::OpType::kBeginIteration, kNoNode, g_.inputs(), 0.0,
-                   0.0);
+    export_compute(exec::OpType::kBeginIteration, kNoNode, 0.0, 0.0);
     for (ValueId in : g_.inputs()) {
       AllocOutcome a =
           blocking_alloc(vbytes(in), 0.0, "graph input", value_side(in));
@@ -694,7 +700,6 @@ class Exec {
     if (plan_.discard[vi]) {
       schedule_free(*s.dev, t, v, /*from_d2h=*/false);
       s.dev.reset();
-      if (opts_.data) opts_.data->free_value(v);
       export_free_value(v, t, /*releases_host=*/false);
       return;
     }
@@ -734,13 +739,7 @@ class Exec {
         blame = mem_blame;
       }
       const double end = start + tm_.forward_time(node.id);
-      if (opts_.data) opts_.data->forward(node.id, opts_.iteration);
-      if (xb_) {
-        touched_scratch_.assign(node.inputs.begin(), node.inputs.end());
-        touched_scratch_.push_back(out);
-        export_compute(exec::OpType::kForward, node.id, touched_scratch_,
-                       start, end);
-      }
+      export_compute(exec::OpType::kForward, node.id, start, end);
       record(OpKind::kForward, node.id, out, start, end, stall, cause, blame);
       st(out).dev = a_out.offset;
       st(out).ready = end;
@@ -831,13 +830,7 @@ class Exec {
     const double dur = tm_.forward_time(node.id);
     const double end = start + dur;
     result_.recompute_seconds += dur;
-    if (opts_.data) opts_.data->forward(node.id, opts_.iteration);
-    if (xb_) {
-      touched_scratch_.assign(node.inputs.begin(), node.inputs.end());
-      touched_scratch_.push_back(out);
-      export_compute(exec::OpType::kRecompute, node.id, touched_scratch_,
-                     start, end);
-    }
+    export_compute(exec::OpType::kRecompute, node.id, start, end);
     record(OpKind::kRecompute, node.id, out, start, end, stall, cause, blame);
     if (ws_off) schedule_free(*ws_off, end, -1, false);
     ValueState& s = st(out);
@@ -927,9 +920,7 @@ class Exec {
         }
       }
       const double end = start + tm_.backward_time(bstep.node);
-      if (opts_.data) opts_.data->backward(bstep.node, opts_.iteration);
-      export_compute(exec::OpType::kBackward, bstep.node, bstep.needed, start,
-                     end);
+      export_compute(exec::OpType::kBackward, bstep.node, start, end);
       record(OpKind::kBackward, bstep.node, g_.node(bstep.node).output, start,
              end, stall, cause, blame);
       t_comp_ = end;
@@ -950,7 +941,6 @@ class Exec {
           host_.release(vbytes(v));
           s.on_host = false;
         }
-        if (opts_.data) opts_.data->free_value(v);
       }
       // Free gradient buffers whose last aliased consumer was this step.
       for (ValueId v : grad_arena_free_by_step_[k]) {
@@ -961,12 +951,7 @@ class Exec {
         }
       }
       for (ValueId v : grad_backend_free_by_step_[k]) {
-        if (opts_.data) opts_.data->free_grad(v);
-        // Gradient slots are compute-lane-only: no value-slot touch, no
-        // cross-lane edges.
-        if (xb_) {
-          xb_->emit(exec::OpType::kFreeGrad, kNoNode, v, {}, 0, end, end);
-        }
+        emit(exec::OpType::kFreeGrad, kNoNode, v, 0, end, end);
       }
     }
   }
@@ -974,8 +959,7 @@ class Exec {
   void run_update() {
     const double start = t_comp_;
     const double end = start + tm_.update_time();
-    if (opts_.data) opts_.data->update();
-    export_compute(exec::OpType::kUpdate, kNoNode, {}, start, end);
+    export_compute(exec::OpType::kUpdate, kNoNode, start, end);
     record(OpKind::kUpdate, kNoNode, -1, start, end, 0.0, StallCause::kNone,
            -1);
     t_comp_ = end;
@@ -1045,8 +1029,7 @@ class Exec {
   int current_step_ = 0;
   bool has_fixed_schedule_ = false;
 
-  std::optional<exec::OpStreamBuilder> xb_;
-  std::vector<ValueId> touched_scratch_;
+  exec::OpStream* const xs_ = opts_.export_stream;
 
   RunResult result_;
 };

@@ -1,14 +1,14 @@
-// The virtual GPU runtime: executes one training iteration of a graph
+// The virtual GPU runtime: simulates one training iteration of a graph
 // under a classification, on a machine, and reports what happened.
 //
-// It is simultaneously
-//   (a) the *timeline simulator* PoocH's classifier queries thousands of
-//       times (§4.1.2: "PoocH simulates an execution timeline and memory
-//       management processes"), and
-//   (b) the *executor* of the chosen classification — attach a DataBackend
-//       and the same schedule runs real kernels on real tensors.
-// Using one engine for both is the strongest form of the paper's premise
-// that the simulation faithfully models the execution.
+// It is the *timeline simulator* PoocH's classifier queries thousands of
+// times (§4.1.2: "PoocH simulates an execution timeline and memory
+// management processes"). It never touches tensors: a run can export the
+// schedule it scored as an exec::OpStream, and exec::AsyncExecutor — the
+// only code that executes real kernels — replays exactly that op list.
+// The paper's premise that the simulation models the execution becomes
+// "the executor runs the op list the simulator scored", audited by
+// obs::TimelineValidator::check_replay.
 //
 // Modelled structure: one compute stream, one D2H stream, one H2D stream;
 // a best-fit arena for device memory where allocations may have to wait
@@ -25,7 +25,6 @@
 #include "cost/machine.hpp"
 #include "graph/autodiff.hpp"
 #include "graph/graph.hpp"
-#include "sim/data_backend.hpp"
 #include "sim/plan.hpp"
 #include "sim/time_model.hpp"
 #include "sim/timeline.hpp"
@@ -82,13 +81,10 @@ struct RunOptions {
   /// the plan was validated against, so the execution reproduces the
   /// planning simulation's memory behaviour exactly.
   std::size_t usable_bytes_override = 0;
-  /// Optional real execution.
-  DataBackend* data = nullptr;
   /// When set, the run additionally exports its schedule as a replayable
-  /// op stream with dependency edges (see exec/op_stream.hpp) — the
-  /// input to exec::AsyncExecutor. Works with or without `data`; only
-  /// written when the run completes (ok). Cancelled prefetches are
-  /// compacted out, mirroring unrecord_swapin.
+  /// op list (see exec/op_stream.hpp) — the input to exec::AsyncExecutor.
+  /// Holds ops only when the run completes (ok). Cancelled prefetches are
+  /// erased again, mirroring unrecord_swapin.
   exec::OpStream* export_stream = nullptr;
   /// Metrics sink. When set, the run publishes counters (transfers,
   /// recomputes, OOM-rescue events, eager-prefetch headroom blocks),
@@ -143,24 +139,24 @@ class Runtime {
   Runtime(const graph::Graph& graph, const std::vector<graph::BwdStep>& tape,
           const cost::MachineConfig& machine, const TimeModel& time_model);
 
-  /// Simulate (and optionally execute) one training iteration.
+  /// Simulate one training iteration.
   ///
   /// Thread safety: run() is re-entrant. The Runtime itself holds only
-  /// const references; every piece of execution state (arena, host pool,
+  /// const references; every piece of simulation state (arena, host pool,
   /// value states, stream cursors, the RunResult) lives in a per-call
   /// Exec on this thread's stack. Concurrent run() calls on one Runtime
   /// are therefore safe provided (a) the TimeModel reports
   /// concurrent_safe() — NoisyTimeModel does not, its queries mutate a
-  /// shared Rng — and (b) options.data is null or distinct per thread (a
-  /// DataBackend carries real tensors and is not synchronized). An
-  /// attached StatsRegistry is safe: counters and gauges are atomic.
-  /// The parallel planner (pooch::planner) relies on exactly this.
+  /// shared Rng — and (b) options.export_stream is null or distinct per
+  /// thread. An attached StatsRegistry is safe: counters and gauges are
+  /// atomic. The parallel planner (pooch::planner) relies on exactly this.
   RunResult run(const Classification& classes,
                 const RunOptions& options = {}) const;
 
   const graph::Graph& graph() const { return graph_; }
   const std::vector<graph::BwdStep>& tape() const { return tape_; }
   const cost::MachineConfig& machine() const { return machine_; }
+  const TimeModel& time_model() const { return time_model_; }
 
  private:
   const graph::Graph& graph_;

@@ -7,7 +7,7 @@
 // against the obs::TimelineValidator ordering oracle: measured spans
 // must respect each dependency edge, and every read must land while its
 // value is materialized (derived from the graph/tape, independent of
-// the recorded edges).
+// the dependency edges).
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -34,7 +34,9 @@
 namespace pooch::sim {
 namespace {
 
-constexpr std::uint64_t kSeed = 1234;
+using testing::async_replay;
+using testing::kDataSeed;
+using testing::serial_reference;
 
 struct AsyncEnv {
   graph::Graph g;
@@ -67,51 +69,6 @@ void expect_bit_identical(const graph::Graph& g, const DataBackend& a,
           << what << ": param grad " << i << " of '" << n.name << "' differs";
     }
   }
-}
-
-/// Serial in-core reference: keep-all, inline backend, ample memory.
-std::unique_ptr<DataBackend> serial_reference(const AsyncEnv& env,
-                                              int iterations = 1) {
-  auto backend = std::make_unique<DataBackend>(env.g, kSeed);
-  RunOptions ro;
-  ro.data = backend.get();
-  for (int i = 0; i < iterations; ++i) {
-    ro.iteration = static_cast<std::uint64_t>(i);
-    const auto r = env.rt->run(Classification(env.g, ValueClass::kKeep), ro);
-    EXPECT_TRUE(r.ok) << r.failure;
-  }
-  return backend;
-}
-
-/// Export the schedule, replay it through the AsyncExecutor, and run the
-/// ordering oracle on the measured spans.
-std::unique_ptr<DataBackend> async_replay(const AsyncEnv& env,
-                                          const Classification& classes,
-                                          int copy_workers,
-                                          int compute_workers = 1,
-                                          RunOptions ro = {},
-                                          int iterations = 1) {
-  auto backend = std::make_unique<DataBackend>(env.g, kSeed);
-  const obs::TimelineValidator validator(env.g, env.tape);
-  for (int i = 0; i < iterations; ++i) {
-    ro.iteration = static_cast<std::uint64_t>(i);
-    const exec::OpStream stream =
-        planner::record_op_stream(*env.rt, classes, ro);
-    const auto structural = stream.validate(env.g, env.tape);
-    EXPECT_TRUE(structural.empty())
-        << structural.size() << " structural errors, first: "
-        << structural.front();
-    const exec::AsyncExecutor executor(env.g, stream);
-    exec::AsyncOptions ao;
-    ao.workers_per_copy_lane = copy_workers;
-    ao.compute_workers = compute_workers;
-    ao.time_model = env.tm.get();
-    const exec::AsyncResult res = executor.run(*backend, ao);
-    EXPECT_TRUE(res.ok) << res.failure;
-    const auto oracle = validator.check_replay(stream, res.spans);
-    EXPECT_TRUE(oracle.ok()) << oracle.to_string();
-  }
-  return backend;
 }
 
 // ---- primitives ------------------------------------------------------
@@ -224,32 +181,23 @@ TEST(AsyncExecStream, ExportMatchesRecordedTimeline) {
   const auto errors = stream.validate(env.g, env.tape);
   EXPECT_TRUE(errors.empty()) << errors.size() << " errors, first: "
                               << errors.front();
-  // Swap-ins must carry at least one dependency (the matching swap-out
-  // or an eviction free) — a dependency-free H2D would race the D2H.
-  for (const auto& op : stream.ops) {
-    if (op.type == exec::OpType::kSwapIn) {
-      EXPECT_FALSE(op.deps.empty()) << "swap-in of v" << op.value;
+  // Every swap-in must wait for the swap-out that wrote its host copy —
+  // a swap-in without that edge would race the D2H.
+  const exec::Schedule sched = exec::build_schedule(env.g, env.tape, stream);
+  std::vector<std::int32_t> last_swapout(
+      static_cast<std::size_t>(env.g.num_values()), -1);
+  for (std::size_t i = 0; i < stream.ops.size(); ++i) {
+    const auto& op = stream.ops[i];
+    const auto v = static_cast<std::size_t>(op.value);
+    if (op.type == exec::OpType::kSwapOut) {
+      last_swapout[v] = static_cast<std::int32_t>(i);
+    } else if (op.type == exec::OpType::kSwapIn) {
+      ASSERT_GE(last_swapout[v], 0) << "swap-in of v" << op.value;
+      const auto& deps = sched.deps[i];
+      EXPECT_TRUE(std::find(deps.begin(), deps.end(), last_swapout[v]) !=
+                  deps.end())
+          << "swap-in of v" << op.value << " does not wait for its swap-out";
     }
-  }
-}
-
-TEST(AsyncExecStream, ExportWorksAlongsideDataBackend) {
-  // Export and inline execution in the same run: same stream as a pure
-  // scheduling pass, and the backend still finishes the iteration.
-  AsyncEnv env(models::small_cnn(2, 16), 8192);
-  exec::OpStream pure = planner::record_op_stream(
-      *env.rt, Classification(env.g, ValueClass::kSwap));
-  DataBackend backend(env.g, kSeed);
-  exec::OpStream combined;
-  RunOptions ro;
-  ro.data = &backend;
-  ro.export_stream = &combined;
-  ASSERT_TRUE(env.rt->run(Classification(env.g, ValueClass::kSwap), ro).ok);
-  ASSERT_EQ(pure.ops.size(), combined.ops.size());
-  for (std::size_t i = 0; i < pure.ops.size(); ++i) {
-    EXPECT_EQ(pure.ops[i].type, combined.ops[i].type) << "op " << i;
-    EXPECT_EQ(pure.ops[i].value, combined.ops[i].value) << "op " << i;
-    EXPECT_EQ(pure.ops[i].deps, combined.ops[i].deps) << "op " << i;
   }
 }
 
@@ -260,7 +208,7 @@ TEST(AsyncExecDifferential, RandomGraphCorpusBitIdenticalAllPolicies) {
   int swap_covered = 0;
   for (std::uint64_t seed = 1; seed <= 5; ++seed) {
     AsyncEnv roomy(testing::random_graph(seed), 8192);
-    const auto ref = serial_reference(roomy);
+    const auto ref = serial_reference(roomy.g, roomy.tape);
     const auto keep = roomy.rt->run(Classification(roomy.g, ValueClass::kKeep));
     ASSERT_TRUE(keep.ok);
 
@@ -269,7 +217,7 @@ TEST(AsyncExecDifferential, RandomGraphCorpusBitIdenticalAllPolicies) {
           "seed " + std::to_string(seed) + " workers " + std::to_string(workers);
       // keep-all: the stream is pure compute; replay must still match.
       const auto keep_async = async_replay(
-          roomy, Classification(roomy.g, ValueClass::kKeep), workers);
+          *roomy.rt, Classification(roomy.g, ValueClass::kKeep), workers);
       expect_bit_identical(roomy.g, *ref, *keep_async, tag + " keep-all");
     }
 
@@ -296,7 +244,7 @@ TEST(AsyncExecDifferential, RandomGraphCorpusBitIdenticalAllPolicies) {
       const std::string tag =
           "seed " + std::to_string(seed) + " workers " + std::to_string(workers);
       const auto swap_async = async_replay(
-          *tight, Classification(tight->g, ValueClass::kSwap), workers);
+          *tight->rt, Classification(tight->g, ValueClass::kSwap), workers);
       expect_bit_identical(tight->g, *ref, *swap_async, tag + " swap-all");
       ++swap_covered;
     }
@@ -310,7 +258,7 @@ TEST(AsyncExecDifferential, RandomGraphCorpusBitIdenticalAllPolicies) {
             "seed " + std::to_string(seed) + " workers " +
             std::to_string(workers);
         const auto hybrid_async =
-            async_replay(*tight, plan.classes, workers);
+            async_replay(*tight->rt, plan.classes, workers);
         expect_bit_identical(tight->g, *ref, *hybrid_async,
                              tag + " planner-hybrid");
       }
@@ -328,10 +276,10 @@ TEST(AsyncExecDifferential, MultiIterationTrajectoryBitIdentical) {
   AsyncEnv tight(models::small_cnn(2, 16),
                  std::max<std::size_t>(1, keep.peak_bytes * 8 / 10 / kMiB + 1),
                  1.0);
-  const auto ref = serial_reference(env, /*iterations=*/3);
+  const auto ref = serial_reference(env.g, env.tape, /*iterations=*/3);
   for (const int workers : {1, 2}) {
     const auto async = async_replay(
-        tight, Classification(tight.g, ValueClass::kSwap), workers,
+        *tight.rt, Classification(tight.g, ValueClass::kSwap), workers,
         /*compute_workers=*/workers, {}, /*iterations=*/3);
     expect_bit_identical(tight.g, *ref, *async,
                          "3 iterations, workers " + std::to_string(workers));
@@ -340,7 +288,7 @@ TEST(AsyncExecDifferential, MultiIterationTrajectoryBitIdentical) {
 
 TEST(AsyncExecDifferential, ResNetMixedClassification) {
   AsyncEnv env(models::resnet18(1, 32, 8), 8192);
-  const auto ref = serial_reference(env);
+  const auto ref = serial_reference(env.g, env.tape);
   Classification mixed(env.g, ValueClass::kKeep);
   int i = 0;
   for (const auto& v : env.g.values()) {
@@ -357,7 +305,7 @@ TEST(AsyncExecDifferential, ResNetMixedClassification) {
     }
   }
   for (const int workers : {1, 2, 8}) {
-    const auto async = async_replay(env, mixed, workers);
+    const auto async = async_replay(*env.rt, mixed, workers);
     expect_bit_identical(env.g, *ref, *async,
                          "resnet18 mixed, workers " + std::to_string(workers));
   }
@@ -369,7 +317,7 @@ TEST(AsyncExecHostPool, SwapAccountingBalances) {
   AsyncEnv env(models::small_cnn(2, 16), 8192);
   const exec::OpStream stream = planner::record_op_stream(
       *env.rt, Classification(env.g, ValueClass::kSwap));
-  DataBackend backend(env.g, kSeed);
+  DataBackend backend(env.g, kDataSeed);
   mem::HostPool pool(std::size_t{1} << 30);
   const exec::AsyncExecutor executor(env.g, stream);
   exec::AsyncOptions ao;
@@ -386,7 +334,7 @@ TEST(AsyncExecHostPool, ExhaustedPoolFailsLoudly) {
   AsyncEnv env(models::small_cnn(2, 16), 8192);
   const exec::OpStream stream = planner::record_op_stream(
       *env.rt, Classification(env.g, ValueClass::kSwap));
-  DataBackend backend(env.g, kSeed);
+  DataBackend backend(env.g, kDataSeed);
   mem::HostPool pool(1);  // nothing fits
   const exec::AsyncExecutor executor(env.g, stream);
   exec::AsyncOptions ao;
@@ -396,64 +344,36 @@ TEST(AsyncExecHostPool, ExhaustedPoolFailsLoudly) {
   EXPECT_NE(res.failure.find("host pool"), std::string::npos) << res.failure;
 }
 
-TEST(AsyncExecOracle, FlagsFabricatedDependencyViolation) {
-  AsyncEnv env(models::small_cnn(2, 16), 8192);
-  const exec::OpStream stream = planner::record_op_stream(
-      *env.rt, Classification(env.g, ValueClass::kSwap));
-  DataBackend backend(env.g, kSeed);
-  const exec::AsyncExecutor executor(env.g, stream);
-  auto res = executor.run(backend, {});
-  ASSERT_TRUE(res.ok) << res.failure;
-  const obs::TimelineValidator validator(env.g, env.tape);
-  ASSERT_TRUE(validator.check_replay(stream, res.spans).ok());
-
-  // Corrupt one dependent span so it "started" before its dependency
-  // finished; the oracle must notice.
-  bool corrupted = false;
-  for (std::size_t i = 0; i < stream.ops.size() && !corrupted; ++i) {
-    if (stream.ops[i].deps.empty()) continue;
-    const auto d = static_cast<std::size_t>(stream.ops[i].deps.front());
-    res.spans[i].seq_start = res.spans[d].seq_end;  // tie = violation
-    corrupted = true;
-  }
-  ASSERT_TRUE(corrupted);
-  EXPECT_FALSE(validator.check_replay(stream, res.spans).ok());
-}
-
 // ---- multi-worker compute scheduling (exec/schedule.hpp) -------------
 
-TEST(AsyncSchedSchedule, HazardEdgesSupersetTopologicalAndPriced) {
+TEST(AsyncSchedSchedule, HazardEdgesTopologicalAndPriced) {
   AsyncEnv env(models::small_cnn(2, 16), 8192);
   const exec::OpStream stream = planner::record_op_stream(
       *env.rt, Classification(env.g, ValueClass::kSwap));
   const exec::Schedule sched =
       exec::build_schedule(env.g, env.tape, stream, env.tm.get());
   ASSERT_EQ(sched.size(), stream.ops.size());
-  int hazard_only_edges = 0;
+  int same_lane_edges = 0;
+  int cross_lane_edges = 0;
   double max_priority = 0.0;
   for (std::size_t i = 0; i < stream.ops.size(); ++i) {
-    const auto& deps = sched.deps[i];
-    for (const std::int32_t d : deps) {
+    for (const std::int32_t d : sched.deps[i]) {
       // Strictly earlier ops only: the dependency graph is a DAG by
       // construction, which is the whole deadlock-freedom argument.
       EXPECT_LT(d, static_cast<std::int32_t>(i)) << "op " << i;
-      if (std::find(stream.ops[i].deps.begin(), stream.ops[i].deps.end(),
-                    d) == stream.ops[i].deps.end()) {
-        ++hazard_only_edges;
-      }
-    }
-    for (const std::int32_t d : stream.ops[i].deps) {
-      EXPECT_TRUE(std::find(deps.begin(), deps.end(), d) != deps.end())
-          << "recorded edge " << d << " -> " << i
-          << " missing from the hazard schedule";
+      const bool same =
+          exec::lane_of(stream.ops[static_cast<std::size_t>(d)].type) ==
+          exec::lane_of(stream.ops[i].type);
+      ++(same ? same_lane_edges : cross_lane_edges);
     }
     EXPECT_GE(sched.priority[i], sched.cost[i] - 1e-12) << "op " << i;
     max_priority = std::max(max_priority, sched.priority[i]);
   }
-  // The recorder only stores cross-lane edges (same-lane order was
-  // implicit while compute was serial); hazard analysis must make the
-  // compute-compute edges explicit.
-  EXPECT_GT(hazard_only_edges, 0);
+  // With several compute workers, stream order alone orders nothing, so
+  // the footprints must yield compute-compute edges as well as the
+  // edges that order the copy lanes against compute.
+  EXPECT_GT(same_lane_edges, 0);
+  EXPECT_GT(cross_lane_edges, 0);
   EXPECT_DOUBLE_EQ(sched.critical_path_seconds, max_priority);
 }
 
@@ -487,40 +407,44 @@ TEST(AsyncSchedOracle, FlagsHazardOnlyEdgeViolation) {
   AsyncEnv env(models::small_cnn(2, 16), 8192);
   const exec::OpStream stream = planner::record_op_stream(
       *env.rt, Classification(env.g, ValueClass::kSwap));
-  DataBackend backend(env.g, kSeed);
+  DataBackend backend(env.g, kDataSeed);
   const exec::AsyncExecutor executor(env.g, stream);
   auto res = executor.run(backend, {});
   ASSERT_TRUE(res.ok) << res.failure;
   const obs::TimelineValidator validator(env.g, env.tape);
   ASSERT_TRUE(validator.check_replay(stream, res.spans).ok());
 
-  // Corrupt a span across an edge only the hazard analysis knows about
-  // (present in the executor's schedule, absent from the recorded
-  // stream): the oracle rederives the partial order, so it must still
-  // notice.
+  // Make one dependent op "start" before its dependency finished, once
+  // across lanes and once within a lane: the oracle derives the partial
+  // order from the op footprints, so it must notice both.
   const exec::Schedule& sched = executor.schedule();
-  bool corrupted = false;
-  for (std::size_t i = 0; i < stream.ops.size() && !corrupted; ++i) {
-    for (const std::int32_t d : sched.deps[i]) {
-      if (std::find(stream.ops[i].deps.begin(), stream.ops[i].deps.end(),
-                    d) != stream.ops[i].deps.end()) {
-        continue;
+  for (const bool same_lane : {false, true}) {
+    bool corrupted = false;
+    for (std::size_t i = 0; i < stream.ops.size() && !corrupted; ++i) {
+      for (const std::int32_t d : sched.deps[i]) {
+        const auto dep = static_cast<std::size_t>(d);
+        if ((exec::lane_of(stream.ops[dep].type) ==
+             exec::lane_of(stream.ops[i].type)) != same_lane) {
+          continue;
+        }
+        auto spans = res.spans;
+        spans[i].seq_start = spans[dep].seq_end;  // tie = violation
+        EXPECT_FALSE(validator.check_replay(stream, spans).ok())
+            << "edge " << d << " -> " << i;
+        corrupted = true;
+        break;
       }
-      res.spans[i].seq_start =
-          res.spans[static_cast<std::size_t>(d)].seq_end;  // tie = violation
-      corrupted = true;
-      break;
     }
+    EXPECT_TRUE(corrupted) << (same_lane ? "no same-lane" : "no cross-lane")
+                           << " edge in the schedule";
   }
-  ASSERT_TRUE(corrupted) << "no hazard-only edge in the schedule";
-  EXPECT_FALSE(validator.check_replay(stream, res.spans).ok());
 }
 
 TEST(AsyncSchedOracle, FlagsKillInsideReaderWindow) {
   AsyncEnv env(models::small_cnn(2, 16), 8192);
   const exec::OpStream stream = planner::record_op_stream(
       *env.rt, Classification(env.g, ValueClass::kSwap));
-  DataBackend backend(env.g, kSeed);
+  DataBackend backend(env.g, kDataSeed);
   const exec::AsyncExecutor executor(env.g, stream);
   auto res = executor.run(backend, {});
   ASSERT_TRUE(res.ok) << res.failure;
@@ -558,7 +482,7 @@ TEST(AsyncSchedDifferential, ComputeWorkerCorpusBitIdenticalAllPolicies) {
   int planner_covered = 0;
   for (std::uint64_t seed = 1; seed <= 3; ++seed) {
     AsyncEnv roomy(testing::random_graph(seed), 8192);
-    const auto ref = serial_reference(roomy);
+    const auto ref = serial_reference(roomy.g, roomy.tape);
     const auto keep = roomy.rt->run(Classification(roomy.g, ValueClass::kKeep));
     ASSERT_TRUE(keep.ok);
 
@@ -587,16 +511,18 @@ TEST(AsyncSchedDifferential, ComputeWorkerCorpusBitIdenticalAllPolicies) {
                                 std::to_string(compute) + " copy " +
                                 std::to_string(copy);
         const auto keep_async =
-            async_replay(roomy, Classification(roomy.g, ValueClass::kKeep),
-                         copy, compute);
+            async_replay(*roomy.rt,
+                         Classification(roomy.g, ValueClass::kKeep), copy,
+                         compute);
         expect_bit_identical(roomy.g, *ref, *keep_async, tag + " keep-all");
         const auto swap_async =
-            async_replay(*tight, Classification(tight->g, ValueClass::kSwap),
-                         copy, compute);
+            async_replay(*tight->rt,
+                         Classification(tight->g, ValueClass::kSwap), copy,
+                         compute);
         expect_bit_identical(tight->g, *ref, *swap_async, tag + " swap-all");
         if (plan.feasible) {
           const auto hybrid_async =
-              async_replay(*tight, plan.classes, copy, compute);
+              async_replay(*tight->rt, plan.classes, copy, compute);
           expect_bit_identical(tight->g, *ref, *hybrid_async,
                                tag + " planner-hybrid");
         }
@@ -611,7 +537,7 @@ TEST(AsyncSchedStats, PublishesSchedulerMetricsAndWorkerSpans) {
   AsyncEnv env(models::small_cnn(2, 16), 8192);
   const exec::OpStream stream = planner::record_op_stream(
       *env.rt, Classification(env.g, ValueClass::kSwap));
-  DataBackend backend(env.g, kSeed);
+  DataBackend backend(env.g, kDataSeed);
   obs::StatsRegistry stats;
   const exec::AsyncExecutor executor(env.g, stream);
   exec::AsyncOptions ao;

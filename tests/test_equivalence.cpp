@@ -2,14 +2,17 @@
 // iteration under ANY feasible classification — swapping, recomputing, or
 // a mix, under any swap-in policy — produces bit-identical numbers to the
 // in-core run. The paper asserts this transparency; here it is proved on
-// real kernels through the same scheduler that produced the timing.
+// real kernels by replaying exactly the op list the simulator scored.
 #include <gtest/gtest.h>
 
 #include "cost/cost_model.hpp"
+#include "exec/async_executor.hpp"
 #include "graph/autodiff.hpp"
 #include "models/models.hpp"
+#include "pooch/pipeline.hpp"
 #include "sim/runtime.hpp"
 #include "tensor/tensor_ops.hpp"
+#include "testing_util.hpp"
 
 namespace pooch::sim {
 namespace {
@@ -31,18 +34,17 @@ struct Env {
     rt = std::make_unique<Runtime>(g, tape, machine, *tm);
   }
 
-  /// One iteration with a fresh backend; returns (loss, backend).
+  /// The serial in-core reference, `iterations` iterations.
+  std::unique_ptr<DataBackend> incore(int iterations = 1) const {
+    return testing::serial_reference(g, tape, iterations);
+  }
+
+  /// `c`'s schedule exported under `opts` and replayed on a fresh
+  /// backend for `iterations` iterations.
   std::unique_ptr<DataBackend> iterate(const Classification& c,
                                        RunOptions opts = {},
                                        int iterations = 1) const {
-    auto backend = std::make_unique<DataBackend>(g, /*seed=*/1234);
-    opts.data = backend.get();
-    for (int i = 0; i < iterations; ++i) {
-      opts.iteration = static_cast<std::uint64_t>(i);
-      const auto r = rt->run(c, opts);
-      EXPECT_TRUE(r.ok) << r.failure;
-    }
-    return backend;
+    return testing::async_replay(*rt, c, 1, 1, opts, iterations);
   }
 };
 
@@ -81,7 +83,7 @@ class EquivalenceOverModels
 
 TEST_P(EquivalenceOverModels, SwapAllMatchesInCore) {
   Env env(GetParam()());
-  auto incore = env.iterate(Classification(env.g, ValueClass::kKeep));
+  auto incore = env.incore();
   auto swapped = env.iterate(Classification(env.g, ValueClass::kSwap));
   EXPECT_GT(incore->loss(), 0.0f);
   expect_identical(env, *incore, *swapped);
@@ -91,14 +93,14 @@ TEST_P(EquivalenceOverModels, RecomputeAllMatchesInCore) {
   Env env(GetParam()());
   Classification c(env.g, ValueClass::kRecompute);
   for (auto in : env.g.inputs()) c.set(in, ValueClass::kKeep);
-  auto incore = env.iterate(Classification(env.g, ValueClass::kKeep));
+  auto incore = env.incore();
   auto recomputed = env.iterate(c);
   expect_identical(env, *incore, *recomputed);
 }
 
 TEST_P(EquivalenceOverModels, MixedClassificationMatchesInCore) {
   Env env(GetParam()());
-  auto incore = env.iterate(Classification(env.g, ValueClass::kKeep));
+  auto incore = env.incore();
   for (int salt = 0; salt < 3; ++salt) {
     auto mixed = env.iterate(mixed_classes(env.g, salt));
     expect_identical(env, *incore, *mixed);
@@ -128,8 +130,7 @@ TEST(Equivalence, SwapInPoliciesAllProduceSameNumbers) {
 
 TEST(Equivalence, MultiIterationTrainingTrajectoryIdentical) {
   Env env(models::small_cnn(2, 16));
-  auto incore =
-      env.iterate(Classification(env.g, ValueClass::kKeep), {}, 4);
+  auto incore = env.incore(4);
   auto mixed = env.iterate(mixed_classes(env.g, 1), {}, 4);
   expect_identical(env, *incore, *mixed);
   EXPECT_NE(incore->param_norm(), 0.0);
@@ -139,17 +140,15 @@ TEST(Equivalence, TrainingReducesLoss) {
   // Sanity that the substrate actually learns: a few SGD steps on the
   // fixed synthetic batch reduce the loss.
   Env env(models::mlp(8, 12, {32}, 4));
-  auto backend = std::make_unique<DataBackend>(env.g, 7, /*lr=*/0.1f);
-  RunOptions opts;
-  opts.data = backend.get();
-  const Classification keep(env.g, ValueClass::kKeep);
+  DataBackend backend(env.g, 7, /*lr=*/0.1f);
+  exec::OpStream stream = planner::record_incore_stream(env.g, env.tape);
+  const exec::AsyncExecutor executor(env.g, stream);
   float first = 0.0f, last = 0.0f;
   for (int i = 0; i < 8; ++i) {
-    opts.iteration = static_cast<std::uint64_t>(i);
-    const auto r = env.rt->run(keep, opts);
-    ASSERT_TRUE(r.ok);
-    if (i == 0) first = backend->loss();
-    last = backend->loss();
+    stream.iteration = static_cast<std::uint64_t>(i);
+    ASSERT_TRUE(executor.run(backend).ok);
+    if (i == 0) first = backend.loss();
+    last = backend.loss();
   }
   EXPECT_LT(last, first);
 }
@@ -172,7 +171,7 @@ TEST(Equivalence, DropoutSurvivesRecompute) {
   g.validate();
 
   Env env(std::move(g));
-  auto incore = env.iterate(Classification(env.g, ValueClass::kKeep));
+  auto incore = env.incore();
   Classification c(env.g, ValueClass::kKeep);
   // Recompute the relu output and the dropout output: backward of fc2
   // needs the dropout output, which will be re-derived through dropout.
@@ -184,11 +183,7 @@ TEST(Equivalence, DropoutSurvivesRecompute) {
 
 TEST(Equivalence, BackendValueResidencyTracksSchedule) {
   Env env(models::small_cnn(2, 16));
-  auto backend = std::make_unique<DataBackend>(env.g, 5);
-  RunOptions opts;
-  opts.data = backend.get();
-  const auto r = env.rt->run(Classification(env.g, ValueClass::kSwap), opts);
-  ASSERT_TRUE(r.ok);
+  const auto backend = env.iterate(Classification(env.g, ValueClass::kSwap));
   // After the iteration every feature map has been freed.
   for (const auto& v : env.g.values()) {
     if (v.producer == graph::kNoNode) continue;

@@ -110,21 +110,17 @@ TEST_P(RandomGraphFuzz, FeasibleClassificationsAreNumericallyExact) {
   const CostTimeModel tm(g, machine);
   const Runtime rt(g, tape, machine, tm);
 
-  DataBackend reference(g, GetParam());
-  RunOptions ref_ro;
-  ref_ro.data = &reference;
-  ASSERT_TRUE(rt.run(Classification(g, ValueClass::kKeep), ref_ro).ok);
+  const auto reference =
+      pooch::testing::serial_reference(g, tape, 1, GetParam());
 
   Rng rng(GetParam() * 28657);
   for (int round = 0; round < 3; ++round) {
     const Classification c = random_classes(g, rng);
-    DataBackend backend(g, GetParam());
-    RunOptions ro;
-    ro.data = &backend;
-    const RunResult r = rt.run(c, ro);
-    ASSERT_TRUE(r.ok) << r.failure;
-    EXPECT_EQ(backend.loss(), reference.loss()) << "seed " << GetParam();
-    EXPECT_EQ(backend.param_norm(), reference.param_norm());
+    ASSERT_TRUE(rt.run(c).ok);
+    const auto backend =
+        pooch::testing::async_replay(rt, c, 1, 1, {}, 1, GetParam());
+    EXPECT_EQ(backend->loss(), reference->loss()) << "seed " << GetParam();
+    EXPECT_EQ(backend->param_norm(), reference->param_norm());
   }
 }
 

@@ -5,6 +5,7 @@
 #include "models/models.hpp"
 #include "pooch/pipeline.hpp"
 #include "pooch/planner.hpp"
+#include "testing_util.hpp"
 
 namespace pooch::planner {
 namespace {
@@ -202,18 +203,12 @@ TEST(Pipeline, PlannedClassificationIsNumericallyTransparent) {
   const auto plan = planner.plan();
   ASSERT_TRUE(plan.feasible);
 
-  sim::DataBackend incore_backend(rig.g, 99);
-  sim::RunOptions ro;
-  ro.data = &incore_backend;
-  ASSERT_TRUE(rig.rt->run(Classification(rig.g, ValueClass::kKeep), ro).ok);
+  const auto incore = testing::serial_reference(rig.g, rig.tape, 1, 99);
+  const auto planned =
+      testing::async_replay(*tight.rt, plan.classes, 1, 1, {}, 1, 99);
 
-  sim::DataBackend planned_backend(tight.g, 99);
-  sim::RunOptions ro2;
-  ro2.data = &planned_backend;
-  ASSERT_TRUE(tight.rt->run(plan.classes, ro2).ok);
-
-  EXPECT_EQ(incore_backend.loss(), planned_backend.loss());
-  EXPECT_EQ(incore_backend.param_norm(), planned_backend.param_norm());
+  EXPECT_EQ(incore->loss(), planned->loss());
+  EXPECT_EQ(incore->param_norm(), planned->param_norm());
 }
 
 TEST(Pipeline, CrossEnvironmentClassificationDegrades) {

@@ -1,20 +1,73 @@
 // Shared test helpers: numeric gradient checking against the analytic
-// backward kernels, and small graph/tensor factories.
+// backward kernels, small graph/tensor factories, and the two real
+// executions every differential test compares — the serial in-core
+// reference and an exported schedule replayed through the AsyncExecutor.
 #pragma once
 
 #include <cmath>
 #include <functional>
+#include <memory>
 #include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "common/rng.hpp"
+#include "exec/async_executor.hpp"
 #include "graph/graph.hpp"
+#include "obs/validate.hpp"
+#include "pooch/pipeline.hpp"
+#include "sim/data_backend.hpp"
+#include "sim/runtime.hpp"
 #include "tensor/tensor.hpp"
 #include "tensor/tensor_ops.hpp"
 
 namespace pooch::testing {
+
+/// Seed of the synthetic parameters/batch the differential tests train.
+inline constexpr std::uint64_t kDataSeed = 1234;
+
+/// Serial in-core reference: `iterations` iterations of the keep-all
+/// stream replayed by one compute worker (planner::run_incore_reference)
+/// on a backend seeded with `seed`.
+inline std::unique_ptr<sim::DataBackend> serial_reference(
+    const graph::Graph& g, const std::vector<graph::BwdStep>& tape,
+    int iterations = 1, std::uint64_t seed = kDataSeed) {
+  auto backend = std::make_unique<sim::DataBackend>(g, seed);
+  planner::run_incore_reference(g, tape, *backend, iterations);
+  return backend;
+}
+
+/// Export `classes`' schedule from `rt` under `ro`, replay it through the
+/// AsyncExecutor for `iterations` iterations on a backend seeded with
+/// `seed`, and check each exported stream structurally and each replay
+/// against the ordering oracle.
+inline std::unique_ptr<sim::DataBackend> async_replay(
+    const sim::Runtime& rt, const sim::Classification& classes,
+    int copy_workers = 1, int compute_workers = 1, sim::RunOptions ro = {},
+    int iterations = 1, std::uint64_t seed = kDataSeed) {
+  const graph::Graph& g = rt.graph();
+  auto backend = std::make_unique<sim::DataBackend>(g, seed);
+  const obs::TimelineValidator validator(g, rt.tape());
+  for (int i = 0; i < iterations; ++i) {
+    ro.iteration = static_cast<std::uint64_t>(i);
+    const exec::OpStream stream = planner::record_op_stream(rt, classes, ro);
+    const auto structural = stream.validate(g, rt.tape());
+    EXPECT_TRUE(structural.empty())
+        << structural.size() << " structural errors, first: "
+        << structural.front();
+    const exec::AsyncExecutor executor(g, stream);
+    exec::AsyncOptions ao;
+    ao.workers_per_copy_lane = copy_workers;
+    ao.compute_workers = compute_workers;
+    ao.time_model = &rt.time_model();
+    const exec::AsyncResult res = executor.run(*backend, ao);
+    EXPECT_TRUE(res.ok) << res.failure;
+    const auto oracle = validator.check_replay(stream, res.spans);
+    EXPECT_TRUE(oracle.ok()) << oracle.to_string();
+  }
+  return backend;
+}
 
 /// Check the analytic gradient `analytic` of scalar L = sum(f(x) * probe)
 /// against central differences. `f` evaluates the forward into a fresh

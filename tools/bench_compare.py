@@ -9,11 +9,13 @@ Supports the repo's bench JSON convention `{"bench": <name>, "rows": [...]}`:
     kernels      rows keyed on (kernel, shape, threads), metric `gflops`
                  (higher is better);
     async_exec   rows keyed on (model, policy, copy_workers,
-                 compute_workers), metric `speedup` = inline_seconds /
-                 async_seconds (higher is better — a drop means the
-                 executor lost overlap); compute_workers defaults to 1
-                 so baselines predating the multi-worker scheduler
-                 still parse;
+                 compute_workers), metric `vs_incore` = incore_seconds /
+                 async_seconds, the in-core stream and the out-of-core
+                 schedule replayed on the same executor (higher is
+                 better — a drop means out-of-core execution got more
+                 expensive relative to in-core); compute_workers
+                 defaults to 1 so baselines predating the multi-worker
+                 scheduler still parse;
     calibration  rows keyed on (model,), metric `calibrated_error` =
                  |calibrated_predicted - observed| / observed (LOWER is
                  better — a rise means the measured time model lost
@@ -38,7 +40,7 @@ import sys
 SCHEMAS = {
     "kernels": (("kernel", "shape", "threads"), "gflops", "higher"),
     "async_exec": (("model", "policy", "copy_workers", "compute_workers"),
-                   "speedup", "higher"),
+                   "vs_incore", "higher"),
     "calibration": (("model",), "calibrated_error", "lower"),
 }
 

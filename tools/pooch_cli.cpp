@@ -43,10 +43,9 @@ struct CliOptions {
   double gpu_gb = 0.0;         // 0 = machine default
   double link_gbps = 0.0;      // 0 = machine default
   int threads = 1;             // planner search parallelism; 0 = all cores
-  int kernel_threads = 0;      // >0: execute real kernels on N threads
-  bool async_exec = false;     // replay the schedule through AsyncExecutor
+  int kernel_threads = 0;      // >0: execute the schedule for real
   int copy_workers = 1;        // H2D/D2H worker threads per copy lane
-  int compute_workers = 1;     // compute worker threads (async executor)
+  int compute_workers = 1;     // compute worker threads
   bool measured_profile = false;  // run the measured calibration loop
   int calibration_iters = 3;      // measured iterations per round (k)
   int calibration_warmup = 1;     // unrecorded warm-up iterations
@@ -85,23 +84,22 @@ void usage() {
       "                  over N threads (0 = one per core, default 1);\n"
       "                  the chosen plan is identical at any setting\n"
       "  --kernel-threads N\n"
-      "                  attach a real numeric backend and execute the\n"
-      "                  scheduled kernels on N threads (0 = off, the\n"
-      "                  default; N includes the calling thread). Prints\n"
-      "                  the training loss and verifies it bit-identical\n"
-      "                  to a serial in-core reference run; nonzero exit\n"
-      "                  on mismatch\n"
-      "  --async-exec    export the method's schedule as a replayable op\n"
-      "                  stream and execute it through the asynchronous\n"
-      "                  out-of-core executor (compute workers plus\n"
-      "                  dedicated H2D/D2H copy workers). Verifies the\n"
-      "                  result bit-identical to a serial in-core\n"
-      "                  reference; nonzero exit on mismatch\n"
+      "                  execute the method's schedule for real: export\n"
+      "                  it as an op stream and replay it through the\n"
+      "                  asynchronous out-of-core executor (compute\n"
+      "                  workers plus dedicated H2D/D2H copy workers),\n"
+      "                  kernels on N threads (0 = off, the default; N\n"
+      "                  includes the calling thread). Prints the training\n"
+      "                  loss and verifies it bit-identical to a serial\n"
+      "                  in-core reference; nonzero exit on mismatch, and\n"
+      "                  when an OOM or infeasible schedule leaves nothing\n"
+      "                  to execute\n"
       "  --copy-workers N\n"
       "                  copy worker threads per transfer lane for\n"
-      "                  --async-exec (default 1)\n"
+      "                  --kernel-threads and --measured-profile\n"
+      "                  (default 1)\n"
       "  --compute-workers N\n"
-      "                  compute worker threads for --async-exec and\n"
+      "                  compute worker threads for --kernel-threads and\n"
       "                  --measured-profile (default 1 = serial program\n"
       "                  order). Above 1, ready ops are dispatched by\n"
       "                  critical-path priority over the hazard-derived\n"
@@ -185,8 +183,6 @@ bool parse_args(int argc, char** argv, CliOptions& o) {
       o.threads = std::atoi(v);
     } else if (a == "--kernel-threads" && (v = need_value(i))) {
       o.kernel_threads = std::atoi(v);
-    } else if (a == "--async-exec") {
-      o.async_exec = true;
     } else if (a == "--copy-workers" && (v = need_value(i))) {
       o.copy_workers = std::atoi(v);
     } else if (a == "--compute-workers" && (v = need_value(i))) {
@@ -284,38 +280,49 @@ std::string with_infix(const std::string& path, const char* infix) {
   return path.substr(0, dot) + "." + infix + path.substr(dot);
 }
 
-/// Seed for the synthetic parameters/batch whenever the CLI attaches a
-/// real numeric backend (--kernel-threads, --async-exec). Fixed so the
-/// loss printed by any method/thread count is comparable.
+/// Seed for the synthetic parameters/batch whenever the CLI executes a
+/// schedule for real (--kernel-threads). Fixed so the loss printed by any
+/// method/thread count is comparable.
 constexpr std::uint64_t kDataSeed = 0x5eed;
 
-/// --async-exec: export the schedule the simulator just timed as a
-/// replayable op stream, execute it for real through the AsyncExecutor
-/// (concurrent copy workers against a fresh numeric backend), and demand
-/// the result bit-identical to a serial in-core reference run.
-void run_async_exec(Context& ctx, const char* name,
-                    const sim::Classification& classes, sim::RunOptions ro) {
-  ro.data = nullptr;
+/// --kernel-threads without a schedule to run: an OOM or infeasible
+/// method is a failed execution, never a vacuous pass.
+void not_executed(Context& ctx, const std::string& why) {
+  if (ctx.o.kernel_threads <= 0) return;
+  std::printf("%-16s not executed: %s\n", "", why.c_str());
+  ctx.exit_status = 1;
+}
+
+/// --kernel-threads: export the schedule the simulator just scored as an
+/// op stream, execute it for real through the AsyncExecutor (compute
+/// workers plus dedicated H2D/D2H copy workers) against a fresh numeric
+/// backend, and demand the result bit-identical to the serial in-core
+/// reference.
+void execute_for_real(Context& ctx, const char* name,
+                      const sim::Classification& classes, sim::RunOptions ro) {
   ro.stats = nullptr;
   ro.record_timeline = false;
-  ro.export_stream = nullptr;
   exec::OpStream stream;
   try {
     stream = planner::record_op_stream(*ctx.runtime, classes, ro);
   } catch (const Error& e) {
-    std::printf("%-16s async exec: export infeasible (%s)\n", "", e.what());
+    not_executed(ctx, e.what());
     return;
   }
-  sim::DataBackend data(ctx.g, kDataSeed);
+  obs::StatsRegistry* stats =
+      ctx.o.show_stats ? &obs::StatsRegistry::global() : nullptr;
+  kernels::KernelContext kctx(ctx.o.kernel_threads);
+  kctx.stats = stats;
+  sim::DataBackend data(ctx.g, kDataSeed, 0.01f, &kctx);
   const exec::AsyncExecutor executor(ctx.g, stream);
   exec::AsyncOptions ao;
   ao.workers_per_copy_lane = ctx.o.copy_workers;
   ao.compute_workers = ctx.o.compute_workers;
   ao.time_model = ctx.hardware.get();
-  ao.stats = ctx.o.show_stats ? &obs::StatsRegistry::global() : nullptr;
+  ao.stats = stats;
   const exec::AsyncResult res = executor.run(data, ao);
   if (!res.ok) {
-    std::fprintf(stderr, "%s: async execution FAILED: %s\n", name,
+    std::fprintf(stderr, "%s: execution FAILED: %s\n", name,
                  res.failure.c_str());
     ctx.exit_status = 1;
     return;
@@ -324,51 +331,48 @@ void run_async_exec(Context& ctx, const char* name,
     const obs::TimelineValidator validator(ctx.g, ctx.tape);
     const auto rep = validator.check_replay(stream, res.spans);
     if (rep.ok()) {
-      std::printf("%-16s async replay respects the dependency partial "
-                  "order (%zu ops)\n",
+      std::printf("%-16s replay respects the dependency partial order "
+                  "(%zu ops)\n",
                   "", stream.ops.size());
     } else {
-      std::fprintf(stderr, "%s: async replay order INVALID\n%s", name,
+      std::fprintf(stderr, "%s: replay order INVALID\n%s", name,
                    rep.to_string().c_str());
       ctx.exit_status = 1;
     }
   }
-
-  // The reference must never (simulated-)OOM, so give it a machine that
-  // can keep everything resident — device capacity has no effect on the
-  // numerics, only on the schedule.
-  cost::MachineConfig roomy = ctx.machine;
-  roomy.gpu_capacity_bytes =
-      std::max(roomy.gpu_capacity_bytes,
-               graph::incore_peak_bytes(ctx.g) * 2 + (std::size_t{1} << 30));
-  sim::Runtime ref_rt(ctx.g, ctx.tape, roomy, *ctx.hardware);
-  sim::DataBackend ref(ctx.g, kDataSeed);
-  sim::RunOptions rro;
-  rro.data = &ref;
-  const auto rr =
-      ref_rt.run(sim::Classification(ctx.g, sim::ValueClass::kKeep), rro);
-  const float got = data.loss();
-  const float want = ref.loss();
-  const bool same = rr.ok && std::memcmp(&got, &want, sizeof(float)) == 0 &&
-                    data.param_norm() == ref.param_norm();
-  std::printf("%-16s async exec, %d compute / %d copy worker(s): wall %s   "
-              "compute busy %s wait %s   H2D busy %s   D2H busy %s\n",
-              "", ctx.o.compute_workers, ctx.o.copy_workers,
-              format_time(res.wall_seconds).c_str(),
+  std::printf("%-16s executed on %d kernel thread(s), %d compute / %d copy "
+              "worker(s): wall %s   compute busy %s wait %s   H2D busy %s   "
+              "D2H busy %s\n",
+              "", ctx.o.kernel_threads, ctx.o.compute_workers,
+              ctx.o.copy_workers, format_time(res.wall_seconds).c_str(),
               format_time(res.lane_busy[exec::kComputeLane]).c_str(),
               format_time(res.lane_wait[exec::kComputeLane]).c_str(),
               format_time(res.lane_busy[exec::kH2DLane]).c_str(),
               format_time(res.lane_busy[exec::kD2HLane]).c_str());
-  std::printf("%-16s async exec loss %.6f: %s\n", "", got,
-              same ? "bit-identical to serial in-core reference"
-                   : "MISMATCH vs serial in-core reference");
-  if (!same) ctx.exit_status = 1;
   if (!ctx.o.trace.empty()) {
     const std::string path =
         with_infix(trace_path_for(ctx.o, name), "async");
     obs::write_async_chrome_trace(path, ctx.g, stream, res.spans, {});
     std::printf("%-16s async trace written to %s\n", "", path.c_str());
   }
+
+  sim::DataBackend ref(ctx.g, kDataSeed);
+  try {
+    planner::run_incore_reference(ctx.g, ctx.tape, ref, 1);
+  } catch (const Error& e) {
+    std::printf("%-16s loss %.6f not verified: %s\n", "", data.loss(),
+                e.what());
+    ctx.exit_status = 1;
+    return;
+  }
+  const float got = data.loss();
+  const float want = ref.loss();
+  const bool same = std::memcmp(&got, &want, sizeof(float)) == 0 &&
+                    data.param_norm() == ref.param_norm();
+  std::printf("%-16s loss %.6f: %s\n", "", got,
+              same ? "bit-identical to serial in-core reference"
+                   : "MISMATCH vs serial in-core reference");
+  if (!same) ctx.exit_status = 1;
 }
 
 void report(Context& ctx, const char* name, const sim::RunResult& r,
@@ -378,6 +382,7 @@ void report(Context& ctx, const char* name, const sim::RunResult& r,
   if (!r.ok) {
     std::printf("%-16s OOM\n", name);
     if (ctx.o.timeline) std::printf("%s\n", r.failure.c_str());
+    not_executed(ctx, "the simulation ran out of device memory");
     return;
   }
   std::printf("%-16s %9.1f items/s   iteration %-10s peak %7s   "
@@ -413,31 +418,10 @@ void report(Context& ctx, const char* name, const sim::RunResult& r,
     obs::write_chrome_trace(path, ctx.g, r.timeline, topt);
     std::printf("%-16s trace written to %s\n", "", path.c_str());
   }
-  if (ctx.o.async_exec && classes) {
-    run_async_exec(ctx, name, *classes,
-                   run_opts ? *run_opts : sim::RunOptions{});
+  if (ctx.o.kernel_threads > 0 && classes) {
+    execute_for_real(ctx, name, *classes,
+                     run_opts ? *run_opts : sim::RunOptions{});
   }
-}
-
-/// After a method executed real kernels through `data`, re-run the same
-/// iteration in-core on a fresh serial backend and demand bit-identical
-/// results — the CLI-level check of the kernel determinism contract (any
-/// schedule, any thread count, same bits).
-void verify_kernel_run(Context& ctx, sim::DataBackend& data) {
-  sim::DataBackend ref(ctx.g, kDataSeed);
-  const sim::Classification keep(ctx.g, sim::ValueClass::kKeep);
-  sim::RunOptions ro;
-  ro.data = &ref;
-  ctx.runtime->run(keep, ro);
-  const float got = data.loss();
-  const float want = ref.loss();
-  const bool same = std::memcmp(&got, &want, sizeof(float)) == 0 &&
-                    data.param_norm() == ref.param_norm();
-  std::printf("%-16s loss %.6f on %d kernel thread(s): %s\n", "", got,
-              ctx.o.kernel_threads,
-              same ? "bit-identical to serial in-core reference"
-                   : "MISMATCH vs serial in-core reference");
-  if (!same) ctx.exit_status = 1;
 }
 
 /// --measured-profile: the full calibration loop (docs/PROFILING.md).
@@ -524,21 +508,9 @@ void run_measured_profile(Context& ctx) {
 void run_method(Context& ctx, const std::string& method) {
   obs::StatsRegistry* stats =
       ctx.o.show_stats ? &obs::StatsRegistry::global() : nullptr;
-  // --kernel-threads: attach a fresh numeric backend so the scheduled
-  // kernels really execute. Fresh per method so `--method all` gives every
-  // method the same starting parameters (and therefore the same loss).
-  std::unique_ptr<kernels::KernelContext> kctx;
-  std::unique_ptr<sim::DataBackend> data;
-  if (ctx.o.kernel_threads > 0) {
-    kctx = std::make_unique<kernels::KernelContext>(ctx.o.kernel_threads);
-    kctx->stats = stats;
-    data = std::make_unique<sim::DataBackend>(ctx.g, kDataSeed, 0.01f,
-                                              kctx.get());
-  }
   sim::RunOptions ro;
   ro.record_timeline = ctx.o.want_timeline();
   ro.stats = stats;
-  ro.data = data.get();
   if (method == "incore") {
     const sim::Classification c(ctx.g, sim::ValueClass::kKeep);
     report(ctx, "in-core", ctx.runtime->run(c, ro), nullptr, &c);
@@ -547,14 +519,12 @@ void run_method(Context& ctx, const std::string& method) {
     auto opts = baselines::swap_all_scheduled_options();
     opts.record_timeline = ctx.o.want_timeline();
     opts.stats = stats;
-    opts.data = data.get();
     report(ctx, "swap-all", ctx.runtime->run(c, opts), nullptr, &c, &opts);
   } else if (method == "swap-all-naive") {
     const sim::Classification c(ctx.g, sim::ValueClass::kSwap);
     auto opts = baselines::swap_all_naive_options();
     opts.record_timeline = ctx.o.want_timeline();
     opts.stats = stats;
-    opts.data = data.get();
     report(ctx, "swap-all-naive", ctx.runtime->run(c, opts), nullptr, &c,
            &opts);
   } else if (method == "swap-opt") {
@@ -566,15 +536,10 @@ void run_method(Context& ctx, const std::string& method) {
     const auto plan = planner.plan_keep_swap_only();
     if (!plan.feasible) {
       std::printf("%-16s infeasible\n", "swap-opt");
+      not_executed(ctx, "no feasible plan");
       return;
     }
-    // execute_plan autotunes over two executions; with a numeric backend
-    // attached that would train a second iteration and make the loss
-    // incomparable to the one-iteration reference, so run the
-    // classification exactly once instead.
-    report(ctx, "swap-opt",
-           data ? ctx.runtime->run(plan.classes, ro)
-                : planner::execute_plan(*ctx.runtime, plan, ro),
+    report(ctx, "swap-opt", planner::execute_plan(*ctx.runtime, plan, ro),
            &plan.counts, &plan.classes);
   } else if (method == "superneurons") {
     const auto plan = baselines::superneurons_plan(ctx.g, ctx.tape,
@@ -583,7 +548,6 @@ void run_method(Context& ctx, const std::string& method) {
     auto opts = baselines::superneurons_run_options();
     opts.record_timeline = ctx.o.want_timeline();
     opts.stats = stats;
-    opts.data = data.get();
     report(ctx, "superneurons", ctx.runtime->run(plan.classes, opts),
            &plan.counts, &plan.classes, &opts);
   } else if (method == "vdnn") {
@@ -599,22 +563,16 @@ void run_method(Context& ctx, const std::string& method) {
     const auto out = planner::run_pooch(ctx.g, ctx.tape, ctx.machine,
                                         *ctx.hardware, po);
     if (!out.ok) {
-      std::printf("%-16s %s\n", "pooch",
-                  out.plan.feasible ? "execution failed" : "infeasible");
+      const char* why = out.plan.feasible ? "execution failed" : "infeasible";
+      std::printf("%-16s %s\n", "pooch", why);
+      not_executed(ctx, why);
       return;
     }
-    sim::RunOptions pooch_ro = ro;
-    // The pipeline's own execution ran without our backend/timeline, so
-    // re-execute the plan whenever either is requested. With a numeric
-    // backend, run the classification exactly once — execute_plan
-    // autotunes over two executions, which would train a second
-    // iteration and break the one-iteration reference comparison.
-    const auto r =
-        data ? ctx.runtime->run(out.plan.classes, pooch_ro)
-             : (out.execution.ok && !ctx.o.want_timeline()
-                    ? out.execution
-                    : planner::execute_plan(*ctx.runtime, out.plan,
-                                            pooch_ro));
+    // The pipeline's own execution recorded no timeline, so re-simulate
+    // the plan whenever one is requested.
+    const auto r = ctx.o.want_timeline()
+                       ? planner::execute_plan(*ctx.runtime, out.plan, ro)
+                       : out.execution;
     report(ctx, "pooch", r, &out.plan.counts, &out.plan.classes);
     if (ctx.o.show_classes) {
       std::fputs(out.plan.classes.to_string(ctx.g).c_str(), stdout);
@@ -638,9 +596,7 @@ void run_method(Context& ctx, const std::string& method) {
            &classes);
   } else {
     std::fprintf(stderr, "unknown method: %s\n", method.c_str());
-    return;
   }
-  if (data) verify_kernel_run(ctx, *data);
 }
 
 }  // namespace

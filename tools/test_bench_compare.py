@@ -103,9 +103,9 @@ def test_kind_mismatch_is_error():
         assert "mismatch" in r.stderr, r.stderr
 
 
-def async_exec_doc(speedup, compute_workers=None):
+def async_exec_doc(vs_incore, compute_workers=None):
     row = {"model": "alexnet", "policy": "swap-all", "copy_workers": 2,
-           "speedup": speedup}
+           "vs_incore": vs_incore}
     if compute_workers is not None:
         row["compute_workers"] = compute_workers
     return {"bench": "async_exec", "rows": [row]}
@@ -132,9 +132,9 @@ def test_async_exec_compute_worker_rows_are_distinct():
     # compute_workers is part of the key: a 4-worker row must not be
     # compared against (or shadow) the serial row.
     regs = bench_compare.compare(
-        {("alexnet", "swap-all", 2, 1): {"speedup": 1.0}},
-        {("alexnet", "swap-all", 2, 4): {"speedup": 0.1}},
-        "speedup", "higher", 0.10, out=io.StringIO())
+        {("alexnet", "swap-all", 2, 1): {"vs_incore": 1.0}},
+        {("alexnet", "swap-all", 2, 4): {"vs_incore": 0.1}},
+        "vs_incore", "higher", 0.10, out=io.StringIO())
     assert regs == [], regs
 
 
