@@ -5,10 +5,12 @@
 //
 // Measures the numeric workhorses on representative shapes — a square
 // GEMM, a ResNet-50 mid-network convolution, an AlexNet fully-connected
-// layer, a 3-D ResNeXt convolution — across a thread sweep, and writes
-// BENCH_kernels.json (tools/bench_compare.py diffs two such files and
-// fails on regression). Every configuration is verified bit-identical to
-// the reference before it is timed: a fast-but-wrong kernel aborts the
+// layer, a 3-D ResNeXt convolution, and forward+backward of the
+// late-stage ResNet-50 convolutions whose outputs are only 2x2 to 16x16
+// — across a thread sweep, and writes BENCH_kernels.json with the host's
+// `cpus` (tools/bench_compare.py diffs two such files and fails on
+// regression). Every configuration is verified bit-identical to the
+// reference before it is timed: a fast-but-wrong kernel aborts the
 // bench.
 //
 // Times are best-of-N wall clock (first rep doubles as warm-up);
@@ -19,6 +21,8 @@
 #include <cstring>
 #include <functional>
 #include <string>
+#include <thread>
+#include <utility>
 #include <vector>
 
 #include "kernels/conv.hpp"
@@ -73,15 +77,15 @@ struct Row {
 };
 
 /// One benchmark case: `fast` runs the blocked kernel under a context and
-/// leaves its output in `out`; `ref` runs the scalar oracle into `out_ref`.
+/// `ref` the scalar oracle; each (fast, ref) pair in `outs` must then
+/// hold identical bits.
 struct Case {
   std::string kernel;
   std::string shape;
   double flops = 0.0;
   std::function<void(KernelContext&)> fast;
   std::function<void()> ref;
-  const Tensor* out = nullptr;
-  const Tensor* out_ref = nullptr;
+  std::vector<std::pair<const Tensor*, const Tensor*>> outs;
 };
 
 void run_case(const Case& c, const std::vector<int>& thread_sweep,
@@ -90,7 +94,9 @@ void run_case(const Case& c, const std::vector<int>& thread_sweep,
   for (int threads : thread_sweep) {
     KernelContext ctx(threads);
     c.fast(ctx);
-    check_identical(*c.out, *c.out_ref, c.kernel.c_str());
+    for (const auto& [got, want] : c.outs) {
+      check_identical(*got, *want, c.kernel.c_str());
+    }
     const double seconds = time_best([&] { c.fast(ctx); }, 3);
     Row r;
     r.kernel = c.kernel;
@@ -123,7 +129,9 @@ void write_json(const char* path, const std::vector<Row>& rows) {
     std::fprintf(stderr, "cannot open %s\n", path);
     std::exit(1);
   }
-  std::fprintf(f, "{\n  \"bench\": \"kernels\",\n  \"rows\": [\n");
+  std::fprintf(f, "{\n  \"bench\": \"kernels\",\n  \"cpus\": %u,\n"
+               "  \"rows\": [\n",
+               std::thread::hardware_concurrency());
   for (std::size_t i = 0; i < rows.size(); ++i) {
     const Row& r = rows[i];
     std::fprintf(f,
@@ -163,8 +171,7 @@ int run(const char* json_path) {
       matmul(a.data(), b.data(), c.data(), m, k, n, ctx);
     };
     cs.ref = [&] { matmul_ref(a.data(), b.data(), c_ref.data(), m, k, n); };
-    cs.out = &c;
-    cs.out_ref = &c_ref;
+    cs.outs = {{&c, &c_ref}};
     run_case(cs, sweep, rows);
   }
 
@@ -186,8 +193,7 @@ int run(const char* json_path) {
       conv_forward(x, w, &bias, y, attrs, ctx);
     };
     cs.ref = [&] { conv_forward_ref(x, w, &bias, y_ref, attrs); };
-    cs.out = &y;
-    cs.out_ref = &y_ref;
+    cs.outs = {{&y, &y_ref}};
     run_case(cs, sweep, rows);
   }
 
@@ -210,8 +216,7 @@ int run(const char* json_path) {
       fc_forward(x, w, &bias, y, attrs, ctx);
     };
     cs.ref = [&] { fc_forward_ref(x, w, &bias, y_ref, attrs); };
-    cs.out = &y;
-    cs.out_ref = &y_ref;
+    cs.outs = {{&y, &y_ref}};
     run_case(cs, sweep, rows);
   }
 
@@ -233,8 +238,47 @@ int run(const char* json_path) {
       conv_forward(x, w, &bias, y, attrs, ctx);
     };
     cs.ref = [&] { conv_forward_ref(x, w, &bias, y_ref, attrs); };
-    cs.out = &y;
-    cs.out_ref = &y_ref;
+    cs.outs = {{&y, &y_ref}};
+    run_case(cs, sweep, rows);
+  }
+
+  // Late-stage ResNet-50 convolutions (b4, 64x64 input), forward and
+  // backward: outputs of 2x2 to 16x16, so one sample's GEMM would be only
+  // 4 to 256 columns wide.
+  struct ConvPass {
+    const char* shape;
+    Shape xs;
+    ConvAttrs attrs;
+  };
+  const ConvPass passes[] = {
+      {"4x512x2x2 k3", Shape{4, 512, 2, 2}, ConvAttrs::conv2d(512, 3, 1, 1)},
+      {"4x256x4x4 k3", Shape{4, 256, 4, 4}, ConvAttrs::conv2d(256, 3, 1, 1)},
+      {"4x64x16x16 k1", Shape{4, 64, 16, 16}, ConvAttrs::conv2d(256, 1)},
+  };
+  std::uint64_t seed = 12;
+  for (const ConvPass& p : passes) {
+    ConvAttrs attrs = p.attrs;
+    attrs.has_bias = false;  // ResNet convs feed batch norm
+    const Shape ys = conv_output_shape(p.xs, attrs);
+    const Tensor x = random_tensor(p.xs, seed++);
+    const Tensor w = random_tensor(conv_weight_shape(p.xs, attrs), seed++);
+    const Tensor dy = random_tensor(ys, seed++);
+    Tensor y(ys), y_ref(ys);
+    Tensor dx(p.xs), dx_ref(p.xs);
+    Tensor dw(w.shape()), dw_ref(w.shape());
+    Case cs;
+    cs.kernel = "conv2d_fwdbwd";
+    cs.shape = p.shape;
+    cs.flops = 3.0 * conv_flops(p.xs, attrs);  // y, dW and dX
+    cs.fast = [&](KernelContext& ctx) {
+      conv_forward(x, w, nullptr, y, attrs, ctx);
+      conv_backward(x, w, dy, &dx, dw, nullptr, attrs, ctx);
+    };
+    cs.ref = [&] {
+      conv_forward_ref(x, w, nullptr, y_ref, attrs);
+      conv_backward_ref(x, w, dy, &dx_ref, dw_ref, nullptr, attrs);
+    };
+    cs.outs = {{&y, &y_ref}, {&dx, &dx_ref}, {&dw, &dw_ref}};
     run_case(cs, sweep, rows);
   }
 

@@ -1,5 +1,6 @@
 #include "kernels/conv.hpp"
 
+#include <algorithm>
 #include <cstring>
 #include <vector>
 
@@ -96,6 +97,41 @@ std::size_t conv_workspace_bytes(const Shape& input_shape,
   return static_cast<std::size_t>(g.col.rows() * g.col.cols()) * sizeof(float);
 }
 
+namespace {
+
+// Cap on the scratch floats of one chunk: its column matrix plus the
+// [og, nb * cols] GEMM result (forward) or gathered dY (backward). A
+// chunk batches as many samples as fit under it (at least one) into one
+// GEMM per group. Late layers with small outputs take the whole
+// mini-batch; early layers with large outputs fill a GEMM on their own.
+constexpr std::int64_t kChunkCapFloats = std::int64_t{1} << 19;
+
+// Rows of `ld` floats per parallel block when walking [og, nb * cols]
+// or NCHW rows: a block covers at least ~16K floats.
+std::int64_t copy_grain(std::int64_t ld) {
+  return std::max<std::int64_t>(1, (std::int64_t{1} << 14) / ld);
+}
+
+// Column geometry of one group over nb consecutive samples.
+ColGeom chunk_geom(const ConvGeom& g, std::int64_t nb) {
+  ColGeom c = g.col;
+  c.samples = nb;
+  c.sample_stride = g.in_sample_stride();
+  return c;
+}
+
+// Samples per chunk: the fewest chunks the cap allows, split evenly so
+// no chunk is left with a sliver of the batch.
+std::int64_t chunk_samples(const ConvGeom& g) {
+  const std::int64_t per_sample = (g.col.rows() + g.og) * g.col.cols();
+  const std::int64_t most =
+      std::clamp<std::int64_t>(kChunkCapFloats / per_sample, 1, g.batch);
+  const std::int64_t chunks = (g.batch + most - 1) / most;
+  return (g.batch + chunks - 1) / chunks;
+}
+
+}  // namespace
+
 void conv_forward(const Tensor& x, const Tensor& w, const Tensor* bias,
                   Tensor& y, const ConvAttrs& attrs, KernelContext& ctx) {
   KernelTimer timer(ctx, "conv_forward");
@@ -106,72 +142,50 @@ void conv_forward(const Tensor& x, const Tensor& w, const Tensor* bias,
 
   const std::int64_t col_rows = g.col.rows();
   const std::int64_t col_cols = g.col.cols();
-  const std::size_t col_floats = static_cast<std::size_t>(col_rows * col_cols);
-
+  const std::int64_t chunk = chunk_samples(g);
   const std::int64_t w_group_stride = g.og * col_rows;
   const std::int64_t in_group_stride = g.cg * g.in[0] * g.in[1] * g.in[2];
-  const std::int64_t out_group_stride = g.og * col_cols;
+  const std::int64_t y_stride = g.out_sample_stride(attrs.out_channels);
 
+  // The chunk's column matrix [col_rows, nb * cols] followed by the GEMM
+  // result [og, nb * cols].
+  float* col = ctx.scratch(0, KernelContext::kColArena,
+                           static_cast<std::size_t>((col_rows + g.og) *
+                                                    chunk * col_cols));
+  float* out = col + col_rows * chunk * col_cols;
   ThreadPool* pool = ctx.pool();
-  const std::int64_t tasks = g.batch * g.groups;
-  if (pool && tasks >= ctx.threads()) {
-    // Enough independent (sample, group) units to occupy every thread:
-    // run them concurrently, each with its own scratch slot. The GEMM is
-    // run serially inside the task (the pool is not reentrant) via
-    // gemm_rows, which is the exact same code path the row-parallel
-    // schedule uses — output is bit-identical either way.
-    const std::size_t gemm_floats = detail::gemm_scratch_floats();
-    parallel_for(pool, tasks, 1,
-                 [&](std::int64_t t0, std::int64_t t1, int slot) {
-                   float* col = ctx.scratch(slot, KernelContext::kColArena,
-                                            col_floats);
-                   float* gemm_scratch = ctx.scratch(
-                       slot, KernelContext::kGemmArena, gemm_floats);
-                   for (std::int64_t t = t0; t < t1; ++t) {
-                     const std::int64_t n = t / g.groups;
-                     const std::int64_t grp = t % g.groups;
-                     const float* xin = x.data() + n * g.in_sample_stride();
-                     float* yout =
-                         y.data() + n * g.out_sample_stride(attrs.out_channels);
-                     im2col(xin + grp * in_group_stride, col, g.col);
-                     detail::GemmShape gs;
-                     gs.a = w.data() + grp * w_group_stride;
-                     gs.b = col;
-                     gs.c = yout + grp * out_group_stride;
-                     gs.m = g.og;
-                     gs.k = col_rows;
-                     gs.n = col_cols;
-                     detail::gemm_rows(gs, 0, g.og, gemm_scratch);
-                     if (attrs.has_bias) {
-                       for (std::int64_t o = grp * g.og; o < (grp + 1) * g.og;
-                            ++o) {
-                         const float b = (*bias)[o];
-                         float* row = yout + o * col_cols;
-                         for (std::int64_t j = 0; j < col_cols; ++j) {
-                           row[j] += b;
-                         }
-                       }
-                     }
-                   }
-                 });
-    return;
-  }
-
-  float* col = ctx.scratch(0, KernelContext::kColArena, col_floats);
-  for (std::int64_t n = 0; n < g.batch; ++n) {
-    const float* xin = x.data() + n * g.in_sample_stride();
-    float* yout = y.data() + n * g.out_sample_stride(attrs.out_channels);
+  for (std::int64_t n0 = 0; n0 < g.batch; n0 += chunk) {
+    const std::int64_t nb = std::min(chunk, g.batch - n0);
+    const ColGeom cgeom = chunk_geom(g, nb);
+    const std::int64_t ld = cgeom.col_ld();
     for (std::int64_t grp = 0; grp < g.groups; ++grp) {
-      im2col(xin + grp * in_group_stride, col, g.col, pool);
-      matmul(w.data() + grp * w_group_stride, col,
-             yout + grp * out_group_stride, g.og, col_rows, col_cols, ctx);
-    }
-    if (attrs.has_bias) {
-      for (std::int64_t o = 0; o < attrs.out_channels; ++o) {
-        const float b = (*bias)[o];
-        float* row = yout + o * col_cols;
-        for (std::int64_t j = 0; j < col_cols; ++j) row[j] += b;
-      }
+      im2col(x.data() + n0 * g.in_sample_stride() + grp * in_group_stride,
+             col, cgeom, pool);
+      matmul(w.data() + grp * w_group_stride, col, out, g.og, col_rows,
+             ld, ctx);
+      // Scatter each result row's sample blocks to NCHW, adding the bias
+      // as the reference does: once, after the full k sum.
+      parallel_for(
+          pool, g.og, copy_grain(ld),
+          [&](std::int64_t o0, std::int64_t o1, int) {
+            for (std::int64_t o = o0; o < o1; ++o) {
+              const std::int64_t oc = grp * g.og + o;
+              for (std::int64_t s = 0; s < nb; ++s) {
+                const float* src = out + o * ld + s * col_cols;
+                float* dst = y.data() + (n0 + s) * y_stride + oc * col_cols;
+                if (attrs.has_bias) {
+                  const float b = (*bias)[oc];
+                  for (std::int64_t j = 0; j < col_cols; ++j) {
+                    dst[j] = src[j] + b;
+                  }
+                } else {
+                  std::memcpy(dst, src,
+                              static_cast<std::size_t>(col_cols) *
+                                  sizeof(float));
+                }
+              }
+            }
+          });
     }
   }
 }
@@ -187,54 +201,79 @@ void conv_backward(const Tensor& x, const Tensor& w, const Tensor& dy,
 
   const std::int64_t col_rows = g.col.rows();
   const std::int64_t col_cols = g.col.cols();
-  const std::size_t col_floats = static_cast<std::size_t>(col_rows * col_cols);
-  // col and (when dx is wanted) col_grad carved from one arena buffer.
-  float* col = ctx.scratch(0, KernelContext::kColArena,
-                           (dx ? 2 : 1) * col_floats);
-  float* col_grad = dx ? col + col_floats : nullptr;
-
-  dw.zero();
-  if (dx) dx->zero();
-  if (attrs.has_bias && dbias) dbias->zero();
-
+  const std::int64_t chunk = chunk_samples(g);
   const std::int64_t w_group_stride = g.og * col_rows;
   const std::int64_t in_group_stride = g.cg * g.in[0] * g.in[1] * g.in[2];
-  const std::int64_t out_group_stride = g.og * col_cols;
+  const std::int64_t y_stride = g.out_sample_stride(attrs.out_channels);
 
+  if (dx) dx->zero();
   ThreadPool* pool = ctx.pool();
-  for (std::int64_t n = 0; n < g.batch; ++n) {
-    const float* xin = x.data() + n * g.in_sample_stride();
-    const float* dyout = dy.data() + n * g.out_sample_stride(attrs.out_channels);
-    for (std::int64_t grp = 0; grp < g.groups; ++grp) {
-      // dW += dY_g (og, cols) * col^T (cols, rows)
-      im2col(xin + grp * in_group_stride, col, g.col, pool);
-      matmul_bt_acc(dyout + grp * out_group_stride, col,
-                    dw.data() + grp * w_group_stride, g.og, col_cols, col_rows,
-                    ctx);
-      if (dx) {
-        // col_grad (rows, cols) = W_g^T (rows, og) * dY_g (og, cols)
-        matmul_at(w.data() + grp * w_group_stride,
-                  dyout + grp * out_group_stride, col_grad, col_rows, g.og,
-                  col_cols, ctx);
-        col2im(col_grad, dx->data() + n * g.in_sample_stride() +
-                             grp * in_group_stride,
-               g.col, pool);
-      }
-    }
-    if (attrs.has_bias && dbias) {
-      // Output channels are independent; within one the batch loop is
-      // the sequential outer loop, so accumulation order matches ref.
-      parallel_for(pool, attrs.out_channels, 4,
-                   [&](std::int64_t o0, std::int64_t o1, int) {
-                     for (std::int64_t o = o0; o < o1; ++o) {
-                       const float* row = dyout + o * col_cols;
+  if (attrs.has_bias && dbias) {
+    // One partial sum per sample, added in sample order: the reference's
+    // accumulation order for every channel.
+    dbias->zero();
+    parallel_for(pool, attrs.out_channels, copy_grain(g.batch * col_cols),
+                 [&](std::int64_t o0, std::int64_t o1, int) {
+                   for (std::int64_t o = o0; o < o1; ++o) {
+                     for (std::int64_t n = 0; n < g.batch; ++n) {
+                       const float* row =
+                           dy.data() + n * y_stride + o * col_cols;
                        float acc = 0.0f;
                        for (std::int64_t j = 0; j < col_cols; ++j) {
                          acc += row[j];
                        }
                        (*dbias)[o] += acc;
                      }
-                   });
+                   }
+                 });
+  }
+
+  // The chunk's column matrix [col_rows, nb * cols], reused for the
+  // column gradient once dW has consumed it, followed by the gathered
+  // output gradient [og, nb * cols].
+  float* col = ctx.scratch(0, KernelContext::kColArena,
+                           static_cast<std::size_t>((col_rows + g.og) *
+                                                    chunk * col_cols));
+  float* dyg = col + col_rows * chunk * col_cols;
+  for (std::int64_t n0 = 0; n0 < g.batch; n0 += chunk) {
+    const std::int64_t nb = std::min(chunk, g.batch - n0);
+    const ColGeom cgeom = chunk_geom(g, nb);
+    const std::int64_t ld = cgeom.col_ld();
+    for (std::int64_t grp = 0; grp < g.groups; ++grp) {
+      im2col(x.data() + n0 * g.in_sample_stride() + grp * in_group_stride,
+             col, cgeom, pool);
+      parallel_for(
+          pool, g.og, copy_grain(ld),
+          [&](std::int64_t o0, std::int64_t o1, int) {
+            for (std::int64_t o = o0; o < o1; ++o) {
+              for (std::int64_t s = 0; s < nb; ++s) {
+                std::memcpy(dyg + o * ld + s * col_cols,
+                            dy.data() + (n0 + s) * y_stride +
+                                (grp * g.og + o) * col_cols,
+                            static_cast<std::size_t>(col_cols) *
+                                sizeof(float));
+              }
+            }
+          });
+      // dW_g (+)= dY_g (og, nb*cols) * col^T (nb*cols, rows). The k index
+      // runs sample-major, so each dW element continues the reference's
+      // per-sample chain in the same order, across chunks too. The first
+      // chunk overwrites: starting the chain from 0 is what the
+      // reference's zeroed dW does.
+      float* dw_g = dw.data() + grp * w_group_stride;
+      if (n0 == 0) {
+        matmul_bt(dyg, col, dw_g, g.og, ld, col_rows, ctx);
+      } else {
+        matmul_bt_acc(dyg, col, dw_g, g.og, ld, col_rows, ctx);
+      }
+      if (dx) {
+        // col_grad (rows, nb*cols) = W_g^T (rows, og) * dY_g (og, nb*cols)
+        matmul_at(w.data() + grp * w_group_stride, dyg, col, col_rows, g.og,
+                  ld, ctx);
+        col2im(col,
+               dx->data() + n0 * g.in_sample_stride() + grp * in_group_stride,
+               cgeom, pool);
+      }
     }
   }
 }

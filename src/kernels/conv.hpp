@@ -1,5 +1,5 @@
 // Grouped N-dimensional convolution (2-D and 3-D), forward and backward,
-// implemented with im2col + matmul per sample and group.
+// implemented with im2col + one matmul per group over a batch of samples.
 //
 // Layouts:
 //   2-D: x (N,C,H,W),   w (O, C/g, Kh, Kw),     y (N,O,outH,outW)
@@ -24,18 +24,21 @@ Shape conv_weight_shape(const Shape& input_shape, const ConvAttrs& attrs);
 std::size_t conv_workspace_bytes(const Shape& input_shape,
                                  const ConvAttrs& attrs);
 
-/// Forward = im2col + blocked GEMM per (sample, group). With a pooled
-/// context, independent (sample, group) tasks run concurrently when there
-/// are at least as many as threads (each on its own scratch slot);
-/// otherwise the inner im2col/matmul parallelize instead. Both schedules
-/// produce bit-identical output to conv_forward_ref.
+/// Forward = one blocked GEMM per group over a batch of samples: im2col
+/// fills adjacent column blocks of one [K, N*HW] matrix, W_g times it
+/// gives every sample's output, and a scatter to NCHW adds the bias.
+/// Samples are chunked in order under a fixed cap on the column matrix.
+/// With a pooled context the im2col, GEMM and scatter parallelize inside;
+/// output is bit-identical to conv_forward_ref.
 void conv_forward(const Tensor& x, const Tensor& w, const Tensor* bias,
                   Tensor& y, const ConvAttrs& attrs,
                   KernelContext& ctx = KernelContext::serial());
 
 /// dx may be null when the input needs no gradient (network input).
-/// Samples are processed in order (dw/dbias accumulate across the batch);
-/// parallelism lives inside the per-sample im2col/matmul/col2im calls.
+/// Batched like the forward: dY is gathered into [og, N*HW], one GEMM
+/// gives dW (its k runs sample-major, the reference's accumulation
+/// order), one gives the column gradient, and col2im runs per sample.
+/// dbias adds one partial sum per sample, in sample order.
 void conv_backward(const Tensor& x, const Tensor& w, const Tensor& dy,
                    Tensor* dx, Tensor& dw, Tensor* dbias,
                    const ConvAttrs& attrs,

@@ -7,135 +7,176 @@
 
 namespace pooch::kernels {
 
-namespace detail {
-
 namespace {
 
-// Blocking parameters. NR is the vector dimension (one or two SIMD
-// registers wide after auto-vectorization); MR x NR accumulators live in
-// registers across the k loop. KC x NC is the packed B panel (~240 KiB,
-// L2-resident); MC x KC is the packed A panel.
-constexpr std::int64_t kMR = 4;
+// Blocking parameters. One MR x NR tile of C lives in vector registers
+// across the k loop (see micro_tile). KC x NC is the packed B panel
+// (~240 KiB, L2-resident); MC x KC is the packed A panel.
+constexpr std::int64_t kMR = 12;
 constexpr std::int64_t kNR = 16;
 constexpr std::int64_t kKC = 256;
 constexpr std::int64_t kNC = 240;  // multiple of kNR
-constexpr std::int64_t kMC = 64;   // multiple of kMR
+constexpr std::int64_t kMC = 96;   // multiple of kMR
 
-// Element accessors for the two storage layouts of each operand.
-inline float a_at(const GemmShape& g, std::int64_t i, std::int64_t p) {
-  return g.a_trans ? g.a[p * g.m + i] : g.a[i * g.k + p];
+// Floats per vector register of the translation unit's ISA. A tile row
+// of NR floats is NR / kVF vector values: one zmm with AVX-512, two ymm
+// with AVX, four xmm otherwise. A single 64-byte vector type would say
+// the same in one line, but GCC lowers vector types wider than the ISA
+// through memory: that runs at a fraction of the speed.
+#if defined(__AVX512F__)
+constexpr std::int64_t kVF = 16;
+#elif defined(__AVX__)
+constexpr std::int64_t kVF = 8;
+#else
+constexpr std::int64_t kVF = 4;
+#endif
+constexpr std::int64_t kNV = kNR / kVF;
+static_assert(kNR % kVF == 0);
+
+/// kVF floats as one GCC/Clang vector value.
+typedef float Vec __attribute__((vector_size(kVF * sizeof(float))));
+
+inline Vec load_vec(const float* p) {
+  Vec v;
+  std::memcpy(&v, p, sizeof(v));
+  return v;
 }
-inline float b_at(const GemmShape& g, std::int64_t p, std::int64_t j) {
-  return g.b_trans ? g.b[j * g.k + p] : g.b[p * g.n + j];
-}
+
+inline void store_vec(float* p, Vec v) { std::memcpy(p, &v, sizeof(v)); }
+
+/// Operand layout of the blocked GEMM core.
+struct GemmShape {
+  const float* a = nullptr;
+  const float* b = nullptr;
+  float* c = nullptr;
+  std::int64_t m = 0, k = 0, n = 0;
+  bool a_trans = false;  // A stored (k,m) instead of (m,k)
+  bool b_trans = false;  // B stored (n,k) instead of (k,n)
+  bool overwrite = true; // C = A*B (beta=0 store path) vs C += A*B
+};
 
 // Pack B(k0:k0+kc, j0:j0+nc) into NR-wide column panels:
-// bp[jb][p][jr] with zero fill past nc.
+// bp[jb][p][jr] with zero fill past nc. Both layouts read their source
+// contiguously: rows of a (k,n) B, columns (rows of storage) of a
+// transposed (n,k) B.
 void pack_b(const GemmShape& g, std::int64_t k0, std::int64_t kc,
             std::int64_t j0, std::int64_t nc, float* bp) {
   for (std::int64_t jb = 0; jb * kNR < nc; ++jb) {
     float* panel = bp + jb * kc * kNR;
+    const std::int64_t j = j0 + jb * kNR;
     const std::int64_t jw = std::min(kNR, nc - jb * kNR);
-    if (!g.b_trans && jw == kNR) {
-      // Contiguous rows in source: straight vector copies.
-      for (std::int64_t p = 0; p < kc; ++p) {
-        std::memcpy(panel + p * kNR, g.b + (k0 + p) * g.n + j0 + jb * kNR,
-                    kNR * sizeof(float));
+    if (g.b_trans) {
+      for (std::int64_t jr = 0; jr < jw; ++jr) {
+        const float* src = g.b + (j + jr) * g.k + k0;
+        for (std::int64_t p = 0; p < kc; ++p) panel[p * kNR + jr] = src[p];
+      }
+      for (std::int64_t jr = jw; jr < kNR; ++jr) {
+        for (std::int64_t p = 0; p < kc; ++p) panel[p * kNR + jr] = 0.0f;
       }
       continue;
     }
     for (std::int64_t p = 0; p < kc; ++p) {
       float* row = panel + p * kNR;
-      for (std::int64_t jr = 0; jr < jw; ++jr) {
-        row[jr] = b_at(g, k0 + p, j0 + jb * kNR + jr);
-      }
+      std::memcpy(row, g.b + (k0 + p) * g.n + j,
+                  static_cast<std::size_t>(jw) * sizeof(float));
       for (std::int64_t jr = jw; jr < kNR; ++jr) row[jr] = 0.0f;
     }
   }
 }
 
 // Pack A(i0:i0+mc, k0:k0+kc) into MR-tall row panels:
-// ap[ib][p][ir] with zero fill past mc.
+// ap[ib][p][ir] with zero fill past mc. Like pack_b, each layout reads
+// its source contiguously.
 void pack_a(const GemmShape& g, std::int64_t i0, std::int64_t mc,
             std::int64_t k0, std::int64_t kc, float* ap) {
   for (std::int64_t ib = 0; ib * kMR < mc; ++ib) {
     float* panel = ap + ib * kc * kMR;
+    const std::int64_t i = i0 + ib * kMR;
     const std::int64_t iw = std::min(kMR, mc - ib * kMR);
-    for (std::int64_t p = 0; p < kc; ++p) {
-      float* col = panel + p * kMR;
-      for (std::int64_t ir = 0; ir < iw; ++ir) {
-        col[ir] = a_at(g, i0 + ib * kMR + ir, k0 + p);
+    if (g.a_trans) {
+      for (std::int64_t p = 0; p < kc; ++p) {
+        float* col = panel + p * kMR;
+        std::memcpy(col, g.a + (k0 + p) * g.m + i,
+                    static_cast<std::size_t>(iw) * sizeof(float));
+        for (std::int64_t ir = iw; ir < kMR; ++ir) col[ir] = 0.0f;
       }
-      for (std::int64_t ir = iw; ir < kMR; ++ir) col[ir] = 0.0f;
+      continue;
+    }
+    for (std::int64_t ir = 0; ir < iw; ++ir) {
+      const float* src = g.a + (i + ir) * g.k + k0;
+      for (std::int64_t p = 0; p < kc; ++p) panel[p * kMR + ir] = src[p];
+    }
+    for (std::int64_t ir = iw; ir < kMR; ++ir) {
+      for (std::int64_t p = 0; p < kc; ++p) panel[p * kMR + ir] = 0.0f;
     }
   }
 }
 
-// Full MR x NR micro-tile: accumulators in registers, one fused
-// multiply-add per (element, p) in ascending p order — the same
-// per-element operation sequence as the scalar references.
-void micro_full(const float* ap, const float* bp, std::int64_t kc, float* c,
+// The MR x NR micro-kernel. The accumulators are MR x NR/kVF vector
+// values and every loop over them is fully unrolled, so the whole tile
+// stays in registers across the k loop; an array indexed by loop
+// variables would be kept in memory instead. Each element gets one
+// multiply-add per p, in ascending p order: the same per-element
+// operation sequence as the scalar references.
+void micro_tile(const float* ap, const float* bp, std::int64_t kc, float* c,
                 std::int64_t ldc, bool zero_init) {
-  float acc[kMR][kNR];
-  if (zero_init) {
-    for (std::int64_t ir = 0; ir < kMR; ++ir) {
-      for (std::int64_t jr = 0; jr < kNR; ++jr) acc[ir][jr] = 0.0f;
-    }
-  } else {
-    for (std::int64_t ir = 0; ir < kMR; ++ir) {
-      for (std::int64_t jr = 0; jr < kNR; ++jr) {
-        acc[ir][jr] = c[ir * ldc + jr];
-      }
+  static_assert(kMR == 12 && kNV <= 4, "the unroll counts spell these out");
+  Vec acc[kMR][kNV];
+#pragma GCC unroll 12
+  for (std::int64_t ir = 0; ir < kMR; ++ir) {
+#pragma GCC unroll 4
+    for (std::int64_t v = 0; v < kNV; ++v) {
+      acc[ir][v] = zero_init ? Vec{} : load_vec(c + ir * ldc + v * kVF);
     }
   }
   for (std::int64_t p = 0; p < kc; ++p) {
-    const float* brow = bp + p * kNR;
-    const float* acol = ap + p * kMR;
+    Vec b[kNV];
+#pragma GCC unroll 4
+    for (std::int64_t v = 0; v < kNV; ++v) {
+      b[v] = load_vec(bp + p * kNR + v * kVF);
+    }
+    const float* a = ap + p * kMR;
+#pragma GCC unroll 12
     for (std::int64_t ir = 0; ir < kMR; ++ir) {
-      const float av = acol[ir];
-      for (std::int64_t jr = 0; jr < kNR; ++jr) {
-        acc[ir][jr] += av * brow[jr];
-      }
+#pragma GCC unroll 4
+      for (std::int64_t v = 0; v < kNV; ++v) acc[ir][v] += a[ir] * b[v];
     }
   }
+#pragma GCC unroll 12
   for (std::int64_t ir = 0; ir < kMR; ++ir) {
-    for (std::int64_t jr = 0; jr < kNR; ++jr) c[ir * ldc + jr] = acc[ir][jr];
+#pragma GCC unroll 4
+    for (std::int64_t v = 0; v < kNV; ++v) {
+      store_vec(c + ir * ldc + v * kVF, acc[ir][v]);
+    }
   }
 }
 
-// Edge micro-tile (mr < MR and/or nr < NR): identical arithmetic on the
-// zero-padded panels; only the valid lanes touch C.
+// Edge tile (mr < MR and/or nr < NR): the same micro-kernel on the
+// zero-padded panels through a full-size local tile; only the valid
+// lanes are read from and written back to C.
 void micro_edge(const float* ap, const float* bp, std::int64_t kc, float* c,
                 std::int64_t ldc, std::int64_t mr, std::int64_t nr,
                 bool zero_init) {
-  float acc[kMR][kNR];
-  for (std::int64_t ir = 0; ir < kMR; ++ir) {
-    for (std::int64_t jr = 0; jr < kNR; ++jr) {
-      acc[ir][jr] = (!zero_init && ir < mr && jr < nr) ? c[ir * ldc + jr]
-                                                       : 0.0f;
+  alignas(64) float tile[kMR * kNR] = {};
+  const std::size_t row_bytes = static_cast<std::size_t>(nr) * sizeof(float);
+  if (!zero_init) {
+    for (std::int64_t ir = 0; ir < mr; ++ir) {
+      std::memcpy(tile + ir * kNR, c + ir * ldc, row_bytes);
     }
   }
-  for (std::int64_t p = 0; p < kc; ++p) {
-    const float* brow = bp + p * kNR;
-    const float* acol = ap + p * kMR;
-    for (std::int64_t ir = 0; ir < kMR; ++ir) {
-      const float av = acol[ir];
-      for (std::int64_t jr = 0; jr < kNR; ++jr) {
-        acc[ir][jr] += av * brow[jr];
-      }
-    }
-  }
+  micro_tile(ap, bp, kc, tile, kNR, zero_init);
   for (std::int64_t ir = 0; ir < mr; ++ir) {
-    for (std::int64_t jr = 0; jr < nr; ++jr) c[ir * ldc + jr] = acc[ir][jr];
+    std::memcpy(c + ir * ldc, tile + ir * kNR, row_bytes);
   }
 }
 
-}  // namespace
+// Scratch floats one GEMM worker needs for its packing panels.
+constexpr std::size_t kGemmScratchFloats =
+    static_cast<std::size_t>(kKC * kNC + kMC * kKC);
 
-std::size_t gemm_scratch_floats() {
-  return static_cast<std::size_t>(kKC * kNC + kMC * kKC);
-}
-
+// Run the blocked GEMM for output rows [r0, r1) only, using the
+// caller's packing scratch. Thread-safe across disjoint row ranges with
+// distinct scratch.
 void gemm_rows(const GemmShape& g, std::int64_t r0, std::int64_t r1,
                float* scratch) {
   if (r0 >= r1 || g.n <= 0) return;
@@ -160,7 +201,7 @@ void gemm_rows(const GemmShape& g, std::int64_t r0, std::int64_t r1,
             const std::int64_t mr = std::min(kMR, mc - ib * kMR);
             float* ctile = g.c + (ic + ib * kMR) * ldc + jc + jb * kNR;
             if (mr == kMR && nr == kNR) {
-              micro_full(ap + ib * kc * kMR, bp + jb * kc * kNR, kc, ctile,
+              micro_tile(ap + ib * kc * kMR, bp + jb * kc * kNR, kc, ctile,
                          ldc, zero_init);
             } else {
               micro_edge(ap + ib * kc * kMR, bp + jb * kc * kNR, kc, ctile,
@@ -173,12 +214,10 @@ void gemm_rows(const GemmShape& g, std::int64_t r0, std::int64_t r1,
   }
 }
 
-namespace {
-
-// Fan the row dimension out over the context's pool. Each block packs its
-// own panels (redundant B packing is a few percent of the FLOPs for the
-// shapes that matter); rows are independent outputs, so any partition
-// yields bit-identical C.
+// Fan MR-row panels of C out over the context's pool. Each block packs
+// its own panels (redundant B packing is a few percent of the FLOPs for
+// the shapes that matter); rows are independent outputs, so any
+// partition yields bit-identical C.
 void gemm(const GemmShape& g, KernelContext& ctx) {
   if (g.m <= 0 || g.n <= 0) return;
   if (g.k <= 0) {
@@ -190,7 +229,6 @@ void gemm(const GemmShape& g, KernelContext& ctx) {
     }
     return;
   }
-  const std::size_t scratch_floats = gemm_scratch_floats();
   // Parallelism only pays above a few million FLOPs; tiny GEMMs (the
   // classifier-head shapes) stay inline.
   const bool fan_out =
@@ -200,49 +238,48 @@ void gemm(const GemmShape& g, KernelContext& ctx) {
           2.0e6;
   if (!fan_out) {
     gemm_rows(g, 0, g.m,
-              ctx.scratch(0, KernelContext::kGemmArena, scratch_floats));
+              ctx.scratch(0, KernelContext::kGemmArena, kGemmScratchFloats));
     return;
   }
-  parallel_for(ctx.pool(), g.m, kMR,
-               [&](std::int64_t r0, std::int64_t r1, int slot) {
-                 gemm_rows(g, r0, r1,
+  // Partition whole MR-row panels so no block boundary adds edge tiles.
+  parallel_for(ctx.pool(), (g.m + kMR - 1) / kMR, 1,
+               [&](std::int64_t p0, std::int64_t p1, int slot) {
+                 gemm_rows(g, p0 * kMR, std::min(p1 * kMR, g.m),
                            ctx.scratch(slot, KernelContext::kGemmArena,
-                                       scratch_floats));
+                                       kGemmScratchFloats));
                });
 }
 
 }  // namespace
 
-}  // namespace detail
-
 void matmul(const float* a, const float* b, float* c, std::int64_t m,
             std::int64_t k, std::int64_t n, KernelContext& ctx) {
   KernelTimer t(ctx, "matmul");
-  detail::gemm({a, b, c, m, k, n, false, false, true}, ctx);
+  gemm({a, b, c, m, k, n, false, false, true}, ctx);
 }
 
 void matmul_acc(const float* a, const float* b, float* c, std::int64_t m,
                 std::int64_t k, std::int64_t n, KernelContext& ctx) {
   KernelTimer t(ctx, "matmul_acc");
-  detail::gemm({a, b, c, m, k, n, false, false, false}, ctx);
+  gemm({a, b, c, m, k, n, false, false, false}, ctx);
 }
 
 void matmul_at(const float* a, const float* b, float* c, std::int64_t m,
                std::int64_t k, std::int64_t n, KernelContext& ctx) {
   KernelTimer t(ctx, "matmul_at");
-  detail::gemm({a, b, c, m, k, n, true, false, true}, ctx);
+  gemm({a, b, c, m, k, n, true, false, true}, ctx);
 }
 
 void matmul_bt(const float* a, const float* b, float* c, std::int64_t m,
                std::int64_t k, std::int64_t n, KernelContext& ctx) {
   KernelTimer t(ctx, "matmul_bt");
-  detail::gemm({a, b, c, m, k, n, false, true, true}, ctx);
+  gemm({a, b, c, m, k, n, false, true, true}, ctx);
 }
 
 void matmul_bt_acc(const float* a, const float* b, float* c, std::int64_t m,
                    std::int64_t k, std::int64_t n, KernelContext& ctx) {
   KernelTimer t(ctx, "matmul_bt_acc");
-  detail::gemm({a, b, c, m, k, n, false, true, false}, ctx);
+  gemm({a, b, c, m, k, n, false, true, false}, ctx);
 }
 
 // --- scalar references -----------------------------------------------

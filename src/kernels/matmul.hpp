@@ -3,8 +3,8 @@
 // These are the innermost loops of the conv/fc kernels. All variants
 // funnel into one cache-blocked, packed-panel GEMM core (see matmul.cpp
 // and docs/KERNELS.md): B is packed into NR-wide column panels, A into
-// MR-tall row panels, and an MR x NR register micro-kernel the compiler
-// auto-vectorizes does the arithmetic. Parallelism (via the context's
+// MR-tall row panels, and a 12 x 16 micro-kernel whose tile lives in
+// vector registers does the arithmetic. Parallelism (via the context's
 // thread pool) partitions only over rows of C — independent outputs — so
 // for every output element the k-dimension is accumulated in ascending
 // order exactly like the scalar *_ref oracles below: the fast kernels
@@ -57,32 +57,5 @@ void matmul_bt_ref(const float* a, const float* b, float* c, std::int64_t m,
                    std::int64_t k, std::int64_t n);
 void matmul_bt_acc_ref(const float* a, const float* b, float* c,
                        std::int64_t m, std::int64_t k, std::int64_t n);
-
-namespace detail {
-
-/// Operand layout of the blocked GEMM core.
-struct GemmShape {
-  const float* a = nullptr;
-  const float* b = nullptr;
-  float* c = nullptr;
-  std::int64_t m = 0, k = 0, n = 0;
-  bool a_trans = false;  // A stored (k,m) instead of (m,k)
-  bool b_trans = false;  // B stored (n,k) instead of (k,n)
-  bool overwrite = true; // C = A*B (beta=0 store path) vs C += A*B
-};
-
-/// Scratch floats one serial GEMM worker needs (packing panels); carve a
-/// region of at least this size out of a KernelContext slot when calling
-/// gemm_rows directly (the conv kernels do, to nest a serial GEMM inside
-/// a batch-parallel region without touching the pool).
-std::size_t gemm_scratch_floats();
-
-/// Run the blocked GEMM for output rows [r0, r1) only, using
-/// caller-provided packing scratch. Thread-safe across disjoint row
-/// ranges with distinct scratch.
-void gemm_rows(const GemmShape& g, std::int64_t r0, std::int64_t r1,
-               float* scratch);
-
-}  // namespace detail
 
 }  // namespace pooch::kernels

@@ -76,6 +76,77 @@ TEST(Im2col, RoundTripAccumulates) {
   EXPECT_FLOAT_EQ(counts[0], 4.0f);
 }
 
+// im2col/col2im against per-element index arithmetic with an explicit
+// bounds test, over strides, paddings wider than the kernel, 3-D
+// kernels and several samples sharing one column matrix.
+TEST(Im2col, MatchesDirectIndexing) {
+  struct Case {
+    Triple in, kernel, stride, pad;
+    std::int64_t channels, samples;
+  };
+  const Case cases[] = {
+      {{1, 7, 6}, {1, 3, 3}, {1, 1, 1}, {0, 1, 1}, 2, 1},
+      {{1, 9, 9}, {1, 7, 7}, {1, 2, 2}, {0, 3, 3}, 3, 2},
+      {{1, 5, 8}, {1, 2, 3}, {1, 3, 2}, {0, 4, 3}, 2, 3},
+      {{1, 4, 4}, {1, 1, 1}, {1, 2, 2}, {0, 0, 0}, 4, 3},
+      {{4, 5, 3}, {2, 3, 2}, {2, 1, 2}, {1, 1, 1}, 2, 2},
+  };
+  std::uint64_t seed = 40;
+  for (const Case& c : cases) {
+    ColGeom g;
+    g.channels = c.channels;
+    g.in = c.in;
+    g.kernel = c.kernel;
+    g.stride = c.stride;
+    g.pad = c.pad;
+    for (int a = 0; a < 3; ++a) {
+      const auto i = static_cast<std::size_t>(a);
+      g.out[i] = conv_out_extent(c.in[i], c.kernel[i], c.stride[i], c.pad[i]);
+    }
+    g.samples = c.samples;
+    g.sample_stride = c.channels * c.in[0] * c.in[1] * c.in[2];
+    const Tensor x = random_tensor(Shape{c.samples, g.sample_stride}, seed++);
+    const Tensor col = random_tensor(Shape{g.rows(), g.col_ld()}, seed++);
+
+    Tensor got_col(Shape{g.rows(), g.col_ld()});
+    im2col(x.data(), got_col.data(), g);
+    Tensor got_dx(x.shape()), want_dx(x.shape());
+    got_dx.zero();
+    want_dx.zero();
+    col2im(col.data(), got_dx.data(), g);
+
+    std::int64_t ci = 0;
+    for (std::int64_t row = 0; row < g.rows(); ++row) {
+      const std::int64_t kw = row % c.kernel[2];
+      const std::int64_t kh = row / c.kernel[2] % c.kernel[1];
+      const std::int64_t kd = row / (c.kernel[2] * c.kernel[1]) % c.kernel[0];
+      const std::int64_t ch = row / (c.kernel[2] * c.kernel[1] * c.kernel[0]);
+      for (std::int64_t s = 0; s < c.samples; ++s) {
+        for (std::int64_t od = 0; od < g.out[0]; ++od) {
+          for (std::int64_t oh = 0; oh < g.out[1]; ++oh) {
+            for (std::int64_t ow = 0; ow < g.out[2]; ++ow, ++ci) {
+              const std::int64_t id = od * c.stride[0] - c.pad[0] + kd;
+              const std::int64_t ih = oh * c.stride[1] - c.pad[1] + kh;
+              const std::int64_t iw = ow * c.stride[2] - c.pad[2] + kw;
+              const bool inside = id >= 0 && id < c.in[0] && ih >= 0 &&
+                                  ih < c.in[1] && iw >= 0 && iw < c.in[2];
+              const std::int64_t xi =
+                  s * g.sample_stride +
+                  ((ch * c.in[0] + id) * c.in[1] + ih) * c.in[2] + iw;
+              ASSERT_EQ(got_col[ci], inside ? x[xi] : 0.0f)
+                  << "im2col row " << row << " sample " << s;
+              if (inside) want_dx[xi] += col[ci];
+            }
+          }
+        }
+      }
+    }
+    for (std::int64_t i = 0; i < x.numel(); ++i) {
+      ASSERT_EQ(got_dx[i], want_dx[i]) << "col2im at " << i;
+    }
+  }
+}
+
 TEST(Conv2d, KnownValues) {
   // 1x1 input channel, 3x3 input, 2x2 kernel, no pad, stride 1.
   ConvAttrs a = ConvAttrs::conv2d(1, 2, 1, 0);

@@ -69,10 +69,14 @@ TEST_P(KernelBitIdentity, MatmulAllVariants) {
     std::int64_t m, k, n;
   };
   // Single elements, odd everything, exact micro/cache-tile multiples,
-  // block-boundary crossers, degenerate single-column output.
-  const Case cases[] = {{1, 1, 1},     {3, 7, 5},     {4, 16, 16},
-                        {5, 17, 33},   {64, 256, 240}, {67, 129, 241},
-                        {2, 300, 1}};
+  // block-boundary crossers, degenerate single-column output; m at, just
+  // past and two tiles plus one past the 12-row micro-tile, with k
+  // spanning more than one 256-deep k panel on one 16-wide column panel;
+  // a row count whose panel partition leaves a short last panel.
+  const Case cases[] = {{1, 1, 1},      {3, 7, 5},      {4, 16, 16},
+                        {5, 17, 33},    {64, 256, 240}, {67, 129, 241},
+                        {2, 300, 1},    {12, 300, 16},  {13, 300, 16},
+                        {25, 513, 16},  {97, 300, 40}};
   std::uint64_t seed = 100;
   for (const Case& c : cases) {
     const std::string tag = "m" + std::to_string(c.m) + "k" +
@@ -118,15 +122,34 @@ TEST_P(KernelBitIdentity, ConvForwardBackward) {
     ConvAttrs attrs;
     bool want_dx;
   };
+  // Conv runs one GEMM per group over a chunk of samples whose column
+  // blocks sit side by side, so the corpus puts sample boundaries inside
+  // 16-wide column panels and chunk boundaries inside the batch.
   const Case cases[] = {
-      // batch*groups >= 8 threads: exercises the task-parallel schedule.
-      {"batch_par", Shape{8, 4, 9, 9}, ConvAttrs::conv2d(6, 3, 1, 1), true},
-      // batch 1: exercises the inner im2col/matmul-parallel schedule.
-      {"inner_par", Shape{1, 3, 13, 13}, ConvAttrs::conv2d(5, 3, 2, 1), true},
+      {"batch8", Shape{8, 4, 9, 9}, ConvAttrs::conv2d(6, 3, 1, 1), true},
+      {"batch1", Shape{1, 3, 13, 13}, ConvAttrs::conv2d(5, 3, 2, 1), true},
       {"grouped", Shape{2, 4, 8, 8}, ConvAttrs::conv2d(4, 3, 1, 1, 2), true},
       {"no_bias_nodx", Shape{2, 3, 7, 7},
        ConvAttrs::conv2d(4, 2, 2, 0, 1, /*bias=*/false), false},
       {"conv3d", Shape{2, 2, 5, 5, 5}, ConvAttrs::conv3d(3, 3, 1, 1), true},
+      // 2x2 outputs: four samples per 16-wide panel, a fifth straddling
+      // into the next one.
+      {"out2x2", Shape{5, 16, 4, 4}, ConvAttrs::conv2d(8, 3, 2, 1), true},
+      // 1x1 outputs: seven one-column samples in one padded panel.
+      {"out1x1", Shape{7, 8, 3, 3}, ConvAttrs::conv2d(6, 3, 1, 0), true},
+      // 1x1 kernel on 4x4: one sample per panel, none straddling.
+      {"k1_4x4", Shape{3, 16, 4, 4}, ConvAttrs::conv2d(16, 1, 1, 0), true},
+      // out_channels = 2 * 12 + 5: two full register tiles and a remainder.
+      {"oc29", Shape{3, 6, 5, 5}, ConvAttrs::conv2d(29, 3, 1, 1), true},
+      {"grouped_b4", Shape{4, 8, 6, 6}, ConvAttrs::conv2d(12, 3, 1, 1, 4),
+       true},
+      {"grouped_nodx", Shape{3, 6, 5, 5},
+       ConvAttrs::conv2d(9, 3, 2, 1, 3, /*bias=*/false), false},
+      {"conv3d_b3", Shape{3, 3, 4, 3, 3}, ConvAttrs::conv3d(4, 2, 1, 0),
+       true},
+      // (144 + 5) x 1024 scratch floats per sample: more samples than one
+      // chunk holds, so dW accumulates across chunks.
+      {"chunked", Shape{9, 16, 32, 32}, ConvAttrs::conv2d(5, 3, 1, 1), true},
   };
   std::uint64_t seed = 500;
   for (const Case& c : cases) {
@@ -145,11 +168,13 @@ TEST_P(KernelBitIdentity, ConvForwardBackward) {
     expect_bits(y, y_ref, std::string("conv_forward ") + c.name);
 
     const Tensor dy = random_tensor(ys, seed++);
-    Tensor dx(c.xs), dx_ref(c.xs);
-    Tensor dw(w.shape()), dw_ref(w.shape());
+    // The fast path's gradients start as garbage: conv_backward must
+    // overwrite them, as a training step reusing its buffers relies on.
+    Tensor dx = random_tensor(c.xs, seed++), dx_ref(c.xs);
+    Tensor dw = random_tensor(w.shape(), seed++), dw_ref(w.shape());
     Tensor dbias, dbias_ref;
     if (c.attrs.has_bias) {
-      dbias = Tensor(Shape{c.attrs.out_channels});
+      dbias = random_tensor(Shape{c.attrs.out_channels}, seed++);
       dbias_ref = Tensor(Shape{c.attrs.out_channels});
     }
     conv_backward(x, w, dy, c.want_dx ? &dx : nullptr, dw,
