@@ -18,18 +18,14 @@ constexpr std::int64_t kKC = 256;
 constexpr std::int64_t kNC = 240;  // multiple of kNR
 constexpr std::int64_t kMC = 96;   // multiple of kMR
 
-// Floats per vector register of the translation unit's ISA. A tile row
-// of NR floats is NR / kVF vector values: one zmm with AVX-512, two ymm
-// with AVX, four xmm otherwise. A single 64-byte vector type would say
-// the same in one line, but GCC lowers vector types wider than the ISA
-// through memory: that runs at a fraction of the speed.
-#if defined(__AVX512F__)
-constexpr std::int64_t kVF = 16;
-#elif defined(__AVX__)
-constexpr std::int64_t kVF = 8;
-#else
-constexpr std::int64_t kVF = 4;
-#endif
+// Floats per vector register of the translation unit's ISA: GCC and
+// Clang set __BIGGEST_ALIGNMENT__ to the widest vector register, 64
+// bytes with AVX-512, 32 with AVX, 16 with SSE or NEON. A tile row of
+// NR floats is NR / kVF vector values. A single 64-byte vector type
+// would be simpler to write, but GCC lowers vector types wider than the
+// ISA through memory, at a fraction of the speed.
+constexpr std::int64_t kVF = std::min<std::int64_t>(
+    kNR, __BIGGEST_ALIGNMENT__ / static_cast<std::int64_t>(sizeof(float)));
 constexpr std::int64_t kNV = kNR / kVF;
 static_assert(kNR % kVF == 0);
 
