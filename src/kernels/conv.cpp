@@ -106,10 +106,13 @@ namespace {
 // mini-batch; early layers with large outputs fill a GEMM on their own.
 constexpr std::int64_t kChunkCapFloats = std::int64_t{1} << 19;
 
-// Rows of `ld` floats per parallel block when walking [og, nb * cols]
-// or NCHW rows: a block covers at least ~16K floats.
+// Floats one parallel block of a copy or reduction should cover at
+// least.
+constexpr std::int64_t kGrainFloats = std::int64_t{1} << 14;
+
+// Rows of `ld` floats per parallel block.
 std::int64_t copy_grain(std::int64_t ld) {
-  return std::max<std::int64_t>(1, (std::int64_t{1} << 14) / ld);
+  return std::max<std::int64_t>(1, kGrainFloats / ld);
 }
 
 // Column geometry of one group over nb consecutive samples.
@@ -123,11 +126,13 @@ ColGeom chunk_geom(const ConvGeom& g, std::int64_t nb) {
 // Samples per chunk: the fewest chunks the cap allows, split evenly so
 // no chunk is left with a sliver of the batch.
 std::int64_t chunk_samples(const ConvGeom& g) {
-  const std::int64_t per_sample = (g.col.rows() + g.og) * g.col.cols();
+  const std::int64_t per_sample =
+      std::max<std::int64_t>(1, (g.col.rows() + g.og) * g.col.cols());
   const std::int64_t most =
-      std::clamp<std::int64_t>(kChunkCapFloats / per_sample, 1, g.batch);
-  const std::int64_t chunks = (g.batch + most - 1) / most;
-  return (g.batch + chunks - 1) / chunks;
+      std::max<std::int64_t>(1, kChunkCapFloats / per_sample);
+  const std::int64_t chunks =
+      std::max<std::int64_t>(1, (g.batch + most - 1) / most);
+  return std::max<std::int64_t>(1, (g.batch + chunks - 1) / chunks);
 }
 
 }  // namespace

@@ -19,8 +19,9 @@ Shape conv_output_shape(const Shape& input_shape, const ConvAttrs& attrs);
 /// Shape of the weight tensor for `input_shape` under `attrs`.
 Shape conv_weight_shape(const Shape& input_shape, const ConvAttrs& attrs);
 
-/// Scratch bytes (the im2col column buffer) the kernels allocate per call;
-/// the cost model charges this as cuDNN-style workspace.
+/// Bytes of one sample's im2col column buffer; the cost model charges
+/// this as cuDNN-style workspace. The CPU kernels batch samples into a
+/// larger scratch buffer under a fixed cap, which the model ignores.
 std::size_t conv_workspace_bytes(const Shape& input_shape,
                                  const ConvAttrs& attrs);
 

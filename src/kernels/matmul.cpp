@@ -211,9 +211,9 @@ void gemm_rows(const GemmShape& g, std::int64_t r0, std::int64_t r1,
 }
 
 // Fan MR-row panels of C out over the context's pool. Each block packs
-// its own panels (redundant B packing is a few percent of the FLOPs for
-// the shapes that matter); rows are independent outputs, so any
-// partition yields bit-identical C.
+// its own panels, so B is packed once per block but blocks never wait
+// on each other; rows are independent outputs, so any partition yields
+// bit-identical C.
 void gemm(const GemmShape& g, KernelContext& ctx) {
   if (g.m <= 0 || g.n <= 0) return;
   if (g.k <= 0) {
