@@ -7,10 +7,10 @@
 // Walkthrough:
 //   1. build a computation graph with the model zoo,
 //   2. describe the machine (a 64 MiB "GPU", slow interconnect),
-//   3. run PoocH: profile -> classify -> execute,
-//   4. train a few iterations under the plan with real kernels: export
-//      the plan's schedule as an op stream and replay it through the
-//      asynchronous out-of-core executor,
+//   3. run PoocH: profile -> classify -> execute, and export the executed
+//      plan's schedule as an op stream,
+//   4. train a few iterations under the plan with real kernels: replay
+//      that op stream through the asynchronous out-of-core executor,
 //   5. compare against the serial in-core reference.
 #include <cstdio>
 
@@ -55,19 +55,26 @@ int main() {
     return 1;
   }
   std::printf("\n%s", result.plan.summary(g).c_str());
+  // Execute the plan once more with export on: the op stream is the
+  // schedule of exactly the run printed here.
+  exec::OpStream stream;
+  sim::RunOptions run_options;
+  run_options.export_stream = &stream;
+  const auto run = planner::execute_plan(runtime, result.plan, run_options);
+  if (!run.ok) {
+    std::printf("planned execution failed: %s\n", run.failure.c_str());
+    return 1;
+  }
   std::printf("iteration: %s -> %.0f images/s (peak %.1f of %.1f MiB)\n",
-              format_time(result.iteration_time).c_str(),
-              result.throughput(32),
-              bytes_to_mib(result.execution.peak_bytes),
+              format_time(run.iteration_time).c_str(), run.throughput(32),
+              bytes_to_mib(run.peak_bytes),
               bytes_to_mib(machine.usable_gpu_bytes()));
 
   // 4. Train 5 iterations with real data under the plan, running the
   // numeric kernels across 4 threads (the reference run below stays
   // serial — every kernel is bit-identical at any thread count, so the
-  // comparison still demands exact equality). The schedule is recorded
+  // comparison still demands exact equality). The schedule is exported
   // once and replayed every iteration, as a training loop would.
-  exec::OpStream stream =
-      planner::record_op_stream(runtime, result.plan.classes);
   const exec::AsyncExecutor executor(g, stream);
   kernels::KernelContext kctx(/*threads=*/4);
   sim::DataBackend ooc_backend(g, /*seed=*/42, /*learning_rate=*/0.05f,

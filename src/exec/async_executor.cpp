@@ -251,24 +251,20 @@ AsyncResult AsyncExecutor::run(sim::DataBackend& data,
   // order); so does a single-worker compute lane, which reproduces the
   // serial replay exactly. Multi-worker compute pops by critical path —
   // priced by options.time_model when attached, else the simulated
-  // spans baked into the stream at export time.
+  // spans baked into the stream at export time. The reported critical
+  // path uses the same pricing.
   const std::size_t n_ops = stream_.ops.size();
-  state.priority.assign(n_ops, 0.0);
-  if (options.compute_workers > 1) {
-    if (options.time_model) {
-      std::vector<double> prio(n_ops, 0.0);
-      for (std::size_t i = n_ops; i-- > 0;) {
-        double tail = 0.0;
-        for (std::int32_t s : schedule_.succs[i]) {
-          tail = std::max(tail, prio[static_cast<std::size_t>(s)]);
-        }
-        prio[i] = op_cost(stream_.ops[i], options.time_model) + tail;
-      }
-      state.priority = std::move(prio);
-    } else {
-      state.priority = schedule_.priority;
+  state.priority = schedule_.priority;
+  double critical_path_seconds = schedule_.critical_path_seconds;
+  if (options.time_model) {
+    std::vector<double> cost(n_ops);
+    for (std::size_t i = 0; i < n_ops; ++i) {
+      cost[i] = op_cost(stream_.ops[i], options.time_model);
     }
+    critical_path_seconds =
+        critical_path(schedule_.succs, cost, state.priority);
   }
+  if (options.compute_workers == 1) state.priority.assign(n_ops, 0.0);
 
   // Seed the dispatcher: indegrees from the hazard edges, sources ready.
   state.dispatch.indegree.resize(n_ops);
@@ -314,7 +310,7 @@ AsyncResult AsyncExecutor::run(sim::DataBackend& data,
   result.staging_peak_held = state.staging.peak_held();
   result.compute_worker_busy = std::move(state.worker_busy);
   result.compute_worker_idle = std::move(state.worker_idle);
-  result.critical_path_seconds = schedule_.critical_path_seconds;
+  result.critical_path_seconds = critical_path_seconds;
   result.ready_peak = state.dispatch.ready_peak;
 
   for (std::size_t i = 0; i < stream_.ops.size(); ++i) {

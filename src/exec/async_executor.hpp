@@ -78,7 +78,8 @@ struct AsyncOptions {
   /// Optional host swap-space accounting: swap-outs reserve, releasing
   /// frees return; reservation failure aborts the run.
   mem::HostPool* host_pool = nullptr;
-  /// Prices the critical-path priorities (and nothing else — never the
+  /// Prices the critical-path priorities and the reported
+  /// AsyncResult::critical_path_seconds (and nothing else — never the
   /// numerics). Attach the CalibratedTimeModel to schedule by measured
   /// cost; null falls back to the stream's simulated roofline spans.
   const sim::TimeModel* time_model = nullptr;
@@ -113,9 +114,10 @@ struct AsyncResult {
 
   /// Scheduler diagnostics: per-compute-worker execution and idle
   /// (ready-queue wait) time, the modeled critical path (the lower
-  /// bound no worker count can beat), and the deepest the compute
-  /// ready queue ever got (ready_peak ≤ 1 means the schedule exposes
-  /// no compute parallelism to exploit).
+  /// bound no worker count can beat, priced like the dispatch
+  /// priorities), and the deepest the compute ready queue ever got
+  /// (ready_peak ≤ 1 means the schedule exposes no compute parallelism
+  /// to exploit).
   std::vector<double> compute_worker_busy;
   std::vector<double> compute_worker_idle;
   double critical_path_seconds = 0.0;

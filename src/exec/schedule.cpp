@@ -145,7 +145,6 @@ Schedule build_schedule(const graph::Graph& graph,
   sched.deps.resize(n_ops);
   sched.succs.resize(n_ops);
   sched.cost.resize(n_ops);
-  sched.priority.assign(n_ops, 0.0);
 
   std::vector<ResourceState> state(static_cast<std::size_t>(rs.total()));
   Footprint fp;
@@ -179,18 +178,28 @@ Schedule build_schedule(const graph::Graph& graph,
     sched.cost[i] = op_cost(op, time_model);
   }
 
-  // Critical path to sink: deps always point backwards, so a reverse
-  // index sweep sees every successor before the op itself.
+  sched.critical_path_seconds =
+      critical_path(sched.succs, sched.cost, sched.priority);
+  return sched;
+}
+
+double critical_path(const std::vector<std::vector<std::int32_t>>& succs,
+                     const std::vector<double>& cost,
+                     std::vector<double>& priority) {
+  // Successors always carry larger indices, so a reverse index sweep
+  // sees every successor before the op itself.
+  const std::size_t n_ops = succs.size();
+  priority.assign(n_ops, 0.0);
+  double longest = 0.0;
   for (std::size_t i = n_ops; i-- > 0;) {
     double tail = 0.0;
-    for (std::int32_t s : sched.succs[i]) {
-      tail = std::max(tail, sched.priority[static_cast<std::size_t>(s)]);
+    for (std::int32_t s : succs[i]) {
+      tail = std::max(tail, priority[static_cast<std::size_t>(s)]);
     }
-    sched.priority[i] = sched.cost[i] + tail;
-    sched.critical_path_seconds =
-        std::max(sched.critical_path_seconds, sched.priority[i]);
+    priority[i] = cost[i] + tail;
+    longest = std::max(longest, priority[i]);
   }
-  return sched;
+  return longest;
 }
 
 }  // namespace pooch::exec

@@ -70,6 +70,14 @@ struct Schedule {
 /// in the stream (`sim_end - sim_start` — the roofline schedule).
 double op_cost(const StreamOp& op, const sim::TimeModel* time_model);
 
+/// Critical path to sink over the successor lists `succs` with op i
+/// costing `cost[i]`: fills `priority[i]` with cost[i] plus the longest
+/// downstream chain and returns the longest chain overall. The one
+/// sweep behind Schedule::priority and any re-pricing of it.
+double critical_path(const std::vector<std::vector<std::int32_t>>& succs,
+                     const std::vector<double>& cost,
+                     std::vector<double>& priority);
+
 /// Build the hazard-complete schedule for `stream`. `tape` must be the
 /// backward tape of `graph` (backward footprints read its `needed` sets).
 /// `time_model` (optional) prices the critical-path priorities; null

@@ -68,22 +68,32 @@ sim::RunResult execute_plan(const sim::Runtime& runtime,
   //       against — when profiled times hold, this reproduces the
   //       planning simulation exactly;
   //   (b) dynamic scheduling with the full device.
+  // Each attempt exports into its own stream; only the returned run's
+  // stream reaches the caller.
+  exec::OpStream* const out = options.export_stream;
+  exec::OpStream scheduled_ops;
+  exec::OpStream dynamic_ops;
   options.swapin_policy = sim::SwapInPolicy::kEagerMemoryAware;
   options.usable_bytes_override = plan.planning_usable_bytes;
+  if (out) options.export_stream = &scheduled_ops;
   sim::RunResult scheduled = runtime.run(plan.classes, options);
   options.usable_bytes_override = 0;
+  if (out) options.export_stream = &dynamic_ops;
   sim::RunResult dynamic = runtime.run(plan.classes, options);
-  if (scheduled.ok && dynamic.ok) {
-    return scheduled.iteration_time <= dynamic.iteration_time
-               ? std::move(scheduled)
-               : std::move(dynamic);
+  const auto chosen = [out](sim::RunResult& run, exec::OpStream& ops) {
+    if (out) *out = std::move(ops);
+    return std::move(run);
+  };
+  if (scheduled.ok &&
+      (!dynamic.ok || scheduled.iteration_time <= dynamic.iteration_time)) {
+    return chosen(scheduled, scheduled_ops);
   }
-  if (scheduled.ok) return scheduled;
-  if (dynamic.ok) return dynamic;
+  if (dynamic.ok) return chosen(dynamic, dynamic_ops);
   // Last resort: fetch only when needed.
   POOCH_LOG_WARN("scheduled and dynamic execution both failed; trying "
                  "on-demand swap-ins");
   options.swapin_policy = sim::SwapInPolicy::kOnDemand;
+  options.export_stream = out;
   return runtime.run(plan.classes, options);
 }
 
@@ -134,27 +144,19 @@ double relative_error(double predicted, double observed) {
   return observed > 0.0 ? std::fabs(predicted - observed) / observed : 0.0;
 }
 
-/// Record the plan's replayable schedule with the same fallback chain
-/// execute_plan uses: first as planned (memory-aware scheduling, pool
-/// clamped to the planning capacity), then dynamically on the full
-/// device, finally with on-demand swap-ins. Throws when all three are
-/// infeasible under `runtime`'s time model.
-exec::OpStream record_plan_stream(const sim::Runtime& runtime,
-                                  const PlannerResult& plan,
-                                  sim::RunOptions options) {
-  options.swapin_policy = sim::SwapInPolicy::kEagerMemoryAware;
-  options.usable_bytes_override = plan.planning_usable_bytes;
-  try {
-    return record_op_stream(runtime, plan.classes, options);
-  } catch (const Error&) {
+/// The replayable op stream of the run execute_plan picks for `plan`
+/// under `runtime`'s time model. Throws when every attempt of the
+/// fallback chain is infeasible.
+exec::OpStream export_plan_stream(const sim::Runtime& runtime,
+                                  const PlannerResult& plan) {
+  exec::OpStream stream;
+  sim::RunOptions options;
+  options.export_stream = &stream;
+  const sim::RunResult r = execute_plan(runtime, plan, options);
+  if (!r.ok) {
+    throw Error("planned classification failed at execution: " + r.failure);
   }
-  options.usable_bytes_override = 0;
-  try {
-    return record_op_stream(runtime, plan.classes, options);
-  } catch (const Error&) {
-  }
-  options.swapin_policy = sim::SwapInPolicy::kOnDemand;
-  return record_op_stream(runtime, plan.classes, options);
+  return stream;
 }
 
 /// Predicted iteration time of `plan` under `runtime`'s time model,
@@ -233,8 +235,7 @@ MeasuredPipelineResult run_pooch_measured(
   std::unique_ptr<sim::Runtime> cal_runtime;
   double predicted = 0.0;
   try {
-    exec::OpStream stream =
-        record_plan_stream(gt_runtime, out.final_plan, {});
+    exec::OpStream stream = export_plan_stream(gt_runtime, out.final_plan);
     out.measured = profile::measure_op_stream(graph, stream, data, mo,
                                               next_iteration);
     next_iteration += static_cast<std::uint64_t>(mo.warmup_iterations +
@@ -251,6 +252,11 @@ MeasuredPipelineResult run_pooch_measured(
     for (;;) {
       model = std::make_unique<cost::CalibratedTimeModel>(
           graph, out.measured, ground_truth, options.calibrate);
+      // After a re-plan the priorities follow the latest calibrated
+      // model; the one they pointed at was just replaced.
+      if (out.replans > 0 && options.measure.time_model == nullptr) {
+        mo.time_model = model.get();
+      }
       cal_runtime = std::make_unique<sim::Runtime>(graph, tape, machine,
                                                    *model);
       predicted = predict_iteration_time(*cal_runtime, out.final_plan);
@@ -287,7 +293,7 @@ MeasuredPipelineResult run_pooch_measured(
         break;
       }
       out.final_plan = replanned;
-      stream = record_plan_stream(*cal_runtime, out.final_plan, {});
+      stream = export_plan_stream(*cal_runtime, out.final_plan);
       if (options.measure.time_model == nullptr) {
         mo.time_model = model.get();  // calibrated priorities from here on
       }

@@ -56,15 +56,20 @@ PipelineResult run_pooch(const graph::Graph& graph,
                          const PipelineOptions& options = {});
 
 /// Execute a planned classification with the standard fallback chain:
-/// replay the recorded swap-in schedule; if that OOMs (timing drift),
-/// fall back to dynamic memory-aware scheduling, then to on-demand
-/// swap-ins. Returns the first successful run (or the last failure).
+/// memory-aware scheduling on the pool clamped to
+/// `plan.planning_usable_bytes` and on the full device, the faster of
+/// the two winning (ties go to the clamped run); if both OOM (timing
+/// drift), on-demand swap-ins. Returns the chosen run (or the last
+/// failure). When `options.export_stream` is set it receives the op
+/// stream of exactly the returned run — the one path from a plan to a
+/// replayable stream.
 sim::RunResult execute_plan(const sim::Runtime& runtime,
                             const PlannerResult& plan,
                             sim::RunOptions options = {});
 
 /// Simulate `classes` on `runtime` and return the exported replayable op
-/// stream for exec::AsyncExecutor. Throws
+/// stream for exec::AsyncExecutor (plans go through execute_plan instead,
+/// so the stream follows its fallback chain). Throws
 /// pooch::Error when the simulation cannot complete under `options`
 /// (simulated OOM) — an infeasible classification has no schedule to
 /// replay.

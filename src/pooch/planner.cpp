@@ -12,10 +12,7 @@
 #include "common/logging.hpp"
 #include "common/strings.hpp"
 #include "common/thread_pool.hpp"
-#include "exec/op_stream.hpp"
-#include "exec/schedule.hpp"
 #include "obs/stats.hpp"
-#include "sim/multilane.hpp"
 
 namespace pooch::planner {
 
@@ -96,7 +93,6 @@ PoochPlanner::PoochPlanner(const Graph& graph,
     : graph_(graph),
       tape_(tape),
       machine_(with_safety_margin(machine, options.memory_safety_margin)),
-      tm_(time_model),
       options_(options),
       classifiable_(sim::classifiable_values(graph, tape)),
       runtime_(graph_, tape_, machine_, time_model),
@@ -105,8 +101,6 @@ PoochPlanner::PoochPlanner(const Graph& graph,
   int threads = options_.threads == 0 ? ThreadPool::hardware_threads()
                                       : options_.threads;
   POOCH_CHECK_MSG(threads >= 0, "negative planner thread count");
-  POOCH_CHECK_MSG(options_.compute_workers >= 1,
-                  "PlannerOptions::compute_workers must be >= 1");
   // Concurrent queries of an order-dependent time model (profiling
   // noise) would neither be safe nor mean anything; plan sequentially.
   if (!time_model.concurrent_safe()) threads = 1;
@@ -134,12 +128,6 @@ PoochPlanner::Eval PoochPlanner::simulate(const Classification& classes,
   sim::RunOptions ro;
   ro.swapin_policy = options_.policy;
   ro.record_timeline = false;
-  // With a multi-worker compute target, export the candidate's op
-  // stream and re-price it under the executor's dependency-counted
-  // dispatch; the serial run still decides feasibility (memory) while
-  // the multi-lane makespan decides time.
-  exec::OpStream stream;
-  if (options_.compute_workers > 1) ro.export_stream = &stream;
   const sim::RunResult r =
       (unbounded ? unbounded_runtime_ : runtime_).run(classes, ro);
   ctx.sims.fetch_add(1, std::memory_order_relaxed);
@@ -147,14 +135,6 @@ PoochPlanner::Eval PoochPlanner::simulate(const Classification& classes,
   e.feasible = r.ok;
   e.time = r.iteration_time;
   e.peak = r.peak_bytes;
-  if (options_.compute_workers > 1 && r.ok) {
-    const exec::Schedule sched =
-        exec::build_schedule(graph_, tape_, stream, &tm_);
-    sim::MultiLaneOptions mo;
-    mo.compute_workers = options_.compute_workers;
-    mo.time_model = &tm_;
-    e.time = sim::simulate_multilane(stream, sched, mo).makespan;
-  }
   return e;
 }
 
@@ -496,21 +476,11 @@ void PoochPlanner::run_step2(PlannerResult& result, SearchCtx& ctx) const {
   result.predicted_peak = peak_cur;
 }
 
-void PoochPlanner::record_schedule(PlannerResult& result,
-                                   SearchCtx& ctx) const {
-  if (!result.feasible) return;
-  // Derived on the margin-reduced planning device: its issue points are
-  // conservative, so replaying them on the full device is safe.
-  sim::RunOptions ro;
-  ro.swapin_policy = options_.policy;
-  const sim::RunResult r = runtime_.run(result.classes, ro);
-  ctx.sims.fetch_add(1, std::memory_order_relaxed);
-  if (r.ok) result.swapin_issue_steps = r.swapin_issue_step;
-  result.planning_usable_bytes = machine_.usable_gpu_bytes();
-}
-
 void PoochPlanner::finish(PlannerResult& result, SearchCtx& ctx,
                           std::chrono::steady_clock::time_point t0) const {
+  if (result.feasible) {
+    result.planning_usable_bytes = machine_.usable_gpu_bytes();
+  }
   result.simulations = ctx.sims.load(std::memory_order_relaxed);
   result.cache_hits = ctx.cache_hits.load(std::memory_order_relaxed);
   result.threads_used = pool_ ? pool_->size() : 1;
@@ -561,7 +531,6 @@ PlannerResult PoochPlanner::plan() const {
   result.step2_simulations =
       ctx.sims.load(std::memory_order_relaxed) - result.step1_simulations;
   const auto t2 = clock::now();
-  record_schedule(result, ctx);
   finish(result, ctx, t0);
   if (options_.stats) {
     options_.stats->gauge("planner.last.step1_seconds")
@@ -579,7 +548,6 @@ PlannerResult PoochPlanner::plan_keep_swap_only() const {
   SearchCtx ctx;
   PlannerResult result = run_step1(ctx);
   result.step1_simulations = ctx.sims.load(std::memory_order_relaxed);
-  record_schedule(result, ctx);
   finish(result, ctx, t0);
   if (options_.stats) {
     options_.stats->gauge("planner.last.step1_seconds")

@@ -67,14 +67,6 @@ struct PlannerOptions {
   /// order; planning against a slightly smaller device keeps the chosen
   /// classification feasible under that jitter.
   double memory_safety_margin = 0.03;
-  /// Compute workers the eventual executor will run with
-  /// (exec::AsyncOptions::compute_workers). At 1 the classifier prices
-  /// candidates with the serial-compute timeline simulation, exactly as
-  /// before. Above 1 each candidate's exported op stream is re-priced
-  /// by sim::simulate_multilane under the same dependency-counted
-  /// multi-worker dispatch the executor uses, so the chosen plan
-  /// optimizes the schedule that will actually run.
-  int compute_workers = 1;
   /// Parallelism of the candidate-evaluation fan-out: 1 = sequential,
   /// 0 = one thread per hardware core, N = exactly N threads. The
   /// chosen plan is bit-identical at every setting. Forced to 1 when
@@ -104,16 +96,13 @@ struct PlannerResult {
   std::vector<graph::ValueId> lo;  // L_O: swap-outs not hidden
   std::vector<graph::ValueId> li;  // L_I: swap-ins not hidden
   std::array<int, 3> counts{0, 0, 0};  // keep/swap/recompute (Table 3)
-  /// Swap-in issue schedule recorded from the winning simulation; the
-  /// executor replays it (RunOptions::fixed_swapin_schedule).
-  std::vector<int> swapin_issue_steps;
   /// Usable device bytes the plan was validated against (the margin-
-  /// reduced capacity); the executor clamps its pool to this.
+  /// reduced capacity); execute_plan's first attempt clamps its pool to
+  /// this.
   std::size_t planning_usable_bytes = 0;
   /// Timeline simulations actually run (cache hits excluded), total and
-  /// split by phase. step1 covers the L_I/L_O search + absorption;
-  /// step2 the recompute-ratio rounds; the remainder (total − step1 −
-  /// step2) is the final schedule-recording run.
+  /// split by phase: step1 covers the L_I/L_O search + absorption, step2
+  /// the recompute-ratio rounds, and simulations == step1 + step2.
   int simulations = 0;
   int step1_simulations = 0;
   int step2_simulations = 0;
@@ -163,7 +152,6 @@ class PoochPlanner {
 
   PlannerResult run_step1(SearchCtx& ctx) const;
   void run_step2(PlannerResult& result, SearchCtx& ctx) const;
-  void record_schedule(PlannerResult& result, SearchCtx& ctx) const;
   void finish(PlannerResult& result, SearchCtx& ctx,
               std::chrono::steady_clock::time_point t0) const;
 
@@ -171,7 +159,6 @@ class PoochPlanner {
   const std::vector<graph::BwdStep>& tape_;
   cost::MachineConfig machine_;  // by value: planning capacity is reduced
                                  // by the safety margin
-  const sim::TimeModel& tm_;
   PlannerOptions options_;
   std::vector<graph::ValueId> classifiable_;
 

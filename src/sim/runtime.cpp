@@ -103,16 +103,10 @@ class Exec {
     grad_dev_.resize(static_cast<std::size_t>(g_.num_values()));
     result_.stall_by_value.assign(static_cast<std::size_t>(g_.num_values()),
                                   0.0);
-    result_.swapin_issue_step.assign(
-        static_cast<std::size_t>(g_.num_values()), -1);
     for (const auto& v : g_.values()) {
       states_[static_cast<std::size_t>(v.id)].fwd_remaining =
           plan_.fwd_consumers[static_cast<std::size_t>(v.id)];
     }
-    has_fixed_schedule_ =
-        opts_.fixed_swapin_schedule != nullptr &&
-        opts_.fixed_swapin_schedule->size() ==
-            static_cast<std::size_t>(g_.num_values());
     if (xs_) {
       xs_->ops.clear();
       xs_->iteration = opts_.iteration;
@@ -198,14 +192,7 @@ class Exec {
         QueueEntry e;
         e.value = op.value;
         e.need_step = static_cast<int>(k);
-        if (has_fixed_schedule_) {
-          const int s0 = (*opts_.fixed_swapin_schedule)[static_cast<
-              std::size_t>(op.value)];
-          e.trigger_step = s0 >= 0 ? std::min(s0, static_cast<int>(k))
-                                   : static_cast<int>(k);
-        } else {
-          e.trigger_step = trigger_step_for(static_cast<int>(k));
-        }
+        e.trigger_step = trigger_step_for(static_cast<int>(k));
         queue_.push_back(e);
       }
     }
@@ -581,8 +568,7 @@ class Exec {
   /// Issue the H2D for v. `blocking` allocs may advance virtual time;
   /// non-blocking failures return false.
   bool issue_swap_in(ValueId v, double t, bool blocking,
-                     std::size_t queue_index, int issue_step) {
-    result_.swapin_issue_step[static_cast<std::size_t>(v)] = issue_step;
+                     std::size_t queue_index) {
     ValueState& s = st(v);
     POOCH_CHECK(s.on_host && !s.swapin_issued);
     double t_alloc = t;
@@ -633,7 +619,7 @@ class Exec {
         continue;
       }
       if (e.trigger_step > step) break;
-      if (eager && !has_fixed_schedule_) {
+      if (eager) {
         // §4.3: issue only "when there is room in the GPU memory" — room
         // meaning the buffer plus the near-future transient needs.
         if (s.d2h_end > t) break;  // still being copied out
@@ -645,11 +631,11 @@ class Exec {
           bump("runtime.prefetch.headroom_blocked");
           break;
         }
-        if (!issue_swap_in(e.value, t, /*blocking=*/false, next_q_, step)) {
+        if (!issue_swap_in(e.value, t, /*blocking=*/false, next_q_)) {
           break;
         }
       } else {
-        if (!issue_swap_in(e.value, t, /*blocking=*/false, next_q_, step)) {
+        if (!issue_swap_in(e.value, t, /*blocking=*/false, next_q_)) {
           if (opts_.oom_on_prefetch_failure) {
             std::ostringstream os;
             os << "prefetch OOM: swap-in of v" << e.value << " ("
@@ -776,7 +762,7 @@ class Exec {
     POOCH_CHECK_MSG(s.on_host && !s.swapin_issued,
                     "value v" << v << " needed but neither resident nor "
                               << "swappable (classification bug)");
-    issue_swap_in(v, t, /*blocking=*/true, 0, current_step_);
+    issue_swap_in(v, t, /*blocking=*/true, 0);
     return s.ready;
   }
 
@@ -845,7 +831,6 @@ class Exec {
   void run_backward_phase() {
     for (std::size_t k = 0; k < tape_.size(); ++k) {
       const int step = static_cast<int>(k);
-      current_step_ = step;
       const BwdStep& bstep = tape_[k];
       const StepPlan& splan = plan_.steps[k];
       prefetch_tick(step, t_comp_);
@@ -857,7 +842,7 @@ class Exec {
           ValueState& s = st(op.value);
           s.consumed = true;
           if (!s.swapin_issued && !s.dev.has_value()) {
-            issue_swap_in(op.value, t_comp_, /*blocking=*/true, 0, step);
+            issue_swap_in(op.value, t_comp_, /*blocking=*/true, 0);
           }
         } else {
           run_recompute(op, step);
@@ -1026,8 +1011,6 @@ class Exec {
   double t_comp_ = 0.0;
   double t_d2h_ = 0.0;
   double t_h2d_ = 0.0;
-  int current_step_ = 0;
-  bool has_fixed_schedule_ = false;
 
   exec::OpStream* const xs_ = opts_.export_stream;
 

@@ -69,22 +69,16 @@ struct RunOptions {
   /// everything bottom-up, as cudaMalloc-pool-era systems did; used by
   /// the SuperNeurons baseline.
   bool naive_placement = false;
-  /// Replay a fixed swap-in schedule (per-value issue step, -1 = none)
-  /// recorded from a planning simulation, instead of deciding issue
-  /// times from live state. This is §4.3 as the paper describes it —
-  /// "the amount of free memory ... can be judged from the profiling
-  /// result" — and it makes the execution's allocation order match the
-  /// simulation's exactly.
-  const std::vector<int>* fixed_swapin_schedule = nullptr;
   /// Restrict the device pool to this many usable bytes (0 = use the
-  /// machine's full capacity). The PoocH executor clamps to the capacity
-  /// the plan was validated against, so the execution reproduces the
-  /// planning simulation's memory behaviour exactly.
+  /// machine's full capacity). planner::execute_plan's first attempt
+  /// clamps to the capacity the plan was validated against, so it
+  /// reproduces the planning simulation's memory behaviour exactly.
   std::size_t usable_bytes_override = 0;
   /// When set, the run additionally exports its schedule as a replayable
   /// op list (see exec/op_stream.hpp) — the input to exec::AsyncExecutor.
   /// Holds ops only when the run completes (ok). Cancelled prefetches are
-  /// erased again, mirroring unrecord_swapin.
+  /// erased again, mirroring unrecord_swapin. planner::execute_plan
+  /// hands it the stream of the one attempt it returns.
   exec::OpStream* export_stream = nullptr;
   /// Metrics sink. When set, the run publishes counters (transfers,
   /// recomputes, OOM-rescue events, eager-prefetch headroom blocks),
@@ -121,9 +115,6 @@ struct RunResult {
   std::vector<graph::ValueId> unhidden_swapins;
   /// Per-value compute-stall seconds blamed on that value's transfers.
   std::vector<double> stall_by_value;
-  /// Backward step index before which each value's swap-in was issued
-  /// (-1 = never swapped in). Feed back as fixed_swapin_schedule.
-  std::vector<int> swapin_issue_step;
 
   Timeline timeline;
 

@@ -26,7 +26,6 @@
 #include "obs/validate.hpp"
 #include "pooch/pipeline.hpp"
 #include "pooch/planner.hpp"
-#include "sim/multilane.hpp"
 #include "sim/runtime.hpp"
 #include "tensor/tensor_ops.hpp"
 #include "testing_util.hpp"
@@ -377,30 +376,32 @@ TEST(AsyncSchedSchedule, HazardEdgesTopologicalAndPriced) {
   EXPECT_DOUBLE_EQ(sched.critical_path_seconds, max_priority);
 }
 
-TEST(AsyncSchedSim, MultiLaneMakespanBoundsAndDeterminism) {
+TEST(AsyncSchedSchedule, CriticalPathIsPricedLikeTheDispatch) {
+  // A flat table far from the simulated spans (1 s per kernel, 0.5 s per
+  // transfer): the reported critical path must be this model's, at any
+  // compute-worker count, not the spans baked into the stream.
   AsyncEnv env(models::small_cnn(2, 16), 8192);
   const exec::OpStream stream = planner::record_op_stream(
       *env.rt, Classification(env.g, ValueClass::kSwap));
-  const exec::Schedule sched =
-      exec::build_schedule(env.g, env.tape, stream, env.tm.get());
-  double total_cost = 0.0;
-  for (const double c : sched.cost) total_cost += c;
-  double prev_makespan = 0.0;
-  for (const int compute : {1, 2, 4}) {
-    sim::MultiLaneOptions mo;
-    mo.compute_workers = compute;
-    mo.time_model = env.tm.get();
-    const sim::MultiLaneResult a = sim::simulate_multilane(stream, sched, mo);
-    const sim::MultiLaneResult b = sim::simulate_multilane(stream, sched, mo);
-    EXPECT_DOUBLE_EQ(a.makespan, b.makespan) << "non-deterministic sim";
-    // List scheduling never beats the critical path and never idles all
-    // lanes while work remains, so makespan sits between the two bounds.
-    EXPECT_GE(a.makespan, sched.critical_path_seconds - 1e-12);
-    EXPECT_LE(a.makespan, total_cost + 1e-9);
-    EXPECT_DOUBLE_EQ(a.critical_path_seconds, sched.critical_path_seconds);
-    if (compute == 1) prev_makespan = a.makespan;
+  const auto nodes = static_cast<std::size_t>(env.g.num_nodes());
+  const auto values = static_cast<std::size_t>(env.g.num_values());
+  const TableTimeModel flat(
+      std::vector<double>(nodes, 1.0), std::vector<double>(nodes, 1.0),
+      std::vector<double>(values, 0.5), std::vector<double>(values, 0.5),
+      1.0);
+  const double want =
+      exec::build_schedule(env.g, env.tape, stream, &flat)
+          .critical_path_seconds;
+  const exec::AsyncExecutor executor(env.g, stream);
+  for (const int workers : {1, 2}) {
+    DataBackend backend(env.g, kDataSeed);
+    exec::AsyncOptions ao;
+    ao.compute_workers = workers;
+    ao.time_model = &flat;
+    const auto res = executor.run(backend, ao);
+    ASSERT_TRUE(res.ok) << res.failure;
+    EXPECT_EQ(res.critical_path_seconds, want) << workers << " workers";
   }
-  EXPECT_GT(prev_makespan, 0.0);
 }
 
 TEST(AsyncSchedOracle, FlagsHazardOnlyEdgeViolation) {

@@ -59,6 +59,21 @@ TEST(Planner, PlanIsFeasibleAndBeatsSwapAll) {
   EXPECT_FALSE(plan.summary(rig.g).empty());
 }
 
+TEST(Planner, SimulationCountIsTheSumOfItsSteps) {
+  // Every timeline simulation a search runs belongs to step 1 or step 2.
+  Rig rig = out_of_core_rig();
+  PoochPlanner planner(rig.g, rig.tape, rig.machine, *rig.tm);
+  const auto plan = planner.plan();
+  ASSERT_TRUE(plan.feasible);
+  EXPECT_GT(plan.step2_simulations, 0);
+  EXPECT_EQ(plan.simulations,
+            plan.step1_simulations + plan.step2_simulations);
+  const auto swap_opt = planner.plan_keep_swap_only();
+  ASSERT_TRUE(swap_opt.feasible);
+  EXPECT_EQ(swap_opt.step2_simulations, 0);
+  EXPECT_EQ(swap_opt.simulations, swap_opt.step1_simulations);
+}
+
 TEST(Planner, PredictionMatchesExecutionOnSameModel) {
   // Classifier and executor share the engine and the time model here, so
   // the prediction must match the execution exactly.

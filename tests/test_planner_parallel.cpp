@@ -1,7 +1,7 @@
 // The parallel planner's determinism contract: at any thread count, with
 // the memo cache on or off, the search must choose the *bit-identical*
 // plan the sequential search chooses — same classification string, same
-// predicted time, same L_O/L_I sets, same swap-in schedule — and the
+// predicted time, same L_O/L_I sets, same planning capacity — and the
 // real-simulation count with the cache on must never exceed the count
 // with it off. Exercised over the shared random-graph fuzz corpus and
 // the real model zoo (ResNet-50, AlexNet on x86+PCIe).
@@ -62,7 +62,7 @@ void expect_identical(const PlannerResult& got, const PlannerResult& ref,
   EXPECT_EQ(got.lo, ref.lo) << what;
   EXPECT_EQ(got.li, ref.li) << what;
   EXPECT_EQ(got.counts, ref.counts) << what;
-  EXPECT_EQ(got.swapin_issue_steps, ref.swapin_issue_steps) << what;
+  EXPECT_EQ(got.planning_usable_bytes, ref.planning_usable_bytes) << what;
   EXPECT_EQ(got.recompute_rounds, ref.recompute_rounds) << what;
   EXPECT_EQ(got.used_beam_fallback, ref.used_beam_fallback) << what;
 }

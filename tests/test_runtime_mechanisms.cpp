@@ -1,9 +1,12 @@
 // Focused tests for the runtime's memory-management machinery: the
 // two-ended placement, the rescue chain (prefetch cancellation, clean-
 // page eviction, in-flight waits), gradient aliasing, workspace capping,
-// fixed swap-in schedules and capacity clamping — the engineering that
-// keeps out-of-core execution alive where a naive allocator would OOM.
+// capacity clamping and the planned-execution fallback chain — the
+// engineering that keeps out-of-core execution alive where a naive
+// allocator would OOM.
 #include <gtest/gtest.h>
+
+#include <algorithm>
 
 #include "baselines/policies.hpp"
 #include "cost/cost_model.hpp"
@@ -159,29 +162,6 @@ TEST(WorkspaceCap, CapsOversizedIm2col) {
   EXPECT_GT(g2.workspace_bytes(0), 0u);
 }
 
-TEST(FixedSchedule, ReplayMatchesRecordedRun) {
-  Rig rig(models::paper_example(16, 56, 64), 96);
-  const Classification swap_all(rig.g, ValueClass::kSwap);
-  const auto recorded = rig.rt->run(swap_all);
-  ASSERT_TRUE(recorded.ok);
-  RunOptions replay;
-  replay.fixed_swapin_schedule = &recorded.swapin_issue_step;
-  const auto replayed = rig.rt->run(swap_all, replay);
-  ASSERT_TRUE(replayed.ok);
-  EXPECT_DOUBLE_EQ(replayed.iteration_time, recorded.iteration_time);
-  EXPECT_EQ(replayed.peak_bytes, recorded.peak_bytes);
-  EXPECT_EQ(replayed.swapin_issue_step, recorded.swapin_issue_step);
-}
-
-TEST(FixedSchedule, WrongSizedScheduleIsIgnored) {
-  Rig rig(models::small_cnn(4, 16), 512);
-  const std::vector<int> junk{1, 2, 3};  // wrong length
-  RunOptions ro;
-  ro.fixed_swapin_schedule = &junk;
-  const auto r = rig.rt->run(Classification(rig.g, ValueClass::kSwap), ro);
-  EXPECT_TRUE(r.ok);
-}
-
 TEST(CapacityOverride, ClampsThePool) {
   Rig rig(models::paper_example(16, 56, 64), 4096);
   RunOptions clamped;
@@ -295,7 +275,7 @@ TEST(StallAttribution, BlamesTheSlowValues) {
 }
 
 TEST(ExecutePlan, FallsBackWhenScheduleCannotRun) {
-  // A plan whose recorded schedule belongs to a different capacity must
+  // A plan whose planning capacity cannot even hold the parameters must
   // still execute via the dynamic fallback.
   Rig rig(models::paper_example(16, 56, 64), 96);
   planner::PoochPlanner p(rig.g, rig.tape, rig.machine, *rig.tm);
@@ -305,6 +285,56 @@ TEST(ExecutePlan, FallsBackWhenScheduleCannotRun) {
   plan.planning_usable_bytes = 1 * kMiB;
   const auto r = planner::execute_plan(*rig.rt, plan);
   EXPECT_TRUE(r.ok) << r.failure;
+}
+
+/// Op for op: what runs, on which node/value, how many bytes, and when
+/// the simulator scheduled it.
+bool same_ops(const exec::OpStream& a, const exec::OpStream& b) {
+  return std::equal(
+      a.ops.begin(), a.ops.end(), b.ops.begin(), b.ops.end(),
+      [](const exec::StreamOp& x, const exec::StreamOp& y) {
+        return x.type == y.type && x.node == y.node && x.value == y.value &&
+               x.bytes == y.bytes && x.sim_start == y.sim_start &&
+               x.sim_end == y.sim_end;
+      });
+}
+
+TEST(ExecutePlan, ExportsTheRunItReturns) {
+  // A hand-built plan, so no planner runs: swap-all on a 96 MiB device,
+  // "validated" against a clamped pool.
+  Rig rig(models::paper_example(16, 56, 64), 96);
+  planner::PlannerResult plan;
+  plan.classes = Classification(rig.g, ValueClass::kSwap);
+  plan.feasible = true;
+  const exec::OpStream dynamic =
+      planner::record_op_stream(*rig.rt, plan.classes);
+
+  // Clamped to 72 MiB, the scheduled run ties the full-device run in
+  // iteration time but issues its swap-ins at other times. Ties go to
+  // the scheduled run, and so must the exported stream.
+  plan.planning_usable_bytes = 72 * kMiB;
+  RunOptions clamped;
+  clamped.usable_bytes_override = plan.planning_usable_bytes;
+  const exec::OpStream scheduled =
+      planner::record_op_stream(*rig.rt, plan.classes, clamped);
+  ASSERT_FALSE(same_ops(scheduled, dynamic))
+      << "the two attempts must export different streams";
+  exec::OpStream got;
+  RunOptions ro;
+  ro.export_stream = &got;
+  RunResult r = planner::execute_plan(*rig.rt, plan, ro);
+  ASSERT_TRUE(r.ok) << r.failure;
+  EXPECT_EQ(r.iteration_time,
+            rig.rt->run(plan.classes, clamped).iteration_time);
+  EXPECT_TRUE(same_ops(got, scheduled)) << "scheduled wins the tie";
+
+  // Clamped to 1 MiB the parameters alone do not fit: the scheduled
+  // attempt fails and the dynamic run, with its stream, is returned.
+  plan.planning_usable_bytes = 1 * kMiB;
+  r = planner::execute_plan(*rig.rt, plan, ro);
+  ASSERT_TRUE(r.ok) << r.failure;
+  EXPECT_EQ(r.iteration_time, rig.rt->run(plan.classes).iteration_time);
+  EXPECT_TRUE(same_ops(got, dynamic)) << "dynamic fallback";
 }
 
 TEST(Profiler, RecordsThePolicyItActuallyUsed) {

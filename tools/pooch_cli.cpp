@@ -293,22 +293,12 @@ void not_executed(Context& ctx, const std::string& why) {
   ctx.exit_status = 1;
 }
 
-/// --kernel-threads: export the schedule the simulator just scored as an
-/// op stream, execute it for real through the AsyncExecutor (compute
-/// workers plus dedicated H2D/D2H copy workers) against a fresh numeric
-/// backend, and demand the result bit-identical to the serial in-core
-/// reference.
+/// --kernel-threads: execute the op stream the reported simulation
+/// exported for real through the AsyncExecutor (compute workers plus
+/// dedicated H2D/D2H copy workers) against a fresh numeric backend, and
+/// demand the result bit-identical to the serial in-core reference.
 void execute_for_real(Context& ctx, const char* name,
-                      const sim::Classification& classes, sim::RunOptions ro) {
-  ro.stats = nullptr;
-  ro.record_timeline = false;
-  exec::OpStream stream;
-  try {
-    stream = planner::record_op_stream(*ctx.runtime, classes, ro);
-  } catch (const Error& e) {
-    not_executed(ctx, e.what());
-    return;
-  }
+                      const exec::OpStream& stream) {
   obs::StatsRegistry* stats =
       ctx.o.show_stats ? &obs::StatsRegistry::global() : nullptr;
   kernels::KernelContext kctx(ctx.o.kernel_threads);
@@ -375,10 +365,11 @@ void execute_for_real(Context& ctx, const char* name,
   if (!same) ctx.exit_status = 1;
 }
 
+/// Print the simulated run `r` of `classes`; under --kernel-threads also
+/// execute `stream`, the op stream `r` exported.
 void report(Context& ctx, const char* name, const sim::RunResult& r,
-            const std::array<int, 3>* counts = nullptr,
-            const sim::Classification* classes = nullptr,
-            const sim::RunOptions* run_opts = nullptr) {
+            const exec::OpStream& stream, const sim::Classification& classes,
+            const std::array<int, 3>* counts = nullptr) {
   if (!r.ok) {
     std::printf("%-16s OOM\n", name);
     if (ctx.o.timeline) std::printf("%s\n", r.failure.c_str());
@@ -413,15 +404,12 @@ void report(Context& ctx, const char* name, const sim::RunResult& r,
   }
   if (!ctx.o.trace.empty()) {
     obs::TraceOptions topt;
-    topt.classes = classes;
+    topt.classes = &classes;
     const std::string path = trace_path_for(ctx.o, name);
     obs::write_chrome_trace(path, ctx.g, r.timeline, topt);
     std::printf("%-16s trace written to %s\n", "", path.c_str());
   }
-  if (ctx.o.kernel_threads > 0 && classes) {
-    execute_for_real(ctx, name, *classes,
-                     run_opts ? *run_opts : sim::RunOptions{});
-  }
+  if (ctx.o.kernel_threads > 0) execute_for_real(ctx, name, stream);
 }
 
 /// --measured-profile: the full calibration loop (docs/PROFILING.md).
@@ -508,25 +496,27 @@ void run_measured_profile(Context& ctx) {
 void run_method(Context& ctx, const std::string& method) {
   obs::StatsRegistry* stats =
       ctx.o.show_stats ? &obs::StatsRegistry::global() : nullptr;
-  sim::RunOptions ro;
-  ro.record_timeline = ctx.o.want_timeline();
-  ro.stats = stats;
+  // Every reported run carries the CLI's observability options and,
+  // under --kernel-threads, exports the stream report() executes.
+  exec::OpStream stream;
+  const auto cli_options = [&](sim::RunOptions opts) {
+    opts.record_timeline = ctx.o.want_timeline();
+    opts.stats = stats;
+    if (ctx.o.kernel_threads > 0) opts.export_stream = &stream;
+    return opts;
+  };
+  const sim::RunOptions ro = cli_options({});
   if (method == "incore") {
     const sim::Classification c(ctx.g, sim::ValueClass::kKeep);
-    report(ctx, "in-core", ctx.runtime->run(c, ro), nullptr, &c);
+    report(ctx, "in-core", ctx.runtime->run(c, ro), stream, c);
   } else if (method == "swap-all") {
     const sim::Classification c(ctx.g, sim::ValueClass::kSwap);
-    auto opts = baselines::swap_all_scheduled_options();
-    opts.record_timeline = ctx.o.want_timeline();
-    opts.stats = stats;
-    report(ctx, "swap-all", ctx.runtime->run(c, opts), nullptr, &c, &opts);
+    const auto opts = cli_options(baselines::swap_all_scheduled_options());
+    report(ctx, "swap-all", ctx.runtime->run(c, opts), stream, c);
   } else if (method == "swap-all-naive") {
     const sim::Classification c(ctx.g, sim::ValueClass::kSwap);
-    auto opts = baselines::swap_all_naive_options();
-    opts.record_timeline = ctx.o.want_timeline();
-    opts.stats = stats;
-    report(ctx, "swap-all-naive", ctx.runtime->run(c, opts), nullptr, &c,
-           &opts);
+    const auto opts = cli_options(baselines::swap_all_naive_options());
+    report(ctx, "swap-all-naive", ctx.runtime->run(c, opts), stream, c);
   } else if (method == "swap-opt") {
     planner::PlannerOptions popt;
     popt.stats = stats;
@@ -540,22 +530,20 @@ void run_method(Context& ctx, const std::string& method) {
       return;
     }
     report(ctx, "swap-opt", planner::execute_plan(*ctx.runtime, plan, ro),
-           &plan.counts, &plan.classes);
+           stream, plan.classes, &plan.counts);
   } else if (method == "superneurons") {
     const auto plan = baselines::superneurons_plan(ctx.g, ctx.tape,
                                                    ctx.machine,
                                                    *ctx.hardware);
-    auto opts = baselines::superneurons_run_options();
-    opts.record_timeline = ctx.o.want_timeline();
-    opts.stats = stats;
-    report(ctx, "superneurons", ctx.runtime->run(plan.classes, opts),
-           &plan.counts, &plan.classes, &opts);
+    const auto opts = cli_options(baselines::superneurons_run_options());
+    report(ctx, "superneurons", ctx.runtime->run(plan.classes, opts), stream,
+           plan.classes, &plan.counts);
   } else if (method == "vdnn") {
     const auto c = baselines::vdnn_conv_classify(ctx.g, ctx.tape);
-    report(ctx, "vdnn", ctx.runtime->run(c, ro), nullptr, &c);
+    report(ctx, "vdnn", ctx.runtime->run(c, ro), stream, c);
   } else if (method == "sublinear") {
     const auto c = baselines::sublinear_classify(ctx.g, ctx.tape);
-    report(ctx, "sublinear", ctx.runtime->run(c, ro), nullptr, &c);
+    report(ctx, "sublinear", ctx.runtime->run(c, ro), stream, c);
   } else if (method == "pooch") {
     planner::PipelineOptions po;
     po.planner.stats = stats;
@@ -568,12 +556,12 @@ void run_method(Context& ctx, const std::string& method) {
       not_executed(ctx, why);
       return;
     }
-    // The pipeline's own execution recorded no timeline, so re-simulate
-    // the plan whenever one is requested.
-    const auto r = ctx.o.want_timeline()
+    // The pipeline's own execution recorded no timeline and exported no
+    // stream, so re-simulate the plan whenever either is needed.
+    const auto r = ctx.o.want_timeline() || ctx.o.kernel_threads > 0
                        ? planner::execute_plan(*ctx.runtime, out.plan, ro)
                        : out.execution;
-    report(ctx, "pooch", r, &out.plan.counts, &out.plan.classes);
+    report(ctx, "pooch", r, stream, out.plan.classes, &out.plan.counts);
     if (ctx.o.show_classes) {
       std::fputs(out.plan.classes.to_string(ctx.g).c_str(), stdout);
     }
@@ -592,8 +580,8 @@ void run_method(Context& ctx, const std::string& method) {
     std::string text;
     f >> text;
     const auto classes = sim::Classification::deserialize(ctx.g, text);
-    report(ctx, "exec(saved)", ctx.runtime->run(classes, ro), nullptr,
-           &classes);
+    report(ctx, "exec(saved)", ctx.runtime->run(classes, ro), stream,
+           classes);
   } else {
     std::fprintf(stderr, "unknown method: %s\n", method.c_str());
   }
