@@ -7,13 +7,15 @@
 // GEMM, a ResNet-50 mid-network convolution, an AlexNet fully-connected
 // layer, a 3-D ResNeXt convolution, and forward+backward of the
 // late-stage ResNet-50 convolutions whose outputs are only 2x2 to 16x16
-// — across a thread sweep, and writes BENCH_kernels.json with the host's
-// `cpus` (tools/bench_compare.py diffs two such files and fails on
-// regression). Every configuration is verified bit-identical to the
-// reference before it is timed: a fast-but-wrong kernel aborts the
-// bench.
+// — across a thread sweep, then skinny GEMMs and the Inception toy's
+// branch convolutions at 1, 2 and 4 threads, and writes
+// BENCH_kernels.json with the host's `cpus` (tools/bench_compare.py diffs
+// two such files and fails on regression). Every configuration is
+// verified bit-identical to the reference before it is timed: a
+// fast-but-wrong kernel aborts the bench.
 //
-// Times are best-of-N wall clock (first rep doubles as warm-up);
+// Times are best-of-N wall clock (first rep doubles as warm-up; N is at
+// least 3 and grows until the reps of a fast kernel add up to 50 ms);
 // `speedup` is ref_seconds / seconds for the same shape.
 #include <chrono>
 #include <cmath>
@@ -35,13 +37,20 @@
 namespace pooch::kernels {
 namespace {
 
-double time_best(const std::function<void()>& fn, int reps) {
+// Best of at least `reps` calls, repeated until they add up to
+// `min_total` seconds: a sub-millisecond kernel on a shared host needs
+// many more tries than three to see one undisturbed run.
+double time_best(const std::function<void()>& fn, int reps,
+                 double min_total = 0.0) {
   double best = 1e300;
-  for (int r = 0; r < reps; ++r) {
+  double total = 0.0;
+  for (int r = 0; r < reps || total < min_total; ++r) {
     const auto t0 = std::chrono::steady_clock::now();
     fn();
     const auto t1 = std::chrono::steady_clock::now();
-    best = std::min(best, std::chrono::duration<double>(t1 - t0).count());
+    const double s = std::chrono::duration<double>(t1 - t0).count();
+    best = std::min(best, s);
+    total += s;
   }
   return best;
 }
@@ -97,7 +106,7 @@ void run_case(const Case& c, const std::vector<int>& thread_sweep,
     for (const auto& [got, want] : c.outs) {
       check_identical(*got, *want, c.kernel.c_str());
     }
-    const double seconds = time_best([&] { c.fast(ctx); }, 3);
+    const double seconds = time_best([&] { c.fast(ctx); }, 3, 0.05);
     Row r;
     r.kernel = c.kernel;
     r.shape = c.shape;
@@ -280,6 +289,81 @@ int run(const char* json_path) {
     };
     cs.outs = {{&y, &y_ref}, {&dx, &dx_ref}, {&dw, &dw_ref}};
     run_case(cs, sweep, rows);
+  }
+
+  // Skinny shapes: one side of C is a few register tiles wide, so a
+  // split over row panels leaves threads idle and a packed panel is read
+  // only once. 8x800x512 is the forward GEMM of the Inception toy's first
+  // 5x5 branch (8 output channels over a two-sample chunk), and
+  // 12x800x512 the same with the 12 output channels of its second;
+  // 512x4608x16 is the forward GEMM of a ResNet-50 3x3 conv with a 2x2
+  // output, and matmul_bt 8x512x800 the first branch's dW GEMM.
+  const std::vector<int> skinny_sweep{1, 2, 4};
+  struct MatmulShape {
+    const char* kernel;
+    std::int64_t m, k, n;
+  };
+  const MatmulShape skinny[] = {{"matmul", 8, 800, 512},
+                                {"matmul", 12, 800, 512},
+                                {"matmul", 512, 4608, 16},
+                                {"matmul_bt", 8, 512, 800}};
+  for (const MatmulShape& s : skinny) {
+    const bool bt = std::string(s.kernel) == "matmul_bt";
+    const Tensor a = random_tensor(Shape{s.m, s.k}, seed++);
+    const Tensor b =
+        random_tensor(bt ? Shape{s.n, s.k} : Shape{s.k, s.n}, seed++);
+    Tensor c(Shape{s.m, s.n});
+    Tensor c_ref(Shape{s.m, s.n});
+    Case cs;
+    cs.kernel = s.kernel;
+    cs.shape = std::to_string(s.m) + "x" + std::to_string(s.k) + "x" +
+               std::to_string(s.n);
+    cs.flops = 2.0 * static_cast<double>(s.m) * s.k * s.n;
+    cs.fast = [&](KernelContext& ctx) {
+      (bt ? matmul_bt : matmul)(a.data(), b.data(), c.data(), s.m, s.k, s.n,
+                                ctx);
+    };
+    cs.ref = [&] {
+      (bt ? matmul_bt_ref : matmul_ref)(a.data(), b.data(), c_ref.data(),
+                                        s.m, s.k, s.n);
+    };
+    cs.outs = {{&c, &c_ref}};
+    run_case(cs, skinny_sweep, rows);
+  }
+
+  // The Inception toy's first-module 5x5 and 3x3 branches (b32, 16x16
+  // input), forward and backward with bias as in the model.
+  const ConvPass inception[] = {
+      {"32x32x16x16 k5 oc8", Shape{32, 32, 16, 16},
+       ConvAttrs::conv2d(8, 5, 1, 2)},
+      {"32x32x16x16 k3 oc32", Shape{32, 32, 16, 16},
+       ConvAttrs::conv2d(32, 3, 1, 1)},
+  };
+  for (const ConvPass& p : inception) {
+    const ConvAttrs& attrs = p.attrs;
+    const Shape ys = conv_output_shape(p.xs, attrs);
+    const Tensor x = random_tensor(p.xs, seed++);
+    const Tensor w = random_tensor(conv_weight_shape(p.xs, attrs), seed++);
+    const Tensor bias = random_tensor(Shape{attrs.out_channels}, seed++);
+    const Tensor dy = random_tensor(ys, seed++);
+    Tensor y(ys), y_ref(ys);
+    Tensor dx(p.xs), dx_ref(p.xs);
+    Tensor dw(w.shape()), dw_ref(w.shape());
+    Tensor db(bias.shape()), db_ref(bias.shape());
+    Case cs;
+    cs.kernel = "conv2d_fwdbwd";
+    cs.shape = p.shape;
+    cs.flops = 3.0 * conv_flops(p.xs, attrs);
+    cs.fast = [&](KernelContext& ctx) {
+      conv_forward(x, w, &bias, y, attrs, ctx);
+      conv_backward(x, w, dy, &dx, dw, &db, attrs, ctx);
+    };
+    cs.ref = [&] {
+      conv_forward_ref(x, w, &bias, y_ref, attrs);
+      conv_backward_ref(x, w, dy, &dx_ref, dw_ref, &db_ref, attrs);
+    };
+    cs.outs = {{&y, &y_ref}, {&dx, &dx_ref}, {&dw, &dw_ref}, {&db, &db_ref}};
+    run_case(cs, skinny_sweep, rows);
   }
 
   write_json(json_path, rows);

@@ -8,8 +8,8 @@
 //
 // This is the scheduling primitive of the numeric kernel layer
 // (src/kernels): kernels partition only over *independent* output
-// rows/planes/channels, so the floating-point accumulation order inside
-// each output element is the same at every thread count — the kernels
+// rows/columns/planes/channels, so the floating-point accumulation order
+// inside each output element is the same at every thread count — the kernels
 // stay bit-identical to their scalar *_ref oracles (see docs/KERNELS.md
 // for the determinism argument). The `slot` index keys per-block scratch
 // buffers (kernels::KernelContext) so concurrent blocks never share

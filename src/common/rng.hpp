@@ -17,8 +17,11 @@ namespace pooch {
 
 namespace detail {
 
+/// SplitMix64's state increment: the state after n draws is seed + n * it.
+constexpr std::uint64_t kSplitMix64Gamma = 0x9e3779b97f4a7c15ULL;
+
 constexpr std::uint64_t splitmix64_step(std::uint64_t& state) {
-  state += 0x9e3779b97f4a7c15ULL;
+  state += kSplitMix64Gamma;
   std::uint64_t z = state;
   z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
   z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
@@ -33,6 +36,12 @@ class Rng {
   explicit Rng(std::uint64_t seed) : state_(seed) {}
 
   std::uint64_t next_u64() { return detail::splitmix64_step(state_); }
+
+  /// Skip the next n draws of next_u64() in O(1). A copy advanced by the
+  /// draws that come before a block of work produces exactly that
+  /// block's values, which is what lets a serial stream be filled in
+  /// parallel.
+  void discard(std::uint64_t n) { state_ += n * detail::kSplitMix64Gamma; }
 
   /// Uniform in [0, 1).
   double uniform() {

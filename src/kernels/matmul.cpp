@@ -108,14 +108,19 @@ void pack_a(const GemmShape& g, std::int64_t i0, std::int64_t mc,
   }
 }
 
-// The MR x NR micro-kernel. The accumulators are MR x NR/kVF vector
-// values and every loop over them is fully unrolled, so the whole tile
-// stays in registers across the k loop; an array indexed by loop
-// variables would be kept in memory instead. Each element gets one
-// multiply-add per p, in ascending p order: the same per-element
-// operation sequence as the scalar references.
-void micro_tile(const float* ap, const float* bp, std::int64_t kc, float* c,
-                std::int64_t ldc, bool zero_init) {
+// The MR x NR micro-kernel. B(p, jr) is b[p * ldb + jr]. A(ir, p) is
+// a[p * lda + ir] for a packed panel (lda = MR) or a transposed A read in
+// place (lda = m), and a[ir * lda + p] when kARows (a non-transposed A
+// read in place, lda = k). The accumulators are MR x NR/kVF vector values
+// and every loop over them is fully unrolled, so the whole tile stays in
+// registers across the k loop; an array indexed by loop variables would
+// be kept in memory instead. Each element gets one multiply-add per p,
+// in ascending p order: the same per-element operation sequence as the
+// scalar references.
+template <bool kARows>
+void micro_tile(const float* ap, std::int64_t lda, const float* bp,
+                std::int64_t ldb, std::int64_t kc, float* c, std::int64_t ldc,
+                bool zero_init) {
   static_assert(kMR == 12 && kNV <= 4, "the unroll counts spell these out");
   Vec acc[kMR][kNV];
 #pragma GCC unroll 12
@@ -129,13 +134,13 @@ void micro_tile(const float* ap, const float* bp, std::int64_t kc, float* c,
     Vec b[kNV];
 #pragma GCC unroll 4
     for (std::int64_t v = 0; v < kNV; ++v) {
-      b[v] = load_vec(bp + p * kNR + v * kVF);
+      b[v] = load_vec(bp + p * ldb + v * kVF);
     }
-    const float* a = ap + p * kMR;
 #pragma GCC unroll 12
     for (std::int64_t ir = 0; ir < kMR; ++ir) {
+      const float a = kARows ? ap[ir * lda + p] : ap[p * lda + ir];
 #pragma GCC unroll 4
-      for (std::int64_t v = 0; v < kNV; ++v) acc[ir][v] += a[ir] * b[v];
+      for (std::int64_t v = 0; v < kNV; ++v) acc[ir][v] += a * b[v];
     }
   }
 #pragma GCC unroll 12
@@ -147,22 +152,29 @@ void micro_tile(const float* ap, const float* bp, std::int64_t kc, float* c,
   }
 }
 
-// Edge tile (mr < MR and/or nr < NR): the same micro-kernel on the
-// zero-padded panels through a full-size local tile; only the valid
-// lanes are read from and written back to C.
-void micro_edge(const float* ap, const float* bp, std::int64_t kc, float* c,
-                std::int64_t ldc, std::int64_t mr, std::int64_t nr,
-                bool zero_init) {
-  alignas(64) float tile[kMR * kNR] = {};
+// One mr x nr tile of C. An edge tile (mr < MR and/or nr < NR) runs the
+// same micro-kernel through a full-size local tile, and only the valid
+// lanes are read from and written back to C. Its ragged operand always
+// comes from a zero-filled packed panel, so the padding lanes compute on
+// zeros and are dropped.
+template <bool kARows>
+void tile(const float* ap, std::int64_t lda, const float* bp,
+          std::int64_t ldb, std::int64_t kc, float* c, std::int64_t ldc,
+          std::int64_t mr, std::int64_t nr, bool zero_init) {
+  if (mr == kMR && nr == kNR) {
+    micro_tile<kARows>(ap, lda, bp, ldb, kc, c, ldc, zero_init);
+    return;
+  }
+  alignas(64) float edge[kMR * kNR] = {};
   const std::size_t row_bytes = static_cast<std::size_t>(nr) * sizeof(float);
   if (!zero_init) {
     for (std::int64_t ir = 0; ir < mr; ++ir) {
-      std::memcpy(tile + ir * kNR, c + ir * ldc, row_bytes);
+      std::memcpy(edge + ir * kNR, c + ir * ldc, row_bytes);
     }
   }
-  micro_tile(ap, bp, kc, tile, kNR, zero_init);
+  micro_tile<kARows>(ap, lda, bp, ldb, kc, edge, kNR, zero_init);
   for (std::int64_t ir = 0; ir < mr; ++ir) {
-    std::memcpy(c + ir * ldc, tile + ir * kNR, row_bytes);
+    std::memcpy(c + ir * ldc, edge + ir * kNR, row_bytes);
   }
 }
 
@@ -170,38 +182,64 @@ void micro_edge(const float* ap, const float* bp, std::int64_t kc, float* c,
 constexpr std::size_t kGemmScratchFloats =
     static_cast<std::size_t>(kKC * kNC + kMC * kKC);
 
-// Run the blocked GEMM for output rows [r0, r1) only, using the
-// caller's packing scratch. Thread-safe across disjoint row ranges with
+// Run the blocked GEMM for the block C(r0:r1, c0:c1) only, using the
+// caller's packing scratch. Thread-safe across disjoint blocks with
 // distinct scratch.
-void gemm_rows(const GemmShape& g, std::int64_t r0, std::int64_t r1,
-               float* scratch) {
-  if (r0 >= r1 || g.n <= 0) return;
+//
+// Packing pays for its copy only when each panel feeds several
+// micro-tiles. In a block of one row panel every B panel feeds one tile,
+// so a non-transposed B is read in place with its row stride n. In a
+// block of one column panel every A panel feeds one tile, so A is read
+// in place in either layout. Ragged panels are still packed: their zero
+// fill is what lets an edge tile run the full micro-kernel.
+void gemm_block(const GemmShape& g, std::int64_t r0, std::int64_t r1,
+                std::int64_t c0, std::int64_t c1, float* scratch) {
+  if (r0 >= r1 || c0 >= c1) return;
   float* bp = scratch;               // kKC * kNC
   float* ap = scratch + kKC * kNC;   // kMC * kKC
+  const bool b_in_place = !g.b_trans && r1 - r0 <= kMR;
+  const bool a_in_place = c1 - c0 <= kNR;
   const std::int64_t ldc = g.n;
-  for (std::int64_t jc = 0; jc < g.n; jc += kNC) {
-    const std::int64_t nc = std::min(kNC, g.n - jc);
+  for (std::int64_t jc = c0; jc < c1; jc += kNC) {
+    const std::int64_t nc = std::min(kNC, c1 - jc);
     for (std::int64_t pc = 0; pc < g.k; pc += kKC) {
       const std::int64_t kc = std::min(kKC, g.k - pc);
-      pack_b(g, pc, kc, jc, nc, bp);
+      if (!b_in_place) pack_b(g, pc, kc, jc, nc, bp);
       // beta=0 store path: the first k panel writes C outright instead
       // of memset-then-accumulate; later panels reload and continue the
       // ascending-k accumulation.
       const bool zero_init = g.overwrite && pc == 0;
       for (std::int64_t ic = r0; ic < r1; ic += kMC) {
         const std::int64_t mc = std::min(kMC, r1 - ic);
-        pack_a(g, ic, mc, pc, kc, ap);
+        if (!a_in_place) pack_a(g, ic, mc, pc, kc, ap);
         for (std::int64_t jb = 0; jb * kNR < nc; ++jb) {
+          const std::int64_t j = jc + jb * kNR;
           const std::int64_t nr = std::min(kNR, nc - jb * kNR);
+          const float* bt = bp + jb * kc * kNR;
+          std::int64_t ldb = kNR;
+          if (b_in_place && nr == kNR) {
+            bt = g.b + pc * g.n + j;
+            ldb = g.n;
+          } else if (b_in_place) {
+            pack_b(g, pc, kc, j, nr, bp);
+            bt = bp;
+          }
           for (std::int64_t ib = 0; ib * kMR < mc; ++ib) {
+            const std::int64_t i = ic + ib * kMR;
             const std::int64_t mr = std::min(kMR, mc - ib * kMR);
-            float* ctile = g.c + (ic + ib * kMR) * ldc + jc + jb * kNR;
-            if (mr == kMR && nr == kNR) {
-              micro_tile(ap + ib * kc * kMR, bp + jb * kc * kNR, kc, ctile,
-                         ldc, zero_init);
+            float* ct = g.c + i * ldc + j;
+            if (a_in_place && mr == kMR && !g.a_trans) {
+              tile<true>(g.a + i * g.k + pc, g.k, bt, ldb, kc, ct, ldc, mr,
+                         nr, zero_init);
+            } else if (a_in_place && mr == kMR) {
+              tile<false>(g.a + pc * g.m + i, g.m, bt, ldb, kc, ct, ldc, mr,
+                          nr, zero_init);
+            } else if (a_in_place) {
+              pack_a(g, i, mr, pc, kc, ap);
+              tile<false>(ap, kMR, bt, ldb, kc, ct, ldc, mr, nr, zero_init);
             } else {
-              micro_edge(ap + ib * kc * kMR, bp + jb * kc * kNR, kc, ctile,
-                         ldc, mr, nr, zero_init);
+              tile<false>(ap + ib * kc * kMR, kMR, bt, ldb, kc, ct, ldc, mr,
+                          nr, zero_init);
             }
           }
         }
@@ -210,9 +248,12 @@ void gemm_rows(const GemmShape& g, std::int64_t r0, std::int64_t r1,
   }
 }
 
-// Fan MR-row panels of C out over the context's pool. Each block packs
-// its own panels, so B is packed once per block but blocks never wait
-// on each other; rows are independent outputs, so any partition yields
+// Fan C out over the context's pool along its longer side: whole
+// NR-column panels when m < n, whole MR-row panels otherwise, so no
+// block boundary adds edge tiles. Each block packs its own panels of
+// both operands, so the operand packed once per block is the smaller one
+// and blocks never wait on each other. Every C element is computed by
+// one block with the same ascending-k sequence, so any partition yields
 // bit-identical C.
 void gemm(const GemmShape& g, KernelContext& ctx) {
   if (g.m <= 0 || g.n <= 0) return;
@@ -233,16 +274,24 @@ void gemm(const GemmShape& g, KernelContext& ctx) {
               static_cast<double>(g.n) >=
           2.0e6;
   if (!fan_out) {
-    gemm_rows(g, 0, g.m,
-              ctx.scratch(0, KernelContext::kGemmArena, kGemmScratchFloats));
+    gemm_block(g, 0, g.m, 0, g.n,
+               ctx.scratch(0, KernelContext::kGemmArena, kGemmScratchFloats));
     return;
   }
-  // Partition whole MR-row panels so no block boundary adds edge tiles.
-  parallel_for(ctx.pool(), (g.m + kMR - 1) / kMR, 1,
+  const bool split_cols = g.m < g.n;
+  const std::int64_t panel = split_cols ? kNR : kMR;
+  const std::int64_t extent = split_cols ? g.n : g.m;
+  parallel_for(ctx.pool(), (extent + panel - 1) / panel, 1,
                [&](std::int64_t p0, std::int64_t p1, int slot) {
-                 gemm_rows(g, p0 * kMR, std::min(p1 * kMR, g.m),
-                           ctx.scratch(slot, KernelContext::kGemmArena,
-                                       kGemmScratchFloats));
+                 const std::int64_t lo = p0 * panel;
+                 const std::int64_t hi = std::min(p1 * panel, extent);
+                 float* scratch = ctx.scratch(
+                     slot, KernelContext::kGemmArena, kGemmScratchFloats);
+                 if (split_cols) {
+                   gemm_block(g, 0, g.m, lo, hi, scratch);
+                 } else {
+                   gemm_block(g, lo, hi, 0, g.n, scratch);
+                 }
                });
 }
 

@@ -3,12 +3,13 @@
 // These are the innermost loops of the conv/fc kernels. All variants
 // funnel into one cache-blocked, packed-panel GEMM core (see matmul.cpp
 // and docs/KERNELS.md): B is packed into NR-wide column panels, A into
-// MR-tall row panels, and a 12 x 16 micro-kernel whose tile lives in
-// vector registers does the arithmetic. Parallelism (via the context's
-// thread pool) partitions only over rows of C — independent outputs — so
-// for every output element the k-dimension is accumulated in ascending
-// order exactly like the scalar *_ref oracles below: the fast kernels
-// are bit-identical to the references at any thread count.
+// MR-tall row panels (an operand panel read by only one tile is read in
+// place instead), and a 12 x 16 micro-kernel whose tile lives in vector
+// registers does the arithmetic. Parallelism (via the context's thread
+// pool) partitions only over rows or columns of C — independent outputs
+// — so for every output element the k-dimension is accumulated in
+// ascending order exactly like the scalar *_ref oracles below: the fast
+// kernels are bit-identical to the references at any thread count.
 //
 // The *_ref functions are the original naive scalar loops, kept compiled
 // in as oracles for tests and as the baseline the kernel bench

@@ -1,8 +1,10 @@
 #include "sim/data_backend.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <cstring>
 #include <utility>
+#include <vector>
 
 #include "common/error.hpp"
 #include "common/parallel.hpp"
@@ -35,38 +37,81 @@ DataBackend::DataBackend(const Graph& graph, std::uint64_t seed, float lr,
   params_.resize(static_cast<std::size_t>(graph.num_nodes()));
   param_grads_.resize(static_cast<std::size_t>(graph.num_nodes()));
 
-  Rng rng(seed);
+  // Every random value comes from one SplitMix64 stream of `seed`, in a
+  // fixed order: Kaiming weights (two draws per value), then inputs (one
+  // per value), then labels. Each fill records where in the stream it
+  // starts; blocks of the fills then run in parallel, each from a copy of
+  // the generator advanced to its first draw, and still produce the
+  // serial stream's values bit for bit.
+  struct Fill {
+    float* data;
+    std::int64_t n;
+    std::uint64_t first_draw;
+    float stddev;  // Kaiming normal; 0 for uniform in [-1, 1)
+  };
+  std::vector<Fill> fills;
+  std::uint64_t draws = 0;
+  auto add_fill = [&](Tensor& t, float stddev) {
+    fills.push_back({t.data(), t.numel(), draws, stddev});
+    draws += static_cast<std::uint64_t>(t.numel()) * (stddev > 0.0f ? 2 : 1);
+  };
   // Parameters: Kaiming for weights, zeros for biases/beta, ones for gamma.
   for (const Node& n : graph.nodes()) {
     const auto shapes = graph.param_shapes(n.id);
     auto& ps = params_[static_cast<std::size_t>(n.id)];
     auto& gs = param_grads_[static_cast<std::size_t>(n.id)];
+    ps.reserve(shapes.size());  // fills point into these tensors
     for (std::size_t i = 0; i < shapes.size(); ++i) {
-      Tensor p(shapes[i]);
-      Tensor g(shapes[i]);
+      Tensor& p = ps.emplace_back(shapes[i]);
+      gs.emplace_back(shapes[i]);
       if (n.kind == LayerKind::kBatchNorm) {
         p.fill(i == 0 ? 1.0f : 0.0f);  // gamma, beta
       } else if (shapes[i].rank() >= 2) {
         std::int64_t fan_in = 1;
         for (int d = 1; d < shapes[i].rank(); ++d) fan_in *= shapes[i][d];
-        fill_kaiming(p, rng, fan_in);
-      } else {
-        p.zero();  // bias
-      }
-      ps.push_back(std::move(p));
-      gs.push_back(std::move(g));
+        POOCH_CHECK(fan_in > 0);
+        add_fill(p, std::sqrt(2.0f / static_cast<float>(fan_in)));
+      }  // biases stay zero
     }
   }
 
   // Synthetic inputs: a pristine copy survives across iterations.
+  input_batch_.reserve(graph.inputs().size());
   for (ValueId in : graph.inputs()) {
-    Tensor t(graph.value(in).shape);
-    fill_uniform(t, rng, -1.0f, 1.0f);
-    input_batch_.push_back(t);
-    values_[static_cast<std::size_t>(in)] = std::move(t);
+    add_fill(input_batch_.emplace_back(graph.value(in).shape), 0.0f);
   }
 
+  // One parallel_for over blocks of every fill: a call per tensor would
+  // pay a pool wake-up per tensor.
+  constexpr std::int64_t kFillGrain = std::int64_t{1} << 16;
+  std::vector<std::pair<const Fill*, std::int64_t>> blocks;  // (fill, i0)
+  for (const Fill& f : fills) {
+    for (std::int64_t i0 = 0; i0 < f.n; i0 += kFillGrain) {
+      blocks.emplace_back(&f, i0);
+    }
+  }
+  parallel_for(
+      kctx().pool(), static_cast<std::int64_t>(blocks.size()), 1,
+      [&](std::int64_t b0, std::int64_t b1, int) {
+        for (std::int64_t b = b0; b < b1; ++b) {
+          const auto [f, i0] = blocks[static_cast<std::size_t>(b)];
+          const std::uint64_t per_value = f->stddev > 0.0f ? 2 : 1;
+          Rng rng(seed);
+          rng.discard(f->first_draw +
+                      static_cast<std::uint64_t>(i0) * per_value);
+          const std::int64_t i1 = std::min(i0 + kFillGrain, f->n);
+          for (std::int64_t i = i0; i < i1; ++i) {
+            f->data[i] = f->stddev > 0.0f
+                             ? static_cast<float>(rng.normal(0.0f, f->stddev))
+                             : static_cast<float>(rng.uniform(-1.0f, 1.0f));
+          }
+        }
+      });
+  begin_iteration();
+
   // Labels for the loss layer (if present): derived from the logits shape.
+  Rng rng(seed);
+  rng.discard(draws);
   for (const Node& n : graph.nodes()) {
     if (n.kind != LayerKind::kSoftmaxLoss) continue;
     const Shape& logits = graph.value(n.inputs[0]).shape;

@@ -83,6 +83,16 @@ TEST(Rng, BelowStaysInRange) {
   EXPECT_EQ(rng.below(0), 0u);
 }
 
+TEST(Rng, DiscardJumpsToTheSameDraw) {
+  for (const std::uint64_t n : {0u, 1u, 2u, 7u, 1000u}) {
+    Rng serial(55);
+    for (std::uint64_t i = 0; i < n; ++i) serial.next_u64();
+    Rng jumped(55);
+    jumped.discard(n);
+    EXPECT_EQ(jumped.next_u64(), serial.next_u64()) << "draw " << n + 1;
+  }
+}
+
 TEST(Rng, CounterHashIsStatelessAndKeyed) {
   EXPECT_EQ(counter_hash(1, 5), counter_hash(1, 5));
   EXPECT_NE(counter_hash(1, 5), counter_hash(2, 5));

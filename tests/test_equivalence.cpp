@@ -5,9 +5,11 @@
 // real kernels by replaying exactly the op list the simulator scored.
 #include <gtest/gtest.h>
 
+#include "common/rng.hpp"
 #include "cost/cost_model.hpp"
 #include "exec/async_executor.hpp"
 #include "graph/autodiff.hpp"
+#include "kernels/kernel_context.hpp"
 #include "models/models.hpp"
 #include "pooch/pipeline.hpp"
 #include "sim/runtime.hpp"
@@ -189,6 +191,51 @@ TEST(Equivalence, BackendValueResidencyTracksSchedule) {
     if (v.producer == graph::kNoNode) continue;
     EXPECT_FALSE(backend->value_resident(v.id))
         << "v" << v.id << " leaked past the iteration";
+  }
+}
+
+TEST(Equivalence, BackendInitIsTheSerialStreamAtAnyThreadCount) {
+  // fc1's 512 x 300 weight spans several fill blocks; small_cnn adds
+  // conv weights, biases and batch-norm parameters.
+  for (Graph g : {models::mlp(8, 300, {512}, 10), models::small_cnn(2, 16)}) {
+    // The serial fill: Kaiming weights in node order, then the inputs,
+    // from one stream.
+    Rng rng(testing::kDataSeed);
+    std::vector<std::vector<Tensor>> params;
+    for (const auto& n : g.nodes()) {
+      auto& ps = params.emplace_back();
+      for (const Shape& s : g.param_shapes(n.id)) {
+        Tensor& p = ps.emplace_back(s);
+        if (n.kind == LayerKind::kBatchNorm) {
+          p.fill(ps.size() == 1 ? 1.0f : 0.0f);
+        } else if (s.rank() >= 2) {
+          fill_kaiming(p, rng, s.numel() / s[0]);
+        }
+      }
+    }
+    std::vector<Tensor> inputs;
+    for (graph::ValueId in : g.inputs()) {
+      fill_uniform(inputs.emplace_back(g.value(in).shape), rng, -1.0f, 1.0f);
+    }
+
+    for (const int threads : {1, 2, 4}) {
+      kernels::KernelContext ctx(threads);
+      const DataBackend backend(g, testing::kDataSeed, 0.01f, &ctx);
+      for (const auto& n : g.nodes()) {
+        const auto& got = backend.params(n.id);
+        const auto& want = params[static_cast<std::size_t>(n.id)];
+        ASSERT_EQ(got.size(), want.size());
+        for (std::size_t i = 0; i < got.size(); ++i) {
+          EXPECT_TRUE(bit_equal(got[i], want[i]))
+              << "param " << i << " of '" << n.name << "' at " << threads
+              << " threads";
+        }
+      }
+      for (std::size_t i = 0; i < inputs.size(); ++i) {
+        EXPECT_TRUE(bit_equal(backend.value(g.inputs()[i]), inputs[i]))
+            << "input " << i << " at " << threads << " threads";
+      }
+    }
   }
 }
 

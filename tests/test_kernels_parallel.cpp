@@ -59,7 +59,7 @@ class KernelBitIdentity : public ::testing::TestWithParam<int> {
 };
 
 INSTANTIATE_TEST_SUITE_P(Threads, KernelBitIdentity,
-                         ::testing::Values(1, 2, 8),
+                         ::testing::Values(1, 2, 3, 8),
                          [](const ::testing::TestParamInfo<int>& info) {
                            return "t" + std::to_string(info.param);
                          });
@@ -73,10 +73,17 @@ TEST_P(KernelBitIdentity, MatmulAllVariants) {
   // past and two tiles plus one past the 12-row micro-tile, with k
   // spanning more than one 256-deep k panel on one 16-wide column panel;
   // a row count whose panel partition leaves a short last panel.
-  const Case cases[] = {{1, 1, 1},      {3, 7, 5},      {4, 16, 16},
-                        {5, 17, 33},    {64, 256, 240}, {67, 129, 241},
-                        {2, 300, 1},    {12, 300, 16},  {13, 300, 16},
-                        {25, 513, 16},  {97, 300, 40}};
+  // Then shapes above the 2 MFLOP fan-out threshold. m < n splits
+  // 16-wide column panels over the threads: one ragged row panel with B
+  // read in place, n ragged across 240-column blocks, two row panels.
+  // n <= 16 splits row panels into blocks of one column panel that read
+  // A in place; n = 17 has two column panels and packs A.
+  const Case cases[] = {{1, 1, 1},      {3, 7, 5},       {4, 16, 16},
+                        {5, 17, 33},    {64, 256, 240},  {67, 129, 241},
+                        {2, 300, 1},    {12, 300, 16},   {13, 300, 16},
+                        {25, 513, 16},  {97, 300, 40},   {8, 800, 512},
+                        {1, 2000, 1200}, {12, 800, 517}, {13, 600, 500},
+                        {300, 700, 15}, {400, 900, 16},  {200, 900, 17}};
   std::uint64_t seed = 100;
   for (const Case& c : cases) {
     const std::string tag = "m" + std::to_string(c.m) + "k" +
@@ -150,6 +157,10 @@ TEST_P(KernelBitIdentity, ConvForwardBackward) {
       // (144 + 5) x 1024 scratch floats per sample: more samples than one
       // chunk holds, so dW accumulates across chunks.
       {"chunked", Shape{9, 16, 32, 32}, ConvAttrs::conv2d(5, 3, 1, 1), true},
+      // The Inception toy's 5x5 branch: two samples per chunk, four
+      // chunks, and 8 x 800 x 512 GEMMs split by columns.
+      {"inception_b5", Shape{8, 32, 16, 16}, ConvAttrs::conv2d(8, 5, 1, 2),
+       true},
   };
   std::uint64_t seed = 500;
   for (const Case& c : cases) {
