@@ -1,7 +1,5 @@
 #include "cost/calibrated_time_model.hpp"
 
-#include <algorithm>
-
 #include "common/error.hpp"
 
 namespace pooch::cost {
@@ -21,8 +19,7 @@ double learn_scale(double measured_sum, double fallback_sum) {
 CalibratedTimeModel::CalibratedTimeModel(const graph::Graph& graph,
                                          const profile::MeasuredProfile& prof,
                                          const sim::TimeModel& fallback,
-                                         const CalibrationOptions& options)
-    : blend_(std::clamp(options.blend, 0.0, 1.0)) {
+                                         const CalibrationOptions& options) {
   POOCH_CHECK_MSG(options.inject_drift > 0.0, "inject_drift must be > 0");
   POOCH_CHECK_MSG(prof.num_nodes() == graph.num_nodes() &&
                       prof.num_values() == graph.num_values(),
@@ -59,8 +56,8 @@ CalibratedTimeModel::CalibratedTimeModel(const graph::Graph& graph,
   if (msum[2] <= 0.0 && msum[3] > 0.0) scale_[2] = scale_[3];
   if (msum[3] <= 0.0 && msum[2] > 0.0) scale_[3] = scale_[2];
 
-  // Pass 2: build the tables. Observed op: blend between measurement and
-  // scaled roofline. Unobserved: scaled roofline.
+  // Pass 2: build the tables. Observed op: its measurement. Unobserved:
+  // scaled roofline.
   const double drift = options.inject_drift;
   fwd_.resize(nn);
   bwd_.resize(nn);
@@ -68,13 +65,12 @@ CalibratedTimeModel::CalibratedTimeModel(const graph::Graph& graph,
   h2d_.resize(nv);
   auto entry = [&](bool observed, double measured, double analytic,
                    double scale) {
-    const double scaled = analytic * scale;
     if (observed) {
       ++measured_ops_;
-      return drift * (blend_ * measured + (1.0 - blend_) * scaled);
+      return drift * measured;
     }
     ++fallback_ops_;
-    return drift * scaled;
+    return drift * (analytic * scale);
   };
   for (graph::NodeId n = 0; n < graph.num_nodes(); ++n) {
     const std::size_t i = static_cast<std::size_t>(n);

@@ -10,7 +10,7 @@
 // planner searches with, so the classification is chosen against the
 // hardware that will execute it.
 //
-// Two subtleties (documented in docs/PROFILING.md):
+// One subtlety (documented in docs/PROFILING.md):
 //
 //   Fallback scaling. Measured times (CPU wall clock) and roofline times
 //   (simulated V100) live on different scales. An op the measuring runs
@@ -21,13 +21,11 @@
 //   d2h / h2d) from the ops observed in *both* domains and serves
 //   fallback = roofline * category_scale. The roofline keeps its job of
 //   predicting *relative* magnitudes; the measurements anchor the units.
+//   Every observed op is served its measurement as is.
 //
-//   Blending. `blend` in [0,1] interpolates every *observed* op between
-//   its measurement (1.0, the default) and its scaled roofline value
-//   (0.0) — a shrinkage knob for noisy few-sample profiles: the roofline
-//   shape regularizes individual measurements while the learned scale
-//   keeps the absolute level measured. Unobserved ops always get the
-//   scaled fallback, independent of blend.
+// The same model prices the simulated profile (profile::run_profiler's
+// per-op means, where the learned scales sit near 1) for run_pooch's
+// classification, so there is one rule for ops profiling never saw.
 //
 // Besides pricing the planner's timeline simulations, this model is the
 // preferred priority source for the executor's multi-worker compute
@@ -44,9 +42,6 @@
 namespace pooch::cost {
 
 struct CalibrationOptions {
-  /// Weight of the measurement for observed ops; (1-blend) goes to the
-  /// scale-corrected roofline value. Clamped to [0,1].
-  double blend = 1.0;
   /// Multiplies every served time; 1.0 for honest calibration. Test/
   /// bench knob to emulate a stale profile (the drift detector must
   /// notice and re-plan); never set away from 1.0 in production paths.
@@ -83,10 +78,8 @@ class CalibratedTimeModel : public sim::TimeModel {
   double backward_scale() const { return scale_[1]; }
   double d2h_scale() const { return scale_[2]; }
   double h2d_scale() const { return scale_[3]; }
-  double blend() const { return blend_; }
 
  private:
-  double blend_ = 1.0;
   double scale_[4] = {1.0, 1.0, 1.0, 1.0};
   int measured_ops_ = 0;
   int fallback_ops_ = 0;

@@ -27,7 +27,8 @@ PipelineResult run_pooch(const graph::Graph& graph,
     out.ok = false;
     return out;
   }
-  const sim::TableTimeModel profiled = out.profile.to_time_model(graph);
+  const cost::CalibratedTimeModel profiled(graph, out.profile.times,
+                                           ground_truth);
 
   // Phase 2: classification over the profiled times.
   PoochPlanner planner(graph, tape, machine, profiled, options.planner);
@@ -37,23 +38,17 @@ PipelineResult run_pooch(const graph::Graph& graph,
     return out;
   }
 
-  // Phase 3: execution on the ground-truth hardware.
-  sim::Runtime runtime(graph, tape, machine, ground_truth);
-  sim::RunOptions ro;
-  ro.swapin_policy = options.planner.policy;
-  double total = 0.0;
-  for (int i = 0; i < options.measured_iterations; ++i) {
-    ro.iteration = static_cast<std::uint64_t>(i);
-    out.execution = execute_plan(runtime, out.plan, ro);
-    if (!out.execution.ok) {
-      POOCH_LOG_WARN("planned classification failed at execution: "
-                     << out.execution.failure);
-      out.ok = false;
-      return out;
-    }
-    total += out.execution.iteration_time;
+  // Phase 3: execution on the ground-truth hardware. The model is
+  // deterministic, so one simulated iteration is the iteration time.
+  const sim::Runtime runtime(graph, tape, machine, ground_truth);
+  out.execution = execute_plan(runtime, out.plan);
+  if (!out.execution.ok) {
+    POOCH_LOG_WARN("planned classification failed at execution: "
+                   << out.execution.failure);
+    out.ok = false;
+    return out;
   }
-  out.iteration_time = total / options.measured_iterations;
+  out.iteration_time = out.execution.iteration_time;
   out.ok = true;
   return out;
 }
@@ -351,7 +346,6 @@ MeasuredPipelineResult run_pooch_measured(
   }
 
   if (stats && model) {
-    stats->gauge("calibration.last.blend").set(model->blend());
     stats->gauge("calibration.last.measured_ops")
         .set(static_cast<double>(model->measured_ops()));
     stats->gauge("calibration.last.fallback_ops")

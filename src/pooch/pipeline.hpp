@@ -26,8 +26,6 @@ namespace pooch::planner {
 struct PipelineOptions {
   profile::ProfileOptions profile;
   PlannerOptions planner;
-  /// Measure this many executed iterations after planning (averaged).
-  int measured_iterations = 1;
 };
 
 struct PipelineResult {
@@ -35,7 +33,7 @@ struct PipelineResult {
   PlannerResult plan;
   /// Execution of the planned classification on the ground-truth model.
   sim::RunResult execution;
-  double iteration_time = 0.0;  // averaged over measured iterations
+  double iteration_time = 0.0;  // execution.iteration_time when ok
   bool ok = false;
 
   double throughput(std::int64_t batch) const {
@@ -47,8 +45,9 @@ struct PipelineResult {
 
 /// Run profile -> classify -> execute on one (graph, machine) pair.
 /// `ground_truth` is the hardware model; profiling observes it with
-/// noise, the classifier plans on the profile, execution runs against
-/// the ground truth again.
+/// noise, the classifier plans on cost::CalibratedTimeModel over the
+/// profiled means (ground truth as its fallback), and execution runs
+/// against the ground truth again.
 PipelineResult run_pooch(const graph::Graph& graph,
                          const std::vector<graph::BwdStep>& tape,
                          const cost::MachineConfig& machine,
@@ -111,7 +110,7 @@ struct MeasuredPipelineOptions {
   PipelineOptions pipeline;
   /// Wall-clock measurement: warm-up, median-of-k, outlier rejection.
   profile::MeasureOptions measure;
-  /// Blend / drift-injection knobs of the calibrated model.
+  /// Drift-injection knob of the calibrated model.
   cost::CalibrationOptions calibrate;
   /// Re-plan when |predicted - observed| / observed exceeds this.
   double replan_threshold = 0.25;

@@ -120,7 +120,8 @@ struct PlannerResult {
 
 class PoochPlanner {
  public:
-  /// `time_model` is normally the TableTimeModel built from profiling.
+  /// `time_model` is normally a cost::CalibratedTimeModel over a
+  /// profile (run_pooch builds it from the simulated profiler's means).
   PoochPlanner(const graph::Graph& graph,
                const std::vector<graph::BwdStep>& tape,
                const cost::MachineConfig& machine,

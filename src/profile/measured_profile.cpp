@@ -10,6 +10,35 @@
 
 namespace pooch::profile {
 
+namespace {
+
+/// `samples` sorted, minus those outside [median/f, median*f]. Nothing
+/// is dropped when f <= 1 (rejection off) or the median is not
+/// positive; otherwise the window holds the median, so a non-empty set
+/// keeps at least one sample.
+std::vector<double> survivors(const std::vector<double>& samples, double f) {
+  std::vector<double> sorted = samples;
+  std::sort(sorted.begin(), sorted.end());
+  if (sorted.empty()) return sorted;
+  const double median = sorted[sorted.size() / 2];
+  if (f <= 1.0 || median <= 0.0) return sorted;
+  sorted.erase(std::upper_bound(sorted.begin(), sorted.end(), median * f),
+               sorted.end());
+  sorted.erase(sorted.begin(),
+               std::lower_bound(sorted.begin(), sorted.end(), median / f));
+  return sorted;
+}
+
+/// The per-op mean as a one-sample set (empty stays empty).
+std::vector<double> mean_of(const std::vector<double>& samples) {
+  if (samples.empty()) return {};
+  double sum = 0.0;
+  for (double s : samples) sum += s;
+  return {sum / static_cast<double>(samples.size())};
+}
+
+}  // namespace
+
 MeasuredProfile::MeasuredProfile(int num_nodes, int num_values)
     : fwd_(static_cast<std::size_t>(num_nodes)),
       bwd_(static_cast<std::size_t>(num_nodes)),
@@ -18,41 +47,30 @@ MeasuredProfile::MeasuredProfile(int num_nodes, int num_values)
   POOCH_CHECK(num_nodes >= 0 && num_values >= 0);
 }
 
-void MeasuredProfile::record_run(const exec::OpStream& stream,
-                                 const exec::AsyncResult& result) {
-  POOCH_CHECK_MSG(result.spans.size() == stream.ops.size(),
-                  "span/op count mismatch: result does not belong to stream");
-  for (std::size_t i = 0; i < stream.ops.size(); ++i) {
-    const exec::StreamOp& op = stream.ops[i];
-    // OpSpan::start is stamped *after* the dependency waits, so
-    // end - start is pure execution time, not queueing delay.
-    const double dur = result.spans[i].end - result.spans[i].start;
-    switch (op.type) {
-      case exec::OpType::kForward:
+void MeasuredProfile::record_timeline(const sim::Timeline& timeline,
+                                      double seconds) {
+  for (const sim::OpRecord& op : timeline.ops) {
+    const double dur = op.end - op.start;
+    switch (op.kind) {
+      case sim::OpKind::kForward:
+      case sim::OpKind::kRecompute:  // a second forward sample
         record_forward(op.node, dur);
         break;
-      case exec::OpType::kBackward:
+      case sim::OpKind::kBackward:
         record_backward(op.node, dur);
         break;
-      case exec::OpType::kSwapOut:
+      case sim::OpKind::kSwapOut:
         record_d2h(op.value, dur);
         break;
-      case exec::OpType::kSwapIn:
+      case sim::OpKind::kSwapIn:
         record_h2d(op.value, dur);
         break;
-      case exec::OpType::kUpdate:
+      case sim::OpKind::kUpdate:
         record_update(dur);
         break;
-      case exec::OpType::kRecompute:   // a second forward sample
-        record_forward(op.node, dur);
-        break;
-      case exec::OpType::kBeginIteration:
-      case exec::OpType::kFreeValue:
-      case exec::OpType::kFreeGrad:
-        break;  // bookkeeping, not hardware time
     }
   }
-  record_iteration_seconds(result.wall_seconds);
+  record_iteration_seconds(seconds);
   ++iterations_recorded_;
 }
 
@@ -76,22 +94,8 @@ void MeasuredProfile::record_iteration_seconds(double seconds) {
 }
 
 double MeasuredProfile::estimate(const std::vector<double>& samples) const {
-  if (samples.empty()) return 0.0;
-  std::vector<double> sorted = samples;
-  std::sort(sorted.begin(), sorted.end());
-  const double median = sorted[sorted.size() / 2];
-  if (outlier_factor_ > 1.0 && median > 0.0) {
-    const double lo = median / outlier_factor_;
-    const double hi = median * outlier_factor_;
-    std::vector<double> kept;
-    kept.reserve(sorted.size());
-    for (double s : sorted) {
-      if (s >= lo && s <= hi) kept.push_back(s);
-    }
-    rejected_ += static_cast<std::int64_t>(sorted.size() - kept.size());
-    if (!kept.empty()) return kept[kept.size() / 2];
-  }
-  return median;
+  const std::vector<double> kept = survivors(samples, outlier_factor_);
+  return kept.empty() ? 0.0 : kept[kept.size() / 2];
 }
 
 double MeasuredProfile::forward_seconds(graph::NodeId node) const {
@@ -139,7 +143,37 @@ double MeasuredProfile::compute_coverage() const {
                           static_cast<double>(total);
 }
 
-std::int64_t MeasuredProfile::outliers_rejected() const { return rejected_; }
+std::int64_t MeasuredProfile::outliers_rejected() const {
+  std::int64_t n = 0;
+  auto add = [&](const std::vector<double>& samples) {
+    n += static_cast<std::int64_t>(
+        samples.size() - survivors(samples, outlier_factor_).size());
+  };
+  for (const auto& s : fwd_) add(s);
+  for (const auto& s : bwd_) add(s);
+  for (const auto& s : d2h_) add(s);
+  for (const auto& s : h2d_) add(s);
+  add(update_);
+  add(iteration_);
+  return n;
+}
+
+MeasuredProfile MeasuredProfile::mean() const {
+  MeasuredProfile out(num_nodes(), num_values());
+  out.outlier_factor_ = outlier_factor_;
+  out.iterations_recorded_ = iterations_recorded_;
+  auto collapse = [](const std::vector<std::vector<double>>& from,
+                     std::vector<std::vector<double>>& to) {
+    for (std::size_t i = 0; i < from.size(); ++i) to[i] = mean_of(from[i]);
+  };
+  collapse(fwd_, out.fwd_);
+  collapse(bwd_, out.bwd_);
+  collapse(d2h_, out.d2h_);
+  collapse(h2d_, out.h2d_);
+  out.update_ = mean_of(update_);
+  out.iteration_ = mean_of(iteration_);
+  return out;
+}
 
 std::int64_t MeasuredProfile::total_samples() const {
   std::int64_t n = static_cast<std::int64_t>(update_.size()) +
@@ -179,7 +213,9 @@ MeasuredProfile measure_op_stream(const graph::Graph& graph,
       throw Error("measure_op_stream: iteration " + std::to_string(it) +
                   " failed: " + res.failure);
     }
-    if (it >= options.warmup_iterations) profile.record_run(run_stream, res);
+    if (it >= options.warmup_iterations) {
+      profile.record_timeline(res.timeline, res.wall_seconds);
+    }
     if (options.keep_runs) options.keep_runs->push_back(std::move(res));
   }
 

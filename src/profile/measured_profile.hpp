@@ -1,15 +1,20 @@
-// Measured profiling: real wall-clock observations of the execution.
+// Measured profiling: per-op observations of executed iterations.
 //
 // The paper's PoocH is *profiling-based* — it plans from per-layer
 // compute times and per-tensor transfer times measured during the first
-// training iterations on the actual hardware. The simulated profiler
-// (profiler.hpp) reproduces that loop against the roofline model; this
-// file closes it against *reality*: a MeasuredProfile accumulates the
-// wall-clock spans recorded by real exec::AsyncExecutor runs (whose
-// kernels execute through kernels::KernelContext on real tensors) and
-// condenses them into per-op estimates the planner can simulate with.
+// training iterations on the actual hardware. A MeasuredProfile is the
+// one container for those observations: it folds the timeline of each
+// executed iteration into per-op sample sets and condenses them into
+// the per-op estimates cost::CalibratedTimeModel serves to the planner.
+// Two producers fill it:
+//   - the simulated profiler (profiler.hpp) records the swap-all
+//     iterations it observes through the noisy roofline model and keeps
+//     their per-op mean (mean());
+//   - measure_op_stream below records the wall-clock timelines of real
+//     exec::AsyncExecutor runs (whose kernels execute through
+//     kernels::KernelContext on real tensors).
 //
-// Measurement methodology (docs/PROFILING.md):
+// Wall-clock methodology (docs/PROFILING.md):
 //   - warm-up iterations are executed but never recorded (cold caches,
 //     first-touch page faults, scratch-arena growth);
 //   - each measured iteration contributes one sample per op;
@@ -25,6 +30,7 @@
 #include "exec/async_executor.hpp"
 #include "exec/op_stream.hpp"
 #include "graph/graph.hpp"
+#include "sim/timeline.hpp"
 
 namespace pooch::obs {
 class StatsRegistry;
@@ -58,17 +64,17 @@ struct MeasureOptions {
   std::vector<exec::AsyncResult>* keep_runs = nullptr;
 };
 
-/// Wall-clock observations of real executor runs, aggregated per op.
-/// Estimates are 0 where an op was never observed — consumers
+/// Observations of executed iterations, aggregated per op. Estimates
+/// are 0 where an op was never observed — consumers
 /// (cost::CalibratedTimeModel) fall back to the analytic model there.
 class MeasuredProfile {
  public:
   MeasuredProfile(int num_nodes, int num_values);
 
-  /// Fold one executed iteration's spans into the sample sets. The
-  /// stream and result must come from the same AsyncExecutor::run.
-  void record_run(const exec::OpStream& stream,
-                  const exec::AsyncResult& result);
+  /// Fold one executed iteration into the sample sets: one sample per
+  /// timeline op (a recompute is a second forward sample) plus the
+  /// iteration's end-to-end `seconds`.
+  void record_timeline(const sim::Timeline& timeline, double seconds);
 
   /// Record a single observation directly (tests, external timers).
   void record_forward(graph::NodeId node, double seconds);
@@ -96,11 +102,15 @@ class MeasuredProfile {
   /// Fraction of (forward + backward) op slots with at least one sample.
   double compute_coverage() const;
 
-  /// Samples rejected by the outlier filter across all estimate queries
-  /// since the last configure() (recomputed lazily per query).
+  /// Samples the outlier filter rejects, summed over every sample set
+  /// at the current outlier factor.
   std::int64_t outliers_rejected() const;
   std::int64_t total_samples() const;
   int iterations_recorded() const { return iterations_recorded_; }
+
+  /// This profile with every observed sample set replaced by its mean:
+  /// one sample per op, which every estimate then serves exactly.
+  MeasuredProfile mean() const;
 
   /// Set the rejection window (see MeasureOptions::outlier_factor).
   void set_outlier_factor(double f) { outlier_factor_ = f; }
@@ -118,7 +128,6 @@ class MeasuredProfile {
   std::vector<std::vector<double>> d2h_, h2d_;   // per value
   std::vector<double> update_;
   std::vector<double> iteration_;
-  mutable std::int64_t rejected_ = 0;
 };
 
 /// Run `stream` through exec::AsyncExecutor against `data` for

@@ -1,32 +1,11 @@
 #include "profile/profiler.hpp"
 
-#include <algorithm>
-
 #include "common/error.hpp"
 #include "common/logging.hpp"
 
 namespace pooch::profile {
 
 using graph::Graph;
-using graph::ValueId;
-
-sim::TableTimeModel ProfileData::to_time_model(const Graph& graph) const {
-  std::vector<double> d2h = d2h_time;
-  std::vector<double> h2d = h2d_time;
-  for (ValueId v = 0; v < graph.num_values(); ++v) {
-    const std::size_t vi = static_cast<std::size_t>(v);
-    const double est =
-        observed_bytes_per_sec > 0.0
-            ? static_cast<double>(graph.value(v).byte_size()) /
-                      observed_bytes_per_sec +
-                  observed_latency
-            : 0.0;
-    if (d2h[vi] == 0.0) d2h[vi] = est;
-    if (h2d[vi] == 0.0) h2d[vi] = est;
-  }
-  return sim::TableTimeModel(forward_time, backward_time, std::move(d2h),
-                             std::move(h2d), update_time);
-}
 
 ProfileData run_profiler(const Graph& graph,
                          const std::vector<graph::BwdStep>& tape,
@@ -34,14 +13,7 @@ ProfileData run_profiler(const Graph& graph,
                          const sim::TimeModel& ground_truth,
                          const ProfileOptions& options) {
   POOCH_CHECK(options.iterations > 0);
-  const std::size_t nn = static_cast<std::size_t>(graph.num_nodes());
-  const std::size_t nv = static_cast<std::size_t>(graph.num_values());
-
   ProfileData data;
-  data.forward_time.assign(nn, 0.0);
-  data.backward_time.assign(nn, 0.0);
-  data.d2h_time.assign(nv, 0.0);
-  data.h2d_time.assign(nv, 0.0);
   data.iterations = options.iterations;
 
   // What the profiled iterations observe: the hardware through jittery
@@ -72,10 +44,7 @@ ProfileData run_profiler(const Graph& graph,
     }
   }
 
-  std::vector<int> d2h_samples(nv, 0), h2d_samples(nv, 0);
-  std::vector<int> fwd_samples(nn, 0), bwd_samples(nn, 0);
-  double xfer_bytes = 0.0, xfer_seconds = 0.0;
-
+  MeasuredProfile samples(graph.num_nodes(), graph.num_values());
   for (int it = 0; it < options.iterations; ++it) {
     sim::RunOptions ro;
     ro.swapin_policy = data.policy_used;
@@ -84,80 +53,15 @@ ProfileData run_profiler(const Graph& graph,
     const sim::RunResult r = runtime.run(swap_all, ro);
     POOCH_CHECK_MSG(r.ok, "profiling iteration failed: " << r.failure);
     data.profiled_seconds += r.iteration_time;
-
-    for (const auto& op : r.timeline.ops) {
-      const double dur = op.end - op.start;
-      switch (op.kind) {
-        case sim::OpKind::kForward: {
-          const std::size_t ni = static_cast<std::size_t>(op.node);
-          data.forward_time[ni] += dur;
-          ++fwd_samples[ni];
-          break;
-        }
-        case sim::OpKind::kBackward: {
-          const std::size_t ni = static_cast<std::size_t>(op.node);
-          data.backward_time[ni] += dur;
-          ++bwd_samples[ni];
-          break;
-        }
-        case sim::OpKind::kSwapOut: {
-          const std::size_t vi = static_cast<std::size_t>(op.value);
-          data.d2h_time[vi] += dur;
-          ++d2h_samples[vi];
-          xfer_bytes += static_cast<double>(graph.value(op.value).byte_size());
-          xfer_seconds += dur;
-          break;
-        }
-        case sim::OpKind::kSwapIn: {
-          const std::size_t vi = static_cast<std::size_t>(op.value);
-          data.h2d_time[vi] += dur;
-          ++h2d_samples[vi];
-          xfer_bytes += static_cast<double>(graph.value(op.value).byte_size());
-          xfer_seconds += dur;
-          break;
-        }
-        case sim::OpKind::kUpdate:
-          data.update_time += dur;
-          break;
-        case sim::OpKind::kRecompute:
-          break;  // none under swap-all
-      }
-    }
-    for (ValueId v : r.unhidden_swapouts) {
-      if (std::find(data.unhidden_swapouts.begin(),
-                    data.unhidden_swapouts.end(),
-                    v) == data.unhidden_swapouts.end()) {
-        data.unhidden_swapouts.push_back(v);
-      }
-    }
-    for (ValueId v : r.unhidden_swapins) {
-      if (std::find(data.unhidden_swapins.begin(), data.unhidden_swapins.end(),
-                    v) == data.unhidden_swapins.end()) {
-        data.unhidden_swapins.push_back(v);
-      }
-    }
+    samples.record_timeline(r.timeline, r.iteration_time);
   }
-
-  for (std::size_t i = 0; i < nn; ++i) {
-    if (fwd_samples[i] > 0) data.forward_time[i] /= fwd_samples[i];
-    if (bwd_samples[i] > 0) data.backward_time[i] /= bwd_samples[i];
-  }
-  for (std::size_t i = 0; i < nv; ++i) {
-    if (d2h_samples[i] > 0) data.d2h_time[i] /= d2h_samples[i];
-    if (h2d_samples[i] > 0) data.h2d_time[i] /= h2d_samples[i];
-  }
-  data.update_time /= options.iterations;
-  if (xfer_seconds > 0.0) {
-    data.observed_bytes_per_sec = xfer_bytes / xfer_seconds;
-    data.observed_latency = machine.link_latency_s;
-  }
-  std::sort(data.unhidden_swapouts.begin(), data.unhidden_swapouts.end());
-  std::sort(data.unhidden_swapins.begin(), data.unhidden_swapins.end());
+  // The mean, not the wall-clock path's median-of-k: the injected jitter
+  // is symmetric with no outliers to reject, and the Table 3 golden
+  // counts are pinned to planning on the mean.
+  data.times = samples.mean();
 
   POOCH_LOG_INFO("profiled " << options.iterations << " iterations, "
-                             << data.profiled_seconds << "s simulated, |L_O|="
-                             << data.unhidden_swapouts.size() << " |L_I|="
-                             << data.unhidden_swapins.size());
+                             << data.profiled_seconds << "s simulated");
   return data;
 }
 

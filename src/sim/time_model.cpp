@@ -63,27 +63,4 @@ double NoisyTimeModel::update_time() const {
   return base_.update_time() * jitter();
 }
 
-TableTimeModel::TableTimeModel(std::vector<double> fwd, std::vector<double> bwd,
-                               std::vector<double> d2h, std::vector<double> h2d,
-                               double update)
-    : fwd_(std::move(fwd)),
-      bwd_(std::move(bwd)),
-      d2h_(std::move(d2h)),
-      h2d_(std::move(h2d)),
-      update_(update) {}
-
-double TableTimeModel::forward_time(graph::NodeId node) const {
-  return fwd_.at(static_cast<std::size_t>(node));
-}
-double TableTimeModel::backward_time(graph::NodeId node) const {
-  return bwd_.at(static_cast<std::size_t>(node));
-}
-double TableTimeModel::d2h_time(graph::ValueId value) const {
-  return d2h_.at(static_cast<std::size_t>(value));
-}
-double TableTimeModel::h2d_time(graph::ValueId value) const {
-  return h2d_.at(static_cast<std::size_t>(value));
-}
-double TableTimeModel::update_time() const { return update_; }
-
 }  // namespace pooch::sim

@@ -376,19 +376,24 @@ TEST(AsyncSchedSchedule, HazardEdgesTopologicalAndPriced) {
   EXPECT_DOUBLE_EQ(sched.critical_path_seconds, max_priority);
 }
 
+/// 1 s per kernel, 0.5 s per transfer: far from any simulated span.
+class FlatTimeModel : public TimeModel {
+ public:
+  double forward_time(graph::NodeId) const override { return 1.0; }
+  double backward_time(graph::NodeId) const override { return 1.0; }
+  double d2h_time(graph::ValueId) const override { return 0.5; }
+  double h2d_time(graph::ValueId) const override { return 0.5; }
+  double update_time() const override { return 1.0; }
+};
+
 TEST(AsyncSchedSchedule, CriticalPathIsPricedLikeTheDispatch) {
-  // A flat table far from the simulated spans (1 s per kernel, 0.5 s per
-  // transfer): the reported critical path must be this model's, at any
-  // compute-worker count, not the spans baked into the stream.
+  // A flat model far from the simulated spans: the reported critical
+  // path must be this model's, at any compute-worker count, not the
+  // spans baked into the stream.
   AsyncEnv env(models::small_cnn(2, 16), 8192);
   const exec::OpStream stream = planner::record_op_stream(
       *env.rt, Classification(env.g, ValueClass::kSwap));
-  const auto nodes = static_cast<std::size_t>(env.g.num_nodes());
-  const auto values = static_cast<std::size_t>(env.g.num_values());
-  const TableTimeModel flat(
-      std::vector<double>(nodes, 1.0), std::vector<double>(nodes, 1.0),
-      std::vector<double>(values, 0.5), std::vector<double>(values, 0.5),
-      1.0);
+  const FlatTimeModel flat;
   const double want =
       exec::build_schedule(env.g, env.tape, stream, &flat)
           .critical_path_seconds;

@@ -1,9 +1,11 @@
 // The measured-calibration loop (docs/PROFILING.md):
 //   - MeasuredProfile's estimator is a median with outlier rejection;
-//   - record_run maps executor spans onto the right op sample sets;
-//   - CalibratedTimeModel learns per-category fallback scales, blends
-//     observed ops, and stays concurrent_safe (the parallel planner must
-//     choose the identical plan at any thread count under it);
+//   - record_timeline maps timeline ops onto the right op sample sets,
+//     and an executor run's timeline covers every timed stream op;
+//   - CalibratedTimeModel learns per-category fallback scales, serves
+//     observed ops as measured, and stays concurrent_safe (the parallel
+//     planner must choose the identical plan at any thread count under
+//     it);
 //   - run_pooch_measured calibrates below the roofline's error and stays
 //     bit-identical to serial in-core training — including when a stale
 //     (drift-injected) profile forces the drift detector to re-plan.
@@ -49,52 +51,66 @@ TEST(MeasuredProfile, OutlierRejection) {
   p.record_backward(0, 1.1);
   p.record_backward(0, 1.2);
   p.record_backward(0, 100.0);
-  const double est = p.backward_seconds(0);
-  EXPECT_GE(est, 1.0);
-  EXPECT_LE(est, 1.2);
-  EXPECT_GE(p.outliers_rejected(), 1);
+  // The count comes from the samples, not from how often they are
+  // queried.
+  EXPECT_EQ(p.outliers_rejected(), 1);
+  for (int i = 0; i < 3; ++i) {
+    const double est = p.backward_seconds(0);
+    EXPECT_GE(est, 1.0);
+    EXPECT_LE(est, 1.2);
+  }
+  EXPECT_EQ(p.outliers_rejected(), 1);
 
   // factor <= 1 disables rejection: the high-side median returns.
   p.set_outlier_factor(1.0);
   EXPECT_DOUBLE_EQ(p.backward_seconds(0), 1.2);
+  EXPECT_EQ(p.outliers_rejected(), 0);
 }
 
-TEST(MeasuredProfile, RecordRunMapsOpTypes) {
-  // Hand-built stream + spans: each op type must land in its own sample
-  // set (recompute counts as a forward sample; bookkeeping ops don't).
-  exec::OpStream stream;
-  auto push = [&](exec::OpType t, graph::NodeId n, graph::ValueId v) {
-    exec::StreamOp op;
-    op.type = t;
+TEST(MeasuredProfile, MeanKeepsOneSamplePerOp) {
+  MeasuredProfile p(2, 1);
+  p.record_forward(0, 1.0);
+  p.record_forward(0, 2.0);
+  p.record_forward(0, 4.0);  // median 2, mean 7/3
+  p.record_d2h(0, 0.5);
+  p.record_update(3.0);
+  p.record_update(5.0);
+  const MeasuredProfile m = p.mean();
+  EXPECT_EQ(m.forward_seconds(0), (1.0 + 2.0 + 4.0) / 3.0);
+  EXPECT_EQ(m.d2h_seconds(0), 0.5);
+  EXPECT_EQ(m.update_seconds(), 4.0);
+  EXPECT_FALSE(m.has_forward(1));  // unobserved stays unobserved
+  EXPECT_FALSE(m.has_h2d(0));
+  EXPECT_EQ(m.total_samples(), 3);
+}
+
+TEST(MeasuredProfile, RecordTimelineMapsOpKinds) {
+  // Hand-built timeline: each op kind must land in its own sample set
+  // (a recompute counts as a forward sample).
+  sim::Timeline timeline;
+  auto push = [&](sim::OpKind kind, graph::NodeId n, graph::ValueId v) {
+    sim::OpRecord op;
+    op.kind = kind;
     op.node = n;
     op.value = v;
-    stream.ops.push_back(op);
+    op.start = static_cast<double>(timeline.ops.size());
+    op.end = op.start + 0.5;  // every op "took" 0.5s
+    timeline.ops.push_back(op);
   };
-  push(exec::OpType::kBeginIteration, graph::kNoNode, -1);
-  push(exec::OpType::kForward, 0, -1);
-  push(exec::OpType::kSwapOut, graph::kNoNode, 1);
-  push(exec::OpType::kSwapIn, graph::kNoNode, 1);
-  push(exec::OpType::kRecompute, 0, -1);
-  push(exec::OpType::kBackward, 0, -1);
-  push(exec::OpType::kUpdate, graph::kNoNode, -1);
-  push(exec::OpType::kFreeValue, graph::kNoNode, 1);
-
-  exec::AsyncResult res;
-  res.wall_seconds = 8.0;
-  for (std::size_t i = 0; i < stream.ops.size(); ++i) {
-    exec::OpSpan s;
-    s.start = static_cast<double>(i);
-    s.end = s.start + 0.5;  // every op "took" 0.5s
-    res.spans.push_back(s);
-  }
+  push(sim::OpKind::kForward, 0, -1);
+  push(sim::OpKind::kSwapOut, graph::kNoNode, 1);
+  push(sim::OpKind::kSwapIn, graph::kNoNode, 1);
+  push(sim::OpKind::kRecompute, 0, 1);
+  push(sim::OpKind::kBackward, 0, -1);
+  push(sim::OpKind::kUpdate, graph::kNoNode, -1);
 
   MeasuredProfile p(1, 2);
-  p.record_run(stream, res);
+  p.record_timeline(timeline, 8.0);
   EXPECT_TRUE(p.has_forward(0));
   EXPECT_TRUE(p.has_backward(0));
   EXPECT_TRUE(p.has_d2h(1));
   EXPECT_TRUE(p.has_h2d(1));
-  EXPECT_FALSE(p.has_d2h(0));  // kFreeValue is bookkeeping, not a sample
+  EXPECT_FALSE(p.has_d2h(0));
   EXPECT_DOUBLE_EQ(p.backward_seconds(0), 0.5);
   EXPECT_DOUBLE_EQ(p.update_seconds(), 0.5);
   EXPECT_DOUBLE_EQ(p.iteration_seconds(), 8.0);
@@ -102,6 +118,52 @@ TEST(MeasuredProfile, RecordRunMapsOpTypes) {
   // forward + recompute = two forward samples for node 0.
   EXPECT_EQ(p.total_samples(), 7);  // 2 fwd + bwd + d2h + h2d + upd + iter
   EXPECT_DOUBLE_EQ(p.compute_coverage(), 1.0);
+}
+
+TEST(MeasuredProfile, ExecutorTimelineCoversEveryTimedStreamOp) {
+  // The executor's OpType -> OpKind mapping feeds record_timeline: every
+  // kernel and transfer of the stream becomes one sample of its op, and
+  // bookkeeping ops (begin, frees) none.
+  const graph::Graph g = models::small_cnn(2, 16);
+  const auto tape = graph::build_backward_tape(g);
+  const cost::MachineConfig machine = cost::x86_pcie();
+  const sim::CostTimeModel tm(g, machine);
+  const sim::Runtime rt(g, tape, machine, tm);
+  const exec::OpStream stream = planner::record_op_stream(
+      rt, sim::Classification(g, sim::ValueClass::kSwap));
+  sim::DataBackend data(g, /*seed=*/1);
+  const exec::AsyncResult res = exec::AsyncExecutor(g, stream).run(data);
+  ASSERT_TRUE(res.ok) << res.failure;
+
+  MeasuredProfile p(g.num_nodes(), g.num_values());
+  p.record_timeline(res.timeline, res.wall_seconds);
+  std::int64_t timed = 1;  // the iteration time
+  for (const exec::StreamOp& op : stream.ops) {
+    switch (op.type) {
+      case exec::OpType::kForward:
+      case exec::OpType::kRecompute:
+        EXPECT_TRUE(p.has_forward(op.node)) << "n" << op.node;
+        break;
+      case exec::OpType::kBackward:
+        EXPECT_TRUE(p.has_backward(op.node)) << "n" << op.node;
+        break;
+      case exec::OpType::kSwapOut:
+        EXPECT_TRUE(p.has_d2h(op.value)) << "v" << op.value;
+        break;
+      case exec::OpType::kSwapIn:
+        EXPECT_TRUE(p.has_h2d(op.value)) << "v" << op.value;
+        break;
+      case exec::OpType::kUpdate:
+        break;
+      case exec::OpType::kBeginIteration:
+      case exec::OpType::kFreeValue:
+      case exec::OpType::kFreeGrad:
+        continue;  // bookkeeping, not hardware time
+    }
+    ++timed;
+  }
+  EXPECT_GT(p.update_seconds(), 0.0);
+  EXPECT_EQ(p.total_samples(), timed);
 }
 
 /// Tiny model + machine rig for the calibrated-model tests.
@@ -142,30 +204,11 @@ TEST(CalibratedTimeModel, ServesMeasurementsAndScaledFallback) {
   EXPECT_TRUE(cal.concurrent_safe());
 }
 
-TEST(CalibratedTimeModel, BlendInterpolatesObservedOps) {
+TEST(CalibratedTimeModel, InjectDriftScalesServedTimes) {
   CalRig rig;
   MeasuredProfile p(rig.g.num_nodes(), rig.g.num_values());
-  // Two observed ops at *different* ratios (4x and 2x roofline), so the
-  // learned scale sits strictly between them and measurement vs scaled
-  // fallback genuinely differ per op — otherwise blending is vacuous.
-  const double f0 = rig.tm->forward_time(0);
-  const double f1 = rig.tm->forward_time(1);
-  p.record_forward(0, 4.0 * f0);
-  p.record_forward(1, 2.0 * f1);
-  const double scale = (4.0 * f0 + 2.0 * f1) / (f0 + f1);
-  const double measured0 = 4.0 * f0;
-  const double scaled_fallback0 = scale * f0;
-  ASSERT_GT(std::fabs(measured0 - scaled_fallback0), 1e-15);
-
-  for (double blend : {1.0, 0.5, 0.0}) {
-    cost::CalibrationOptions co;
-    co.blend = blend;
-    cost::CalibratedTimeModel cal(rig.g, p, *rig.tm, co);
-    EXPECT_NEAR(cal.forward_scale(), scale, 1e-9);
-    const double want = blend * measured0 + (1.0 - blend) * scaled_fallback0;
-    EXPECT_NEAR(cal.forward_time(0), want, 1e-12) << "blend=" << blend;
-  }
-
+  const double measured0 = 4.0 * rig.tm->forward_time(0);
+  p.record_forward(0, measured0);
   // inject_drift multiplies every served time.
   cost::CalibrationOptions co;
   co.inject_drift = 3.0;

@@ -1,7 +1,9 @@
 #include <gtest/gtest.h>
 
+#include "cost/calibrated_time_model.hpp"
 #include "graph/autodiff.hpp"
 #include "models/models.hpp"
+#include "pooch/pipeline.hpp"
 #include "profile/profiler.hpp"
 
 namespace pooch::profile {
@@ -29,15 +31,15 @@ TEST(Profiler, AveragesConvergeToGroundTruth) {
   opts.iterations = 8;
   opts.noise_sigma = 0.05;
   const auto data = run_profiler(rig.g, rig.tape, rig.machine, *rig.tm, opts);
-  ASSERT_EQ(data.forward_time.size(),
-            static_cast<std::size_t>(rig.g.num_nodes()));
+  ASSERT_EQ(data.times.num_nodes(), rig.g.num_nodes());
   for (const auto& n : rig.g.nodes()) {
     const double truth = rig.tm->forward_time(n.id);
-    const double measured = data.forward_time[static_cast<std::size_t>(n.id)];
+    const double measured = data.times.forward_seconds(n.id);
     EXPECT_NEAR(measured, truth, 0.15 * truth) << "node " << n.name;
   }
   EXPECT_GT(data.profiled_seconds, 0.0);
   EXPECT_EQ(data.iterations, 8);
+  EXPECT_EQ(data.times.iterations_recorded(), 8);
 }
 
 TEST(Profiler, ZeroNoiseIsExact) {
@@ -51,12 +53,10 @@ TEST(Profiler, ZeroNoiseIsExact) {
     const double b = rig.tm->backward_time(n.id);
     // Durations are reconstructed as (end - start) from accumulated
     // stream clocks, so allow rounding at the last few ulps.
-    EXPECT_NEAR(data.forward_time[static_cast<std::size_t>(n.id)], f,
-                1e-9 * f);
-    EXPECT_NEAR(data.backward_time[static_cast<std::size_t>(n.id)], b,
-                1e-9 * b);
+    EXPECT_NEAR(data.times.forward_seconds(n.id), f, 1e-9 * f);
+    EXPECT_NEAR(data.times.backward_seconds(n.id), b, 1e-9 * b);
   }
-  EXPECT_NEAR(data.update_time, rig.tm->update_time(),
+  EXPECT_NEAR(data.times.update_seconds(), rig.tm->update_time(),
               1e-9 * rig.tm->update_time());
 }
 
@@ -67,46 +67,85 @@ TEST(Profiler, DeterministicForFixedSeed) {
   opts.noise_sigma = 0.05;
   const auto a = run_profiler(rig.g, rig.tape, rig.machine, *rig.tm, opts);
   const auto b = run_profiler(rig.g, rig.tape, rig.machine, *rig.tm, opts);
-  EXPECT_EQ(a.forward_time, b.forward_time);
-  EXPECT_EQ(a.d2h_time, b.d2h_time);
-  EXPECT_EQ(a.unhidden_swapins, b.unhidden_swapins);
+  for (graph::NodeId n = 0; n < rig.g.num_nodes(); ++n) {
+    EXPECT_EQ(a.times.forward_seconds(n), b.times.forward_seconds(n));
+  }
+  for (graph::ValueId v = 0; v < rig.g.num_values(); ++v) {
+    EXPECT_EQ(a.times.d2h_seconds(v), b.times.d2h_seconds(v));
+  }
 }
 
-TEST(Profiler, UnhiddenSetsNonEmptyOnSlowLink) {
-  Rig rig(models::paper_example(16, 56, 64), /*link_gbps=*/2.0);
-  const auto data = run_profiler(rig.g, rig.tape, rig.machine, *rig.tm, {});
-  EXPECT_FALSE(data.unhidden_swapouts.empty());
-  EXPECT_FALSE(data.unhidden_swapins.empty());
-}
-
-TEST(Profiler, TimeModelFillsUnobservedTransfers) {
+TEST(Profiler, KeepsOneMeanSamplePerObservedOp) {
   Rig rig(models::small_cnn(4, 16));
   ProfileOptions opts;
-  opts.noise_sigma = 0.0;
+  opts.iterations = 4;
+  opts.noise_sigma = 0.05;
   const auto data = run_profiler(rig.g, rig.tape, rig.machine, *rig.tm, opts);
-  const auto table = data.to_time_model(rig.g);
-  // Values with no backward use are never swapped during profiling, but
-  // the table must still price them (from observed effective bandwidth).
-  const auto counts = graph::backward_need_counts(rig.g, rig.tape);
-  bool checked = false;
-  for (graph::ValueId v = 0; v < rig.g.num_values(); ++v) {
-    if (counts[static_cast<std::size_t>(v)] != 0) continue;
-    if (rig.g.value(v).byte_size() == 0) continue;
-    EXPECT_GT(table.d2h_time(v), 0.0) << "v" << v;
-    checked = true;
+  const MeasuredProfile& t = data.times;
+  std::int64_t observed = 2;  // the update and the iteration time
+  for (graph::NodeId n = 0; n < rig.g.num_nodes(); ++n) {
+    observed += t.has_forward(n) + t.has_backward(n);
   }
-  EXPECT_TRUE(checked);
+  for (graph::ValueId v = 0; v < rig.g.num_values(); ++v) {
+    observed += t.has_d2h(v) + t.has_h2d(v);
+  }
+  EXPECT_EQ(t.total_samples(), observed);
+  EXPECT_EQ(t.outliers_rejected(), 0);
+  EXPECT_DOUBLE_EQ(t.iteration_seconds(),
+                   data.profiled_seconds / opts.iterations);
 }
 
-TEST(Profiler, ObservedBandwidthPlausible) {
-  Rig rig(models::paper_example(8, 32, 32), /*link_gbps=*/4.0);
-  ProfileOptions opts;
-  opts.noise_sigma = 0.0;
-  const auto data = run_profiler(rig.g, rig.tape, rig.machine, *rig.tm, opts);
-  // Effective bandwidth is below the 4 GB/s line rate (latency) but
-  // within 2x of it.
-  EXPECT_LT(data.observed_bytes_per_sec, 4.0e9);
-  EXPECT_GT(data.observed_bytes_per_sec, 2.0e9);
+/// run_pooch plans on cost::CalibratedTimeModel over the profiled means:
+/// every op profiling observed is served exactly its mean, every
+/// transfer it never observed is still priced, and the plan is the one
+/// the planner makes on that model.
+TEST(Profiler, PlanningModelServesTheProfiledMeans) {
+  Rig rig(models::small_cnn(4, 16));
+  planner::PipelineOptions po;
+  po.profile.noise_sigma = 0.05;
+  const auto data =
+      run_profiler(rig.g, rig.tape, rig.machine, *rig.tm, po.profile);
+  ASSERT_TRUE(data.ok);
+  const MeasuredProfile& t = data.times;
+  const cost::CalibratedTimeModel model(rig.g, t, *rig.tm);
+
+  for (graph::NodeId n = 0; n < rig.g.num_nodes(); ++n) {
+    if (t.has_forward(n)) {
+      EXPECT_EQ(model.forward_time(n), t.forward_seconds(n)) << "n" << n;
+    }
+    if (t.has_backward(n)) {
+      EXPECT_EQ(model.backward_time(n), t.backward_seconds(n)) << "n" << n;
+    }
+  }
+  // Values with no backward use are never swapped during profiling, but
+  // the model must still price their transfers.
+  int observed = 0, unobserved = 0;
+  for (graph::ValueId v = 0; v < rig.g.num_values(); ++v) {
+    if (t.has_d2h(v)) {
+      EXPECT_EQ(model.d2h_time(v), t.d2h_seconds(v)) << "v" << v;
+      ++observed;
+    } else if (rig.g.value(v).byte_size() > 0) {
+      EXPECT_GT(model.d2h_time(v), 0.0) << "v" << v;
+      ++unobserved;
+    }
+    if (t.has_h2d(v)) {
+      EXPECT_EQ(model.h2d_time(v), t.h2d_seconds(v)) << "v" << v;
+    } else if (rig.g.value(v).byte_size() > 0) {
+      EXPECT_GT(model.h2d_time(v), 0.0) << "v" << v;
+    }
+  }
+  EXPECT_EQ(model.update_time(), t.update_seconds());
+  EXPECT_GT(observed, 0);
+  EXPECT_GT(unobserved, 0);
+
+  const auto out = planner::run_pooch(rig.g, rig.tape, rig.machine, *rig.tm,
+                                      po);
+  ASSERT_TRUE(out.ok);
+  const auto direct =
+      planner::PoochPlanner(rig.g, rig.tape, rig.machine, model, po.planner)
+          .plan();
+  EXPECT_EQ(out.plan.classes.serialize(), direct.classes.serialize());
+  EXPECT_EQ(out.plan.predicted_time, direct.predicted_time);
 }
 
 }  // namespace

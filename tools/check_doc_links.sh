@@ -1,6 +1,8 @@
 #!/usr/bin/env bash
 # Docs drift guard: every path-like reference and every bench/CMake
-# target named in the top-level docs must actually exist in the tree.
+# target named in the top-level docs must actually exist in the tree,
+# and every code identifier in backticks in the current-state docs
+# (README.md, DESIGN.md, docs/) must still appear in the source tree.
 # Registered as the tier-1 ctest `docs_links`; run manually from the
 # repo root as tools/check_doc_links.sh. Exits nonzero listing every
 # stale reference.
@@ -37,6 +39,27 @@ targets=$(
   } | sort -u
 )
 
+# Every identifier-like word of the source tree. This script is left
+# out, so naming an identifier here cannot keep a stale reference alive.
+declare -A known_idents=()
+while IFS= read -r word; do
+  known_idents["$word"]=1
+done < <(grep -rhoE --exclude=check_doc_links.sh '[A-Za-z_][A-Za-z0-9_]*' \
+           src tools tests bench examples perfbench CMakeLists.txt | sort -u)
+
+# The identifier a backticked reference names, or nothing when it is not
+# code: `ns::Name` / `Type::member()` yield their last component, a bare
+# CamelCase word (two or more humps) itself.
+ident_of() {
+  local ref="${1%()}"
+  if [[ "$ref" =~ ^[A-Za-z_][A-Za-z0-9_]*(::~?[A-Za-z_][A-Za-z0-9_]*)+$ ]]; then
+    ref="${ref##*::}"
+    printf '%s\n' "${ref#\~}"
+  elif [[ "$ref" =~ ^[A-Z][a-z0-9]+[A-Z][A-Za-z0-9]*$ ]]; then
+    printf '%s\n' "$ref"
+  fi
+}
+
 exists_somewhere() {
   # Bare filename: accept it if it exists anywhere in the tree.
   [ -n "$(find . -path ./build -prune -o -name "$1" -print -quit)" ]
@@ -50,6 +73,21 @@ for doc in "${DOCS[@]}"; do
   # (<...>), URLs, flags, and generated artifacts (build trees, traces,
   # bench JSON).
   refs=$(grep -oE '`[^` ]+`' "$doc" | tr -d '`' | sort -u)
+
+  # Code identifiers. ROADMAP.md and EXPERIMENTS.md record history, so
+  # they may name code that is gone.
+  case "$doc" in
+    ROADMAP.md|EXPERIMENTS.md) ;;
+    *)
+      while IFS= read -r ref; do
+        ident=$(ident_of "$ref")
+        if [ -n "$ident" ] && [ -z "${known_idents[$ident]:-}" ]; then
+          echo "$doc: stale identifier reference: $ref"
+          fail=1
+        fi
+      done <<< "$refs"
+      ;;
+  esac
   while IFS= read -r ref; do
     [ -n "$ref" ] || continue
     case "$ref" in

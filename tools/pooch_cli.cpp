@@ -50,7 +50,6 @@ struct CliOptions {
   int calibration_iters = 3;      // measured iterations per round (k)
   int calibration_warmup = 1;     // unrecorded warm-up iterations
   double replan_threshold = 0.25; // drift triggering a re-plan
-  double blend = 1.0;             // measured vs scaled-roofline blend
   double inject_drift = 1.0;      // !=1: force a miscalibrated model
   bool timeline = false;
   bool show_classes = false;
@@ -122,8 +121,6 @@ void usage() {
       "  --replan-threshold X\n"
       "                  re-plan when |predicted-observed|/observed\n"
       "                  exceeds X (default 0.25)\n"
-      "  --blend B       weight of the measurement vs the scaled\n"
-      "                  analytic fallback for observed ops (default 1)\n"
       "  --inject-drift F\n"
       "                  multiply calibrated times by F to emulate a\n"
       "                  stale profile (test/bench knob, default 1)\n"
@@ -195,8 +192,6 @@ bool parse_args(int argc, char** argv, CliOptions& o) {
       o.calibration_warmup = std::atoi(v);
     } else if (a == "--replan-threshold" && (v = need_value(i))) {
       o.replan_threshold = std::atof(v);
-    } else if (a == "--blend" && (v = need_value(i))) {
-      o.blend = std::atof(v);
     } else if (a == "--inject-drift" && (v = need_value(i))) {
       o.inject_drift = std::atof(v);
     } else if (a == "--save-plan" && (v = need_value(i))) {
@@ -430,7 +425,6 @@ void run_measured_profile(Context& ctx) {
   mo.measure.copy_workers = ctx.o.copy_workers;
   mo.measure.compute_workers = ctx.o.compute_workers;
   mo.measure.stats = stats;
-  mo.calibrate.blend = ctx.o.blend;
   mo.calibrate.inject_drift = ctx.o.inject_drift;
   mo.replan_threshold = ctx.o.replan_threshold;
   mo.kernel_ctx = &kctx;
