@@ -23,7 +23,6 @@
 // compares like against like only.
 #include <chrono>
 #include <cstdio>
-#include <cstring>
 #include <string>
 #include <thread>
 #include <vector>
@@ -122,12 +121,12 @@ double time_replay(const Workload& w, const exec::OpStream& stream,
                    res.failure.c_str());
       std::exit(1);
     }
-    const float a = data.loss();
-    const float b = ref.loss();
-    if (std::memcmp(&a, &b, sizeof(float)) != 0 ||
-        data.param_norm() != ref.param_norm()) {
-      std::fprintf(stderr, "%s %s: NOT bit-identical to in-core reference\n",
-                   w.name.c_str(), what);
+    const std::string diff = data.first_difference(ref);
+    if (!diff.empty()) {
+      std::fprintf(stderr,
+                   "%s %s: NOT bit-identical to in-core reference (%s "
+                   "differs)\n",
+                   w.name.c_str(), what, diff.c_str());
       std::exit(1);
     }
     if (s < best) best = s;

@@ -7,11 +7,12 @@
 // much, where methods fail) is the reproduction target. EXPERIMENTS.md
 // records paper-vs-measured for every row.
 //
-// Set POOCH_BENCH_VALIDATE=1 in the environment to re-run every method
-// with timeline recording on and push the result through the
+// Set POOCH_BENCH_VALIDATE=1 in the environment to run every method
+// with its op stream recorded and push the result through the
 // obs::TimelineValidator; any invariant violation aborts the bench with
-// a diagnostic. CI uses this to keep the simulator honest while the
-// default bench runs stay fast.
+// a diagnostic. The tier-1 ctest bench_validate does this for three
+// benches to keep the simulator honest while the default bench runs
+// stay fast.
 #pragma once
 
 #include <cstdio>
@@ -60,10 +61,11 @@ inline bool validate_enabled() {
 }
 
 /// POOCH_BENCH_VALIDATE hook: check a recorded run against the timeline
-/// invariants and abort loudly on violation.
+/// invariants and abort loudly on violation. No-op when validation is
+/// off or the run did not complete.
 inline void validate_run(const Workload& w, const char* what,
                          const sim::RunResult& r) {
-  if (!r.ok) return;
+  if (!validate_enabled() || !r.ok) return;
   obs::TimelineValidator validator(w.g, w.tape);
   const obs::ValidationReport rep =
       validator.check_run(r, w.machine.usable_gpu_bytes());
@@ -75,10 +77,10 @@ inline void validate_run(const Workload& w, const char* what,
 
 inline MethodResult run_in_core(const Workload& w, std::int64_t batch) {
   sim::RunOptions ro;
-  ro.record_timeline = validate_enabled();
+  ro.record_stream = validate_enabled();
   const auto r =
       w.rt.run(sim::Classification(w.g, sim::ValueClass::kKeep), ro);
-  if (validate_enabled()) validate_run(w, "in-core", r);
+  validate_run(w, "in-core", r);
   return {r.ok, r.iteration_time, r.ok ? r.throughput(batch) : 0.0, {}};
 }
 
@@ -86,12 +88,10 @@ inline MethodResult run_swap_all(const Workload& w, std::int64_t batch,
                                  bool scheduled) {
   auto opts = scheduled ? baselines::swap_all_scheduled_options()
                         : baselines::swap_all_naive_options();
-  opts.record_timeline = validate_enabled();
+  opts.record_stream = validate_enabled();
   const auto r =
       w.rt.run(sim::Classification(w.g, sim::ValueClass::kSwap), opts);
-  if (validate_enabled()) {
-    validate_run(w, scheduled ? "swap-all" : "swap-all-naive", r);
-  }
+  validate_run(w, scheduled ? "swap-all" : "swap-all-naive", r);
   return {r.ok, r.iteration_time, r.ok ? r.throughput(batch) : 0.0, {}};
 }
 
@@ -99,9 +99,9 @@ inline MethodResult run_superneurons(const Workload& w, std::int64_t batch) {
   const auto plan =
       baselines::superneurons_plan(w.g, w.tape, w.machine, w.tm);
   auto opts = baselines::superneurons_run_options();
-  opts.record_timeline = validate_enabled();
+  opts.record_stream = validate_enabled();
   const auto r = w.rt.run(plan.classes, opts);
-  if (validate_enabled()) validate_run(w, "superneurons", r);
+  validate_run(w, "superneurons", r);
   return {r.ok, r.iteration_time, r.ok ? r.throughput(batch) : 0.0,
           plan.counts};
 }
@@ -114,12 +114,11 @@ inline MethodResult run_pooch_method(const Workload& w, std::int64_t batch,
   const auto out = planner::run_pooch(w.g, w.tape, w.machine, w.tm, po);
   if (plan_out) *plan_out = out.plan;
   if (validate_enabled() && out.ok) {
-    // The pipeline's execution runs without timeline recording; repeat
-    // it with recording on so there are spans to validate.
+    // The pipeline's execution runs without recording; repeat it with
+    // recording on so there are spans to validate.
     sim::RunOptions ro;
-    ro.record_timeline = true;
-    const auto r = planner::execute_plan(w.rt, out.plan, ro);
-    validate_run(w, "pooch", r);
+    ro.record_stream = true;
+    validate_run(w, "pooch", planner::execute_plan(w.rt, out.plan, ro));
   }
   return {out.ok, out.iteration_time, out.throughput(batch), out.plan.counts};
 }

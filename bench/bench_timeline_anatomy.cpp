@@ -2,7 +2,6 @@
 // running example rendered as ASCII timelines, with the exposed swap
 // sets L_O / L_I extracted the way the classifier sees them.
 #include "bench_common.hpp"
-#include "sim/timeline.hpp"
 
 using namespace pooch;
 
@@ -11,7 +10,7 @@ namespace {
 void show(const char* title, const bench::Workload& w,
           const sim::Classification& classes, const sim::RunOptions& opts) {
   sim::RunOptions ro = opts;
-  ro.record_timeline = true;
+  ro.record_stream = true;
   const auto r = w.rt.run(classes, ro);
   std::printf("\n### %s\n", title);
   if (!r.ok) {
@@ -23,7 +22,7 @@ void show(const char* title, const bench::Workload& w,
               bench::fmt(sec_to_ms(r.compute_stall), 2).c_str(),
               bench::fmt(sec_to_ms(r.swapin_stall), 2).c_str(),
               bench::fmt(sec_to_ms(r.memory_stall), 2).c_str());
-  std::fputs(r.timeline.render(w.g).c_str(), stdout);
+  std::fputs(r.stream.render().c_str(), stdout);
   std::printf("L_O (unhidden swap-outs): {");
   for (auto v : r.unhidden_swapouts) std::printf(" v%d", v);
   std::printf(" }\nL_I (unhidden swap-ins):  {");

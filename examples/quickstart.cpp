@@ -7,7 +7,7 @@
 // Walkthrough:
 //   1. build a computation graph with the model zoo,
 //   2. describe the machine (a 64 MiB "GPU", slow interconnect),
-//   3. run PoocH: profile -> classify -> execute, and export the executed
+//   3. run PoocH: profile -> classify -> execute, and record the executed
 //      plan's schedule as an op stream,
 //   4. train a few iterations under the plan with real kernels: replay
 //      that op stream through the asynchronous out-of-core executor,
@@ -55,12 +55,11 @@ int main() {
     return 1;
   }
   std::printf("\n%s", result.plan.summary(g).c_str());
-  // Execute the plan once more with export on: the op stream is the
+  // Execute the plan once more with recording on: the op stream is the
   // schedule of exactly the run printed here.
-  exec::OpStream stream;
   sim::RunOptions run_options;
-  run_options.export_stream = &stream;
-  const auto run = planner::execute_plan(runtime, result.plan, run_options);
+  run_options.record_stream = true;
+  auto run = planner::execute_plan(runtime, result.plan, run_options);
   if (!run.ok) {
     std::printf("planned execution failed: %s\n", run.failure.c_str());
     return 1;
@@ -73,8 +72,9 @@ int main() {
   // 4. Train 5 iterations with real data under the plan, running the
   // numeric kernels across 4 threads (the reference run below stays
   // serial — every kernel is bit-identical at any thread count, so the
-  // comparison still demands exact equality). The schedule is exported
+  // comparison still demands exact equality). The schedule is recorded
   // once and replayed every iteration, as a training loop would.
+  exec::OpStream& stream = run.stream;
   const exec::AsyncExecutor executor(g, stream);
   kernels::KernelContext kctx(/*threads=*/4);
   sim::DataBackend ooc_backend(g, /*seed=*/42, /*learning_rate=*/0.05f,
@@ -94,9 +94,9 @@ int main() {
   // single kernel thread — must produce bit-identical numbers.
   sim::DataBackend ref_backend(g, /*seed=*/42, /*learning_rate=*/0.05f);
   planner::run_incore_reference(g, tape, ref_backend, 5);
-  const bool identical = ooc_backend.loss() == ref_backend.loss() &&
-                         ooc_backend.param_norm() == ref_backend.param_norm();
+  const std::string diff = ooc_backend.first_difference(ref_backend);
   std::printf("\nout-of-core vs in-core after 5 iterations: %s\n",
-              identical ? "bit-identical ✓" : "MISMATCH ✗");
-  return identical ? 0 : 1;
+              diff.empty() ? "bit-identical ✓"
+                           : ("MISMATCH ✗ (" + diff + " differs)").c_str());
+  return diff.empty() ? 0 : 1;
 }

@@ -89,7 +89,7 @@ struct RunState {
         sched(sc),
         data(d),
         opts(o),
-        staging(o.staging_slots),
+        staging(kStagingSlots),
         t0(Clock::now()),
         events(s.ops.size()),
         spans(s.ops.size()),
@@ -120,7 +120,7 @@ struct RunState {
         data.update();
         break;
       case OpType::kSwapOut: {
-        // Double-buffered retirement: at most `staging_slots` swap-outs
+        // Double-buffered retirement: at most kStagingSlots swap-outs
         // may be moving through the bounce buffers at once.
         const int slot = staging.acquire();
         if (opts.host_pool && !opts.host_pool->reserve(op.bytes)) {
@@ -314,71 +314,10 @@ AsyncResult AsyncExecutor::run(sim::DataBackend& data,
   result.ready_peak = state.dispatch.ready_peak;
 
   for (std::size_t i = 0; i < stream_.ops.size(); ++i) {
-    const StreamOp& op = stream_.ops[i];
     const OpSpan& span = result.spans[i];
-    const int lane = lane_of(op.type);
+    const int lane = lane_of(stream_.ops[i].type);
     result.lane_busy[lane] += span.end - span.start;
     result.lane_wait[lane] += span.wait;
-
-    sim::OpKind kind;
-    switch (op.type) {
-      case OpType::kForward:
-        kind = sim::OpKind::kForward;
-        break;
-      case OpType::kBackward:
-        kind = sim::OpKind::kBackward;
-        break;
-      case OpType::kRecompute:
-        kind = sim::OpKind::kRecompute;
-        break;
-      case OpType::kUpdate:
-        kind = sim::OpKind::kUpdate;
-        break;
-      case OpType::kSwapOut:
-        kind = sim::OpKind::kSwapOut;
-        break;
-      case OpType::kSwapIn:
-        kind = sim::OpKind::kSwapIn;
-        break;
-      default:
-        continue;  // begin/frees are bookkeeping, not timeline ops
-    }
-    sim::OpRecord r;
-    r.kind = kind;
-    r.node = op.node;
-    r.value = op.value;
-    r.start = span.start;
-    r.end = span.end;
-    r.stall = span.wait;
-    r.stall_cause = sim::StallCause::kNone;
-    if (span.wait > 0.0 && lane == kComputeLane) {
-      // Blame the slowest dependency; a swap-in dep is L_I-style
-      // evidence just as in the simulator.
-      for (std::int32_t d : schedule_.deps[i]) {
-        const StreamOp& dep = stream_.ops[static_cast<std::size_t>(d)];
-        if (dep.type == OpType::kSwapIn) {
-          r.stall_cause = sim::StallCause::kSwapInWait;
-          r.stall_value = dep.value;
-        }
-      }
-    }
-    result.timeline.ops.push_back(r);
-    switch (lane) {
-      case kComputeLane:
-        result.timeline.compute_busy += span.end - span.start;
-        result.timeline.compute_stall += span.wait;
-        break;
-      case kD2HLane:
-        result.timeline.d2h_busy += span.end - span.start;
-        break;
-      default:
-        result.timeline.h2d_busy += span.end - span.start;
-        break;
-    }
-    if (op.type == OpType::kForward) {
-      result.timeline.forward_end =
-          std::max(result.timeline.forward_end, span.end);
-    }
   }
 
   if (options.stats) {

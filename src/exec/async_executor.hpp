@@ -1,4 +1,4 @@
-// AsyncExecutor: real wall-clock overlapped execution of an exported
+// AsyncExecutor: real wall-clock overlapped execution of a recorded
 // op stream against a sim::DataBackend.
 //
 // Threading model (a dependency-counted multi-worker scheduler):
@@ -28,7 +28,7 @@
 // is always runnable, at any worker count.
 //
 // This executor is the only code that runs real kernels: sim::Runtime
-// only simulates and exports the op list. One compute worker replays
+// only simulates and records the op list. One compute worker replays
 // the stream in serial program order, which is why the keep-all stream
 // on one worker is the in-core reference (planner::run_incore_reference).
 //
@@ -36,7 +36,7 @@
 // kernel is bit-exact at any thread count, ops whose footprints are
 // disjoint commute exactly, and the hazard edges serialize every
 // order-sensitive pair (gradient accumulation chains, destructive
-// moves) in exported — i.e. serial program — order. Each compute worker
+// moves) in recorded — i.e. serial program — order. Each compute worker
 // runs its kernels through a private kernels::KernelContext, so scratch
 // arenas are never shared across concurrent kernels.
 #pragma once
@@ -49,7 +49,6 @@
 #include "exec/schedule.hpp"
 #include "graph/autodiff.hpp"
 #include "graph/graph.hpp"
-#include "sim/timeline.hpp"
 
 namespace pooch::mem {
 class HostPool;
@@ -64,6 +63,10 @@ class TimeModel;
 
 namespace pooch::exec {
 
+/// Staging slots bounding concurrent D2H retirement: classic double
+/// buffering.
+inline constexpr int kStagingSlots = 2;
+
 struct AsyncOptions {
   /// Threads serving the compute lane. 1 (default) keeps today's
   /// behavior: the calling thread replays compute ops in serial program
@@ -72,9 +75,6 @@ struct AsyncOptions {
   int compute_workers = 1;
   /// Threads serving each copy lane (1 = one H2D + one D2H worker).
   int workers_per_copy_lane = 1;
-  /// Staging slots bounding concurrent D2H retirement (2 = classic
-  /// double buffering).
-  int staging_slots = 2;
   /// Optional host swap-space accounting: swap-outs reserve, releasing
   /// frees return; reservation failure aborts the run.
   mem::HostPool* host_pool = nullptr;
@@ -123,12 +123,9 @@ struct AsyncResult {
   double critical_path_seconds = 0.0;
   int ready_peak = 0;
 
-  /// Parallel to the stream's ops.
+  /// Parallel to the stream's ops: the measured span of stream.ops[i]
+  /// (obs::write_async_chrome_trace renders the pair).
   std::vector<OpSpan> spans;
-  /// Real-time spans rendered as a sim::Timeline (compute/D2H/H2D
-  /// kinds only), directly usable with obs::write_chrome_trace for
-  /// visual comparison against the simulated schedule.
-  sim::Timeline timeline;
 };
 
 class AsyncExecutor {

@@ -1,9 +1,11 @@
 #include "exec/op_stream.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <sstream>
 
 #include "common/error.hpp"
+#include "common/strings.hpp"
 
 namespace pooch::exec {
 
@@ -21,7 +23,7 @@ Lane lane_of(OpType type) {
 const char* op_type_name(OpType type) {
   switch (type) {
     case OpType::kBeginIteration:
-      return "begin_iteration";
+      return "begin-iteration";
     case OpType::kForward:
       return "forward";
     case OpType::kBackward:
@@ -31,15 +33,39 @@ const char* op_type_name(OpType type) {
     case OpType::kUpdate:
       return "update";
     case OpType::kSwapOut:
-      return "swap_out";
+      return "swap-out";
     case OpType::kSwapIn:
-      return "swap_in";
+      return "swap-in";
     case OpType::kFreeValue:
-      return "free_value";
+      return "free-value";
     case OpType::kFreeGrad:
-      return "free_grad";
+      return "free-grad";
   }
   return "?";
+}
+
+const char* lane_name(Lane lane) {
+  switch (lane) {
+    case kComputeLane: return "compute";
+    case kD2HLane: return "d2h";
+    case kH2DLane: return "h2d";
+  }
+  return "?";
+}
+
+const char* stall_cause_name(StallCause cause) {
+  switch (cause) {
+    case StallCause::kNone: return "none";
+    case StallCause::kSwapInWait: return "swapin-wait";
+    case StallCause::kMemoryWait: return "memory-wait";
+    case StallCause::kDependency: return "dependency";
+  }
+  return "?";
+}
+
+bool is_bookkeeping(OpType type) {
+  return type == OpType::kBeginIteration || type == OpType::kFreeValue ||
+         type == OpType::kFreeGrad;
 }
 
 int OpStream::count(OpType type) const {
@@ -52,6 +78,13 @@ int OpStream::lane_count(Lane lane) const {
   return static_cast<int>(
       std::count_if(ops.begin(), ops.end(), [lane](const StreamOp& op) {
         return lane_of(op.type) == lane;
+      }));
+}
+
+int OpStream::timed_count() const {
+  return static_cast<int>(
+      std::count_if(ops.begin(), ops.end(), [](const StreamOp& op) {
+        return !is_bookkeeping(op.type);
       }));
 }
 
@@ -167,6 +200,63 @@ std::string OpStream::to_string(const graph::Graph& graph) const {
     if (op.node != graph::kNoNode) os << " " << graph.node(op.node).name;
     if (op.value >= 0) os << " v" << op.value;
     os << "\n";
+  }
+  return os.str();
+}
+
+namespace {
+
+char op_glyph(OpType type) {
+  switch (type) {
+    case OpType::kForward: return 'F';
+    case OpType::kBackward: return 'B';
+    case OpType::kRecompute: return 'R';
+    case OpType::kSwapOut: return 'o';
+    case OpType::kSwapIn: return 'i';
+    case OpType::kUpdate: return 'U';
+    default: return '?';
+  }
+}
+
+}  // namespace
+
+std::string OpStream::render(int width) const {
+  double t_end = 0.0;
+  for (const auto& op : ops) {
+    if (!is_bookkeeping(op.type)) t_end = std::max(t_end, op.sim_end);
+  }
+  if (t_end <= 0.0) return "(empty timeline)\n";
+
+  std::string rows[kNumLanes];
+  for (auto& r : rows) r.assign(static_cast<std::size_t>(width), '.');
+
+  for (const auto& op : ops) {
+    if (is_bookkeeping(op.type)) continue;
+    const int lane = lane_of(op.type);
+    int a = static_cast<int>(std::floor(op.sim_start / t_end * width));
+    int b = static_cast<int>(std::ceil(op.sim_end / t_end * width));
+    a = std::clamp(a, 0, width - 1);
+    b = std::clamp(b, a + 1, width);
+    for (int i = a; i < b; ++i) {
+      rows[lane][static_cast<std::size_t>(i)] = op_glyph(op.type);
+    }
+    // Mark the stall interval that preceded this compute op.
+    if (lane == kComputeLane && op.stall > 0.0) {
+      int sa = static_cast<int>(
+          std::floor((op.sim_start - op.stall) / t_end * width));
+      sa = std::clamp(sa, 0, a);
+      for (int i = sa; i < a; ++i) {
+        rows[kComputeLane][static_cast<std::size_t>(i)] = '#';
+      }
+    }
+  }
+
+  std::ostringstream os;
+  os << "timeline span " << format_time(t_end) << "  (# = compute stall)\n";
+  for (int lane = 0; lane < kNumLanes; ++lane) {
+    std::string name = lane_name(static_cast<Lane>(lane));
+    name.resize(7, ' ');
+    os << name << " |" << rows[lane] << "|\n";
   }
   return os.str();
 }

@@ -1,15 +1,16 @@
 // Chrome-trace (chrome://tracing / Perfetto "JSON trace") export of a
-// simulated timeline. One process, one track per hardware stream
-// (compute / D2H copy / H2D copy); stall intervals appear as their own
-// red slices on the compute track, with flow arrows from the transfer
-// that is blamed for them; swap and recompute work is color-coded by the
-// value's classification. Load the file via chrome://tracing "Load" or
-// https://ui.perfetto.dev.
+// simulated run's recorded op stream. One process, one track per lane
+// (compute / D2H copy / H2D copy); the bookkeeping ops (begin-iteration,
+// frees) take no time and get no slice; stall intervals appear as their
+// own red slices on the compute track, with flow arrows from the
+// transfer that is blamed for them; swap and recompute work is
+// color-coded by the value's classification. Load the file via
+// chrome://tracing "Load" or https://ui.perfetto.dev.
 //
 // Schema (documented in README "Observability"): the top-level object
 // has "traceEvents" (the standard event array), "displayTimeUnit", and a
 // "pooch" object carrying run-level aggregates (busy/stall seconds per
-// stream). Timestamps are microseconds of simulated time.
+// lane). Timestamps are microseconds of simulated time.
 #pragma once
 
 #include <string>
@@ -19,15 +20,11 @@
 #include "exec/async_executor.hpp"
 #include "obs/json.hpp"
 #include "sim/plan.hpp"
-#include "sim/timeline.hpp"
+#include "sim/runtime.hpp"
 
 namespace pooch::obs {
 
 struct TraceOptions {
-  /// Emit explicit "stall" slices on the compute track.
-  bool stall_slices = true;
-  /// Emit flow arrows from the blamed transfer to the stalled op.
-  bool flow_arrows = true;
   /// When set, per-op args carry the value's keep/swap/recompute class
   /// and transfer slices are color-coded by it.
   const sim::Classification* classes = nullptr;
@@ -37,18 +34,19 @@ struct TraceOptions {
   std::vector<std::pair<double, std::string>> markers;
 };
 
-/// Build the trace document.
-json::Value chrome_trace(const graph::Graph& graph, const sim::Timeline& tl,
+/// Build the trace document of `run`, recorded with
+/// RunOptions::record_stream.
+json::Value chrome_trace(const graph::Graph& graph, const sim::RunResult& run,
                          const TraceOptions& options = {});
 
 /// chrome_trace() serialized to a string.
 std::string chrome_trace_json(const graph::Graph& graph,
-                              const sim::Timeline& tl,
+                              const sim::RunResult& run,
                               const TraceOptions& options = {});
 
 /// Write the trace to `path`; throws pooch::Error on I/O failure.
 void write_chrome_trace(const std::string& path, const graph::Graph& graph,
-                        const sim::Timeline& tl,
+                        const sim::RunResult& run,
                         const TraceOptions& options = {});
 
 /// Trace of a real AsyncExecutor replay with one track per worker:

@@ -14,11 +14,10 @@ namespace pooch::obs {
 
 namespace {
 
+using exec::OpType;
+using exec::StreamOp;
 using graph::NodeId;
 using graph::ValueId;
-using sim::OpKind;
-using sim::OpRecord;
-using sim::Timeline;
 
 constexpr std::size_t kMaxErrors = 50;
 
@@ -27,13 +26,13 @@ double tol(double scale) { return 1e-6 * std::max(1.0, std::fabs(scale)); }
 /// Tight tolerance for event-ordering comparisons.
 double eps(double scale) { return 1e-9 * std::max(1.0, std::fabs(scale)); }
 
-std::string op_label(const graph::Graph& g, const OpRecord& op,
+std::string op_label(const graph::Graph& g, const StreamOp& op,
                      std::size_t index) {
   std::ostringstream os;
-  os << "op#" << index << " " << sim::op_kind_name(op.kind);
+  os << "op#" << index << " " << exec::op_type_name(op.type);
   if (op.node != graph::kNoNode) os << " " << g.node(op.node).name;
   if (op.value >= 0) os << " (v" << op.value << ")";
-  os << " [" << op.start << ", " << op.end << "]";
+  os << " [" << op.sim_start << ", " << op.sim_end << "]";
   return os.str();
 }
 
@@ -45,34 +44,45 @@ struct Materializations {
   std::vector<std::vector<std::pair<double, double>>> swapouts;
 };
 
+/// What the stream's timed ops add up to, for the RunResult cross-checks.
+struct StreamSums {
+  double busy[exec::kNumLanes] = {0.0, 0.0, 0.0};
+  double stall = 0.0;
+  double compute_end = 0.0;  // end of the last compute op
+  double forward_end = 0.0;  // end of the last forward op
+};
+
+/// Structural checks over the timed ops of a simulated stream; the
+/// bookkeeping ops (begin-iteration, frees) take no time and are skipped.
 class Checker {
  public:
   Checker(const graph::Graph& g, const std::vector<graph::BwdStep>& tape,
-          const Timeline& tl, ValidationReport& rep)
-      : g_(g), tape_(tape), tl_(tl), rep_(rep) {
-    for (const auto& op : tl.ops) t_end_ = std::max(t_end_, op.end);
+          const exec::OpStream& stream, ValidationReport& rep)
+      : g_(g), ops_(stream.ops), tape_(tape), rep_(rep) {
+    for (std::size_t i = 0; i < ops_.size(); ++i) {
+      if (exec::is_bookkeeping(ops_[i].type)) continue;
+      timed_.push_back(i);
+      t_end_ = std::max(t_end_, ops_[i].sim_end);
+    }
     for (const auto& step : tape_) needed_by_node_[step.node] = &step.needed;
   }
 
   void run() {
-    if (tl_.ops.empty()) {
-      error("timeline has no recorded ops (was record_timeline enabled?)");
+    if (timed_.empty()) {
+      error("stream has no timed ops (was record_stream enabled?)");
       return;
     }
     check_well_formed();
-    sort_streams();
+    sort_lanes();
     check_no_overlap();
     check_program_order();
     collect_materializations();
     check_dependencies();
-    check_accounting();
+    sum_up();
+    check_gapless();
   }
 
-  double last_compute_end() const {
-    return streams_[sim::kComputeStream].empty()
-               ? 0.0
-               : tl_.ops[streams_[sim::kComputeStream].back()].end;
-  }
+  const StreamSums& sums() const { return sums_; }
 
  private:
   void error(std::string msg) {
@@ -80,59 +90,60 @@ class Checker {
   }
 
   void check_well_formed() {
-    for (std::size_t i = 0; i < tl_.ops.size(); ++i) {
-      const OpRecord& op = tl_.ops[i];
-      if (!std::isfinite(op.start) || !std::isfinite(op.end) ||
+    for (const std::size_t i : timed_) {
+      const StreamOp& op = ops_[i];
+      if (!std::isfinite(op.sim_start) || !std::isfinite(op.sim_end) ||
           !std::isfinite(op.stall)) {
         error(op_label(g_, op, i) + ": non-finite time");
         continue;
       }
-      if (op.start < -eps(t_end_)) {
+      if (op.sim_start < -eps(t_end_)) {
         error(op_label(g_, op, i) + ": negative start time");
       }
-      if (op.end < op.start - eps(t_end_)) {
+      if (op.sim_end < op.sim_start - eps(t_end_)) {
         error(op_label(g_, op, i) + ": ends before it starts");
       }
       if (op.stall < -eps(t_end_)) {
         error(op_label(g_, op, i) + ": negative stall");
       }
-      if (op.stall > 0.0 && sim::stream_of(op.kind) != sim::kComputeStream) {
-        error(op_label(g_, op, i) + ": stall recorded on a copy stream");
+      if (op.stall > 0.0 && exec::lane_of(op.type) != exec::kComputeLane) {
+        error(op_label(g_, op, i) + ": stall recorded on a copy lane");
       }
-      if (op.start - op.stall < -eps(t_end_)) {
+      if (op.sim_start - op.stall < -eps(t_end_)) {
         error(op_label(g_, op, i) + ": stall region starts before t=0");
       }
     }
   }
 
-  void sort_streams() {
-    for (std::size_t i = 0; i < tl_.ops.size(); ++i) {
-      streams_[sim::stream_of(tl_.ops[i].kind)].push_back(i);
+  void sort_lanes() {
+    for (const std::size_t i : timed_) {
+      lanes_[exec::lane_of(ops_[i].type)].push_back(i);
     }
-    for (auto& s : streams_) {
-      std::sort(s.begin(), s.end(), [&](std::size_t a, std::size_t b) {
-        return tl_.ops[a].start < tl_.ops[b].start;
+    for (auto& lane : lanes_) {
+      std::sort(lane.begin(), lane.end(), [&](std::size_t a, std::size_t b) {
+        return ops_[a].sim_start < ops_[b].sim_start;
       });
     }
   }
 
   void check_no_overlap() {
-    for (int s = 0; s < sim::kNumStreams; ++s) {
+    for (int l = 0; l < exec::kNumLanes; ++l) {
       double prev_end = -std::numeric_limits<double>::infinity();
       std::size_t prev_i = 0;
-      for (const std::size_t i : streams_[s]) {
-        const OpRecord& op = tl_.ops[i];
-        // On the compute stream the stall lead-in occupies the stream
-        // too: the op's slot effectively begins at start - stall.
-        const double begin = s == sim::kComputeStream ? op.start - op.stall
-                                                      : op.start;
+      for (const std::size_t i : lanes_[l]) {
+        const StreamOp& op = ops_[i];
+        // On the compute lane the stall lead-in occupies the lane too:
+        // the op's slot effectively begins at start - stall.
+        const double begin = l == exec::kComputeLane
+                                 ? op.sim_start - op.stall
+                                 : op.sim_start;
         if (begin < prev_end - eps(t_end_)) {
-          error(std::string(sim::stream_name(s)) + " stream overlap: " +
-                op_label(g_, op, i) + " begins before " +
-                op_label(g_, tl_.ops[prev_i], prev_i) + " ends");
+          error(std::string(exec::lane_name(static_cast<exec::Lane>(l))) +
+                " lane overlap: " + op_label(g_, op, i) + " begins before " +
+                op_label(g_, ops_[prev_i], prev_i) + " ends");
         }
-        if (op.end > prev_end) {
-          prev_end = op.end;
+        if (op.sim_end > prev_end) {
+          prev_end = op.sim_end;
           prev_i = i;
         }
       }
@@ -143,25 +154,23 @@ class Checker {
     // Forward ops must replay the graph's node order, backward ops the
     // tape's, and the whole forward phase precedes the backward phase.
     std::vector<NodeId> fwd, bwd;
-    double max_fwd_end = 0.0;
     double min_bwd_start = std::numeric_limits<double>::infinity();
     std::size_t updates = 0;
-    for (const std::size_t i : streams_[sim::kComputeStream]) {
-      const OpRecord& op = tl_.ops[i];
-      if (op.kind == OpKind::kForward) {
+    const auto& compute = lanes_[exec::kComputeLane];
+    for (const std::size_t i : compute) {
+      const StreamOp& op = ops_[i];
+      if (op.type == OpType::kForward) {
         fwd.push_back(op.node);
-        max_fwd_end = std::max(max_fwd_end, op.end);
-      } else if (op.kind == OpKind::kBackward) {
+        sums_.forward_end = std::max(sums_.forward_end, op.sim_end);
+      } else if (op.type == OpType::kBackward) {
         bwd.push_back(op.node);
-        min_bwd_start = std::min(min_bwd_start, op.start);
-      } else if (op.kind == OpKind::kUpdate) {
+        min_bwd_start = std::min(min_bwd_start, op.sim_start);
+      } else if (op.type == OpType::kUpdate) {
         ++updates;
-        if (i != streams_[sim::kComputeStream].back()) {
-          error("update op is not the last compute op");
-        }
+        if (i != compute.back()) error("update op is not the last compute op");
       }
     }
-    if (!fwd.empty() && min_bwd_start < max_fwd_end - eps(t_end_)) {
+    if (!fwd.empty() && min_bwd_start < sums_.forward_end - eps(t_end_)) {
       error("backward phase starts before the forward phase ends");
     }
     if (updates > 1) error("multiple update ops in one iteration");
@@ -188,10 +197,6 @@ class Checker {
         }
       }
     }
-    if (tl_.forward_end > 0.0 && !fwd.empty() &&
-        std::fabs(tl_.forward_end - max_fwd_end) > tol(t_end_)) {
-      error("forward_end does not match the last forward op");
-    }
   }
 
   void collect_materializations() {
@@ -202,17 +207,18 @@ class Checker {
     for (const ValueId in : g_.inputs()) {
       mat_.ready_at[static_cast<std::size_t>(in)].push_back(0.0);
     }
-    for (const auto& op : tl_.ops) {
+    for (const std::size_t i : timed_) {
+      const StreamOp& op = ops_[i];
       if (op.value < 0) continue;
       const std::size_t v = static_cast<std::size_t>(op.value);
-      switch (op.kind) {
-        case OpKind::kForward:
-        case OpKind::kRecompute:
-        case OpKind::kSwapIn:
-          mat_.ready_at[v].push_back(op.end);
+      switch (op.type) {
+        case OpType::kForward:
+        case OpType::kRecompute:
+        case OpType::kSwapIn:
+          mat_.ready_at[v].push_back(op.sim_end);
           break;
-        case OpKind::kSwapOut:
-          mat_.swapouts[v].emplace_back(op.start, op.end);
+        case OpType::kSwapOut:
+          mat_.swapouts[v].emplace_back(op.sim_start, op.sim_end);
           break;
         default:
           break;
@@ -230,7 +236,7 @@ class Checker {
     return *std::prev(it);
   }
 
-  void check_read(ValueId v, double at, const OpRecord& op,
+  void check_read(ValueId v, double at, const StreamOp& op,
                   std::size_t index) {
     const double ready = ready_by(v, at);
     if (std::isnan(ready)) {
@@ -252,30 +258,30 @@ class Checker {
   }
 
   void check_dependencies() {
-    for (const std::size_t i : streams_[sim::kComputeStream]) {
-      const OpRecord& op = tl_.ops[i];
-      if (op.kind == OpKind::kForward || op.kind == OpKind::kRecompute) {
+    for (const std::size_t i : lanes_[exec::kComputeLane]) {
+      const StreamOp& op = ops_[i];
+      if (op.type == OpType::kForward || op.type == OpType::kRecompute) {
         for (const ValueId in : g_.node(op.node).inputs) {
-          check_read(in, op.start, op, i);
+          check_read(in, op.sim_start, op, i);
         }
-      } else if (op.kind == OpKind::kBackward) {
+      } else if (op.type == OpType::kBackward) {
         const auto it = needed_by_node_.find(op.node);
         if (it == needed_by_node_.end()) {
           error(op_label(g_, op, i) + ": backward op for a node not on the "
                                       "tape");
           continue;
         }
-        for (const ValueId v : *it->second) check_read(v, op.start, op, i);
+        for (const ValueId v : *it->second) check_read(v, op.sim_start, op, i);
       }
     }
     // Transfer-order invariants, per value.
-    for (const std::size_t i : streams_[sim::kD2HStream]) {
-      const OpRecord& op = tl_.ops[i];
+    for (const std::size_t i : lanes_[exec::kD2HLane]) {
+      const StreamOp& op = ops_[i];
       if (op.value < 0) {
         error(op_label(g_, op, i) + ": swap-out without a value");
         continue;
       }
-      check_read(op.value, op.start, op, i);
+      check_read(op.value, op.sim_start, op, i);
     }
     for (ValueId v = 0; v < g_.num_values(); ++v) {
       if (mat_.swapouts[static_cast<std::size_t>(v)].size() > 1) {
@@ -283,8 +289,8 @@ class Checker {
               "' swapped out more than once in one iteration");
       }
     }
-    for (const std::size_t i : streams_[sim::kH2DStream]) {
-      const OpRecord& op = tl_.ops[i];
+    for (const std::size_t i : lanes_[exec::kH2DLane]) {
+      const StreamOp& op = ops_[i];
       if (op.value < 0) {
         error(op_label(g_, op, i) + ": swap-in without a value");
         continue;
@@ -292,7 +298,7 @@ class Checker {
       const auto& outs = mat_.swapouts[static_cast<std::size_t>(op.value)];
       bool covered = false;
       for (const auto& [so_start, so_end] : outs) {
-        if (so_end <= op.start + eps(t_end_)) covered = true;
+        if (so_end <= op.sim_start + eps(t_end_)) covered = true;
       }
       if (!covered) {
         error(op_label(g_, op, i) +
@@ -301,46 +307,38 @@ class Checker {
     }
   }
 
-  void check_accounting() {
-    double busy[sim::kNumStreams] = {0.0, 0.0, 0.0};
-    double stall_sum = 0.0;
-    for (const auto& op : tl_.ops) {
-      busy[sim::stream_of(op.kind)] += op.end - op.start;
-      stall_sum += op.stall;
+  void sum_up() {
+    for (const std::size_t i : timed_) {
+      const StreamOp& op = ops_[i];
+      sums_.busy[exec::lane_of(op.type)] += op.sim_end - op.sim_start;
+      sums_.stall += op.stall;
     }
-    const double recorded[sim::kNumStreams] = {tl_.compute_busy, tl_.d2h_busy,
-                                               tl_.h2d_busy};
-    for (int s = 0; s < sim::kNumStreams; ++s) {
-      if (std::fabs(busy[s] - recorded[s]) > tol(busy[s])) {
-        error(std::string(sim::stream_name(s)) + " busy accounting drift: " +
-              "recorded " + std::to_string(recorded[s]) + "s, ops sum to " +
-              std::to_string(busy[s]) + "s");
-      }
-    }
-    if (std::fabs(stall_sum - tl_.compute_stall) > tol(stall_sum)) {
-      error("compute stall accounting drift: recorded " +
-            std::to_string(tl_.compute_stall) + "s, ops sum to " +
-            std::to_string(stall_sum) + "s");
-    }
-    // The compute stream starts at t=0 and is gapless: every idle moment
-    // is attributed as some op's stall, so busy + stall must equal the
-    // stream's end time exactly.
-    const double end = last_compute_end();
-    if (std::fabs((busy[sim::kComputeStream] + stall_sum) - end) >
-        tol(end)) {
-      error("compute stream loses time: busy + stall = " +
-            std::to_string(busy[sim::kComputeStream] + stall_sum) +
-            "s but the stream ends at " + std::to_string(end) + "s");
+    const auto& compute = lanes_[exec::kComputeLane];
+    if (!compute.empty()) sums_.compute_end = ops_[compute.back()].sim_end;
+  }
+
+  /// The compute lane starts at t=0 and is gapless: every idle moment is
+  /// attributed as some op's stall, so busy + stall must equal the
+  /// lane's end time exactly.
+  void check_gapless() {
+    const double busy = sums_.busy[exec::kComputeLane];
+    const double end = sums_.compute_end;
+    if (std::fabs((busy + sums_.stall) - end) > tol(end)) {
+      error("compute lane loses time: busy + stall = " +
+            std::to_string(busy + sums_.stall) + "s but the lane ends at " +
+            std::to_string(end) + "s");
     }
   }
 
   const graph::Graph& g_;
+  const std::vector<StreamOp>& ops_;
   const std::vector<graph::BwdStep>& tape_;
-  const Timeline& tl_;
   ValidationReport& rep_;
+  std::vector<std::size_t> timed_;
   double t_end_ = 0.0;
-  std::vector<std::size_t> streams_[sim::kNumStreams];
+  std::vector<std::size_t> lanes_[exec::kNumLanes];
   Materializations mat_;
+  StreamSums sums_;
   /// node -> needed-values list of its tape step.
   std::map<NodeId, const std::vector<ValueId>*> needed_by_node_;
 };
@@ -359,15 +357,10 @@ TimelineValidator::TimelineValidator(const graph::Graph& graph,
                                      const std::vector<graph::BwdStep>& tape)
     : graph_(graph), tape_(tape) {}
 
-void TimelineValidator::check_structure(const sim::Timeline& tl,
-                                        ValidationReport& rep) const {
-  Checker checker(graph_, tape_, tl, rep);
-  checker.run();
-}
-
-ValidationReport TimelineValidator::check(const sim::Timeline& tl) const {
+ValidationReport TimelineValidator::check(
+    const exec::OpStream& stream) const {
   ValidationReport rep;
-  check_structure(tl, rep);
+  Checker(graph_, tape_, stream, rep).run();
   return rep;
 }
 
@@ -379,26 +372,34 @@ ValidationReport TimelineValidator::check_run(const sim::RunResult& r) const {
                                             : r.failure));
     return rep;
   }
-  check_structure(r.timeline, rep);
+  Checker checker(graph_, tape_, r.stream, rep);
+  checker.run();
+  const StreamSums& sums = checker.sums();
 
-  double last_compute_end = 0.0;
-  for (const auto& op : r.timeline.ops) {
-    if (sim::stream_of(op.kind) == sim::kComputeStream) {
-      last_compute_end = std::max(last_compute_end, op.end);
+  // The run's accounting must close over the ops it recorded.
+  const double recorded[exec::kNumLanes] = {r.compute_busy, r.d2h_busy,
+                                            r.h2d_busy};
+  for (int l = 0; l < exec::kNumLanes; ++l) {
+    if (std::fabs(sums.busy[l] - recorded[l]) > tol(sums.busy[l])) {
+      rep.errors.push_back(
+          std::string(exec::lane_name(static_cast<exec::Lane>(l))) +
+          " busy accounting drift: recorded " + std::to_string(recorded[l]) +
+          "s, ops sum to " + std::to_string(sums.busy[l]) + "s");
     }
   }
+  if (std::fabs(sums.stall - r.compute_stall) > tol(sums.stall)) {
+    rep.errors.push_back("compute stall accounting drift: recorded " +
+                         std::to_string(r.compute_stall) + "s, ops sum to " +
+                         std::to_string(sums.stall) + "s");
+  }
   const double t = std::max(1.0, r.iteration_time);
-  if (std::fabs(r.iteration_time - last_compute_end) > 1e-6 * t) {
+  if (std::fabs(r.iteration_time - sums.compute_end) > 1e-6 * t) {
     rep.errors.push_back("iteration_time does not match the last compute op (" +
                          std::to_string(r.iteration_time) + "s vs " +
-                         std::to_string(last_compute_end) + "s)");
+                         std::to_string(sums.compute_end) + "s)");
   }
-  if (std::fabs(r.forward_time - r.timeline.forward_end) > 1e-6 * t) {
-    rep.errors.push_back("forward_time does not match timeline.forward_end");
-  }
-  if (std::fabs(r.compute_stall - r.timeline.compute_stall) > 1e-6 * t) {
-    rep.errors.push_back(
-        "RunResult.compute_stall does not match timeline.compute_stall");
+  if (std::fabs(r.forward_time - sums.forward_end) > 1e-6 * t) {
+    rep.errors.push_back("forward_time does not match the last forward op");
   }
   if (r.peak_bytes != r.peak_arena_bytes + r.persistent_bytes) {
     rep.errors.push_back(

@@ -2,11 +2,12 @@
 //
 // The planner's whole decision procedure trusts what the timeline
 // simulator says happened, so the schedule itself — not just the numeric
-// results — must be checkable. A TimelineValidator verifies, for any
-// recorded timeline:
+// results — must be checkable. A TimelineValidator verifies, over the
+// timed ops of any recorded exec::OpStream (the bookkeeping ops —
+// begin-iteration and frees — take no time and are skipped):
 //
 //   - every span is well-formed (finite, end >= start, stall >= 0) and
-//     spans on one stream never overlap (nor do their stall lead-ins);
+//     spans on one lane never overlap (nor do their stall lead-ins);
 //   - compute ops follow program order (forward ops in graph order,
 //     backward ops in tape order, forward phase before backward);
 //   - every dependency edge is respected: each value a compute op reads
@@ -16,12 +17,13 @@
 //   - per-value transfer order is sane: at most one swap-out per value
 //     per iteration, and its H2D re-fetches start only after the D2H
 //     completed;
-//   - accounting closes: per-stream busy sums match the recorded ops,
-//     stall sums match, and busy + stall on the compute stream equals
-//     the stream's end time (the compute stream is gapless by
-//     construction — anything else means lost time);
-//   - (RunResult overloads) iteration/forward times match the timeline,
-//     peak = persistent + arena peak, and peak fits the device.
+//   - busy + stall on the compute lane equals the lane's end time (the
+//     compute lane is gapless by construction — anything else means
+//     lost time);
+//   - (RunResult overloads) accounting closes: the run's per-lane busy
+//     sums and compute stall match its recorded ops, iteration/forward
+//     times match the last compute/forward op, peak = persistent +
+//     arena peak, and peak fits the device.
 //
 // Used by tests (including the random-graph fuzzer), the bench harness
 // (POOCH_BENCH_VALIDATE=1) and `pooch_cli --validate`.
@@ -50,11 +52,12 @@ class TimelineValidator {
   TimelineValidator(const graph::Graph& graph,
                     const std::vector<graph::BwdStep>& tape);
 
-  /// Structural checks on a bare timeline.
-  ValidationReport check(const sim::Timeline& tl) const;
+  /// Structural checks on a recorded stream's simulated spans.
+  ValidationReport check(const exec::OpStream& stream) const;
 
-  /// Structural checks plus RunResult accounting (iteration time, stall
-  /// totals, peak composition). The run must have completed (r.ok).
+  /// Structural checks on r.stream plus RunResult accounting (busy and
+  /// stall totals, iteration and forward time, peak composition). The
+  /// run must have completed (r.ok) with recording on.
   ValidationReport check_run(const sim::RunResult& r) const;
 
   /// check_run plus the capacity bound: peak usage must fit in
@@ -75,8 +78,6 @@ class TimelineValidator {
                                 const std::vector<exec::OpSpan>& spans) const;
 
  private:
-  void check_structure(const sim::Timeline& tl, ValidationReport& rep) const;
-
   const graph::Graph& graph_;
   const std::vector<graph::BwdStep>& tape_;
 };

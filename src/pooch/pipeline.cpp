@@ -1,7 +1,6 @@
 #include "pooch/pipeline.hpp"
 
 #include <cmath>
-#include <cstring>
 #include <memory>
 
 #include "common/error.hpp"
@@ -63,45 +62,34 @@ sim::RunResult execute_plan(const sim::Runtime& runtime,
   //       against — when profiled times hold, this reproduces the
   //       planning simulation exactly;
   //   (b) dynamic scheduling with the full device.
-  // Each attempt exports into its own stream; only the returned run's
-  // stream reaches the caller.
-  exec::OpStream* const out = options.export_stream;
-  exec::OpStream scheduled_ops;
-  exec::OpStream dynamic_ops;
+  // Each attempt records its own stream, so the returned run carries
+  // the schedule it scored.
   options.swapin_policy = sim::SwapInPolicy::kEagerMemoryAware;
   options.usable_bytes_override = plan.planning_usable_bytes;
-  if (out) options.export_stream = &scheduled_ops;
   sim::RunResult scheduled = runtime.run(plan.classes, options);
   options.usable_bytes_override = 0;
-  if (out) options.export_stream = &dynamic_ops;
   sim::RunResult dynamic = runtime.run(plan.classes, options);
-  const auto chosen = [out](sim::RunResult& run, exec::OpStream& ops) {
-    if (out) *out = std::move(ops);
-    return std::move(run);
-  };
   if (scheduled.ok &&
       (!dynamic.ok || scheduled.iteration_time <= dynamic.iteration_time)) {
-    return chosen(scheduled, scheduled_ops);
+    return scheduled;
   }
-  if (dynamic.ok) return chosen(dynamic, dynamic_ops);
+  if (dynamic.ok) return dynamic;
   // Last resort: fetch only when needed.
   POOCH_LOG_WARN("scheduled and dynamic execution both failed; trying "
                  "on-demand swap-ins");
   options.swapin_policy = sim::SwapInPolicy::kOnDemand;
-  options.export_stream = out;
   return runtime.run(plan.classes, options);
 }
 
 exec::OpStream record_op_stream(const sim::Runtime& runtime,
                                 const sim::Classification& classes,
                                 sim::RunOptions options) {
-  exec::OpStream stream;
-  options.export_stream = &stream;
+  options.record_stream = true;
   sim::RunResult r = runtime.run(classes, options);
   if (!r.ok) {
     throw Error("record_op_stream: simulation failed: " + r.failure);
   }
-  return stream;
+  return std::move(r.stream);
 }
 
 exec::OpStream record_incore_stream(const graph::Graph& graph,
@@ -144,14 +132,13 @@ double relative_error(double predicted, double observed) {
 /// fallback chain is infeasible.
 exec::OpStream export_plan_stream(const sim::Runtime& runtime,
                                   const PlannerResult& plan) {
-  exec::OpStream stream;
   sim::RunOptions options;
-  options.export_stream = &stream;
-  const sim::RunResult r = execute_plan(runtime, plan, options);
+  options.record_stream = true;
+  sim::RunResult r = execute_plan(runtime, plan, options);
   if (!r.ok) {
     throw Error("planned classification failed at execution: " + r.failure);
   }
-  return stream;
+  return std::move(r.stream);
 }
 
 /// Predicted iteration time of `plan` under `runtime`'s time model,
@@ -162,22 +149,22 @@ double predict_iteration_time(const sim::Runtime& runtime,
   return r.ok ? r.iteration_time : 0.0;
 }
 
-/// Append `runs` to the session timeline, each run shifted onto one
+/// Append `runs[first..]`, replays of `stream`, to the session trace:
+/// the stream's ops once per run, with the run's spans shifted onto one
 /// monotone session clock. Returns the advanced clock.
-double append_session_runs(sim::Timeline& session, double clock,
+double append_session_runs(MeasuredPipelineResult& out, double clock,
+                           const exec::OpStream& stream,
                            const std::vector<exec::AsyncResult>& runs,
                            std::size_t first) {
   for (std::size_t i = first; i < runs.size(); ++i) {
     const exec::AsyncResult& run = runs[i];
-    for (sim::OpRecord op : run.timeline.ops) {
-      op.start += clock;
-      op.end += clock;
-      session.ops.push_back(op);
+    out.session_stream.ops.insert(out.session_stream.ops.end(),
+                                  stream.ops.begin(), stream.ops.end());
+    for (exec::OpSpan span : run.spans) {
+      span.start += clock;
+      span.end += clock;
+      out.session_spans.push_back(span);
     }
-    session.compute_busy += run.timeline.compute_busy;
-    session.compute_stall += run.timeline.compute_stall;
-    session.d2h_busy += run.timeline.d2h_busy;
-    session.h2d_busy += run.timeline.h2d_busy;
     clock += run.wall_seconds;
   }
   return clock;
@@ -218,7 +205,7 @@ MeasuredPipelineResult run_pooch_measured(
   // time model (replaced by the calibrated model after a re-plan).
   if (!mo.time_model) mo.time_model = &ground_truth;
   std::vector<exec::AsyncResult> session_runs;
-  if (options.collect_session_timeline) mo.keep_runs = &session_runs;
+  if (options.collect_session_trace) mo.keep_runs = &session_runs;
 
   kernels::KernelContext* kctx = options.kernel_ctx;
   sim::DataBackend data(graph, options.data_seed, options.learning_rate,
@@ -235,7 +222,7 @@ MeasuredPipelineResult run_pooch_measured(
                                               next_iteration);
     next_iteration += static_cast<std::uint64_t>(mo.warmup_iterations +
                                                  mo.iterations);
-    session_clock = append_session_runs(out.session_timeline, session_clock,
+    session_clock = append_session_runs(out, session_clock, stream,
                                         session_runs, session_consumed);
     session_consumed = session_runs.size();
 
@@ -296,9 +283,8 @@ MeasuredPipelineResult run_pooch_measured(
                                                 next_iteration);
       next_iteration += static_cast<std::uint64_t>(mo.warmup_iterations +
                                                    mo.iterations);
-      session_clock = append_session_runs(
-          out.session_timeline, session_clock, session_runs,
-          session_consumed);
+      session_clock = append_session_runs(out, session_clock, stream,
+                                          session_runs, session_consumed);
       session_consumed = session_runs.size();
       observed = out.measured.iteration_seconds();
     }
@@ -315,9 +301,8 @@ MeasuredPipelineResult run_pooch_measured(
                                      next_iteration);
       next_iteration +=
           static_cast<std::uint64_t>(options.validation_iterations);
-      session_clock = append_session_runs(
-          out.session_timeline, session_clock, session_runs,
-          session_consumed);
+      session_clock = append_session_runs(out, session_clock, stream,
+                                          session_runs, session_consumed);
       session_consumed = session_runs.size();
       observed = validation.iteration_seconds();
     }
@@ -338,9 +323,12 @@ MeasuredPipelineResult run_pooch_measured(
   sim::DataBackend ref(graph, options.data_seed, options.learning_rate);
   try {
     run_incore_reference(graph, tape, ref, out.iterations_executed);
-    const float want = ref.loss();
-    out.bit_identical = std::memcmp(&out.loss, &want, sizeof(float)) == 0 &&
-                        data.param_norm() == ref.param_norm();
+    const std::string diff = data.first_difference(ref);
+    out.bit_identical = diff.empty();
+    if (!out.bit_identical) {
+      out.failure = "measured execution not bit-identical to in-core: " +
+                    diff + " differs";
+    }
   } catch (const Error& e) {
     out.failure = e.what();
   }
@@ -362,9 +350,6 @@ MeasuredPipelineResult run_pooch_measured(
         .set(out.calibrated_error);
   }
   out.ok = out.bit_identical;
-  if (!out.ok && out.failure.empty()) {
-    out.failure = "measured execution not bit-identical to in-core";
-  }
   return out;
 }
 

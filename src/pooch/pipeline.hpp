@@ -59,14 +59,13 @@ PipelineResult run_pooch(const graph::Graph& graph,
 /// `plan.planning_usable_bytes` and on the full device, the faster of
 /// the two winning (ties go to the clamped run); if both OOM (timing
 /// drift), on-demand swap-ins. Returns the chosen run (or the last
-/// failure). When `options.export_stream` is set it receives the op
-/// stream of exactly the returned run — the one path from a plan to a
-/// replayable stream.
+/// failure); with `options.record_stream` set it carries the op stream
+/// it scored — the one path from a plan to a replayable stream.
 sim::RunResult execute_plan(const sim::Runtime& runtime,
                             const PlannerResult& plan,
                             sim::RunOptions options = {});
 
-/// Simulate `classes` on `runtime` and return the exported replayable op
+/// Simulate `classes` on `runtime` and return the recorded replayable op
 /// stream for exec::AsyncExecutor (plans go through execute_plan instead,
 /// so the stream follows its fallback chain). Throws
 /// pooch::Error when the simulation cannot complete under `options`
@@ -84,7 +83,7 @@ exec::OpStream record_incore_stream(const graph::Graph& graph,
 /// The in-core reference every out-of-core execution is verified
 /// against: train `data` through iterations [0, iterations) by replaying
 /// record_incore_stream on one compute worker — serial program order.
-/// Throws pooch::Error when the export or a replay fails, so a reference
+/// Throws pooch::Error when the recording or a replay fails, so a reference
 /// that did not run can never compare equal.
 void run_incore_reference(const graph::Graph& graph,
                           const std::vector<graph::BwdStep>& tape,
@@ -124,10 +123,10 @@ struct MeasuredPipelineOptions {
   float learning_rate = 0.01f;
   /// Kernel execution context for the real runs (null = serial).
   kernels::KernelContext* kernel_ctx = nullptr;
-  /// Collect a whole-session timeline (all measured iterations
-  /// concatenated on one clock, re-plan markers included) for Chrome
-  /// trace export. Off by default — it retains every run's spans.
-  bool collect_session_timeline = false;
+  /// Collect a whole-session trace (all measured iterations
+  /// concatenated on one clock) for obs::write_async_chrome_trace. Off
+  /// by default — it retains every run's spans.
+  bool collect_session_trace = false;
   /// Metrics sink (calibration.* and profile.drift.* metrics).
   obs::StatsRegistry* stats = nullptr;
 };
@@ -162,8 +161,11 @@ struct MeasuredPipelineResult {
   float loss = 0.0f;
   bool bit_identical = false;
 
-  /// Whole measured session on one clock (collect_session_timeline).
-  sim::Timeline session_timeline;
+  /// Whole measured session on one clock (collect_session_trace): each
+  /// executed run's stream ops, and parallel to them its measured spans
+  /// shifted onto the session clock.
+  exec::OpStream session_stream;
+  std::vector<exec::OpSpan> session_spans;
   /// (seconds-into-session, label) re-plan instants for trace export.
   std::vector<std::pair<double, std::string>> trace_markers;
 };

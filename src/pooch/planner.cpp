@@ -127,7 +127,6 @@ PoochPlanner::Eval PoochPlanner::simulate(const Classification& classes,
                                           SearchCtx& ctx) const {
   sim::RunOptions ro;
   ro.swapin_policy = options_.policy;
-  ro.record_timeline = false;
   const sim::RunResult r =
       (unbounded ? unbounded_runtime_ : runtime_).run(classes, ro);
   ctx.sims.fetch_add(1, std::memory_order_relaxed);

@@ -47,30 +47,33 @@ MeasuredProfile::MeasuredProfile(int num_nodes, int num_values)
   POOCH_CHECK(num_nodes >= 0 && num_values >= 0);
 }
 
-void MeasuredProfile::record_timeline(const sim::Timeline& timeline,
-                                      double seconds) {
-  for (const sim::OpRecord& op : timeline.ops) {
-    const double dur = op.end - op.start;
-    switch (op.kind) {
-      case sim::OpKind::kForward:
-      case sim::OpKind::kRecompute:  // a second forward sample
-        record_forward(op.node, dur);
-        break;
-      case sim::OpKind::kBackward:
-        record_backward(op.node, dur);
-        break;
-      case sim::OpKind::kSwapOut:
-        record_d2h(op.value, dur);
-        break;
-      case sim::OpKind::kSwapIn:
-        record_h2d(op.value, dur);
-        break;
-      case sim::OpKind::kUpdate:
-        record_update(dur);
-        break;
-    }
+void MeasuredProfile::record_op(const exec::StreamOp& op, double seconds) {
+  switch (op.type) {
+    case exec::OpType::kForward:
+    case exec::OpType::kRecompute:  // a second forward sample
+      record_forward(op.node, seconds);
+      break;
+    case exec::OpType::kBackward:
+      record_backward(op.node, seconds);
+      break;
+    case exec::OpType::kSwapOut:
+      record_d2h(op.value, seconds);
+      break;
+    case exec::OpType::kSwapIn:
+      record_h2d(op.value, seconds);
+      break;
+    case exec::OpType::kUpdate:
+      record_update(seconds);
+      break;
+    case exec::OpType::kBeginIteration:
+    case exec::OpType::kFreeValue:
+    case exec::OpType::kFreeGrad:
+      break;
   }
-  record_iteration_seconds(seconds);
+}
+
+void MeasuredProfile::record_iteration(double seconds) {
+  iteration_.push_back(seconds);
   ++iterations_recorded_;
 }
 
@@ -88,9 +91,6 @@ void MeasuredProfile::record_h2d(graph::ValueId value, double seconds) {
 }
 void MeasuredProfile::record_update(double seconds) {
   update_.push_back(seconds);
-}
-void MeasuredProfile::record_iteration_seconds(double seconds) {
-  iteration_.push_back(seconds);
 }
 
 double MeasuredProfile::estimate(const std::vector<double>& samples) const {
@@ -214,7 +214,11 @@ MeasuredProfile measure_op_stream(const graph::Graph& graph,
                   " failed: " + res.failure);
     }
     if (it >= options.warmup_iterations) {
-      profile.record_timeline(res.timeline, res.wall_seconds);
+      for (std::size_t i = 0; i < run_stream.ops.size(); ++i) {
+        profile.record_op(run_stream.ops[i],
+                          res.spans[i].end - res.spans[i].start);
+      }
+      profile.record_iteration(res.wall_seconds);
     }
     if (options.keep_runs) options.keep_runs->push_back(std::move(res));
   }

@@ -3,16 +3,18 @@
 // The paper's PoocH is *profiling-based* — it plans from per-layer
 // compute times and per-tensor transfer times measured during the first
 // training iterations on the actual hardware. A MeasuredProfile is the
-// one container for those observations: it folds the timeline of each
-// executed iteration into per-op sample sets and condenses them into
+// one container for those observations: it folds each executed
+// iteration into per-op sample sets and condenses them into
 // the per-op estimates cost::CalibratedTimeModel serves to the planner.
-// Two producers fill it:
-//   - the simulated profiler (profiler.hpp) records the swap-all
-//     iterations it observes through the noisy roofline model and keeps
-//     their per-op mean (mean());
-//   - measure_op_stream below records the wall-clock timelines of real
-//     exec::AsyncExecutor runs (whose kernels execute through
-//     kernels::KernelContext on real tensors).
+// Every executed iteration is an exec::OpStream; its ops fold in through
+// one call keyed on their exec::OpType, with the duration the caller
+// observed. Two producers fill it:
+//   - the simulated profiler (profiler.hpp) folds the simulated spans of
+//     the swap-all iterations it observes through the noisy roofline
+//     model and keeps their per-op mean (mean());
+//   - measure_op_stream below folds the measured spans
+//     (exec::AsyncResult::spans) of real exec::AsyncExecutor runs (whose
+//     kernels execute through kernels::KernelContext on real tensors).
 //
 // Wall-clock methodology (docs/PROFILING.md):
 //   - warm-up iterations are executed but never recorded (cold caches,
@@ -30,7 +32,6 @@
 #include "exec/async_executor.hpp"
 #include "exec/op_stream.hpp"
 #include "graph/graph.hpp"
-#include "sim/timeline.hpp"
 
 namespace pooch::obs {
 class StatsRegistry;
@@ -60,7 +61,7 @@ struct MeasureOptions {
   /// Metrics sink (calibration.* counters/gauges).
   obs::StatsRegistry* stats = nullptr;
   /// When set, every executed run's AsyncResult (warm-up runs included)
-  /// is appended here — raw material for a session timeline.
+  /// is appended here — raw material for a session trace.
   std::vector<exec::AsyncResult>* keep_runs = nullptr;
 };
 
@@ -71,10 +72,14 @@ class MeasuredProfile {
  public:
   MeasuredProfile(int num_nodes, int num_values);
 
-  /// Fold one executed iteration into the sample sets: one sample per
-  /// timeline op (a recompute is a second forward sample) plus the
-  /// iteration's end-to-end `seconds`.
-  void record_timeline(const sim::Timeline& timeline, double seconds);
+  /// Fold one executed op that took `seconds` into its sample set: a
+  /// forward or recompute (a second forward sample) of its node, a
+  /// backward of its node, a swap of its value, or the update.
+  /// Bookkeeping ops (begin-iteration, frees) take no time and are
+  /// skipped.
+  void record_op(const exec::StreamOp& op, double seconds);
+  /// Close one executed iteration that took `seconds` end to end.
+  void record_iteration(double seconds);
 
   /// Record a single observation directly (tests, external timers).
   void record_forward(graph::NodeId node, double seconds);
@@ -82,7 +87,6 @@ class MeasuredProfile {
   void record_d2h(graph::ValueId value, double seconds);
   void record_h2d(graph::ValueId value, double seconds);
   void record_update(double seconds);
-  void record_iteration_seconds(double seconds);
 
   // --- estimates (median of outlier-filtered samples; 0 = unobserved) ---
   double forward_seconds(graph::NodeId node) const;

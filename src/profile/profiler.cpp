@@ -48,12 +48,15 @@ ProfileData run_profiler(const Graph& graph,
   for (int it = 0; it < options.iterations; ++it) {
     sim::RunOptions ro;
     ro.swapin_policy = data.policy_used;
-    ro.record_timeline = true;
+    ro.record_stream = true;
     ro.iteration = static_cast<std::uint64_t>(it);
     const sim::RunResult r = runtime.run(swap_all, ro);
     POOCH_CHECK_MSG(r.ok, "profiling iteration failed: " << r.failure);
     data.profiled_seconds += r.iteration_time;
-    samples.record_timeline(r.timeline, r.iteration_time);
+    for (const exec::StreamOp& op : r.stream.ops) {
+      samples.record_op(op, op.sim_end - op.sim_start);
+    }
+    samples.record_iteration(r.iteration_time);
   }
   // The mean, not the wall-clock path's median-of-k: the injected jitter
   // is symmetric with no outliers to reject, and the Table 3 golden

@@ -439,4 +439,24 @@ double DataBackend::param_norm() const {
   return std::sqrt(acc);
 }
 
+std::string DataBackend::first_difference(const DataBackend& other) const {
+  POOCH_CHECK(graph_.num_nodes() == other.graph_.num_nodes());
+  for (const auto& n : graph_.nodes()) {
+    const auto i = static_cast<std::size_t>(n.id);
+    POOCH_CHECK(params_[i].size() == other.params_[i].size());
+    for (std::size_t k = 0; k < params_[i].size(); ++k) {
+      const char* what =
+          !bit_equal(params_[i][k], other.params_[i][k]) ? "param "
+          : !bit_equal(param_grads_[i][k], other.param_grads_[i][k])
+              ? "param grad "
+              : nullptr;
+      if (what) return what + std::to_string(k) + " of '" + n.name + "'";
+    }
+  }
+  if (std::memcmp(&last_loss_, &other.last_loss_, sizeof(float)) != 0) {
+    return "loss";
+  }
+  return "";
+}
+
 }  // namespace pooch::sim

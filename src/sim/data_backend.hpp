@@ -13,6 +13,7 @@
 #pragma once
 
 #include <cstdint>
+#include <string>
 #include <vector>
 
 #include "graph/graph.hpp"
@@ -76,6 +77,12 @@ class DataBackend {
 
   /// Flat L2 norm over all parameters (cheap convergence signal).
   double param_norm() const;
+
+  /// The bit-identity verdict between two training states of the same
+  /// graph: "" when every parameter, parameter gradient and the loss
+  /// match bit for bit, otherwise the first that differs — "param 0 of
+  /// 'conv1'" / "param grad 0 of 'conv1'" in graph order, then "loss".
+  std::string first_difference(const DataBackend& other) const;
 
  private:
   Tensor& ensure_value(graph::ValueId v);

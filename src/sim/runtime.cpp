@@ -14,9 +14,11 @@
 
 namespace pooch::sim {
 
+using exec::OpType;
+using exec::StallCause;
+using exec::StreamOp;
 using graph::BwdStep;
 using graph::Graph;
-using graph::kNoNode;
 using graph::LayerKind;
 using graph::NodeId;
 using graph::ValueId;
@@ -107,10 +109,7 @@ class Exec {
       states_[static_cast<std::size_t>(v.id)].fwd_remaining =
           plan_.fwd_consumers[static_cast<std::size_t>(v.id)];
     }
-    if (xs_) {
-      xs_->ops.clear();
-      xs_->iteration = opts_.iteration;
-    }
+    result_.stream.iteration = opts_.iteration;
     build_prefetch_queue();
     build_free_indices();
   }
@@ -131,7 +130,7 @@ class Exec {
     result_.oom = true;
     result_.failure = std::move(why);
     bump("runtime.oom");
-    if (xs_) xs_->ops.clear();  // only a completed schedule is exported
+    result_.stream.ops.clear();  // only a completed schedule is recorded
     finalize();
     return std::move(result_);
   }
@@ -142,35 +141,71 @@ class Exec {
   ValueState& st(ValueId v) { return states_[static_cast<std::size_t>(v)]; }
   std::size_t vbytes(ValueId v) const { return g_.value(v).byte_size(); }
 
-  // ---- op-stream export ----------------------------------------------
+  // ---- recording -----------------------------------------------------
   //
-  // Every piece of real work the schedule implies is appended to the
-  // exported stream in program order (see exec/op_stream.hpp).
+  // Every op the schedule implies goes through record() (timed work) or
+  // record_bookkeeping() (begin-iteration and frees), in program order.
+  // The accounting always runs; the op joins the stream only when the
+  // run records it (see exec/op_stream.hpp).
 
-  void emit(exec::OpType type, NodeId node, ValueId value, std::size_t bytes,
-            double start, double end, bool releases_host = false) {
-    if (!xs_) return;
-    xs_->ops.push_back(exec::StreamOp{type, node, value, bytes, releases_host,
-                                      start, end});
+  /// Account one timed op — busy time on its lane, the stall it
+  /// inflicted on the compute lane and the value blamed for it — and
+  /// append it to the stream when recording. A swap's byte count is
+  /// filled in here.
+  void record(StreamOp op) {
+    const double dur = op.sim_end - op.sim_start;
+    switch (exec::lane_of(op.type)) {
+      case exec::kComputeLane:
+        result_.compute_busy += dur;
+        result_.compute_stall += op.stall;
+        break;
+      case exec::kD2HLane:
+        result_.d2h_busy += dur;
+        bump("runtime.swapouts");
+        observe("runtime.transfer_seconds", dur);
+        break;
+      case exec::kH2DLane:
+        result_.h2d_busy += dur;
+        bump("runtime.swapins");
+        observe("runtime.transfer_seconds", dur);
+        break;
+    }
+    if (op.type == OpType::kRecompute) bump("runtime.recomputes");
+    if (op.stall > 0.0) {
+      observe("runtime.stall_seconds", op.stall);
+      const ValueId blame = op.stall_value;
+      if (op.stall_cause == StallCause::kSwapInWait && blame >= 0) {
+        result_.swapin_stall += op.stall;
+        result_.stall_by_value[static_cast<std::size_t>(blame)] += op.stall;
+        mark_unhidden(result_.unhidden_swapins, blame);
+      } else if (op.stall_cause == StallCause::kMemoryWait && blame >= 0) {
+        result_.memory_stall += op.stall;
+        result_.stall_by_value[static_cast<std::size_t>(blame)] += op.stall;
+        mark_unhidden(result_.unhidden_swapouts, blame);
+      }
+    }
+    if (!opts_.record_stream) return;
+    if (exec::lane_of(op.type) != exec::kComputeLane) {
+      op.bytes = vbytes(op.value);
+    }
+    result_.stream.ops.push_back(op);
   }
 
-  void export_compute(exec::OpType type, NodeId node, double start,
-                      double end) {
-    if (!xs_) return;
-    const bool produces = type == exec::OpType::kForward ||
-                          type == exec::OpType::kRecompute;
-    emit(type, node, produces ? g_.node(node).output : -1, 0, start, end);
+  /// Append a zero-duration bookkeeping op at time t when recording.
+  void record_bookkeeping(OpType type, ValueId v, double t,
+                          bool releases_host = false) {
+    if (!opts_.record_stream) return;
+    result_.stream.ops.push_back(StreamOp{
+        .type = type,
+        .value = v,
+        .bytes = releases_host ? vbytes(v) : 0,
+        .releases_host = releases_host,
+        .sim_start = t,
+        .sim_end = t});
   }
 
-  void export_swap(exec::OpType type, ValueId v, double start, double end) {
-    if (!xs_) return;
-    emit(type, kNoNode, v, vbytes(v), start, end);
-  }
-
-  void export_free_value(ValueId v, double t, bool releases_host) {
-    if (!xs_) return;
-    emit(exec::OpType::kFreeValue, kNoNode, v, releases_host ? vbytes(v) : 0,
-         t, t, releases_host);
+  static void mark_unhidden(std::vector<ValueId>& set, ValueId v) {
+    if (std::find(set.begin(), set.end(), v) == set.end()) set.push_back(v);
   }
 
   // ---- metrics -----------------------------------------------------
@@ -351,31 +386,18 @@ class Exec {
   }
 
   /// A cancelled prefetch never ran its DMA: take it back out of the
-  /// timeline (busy accounting and, when recorded, the op span itself)
-  /// and out of the exported stream, or the H2D stream would show two
-  /// transfers over the same interval after the cursor rollback. The
-  /// duration comes from the H2D cursor (this prefetch is the stream's
-  /// latest issue, so the cursor sits at its end) — never from
+  /// H2D busy sum and, when recorded, out of the stream, or the H2D lane
+  /// would show two transfers over the same interval after the cursor
+  /// rollback. The duration comes from the H2D cursor (this prefetch is
+  /// the lane's latest issue, so the cursor sits at its end) — never from
   /// re-querying the time model, whose noisy profiling variant draws
   /// fresh jitter per call.
   void unrecord_swapin(const IssuedPrefetch& p) {
-    result_.timeline.h2d_busy -= t_h2d_ - p.h2d_start;
-    if (xs_) erase_latest(xs_->ops, p.value, [](const exec::StreamOp& op) {
-      return op.type == exec::OpType::kSwapIn;
-    });
-    if (opts_.record_timeline) {
-      erase_latest(result_.timeline.ops, p.value, [](const OpRecord& op) {
-        return op.kind == OpKind::kSwapIn;
-      });
-    }
-  }
-
-  /// Erase the latest entry of `ops` on `value` that satisfies `is_swapin`.
-  template <typename Op, typename Pred>
-  static void erase_latest(std::vector<Op>& ops, ValueId value,
-                           Pred is_swapin) {
+    result_.h2d_busy -= t_h2d_ - p.h2d_start;
+    if (!opts_.record_stream) return;
+    auto& ops = result_.stream.ops;
     for (auto it = ops.rbegin(); it != ops.rend(); ++it) {
-      if (is_swapin(*it) && it->value == value) {
+      if (it->type == OpType::kSwapIn && it->value == p.value) {
         ops.erase(std::next(it).base());
         return;
       }
@@ -422,7 +444,7 @@ class Exec {
       s.swapin_issued = false;
       s.dev.reset();
       s.ready = 0.0;
-      export_free_value(it->value, now, /*releases_host=*/false);
+      record_bookkeeping(OpType::kFreeValue, it->value, now);
       next_q_ = std::min(next_q_, it->queue_index);
       issued_.erase(std::next(it).base());
       bump("runtime.rescue.evict_completed_prefetch");
@@ -456,7 +478,7 @@ class Exec {
     s.dev.reset();
     s.swapin_issued = false;
     s.ready = 0.0;
-    export_free_value(best, now, /*releases_host=*/false);
+    record_bookkeeping(OpType::kFreeValue, best, now);
     bump("runtime.rescue.wait_inflight_prefetch");
     return true;
   }
@@ -484,63 +506,9 @@ class Exec {
     s.dev.reset();
     s.swapin_issued = false;
     s.ready = 0.0;
-    export_free_value(best, now, /*releases_host=*/false);
+    record_bookkeeping(OpType::kFreeValue, best, now);
     bump("runtime.rescue.evict_clean_resident");
     return true;
-  }
-
-  // ---- recording -----------------------------------------------------
-
-  void record(OpKind kind, NodeId node, ValueId value, double start,
-              double end, double stall, StallCause cause, ValueId blame) {
-    switch (kind) {
-      case OpKind::kForward:
-      case OpKind::kBackward:
-      case OpKind::kRecompute:
-      case OpKind::kUpdate:
-        result_.timeline.compute_busy += end - start;
-        result_.timeline.compute_stall += stall;
-        result_.compute_stall += stall;
-        break;
-      case OpKind::kSwapOut:
-        result_.timeline.d2h_busy += end - start;
-        bump("runtime.swapouts");
-        observe("runtime.transfer_seconds", end - start);
-        break;
-      case OpKind::kSwapIn:
-        result_.timeline.h2d_busy += end - start;
-        bump("runtime.swapins");
-        observe("runtime.transfer_seconds", end - start);
-        break;
-    }
-    if (kind == OpKind::kRecompute) bump("runtime.recomputes");
-    if (stall > 0.0) observe("runtime.stall_seconds", stall);
-    if (stall > 0.0) {
-      if (cause == StallCause::kSwapInWait && blame >= 0) {
-        result_.swapin_stall += stall;
-        result_.stall_by_value[static_cast<std::size_t>(blame)] += stall;
-        mark_unhidden(result_.unhidden_swapins, blame);
-      } else if (cause == StallCause::kMemoryWait && blame >= 0) {
-        result_.memory_stall += stall;
-        result_.stall_by_value[static_cast<std::size_t>(blame)] += stall;
-        mark_unhidden(result_.unhidden_swapouts, blame);
-      }
-    }
-    if (!opts_.record_timeline) return;
-    OpRecord r;
-    r.kind = kind;
-    r.node = node;
-    r.value = value;
-    r.start = start;
-    r.end = end;
-    r.stall = stall;
-    r.stall_cause = cause;
-    r.stall_value = blame;
-    result_.timeline.ops.push_back(r);
-  }
-
-  static void mark_unhidden(std::vector<ValueId>& set, ValueId v) {
-    if (std::find(set.begin(), set.end(), v) == set.end()) set.push_back(v);
   }
 
   // ---- swap transfers ------------------------------------------------
@@ -557,12 +525,13 @@ class Exec {
     t_d2h_ = end;
     s.d2h_end = end;
     s.on_host = true;
-    export_swap(exec::OpType::kSwapOut, v, start, end);
+    record({.type = OpType::kSwapOut,
+            .value = v,
+            .sim_start = start,
+            .sim_end = end});
     // The device buffer is reclaimable only once the copy has finished.
     schedule_free(*s.dev, end, v, /*from_d2h=*/true);
     s.dev.reset();
-    record(OpKind::kSwapOut, kNoNode, v, start, end, 0.0, StallCause::kNone,
-           -1);
   }
 
   /// Issue the H2D for v. `blocking` allocs may advance virtual time;
@@ -594,13 +563,14 @@ class Exec {
     s.dev = off;
     s.ready = end;
     s.swapin_issued = true;
-    export_swap(exec::OpType::kSwapIn, v, start, end);
+    record({.type = OpType::kSwapIn,
+            .value = v,
+            .sim_start = start,
+            .sim_end = end});
     if (!blocking) {
       issued_.push_back(IssuedPrefetch{v, off, start, prev_cursor,
                                        queue_index});
     }
-    record(OpKind::kSwapIn, kNoNode, v, start, end, 0.0, StallCause::kNone,
-           -1);
     return true;
   }
 
@@ -669,7 +639,7 @@ class Exec {
   // ---- forward phase -------------------------------------------------
 
   void place_graph_inputs() {
-    export_compute(exec::OpType::kBeginIteration, kNoNode, 0.0, 0.0);
+    record_bookkeeping(OpType::kBeginIteration, -1, 0.0);
     for (ValueId in : g_.inputs()) {
       AllocOutcome a =
           blocking_alloc(vbytes(in), 0.0, "graph input", value_side(in));
@@ -686,7 +656,7 @@ class Exec {
     if (plan_.discard[vi]) {
       schedule_free(*s.dev, t, v, /*from_d2h=*/false);
       s.dev.reset();
-      export_free_value(v, t, /*releases_host=*/false);
+      record_bookkeeping(OpType::kFreeValue, v, t);
       return;
     }
     if (plan_.swap_out[vi]) {
@@ -725,8 +695,14 @@ class Exec {
         blame = mem_blame;
       }
       const double end = start + tm_.forward_time(node.id);
-      export_compute(exec::OpType::kForward, node.id, start, end);
-      record(OpKind::kForward, node.id, out, start, end, stall, cause, blame);
+      record({.type = OpType::kForward,
+              .node = node.id,
+              .value = out,
+              .sim_start = start,
+              .sim_end = end,
+              .stall = stall,
+              .stall_cause = cause,
+              .stall_value = blame});
       st(out).dev = a_out.offset;
       st(out).ready = end;
       if (ws_off) schedule_free(*ws_off, end, -1, false);
@@ -737,7 +713,6 @@ class Exec {
       if (st(out).fwd_remaining == 0) finish_forward_use(out, end);
     }
     result_.forward_time = t_comp_;
-    result_.timeline.forward_end = t_comp_;
     // Swap-outs still in flight when forward compute finished are, by the
     // paper's Figure-11 definition, not hidden by computation.
     for (ValueId v = 0; v < g_.num_values(); ++v) {
@@ -816,8 +791,14 @@ class Exec {
     const double dur = tm_.forward_time(node.id);
     const double end = start + dur;
     result_.recompute_seconds += dur;
-    export_compute(exec::OpType::kRecompute, node.id, start, end);
-    record(OpKind::kRecompute, node.id, out, start, end, stall, cause, blame);
+    record({.type = OpType::kRecompute,
+            .node = node.id,
+            .value = node.output,
+            .sim_start = start,
+            .sim_end = end,
+            .stall = stall,
+            .stall_cause = cause,
+            .stall_value = blame});
     if (ws_off) schedule_free(*ws_off, end, -1, false);
     ValueState& s = st(out);
     s.dev = a_out.offset;
@@ -905,9 +886,13 @@ class Exec {
         }
       }
       const double end = start + tm_.backward_time(bstep.node);
-      export_compute(exec::OpType::kBackward, bstep.node, start, end);
-      record(OpKind::kBackward, bstep.node, g_.node(bstep.node).output, start,
-             end, stall, cause, blame);
+      record({.type = OpType::kBackward,
+              .node = bstep.node,
+              .sim_start = start,
+              .sim_end = end,
+              .stall = stall,
+              .stall_cause = cause,
+              .stall_value = blame});
       t_comp_ = end;
       clear_pins();
 
@@ -917,7 +902,8 @@ class Exec {
       // Free feature maps whose last backward use was this step.
       for (ValueId v : values_by_last_use_[k]) {
         ValueState& s = st(v);
-        export_free_value(v, end, /*releases_host=*/s.on_host);
+        record_bookkeeping(OpType::kFreeValue, v, end,
+                           /*releases_host=*/s.on_host);
         if (s.dev.has_value()) {
           schedule_free(*s.dev, end, v, false);
           s.dev.reset();
@@ -936,7 +922,7 @@ class Exec {
         }
       }
       for (ValueId v : grad_backend_free_by_step_[k]) {
-        emit(exec::OpType::kFreeGrad, kNoNode, v, 0, end, end);
+        record_bookkeeping(OpType::kFreeGrad, v, end);
       }
     }
   }
@@ -944,9 +930,7 @@ class Exec {
   void run_update() {
     const double start = t_comp_;
     const double end = start + tm_.update_time();
-    export_compute(exec::OpType::kUpdate, kNoNode, start, end);
-    record(OpKind::kUpdate, kNoNode, -1, start, end, 0.0, StallCause::kNone,
-           -1);
+    record({.type = OpType::kUpdate, .sim_start = start, .sim_end = end});
     t_comp_ = end;
   }
 
@@ -963,10 +947,9 @@ class Exec {
     if (!opts_.stats) return;
     set_gauge("runtime.last.iteration_seconds", result_.iteration_time);
     set_gauge("runtime.last.forward_seconds", result_.forward_time);
-    set_gauge("runtime.last.compute_busy_seconds",
-              result_.timeline.compute_busy);
-    set_gauge("runtime.last.d2h_busy_seconds", result_.timeline.d2h_busy);
-    set_gauge("runtime.last.h2d_busy_seconds", result_.timeline.h2d_busy);
+    set_gauge("runtime.last.compute_busy_seconds", result_.compute_busy);
+    set_gauge("runtime.last.d2h_busy_seconds", result_.d2h_busy);
+    set_gauge("runtime.last.h2d_busy_seconds", result_.h2d_busy);
     set_gauge("runtime.last.compute_stall_seconds", result_.compute_stall);
     set_gauge("runtime.last.swapin_stall_seconds", result_.swapin_stall);
     set_gauge("runtime.last.memory_stall_seconds", result_.memory_stall);
@@ -1011,8 +994,6 @@ class Exec {
   double t_comp_ = 0.0;
   double t_d2h_ = 0.0;
   double t_h2d_ = 0.0;
-
-  exec::OpStream* const xs_ = opts_.export_stream;
 
   RunResult result_;
 };

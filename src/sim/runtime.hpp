@@ -3,9 +3,10 @@
 //
 // It is the *timeline simulator* PoocH's classifier queries thousands of
 // times (§4.1.2: "PoocH simulates an execution timeline and memory
-// management processes"). It never touches tensors: a run can export the
-// schedule it scored as an exec::OpStream, and exec::AsyncExecutor — the
-// only code that executes real kernels — replays exactly that op list.
+// management processes"). It never touches tensors: a run can record the
+// schedule it scored as an exec::OpStream — its one record of every op,
+// span and stall — and exec::AsyncExecutor, the only code that executes
+// real kernels, replays exactly that op list.
 // The paper's premise that the simulation models the execution becomes
 // "the executor runs the op list the simulator scored", audited by
 // obs::TimelineValidator::check_replay.
@@ -26,15 +27,11 @@
 #include "graph/autodiff.hpp"
 #include "graph/graph.hpp"
 #include "sim/plan.hpp"
+#include "exec/op_stream.hpp"
 #include "sim/time_model.hpp"
-#include "sim/timeline.hpp"
 
 namespace pooch::obs {
 class StatsRegistry;
-}
-
-namespace pooch::exec {
-struct OpStream;
 }
 
 namespace pooch::sim {
@@ -59,8 +56,9 @@ struct RunOptions {
   /// SuperNeurons semantics: a trigger-time swap-in that cannot get
   /// memory is a hard failure instead of being deferred.
   bool oom_on_prefetch_failure = false;
-  /// Record per-op spans (disable inside hot classifier loops).
-  bool record_timeline = false;
+  /// Record the schedule as RunResult::stream (off inside hot classifier
+  /// loops, which only need the scores).
+  bool record_stream = false;
   /// Mixed into dropout masks; bump per training iteration.
   std::uint64_t iteration = 0;
   /// Scales the free-memory headroom the eager prefetcher preserves.
@@ -74,12 +72,6 @@ struct RunOptions {
   /// clamps to the capacity the plan was validated against, so it
   /// reproduces the planning simulation's memory behaviour exactly.
   std::size_t usable_bytes_override = 0;
-  /// When set, the run additionally exports its schedule as a replayable
-  /// op list (see exec/op_stream.hpp) — the input to exec::AsyncExecutor.
-  /// Holds ops only when the run completes (ok). Cancelled prefetches are
-  /// erased again, mirroring unrecord_swapin. planner::execute_plan
-  /// hands it the stream of the one attempt it returns.
-  exec::OpStream* export_stream = nullptr;
   /// Metrics sink. When set, the run publishes counters (transfers,
   /// recomputes, OOM-rescue events, eager-prefetch headroom blocks),
   /// per-stream busy/stall gauges, arena statistics and stall/transfer
@@ -101,6 +93,11 @@ struct RunResult {
   std::size_t peak_bytes = 0;           // persistent + dynamic peak
   std::size_t peak_host_bytes = 0;
 
+  /// Busy seconds per lane: the summed durations of the ops it ran.
+  double compute_busy = 0.0;
+  double d2h_busy = 0.0;
+  double h2d_busy = 0.0;
+
   double compute_stall = 0.0;
   double swapin_stall = 0.0;   // stalls blamed on H2D completions
   double memory_stall = 0.0;   // stalls blamed on D2H-gated allocations
@@ -116,7 +113,10 @@ struct RunResult {
   /// Per-value compute-stall seconds blamed on that value's transfers.
   std::vector<double> stall_by_value;
 
-  Timeline timeline;
+  /// The recorded schedule (RunOptions::record_stream): every op with
+  /// its simulated span and stall attribution, replayable by
+  /// exec::AsyncExecutor. Holds ops only when the run completed (ok).
+  exec::OpStream stream;
 
   /// images/sec given a batch size.
   double throughput(std::int64_t batch) const {
@@ -136,11 +136,10 @@ class Runtime {
   /// const references; every piece of simulation state (arena, host pool,
   /// value states, stream cursors, the RunResult) lives in a per-call
   /// Exec on this thread's stack. Concurrent run() calls on one Runtime
-  /// are therefore safe provided (a) the TimeModel reports
-  /// concurrent_safe() — NoisyTimeModel does not, its queries mutate a
-  /// shared Rng — and (b) options.export_stream is null or distinct per
-  /// thread. An attached StatsRegistry is safe: counters and gauges are
-  /// atomic. The parallel planner (pooch::planner) relies on exactly this.
+  /// are therefore safe provided the TimeModel reports concurrent_safe()
+  /// — NoisyTimeModel does not, its queries mutate a shared Rng. An
+  /// attached StatsRegistry is safe: counters and gauges are atomic. The
+  /// parallel planner (pooch::planner) relies on exactly this.
   RunResult run(const Classification& classes,
                 const RunOptions& options = {}) const;
 

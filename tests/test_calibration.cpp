@@ -1,7 +1,7 @@
 // The measured-calibration loop (docs/PROFILING.md):
 //   - MeasuredProfile's estimator is a median with outlier rejection;
-//   - record_timeline maps timeline ops onto the right op sample sets,
-//     and an executor run's timeline covers every timed stream op;
+//   - record_op maps each op type onto the right sample set, and an
+//     executor run's spans cover every timed stream op;
 //   - CalibratedTimeModel learns per-category fallback scales, serves
 //     observed ops as measured, and stays concurrent_safe (the parallel
 //     planner must choose the identical plan at any thread count under
@@ -20,6 +20,7 @@
 #include "graph/liveness.hpp"
 #include "kernels/kernel_context.hpp"
 #include "models/models.hpp"
+#include "obs/trace.hpp"
 #include "pooch/pipeline.hpp"
 #include "profile/measured_profile.hpp"
 #include "sim/runtime.hpp"
@@ -84,28 +85,28 @@ TEST(MeasuredProfile, MeanKeepsOneSamplePerOp) {
   EXPECT_EQ(m.total_samples(), 3);
 }
 
-TEST(MeasuredProfile, RecordTimelineMapsOpKinds) {
-  // Hand-built timeline: each op kind must land in its own sample set
-  // (a recompute counts as a forward sample).
-  sim::Timeline timeline;
-  auto push = [&](sim::OpKind kind, graph::NodeId n, graph::ValueId v) {
-    sim::OpRecord op;
-    op.kind = kind;
-    op.node = n;
-    op.value = v;
-    op.start = static_cast<double>(timeline.ops.size());
-    op.end = op.start + 0.5;  // every op "took" 0.5s
-    timeline.ops.push_back(op);
+TEST(MeasuredProfile, RecordOpMapsOpTypes) {
+  // Hand-built stream: each op type must land in its own sample set (a
+  // recompute counts as a forward sample, bookkeeping ops count nothing).
+  exec::OpStream stream;
+  auto push = [&](exec::OpType type, graph::NodeId n, graph::ValueId v) {
+    stream.ops.push_back({.type = type, .node = n, .value = v});
   };
-  push(sim::OpKind::kForward, 0, -1);
-  push(sim::OpKind::kSwapOut, graph::kNoNode, 1);
-  push(sim::OpKind::kSwapIn, graph::kNoNode, 1);
-  push(sim::OpKind::kRecompute, 0, 1);
-  push(sim::OpKind::kBackward, 0, -1);
-  push(sim::OpKind::kUpdate, graph::kNoNode, -1);
+  push(exec::OpType::kBeginIteration, graph::kNoNode, -1);
+  push(exec::OpType::kForward, 0, 0);
+  push(exec::OpType::kSwapOut, graph::kNoNode, 1);
+  push(exec::OpType::kSwapIn, graph::kNoNode, 1);
+  push(exec::OpType::kRecompute, 0, 1);
+  push(exec::OpType::kBackward, 0, -1);
+  push(exec::OpType::kFreeValue, graph::kNoNode, 1);
+  push(exec::OpType::kFreeGrad, graph::kNoNode, 1);
+  push(exec::OpType::kUpdate, graph::kNoNode, -1);
 
   MeasuredProfile p(1, 2);
-  p.record_timeline(timeline, 8.0);
+  for (const exec::StreamOp& op : stream.ops) {
+    p.record_op(op, 0.5);  // every op "took" 0.5s
+  }
+  p.record_iteration(8.0);
   EXPECT_TRUE(p.has_forward(0));
   EXPECT_TRUE(p.has_backward(0));
   EXPECT_TRUE(p.has_d2h(1));
@@ -120,10 +121,10 @@ TEST(MeasuredProfile, RecordTimelineMapsOpKinds) {
   EXPECT_DOUBLE_EQ(p.compute_coverage(), 1.0);
 }
 
-TEST(MeasuredProfile, ExecutorTimelineCoversEveryTimedStreamOp) {
-  // The executor's OpType -> OpKind mapping feeds record_timeline: every
-  // kernel and transfer of the stream becomes one sample of its op, and
-  // bookkeeping ops (begin, frees) none.
+TEST(MeasuredProfile, ExecutorSpansCoverEveryTimedStreamOp) {
+  // The measured spans of one executor run fold in through record_op:
+  // every kernel and transfer of the stream becomes one sample of its
+  // op, and bookkeeping ops (begin, frees) none.
   const graph::Graph g = models::small_cnn(2, 16);
   const auto tape = graph::build_backward_tape(g);
   const cost::MachineConfig machine = cost::x86_pcie();
@@ -136,7 +137,10 @@ TEST(MeasuredProfile, ExecutorTimelineCoversEveryTimedStreamOp) {
   ASSERT_TRUE(res.ok) << res.failure;
 
   MeasuredProfile p(g.num_nodes(), g.num_values());
-  p.record_timeline(res.timeline, res.wall_seconds);
+  for (std::size_t i = 0; i < stream.ops.size(); ++i) {
+    p.record_op(stream.ops[i], res.spans[i].end - res.spans[i].start);
+  }
+  p.record_iteration(res.wall_seconds);
   std::int64_t timed = 1;  // the iteration time
   for (const exec::StreamOp& op : stream.ops) {
     switch (op.type) {
@@ -332,7 +336,7 @@ TEST(MeasuredPipeline, InjectedDriftForcesReplanBitIdentically) {
   mo.measure.iterations = 2;
   mo.calibrate.inject_drift = 4.0;  // stale profile: 4x the real times
   mo.replan_threshold = 0.25;
-  mo.collect_session_timeline = true;
+  mo.collect_session_trace = true;
   const auto out = planner::run_pooch_measured(rig.g, rig.tape, rig.machine,
                                                *rig.tm, mo);
   ASSERT_TRUE(out.failure.empty()) << out.failure;
@@ -343,7 +347,19 @@ TEST(MeasuredPipeline, InjectedDriftForcesReplanBitIdentically) {
   EXPECT_TRUE(out.bit_identical);
   // Re-plan markers are stamped into the session for trace export.
   EXPECT_EQ(out.trace_markers.size(), static_cast<std::size_t>(out.replans));
-  EXPECT_FALSE(out.session_timeline.ops.empty());
+  // The session trace holds one copy of the stream per executed run,
+  // each span on the session clock.
+  EXPECT_FALSE(out.session_stream.ops.empty());
+  ASSERT_EQ(out.session_spans.size(), out.session_stream.ops.size());
+  for (const auto& span : out.session_spans) EXPECT_GE(span.end, span.start);
+  const obs::json::Value trace = obs::async_chrome_trace(
+      rig.g, out.session_stream, out.session_spans,
+      {.markers = out.trace_markers});
+  std::size_t markers = 0;
+  for (const obs::json::Value& e : trace.find("traceEvents")->as_array()) {
+    markers += e.find("cat") && e.find("cat")->as_string() == "calibration";
+  }
+  EXPECT_EQ(markers, out.trace_markers.size());
   for (const auto& [seconds, label] : out.trace_markers) {
     EXPECT_GE(seconds, 0.0);
     EXPECT_NE(label.find("re-plan"), std::string::npos);

@@ -1,6 +1,6 @@
 // Observability layer: JSON round-trip, Chrome-trace export schema,
 // stats registry semantics, and the timeline validator — both that it
-// accepts every timeline the simulator produces and that it rejects
+// accepts every stream the simulator records and that it rejects
 // hand-corrupted ones (a validator that cannot fail proves nothing).
 #include <gtest/gtest.h>
 
@@ -21,8 +21,8 @@ namespace pooch::obs {
 namespace {
 
 using graph::Graph;
+using exec::OpType;
 using sim::Classification;
-using sim::OpKind;
 using sim::RunOptions;
 using sim::RunResult;
 using sim::ValueClass;
@@ -142,7 +142,7 @@ struct SwapAllRun {
         tm(g, machine),
         rt(g, tape, machine, tm) {
     auto opts = baselines::swap_all_scheduled_options();
-    opts.record_timeline = true;
+    opts.record_stream = true;
     r = rt.run(Classification(g, ValueClass::kSwap), opts);
   }
 };
@@ -155,7 +155,7 @@ TEST(Trace, ExportIsParseableAndSchemaConformant) {
   TraceOptions topt;
   topt.classes = &classes;
   const auto parsed =
-      json::parse(chrome_trace_json(run.g, run.r.timeline, topt));
+      json::parse(chrome_trace_json(run.g, run.r, topt));
   ASSERT_TRUE(parsed.ok) << parsed.error;
   const json::Value& doc = parsed.value;
 
@@ -188,12 +188,15 @@ TEST(Trace, ExportIsParseableAndSchemaConformant) {
       ++metadata;
     }
   }
-  // One slice per op plus one per stalled op.
+  // One slice per timed op plus one per stalled op; bookkeeping ops
+  // (begin-iteration, frees) get none.
   std::size_t stalled_ops = 0;
-  for (const auto& op : run.r.timeline.ops) {
+  for (const auto& op : run.r.stream.ops) {
     if (op.stall > 0.0) ++stalled_ops;
   }
-  EXPECT_EQ(slices, run.r.timeline.ops.size() + stalled_ops);
+  const auto timed = static_cast<std::size_t>(run.r.stream.timed_count());
+  EXPECT_LT(timed, run.r.stream.ops.size());
+  EXPECT_EQ(slices, timed + stalled_ops);
   EXPECT_EQ(stalls, stalled_ops);
   EXPECT_GT(stalled_ops, 0u);  // swap-all on paper_example does stall
   EXPECT_GE(metadata, 4u);     // process name + three stream names
@@ -201,9 +204,9 @@ TEST(Trace, ExportIsParseableAndSchemaConformant) {
   const json::Value* agg = doc.find("pooch");
   ASSERT_NE(agg, nullptr);
   EXPECT_NEAR(agg->find("compute_busy_s")->as_double(),
-              run.r.timeline.compute_busy, 1e-12);
+              run.r.compute_busy, 1e-12);
   EXPECT_EQ(agg->find("num_ops")->as_int(),
-            static_cast<std::int64_t>(run.r.timeline.ops.size()));
+            static_cast<std::int64_t>(timed));
 }
 
 // ---- validator: accepts real timelines -----------------------------
@@ -220,7 +223,7 @@ TEST(Validator, AcceptsSimulatorTimelines) {
   const auto sn =
       baselines::superneurons_plan(run.g, run.tape, run.machine, run.tm);
   auto opts = baselines::superneurons_run_options();
-  opts.record_timeline = true;
+  opts.record_stream = true;
   const RunResult r2 = run.rt.run(sn.classes, opts);
   ASSERT_TRUE(r2.ok) << r2.failure;
   EXPECT_TRUE(validator.check_run(r2).ok())
@@ -234,28 +237,29 @@ TEST(Validator, AcceptsSimulatorTimelines) {
     if (v % 3 == 1) mixed.set(v, ValueClass::kKeep);
   }
   RunOptions ro;
-  ro.record_timeline = true;
+  ro.record_stream = true;
   const RunResult r3 = run.rt.run(mixed, ro);
   ASSERT_TRUE(r3.ok) << r3.failure;
   EXPECT_TRUE(validator.check_run(r3).ok())
       << validator.check_run(r3).to_string();
 }
 
-// ---- validator: rejects corrupted timelines ------------------------
+// ---- validator: rejects corrupted streams ---------------------------
 
 TEST(Validator, RejectsOverlappingComputeSpans) {
   SwapAllRun run;
   ASSERT_TRUE(run.r.ok) << run.r.failure;
-  RunResult bad = run.r;
-  // Stretch the first forward op over its successor on the same stream.
-  for (auto& op : bad.timeline.ops) {
-    if (op.kind == OpKind::kForward) {
-      op.end += 1.0;
+  exec::OpStream bad = run.r.stream;
+  // Stretch the first forward op over its successor on the same lane.
+  for (auto& op : bad.ops) {
+    if (op.type == OpType::kForward) {
+      op.sim_end += 1.0;
       break;
     }
   }
   const TimelineValidator validator(run.g, run.tape);
-  const auto rep = validator.check(bad.timeline);
+  ASSERT_TRUE(validator.check(run.r.stream).ok());
+  const auto rep = validator.check(bad);
   EXPECT_FALSE(rep.ok());
   bool mentions_overlap = false;
   for (const auto& e : rep.errors) {
@@ -267,38 +271,54 @@ TEST(Validator, RejectsOverlappingComputeSpans) {
 TEST(Validator, RejectsSwapInCompletingAfterConsumer) {
   SwapAllRun run;
   ASSERT_TRUE(run.r.ok) << run.r.failure;
-  RunResult bad = run.r;
-  // Push one swap-in's completion past the end of the timeline while
-  // keeping the stream busy sum consistent, so only the dependency
-  // check can catch it.
+  exec::OpStream bad = run.r.stream;
+  // Push one swap-in's completion past the end of the schedule while
+  // keeping the lane's busy sum consistent, so only the dependency check
+  // can catch it.
   double last_end = 0.0;
-  for (const auto& op : bad.timeline.ops) last_end = std::max(last_end, op.end);
-  for (auto& op : bad.timeline.ops) {
-    if (op.kind == OpKind::kSwapIn) {
-      const double shift = last_end + 1.0 - op.start;
-      op.start += shift;
-      op.end += shift;
+  for (const auto& op : bad.ops) last_end = std::max(last_end, op.sim_end);
+  for (auto& op : bad.ops) {
+    if (op.type == OpType::kSwapIn) {
+      const double shift = last_end + 1.0 - op.sim_start;
+      op.sim_start += shift;
+      op.sim_end += shift;
       break;
     }
   }
   const TimelineValidator validator(run.g, run.tape);
-  const auto rep = validator.check(bad.timeline);
+  const auto rep = validator.check(bad);
   EXPECT_FALSE(rep.ok());
+  bool mentions_read = false;
+  for (const auto& e : rep.errors) {
+    if (e.find("reads v") != std::string::npos) mentions_read = true;
+  }
+  EXPECT_TRUE(mentions_read) << rep.to_string();
 }
 
 TEST(Validator, RejectsBrokenStallAccounting) {
   SwapAllRun run;
   ASSERT_TRUE(run.r.ok) << run.r.failure;
-  ASSERT_GT(run.r.timeline.compute_stall, 0.0);
-  RunResult bad = run.r;
-  bad.timeline.compute_stall *= 0.5;
+  ASSERT_GT(run.r.compute_stall, 0.0);
   const TimelineValidator validator(run.g, run.tape);
-  EXPECT_FALSE(validator.check(bad.timeline).ok());
+  // Halving one op's stall loses time on the gapless compute lane.
+  RunResult bad = run.r;
+  for (auto& op : bad.stream.ops) {
+    if (op.stall > 0.0) {
+      op.stall *= 0.5;
+      break;
+    }
+  }
+  EXPECT_FALSE(validator.check(bad.stream).ok());
+  EXPECT_FALSE(validator.check_run(bad).ok());
 
-  // check_run also cross-checks the RunResult's own stall field.
+  // check_run also cross-checks the RunResult's own accounting against
+  // the recorded ops.
   RunResult bad2 = run.r;
   bad2.compute_stall += 1.0;
   EXPECT_FALSE(validator.check_run(bad2).ok());
+  RunResult bad3 = run.r;
+  bad3.h2d_busy *= 0.5;
+  EXPECT_FALSE(validator.check_run(bad3).ok());
 }
 
 // ---- stats wiring --------------------------------------------------

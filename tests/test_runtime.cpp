@@ -143,56 +143,49 @@ TEST(Runtime, RecomputeReducesPeakAndAddsComputeTime) {
 TEST(Runtime, TimelineRecordsWhenEnabled) {
   Rig rig(models::small_cnn(2), machine_with_capacity(4096));
   RunOptions opts;
-  opts.record_timeline = true;
+  opts.record_stream = true;
   const auto r = rig.run(ValueClass::kSwap, opts);
   ASSERT_TRUE(r.ok);
-  EXPECT_FALSE(r.timeline.ops.empty());
+  EXPECT_FALSE(r.stream.ops.empty());
   // Every forward node appears once; plus swap-outs, swap-ins, bwd, update.
   int fwd = 0, bwd = 0, d2h = 0, h2d = 0, upd = 0;
-  for (const auto& op : r.timeline.ops) {
-    switch (op.kind) {
-      case OpKind::kForward: ++fwd; break;
-      case OpKind::kBackward: ++bwd; break;
-      case OpKind::kSwapOut: ++d2h; break;
-      case OpKind::kSwapIn: ++h2d; break;
-      case OpKind::kUpdate: ++upd; break;
+  for (const auto& op : r.stream.ops) {
+    switch (op.type) {
+      case exec::OpType::kForward: ++fwd; break;
+      case exec::OpType::kBackward: ++bwd; break;
+      case exec::OpType::kSwapOut: ++d2h; break;
+      case exec::OpType::kSwapIn: ++h2d; break;
+      case exec::OpType::kUpdate: ++upd; break;
       default: break;
     }
-    EXPECT_GE(op.end, op.start);
+    EXPECT_GE(op.sim_end, op.sim_start);
   }
   EXPECT_EQ(fwd, rig.g.num_nodes());
   EXPECT_EQ(bwd, rig.g.num_nodes());
   EXPECT_EQ(d2h, h2d);
   EXPECT_GT(d2h, 0);
   EXPECT_EQ(upd, 1);
-  EXPECT_FALSE(r.timeline.render(rig.g).empty());
+  EXPECT_FALSE(r.stream.render().empty());
 
   const auto quiet = rig.run(ValueClass::kSwap);
-  EXPECT_TRUE(quiet.timeline.ops.empty());
-  EXPECT_GT(quiet.timeline.compute_busy, 0.0);
+  EXPECT_TRUE(quiet.stream.ops.empty());
+  EXPECT_GT(quiet.compute_busy, 0.0);
 }
 
 TEST(Runtime, BusyCountersConsistent) {
   Rig rig(models::small_cnn(4), machine_with_capacity(4096));
   RunOptions opts;
-  opts.record_timeline = true;
+  opts.record_stream = true;
   const auto r = rig.run(ValueClass::kSwap, opts);
   ASSERT_TRUE(r.ok);
-  double comp = 0.0, d2h = 0.0, h2d = 0.0;
-  for (const auto& op : r.timeline.ops) {
-    const double dur = op.end - op.start;
-    if (op.kind == OpKind::kSwapOut) {
-      d2h += dur;
-    } else if (op.kind == OpKind::kSwapIn) {
-      h2d += dur;
-    } else {
-      comp += dur;
-    }
+  double busy[exec::kNumLanes] = {};
+  for (const auto& op : r.stream.ops) {
+    busy[exec::lane_of(op.type)] += op.sim_end - op.sim_start;
   }
-  EXPECT_NEAR(comp, r.timeline.compute_busy, 1e-9);
-  EXPECT_NEAR(d2h, r.timeline.d2h_busy, 1e-9);
-  EXPECT_NEAR(h2d, r.timeline.h2d_busy, 1e-9);
-  EXPECT_GE(r.iteration_time, r.timeline.compute_busy);
+  EXPECT_NEAR(busy[exec::kComputeLane], r.compute_busy, 1e-9);
+  EXPECT_NEAR(busy[exec::kD2HLane], r.d2h_busy, 1e-9);
+  EXPECT_NEAR(busy[exec::kH2DLane], r.h2d_busy, 1e-9);
+  EXPECT_GE(r.iteration_time, r.compute_busy);
 }
 
 TEST(Runtime, PaperExampleHasUnhiddenTailSwapouts) {

@@ -195,16 +195,15 @@ TEST(RescueChain, EvictionKeepsTightRunsAliveAndNumbersExact) {
       *tight.rt, Classification(tight.g, ValueClass::kSwap), 1, 1, {}, 1, 31);
   const auto ref_backend =
       testing::serial_reference(probe.g, probe.tape, 1, 31);
-  EXPECT_EQ(tight_backend->loss(), ref_backend->loss());
-  EXPECT_EQ(tight_backend->param_norm(), ref_backend->param_norm());
+  EXPECT_EQ(tight_backend->first_difference(*ref_backend), "");
 }
 
 TEST(RescueChain, CancelledPrefetchesNeverLeaveDanglingSwapIns) {
-  // Regression guard for the op-stream export: when the rescue chain
-  // cancels an issued-but-not-started prefetch, the exported stream must
-  // erase that H2D op exactly like unrecord_swapin drops it from the
-  // timeline. A dangling span here would make the AsyncExecutor fetch a
-  // value whose host copy was never meant to be read at that point.
+  // Regression guard for the recorded stream: when the rescue chain
+  // cancels an issued-but-not-started prefetch, unrecord_swapin must
+  // erase that H2D op along with its busy time. A dangling span here
+  // would make the AsyncExecutor fetch a value whose host copy was never
+  // meant to be read at that point.
   Rig probe(models::small_cnn(8, 32), 4096, 1.0);
   const auto keep = probe.rt->run(Classification(probe.g, ValueClass::kKeep));
   ASSERT_TRUE(keep.ok);
@@ -212,7 +211,6 @@ TEST(RescueChain, CancelledPrefetchesNeverLeaveDanglingSwapIns) {
   // Sweep capacity downward until a completing run actually exercised
   // prefetch cancellation (the chain's first rung).
   std::unique_ptr<Rig> tight;
-  exec::OpStream stream;
   RunResult r;
   for (const std::size_t pct : {80, 75, 70, 65, 60}) {
     auto rig = std::make_unique<Rig>(
@@ -221,8 +219,7 @@ TEST(RescueChain, CancelledPrefetchesNeverLeaveDanglingSwapIns) {
     obs::StatsRegistry stats;
     RunOptions ro;
     ro.stats = &stats;
-    ro.record_timeline = true;
-    ro.export_stream = &stream;
+    ro.record_stream = true;
     r = rig->rt->run(Classification(rig->g, ValueClass::kSwap), ro);
     if (r.ok && stats.counter_value("runtime.rescue.cancel_prefetch") > 0) {
       tight = std::move(rig);
@@ -231,12 +228,16 @@ TEST(RescueChain, CancelledPrefetchesNeverLeaveDanglingSwapIns) {
   }
   ASSERT_TRUE(tight) << "no capacity in the sweep triggered a prefetch cancel";
 
-  // Exactly the surviving transfers appear in the stream — cancelled
-  // prefetches are erased, none dangle.
-  int tl_swapins = 0;
-  for (const auto& op : r.timeline.ops) tl_swapins += op.kind == OpKind::kSwapIn;
-  EXPECT_EQ(stream.count(exec::OpType::kSwapIn), tl_swapins);
-  const auto errors = stream.validate(tight->g, tight->tape);
+  // Exactly the surviving transfers appear in the stream: their
+  // durations add up to the H2D busy time, from which every cancelled
+  // prefetch was taken back out. A cancelled op left in the stream would
+  // add its full duration.
+  double h2d = 0.0;
+  for (const auto& op : r.stream.ops) {
+    if (op.type == exec::OpType::kSwapIn) h2d += op.sim_end - op.sim_start;
+  }
+  EXPECT_NEAR(h2d, r.h2d_busy, 1e-12 * std::max(1.0, r.iteration_time));
+  const auto errors = r.stream.validate(tight->g, tight->tape);
   EXPECT_TRUE(errors.empty())
       << errors.size() << " errors, first: " << errors.front();
 
@@ -246,8 +247,7 @@ TEST(RescueChain, CancelledPrefetchesNeverLeaveDanglingSwapIns) {
       31);
   const auto ref_backend =
       testing::serial_reference(probe.g, probe.tape, 1, 31);
-  EXPECT_EQ(async_backend->loss(), ref_backend->loss());
-  EXPECT_EQ(async_backend->param_norm(), ref_backend->param_norm());
+  EXPECT_EQ(async_backend->first_difference(*ref_backend), "");
 }
 
 TEST(StallAttribution, BlamesTheSlowValues) {
@@ -299,7 +299,7 @@ bool same_ops(const exec::OpStream& a, const exec::OpStream& b) {
       });
 }
 
-TEST(ExecutePlan, ExportsTheRunItReturns) {
+TEST(ExecutePlan, RecordsTheRunItReturns) {
   // A hand-built plan, so no planner runs: swap-all on a 96 MiB device,
   // "validated" against a clamped pool.
   Rig rig(models::paper_example(16, 56, 64), 96);
@@ -311,22 +311,21 @@ TEST(ExecutePlan, ExportsTheRunItReturns) {
 
   // Clamped to 72 MiB, the scheduled run ties the full-device run in
   // iteration time but issues its swap-ins at other times. Ties go to
-  // the scheduled run, and so must the exported stream.
+  // the scheduled run, and so must the recorded stream.
   plan.planning_usable_bytes = 72 * kMiB;
   RunOptions clamped;
   clamped.usable_bytes_override = plan.planning_usable_bytes;
   const exec::OpStream scheduled =
       planner::record_op_stream(*rig.rt, plan.classes, clamped);
   ASSERT_FALSE(same_ops(scheduled, dynamic))
-      << "the two attempts must export different streams";
-  exec::OpStream got;
+      << "the two attempts must record different streams";
   RunOptions ro;
-  ro.export_stream = &got;
+  ro.record_stream = true;
   RunResult r = planner::execute_plan(*rig.rt, plan, ro);
   ASSERT_TRUE(r.ok) << r.failure;
   EXPECT_EQ(r.iteration_time,
             rig.rt->run(plan.classes, clamped).iteration_time);
-  EXPECT_TRUE(same_ops(got, scheduled)) << "scheduled wins the tie";
+  EXPECT_TRUE(same_ops(r.stream, scheduled)) << "scheduled wins the tie";
 
   // Clamped to 1 MiB the parameters alone do not fit: the scheduled
   // attempt fails and the dynamic run, with its stream, is returned.
@@ -334,7 +333,7 @@ TEST(ExecutePlan, ExportsTheRunItReturns) {
   r = planner::execute_plan(*rig.rt, plan, ro);
   ASSERT_TRUE(r.ok) << r.failure;
   EXPECT_EQ(r.iteration_time, rig.rt->run(plan.classes).iteration_time);
-  EXPECT_TRUE(same_ops(got, dynamic)) << "dynamic fallback";
+  EXPECT_TRUE(same_ops(r.stream, dynamic)) << "dynamic fallback";
 }
 
 TEST(Profiler, RecordsThePolicyItActuallyUsed) {

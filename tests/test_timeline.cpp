@@ -2,16 +2,22 @@
 
 #include "graph/autodiff.hpp"
 #include "models/models.hpp"
+#include "exec/op_stream.hpp"
 #include "sim/runtime.hpp"
-#include "sim/timeline.hpp"
 
 namespace pooch::sim {
 namespace {
 
 TEST(Timeline, EmptyRendersPlaceholder) {
-  Timeline t;
-  const auto g = models::mlp(2, 4, {4}, 2);
-  EXPECT_EQ(t.render(g), "(empty timeline)\n");
+  exec::OpStream s;
+  EXPECT_EQ(s.render(), "(empty timeline)\n");
+  // Bookkeeping ops take no time and draw nothing.
+  s.ops.push_back({.type = exec::OpType::kBeginIteration});
+  s.ops.push_back({.type = exec::OpType::kFreeValue,
+                   .value = 0,
+                   .sim_start = 1.0,
+                   .sim_end = 1.0});
+  EXPECT_EQ(s.render(), "(empty timeline)\n");
 }
 
 TEST(Timeline, RenderContainsAllLanesAndGlyphs) {
@@ -22,10 +28,10 @@ TEST(Timeline, RenderContainsAllLanesAndGlyphs) {
   const CostTimeModel tm(g, machine);
   const Runtime rt(g, tape, machine, tm);
   RunOptions ro;
-  ro.record_timeline = true;
+  ro.record_stream = true;
   const auto r = rt.run(Classification(g, ValueClass::kSwap), ro);
   ASSERT_TRUE(r.ok);
-  const std::string s = r.timeline.render(g, 80);
+  const std::string s = r.stream.render(80);
   EXPECT_NE(s.find("compute"), std::string::npos);
   EXPECT_NE(s.find("d2h"), std::string::npos);
   EXPECT_NE(s.find("h2d"), std::string::npos);
@@ -56,15 +62,11 @@ TEST(Timeline, RecomputeGlyphAppears) {
     }
   }
   RunOptions ro;
-  ro.record_timeline = true;
+  ro.record_stream = true;
   const auto r = rt.run(c, ro);
   ASSERT_TRUE(r.ok);
-  EXPECT_NE(r.timeline.render(g).find('R'), std::string::npos);
-  int recomputes = 0;
-  for (const auto& op : r.timeline.ops) {
-    recomputes += op.kind == OpKind::kRecompute;
-  }
-  EXPECT_GT(recomputes, 0);
+  EXPECT_NE(r.stream.render().find('R'), std::string::npos);
+  EXPECT_GT(r.stream.count(exec::OpType::kRecompute), 0);
 }
 
 TEST(Timeline, ForwardEndSeparatesPhases) {
@@ -74,30 +76,19 @@ TEST(Timeline, ForwardEndSeparatesPhases) {
   const CostTimeModel tm(g, machine);
   const Runtime rt(g, tape, machine, tm);
   RunOptions ro;
-  ro.record_timeline = true;
+  ro.record_stream = true;
   const auto r = rt.run(Classification(g, ValueClass::kKeep), ro);
   ASSERT_TRUE(r.ok);
-  EXPECT_GT(r.timeline.forward_end, 0.0);
-  EXPECT_LT(r.timeline.forward_end, r.iteration_time);
-  for (const auto& op : r.timeline.ops) {
-    if (op.kind == OpKind::kForward) {
-      EXPECT_LE(op.end, r.timeline.forward_end + 1e-12);
+  EXPECT_GT(r.forward_time, 0.0);
+  EXPECT_LT(r.forward_time, r.iteration_time);
+  for (const auto& op : r.stream.ops) {
+    if (op.type == exec::OpType::kForward) {
+      EXPECT_LE(op.sim_end, r.forward_time + 1e-12);
     }
-    if (op.kind == OpKind::kBackward) {
-      EXPECT_GE(op.start, r.timeline.forward_end - 1e-12);
+    if (op.type == exec::OpType::kBackward) {
+      EXPECT_GE(op.sim_start, r.forward_time - 1e-12);
     }
   }
-}
-
-TEST(Timeline, ClearResetsEverything) {
-  Timeline t;
-  t.ops.push_back({});
-  t.compute_busy = 1.0;
-  t.forward_end = 2.0;
-  t.clear();
-  EXPECT_TRUE(t.ops.empty());
-  EXPECT_EQ(t.compute_busy, 0.0);
-  EXPECT_EQ(t.forward_end, 0.0);
 }
 
 TEST(Timeline, StallMarkedInRender) {
@@ -109,11 +100,11 @@ TEST(Timeline, StallMarkedInRender) {
   const CostTimeModel tm(g, machine);
   const Runtime rt(g, tape, machine, tm);
   RunOptions ro;
-  ro.record_timeline = true;
+  ro.record_stream = true;
   const auto r = rt.run(Classification(g, ValueClass::kSwap), ro);
   ASSERT_TRUE(r.ok);
   ASSERT_GT(r.compute_stall, 0.0);
-  EXPECT_NE(r.timeline.render(g).find('#'), std::string::npos);
+  EXPECT_NE(r.stream.render().find('#'), std::string::npos);
 }
 
 }  // namespace

@@ -10,7 +10,6 @@
 // method on the same workload.
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <fstream>
 #include <string>
 #include <vector>
@@ -60,9 +59,10 @@ struct CliOptions {
   std::string load_plan;  // execute this saved classification instead
   std::string trace;      // write a Chrome-trace JSON here
 
-  /// Per-op spans are needed for --timeline, --trace and --validate.
-  bool want_timeline() const {
-    return timeline || validate || !trace.empty();
+  /// The recorded op stream is needed for --timeline, --trace,
+  /// --validate and --kernel-threads.
+  bool record_stream() const {
+    return timeline || validate || !trace.empty() || kernel_threads > 0;
   }
 };
 
@@ -350,20 +350,21 @@ void execute_for_real(Context& ctx, const char* name,
     ctx.exit_status = 1;
     return;
   }
-  const float got = data.loss();
-  const float want = ref.loss();
-  const bool same = std::memcmp(&got, &want, sizeof(float)) == 0 &&
-                    data.param_norm() == ref.param_norm();
-  std::printf("%-16s loss %.6f: %s\n", "", got,
-              same ? "bit-identical to serial in-core reference"
-                   : "MISMATCH vs serial in-core reference");
-  if (!same) ctx.exit_status = 1;
+  const std::string diff = data.first_difference(ref);
+  if (diff.empty()) {
+    std::printf("%-16s loss %.6f: bit-identical to serial in-core "
+                "reference\n", "", data.loss());
+  } else {
+    std::printf("%-16s loss %.6f: MISMATCH vs serial in-core reference "
+                "(%s differs)\n", "", data.loss(), diff.c_str());
+    ctx.exit_status = 1;
+  }
 }
 
 /// Print the simulated run `r` of `classes`; under --kernel-threads also
-/// execute `stream`, the op stream `r` exported.
+/// execute r.stream, the op stream `r` recorded.
 void report(Context& ctx, const char* name, const sim::RunResult& r,
-            const exec::OpStream& stream, const sim::Classification& classes,
+            const sim::Classification& classes,
             const std::array<int, 3>* counts = nullptr) {
   if (!r.ok) {
     std::printf("%-16s OOM\n", name);
@@ -382,15 +383,15 @@ void report(Context& ctx, const char* name, const sim::RunResult& r,
                 (*counts)[0], (*counts)[1], (*counts)[2]);
   }
   if (ctx.o.timeline) {
-    std::fputs(r.timeline.render(ctx.g).c_str(), stdout);
+    std::fputs(r.stream.render().c_str(), stdout);
   }
   if (ctx.o.validate) {
     obs::TimelineValidator validator(ctx.g, ctx.tape);
     const obs::ValidationReport rep =
         validator.check_run(r, ctx.machine.usable_gpu_bytes());
     if (rep.ok()) {
-      std::printf("%-16s timeline valid (%zu ops)\n", "",
-                  r.timeline.ops.size());
+      std::printf("%-16s timeline valid (%d ops)\n", "",
+                  r.stream.timed_count());
     } else {
       std::fprintf(stderr, "%s: timeline INVALID\n%s", name,
                    rep.to_string().c_str());
@@ -401,10 +402,10 @@ void report(Context& ctx, const char* name, const sim::RunResult& r,
     obs::TraceOptions topt;
     topt.classes = &classes;
     const std::string path = trace_path_for(ctx.o, name);
-    obs::write_chrome_trace(path, ctx.g, r.timeline, topt);
+    obs::write_chrome_trace(path, ctx.g, r, topt);
     std::printf("%-16s trace written to %s\n", "", path.c_str());
   }
-  if (ctx.o.kernel_threads > 0) execute_for_real(ctx, name, stream);
+  if (ctx.o.kernel_threads > 0) execute_for_real(ctx, name, r.stream);
 }
 
 /// --measured-profile: the full calibration loop (docs/PROFILING.md).
@@ -428,7 +429,7 @@ void run_measured_profile(Context& ctx) {
   mo.calibrate.inject_drift = ctx.o.inject_drift;
   mo.replan_threshold = ctx.o.replan_threshold;
   mo.kernel_ctx = &kctx;
-  mo.collect_session_timeline = !ctx.o.trace.empty();
+  mo.collect_session_trace = !ctx.o.trace.empty();
   mo.stats = stats;
 
   const auto out = planner::run_pooch_measured(ctx.g, ctx.tape, ctx.machine,
@@ -474,7 +475,8 @@ void run_measured_profile(Context& ctx) {
     topt.classes = &plan.classes;
     topt.markers = out.trace_markers;
     const std::string path = with_infix(ctx.o.trace, "calibration");
-    obs::write_chrome_trace(path, ctx.g, out.session_timeline, topt);
+    obs::write_async_chrome_trace(path, ctx.g, out.session_stream,
+                                  out.session_spans, topt);
     std::printf("%-16s session trace written to %s\n", "", path.c_str());
   }
   if (ctx.o.show_classes) {
@@ -491,26 +493,25 @@ void run_method(Context& ctx, const std::string& method) {
   obs::StatsRegistry* stats =
       ctx.o.show_stats ? &obs::StatsRegistry::global() : nullptr;
   // Every reported run carries the CLI's observability options and,
-  // under --kernel-threads, exports the stream report() executes.
-  exec::OpStream stream;
+  // when anything reads it, records the stream report() renders,
+  // validates, traces and executes.
   const auto cli_options = [&](sim::RunOptions opts) {
-    opts.record_timeline = ctx.o.want_timeline();
+    opts.record_stream = ctx.o.record_stream();
     opts.stats = stats;
-    if (ctx.o.kernel_threads > 0) opts.export_stream = &stream;
     return opts;
   };
   const sim::RunOptions ro = cli_options({});
   if (method == "incore") {
     const sim::Classification c(ctx.g, sim::ValueClass::kKeep);
-    report(ctx, "in-core", ctx.runtime->run(c, ro), stream, c);
+    report(ctx, "in-core", ctx.runtime->run(c, ro), c);
   } else if (method == "swap-all") {
     const sim::Classification c(ctx.g, sim::ValueClass::kSwap);
     const auto opts = cli_options(baselines::swap_all_scheduled_options());
-    report(ctx, "swap-all", ctx.runtime->run(c, opts), stream, c);
+    report(ctx, "swap-all", ctx.runtime->run(c, opts), c);
   } else if (method == "swap-all-naive") {
     const sim::Classification c(ctx.g, sim::ValueClass::kSwap);
     const auto opts = cli_options(baselines::swap_all_naive_options());
-    report(ctx, "swap-all-naive", ctx.runtime->run(c, opts), stream, c);
+    report(ctx, "swap-all-naive", ctx.runtime->run(c, opts), c);
   } else if (method == "swap-opt") {
     planner::PlannerOptions popt;
     popt.stats = stats;
@@ -524,20 +525,20 @@ void run_method(Context& ctx, const std::string& method) {
       return;
     }
     report(ctx, "swap-opt", planner::execute_plan(*ctx.runtime, plan, ro),
-           stream, plan.classes, &plan.counts);
+           plan.classes, &plan.counts);
   } else if (method == "superneurons") {
     const auto plan = baselines::superneurons_plan(ctx.g, ctx.tape,
                                                    ctx.machine,
                                                    *ctx.hardware);
     const auto opts = cli_options(baselines::superneurons_run_options());
-    report(ctx, "superneurons", ctx.runtime->run(plan.classes, opts), stream,
+    report(ctx, "superneurons", ctx.runtime->run(plan.classes, opts),
            plan.classes, &plan.counts);
   } else if (method == "vdnn") {
     const auto c = baselines::vdnn_conv_classify(ctx.g, ctx.tape);
-    report(ctx, "vdnn", ctx.runtime->run(c, ro), stream, c);
+    report(ctx, "vdnn", ctx.runtime->run(c, ro), c);
   } else if (method == "sublinear") {
     const auto c = baselines::sublinear_classify(ctx.g, ctx.tape);
-    report(ctx, "sublinear", ctx.runtime->run(c, ro), stream, c);
+    report(ctx, "sublinear", ctx.runtime->run(c, ro), c);
   } else if (method == "pooch") {
     planner::PipelineOptions po;
     po.planner.stats = stats;
@@ -550,12 +551,12 @@ void run_method(Context& ctx, const std::string& method) {
       not_executed(ctx, why);
       return;
     }
-    // The pipeline's own execution recorded no timeline and exported no
-    // stream, so re-simulate the plan whenever either is needed.
-    const auto r = ctx.o.want_timeline() || ctx.o.kernel_threads > 0
+    // The pipeline's own execution recorded no stream, so re-simulate
+    // the plan whenever one is needed.
+    const auto r = ro.record_stream
                        ? planner::execute_plan(*ctx.runtime, out.plan, ro)
                        : out.execution;
-    report(ctx, "pooch", r, stream, out.plan.classes, &out.plan.counts);
+    report(ctx, "pooch", r, out.plan.classes, &out.plan.counts);
     if (ctx.o.show_classes) {
       std::fputs(out.plan.classes.to_string(ctx.g).c_str(), stdout);
     }
@@ -574,8 +575,7 @@ void run_method(Context& ctx, const std::string& method) {
     std::string text;
     f >> text;
     const auto classes = sim::Classification::deserialize(ctx.g, text);
-    report(ctx, "exec(saved)", ctx.runtime->run(classes, ro), stream,
-           classes);
+    report(ctx, "exec(saved)", ctx.runtime->run(classes, ro), classes);
   } else {
     std::fprintf(stderr, "unknown method: %s\n", method.c_str());
   }
