@@ -6,10 +6,12 @@
 // candidate memo cache change both: a threads × cache sweep per model.
 //
 // Besides the markdown tables, the bench writes BENCH_planner_cost.json
-// into the working directory — one record per (model, threads, cache)
-// cell with wall seconds, per-phase simulation counts and cache hits —
-// so speedups and cache-hit wins are machine-readable, not eyeballed.
+// into the working directory: {"bench": "planner_cost", "cpus": N,
+// "rows": [...]}, one row per (model, threads, cache) cell with wall
+// seconds, simulations per wall second, per-phase simulation counts and
+// cache hits. tools/bench_compare.py diffs two such files on sims_per_s.
 #include <fstream>
+#include <thread>
 
 #include "bench_common.hpp"
 #include "obs/json.hpp"
@@ -18,7 +20,32 @@ using namespace pooch;
 
 namespace {
 
-obs::json::Array g_records;
+obs::json::Array g_rows;
+
+/// One JSON row for a finished search.
+void record_row(const char* name, const bench::Workload& w,
+                const planner::PlannerResult& plan, bool cache) {
+  obs::json::Object row;
+  row["model"] = name;
+  row["layers"] = w.g.num_nodes();
+  row["feature_maps"] =
+      static_cast<std::int64_t>(sim::classifiable_values(w.g, w.tape).size());
+  row["threads"] = plan.threads_used;
+  row["cache"] = cache;
+  row["feasible"] = plan.feasible;
+  row["search"] = plan.used_beam_fallback ? "beam" : "exact";
+  row["wall_seconds"] = plan.planning_wall_seconds;
+  row["sims_per_s"] = plan.planning_wall_seconds > 0.0
+                          ? plan.simulations / plan.planning_wall_seconds
+                          : 0.0;
+  row["simulations"] = plan.simulations;
+  row["step1_simulations"] = plan.step1_simulations;
+  row["step2_simulations"] = plan.step2_simulations;
+  row["cache_hits"] = plan.cache_hits;
+  row["recompute_rounds"] = plan.recompute_rounds;
+  row["predicted_time"] = plan.predicted_time;
+  g_rows.push_back(obs::json::Value(std::move(row)));
+}
 
 struct Cell {
   double wall = 0.0;
@@ -48,23 +75,7 @@ Cell run_cell(const char* name, const bench::Workload& w, int threads,
     std::exit(1);
   }
 
-  obs::json::Object rec;
-  rec["model"] = name;
-  rec["layers"] = w.g.num_nodes();
-  rec["feature_maps"] =
-      static_cast<std::int64_t>(sim::classifiable_values(w.g, w.tape).size());
-  rec["threads"] = plan.threads_used;
-  rec["cache"] = cache;
-  rec["feasible"] = plan.feasible;
-  rec["search"] = plan.used_beam_fallback ? "beam" : "exact";
-  rec["wall_seconds"] = plan.planning_wall_seconds;
-  rec["simulations"] = plan.simulations;
-  rec["step1_simulations"] = plan.step1_simulations;
-  rec["step2_simulations"] = plan.step2_simulations;
-  rec["cache_hits"] = plan.cache_hits;
-  rec["recompute_rounds"] = plan.recompute_rounds;
-  rec["predicted_time"] = plan.predicted_time;
-  g_records.push_back(obs::json::Value(std::move(rec)));
+  record_row(name, w, plan, cache);
 
   return {plan.planning_wall_seconds, plan.simulations};
 }
@@ -89,25 +100,7 @@ void model_rows(const char* name, graph::Graph g,
               ref.feasible ? (ref.used_beam_fallback ? "beam" : "exact")
                            : "infeasible");
 
-  {
-    obs::json::Object rec;
-    rec["model"] = name;
-    rec["layers"] = w.g.num_nodes();
-    rec["feature_maps"] = static_cast<std::int64_t>(
-        sim::classifiable_values(w.g, w.tape).size());
-    rec["threads"] = 1;
-    rec["cache"] = false;
-    rec["feasible"] = ref.feasible;
-    rec["search"] = ref.used_beam_fallback ? "beam" : "exact";
-    rec["wall_seconds"] = ref.planning_wall_seconds;
-    rec["simulations"] = ref.simulations;
-    rec["step1_simulations"] = ref.step1_simulations;
-    rec["step2_simulations"] = ref.step2_simulations;
-    rec["cache_hits"] = ref.cache_hits;
-    rec["recompute_rounds"] = ref.recompute_rounds;
-    rec["predicted_time"] = ref.predicted_time;
-    g_records.push_back(obs::json::Value(std::move(rec)));
-  }
+  record_row(name, w, ref, ref_po.cache);
 
   if (!ref.feasible) return;
 
@@ -149,8 +142,9 @@ int main() {
   std::ofstream f("BENCH_planner_cost.json");
   obs::json::Object doc;
   doc["bench"] = "planner_cost";
-  doc["records"] = obs::json::Value(std::move(g_records));
+  doc["cpus"] = static_cast<std::int64_t>(std::thread::hardware_concurrency());
+  doc["rows"] = obs::json::Value(std::move(g_rows));
   f << obs::json::Value(std::move(doc)).dump() << "\n";
-  std::printf("\nper-cell records written to BENCH_planner_cost.json\n");
+  std::printf("\nper-cell rows written to BENCH_planner_cost.json\n");
   return 0;
 }

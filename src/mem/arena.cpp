@@ -1,11 +1,24 @@
 #include "mem/arena.hpp"
 
 #include <algorithm>
+#include <iterator>
 #include <sstream>
 
 #include "common/strings.hpp"
 
 namespace pooch::mem {
+
+namespace {
+
+/// First block of an offset-sorted list at or above `offset`.
+template <typename Blocks>
+auto lower_bound(Blocks& blocks, Offset offset) {
+  return std::lower_bound(
+      blocks.begin(), blocks.end(), offset,
+      [](const auto& b, Offset off) { return b.offset < off; });
+}
+
+}  // namespace
 
 Arena::Arena(std::size_t capacity, std::size_t alignment)
     : capacity_(capacity), alignment_(alignment) {
@@ -14,7 +27,7 @@ Arena::Arena(std::size_t capacity, std::size_t alignment)
   capacity_ = capacity / alignment_ * alignment_;
   stats_.capacity = capacity_;
   stats_.free_bytes = capacity_;
-  if (capacity_ > 0) free_blocks_.emplace(0, capacity_);
+  if (capacity_ > 0) free_blocks_.push_back({0, capacity_});
 }
 
 std::size_t Arena::align_up(std::size_t bytes) const {
@@ -22,23 +35,29 @@ std::size_t Arena::align_up(std::size_t bytes) const {
   return (bytes + alignment_ - 1) / alignment_ * alignment_;
 }
 
+Arena::Blocks::const_iterator Arena::find_allocated(Offset offset) const {
+  const auto it = lower_bound(allocated_, offset);
+  return it != allocated_.end() && it->offset == offset ? it
+                                                        : allocated_.end();
+}
+
 std::optional<Offset> Arena::allocate(std::size_t bytes, AllocSide side) {
   const std::size_t need = align_up(bytes);
   auto chosen = free_blocks_.end();
   if (side == AllocSide::kBottom) {
     // Best fit: smallest free block that holds `need` (ties resolve to
-    // the lowest offset by iteration order).
+    // the lowest offset by scan order).
     for (auto it = free_blocks_.begin(); it != free_blocks_.end(); ++it) {
-      if (it->second < need) continue;
-      if (chosen == free_blocks_.end() || it->second < chosen->second) {
+      if (it->size < need) continue;
+      if (chosen == free_blocks_.end() || it->size < chosen->size) {
         chosen = it;
       }
-      if (it->second == need) break;  // exact fit cannot be beaten
+      if (it->size == need) break;  // exact fit cannot be beaten
     }
   } else {
     // Topmost fit: the highest-addressed free block that holds `need`.
     for (auto it = free_blocks_.rbegin(); it != free_blocks_.rend(); ++it) {
-      if (it->second >= need) {
+      if (it->size >= need) {
         chosen = std::prev(it.base());
         break;
       }
@@ -48,19 +67,21 @@ std::optional<Offset> Arena::allocate(std::size_t bytes, AllocSide side) {
     ++stats_.failed_allocs;
     return std::nullopt;
   }
-  const Offset block_offset = chosen->first;
-  const std::size_t block = chosen->second;
-  free_blocks_.erase(chosen);
-  Offset offset;
-  if (block > need) ++stats_.split_count;
-  if (side == AllocSide::kBottom) {
-    offset = block_offset;
-    if (block > need) free_blocks_.emplace(offset + need, block - need);
+  // A split shrinks the chosen block in place (it keeps its rank in the
+  // sorted list); an exact fit removes it.
+  Offset offset = chosen->offset;
+  if (chosen->size > need) {
+    ++stats_.split_count;
+    if (side == AllocSide::kBottom) {
+      chosen->offset += need;
+    } else {
+      offset += chosen->size - need;
+    }
+    chosen->size -= need;
   } else {
-    offset = block_offset + block - need;
-    if (block > need) free_blocks_.emplace(block_offset, block - need);
+    free_blocks_.erase(chosen);
   }
-  allocated_.emplace(offset, need);
+  allocated_.insert(lower_bound(allocated_, offset), {offset, need});
   stats_.in_use += need;
   stats_.free_bytes -= need;
   stats_.peak_in_use = std::max(stats_.peak_in_use, stats_.in_use);
@@ -69,45 +90,47 @@ std::optional<Offset> Arena::allocate(std::size_t bytes, AllocSide side) {
 }
 
 void Arena::free(Offset offset) {
-  auto it = allocated_.find(offset);
+  const auto it = find_allocated(offset);
   POOCH_CHECK_MSG(it != allocated_.end(),
                   "freeing unallocated offset " << offset);
-  std::size_t begin = offset;
-  std::size_t length = it->second;
+  const std::size_t length = it->size;
   allocated_.erase(it);
   stats_.in_use -= length;
   stats_.free_bytes += length;
   ++stats_.free_count;
 
-  // Coalesce with the following free block.
-  auto next = free_blocks_.lower_bound(begin);
-  if (next != free_blocks_.end() && begin + length == next->first) {
-    length += next->second;
-    next = free_blocks_.erase(next);
-    ++stats_.coalesce_count;
-  }
-  // Coalesce with the preceding free block.
-  if (next != free_blocks_.begin()) {
-    auto prev = std::prev(next);
-    if (prev->first + prev->second == begin) {
-      begin = prev->first;
-      length += prev->second;
-      free_blocks_.erase(prev);
-      ++stats_.coalesce_count;
+  // Coalesce with the following and the preceding free block.
+  const auto next = lower_bound(free_blocks_, offset);
+  const bool join_next =
+      next != free_blocks_.end() && offset + length == next->offset;
+  const bool join_prev =
+      next != free_blocks_.begin() &&
+      std::prev(next)->offset + std::prev(next)->size == offset;
+  stats_.coalesce_count += (join_next ? 1 : 0) + (join_prev ? 1 : 0);
+  if (join_prev) {
+    const auto prev = std::prev(next);
+    prev->size += length;
+    if (join_next) {
+      prev->size += next->size;
+      free_blocks_.erase(next);
     }
+  } else if (join_next) {
+    next->offset = offset;
+    next->size += length;
+  } else {
+    free_blocks_.insert(next, {offset, length});
   }
-  free_blocks_.emplace(begin, length);
 }
 
 std::size_t Arena::block_size(Offset offset) const {
-  auto it = allocated_.find(offset);
+  const auto it = find_allocated(offset);
   POOCH_CHECK_MSG(it != allocated_.end(), "unknown offset " << offset);
-  return it->second;
+  return it->size;
 }
 
 std::size_t Arena::largest_free_block() const {
   std::size_t best = 0;
-  for (const auto& [off, len] : free_blocks_) best = std::max(best, len);
+  for (const Block& b : free_blocks_) best = std::max(best, b.size);
   return best;
 }
 
@@ -119,7 +142,7 @@ const ArenaStats& Arena::stats() const {
 void Arena::reset() {
   allocated_.clear();
   free_blocks_.clear();
-  if (capacity_ > 0) free_blocks_.emplace(0, capacity_);
+  if (capacity_ > 0) free_blocks_.push_back({0, capacity_});
   stats_.in_use = 0;
   stats_.free_bytes = capacity_;
 }

@@ -7,12 +7,18 @@
 // two classifications with the same total footprint can differ in
 // feasibility — the effect behind the paper's cross-environment OOM
 // (§5.2, running the POWER9 classification on the x86 machine).
+//
+// The free list and the allocated set are flat, offset-sorted vectors, as
+// GPU caching allocators keep them: the simulator performs hundreds of
+// allocations per simulated iteration and the planner thousands of
+// iterations, and a few hundred contiguous blocks scan and shift faster
+// than a node-based tree rebalances.
 #pragma once
 
 #include <cstdint>
-#include <map>
 #include <optional>
 #include <string>
+#include <vector>
 
 #include "common/error.hpp"
 
@@ -76,13 +82,21 @@ class Arena {
   std::string debug_string() const;
 
  private:
+  struct Block {
+    Offset offset;
+    std::size_t size;
+  };
+  using Blocks = std::vector<Block>;
+
   std::size_t align_up(std::size_t bytes) const;
+  Blocks::const_iterator find_allocated(Offset offset) const;
 
   std::size_t capacity_;
   std::size_t alignment_;
-  // offset -> length; disjoint, sorted. Separate maps for free/allocated.
-  std::map<Offset, std::size_t> free_blocks_;
-  std::map<Offset, std::size_t> allocated_;
+  // Disjoint, sorted by offset. Free blocks are never adjacent (free()
+  // coalesces neighbours).
+  Blocks free_blocks_;
+  Blocks allocated_;
   mutable ArenaStats stats_;
 };
 

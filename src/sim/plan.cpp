@@ -84,112 +84,23 @@ std::vector<ValueId> classifiable_values(const Graph& graph,
   return out;
 }
 
-BackwardPlan build_backward_plan(const Graph& graph,
-                                 const std::vector<BwdStep>& tape,
-                                 const Classification& classes) {
+PlanTables::PlanTables(const Graph& graph, const std::vector<BwdStep>& tape) {
   const std::size_t nv = static_cast<std::size_t>(graph.num_values());
-  POOCH_CHECK_MSG(classes.size() == graph.num_values(),
-                  "classification size mismatch");
+  value_bytes.reserve(nv);
+  for (const auto& v : graph.values()) value_bytes.push_back(v.byte_size());
+  workspace_bytes.reserve(static_cast<std::size_t>(graph.num_nodes()));
+  for (const auto& node : graph.nodes()) {
+    workspace_bytes.push_back(graph.workspace_bytes(node.id));
+  }
 
-  BackwardPlan plan;
+  BackwardPlan& plan = skeleton;
   plan.steps.resize(tape.size());
   plan.fwd_consumers.assign(nv, 0);
-  plan.bwd_uses.assign(nv, 0);
-  plan.last_use_step.assign(nv, -1);
-  plan.swap_out.assign(nv, 0);
-  plan.discard.assign(nv, 0);
   plan.grad_first_step.assign(nv, -1);
   plan.grad_last_step.assign(nv, -1);
-
   for (const auto& v : graph.values()) {
     plan.fwd_consumers[static_cast<std::size_t>(v.id)] =
         static_cast<int>(v.consumers.size());
-  }
-
-  // --- Pass 1: walk the tape, expanding swap-in and recompute needs. ---
-  // `materialized` is the device-residency state at backward time assuming
-  // nothing is freed mid-backward; the prep sequences this produces are
-  // identical to the free-at-last-use schedule because a value's last use
-  // is, by construction, after every need.
-  std::vector<char> materialized(nv, 0);
-  for (ValueId v = 0; v < graph.num_values(); ++v) {
-    const std::size_t vi = static_cast<std::size_t>(v);
-    switch (classes.of(v)) {
-      case ValueClass::kKeep:
-        materialized[vi] = 1;
-        break;
-      case ValueClass::kSwap:
-      case ValueClass::kRecompute:
-        materialized[vi] = 0;
-        break;
-    }
-  }
-
-  // use(v, step): record one backward use of v at `step`.
-  auto use = [&](ValueId v, int step) {
-    const std::size_t vi = static_cast<std::size_t>(v);
-    ++plan.bwd_uses[vi];
-    plan.last_use_step[vi] = std::max(plan.last_use_step[vi], step);
-  };
-
-  // require(v, step): make v resident before `step`'s backward op.
-  // Recursion depth is bounded by the longest recompute chain.
-  auto require = [&](auto&& self, ValueId v, int step) -> void {
-    use(v, step);
-    const std::size_t vi = static_cast<std::size_t>(v);
-    if (materialized[vi]) return;
-    const auto& val = graph.value(v);
-    if (classes.of(v) == ValueClass::kSwap) {
-      PrepOp op;
-      op.kind = PrepOp::Kind::kSwapIn;
-      op.value = v;
-      plan.steps[static_cast<std::size_t>(step)].preps.push_back(op);
-      plan.swapin_order.push_back(v);
-      materialized[vi] = 1;
-      return;
-    }
-    // Recompute: re-run the producer after making its inputs resident.
-    POOCH_CHECK_MSG(val.producer != kNoNode,
-                    "graph input v" << v << " ('" << val.name
-                                    << "') classified recompute — inputs "
-                                       "cannot be re-derived");
-    for (ValueId in : graph.node(val.producer).inputs) self(self, in, step);
-    PrepOp op;
-    op.kind = PrepOp::Kind::kRecompute;
-    op.value = v;
-    op.node = val.producer;
-    plan.steps[static_cast<std::size_t>(step)].preps.push_back(op);
-    plan.recompute_bytes += val.byte_size();
-    materialized[vi] = 1;
-  };
-
-  for (std::size_t k = 0; k < tape.size(); ++k) {
-    for (ValueId v : tape[k].needed) {
-      require(require, v, static_cast<int>(k));
-    }
-  }
-
-  // --- Forward-phase decisions. ---
-  for (ValueId v = 0; v < graph.num_values(); ++v) {
-    const std::size_t vi = static_cast<std::size_t>(v);
-    const bool needed_in_bwd = plan.bwd_uses[vi] > 0;
-    if (!needed_in_bwd) {
-      // Never needed again: always freed after the last forward use,
-      // whatever the nominal class says.
-      plan.discard[vi] = graph.value(v).producer != kNoNode ? 1 : 0;
-      continue;
-    }
-    switch (classes.of(v)) {
-      case ValueClass::kKeep:
-        break;
-      case ValueClass::kSwap:
-        plan.swap_out[vi] = 1;
-        plan.swap_bytes += graph.value(v).byte_size();
-        break;
-      case ValueClass::kRecompute:
-        plan.discard[vi] = 1;
-        break;
-    }
   }
 
   // --- Gradient lifetimes. ---
@@ -231,7 +142,8 @@ BackwardPlan build_backward_plan(const Graph& graph,
     }
     const auto& in = graph.value(node.inputs[0]);
     return in.producer != kNoNode && in.consumers.size() == 1 &&
-           in.byte_size() == graph.value(node.output).byte_size();
+           value_bytes[static_cast<std::size_t>(in.id)] ==
+               value_bytes[static_cast<std::size_t>(node.output)];
   };
   for (const auto& node : graph.nodes()) {
     if (alias_eligible(node)) {
@@ -267,22 +179,123 @@ BackwardPlan build_backward_plan(const Graph& graph,
         .grad_allocs.push_back(v);
   }
 
-  // --- Per-step transient bytes (headroom for the eager prefetcher). ---
+  // --- Per-step transient bytes: the gradients and the backward
+  // workspace (build_backward_plan adds the recompute preps). ---
   for (std::size_t k = 0; k < tape.size(); ++k) {
     StepPlan& sp = plan.steps[k];
     std::size_t bytes = 0;
-    for (ValueId v : sp.grad_allocs) bytes += graph.value(v).byte_size();
-    for (const PrepOp& op : sp.preps) {
-      if (op.kind == PrepOp::Kind::kRecompute) {
-        bytes += graph.value(op.value).byte_size();
-        bytes += graph.workspace_bytes(op.node);
-      }
+    for (ValueId v : sp.grad_allocs) {
+      bytes += value_bytes[static_cast<std::size_t>(v)];
     }
-    bytes += 2 * graph.workspace_bytes(tape[k].node);
+    bytes += 2 * workspace_bytes[static_cast<std::size_t>(tape[k].node)];
     sp.transient_bytes = bytes;
   }
+}
 
+BackwardPlan build_backward_plan(const Graph& graph,
+                                 const std::vector<BwdStep>& tape,
+                                 const Classification& classes) {
+  BackwardPlan plan;
+  build_backward_plan(graph, tape, PlanTables(graph, tape), classes, plan);
   return plan;
+}
+
+void build_backward_plan(const Graph& graph, const std::vector<BwdStep>& tape,
+                         const PlanTables& tables,
+                         const Classification& classes, BackwardPlan& plan) {
+  const std::size_t nv = static_cast<std::size_t>(graph.num_values());
+  POOCH_CHECK_MSG(classes.size() == graph.num_values(),
+                  "classification size mismatch");
+  const auto& value_bytes = tables.value_bytes;
+
+  plan = tables.skeleton;
+  plan.bwd_uses.assign(nv, 0);
+  plan.last_use_step.assign(nv, -1);
+  plan.swap_out.assign(nv, 0);
+  plan.discard.assign(nv, 0);
+
+  // --- Pass 1: walk the tape, expanding swap-in and recompute needs. ---
+  // `materialized` is the device-residency state at backward time assuming
+  // nothing is freed mid-backward; the prep sequences this produces are
+  // identical to the free-at-last-use schedule because a value's last use
+  // is, by construction, after every need.
+  std::vector<char> materialized(nv, 0);
+  for (ValueId v = 0; v < graph.num_values(); ++v) {
+    materialized[static_cast<std::size_t>(v)] =
+        classes.of(v) == ValueClass::kKeep ? 1 : 0;
+  }
+
+  // use(v, step): record one backward use of v at `step`.
+  auto use = [&](ValueId v, int step) {
+    const std::size_t vi = static_cast<std::size_t>(v);
+    ++plan.bwd_uses[vi];
+    plan.last_use_step[vi] = std::max(plan.last_use_step[vi], step);
+  };
+
+  // require(v, step): make v resident before `step`'s backward op.
+  // Recursion depth is bounded by the longest recompute chain.
+  auto require = [&](auto&& self, ValueId v, int step) -> void {
+    use(v, step);
+    const std::size_t vi = static_cast<std::size_t>(v);
+    if (materialized[vi]) return;
+    StepPlan& sp = plan.steps[static_cast<std::size_t>(step)];
+    const auto& val = graph.value(v);
+    if (classes.of(v) == ValueClass::kSwap) {
+      PrepOp op;
+      op.kind = PrepOp::Kind::kSwapIn;
+      op.value = v;
+      sp.preps.push_back(op);
+      plan.swapin_order.push_back(v);
+      materialized[vi] = 1;
+      return;
+    }
+    // Recompute: re-run the producer after making its inputs resident.
+    POOCH_CHECK_MSG(val.producer != kNoNode,
+                    "graph input v" << v << " ('" << val.name
+                                    << "') classified recompute — inputs "
+                                       "cannot be re-derived");
+    for (ValueId in : graph.node(val.producer).inputs) self(self, in, step);
+    PrepOp op;
+    op.kind = PrepOp::Kind::kRecompute;
+    op.value = v;
+    op.node = val.producer;
+    sp.preps.push_back(op);
+    // The recompute output and its workspace are this step's transients.
+    sp.transient_bytes +=
+        value_bytes[vi] +
+        tables.workspace_bytes[static_cast<std::size_t>(val.producer)];
+    plan.recompute_bytes += value_bytes[vi];
+    materialized[vi] = 1;
+  };
+
+  for (std::size_t k = 0; k < tape.size(); ++k) {
+    for (ValueId v : tape[k].needed) {
+      require(require, v, static_cast<int>(k));
+    }
+  }
+
+  // --- Forward-phase decisions. ---
+  for (ValueId v = 0; v < graph.num_values(); ++v) {
+    const std::size_t vi = static_cast<std::size_t>(v);
+    const bool needed_in_bwd = plan.bwd_uses[vi] > 0;
+    if (!needed_in_bwd) {
+      // Never needed again: always freed after the last forward use,
+      // whatever the nominal class says.
+      plan.discard[vi] = graph.value(v).producer != kNoNode ? 1 : 0;
+      continue;
+    }
+    switch (classes.of(v)) {
+      case ValueClass::kKeep:
+        break;
+      case ValueClass::kSwap:
+        plan.swap_out[vi] = 1;
+        plan.swap_bytes += value_bytes[vi];
+        break;
+      case ValueClass::kRecompute:
+        plan.discard[vi] = 1;
+        break;
+    }
+  }
 }
 
 }  // namespace pooch::sim

@@ -10,6 +10,12 @@
 // requires, plus value lifetimes (when each buffer can be freed) and
 // per-step transient byte requirements (the free-memory headroom the
 // eager swap-in scheduler of §4.3 must preserve).
+//
+// Half of a plan does not depend on the classification: gradient
+// lifetimes, gradient buffer allocations and the byte sizes every step
+// reads. PlanTables holds that half, derived once per (graph, tape);
+// sim::Runtime keeps one and lowers each simulated classification
+// against it into reused storage.
 #pragma once
 
 #include <array>
@@ -105,11 +111,33 @@ struct BackwardPlan {
   std::size_t swap_bytes = 0;
 };
 
+/// What plan lowering derives from the graph and tape alone.
+struct PlanTables {
+  PlanTables(const graph::Graph& graph,
+             const std::vector<graph::BwdStep>& tape);
+
+  std::vector<std::size_t> value_bytes;      // Value::byte_size(), per value
+  std::vector<std::size_t> workspace_bytes;  // Graph::workspace_bytes(), per
+                                             // node
+  /// The classification-independent fields of every BackwardPlan:
+  /// fwd_consumers, the gradient lifetimes and aliases, each step's
+  /// grad_allocs, and transient_bytes counting only the step's gradients
+  /// and backward workspace. The other fields are empty.
+  BackwardPlan skeleton;
+};
+
 /// Throws pooch::Error on invalid classifications (e.g. a graph input
 /// marked recompute, which cannot be re-derived).
 BackwardPlan build_backward_plan(const graph::Graph& graph,
                                  const std::vector<graph::BwdStep>& tape,
                                  const Classification& classes);
+
+/// The same lowering against precomputed tables, written into `out`
+/// (whose storage is reused).
+void build_backward_plan(const graph::Graph& graph,
+                         const std::vector<graph::BwdStep>& tape,
+                         const PlanTables& tables,
+                         const Classification& classes, BackwardPlan& out);
 
 /// Values with a direct backward need — the feature maps PoocH classifies
 /// (the population counted in the paper's Table 3).

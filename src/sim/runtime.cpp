@@ -1,8 +1,8 @@
 #include "sim/runtime.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <optional>
-#include <queue>
 #include <sstream>
 
 #include "common/error.hpp"
@@ -22,6 +22,50 @@ using graph::Graph;
 using graph::LayerKind;
 using graph::NodeId;
 using graph::ValueId;
+
+struct RuntimeTables {
+  RuntimeTables(const Graph& graph, const std::vector<BwdStep>& tape)
+      : plan(graph, tape),
+        persistent_bytes(2 * graph.total_param_bytes()),
+        grad_arena_free_by_step(tape.size()),
+        grad_backend_free_by_step(tape.size()) {
+    // kLookaheadPrevConv: a swap-in needed at step k triggers at the
+    // nearest earlier convolution's step (0 when there is none).
+    prev_conv_step.reserve(tape.size());
+    int prev = 0;
+    for (std::size_t k = 0; k < tape.size(); ++k) {
+      prev_conv_step.push_back(prev);
+      if (graph.node(tape[k].node).kind == LayerKind::kConv) {
+        prev = static_cast<int>(k);
+      }
+    }
+    const BackwardPlan& skel = plan.skeleton;
+    for (ValueId v = 0; v < graph.num_values(); ++v) {
+      const std::size_t vi = static_cast<std::size_t>(v);
+      // Arena buffers belong to alias roots and live until the last
+      // aliased consumer; the backend's per-value tensors release at
+      // their own last step.
+      if (skel.root_free_step[vi] >= 0 && skel.grad_root[vi] == v) {
+        grad_arena_free_by_step[static_cast<std::size_t>(
+                                    skel.root_free_step[vi])]
+            .push_back(v);
+      }
+      if (skel.grad_last_step[vi] >= 0) {
+        grad_backend_free_by_step[static_cast<std::size_t>(
+                                      skel.grad_last_step[vi])]
+            .push_back(v);
+      }
+    }
+  }
+
+  PlanTables plan;
+  std::size_t persistent_bytes;  // params + param grads
+  std::vector<int> prev_conv_step;  // per tape step
+  // Per tape step: gradients whose arena buffer / backend tensor is
+  // released after it.
+  std::vector<std::vector<ValueId>> grad_arena_free_by_step;
+  std::vector<std::vector<ValueId>> grad_backend_free_by_step;
+};
 
 namespace {
 
@@ -75,20 +119,81 @@ struct AllocOutcome {
   ValueId blame = -1;     // d2h completion that had to be waited for
 };
 
+/// Maximum of StepPlan::transient_bytes over a step range in O(1): a
+/// sparse table whose level j holds the maximum of each 2^j-step window.
+class TransientMax {
+ public:
+  void build(const std::vector<StepPlan>& steps) {
+    n_ = steps.size();
+    const std::size_t levels = std::bit_width(n_);
+    table_.resize(levels * n_);
+    for (std::size_t k = 0; k < n_; ++k) table_[k] = steps[k].transient_bytes;
+    for (std::size_t j = 1; j < levels; ++j) {
+      const std::size_t half = std::size_t{1} << (j - 1);
+      const std::size_t* below = &table_[(j - 1) * n_];
+      std::size_t* level = &table_[j * n_];
+      for (std::size_t i = 0; i + 2 * half <= n_; ++i) {
+        level[i] = std::max(below[i], below[i + half]);
+      }
+    }
+  }
+
+  /// Maximum over steps [lo, hi]; 0 when the range is empty.
+  std::size_t max(int lo, int hi) const {
+    if (lo > hi) return 0;
+    const std::size_t a = static_cast<std::size_t>(lo);
+    const std::size_t b = static_cast<std::size_t>(hi);
+    const std::size_t j = std::bit_width(b - a + 1) - 1;
+    const std::size_t* level = &table_[j * n_];
+    return std::max(level[a], level[b + 1 - (std::size_t{1} << j)]);
+  }
+
+ private:
+  std::size_t n_ = 0;
+  std::vector<std::size_t> table_;
+};
+
+/// Simulation state reused across runs on one thread: each run re-fills
+/// it (assign/clear keep the storage), so a planner thread allocates it
+/// once instead of once per simulation.
+struct RunScratch {
+  BackwardPlan plan;
+  TransientMax transients;
+  std::vector<ValueState> states;
+  std::vector<std::optional<mem::Offset>> grad_dev;
+  std::vector<FreeEvent> pending;  // min-heap on time (FreeEventLater)
+  std::vector<QueueEntry> queue;
+  std::vector<IssuedPrefetch> issued;
+  std::vector<ValueId> pins;
+  std::vector<std::vector<ValueId>> values_by_last_use;  // per tape step
+  bool in_use = false;
+};
+
 class Exec {
  public:
   Exec(const Graph& graph, const std::vector<BwdStep>& tape,
-       const cost::MachineConfig& machine, const TimeModel& tm,
-       const Classification& classes, const RunOptions& opts)
+       const RuntimeTables& tables, const cost::MachineConfig& machine,
+       const TimeModel& tm, const Classification& classes,
+       const RunOptions& opts, RunScratch& scratch)
       : g_(graph),
         tape_(tape),
+        tables_(tables),
         machine_(machine),
         tm_(tm),
         opts_(opts),
-        plan_(build_backward_plan(graph, tape, classes)),
+        plan_(scratch.plan),
+        transients_(scratch.transients),
         arena_(0),
-        host_(machine.host_capacity_bytes) {
-    result_.persistent_bytes = 2 * g_.total_param_bytes();
+        host_(machine.host_capacity_bytes),
+        pending_(scratch.pending),
+        states_(scratch.states),
+        grad_dev_(scratch.grad_dev),
+        queue_(scratch.queue),
+        issued_(scratch.issued),
+        values_by_last_use_(scratch.values_by_last_use),
+        pins_(scratch.pins) {
+    build_backward_plan(graph, tape, tables.plan, classes, plan_);
+    result_.persistent_bytes = tables.persistent_bytes;
     std::size_t usable = machine_.usable_gpu_bytes();
     if (opts_.usable_bytes_override > 0) {
       usable = std::min(usable, opts_.usable_bytes_override);
@@ -101,15 +206,20 @@ class Exec {
     }
     arena_ = mem::Arena(usable - result_.persistent_bytes);
     result_.arena_capacity = arena_.capacity();
-    states_.resize(static_cast<std::size_t>(g_.num_values()));
-    grad_dev_.resize(static_cast<std::size_t>(g_.num_values()));
-    result_.stall_by_value.assign(static_cast<std::size_t>(g_.num_values()),
-                                  0.0);
-    for (const auto& v : g_.values()) {
-      states_[static_cast<std::size_t>(v.id)].fwd_remaining =
-          plan_.fwd_consumers[static_cast<std::size_t>(v.id)];
+    const std::size_t nv = static_cast<std::size_t>(g_.num_values());
+    states_.assign(nv, ValueState{});
+    grad_dev_.assign(nv, std::nullopt);
+    result_.stall_by_value.assign(nv, 0.0);
+    for (std::size_t v = 0; v < nv; ++v) {
+      states_[v].fwd_remaining = plan_.fwd_consumers[v];
     }
+    pending_.clear();
+    issued_.clear();
+    pins_.clear();
     result_.stream.iteration = opts_.iteration;
+    if (opts_.swapin_policy == SwapInPolicy::kEagerMemoryAware) {
+      transients_.build(plan_.steps);
+    }
     build_prefetch_queue();
     build_free_indices();
   }
@@ -139,7 +249,12 @@ class Exec {
   // ---- bookkeeping -------------------------------------------------
 
   ValueState& st(ValueId v) { return states_[static_cast<std::size_t>(v)]; }
-  std::size_t vbytes(ValueId v) const { return g_.value(v).byte_size(); }
+  std::size_t vbytes(ValueId v) const {
+    return tables_.plan.value_bytes[static_cast<std::size_t>(v)];
+  }
+  std::size_t workspace(NodeId n) const {
+    return tables_.plan.workspace_bytes[static_cast<std::size_t>(n)];
+  }
 
   // ---- recording -----------------------------------------------------
   //
@@ -221,6 +336,7 @@ class Exec {
   }
 
   void build_prefetch_queue() {
+    queue_.clear();
     for (std::size_t k = 0; k < plan_.steps.size(); ++k) {
       for (const PrepOp& op : plan_.steps[k].preps) {
         if (op.kind != PrepOp::Kind::kSwapIn) continue;
@@ -239,15 +355,8 @@ class Exec {
         return need_step;
       case SwapInPolicy::kLookahead1:
         return std::max(0, need_step - 1);
-      case SwapInPolicy::kLookaheadPrevConv: {
-        for (int k = need_step - 1; k >= 0; --k) {
-          if (g_.node(tape_[static_cast<std::size_t>(k)].node).kind ==
-              LayerKind::kConv) {
-            return k;
-          }
-        }
-        return 0;
-      }
+      case SwapInPolicy::kLookaheadPrevConv:
+        return tables_.prev_conv_step[static_cast<std::size_t>(need_step)];
       case SwapInPolicy::kEagerMemoryAware:
         return 0;  // eligible immediately; gated by free memory instead
     }
@@ -256,26 +365,11 @@ class Exec {
 
   void build_free_indices() {
     values_by_last_use_.resize(plan_.steps.size());
-    grad_arena_free_by_step_.resize(plan_.steps.size());
-    grad_backend_free_by_step_.resize(plan_.steps.size());
+    for (auto& values : values_by_last_use_) values.clear();
     for (ValueId v = 0; v < g_.num_values(); ++v) {
-      const std::size_t vi = static_cast<std::size_t>(v);
-      if (plan_.last_use_step[vi] >= 0) {
-        values_by_last_use_[static_cast<std::size_t>(plan_.last_use_step[vi])]
-            .push_back(v);
-      }
-      // Arena buffers belong to alias roots and live until the last
-      // aliased consumer; the backend's per-value tensors release at
-      // their own last step.
-      if (plan_.root_free_step[vi] >= 0 && plan_.grad_root[vi] == v) {
-        grad_arena_free_by_step_[static_cast<std::size_t>(
-                                     plan_.root_free_step[vi])]
-            .push_back(v);
-      }
-      if (plan_.grad_last_step[vi] >= 0) {
-        grad_backend_free_by_step_[static_cast<std::size_t>(
-                                       plan_.grad_last_step[vi])]
-            .push_back(v);
+      const int last = plan_.last_use_step[static_cast<std::size_t>(v)];
+      if (last >= 0) {
+        values_by_last_use_[static_cast<std::size_t>(last)].push_back(v);
       }
     }
   }
@@ -284,13 +378,21 @@ class Exec {
 
   void schedule_free(mem::Offset off, double time, ValueId blame,
                      bool from_d2h) {
-    pending_.push(FreeEvent{time, off, blame, from_d2h});
+    pending_.push_back(FreeEvent{time, off, blame, from_d2h});
+    std::push_heap(pending_.begin(), pending_.end(), FreeEventLater{});
+  }
+
+  /// Remove and return the earliest pending free.
+  FreeEvent pop_pending() {
+    std::pop_heap(pending_.begin(), pending_.end(), FreeEventLater{});
+    const FreeEvent ev = pending_.back();
+    pending_.pop_back();
+    return ev;
   }
 
   void apply_frees_until(double t) {
-    while (!pending_.empty() && pending_.top().time <= t) {
-      arena_.free(pending_.top().offset);
-      pending_.pop();
+    while (!pending_.empty() && pending_.front().time <= t) {
+      arena_.free(pop_pending().offset);
     }
   }
 
@@ -309,8 +411,7 @@ class Exec {
         return out;
       }
       if (!pending_.empty()) {
-        const FreeEvent ev = pending_.top();
-        pending_.pop();
+        const FreeEvent ev = pop_pending();
         arena_.free(ev.offset);
         out.time = std::max(out.time, ev.time);
         if (ev.from_d2h) out.blame = ev.blame;
@@ -626,14 +727,8 @@ class Exec {
   /// that will consume a prospective prefetch: the prefetched buffer has
   /// to coexist with each of them.
   std::size_t upcoming_transients(int step, int need_step) const {
-    const int last =
-        std::min(need_step, static_cast<int>(plan_.steps.size()) - 1);
-    std::size_t bytes = 0;
-    for (int s = step; s <= last; ++s) {
-      bytes = std::max(bytes,
-                       plan_.steps[static_cast<std::size_t>(s)].transient_bytes);
-    }
-    return bytes;
+    return transients_.max(
+        step, std::min(need_step, static_cast<int>(plan_.steps.size()) - 1));
   }
 
   // ---- forward phase -------------------------------------------------
@@ -675,7 +770,7 @@ class Exec {
                                           value_side(out));
       double t_alloc = a_out.time;
       ValueId mem_blame = a_out.blame;
-      const std::size_t ws = g_.workspace_bytes(node.id);
+      const std::size_t ws = workspace(node.id);
       std::optional<mem::Offset> ws_off;
       if (ws > 0) {
         AllocOutcome a_ws = blocking_alloc(ws, t_alloc, "conv workspace",
@@ -764,7 +859,7 @@ class Exec {
                                         mem::AllocSide::kTop);
     double t_alloc = a_out.time;
     ValueId mem_blame = a_out.blame;
-    const std::size_t ws = g_.workspace_bytes(node.id);
+    const std::size_t ws = workspace(node.id);
     std::optional<mem::Offset> ws_off;
     if (ws > 0) {
       AllocOutcome a_ws = blocking_alloc(ws, t_alloc, "recompute workspace",
@@ -844,7 +939,7 @@ class Exec {
       }
       // Backward workspace: conv uses two column buffers, allocated
       // separately (they need not be contiguous).
-      const std::size_t ws = g_.workspace_bytes(bstep.node);
+      const std::size_t ws = workspace(bstep.node);
       std::optional<mem::Offset> ws_off, ws2_off;
       if (ws > 0) {
         AllocOutcome a = blocking_alloc(ws, t_alloc, "backward workspace",
@@ -914,14 +1009,14 @@ class Exec {
         }
       }
       // Free gradient buffers whose last aliased consumer was this step.
-      for (ValueId v : grad_arena_free_by_step_[k]) {
+      for (ValueId v : tables_.grad_arena_free_by_step[k]) {
         auto& go = grad_dev_[static_cast<std::size_t>(v)];
         if (go.has_value()) {
           schedule_free(*go, end, v, false);
           go.reset();
         }
       }
-      for (ValueId v : grad_backend_free_by_step_[k]) {
+      for (ValueId v : tables_.grad_backend_free_by_step[k]) {
         record_bookkeeping(OpType::kFreeGrad, v, end);
       }
     }
@@ -971,25 +1066,26 @@ class Exec {
 
   const Graph& g_;
   const std::vector<BwdStep>& tape_;
+  const RuntimeTables& tables_;
   const cost::MachineConfig& machine_;
   const TimeModel& tm_;
   const RunOptions& opts_;
-  BackwardPlan plan_;
+
+  // Re-filled per run; the storage belongs to the thread's RunScratch.
+  BackwardPlan& plan_;
+  TransientMax& transients_;
 
   mem::Arena arena_;
   mem::HostPool host_;
-  std::priority_queue<FreeEvent, std::vector<FreeEvent>, FreeEventLater>
-      pending_;
+  std::vector<FreeEvent>& pending_;
 
-  std::vector<ValueState> states_;
-  std::vector<std::optional<mem::Offset>> grad_dev_;
-  std::vector<QueueEntry> queue_;
+  std::vector<ValueState>& states_;
+  std::vector<std::optional<mem::Offset>>& grad_dev_;
+  std::vector<QueueEntry>& queue_;
   std::size_t next_q_ = 0;
-  std::vector<IssuedPrefetch> issued_;
-  std::vector<std::vector<ValueId>> values_by_last_use_;
-  std::vector<std::vector<ValueId>> grad_arena_free_by_step_;
-  std::vector<std::vector<ValueId>> grad_backend_free_by_step_;
-  std::vector<ValueId> pins_;
+  std::vector<IssuedPrefetch>& issued_;
+  std::vector<std::vector<ValueId>>& values_by_last_use_;
+  std::vector<ValueId>& pins_;
 
   double t_comp_ = 0.0;
   double t_d2h_ = 0.0;
@@ -1006,12 +1102,24 @@ Runtime::Runtime(const Graph& graph, const std::vector<BwdStep>& tape,
     : graph_(graph), tape_(tape), machine_(machine), time_model_(time_model) {
   POOCH_CHECK_MSG(static_cast<int>(tape.size()) == graph.num_nodes(),
                   "tape does not match graph");
+  tables_ = std::make_shared<const RuntimeTables>(graph, tape);
 }
 
 RunResult Runtime::run(const Classification& classes,
                        const RunOptions& options) const {
+  // The thread's scratch set, unless a run is already using it further
+  // up this thread's stack; then a fresh one keeps run() re-entrant.
+  thread_local RunScratch thread_scratch;
+  RunScratch fresh;
+  RunScratch& scratch = thread_scratch.in_use ? fresh : thread_scratch;
+  struct Lease {
+    RunScratch& s;
+    explicit Lease(RunScratch& scratch) : s(scratch) { s.in_use = true; }
+    ~Lease() { s.in_use = false; }
+  } lease(scratch);
   try {
-    Exec exec(graph_, tape_, machine_, time_model_, classes, options);
+    Exec exec(graph_, tape_, *tables_, machine_, time_model_, classes,
+              options, scratch);
     try {
       return exec.run();
     } catch (const OomUnwind& oom) {

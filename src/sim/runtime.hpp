@@ -20,6 +20,7 @@
 #pragma once
 
 #include <cstdint>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -35,6 +36,8 @@ class StatsRegistry;
 }
 
 namespace pooch::sim {
+
+struct RuntimeTables;
 
 enum class SwapInPolicy : std::uint8_t {
   /// Swap-in issued only when the needing backward step starts.
@@ -132,14 +135,16 @@ class Runtime {
 
   /// Simulate one training iteration.
   ///
-  /// Thread safety: run() is re-entrant. The Runtime itself holds only
-  /// const references; every piece of simulation state (arena, host pool,
-  /// value states, stream cursors, the RunResult) lives in a per-call
-  /// Exec on this thread's stack. Concurrent run() calls on one Runtime
-  /// are therefore safe provided the TimeModel reports concurrent_safe()
-  /// — NoisyTimeModel does not, its queries mutate a shared Rng. An
-  /// attached StatsRegistry is safe: counters and gauges are atomic. The
-  /// parallel planner (pooch::planner) relies on exactly this.
+  /// Thread safety: run() is re-entrant. The Runtime itself holds const
+  /// references and immutable tables; the simulation state (arena, host
+  /// pool, value states, stream cursors, the lowered plan) lives in a
+  /// per-call Exec over a per-thread scratch set that every run re-fills,
+  /// and the RunResult is the caller's. Concurrent run() calls on one
+  /// Runtime are therefore safe provided the TimeModel reports
+  /// concurrent_safe() — NoisyTimeModel does not, its queries mutate a
+  /// shared Rng. An attached StatsRegistry is safe: counters and gauges
+  /// are atomic. The parallel planner (pooch::planner) relies on exactly
+  /// this.
   RunResult run(const Classification& classes,
                 const RunOptions& options = {}) const;
 
@@ -153,6 +158,11 @@ class Runtime {
   const std::vector<graph::BwdStep>& tape_;
   const cost::MachineConfig& machine_;
   const TimeModel& time_model_;
+  /// What every run reads of the graph and tape — byte sizes, capped
+  /// workspaces, the persistent pool, the plan skeleton, swap-in trigger
+  /// steps — derived once here. Time-model answers are never cached:
+  /// NoisyTimeModel draws fresh jitter per query.
+  std::shared_ptr<const RuntimeTables> tables_;
 };
 
 }  // namespace pooch::sim

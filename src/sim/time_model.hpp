@@ -33,9 +33,10 @@ class TimeModel {
   /// True when concurrent const queries from multiple threads are safe
   /// AND deterministic (the same query always returns the same value).
   /// Runtime::run is re-entrant — all execution state lives in a
-  /// per-call Exec — so this is the only property a caller must check
-  /// before running simulations of the same Runtime concurrently. The
-  /// parallel planner falls back to a single thread when it is false.
+  /// per-call Exec over per-thread scratch — so this is the only property
+  /// a caller must check before running simulations of the same Runtime
+  /// concurrently. The parallel planner falls back to a single thread
+  /// when it is false.
   virtual bool concurrent_safe() const { return true; }
 };
 

@@ -3,6 +3,7 @@
 #include <vector>
 
 #include "common/rng.hpp"
+#include "map_arena.hpp"
 #include "mem/arena.hpp"
 #include "mem/host_pool.hpp"
 
@@ -148,6 +149,89 @@ TEST_P(ArenaFuzz, AccountingInvariantsHold) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, ArenaFuzz,
                          ::testing::Values(1u, 2u, 3u, 7u, 1234u, 99999u));
+
+// Differential test: the flat-vector arena against the std::map oracle
+// (tests/map_arena.hpp), driven through the same seeded trace of
+// mixed kBottom/kTop allocations, frees and resets. Sizes are mostly a
+// few alignment units, so equal-size holes (the lowest-offset tie rule)
+// and exact fits are frequent; some span up to the whole capacity, so
+// exhaustion is too. Every decision and every statistic must agree after
+// every operation.
+class ArenaDifferential : public ::testing::TestWithParam<std::uint64_t> {};
+
+TEST_P(ArenaDifferential, MatchesTheMapArenaOracle) {
+  constexpr std::size_t kAlign = 256;
+  const std::size_t cap = kAlign * (48 + GetParam() % 17);
+  Arena arena(cap, kAlign);
+  testing::MapArena oracle(cap, kAlign);
+  Rng rng(GetParam());
+  std::vector<Offset> live;
+  int exact_fits = 0, failures = 0, resets = 0;
+  for (int step = 0; step < 6000; ++step) {
+    const double roll = rng.uniform();
+    if (roll < 0.002) {
+      arena.reset();
+      oracle.reset();
+      live.clear();
+      ++resets;
+    } else if (live.empty() || roll < 0.55) {
+      std::size_t want;
+      const double kind = rng.uniform();
+      if (kind < 0.05) {
+        want = 0;
+      } else if (kind < 0.85) {
+        want = kAlign * (1 + rng.below(4)) - rng.below(2) * rng.below(kAlign);
+      } else {
+        want = rng.below(cap + 1);
+      }
+      const AllocSide side =
+          rng.uniform() < 0.5 ? AllocSide::kBottom : AllocSide::kTop;
+      const std::uint64_t splits = oracle.stats().split_count;
+      const auto got = arena.allocate(want, side);
+      const auto expected = oracle.allocate(want, side);
+      ASSERT_EQ(got, expected) << "step " << step << " want " << want;
+      if (got) {
+        live.push_back(*got);
+        ASSERT_EQ(arena.block_size(*got), oracle.block_size(*got));
+        if (oracle.stats().split_count == splits) ++exact_fits;
+      } else {
+        ++failures;
+      }
+    } else {
+      const std::size_t idx = rng.below(live.size());
+      arena.free(live[idx]);
+      oracle.free(live[idx]);
+      live[idx] = live.back();
+      live.pop_back();
+    }
+    ASSERT_EQ(arena.in_use(), oracle.in_use()) << "step " << step;
+    ASSERT_EQ(arena.free_bytes(), oracle.free_bytes());
+    ASSERT_EQ(arena.largest_free_block(), oracle.largest_free_block());
+    const ArenaStats a = arena.stats();
+    const ArenaStats o = oracle.stats();
+    ASSERT_EQ(a.capacity, o.capacity);
+    ASSERT_EQ(a.in_use, o.in_use);
+    ASSERT_EQ(a.peak_in_use, o.peak_in_use);
+    ASSERT_EQ(a.free_bytes, o.free_bytes);
+    ASSERT_EQ(a.largest_free_block, o.largest_free_block);
+    ASSERT_EQ(a.alloc_count, o.alloc_count);
+    ASSERT_EQ(a.free_count, o.free_count);
+    ASSERT_EQ(a.failed_allocs, o.failed_allocs);
+    ASSERT_EQ(a.split_count, o.split_count);
+    ASSERT_EQ(a.coalesce_count, o.coalesce_count) << "step " << step;
+  }
+  for (Offset off : live) {
+    ASSERT_EQ(arena.block_size(off), oracle.block_size(off));
+  }
+  // The trace really exercised the interesting paths.
+  EXPECT_GT(exact_fits, 0);
+  EXPECT_GT(failures, 0);
+  EXPECT_GT(resets, 0);
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, ArenaDifferential,
+                         ::testing::Values(1u, 2u, 3u, 4u, 5u, 6u, 7u, 8u,
+                                           42u, 1234u));
 
 TEST(HostPool, ReserveAndRelease) {
   HostPool p(1000);

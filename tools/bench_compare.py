@@ -19,7 +19,11 @@ Supports the repo's bench JSON convention `{"bench": <name>, "rows": [...]}`:
     calibration  rows keyed on (model,), metric `calibrated_error` =
                  |calibrated_predicted - observed| / observed (LOWER is
                  better — a rise means the measured time model lost
-                 accuracy against the wall clock).
+                 accuracy against the wall clock);
+    planner_cost rows keyed on (model, threads, cache), metric
+                 `sims_per_s` = timeline simulations per wall second of
+                 the PoocH search (higher is better — a drop means the
+                 planner got slower per simulation).
 
 A row regresses when its candidate metric moves more than `tolerance`
 (default 10%) in the bad direction relative to the baseline. Rows present
@@ -42,6 +46,7 @@ SCHEMAS = {
     "async_exec": (("model", "policy", "copy_workers", "compute_workers"),
                    "vs_incore", "higher"),
     "calibration": (("model",), "calibrated_error", "lower"),
+    "planner_cost": (("model", "threads", "cache"), "sims_per_s", "higher"),
 }
 
 # Key fields that may be absent in older baselines, with the value the

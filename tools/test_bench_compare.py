@@ -150,6 +150,36 @@ def test_calibration_end_to_end():
         assert r.returncode == 0, (r.returncode, r.stdout, r.stderr)
 
 
+def planner_cost_doc(sims_per_s):
+    return {"bench": "planner_cost", "cpus": 4,
+            "rows": [{"model": "ResNet-50 (b640)", "threads": 4,
+                      "cache": True, "wall_seconds": 3207 / sims_per_s,
+                      "sims_per_s": sims_per_s}]}
+
+
+def test_planner_cost_end_to_end():
+    # sims_per_s is higher-is-better and keyed on (model, threads, cache):
+    # a faster planner passes, a slower one regresses.
+    with tempfile.TemporaryDirectory() as tmp:
+        base = write_doc(tmp, "base.json", planner_cost_doc(10000.0))
+        faster = write_doc(tmp, "faster.json", planner_cost_doc(25000.0))
+        slower = write_doc(tmp, "slower.json", planner_cost_doc(5000.0))
+        r = run_tool(base, faster)
+        assert r.returncode == 0, (r.returncode, r.stdout, r.stderr)
+        assert "no regressions" in r.stdout, r.stdout
+        r = run_tool(base, slower)
+        assert r.returncode == 1, (r.returncode, r.stdout, r.stderr)
+        assert "REGRESSION" in r.stdout, r.stdout
+
+
+def test_planner_cost_cache_is_part_of_the_key():
+    regs = bench_compare.compare(
+        {("ResNet-50 (b640)", 1, False): {"sims_per_s": 9000.0}},
+        {("ResNet-50 (b640)", 1, True): {"sims_per_s": 10.0}},
+        "sims_per_s", "higher", 0.10, out=io.StringIO())
+    assert regs == [], regs
+
+
 def main():
     tests = sorted(name for name in globals()
                    if name.startswith("test_") and callable(globals()[name]))
