@@ -8,15 +8,19 @@
 // layer, a 3-D ResNeXt convolution, and forward+backward of the
 // late-stage ResNet-50 convolutions whose outputs are only 2x2 to 16x16
 // — across a thread sweep, then skinny GEMMs and the Inception toy's
-// branch convolutions at 1, 2 and 4 threads, and writes
-// BENCH_kernels.json with the host's `cpus` (tools/bench_compare.py diffs
-// two such files and fails on regression). Every configuration is
+// branch convolutions at 1, 2 and 4 threads, then the memory-bound
+// kernels (batch norm, ReLU and 2-D max pooling, forward and backward) at
+// the Inception toy's and ResNet-50's shapes at 1, 2 and 4 threads, and
+// writes BENCH_kernels.json with the host's `cpus` (tools/bench_compare.py
+// diffs two such files and fails on regression). Every configuration is
 // verified bit-identical to the reference before it is timed: a
 // fast-but-wrong kernel aborts the bench.
 //
 // Times are best-of-N wall clock (first rep doubles as warm-up; N is at
 // least 3 and grows until the reps of a fast kernel add up to 50 ms);
-// `speedup` is ref_seconds / seconds for the same shape.
+// `speedup` is ref_seconds / seconds for the same shape. Memory-bound
+// rows carry `gbps`: the bytes the kernel must read and write at least,
+// each tensor once, per second.
 #include <chrono>
 #include <cmath>
 #include <cstdio>
@@ -27,10 +31,13 @@
 #include <utility>
 #include <vector>
 
+#include "kernels/activations.hpp"
+#include "kernels/batchnorm.hpp"
 #include "kernels/conv.hpp"
 #include "kernels/fc.hpp"
 #include "kernels/kernel_context.hpp"
 #include "kernels/matmul.hpp"
+#include "kernels/pool.hpp"
 #include "common/rng.hpp"
 #include "tensor/tensor_ops.hpp"
 
@@ -81,6 +88,7 @@ struct Row {
   int threads = 1;
   double seconds = 0.0;
   double gflops = 0.0;
+  double gbps = 0.0;  // 0 for compute-bound rows
   double ref_seconds = 0.0;
   double speedup = 0.0;
 };
@@ -92,6 +100,7 @@ struct Case {
   std::string kernel;
   std::string shape;
   double flops = 0.0;
+  double bytes = 0.0;  // minimum traffic of memory-bound kernels
   std::function<void(KernelContext&)> fast;
   std::function<void()> ref;
   std::vector<std::pair<const Tensor*, const Tensor*>> outs;
@@ -113,12 +122,14 @@ void run_case(const Case& c, const std::vector<int>& thread_sweep,
     r.threads = threads;
     r.seconds = seconds;
     r.gflops = c.flops / seconds * 1e-9;
+    r.gbps = c.bytes / seconds * 1e-9;
     r.ref_seconds = ref_seconds;
     r.speedup = ref_seconds / seconds;
     rows.push_back(r);
-    std::printf("| %-14s | %-22s | %7d | %9.4f | %7.2f | %9.4f | %6.2fx |\n",
+    std::printf("| %-14s | %-22s | %7d | %9.6f | %7.2f | %7.2f | %9.6f | "
+                "%6.2fx |\n",
                 r.kernel.c_str(), r.shape.c_str(), r.threads, r.seconds,
-                r.gflops, r.ref_seconds, r.speedup);
+                r.gflops, r.gbps, r.ref_seconds, r.speedup);
   }
 }
 
@@ -143,12 +154,16 @@ void write_json(const char* path, const std::vector<Row>& rows) {
                std::thread::hardware_concurrency());
   for (std::size_t i = 0; i < rows.size(); ++i) {
     const Row& r = rows[i];
+    char gbps[32] = "";
+    if (r.gbps > 0.0) {
+      std::snprintf(gbps, sizeof(gbps), "\"gbps\": %.3f, ", r.gbps);
+    }
     std::fprintf(f,
                  "    {\"kernel\": \"%s\", \"shape\": \"%s\", "
                  "\"threads\": %d, \"seconds\": %.6f, \"gflops\": %.3f, "
-                 "\"ref_seconds\": %.6f, \"speedup\": %.3f}%s\n",
+                 "%s\"ref_seconds\": %.6f, \"speedup\": %.3f}%s\n",
                  r.kernel.c_str(), r.shape.c_str(), r.threads, r.seconds,
-                 r.gflops, r.ref_seconds, r.speedup,
+                 r.gflops, gbps, r.ref_seconds, r.speedup,
                  i + 1 < rows.size() ? "," : "");
   }
   std::fprintf(f, "  ]\n}\n");
@@ -160,9 +175,9 @@ int run(const char* json_path) {
   const std::vector<int> sweep{1, 2, 4, 8};
   std::vector<Row> rows;
   std::printf("| kernel         | shape                  | threads | "
-              "seconds   | gflops  | ref s     | speedup |\n"
+              "seconds   | gflops  | gbps    | ref s     | speedup |\n"
               "|----------------|------------------------|---------|"
-              "-----------|---------|-----------|---------|\n");
+              "-----------|---------|---------|-----------|---------|\n");
 
   // Square GEMM — the layer every conv/fc call funnels into.
   {
@@ -364,6 +379,120 @@ int run(const char* json_path) {
     };
     cs.outs = {{&y, &y_ref}, {&dx, &dx_ref}, {&dw, &dw_ref}, {&db, &db_ref}};
     run_case(cs, skinny_sweep, rows);
+  }
+
+  // Memory-bound kernels: the Inception toy's (b32, 32x32 input) and
+  // ResNet-50's (b4, 64x64 input) batch-norm and ReLU tensors, and their
+  // max pools: the stem 2x2 s2, the modules' 3x3 s1 p1 on 16- and 8-wide
+  // planes, and ResNet's 3x3 s2 p1 stem pool.
+  const std::vector<Shape> eltwise_shapes{
+      Shape{32, 32, 32, 32}, Shape{32, 32, 16, 16}, Shape{32, 64, 8, 8},
+      Shape{4, 64, 32, 32}, Shape{4, 2048, 2, 2}};
+  const double kF = sizeof(float);
+  for (const Shape& xs : eltwise_shapes) {
+    const std::int64_t c = xs[1];
+    const double n = static_cast<double>(xs.numel());
+    const std::string shape = std::to_string(xs[0]) + "x" +
+                              std::to_string(xs[1]) + "x" +
+                              std::to_string(xs[2]) + "x" +
+                              std::to_string(xs[3]);
+    const Tensor x = random_tensor(xs, seed++);
+    const Tensor dy = random_tensor(xs, seed++);
+    const Tensor gamma = random_tensor(Shape{c}, seed++);
+    const Tensor beta = random_tensor(Shape{c}, seed++);
+    const BatchNormAttrs bn;
+    Tensor y(xs), y_ref(xs), dx(xs), dx_ref(xs);
+    Tensor dgamma(Shape{c}), dgamma_ref(Shape{c});
+    Tensor dbeta(Shape{c}), dbeta_ref(Shape{c});
+
+    Case fwd;
+    fwd.kernel = "bn_fwd";
+    fwd.shape = shape;
+    fwd.bytes = 2 * n * kF;
+    fwd.fast = [&](KernelContext& ctx) {
+      batchnorm_forward(x, gamma, beta, y, bn, ctx);
+    };
+    fwd.ref = [&] { batchnorm_forward_ref(x, gamma, beta, y_ref, bn); };
+    fwd.outs = {{&y, &y_ref}};
+    run_case(fwd, skinny_sweep, rows);
+
+    Case bwd;
+    bwd.kernel = "bn_bwd";
+    bwd.shape = shape;
+    bwd.bytes = 3 * n * kF;
+    bwd.fast = [&](KernelContext& ctx) {
+      batchnorm_backward(x, gamma, dy, &dx, dgamma, dbeta, bn, ctx);
+    };
+    bwd.ref = [&] {
+      batchnorm_backward_ref(x, gamma, dy, &dx_ref, dgamma_ref, dbeta_ref,
+                             bn);
+    };
+    bwd.outs = {{&dx, &dx_ref}, {&dgamma, &dgamma_ref}, {&dbeta, &dbeta_ref}};
+    run_case(bwd, skinny_sweep, rows);
+
+    Case relu_f;
+    relu_f.kernel = "relu_fwd";
+    relu_f.shape = shape;
+    relu_f.bytes = 2 * n * kF;
+    relu_f.fast = [&](KernelContext& ctx) { relu_forward(x, y, ctx); };
+    relu_f.ref = [&] { relu_forward_ref(x, y_ref); };
+    relu_f.outs = {{&y, &y_ref}};
+    run_case(relu_f, skinny_sweep, rows);
+
+    // x as the mask: a random sign per element, the worst case for a
+    // branch.
+    Case relu_b;
+    relu_b.kernel = "relu_bwd";
+    relu_b.shape = shape;
+    relu_b.bytes = 3 * n * kF;
+    relu_b.fast = [&](KernelContext& ctx) { relu_backward(x, dy, dx, ctx); };
+    relu_b.ref = [&] { relu_backward_ref(x, dy, dx_ref); };
+    relu_b.outs = {{&dx, &dx_ref}};
+    run_case(relu_b, skinny_sweep, rows);
+  }
+
+  struct PoolShape {
+    const char* shape;
+    Shape xs;
+    PoolAttrs attrs;
+  };
+  const PoolShape pools[] = {
+      {"32x32x32x32 k2 s2", Shape{32, 32, 32, 32},
+       PoolAttrs::pool2d(PoolMode::kMax, 2, 2)},
+      {"32x32x16x16 k3 s1", Shape{32, 32, 16, 16},
+       PoolAttrs::pool2d(PoolMode::kMax, 3, 1, 1)},
+      {"32x64x8x8 k3 s1", Shape{32, 64, 8, 8},
+       PoolAttrs::pool2d(PoolMode::kMax, 3, 1, 1)},
+      {"4x64x32x32 k3 s2", Shape{4, 64, 32, 32},
+       PoolAttrs::pool2d(PoolMode::kMax, 3, 2, 1)},
+  };
+  for (const PoolShape& p : pools) {
+    const Shape ys = pool_output_shape(p.xs, p.attrs);
+    const double in = static_cast<double>(p.xs.numel());
+    const double out = static_cast<double>(ys.numel());
+    const Tensor x = random_tensor(p.xs, seed++);
+    const Tensor dy = random_tensor(ys, seed++);
+    Tensor y(ys), y_ref(ys), dx(p.xs), dx_ref(p.xs);
+
+    Case fwd;
+    fwd.kernel = "maxpool_fwd";
+    fwd.shape = p.shape;
+    fwd.bytes = (in + out) * kF;
+    fwd.fast = [&](KernelContext& ctx) { pool_forward(x, y, p.attrs, ctx); };
+    fwd.ref = [&] { pool_forward_ref(x, y_ref, p.attrs); };
+    fwd.outs = {{&y, &y_ref}};
+    run_case(fwd, skinny_sweep, rows);
+
+    Case bwd;
+    bwd.kernel = "maxpool_bwd";
+    bwd.shape = p.shape;
+    bwd.bytes = (2 * in + out) * kF;
+    bwd.fast = [&](KernelContext& ctx) {
+      pool_backward(x, dy, dx, p.attrs, ctx);
+    };
+    bwd.ref = [&] { pool_backward_ref(x, dy, dx_ref, p.attrs); };
+    bwd.outs = {{&dx, &dx_ref}};
+    run_case(bwd, skinny_sweep, rows);
   }
 
   write_json(json_path, rows);

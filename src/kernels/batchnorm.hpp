@@ -5,11 +5,13 @@
 // state to exactly one feature map, the invariant the out-of-core planner
 // relies on (a `recompute`d BN input is sufficient to run its backward).
 //
-// Parallelism: channel statistics are reduced per channel, with the batch
-// loop kept in ascending order inside each channel (the exact double-
-// precision accumulation sequence of the serial code); normalize and dx
-// partition over independent (sample, channel) planes. Output is
-// bit-identical to the *_ref oracles at any thread count.
+// Parallelism partitions over channels, which are independent: each
+// channel's statistics, normalize and dx run in one block. Inside a
+// channel every sum keeps the reference's double-precision sequence (one
+// ascending chain per (sample, channel) plane, folded in ascending
+// sample order); the fast path only interleaves the chains of several
+// planes. Output is bit-identical to the *_ref oracles at any thread
+// count (docs/KERNELS.md, "Memory-bound kernels").
 #pragma once
 
 #include "kernels/attrs.hpp"

@@ -4,6 +4,7 @@
 #include <cstring>
 
 #include "common/parallel.hpp"
+#include "kernels/simd.hpp"
 
 namespace pooch::kernels {
 
@@ -18,27 +19,14 @@ constexpr std::int64_t kKC = 256;
 constexpr std::int64_t kNC = 240;  // multiple of kNR
 constexpr std::int64_t kMC = 96;   // multiple of kMR
 
-// Floats per vector register of the translation unit's ISA: GCC and
-// Clang set __BIGGEST_ALIGNMENT__ to the widest vector register, 64
-// bytes with AVX-512, 32 with AVX, 16 with SSE or NEON. A tile row of
-// NR floats is NR / kVF vector values. A single 64-byte vector type
-// would be simpler to write, but GCC lowers vector types wider than the
-// ISA through memory, at a fraction of the speed.
-constexpr std::int64_t kVF = std::min<std::int64_t>(
-    kNR, __BIGGEST_ALIGNMENT__ / static_cast<std::int64_t>(sizeof(float)));
+// Floats per vector value: the ISA's register width (simd::kLanes),
+// at most one tile row. A tile row of NR floats is NR / kVF vector
+// values.
+constexpr std::int64_t kVF = std::min<std::int64_t>(kNR, simd::kLanes);
 constexpr std::int64_t kNV = kNR / kVF;
 static_assert(kNR % kVF == 0);
 
-/// kVF floats as one GCC/Clang vector value.
-typedef float Vec __attribute__((vector_size(kVF * sizeof(float))));
-
-inline Vec load_vec(const float* p) {
-  Vec v;
-  std::memcpy(&v, p, sizeof(v));
-  return v;
-}
-
-inline void store_vec(float* p, Vec v) { std::memcpy(p, &v, sizeof(v)); }
+typedef simd::Vec<float, kVF> Vec;
 
 /// Operand layout of the blocked GEMM core.
 struct GemmShape {
@@ -127,14 +115,15 @@ void micro_tile(const float* ap, std::int64_t lda, const float* bp,
   for (std::int64_t ir = 0; ir < kMR; ++ir) {
 #pragma GCC unroll 4
     for (std::int64_t v = 0; v < kNV; ++v) {
-      acc[ir][v] = zero_init ? Vec{} : load_vec(c + ir * ldc + v * kVF);
+      acc[ir][v] =
+          zero_init ? Vec{} : simd::load<Vec>(c + ir * ldc + v * kVF);
     }
   }
   for (std::int64_t p = 0; p < kc; ++p) {
     Vec b[kNV];
 #pragma GCC unroll 4
     for (std::int64_t v = 0; v < kNV; ++v) {
-      b[v] = load_vec(bp + p * ldb + v * kVF);
+      b[v] = simd::load<Vec>(bp + p * ldb + v * kVF);
     }
 #pragma GCC unroll 12
     for (std::int64_t ir = 0; ir < kMR; ++ir) {
@@ -147,7 +136,7 @@ void micro_tile(const float* ap, std::int64_t lda, const float* bp,
   for (std::int64_t ir = 0; ir < kMR; ++ir) {
 #pragma GCC unroll 4
     for (std::int64_t v = 0; v < kNV; ++v) {
-      store_vec(c + ir * ldc + v * kVF, acc[ir][v]);
+      simd::store(c + ir * ldc + v * kVF, acc[ir][v]);
     }
   }
 }

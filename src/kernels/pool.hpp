@@ -8,7 +8,9 @@
 // Parallelism partitions over (sample, channel) planes. Windows inside a
 // plane may overlap (backward scatter), so each plane is processed by
 // exactly one block in the serial window order — results are bit-identical
-// to the *_ref oracles at any thread count.
+// to the *_ref oracles at any thread count. 2-D max pooling scans a
+// -inf-padded copy of each plane, a vector of outputs at a time, in the
+// reference's window order (docs/KERNELS.md, "Memory-bound kernels").
 #pragma once
 
 #include "kernels/attrs.hpp"

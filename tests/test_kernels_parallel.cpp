@@ -14,6 +14,7 @@
 #include <algorithm>
 #include <cstdint>
 #include <cstring>
+#include <limits>
 #include <mutex>
 #include <stdexcept>
 #include <string>
@@ -48,6 +49,39 @@ void expect_bits(const Tensor& got, const Tensor& want,
     ASSERT_EQ(gb, wb) << what << ": first bit difference at flat index " << i
                       << " (" << gv << " vs " << wv << ")";
   }
+}
+
+// Uniform values mapped onto eight: +0, -0, NaN, -inf, -1, -0.5, 0.5
+// and 1. Windows and vectors then hold ties, signed zeros and values no
+// comparison picks, the cases where a reordered max or select shows.
+Tensor special_tensor(const Shape& shape, std::uint64_t seed) {
+  const float table[8] = {0.0f,
+                          -0.0f,
+                          std::numeric_limits<float>::quiet_NaN(),
+                          -std::numeric_limits<float>::infinity(),
+                          -1.0f,
+                          -0.5f,
+                          0.5f,
+                          1.0f};
+  Tensor t = random_tensor(shape, seed);
+  for (std::int64_t i = 0; i < t.numel(); ++i) {
+    t[i] = table[std::min(7, static_cast<int>((t[i] + 1.0f) * 4.0f))];
+  }
+  return t;
+}
+
+// A batch whose first two samples cancel exactly: sample 1 is -sample 0,
+// both of magnitude 2^40, and the rest is uniform. A per-channel sum over
+// the batch is exact only when it adds sample 0, then sample 1, then the
+// rest; any other order rounds the small samples against 2^40.
+Tensor cancelling_batch(const Shape& shape, std::uint64_t seed) {
+  Tensor t = random_tensor(shape, seed);
+  const std::int64_t sample = t.numel() / shape[0];
+  for (std::int64_t i = 0; i < sample; ++i) {
+    t[i] = (t[i] < 0.0f ? -1.0f : 1.0f) * 0x1p40f;
+    t[sample + i] = -t[i];
+  }
+  return t;
 }
 
 // ---------- fast-vs-ref bit identity, parameterized over thread count ----
@@ -245,30 +279,61 @@ TEST_P(KernelBitIdentity, FullyConnected) {
 }
 
 TEST_P(KernelBitIdentity, BatchNorm) {
-  const Shape shapes[] = {Shape{4, 5, 6, 7}, Shape{2, 3, 4, 4, 4},
-                          Shape{7, 3}};
+  // Odd channel and plane counts leave partial interleave groups; the
+  // ResNet-50 late-stage shape has 2048 channels over 2x2 planes (many
+  // chunks, and a block per thread); the last shape has planes of 1056
+  // floats, past one vector width.
+  struct Case {
+    const char* name;
+    Shape xs;
+    bool cancel_x = false;
+    bool cancel_dy = false;
+  };
+  const Case cases[] = {
+      {"4x5x6x7", Shape{4, 5, 6, 7}},
+      {"2x3x4x4x4", Shape{2, 3, 4, 4, 4}},
+      {"7x3", Shape{7, 3}},
+      {"4x2048x2x2", Shape{4, 2048, 2, 2}},
+      {"2x16x32x33", Shape{2, 16, 32, 33}},
+      // Cancelling x pins the order of the mean's per-channel fold,
+      // cancelling dy that of sum(dy); both need ascending n. Planes of
+      // 4 and of 64 floats take both of the fast path's plane walks.
+      {"cancel_x 3x2x2x2", Shape{3, 2, 2, 2}, true, false},
+      {"cancel_x 10x3x8x8", Shape{10, 3, 8, 8}, true, false},
+      {"cancel_dy 10x3x2x2", Shape{10, 3, 2, 2}, false, true},
+      {"cancel_dy 10x3x8x8", Shape{10, 3, 8, 8}, false, true},
+  };
   std::uint64_t seed = 1300;
-  for (const Shape& xs : shapes) {
+  for (const Case& cs : cases) {
+    const Shape& xs = cs.xs;
+    const std::string tag = std::string("batchnorm ") + cs.name;
     const std::int64_t channels = xs[1];
     BatchNormAttrs attrs;
-    const Tensor x = random_tensor(xs, seed++);
+    const Tensor x = cs.cancel_x ? cancelling_batch(xs, seed++)
+                                 : random_tensor(xs, seed++);
     const Tensor gamma = random_tensor(Shape{channels}, seed++, 0.5f, 1.5f);
     const Tensor beta = random_tensor(Shape{channels}, seed++);
     Tensor y(xs), y_ref(xs);
     batchnorm_forward(x, gamma, beta, y, attrs, ctx_);
     batchnorm_forward_ref(x, gamma, beta, y_ref, attrs);
-    expect_bits(y, y_ref, "batchnorm forward");
+    expect_bits(y, y_ref, tag + " forward");
 
-    const Tensor dy = random_tensor(xs, seed++);
+    Tensor dy = cs.cancel_dy ? cancelling_batch(xs, seed++)
+                             : random_tensor(xs, seed++);
+    if (cs.cancel_x) {
+      // Only the small samples carry gradient, so dgamma sees the mean.
+      const std::int64_t sample = x.numel() / xs[0];
+      for (std::int64_t i = 0; i < 2 * sample; ++i) dy[i] = 0.0f;
+    }
     Tensor dx(xs), dx_ref(xs);
     Tensor dgamma(Shape{channels}), dgamma_ref(Shape{channels});
     Tensor dbeta(Shape{channels}), dbeta_ref(Shape{channels});
     batchnorm_backward(x, gamma, dy, &dx, dgamma, dbeta, attrs, ctx_);
     batchnorm_backward_ref(x, gamma, dy, &dx_ref, dgamma_ref, dbeta_ref,
                            attrs);
-    expect_bits(dx, dx_ref, "batchnorm dx");
-    expect_bits(dgamma, dgamma_ref, "batchnorm dgamma");
-    expect_bits(dbeta, dbeta_ref, "batchnorm dbeta");
+    expect_bits(dx, dx_ref, tag + " dx");
+    expect_bits(dgamma, dgamma_ref, tag + " dgamma");
+    expect_bits(dbeta, dbeta_ref, tag + " dbeta");
   }
 }
 
@@ -278,25 +343,58 @@ TEST_P(KernelBitIdentity, Pooling) {
     Shape xs;
     PoolAttrs attrs;
   };
+  const PoolMode kMax = PoolMode::kMax;
+  // 2-D max pooling runs on -inf-padded plane copies, a vector of 8 or 16
+  // outputs at a time: rows of exactly 8 and 16 outputs, rows of several
+  // vectors with a partial last one, the strided windows of 2x2 s2 and
+  // the ResNet stem's 3x3 s2 p1, a stride of 3, and stride-1 windows
+  // without padding. The 8- and 16-wide cases have enough planes to fan
+  // out over blocks.
   const Case cases[] = {
-      {"max2d_pad", Shape{2, 3, 9, 9}, PoolAttrs::pool2d(PoolMode::kMax, 3, 2, 1)},
+      {"max3x3s1p1 w8", Shape{8, 64, 8, 8}, PoolAttrs::pool2d(kMax, 3, 1, 1)},
+      {"max3x3s1p1 w16", Shape{4, 40, 16, 16},
+       PoolAttrs::pool2d(kMax, 3, 1, 1)},
+      {"max3x3s1p1 w18", Shape{2, 5, 18, 18},
+       PoolAttrs::pool2d(kMax, 3, 1, 1)},
+      {"max3x3s1p1 w37", Shape{2, 3, 11, 37},
+       PoolAttrs::pool2d(kMax, 3, 1, 1)},
+      {"max3x3s1p1 w13", Shape{3, 4, 13, 13},
+       PoolAttrs::pool2d(kMax, 3, 1, 1)},
+      {"max2x2s2 w16", Shape{2, 6, 16, 16}, PoolAttrs::pool2d(kMax, 2, 2)},
+      {"max2x2s2 w15", Shape{2, 3, 15, 15}, PoolAttrs::pool2d(kMax, 2, 2)},
+      {"max3x3s2p1 stem", Shape{2, 4, 32, 32},
+       PoolAttrs::pool2d(kMax, 3, 2, 1)},
+      {"max3x3s2p1 w9", Shape{2, 3, 9, 9}, PoolAttrs::pool2d(kMax, 3, 2, 1)},
+      {"max5x5s1p2", Shape{2, 3, 16, 16}, PoolAttrs::pool2d(kMax, 5, 1, 2)},
+      {"max3x3s1p0 w20", Shape{2, 3, 20, 20}, PoolAttrs::pool2d(kMax, 3, 1)},
+      {"max2x2s1 w17", Shape{2, 2, 17, 17}, PoolAttrs::pool2d(kMax, 2, 1)},
+      {"max3x3s3", Shape{2, 3, 13, 13}, PoolAttrs::pool2d(kMax, 3, 3)},
+      {"max3x3s1p2 border", Shape{2, 2, 5, 5},
+       PoolAttrs::pool2d(kMax, 3, 1, 2)},
       {"avg2d", Shape{3, 2, 8, 8}, PoolAttrs::pool2d(PoolMode::kAvg, 2, 2)},
-      {"max3d", Shape{1, 2, 6, 6, 6}, PoolAttrs::pool3d(PoolMode::kMax, 2, 2)},
+      {"avg2d_pad", Shape{2, 3, 9, 9},
+       PoolAttrs::pool2d(PoolMode::kAvg, 3, 2, 1)},
+      {"max3d", Shape{1, 2, 6, 6, 6}, PoolAttrs::pool3d(kMax, 2, 2)},
   };
   std::uint64_t seed = 1700;
   for (const Case& c : cases) {
-    const Tensor x = random_tensor(c.xs, seed++);
-    const Shape ys = pool_output_shape(c.xs, c.attrs);
-    Tensor y(ys), y_ref(ys);
-    pool_forward(x, y, c.attrs, ctx_);
-    pool_forward_ref(x, y_ref, c.attrs);
-    expect_bits(y, y_ref, std::string("pool forward ") + c.name);
+    for (const bool special : {false, true}) {
+      const std::string tag =
+          std::string(c.name) + (special ? " special" : " uniform");
+      const Tensor x =
+          special ? special_tensor(c.xs, seed++) : random_tensor(c.xs, seed++);
+      const Shape ys = pool_output_shape(c.xs, c.attrs);
+      Tensor y(ys), y_ref(ys);
+      pool_forward(x, y, c.attrs, ctx_);
+      pool_forward_ref(x, y_ref, c.attrs);
+      expect_bits(y, y_ref, "pool forward " + tag);
 
-    const Tensor dy = random_tensor(ys, seed++);
-    Tensor dx(c.xs), dx_ref(c.xs);
-    pool_backward(x, dy, dx, c.attrs, ctx_);
-    pool_backward_ref(x, dy, dx_ref, c.attrs);
-    expect_bits(dx, dx_ref, std::string("pool backward ") + c.name);
+      const Tensor dy = random_tensor(ys, seed++);
+      Tensor dx(c.xs), dx_ref(c.xs);
+      pool_backward(x, dy, dx, c.attrs, ctx_);
+      pool_backward_ref(x, dy, dx_ref, c.attrs);
+      expect_bits(dx, dx_ref, "pool backward " + tag);
+    }
   }
 
   const Shape gs{3, 4, 5, 7};
@@ -318,15 +416,19 @@ TEST_P(KernelBitIdentity, EltwiseActivationsDropoutSoftmax) {
   const Shape flat{1 << 16};
   std::uint64_t seed = 2100;
   {
-    const Tensor x = random_tensor(flat, seed++);
-    Tensor y(flat), y_ref(flat);
+    // NaN, +-0 and an element count off every vector width and grain.
+    const Shape odd{(1 << 16) + 13};
+    const Tensor x = special_tensor(odd, seed++);
+    Tensor y(odd), y_ref(odd);
     relu_forward(x, y, ctx_);
     relu_forward_ref(x, y_ref);
     expect_bits(y, y_ref, "relu forward");
-    const Tensor dy = random_tensor(flat, seed++);
-    Tensor dx(flat), dx_ref(flat);
-    relu_backward(y, dy, dx, ctx_);
-    relu_backward_ref(y_ref, dy, dx_ref);
+    // The mask is any tensor to the kernel: give it the specials too.
+    const Tensor mask = special_tensor(odd, seed++);
+    const Tensor dy = special_tensor(odd, seed++);
+    Tensor dx(odd), dx_ref(odd);
+    relu_backward(mask, dy, dx, ctx_);
+    relu_backward_ref(mask, dy, dx_ref);
     expect_bits(dx, dx_ref, "relu backward");
   }
   {

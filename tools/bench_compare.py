@@ -6,8 +6,10 @@ Usage:
 
 Supports the repo's bench JSON convention `{"bench": <name>, "rows": [...]}`:
 
-    kernels      rows keyed on (kernel, shape, threads), metric `gflops`
-                 (higher is better);
+    kernels      rows keyed on (kernel, shape, threads), metric `seconds`
+                 (lower is better: memory-bound rows do no FLOPs, and a
+                 row's FLOPs are fixed per key, so seconds gives the
+                 compute rows the verdicts gflops gave them);
     async_exec   rows keyed on (model, policy, copy_workers,
                  compute_workers), metric `vs_incore` = incore_seconds /
                  async_seconds, the in-core stream and the out-of-core
@@ -42,7 +44,7 @@ import sys
 # bench name -> (key fields, metric field, direction)
 # direction: "higher" = drops regress, "lower" = rises regress.
 SCHEMAS = {
-    "kernels": (("kernel", "shape", "threads"), "gflops", "higher"),
+    "kernels": (("kernel", "shape", "threads"), "seconds", "lower"),
     "async_exec": (("model", "policy", "copy_workers", "compute_workers"),
                    "vs_incore", "higher"),
     "calibration": (("model",), "calibrated_error", "lower"),
@@ -89,11 +91,12 @@ def compare(base, cand, metric, direction, tolerance, out=sys.stdout):
 
     width = max([len(fmt_key(k)) for k in list(base) + list(cand)] + [10])
     regressions = []
-    print(f"{'row':<{width}} {'base':>8} {'cand':>8} {'delta':>8}", file=out)
+    print(f"{'row':<{width}} {'base':>10} {'cand':>10} {'delta':>8}",
+          file=out)
     for key in sorted(base, key=fmt_key):
         if key not in cand:
-            print(f"{fmt_key(key):<{width}} {base[key][metric]:>8.2f} "
-                  f"{'missing':>8}", file=out)
+            print(f"{fmt_key(key):<{width}} {base[key][metric]:>10.4g} "
+                  f"{'missing':>10}", file=out)
             continue
         b = base[key][metric]
         c = cand[key][metric]
@@ -104,11 +107,11 @@ def compare(base, cand, metric, direction, tolerance, out=sys.stdout):
         if bad:
             regressions.append((key, b, c, delta))
             flag = "  REGRESSION"
-        print(f"{fmt_key(key):<{width}} {b:>8.2f} {c:>8.2f} "
+        print(f"{fmt_key(key):<{width}} {b:>10.4g} {c:>10.4g} "
               f"{delta:>+7.1%}{flag}", file=out)
     for key in sorted(set(cand) - set(base), key=fmt_key):
-        print(f"{fmt_key(key):<{width}} {'new':>8} {cand[key][metric]:>8.2f}",
-              file=out)
+        print(f"{fmt_key(key):<{width}} {'new':>10} "
+              f"{cand[key][metric]:>10.4g}", file=out)
     return regressions
 
 

@@ -32,10 +32,10 @@ def write_doc(tmp, name, doc):
     return path
 
 
-def kernels_doc(gflops):
+def kernels_doc(seconds, kernel="gemm", gflops=1.0):
     return {"bench": "kernels",
-            "rows": [{"kernel": "gemm", "shape": "256", "threads": 1,
-                      "gflops": gflops}]}
+            "rows": [{"kernel": kernel, "shape": "256", "threads": 1,
+                      "seconds": seconds, "gflops": gflops}]}
 
 
 def calibration_doc(error):
@@ -67,6 +67,31 @@ def test_lower_is_better_regression():
         {("resnet50",): {"calibrated_error": 0.05}},
         "calibrated_error", "lower", 0.10, out=io.StringIO())
     assert regs == [], regs
+
+
+def test_kernels_gate_on_seconds():
+    # A compute row keeps its gflops verdict: half the gflops is twice
+    # the seconds for the same key. A memory-bound row (no FLOPs) is
+    # gated too: 50% slower regresses, 5% slower passes.
+    with tempfile.TemporaryDirectory() as tmp:
+        base = write_doc(tmp, "base.json", kernels_doc(0.010, gflops=10.0))
+        slower = write_doc(tmp, "slower.json", kernels_doc(0.020, gflops=5.0))
+        r = run_tool(base, slower)
+        assert r.returncode == 1, (r.returncode, r.stdout, r.stderr)
+        assert "REGRESSION" in r.stdout, r.stdout
+
+        bn = write_doc(tmp, "bn.json",
+                       kernels_doc(0.0010, kernel="bn_fwd", gflops=0.0))
+        bn_ok = write_doc(tmp, "bn_ok.json",
+                          kernels_doc(0.00105, kernel="bn_fwd", gflops=0.0))
+        bn_slow = write_doc(tmp, "bn_slow.json",
+                            kernels_doc(0.0015, kernel="bn_fwd", gflops=0.0))
+        r = run_tool(bn, bn_ok)
+        assert r.returncode == 0, (r.returncode, r.stdout, r.stderr)
+        assert "no regressions" in r.stdout, r.stdout
+        r = run_tool(bn, bn_slow)
+        assert r.returncode == 1, (r.returncode, r.stdout, r.stderr)
+        assert "REGRESSION" in r.stdout, r.stdout
 
 
 def test_rows_on_one_side_do_not_fail():
