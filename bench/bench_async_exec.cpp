@@ -16,82 +16,26 @@
 //
 // Every run is verified bit-identical to the serial in-core reference
 // (planner::run_incore_reference); a fast-but-wrong executor aborts the
-// bench. `vs_incore` is incore_seconds / async_seconds (higher is
-// better; 1.0 = out-of-core execution costs nothing). The `cpus` field
-// records std::thread::hardware_concurrency(): on a single-CPU host the
-// copy workers timeshare with compute, and tools/bench_compare.py
-// compares like against like only.
+// bench. The bench::Report (default BENCH_async_exec.json) is keyed on
+// (model, policy, copy_workers, compute_workers) and gated on
+// `vs_incore` = incore_seconds / async_seconds (higher is better; 1.0 =
+// out-of-core execution costs nothing). Its `cpus` field records
+// std::thread::hardware_concurrency(): on a single-CPU host the copy
+// workers timeshare with compute, and tools/bench_compare.py refuses to
+// compare files with different `cpus`.
 #include <chrono>
 #include <cstdio>
 #include <string>
-#include <thread>
 #include <vector>
 
-#include "cost/cost_model.hpp"
+#include "bench_common.hpp"
 #include "exec/async_executor.hpp"
 #include "exec/op_stream.hpp"
-#include "graph/autodiff.hpp"
-#include "models/models.hpp"
-#include "pooch/pipeline.hpp"
-#include "sim/runtime.hpp"
 
 namespace pooch::bench {
 namespace {
 
 constexpr std::uint64_t kSeed = 0x5eed;
-
-struct Row {
-  std::string model;
-  std::string policy;
-  int copy_workers = 1;
-  int compute_workers = 1;
-  double incore_seconds = 0.0;
-  double async_seconds = 0.0;
-  double vs_incore = 0.0;
-  std::size_t swapped_bytes = 0;
-};
-
-struct Workload {
-  std::string name;
-  graph::Graph g;
-  std::vector<graph::BwdStep> tape;
-  cost::MachineConfig machine;
-  std::unique_ptr<sim::CostTimeModel> tm;
-  std::unique_ptr<sim::Runtime> rt;
-
-  Workload(std::string n, graph::Graph graph)
-      : name(std::move(n)),
-        g(std::move(graph)),
-        tape(graph::build_backward_tape(g)),
-        machine(cost::x86_pcie()) {
-    tm = std::make_unique<sim::CostTimeModel>(g, machine);
-    rt = std::make_unique<sim::Runtime>(g, tape, machine, *tm);
-  }
-
-  /// Clamp the device so only `pct` percent of the keep-all activation
-  /// headroom (peak minus the persistent parameter pool, which can never
-  /// be swapped) fits — the schedule has to swap feature maps. Rebuilds
-  /// the runtime on the tighter machine.
-  void tighten(int pct) {
-    // Probe on a roomy machine so repeated tightening stays idempotent.
-    cost::MachineConfig roomy = cost::x86_pcie();
-    sim::CostTimeModel probe_tm(g, roomy);
-    sim::Runtime probe_rt(g, tape, roomy, probe_tm);
-    const auto keep =
-        probe_rt.run(sim::Classification(g, sim::ValueClass::kKeep));
-    if (!keep.ok) {
-      std::fprintf(stderr, "%s: keep-all probe failed: %s\n", name.c_str(),
-                   keep.failure.c_str());
-      std::exit(1);
-    }
-    machine.gpu_capacity_bytes =
-        keep.persistent_bytes +
-        (keep.peak_bytes - keep.persistent_bytes) * pct / 100;
-    machine.gpu_reserved_bytes = 0;
-    tm = std::make_unique<sim::CostTimeModel>(g, machine);
-    rt = std::make_unique<sim::Runtime>(g, tape, machine, *tm);
-  }
-};
 
 double seconds_since(std::chrono::steady_clock::time_point t0) {
   return std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
@@ -102,14 +46,15 @@ double seconds_since(std::chrono::steady_clock::time_point t0) {
 /// through the AsyncExecutor from a fresh backend (export time excluded —
 /// the stream is recorded once and reused, as a training loop would).
 /// Exits unless every run is bit-identical to `ref`.
-double time_replay(const Workload& w, const exec::OpStream& stream,
-                   int copy_workers, int compute_workers, int reps,
-                   const sim::DataBackend& ref, const char* what) {
+double time_replay(const char* name, const Workload& w,
+                   const exec::OpStream& stream, int copy_workers,
+                   int compute_workers, int reps, const sim::DataBackend& ref,
+                   const char* what) {
   const exec::AsyncExecutor executor(w.g, stream);
   exec::AsyncOptions ao;
   ao.workers_per_copy_lane = copy_workers;
   ao.compute_workers = compute_workers;
-  ao.time_model = w.tm.get();
+  ao.time_model = &w.tm;
   double best = 1e300;
   for (int rep = 0; rep < reps; ++rep) {
     sim::DataBackend data(w.g, kSeed);
@@ -117,7 +62,7 @@ double time_replay(const Workload& w, const exec::OpStream& stream,
     const auto res = executor.run(data, ao);
     const double s = seconds_since(t0);
     if (!res.ok) {
-      std::fprintf(stderr, "%s %s run failed: %s\n", w.name.c_str(), what,
+      std::fprintf(stderr, "%s %s run failed: %s\n", name, what,
                    res.failure.c_str());
       std::exit(1);
     }
@@ -126,7 +71,7 @@ double time_replay(const Workload& w, const exec::OpStream& stream,
       std::fprintf(stderr,
                    "%s %s: NOT bit-identical to in-core reference (%s "
                    "differs)\n",
-                   w.name.c_str(), what, diff.c_str());
+                   name, what, diff.c_str());
       std::exit(1);
     }
     if (s < best) best = s;
@@ -134,26 +79,21 @@ double time_replay(const Workload& w, const exec::OpStream& stream,
   return best;
 }
 
-void run_workload(Workload& w, int capacity_pct, int reps,
-                  std::vector<Row>& rows) {
-  // Tightest capacity (in 10-point steps up from `capacity_pct`) at
-  // which the swap-all schedule is still feasible — fragmentation and
-  // unswappable workspaces set a per-model floor.
-  bool feasible = false;
-  for (int pct = capacity_pct; pct <= 95 && !feasible; pct += 10) {
-    w.tighten(pct);
-    try {
-      (void)planner::record_op_stream(
-          *w.rt, sim::Classification(w.g, sim::ValueClass::kSwap));
-      feasible = true;
-    } catch (const Error&) {
-    }
-  }
-  if (!feasible) {
-    std::fprintf(stderr, "%s: no feasible OOC capacity found\n",
-                 w.name.c_str());
-    std::exit(1);
-  }
+void run_workload(const char* name, const graph::Graph& g, int capacity_pct,
+                  int reps, Report& report) {
+  // Tightest capacity, in 10-point steps up from `capacity_pct`, at
+  // which the swap-all schedule exports.
+  const auto wp = tightest_feasible(
+      name, g, capacity_pct, 10, [](const Workload& w) {
+        try {
+          (void)planner::record_op_stream(
+              w.rt, sim::Classification(w.g, sim::ValueClass::kSwap));
+          return true;
+        } catch (const Error&) {
+          return false;
+        }
+      });
+  const Workload& w = *wp;
   struct Policy {
     const char* name;
     sim::Classification classes;
@@ -161,7 +101,7 @@ void run_workload(Workload& w, int capacity_pct, int reps,
   std::vector<Policy> policies;
   policies.push_back(
       {"swap-all", sim::Classification(w.g, sim::ValueClass::kSwap)});
-  planner::PoochPlanner planner(w.g, w.tape, w.machine, *w.tm);
+  planner::PoochPlanner planner(w.g, w.tape, w.machine, w.tm);
   const auto plan = planner.plan();
   if (plan.feasible) policies.push_back({"pooch", plan.classes});
 
@@ -174,10 +114,10 @@ void run_workload(Workload& w, int capacity_pct, int reps,
   for (auto& p : policies) {
     exec::OpStream stream;
     try {
-      stream = planner::record_op_stream(*w.rt, p.classes);
+      stream = planner::record_op_stream(w.rt, p.classes);
     } catch (const Error& e) {
-      std::fprintf(stderr, "%s %s: export infeasible: %s\n", w.name.c_str(),
-                   p.name, e.what());
+      std::fprintf(stderr, "%s %s: export infeasible: %s\n", name, p.name,
+                   e.what());
       continue;
     }
     std::size_t swapped = 0;
@@ -189,83 +129,51 @@ void run_workload(Workload& w, int capacity_pct, int reps,
     // bisect cleanly.
     const std::pair<int, int> sweep[] = {{1, 1}, {2, 1}, {2, 2}, {2, 4}};
     for (const auto& [copy, compute] : sweep) {
-      Row r;
-      r.model = w.name;
-      r.policy = p.name;
-      r.copy_workers = copy;
-      r.compute_workers = compute;
-      r.incore_seconds =
-          time_replay(w, incore, copy, compute, reps, ref, "in-core");
-      r.async_seconds =
-          time_replay(w, stream, copy, compute, reps, ref, p.name);
-      r.vs_incore =
-          r.async_seconds > 0.0 ? r.incore_seconds / r.async_seconds : 0.0;
-      r.swapped_bytes = swapped;
-      rows.push_back(r);
+      const double incore_s =
+          time_replay(name, w, incore, copy, compute, reps, ref, "in-core");
+      const double async_s =
+          time_replay(name, w, stream, copy, compute, reps, ref, p.name);
+      const double vs_incore = async_s > 0.0 ? incore_s / async_s : 0.0;
+      obs::json::Object row;
+      row["model"] = name;
+      row["policy"] = p.name;
+      row["copy_workers"] = copy;
+      row["compute_workers"] = compute;
+      row["incore_seconds"] = incore_s;
+      row["async_seconds"] = async_s;
+      row["vs_incore"] = vs_incore;
+      row["swapped_bytes"] = swapped;
+      report.add(std::move(row));
       std::printf("| %-10s | %-8s | %4d | %7d | %10.4f | %10.4f | %9.3f |\n",
-                  r.model.c_str(), r.policy.c_str(), r.copy_workers,
-                  r.compute_workers, r.incore_seconds, r.async_seconds,
-                  r.vs_incore);
+                  name, p.name, copy, compute, incore_s, async_s, vs_incore);
     }
   }
 }
 
-void write_json(const char* path, const std::vector<Row>& rows) {
-  std::FILE* f = std::fopen(path, "w");
-  if (!f) {
-    std::fprintf(stderr, "cannot open %s\n", path);
-    std::exit(1);
-  }
-  std::fprintf(f, "{\n  \"bench\": \"async_exec\",\n  \"cpus\": %u,\n"
-               "  \"rows\": [\n",
-               std::thread::hardware_concurrency());
-  for (std::size_t i = 0; i < rows.size(); ++i) {
-    const Row& r = rows[i];
-    std::fprintf(f,
-                 "    {\"model\": \"%s\", \"policy\": \"%s\", "
-                 "\"copy_workers\": %d, \"compute_workers\": %d, "
-                 "\"incore_seconds\": %.6f, "
-                 "\"async_seconds\": %.6f, \"vs_incore\": %.3f, "
-                 "\"swapped_bytes\": %zu}%s\n",
-                 r.model.c_str(), r.policy.c_str(), r.copy_workers,
-                 r.compute_workers, r.incore_seconds, r.async_seconds,
-                 r.vs_incore, r.swapped_bytes, i + 1 < rows.size() ? "," : "");
-  }
-  std::fprintf(f, "  ]\n}\n");
-  std::fclose(f);
-  std::printf("\nwritten to %s\n", path);
-}
-
-int run(const char* json_path) {
+int run(int argc, char** argv) {
+  Report report("async_exec",
+                {"model", "policy", "copy_workers", "compute_workers"},
+                "vs_incore", Report::Better::kHigher);
   std::printf("| model      | policy   | copy | compute | incore (s) "
               "| async (s)  | vs incore |\n"
               "|------------|----------|------|---------|------------"
               "|------------|-----------|\n");
-  std::vector<Row> rows;
   // Small-resolution ResNet-50 and stock AlexNet: OOC once the device is
   // clamped to 60% of the keep-all peak, yet one real iteration stays in
   // benchable range on a laptop-class CPU.
-  {
-    Workload w("resnet50", models::resnet50(4, 64, 64));
-    run_workload(w, /*capacity_pct=*/60, /*reps=*/2, rows);
-  }
-  {
-    Workload w("alexnet", models::alexnet(8, 64));
-    run_workload(w, /*capacity_pct=*/60, /*reps=*/2, rows);
-  }
+  run_workload("resnet50", models::resnet50(4, 64, 64),
+               /*capacity_pct=*/60, /*reps=*/2, report);
+  run_workload("alexnet", models::alexnet(8, 64), /*capacity_pct=*/60,
+               /*reps=*/2, report);
   // Branchy workload: parallel inception branches are the case where
   // multi-worker compute has independent ops to dispatch at all.
-  {
-    Workload w("inception", models::inception_toy(4, 32));
-    run_workload(w, /*capacity_pct=*/60, /*reps=*/2, rows);
-  }
-  write_json(json_path, rows);
+  run_workload("inception", models::inception_toy(4, 32),
+               /*capacity_pct=*/60, /*reps=*/2, report);
+  report.write(argc, argv);
   return 0;
 }
 
 }  // namespace
 }  // namespace pooch::bench
 
-int main(int argc, char** argv) {
-  return pooch::bench::run(argc > 1 ? argv[1] : "BENCH_async_exec.json");
-}
+int main(int argc, char** argv) { return pooch::bench::run(argc, argv); }

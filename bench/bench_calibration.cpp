@@ -19,95 +19,36 @@
 // calibrated model tracks the machine it measured. Every measured
 // iteration is verified bit-identical to serial in-core training; a
 // mismatch or a calibrated model that fails to beat the roofline aborts
-// the bench (the acceptance bar, not a soft warning).
+// the bench (the acceptance bar, not a soft warning). The bench::Report
+// (default BENCH_calibration.json) is keyed on `model` and gated on
+// calibrated_error, lower is better.
 #include <cstdio>
-#include <string>
-#include <thread>
-#include <vector>
 
-#include "cost/cost_model.hpp"
-#include "graph/autodiff.hpp"
+#include "bench_common.hpp"
 #include "kernels/kernel_context.hpp"
-#include "models/models.hpp"
-#include "pooch/pipeline.hpp"
-#include "sim/runtime.hpp"
 
 namespace pooch::bench {
 namespace {
 
-struct Row {
-  std::string model;
-  int keep = 0, swap = 0, recompute = 0;
-  double observed_seconds = 0.0;
-  double roofline_error = 0.0;
-  double calibrated_error = 0.0;
-  int drift_checks = 0;
-  int replans = 0;
-  bool bit_identical = false;
-};
-
-struct Workload {
-  std::string name;
-  graph::Graph g;
-  std::vector<graph::BwdStep> tape;
-  cost::MachineConfig machine;
-  std::unique_ptr<sim::CostTimeModel> tm;
-  std::unique_ptr<sim::Runtime> rt;
-
-  Workload(std::string n, graph::Graph graph)
-      : name(std::move(n)),
-        g(std::move(graph)),
-        tape(graph::build_backward_tape(g)),
-        machine(cost::x86_pcie()) {
-    tm = std::make_unique<sim::CostTimeModel>(g, machine);
-    rt = std::make_unique<sim::Runtime>(g, tape, machine, *tm);
-  }
-
-  /// Clamp the device so only `pct` percent of the keep-all activation
-  /// headroom fits — the plan has to swap feature maps (same idiom as
-  /// bench_async_exec).
-  void tighten(int pct) {
-    cost::MachineConfig roomy = cost::x86_pcie();
-    sim::CostTimeModel probe_tm(g, roomy);
-    sim::Runtime probe_rt(g, tape, roomy, probe_tm);
-    const auto keep =
-        probe_rt.run(sim::Classification(g, sim::ValueClass::kKeep));
-    if (!keep.ok) {
-      std::fprintf(stderr, "%s: keep-all probe failed: %s\n", name.c_str(),
-                   keep.failure.c_str());
-      std::exit(1);
-    }
-    machine.gpu_capacity_bytes =
-        keep.persistent_bytes +
-        (keep.peak_bytes - keep.persistent_bytes) * pct / 100;
-    machine.gpu_reserved_bytes = 0;
-    tm = std::make_unique<sim::CostTimeModel>(g, machine);
-    rt = std::make_unique<sim::Runtime>(g, tape, machine, *tm);
-  }
-};
-
-void run_workload(Workload& w, int capacity_pct, std::vector<Row>& rows) {
+void run_workload(const char* name, const graph::Graph& g, int capacity_pct,
+                  Report& report) {
   // Loosen in 5-point steps until both the swap-all profiling pass and
   // the planner's classification are feasible (bench_async_exec's probe,
   // plus the planner — the calibration loop needs a plan to execute).
   // AlexNet's FC-heavy parameter pool leaves little activation headroom,
   // so its feasibility floor sits much higher than ResNet-50's.
-  bool feasible = false;
-  for (int pct = capacity_pct; pct <= 95 && !feasible; pct += 5) {
-    w.tighten(pct);
-    try {
-      (void)planner::record_op_stream(
-          *w.rt, sim::Classification(w.g, sim::ValueClass::kSwap));
-      planner::PoochPlanner probe(w.g, w.tape, w.machine, *w.tm);
-      feasible = probe.plan().feasible;
-    } catch (const Error&) {
-    }
-  }
-  if (!feasible) {
-    std::fprintf(stderr, "%s: no feasible OOC capacity found\n",
-                 w.name.c_str());
-    std::exit(1);
-  }
+  const auto wp = tightest_feasible(
+      name, g, capacity_pct, 5, [](const Workload& w) {
+        try {
+          (void)planner::record_op_stream(
+              w.rt, sim::Classification(w.g, sim::ValueClass::kSwap));
+          planner::PoochPlanner probe(w.g, w.tape, w.machine, w.tm);
+          return probe.plan().feasible;
+        } catch (const Error&) {
+          return false;
+        }
+      });
+  const Workload& w = *wp;
 
   kernels::KernelContext kctx(2);
   planner::MeasuredPipelineOptions mo;
@@ -115,93 +56,61 @@ void run_workload(Workload& w, int capacity_pct, std::vector<Row>& rows) {
   mo.measure.warmup_iterations = 1;
   mo.kernel_ctx = &kctx;
   const auto out =
-      planner::run_pooch_measured(w.g, w.tape, w.machine, *w.tm, mo);
+      planner::run_pooch_measured(w.g, w.tape, w.machine, w.tm, mo);
   if (!out.failure.empty()) {
-    std::fprintf(stderr, "%s: calibration loop failed: %s\n", w.name.c_str(),
+    std::fprintf(stderr, "%s: calibration loop failed: %s\n", name,
                  out.failure.c_str());
     std::exit(1);
   }
   if (!out.bit_identical) {
     std::fprintf(stderr, "%s: NOT bit-identical to in-core reference\n",
-                 w.name.c_str());
+                 name);
     std::exit(1);
   }
   if (out.calibrated_error >= out.roofline_error) {
     std::fprintf(stderr,
                  "%s: calibrated error %.3f did not beat roofline %.3f\n",
-                 w.name.c_str(), out.calibrated_error, out.roofline_error);
+                 name, out.calibrated_error, out.roofline_error);
     std::exit(1);
   }
 
-  Row r;
-  r.model = w.name;
-  r.keep = out.final_plan.counts[0];
-  r.swap = out.final_plan.counts[1];
-  r.recompute = out.final_plan.counts[2];
-  r.observed_seconds = out.observed_seconds;
-  r.roofline_error = out.roofline_error;
-  r.calibrated_error = out.calibrated_error;
-  r.drift_checks = out.drift_checks;
-  r.replans = out.replans;
-  r.bit_identical = out.bit_identical;
-  rows.push_back(r);
+  const auto& counts = out.final_plan.counts;
+  obs::json::Object row;
+  row["model"] = name;
+  row["keep"] = counts[0];
+  row["swap"] = counts[1];
+  row["recompute"] = counts[2];
+  row["observed_seconds"] = out.observed_seconds;
+  row["roofline_error"] = out.roofline_error;
+  row["calibrated_error"] = out.calibrated_error;
+  row["drift_checks"] = out.drift_checks;
+  row["replans"] = out.replans;
+  row["bit_identical"] = out.bit_identical;
+  report.add(std::move(row));
   std::printf("| %-10s | %2d/%2d/%2d | %10.4f | %9.1f%% | %11.1f%% | %d |\n",
-              r.model.c_str(), r.keep, r.swap, r.recompute,
-              r.observed_seconds, r.roofline_error * 100.0,
-              r.calibrated_error * 100.0, r.replans);
+              name, counts[0], counts[1], counts[2], out.observed_seconds,
+              out.roofline_error * 100.0, out.calibrated_error * 100.0,
+              out.replans);
 }
 
-void write_json(const char* path, const std::vector<Row>& rows) {
-  std::FILE* f = std::fopen(path, "w");
-  if (!f) {
-    std::fprintf(stderr, "cannot open %s\n", path);
-    std::exit(1);
-  }
-  std::fprintf(f, "{\n  \"bench\": \"calibration\",\n  \"cpus\": %u,\n"
-               "  \"rows\": [\n",
-               std::thread::hardware_concurrency());
-  for (std::size_t i = 0; i < rows.size(); ++i) {
-    const Row& r = rows[i];
-    std::fprintf(f,
-                 "    {\"model\": \"%s\", \"keep\": %d, \"swap\": %d, "
-                 "\"recompute\": %d, \"observed_seconds\": %.6f, "
-                 "\"roofline_error\": %.4f, \"calibrated_error\": %.4f, "
-                 "\"drift_checks\": %d, \"replans\": %d, "
-                 "\"bit_identical\": %s}%s\n",
-                 r.model.c_str(), r.keep, r.swap, r.recompute,
-                 r.observed_seconds, r.roofline_error, r.calibrated_error,
-                 r.drift_checks, r.replans,
-                 r.bit_identical ? "true" : "false",
-                 i + 1 < rows.size() ? "," : "");
-  }
-  std::fprintf(f, "  ]\n}\n");
-  std::fclose(f);
-  std::printf("\nwritten to %s\n", path);
-}
-
-int run(const char* json_path) {
+int run(int argc, char** argv) {
+  Report report("calibration", {"model"}, "calibrated_error",
+                Report::Better::kLower);
   std::printf("| model      | k/s/r    | observed s | roofline   "
               "| calibrated   | replans |\n"
               "|------------|----------|------------|------------"
               "|--------------|---------|\n");
-  std::vector<Row> rows;
   // Same OOC configurations as bench_async_exec: small-resolution
   // ResNet-50 and stock AlexNet, device clamped to 60% of keep-all peak.
-  {
-    Workload w("resnet50", models::resnet50(4, 64, 64));
-    run_workload(w, /*capacity_pct=*/60, rows);
-  }
-  {
-    Workload w("alexnet", models::alexnet(16, 64));
-    run_workload(w, /*capacity_pct=*/60, rows);
-  }
-  write_json(json_path, rows);
+  run_workload("resnet50", models::resnet50(4, 64, 64), /*capacity_pct=*/60,
+               report);
+  run_workload("alexnet", models::alexnet(16, 64), /*capacity_pct=*/60,
+               report);
+  report.write(argc, argv);
   return 0;
 }
 
 }  // namespace
 }  // namespace pooch::bench
 
-int main(int argc, char** argv) {
-  return pooch::bench::run(argc > 1 ? argv[1] : "BENCH_calibration.json");
-}
+int main(int argc, char** argv) { return pooch::bench::run(argc, argv); }

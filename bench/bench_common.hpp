@@ -13,11 +13,20 @@
 // a diagnostic. The tier-1 ctest bench_validate does this for three
 // benches to keep the simulator honest while the default bench runs
 // stay fast.
+//
+// The benches that gate regressions (bench_kernels, bench_async_exec,
+// bench_calibration, bench_planner_cost) also write one JSON document
+// through bench::Report below; tools/bench_compare.py diffs two of them.
 #pragma once
 
 #include <cstdio>
 #include <cstdlib>
+#include <fstream>
+#include <memory>
 #include <string>
+#include <thread>
+#include <utility>
+#include <vector>
 
 #include "baselines/policies.hpp"
 #include "baselines/superneurons.hpp"
@@ -25,6 +34,7 @@
 #include "graph/autodiff.hpp"
 #include "graph/liveness.hpp"
 #include "models/models.hpp"
+#include "obs/json.hpp"
 #include "obs/validate.hpp"
 #include "pooch/pipeline.hpp"
 
@@ -43,6 +53,91 @@ struct Workload {
         machine(m),
         tm(g, machine),
         rt(g, tape, machine, tm) {}
+};
+
+/// The workload on the tightest out-of-core x86_pcie device on which
+/// `feasible(workload)` holds. The device fits `pct` percent of `g`'s
+/// keep-all activation headroom — peak minus the persistent parameter
+/// pool, which can never be swapped — and loosens in `step`-point steps
+/// up to 95: fragmentation and unswappable workspaces set a per-model
+/// floor. Exits when keep-all fails even unclamped or no step is
+/// feasible.
+template <typename Feasible>
+std::unique_ptr<Workload> tightest_feasible(const char* name,
+                                            const graph::Graph& g, int pct,
+                                            int step, Feasible&& feasible) {
+  const Workload roomy(g, cost::x86_pcie());
+  const auto keep =
+      roomy.rt.run(sim::Classification(g, sim::ValueClass::kKeep));
+  if (!keep.ok) {
+    std::fprintf(stderr, "%s: keep-all probe failed: %s\n", name,
+                 keep.failure.c_str());
+    std::exit(1);
+  }
+  for (; pct <= 95; pct += step) {
+    cost::MachineConfig m = roomy.machine;
+    m.gpu_capacity_bytes =
+        keep.persistent_bytes +
+        (keep.peak_bytes - keep.persistent_bytes) * pct / 100;
+    m.gpu_reserved_bytes = 0;
+    auto w = std::make_unique<Workload>(g, m);
+    if (feasible(*w)) return w;
+  }
+  std::fprintf(stderr, "%s: no feasible OOC capacity found\n", name);
+  std::exit(1);
+}
+
+/// The one JSON document every regression-gated bench writes:
+///
+///   {"bench": <name>, "cpus": <hardware threads>, "key": [<field>, ...],
+///    "metric": <field>, "better": "higher" | "lower", "rows": [...]}
+///
+/// Every row is a flat object holding each key field and the metric.
+/// The bench that owns the rows declares how they are keyed and gated,
+/// so tools/bench_compare.py reads both from the document and names no
+/// bench.
+class Report {
+ public:
+  enum class Better { kHigher, kLower };
+
+  Report(std::string bench, std::vector<std::string> key, std::string metric,
+         Better better)
+      : bench_(std::move(bench)),
+        key_(std::move(key)),
+        metric_(std::move(metric)),
+        better_(better) {}
+
+  /// Append one row: it must hold every key field and the metric.
+  void add(obs::json::Object row) { rows_.emplace_back(std::move(row)); }
+
+  /// Write the document to argv[1], or to BENCH_<bench>.json when no
+  /// path is given. Exits 1 when the file cannot be opened or written.
+  void write(int argc, char** argv) const {
+    const std::string path =
+        argc > 1 ? argv[1] : "BENCH_" + bench_ + ".json";
+    obs::json::Object doc;
+    doc["bench"] = bench_;
+    doc["cpus"] =
+        static_cast<std::int64_t>(std::thread::hardware_concurrency());
+    doc["key"] = obs::json::Array(key_.begin(), key_.end());
+    doc["metric"] = metric_;
+    doc["better"] = better_ == Better::kHigher ? "higher" : "lower";
+    doc["rows"] = rows_;
+    std::ofstream f(path, std::ios::trunc);
+    if (f) f << obs::json::Value(std::move(doc)).dump() << "\n";
+    if (!f) {
+      std::fprintf(stderr, "cannot write %s\n", path.c_str());
+      std::exit(1);
+    }
+    std::printf("\nrows written to %s\n", path.c_str());
+  }
+
+ private:
+  std::string bench_;
+  std::vector<std::string> key_;
+  std::string metric_;
+  Better better_;
+  obs::json::Array rows_;
 };
 
 struct MethodResult {
@@ -106,12 +201,10 @@ inline MethodResult run_superneurons(const Workload& w, std::int64_t batch) {
           plan.counts};
 }
 
-inline MethodResult run_pooch_method(const Workload& w, std::int64_t batch,
-                                     planner::PlannerResult* plan_out = nullptr,
-                                     bool swap_opt_only = false) {
-  planner::PipelineOptions po;
-  if (swap_opt_only) po.planner.enable_recompute = false;
-  const auto out = planner::run_pooch(w.g, w.tape, w.machine, w.tm, po);
+inline MethodResult run_pooch_method(
+    const Workload& w, std::int64_t batch,
+    planner::PlannerResult* plan_out = nullptr) {
+  const auto out = planner::run_pooch(w.g, w.tape, w.machine, w.tm);
   if (plan_out) *plan_out = out.plan;
   if (validate_enabled() && out.ok) {
     // The pipeline's execution runs without recording; repeat it with

@@ -11,8 +11,10 @@
 // branch convolutions at 1, 2 and 4 threads, then the memory-bound
 // kernels (batch norm, ReLU and 2-D max pooling, forward and backward) at
 // the Inception toy's and ResNet-50's shapes at 1, 2 and 4 threads, and
-// writes BENCH_kernels.json with the host's `cpus` (tools/bench_compare.py
-// diffs two such files and fails on regression). Every configuration is
+// writes a bench::Report (default BENCH_kernels.json) keyed on (kernel,
+// shape, threads) and gated on `seconds`, lower is better: memory-bound
+// rows do no FLOPs, and a row's FLOPs are fixed per key, so seconds gives
+// the compute rows the verdicts gflops would. Every configuration is
 // verified bit-identical to the reference before it is timed: a
 // fast-but-wrong kernel aborts the bench.
 //
@@ -27,10 +29,10 @@
 #include <cstring>
 #include <functional>
 #include <string>
-#include <thread>
 #include <utility>
 #include <vector>
 
+#include "bench_common.hpp"
 #include "kernels/activations.hpp"
 #include "kernels/batchnorm.hpp"
 #include "kernels/conv.hpp"
@@ -82,17 +84,6 @@ void check_identical(const Tensor& got, const Tensor& want,
   std::exit(1);
 }
 
-struct Row {
-  std::string kernel;
-  std::string shape;
-  int threads = 1;
-  double seconds = 0.0;
-  double gflops = 0.0;
-  double gbps = 0.0;  // 0 for compute-bound rows
-  double ref_seconds = 0.0;
-  double speedup = 0.0;
-};
-
 /// One benchmark case: `fast` runs the blocked kernel under a context and
 /// `ref` the scalar oracle; each (fast, ref) pair in `outs` must then
 /// hold identical bits.
@@ -107,7 +98,7 @@ struct Case {
 };
 
 void run_case(const Case& c, const std::vector<int>& thread_sweep,
-              std::vector<Row>& rows) {
+              bench::Report& report) {
   const double ref_seconds = time_best(c.ref, 2);
   for (int threads : thread_sweep) {
     KernelContext ctx(threads);
@@ -116,20 +107,23 @@ void run_case(const Case& c, const std::vector<int>& thread_sweep,
       check_identical(*got, *want, c.kernel.c_str());
     }
     const double seconds = time_best([&] { c.fast(ctx); }, 3, 0.05);
-    Row r;
-    r.kernel = c.kernel;
-    r.shape = c.shape;
-    r.threads = threads;
-    r.seconds = seconds;
-    r.gflops = c.flops / seconds * 1e-9;
-    r.gbps = c.bytes / seconds * 1e-9;
-    r.ref_seconds = ref_seconds;
-    r.speedup = ref_seconds / seconds;
-    rows.push_back(r);
+    const double gflops = c.flops / seconds * 1e-9;
+    const double gbps = c.bytes / seconds * 1e-9;
+    const double speedup = ref_seconds / seconds;
+    obs::json::Object row;
+    row["kernel"] = c.kernel;
+    row["shape"] = c.shape;
+    row["threads"] = threads;
+    row["seconds"] = seconds;
+    row["gflops"] = gflops;
+    if (gbps > 0.0) row["gbps"] = gbps;  // memory-bound rows only
+    row["ref_seconds"] = ref_seconds;
+    row["speedup"] = speedup;
+    report.add(std::move(row));
     std::printf("| %-14s | %-22s | %7d | %9.6f | %7.2f | %7.2f | %9.6f | "
                 "%6.2fx |\n",
-                r.kernel.c_str(), r.shape.c_str(), r.threads, r.seconds,
-                r.gflops, r.gbps, r.ref_seconds, r.speedup);
+                c.kernel.c_str(), c.shape.c_str(), threads, seconds, gflops,
+                gbps, ref_seconds, speedup);
   }
 }
 
@@ -143,37 +137,10 @@ double conv_flops(const Shape& xs, const ConvAttrs& a) {
   return 2.0 * outs * cin_per_group * kvol;
 }
 
-void write_json(const char* path, const std::vector<Row>& rows) {
-  std::FILE* f = std::fopen(path, "w");
-  if (!f) {
-    std::fprintf(stderr, "cannot open %s\n", path);
-    std::exit(1);
-  }
-  std::fprintf(f, "{\n  \"bench\": \"kernels\",\n  \"cpus\": %u,\n"
-               "  \"rows\": [\n",
-               std::thread::hardware_concurrency());
-  for (std::size_t i = 0; i < rows.size(); ++i) {
-    const Row& r = rows[i];
-    char gbps[32] = "";
-    if (r.gbps > 0.0) {
-      std::snprintf(gbps, sizeof(gbps), "\"gbps\": %.3f, ", r.gbps);
-    }
-    std::fprintf(f,
-                 "    {\"kernel\": \"%s\", \"shape\": \"%s\", "
-                 "\"threads\": %d, \"seconds\": %.6f, \"gflops\": %.3f, "
-                 "%s\"ref_seconds\": %.6f, \"speedup\": %.3f}%s\n",
-                 r.kernel.c_str(), r.shape.c_str(), r.threads, r.seconds,
-                 r.gflops, gbps, r.ref_seconds, r.speedup,
-                 i + 1 < rows.size() ? "," : "");
-  }
-  std::fprintf(f, "  ]\n}\n");
-  std::fclose(f);
-  std::printf("\nwritten to %s\n", path);
-}
-
-int run(const char* json_path) {
+int run(int argc, char** argv) {
   const std::vector<int> sweep{1, 2, 4, 8};
-  std::vector<Row> rows;
+  bench::Report report("kernels", {"kernel", "shape", "threads"}, "seconds",
+                       bench::Report::Better::kLower);
   std::printf("| kernel         | shape                  | threads | "
               "seconds   | gflops  | gbps    | ref s     | speedup |\n"
               "|----------------|------------------------|---------|"
@@ -196,7 +163,7 @@ int run(const char* json_path) {
     };
     cs.ref = [&] { matmul_ref(a.data(), b.data(), c_ref.data(), m, k, n); };
     cs.outs = {{&c, &c_ref}};
-    run_case(cs, sweep, rows);
+    run_case(cs, sweep, report);
   }
 
   // ResNet-50 conv3x3 at 14x14 (conv4_x block shape, reduced batch).
@@ -218,7 +185,7 @@ int run(const char* json_path) {
     };
     cs.ref = [&] { conv_forward_ref(x, w, &bias, y_ref, attrs); };
     cs.outs = {{&y, &y_ref}};
-    run_case(cs, sweep, rows);
+    run_case(cs, sweep, report);
   }
 
   // AlexNet fc6: the big dense layer (9216 -> 4096), reduced batch.
@@ -241,7 +208,7 @@ int run(const char* json_path) {
     };
     cs.ref = [&] { fc_forward_ref(x, w, &bias, y_ref, attrs); };
     cs.outs = {{&y, &y_ref}};
-    run_case(cs, sweep, rows);
+    run_case(cs, sweep, report);
   }
 
   // 3-D ResNeXt-style convolution (the paper's flagship workload).
@@ -263,7 +230,7 @@ int run(const char* json_path) {
     };
     cs.ref = [&] { conv_forward_ref(x, w, &bias, y_ref, attrs); };
     cs.outs = {{&y, &y_ref}};
-    run_case(cs, sweep, rows);
+    run_case(cs, sweep, report);
   }
 
   // Late-stage ResNet-50 convolutions (b4, 64x64 input), forward and
@@ -303,7 +270,7 @@ int run(const char* json_path) {
       conv_backward_ref(x, w, dy, &dx_ref, dw_ref, nullptr, attrs);
     };
     cs.outs = {{&y, &y_ref}, {&dx, &dx_ref}, {&dw, &dw_ref}};
-    run_case(cs, sweep, rows);
+    run_case(cs, sweep, report);
   }
 
   // Skinny shapes: one side of C is a few register tiles wide, so a
@@ -343,7 +310,7 @@ int run(const char* json_path) {
                                         s.m, s.k, s.n);
     };
     cs.outs = {{&c, &c_ref}};
-    run_case(cs, skinny_sweep, rows);
+    run_case(cs, skinny_sweep, report);
   }
 
   // The Inception toy's first-module 5x5 and 3x3 branches (b32, 16x16
@@ -378,7 +345,7 @@ int run(const char* json_path) {
       conv_backward_ref(x, w, dy, &dx_ref, dw_ref, &db_ref, attrs);
     };
     cs.outs = {{&y, &y_ref}, {&dx, &dx_ref}, {&dw, &dw_ref}, {&db, &db_ref}};
-    run_case(cs, skinny_sweep, rows);
+    run_case(cs, skinny_sweep, report);
   }
 
   // Memory-bound kernels: the Inception toy's (b32, 32x32 input) and
@@ -414,7 +381,7 @@ int run(const char* json_path) {
     };
     fwd.ref = [&] { batchnorm_forward_ref(x, gamma, beta, y_ref, bn); };
     fwd.outs = {{&y, &y_ref}};
-    run_case(fwd, skinny_sweep, rows);
+    run_case(fwd, skinny_sweep, report);
 
     Case bwd;
     bwd.kernel = "bn_bwd";
@@ -428,7 +395,7 @@ int run(const char* json_path) {
                              bn);
     };
     bwd.outs = {{&dx, &dx_ref}, {&dgamma, &dgamma_ref}, {&dbeta, &dbeta_ref}};
-    run_case(bwd, skinny_sweep, rows);
+    run_case(bwd, skinny_sweep, report);
 
     Case relu_f;
     relu_f.kernel = "relu_fwd";
@@ -437,7 +404,7 @@ int run(const char* json_path) {
     relu_f.fast = [&](KernelContext& ctx) { relu_forward(x, y, ctx); };
     relu_f.ref = [&] { relu_forward_ref(x, y_ref); };
     relu_f.outs = {{&y, &y_ref}};
-    run_case(relu_f, skinny_sweep, rows);
+    run_case(relu_f, skinny_sweep, report);
 
     // x as the mask: a random sign per element, the worst case for a
     // branch.
@@ -448,7 +415,7 @@ int run(const char* json_path) {
     relu_b.fast = [&](KernelContext& ctx) { relu_backward(x, dy, dx, ctx); };
     relu_b.ref = [&] { relu_backward_ref(x, dy, dx_ref); };
     relu_b.outs = {{&dx, &dx_ref}};
-    run_case(relu_b, skinny_sweep, rows);
+    run_case(relu_b, skinny_sweep, report);
   }
 
   struct PoolShape {
@@ -481,7 +448,7 @@ int run(const char* json_path) {
     fwd.fast = [&](KernelContext& ctx) { pool_forward(x, y, p.attrs, ctx); };
     fwd.ref = [&] { pool_forward_ref(x, y_ref, p.attrs); };
     fwd.outs = {{&y, &y_ref}};
-    run_case(fwd, skinny_sweep, rows);
+    run_case(fwd, skinny_sweep, report);
 
     Case bwd;
     bwd.kernel = "maxpool_bwd";
@@ -492,16 +459,14 @@ int run(const char* json_path) {
     };
     bwd.ref = [&] { pool_backward_ref(x, dy, dx_ref, p.attrs); };
     bwd.outs = {{&dx, &dx_ref}};
-    run_case(bwd, skinny_sweep, rows);
+    run_case(bwd, skinny_sweep, report);
   }
 
-  write_json(json_path, rows);
+  report.write(argc, argv);
   return 0;
 }
 
 }  // namespace
 }  // namespace pooch::kernels
 
-int main(int argc, char** argv) {
-  return pooch::kernels::run(argc > 1 ? argv[1] : "BENCH_kernels.json");
-}
+int main(int argc, char** argv) { return pooch::kernels::run(argc, argv); }

@@ -5,26 +5,23 @@
 // search, step-2 recompute rounds), and how the parallel search and the
 // candidate memo cache change both: a threads × cache sweep per model.
 //
-// Besides the markdown tables, the bench writes BENCH_planner_cost.json
-// into the working directory: {"bench": "planner_cost", "cpus": N,
-// "rows": [...]}, one row per (model, threads, cache) cell with wall
-// seconds, simulations per wall second, per-phase simulation counts and
-// cache hits. tools/bench_compare.py diffs two such files on sims_per_s.
-#include <fstream>
-#include <thread>
-
+//   build/bench/bench_planner_cost [output.json]
+//
+// Besides the markdown tables, the bench writes a bench::Report
+// (default BENCH_planner_cost.json) with one row per (model, threads,
+// cache) cell: wall seconds, simulations per wall second, per-phase
+// simulation counts and cache hits. It is keyed on (model, threads,
+// cache) and gated on sims_per_s, higher is better.
 #include "bench_common.hpp"
-#include "obs/json.hpp"
 
 using namespace pooch;
 
 namespace {
 
-obs::json::Array g_rows;
-
-/// One JSON row for a finished search.
-void record_row(const char* name, const bench::Workload& w,
-                const planner::PlannerResult& plan, bool cache) {
+/// One report row for a finished search.
+void record_row(bench::Report& report, const char* name,
+                const bench::Workload& w, const planner::PlannerResult& plan,
+                bool cache) {
   obs::json::Object row;
   row["model"] = name;
   row["layers"] = w.g.num_nodes();
@@ -44,7 +41,7 @@ void record_row(const char* name, const bench::Workload& w,
   row["cache_hits"] = plan.cache_hits;
   row["recompute_rounds"] = plan.recompute_rounds;
   row["predicted_time"] = plan.predicted_time;
-  g_rows.push_back(obs::json::Value(std::move(row)));
+  report.add(std::move(row));
 }
 
 struct Cell {
@@ -52,9 +49,10 @@ struct Cell {
   int simulations = 0;
 };
 
-/// Plan once under (threads, cache); print the row, record the JSON.
-Cell run_cell(const char* name, const bench::Workload& w, int threads,
-              bool cache, const planner::PlannerResult* reference) {
+/// Plan once under (threads, cache); record the report row.
+Cell run_cell(bench::Report& report, const char* name,
+              const bench::Workload& w, int threads, bool cache,
+              const planner::PlannerResult* reference) {
   planner::PlannerOptions po;
   po.threads = threads;
   po.cache = cache;
@@ -75,12 +73,12 @@ Cell run_cell(const char* name, const bench::Workload& w, int threads,
     std::exit(1);
   }
 
-  record_row(name, w, plan, cache);
+  record_row(report, name, w, plan, cache);
 
   return {plan.planning_wall_seconds, plan.simulations};
 }
 
-void model_rows(const char* name, graph::Graph g,
+void model_rows(bench::Report& report, const char* name, graph::Graph g,
                 const cost::MachineConfig& machine) {
   bench::Workload w(std::move(g), machine);
 
@@ -100,7 +98,7 @@ void model_rows(const char* name, graph::Graph g,
               ref.feasible ? (ref.used_beam_fallback ? "beam" : "exact")
                            : "infeasible");
 
-  record_row(name, w, ref, ref_po.cache);
+  record_row(report, name, w, ref, ref_po.cache);
 
   if (!ref.feasible) return;
 
@@ -115,7 +113,8 @@ void model_rows(const char* name, graph::Graph g,
   std::printf("|   sweep |  |  |  |  |  |  |  |\n");
   const double base = ref.planning_wall_seconds;
   for (const Config& cfg : sweep) {
-    const Cell cell = run_cell(name, w, cfg.threads, cfg.cache, &ref);
+    const Cell cell =
+        run_cell(report, name, w, cfg.threads, cfg.cache, &ref);
     std::printf("|   threads=%d cache=%s | | | %d | | | %s | x%.2f |\n",
                 cfg.threads, cfg.cache ? "on" : "off", cell.simulations,
                 bench::fmt(cell.wall, 2).c_str(),
@@ -125,26 +124,22 @@ void model_rows(const char* name, graph::Graph g,
 
 }  // namespace
 
-int main() {
+int main(int argc, char** argv) {
+  bench::Report report("planner_cost", {"model", "threads", "cache"},
+                       "sims_per_s", bench::Report::Better::kHigher);
   std::printf("\n## Planner cost (paper: ~2 min for ResNeXt-101, amortized)\n\n");
   std::printf("| model | layers | feature maps | simulations | step1 | step2 "
               "| wall time (s) | search |\n|---|---|---|---|---|---|---|---|\n");
   const auto x86 = cost::x86_pcie();
-  model_rows("paper-example (b16)", models::paper_example(16, 56, 64),
-             cost::test_machine(96));
-  model_rows("AlexNet (b4096)", models::alexnet(4096), x86);
-  model_rows("ResNet-18 (b512)", models::resnet18(512), x86);
-  model_rows("ResNet-50 (b256)", models::resnet50(256), x86);
-  model_rows("ResNet-50 (b640)", models::resnet50(640), x86);
-  model_rows("ResNeXt-101 3D (96x384)", models::resnext101_3d(1, 96, 384),
-             x86);
+  model_rows(report, "paper-example (b16)",
+             models::paper_example(16, 56, 64), cost::test_machine(96));
+  model_rows(report, "AlexNet (b4096)", models::alexnet(4096), x86);
+  model_rows(report, "ResNet-18 (b512)", models::resnet18(512), x86);
+  model_rows(report, "ResNet-50 (b256)", models::resnet50(256), x86);
+  model_rows(report, "ResNet-50 (b640)", models::resnet50(640), x86);
+  model_rows(report, "ResNeXt-101 3D (96x384)",
+             models::resnext101_3d(1, 96, 384), x86);
 
-  std::ofstream f("BENCH_planner_cost.json");
-  obs::json::Object doc;
-  doc["bench"] = "planner_cost";
-  doc["cpus"] = static_cast<std::int64_t>(std::thread::hardware_concurrency());
-  doc["rows"] = obs::json::Value(std::move(g_rows));
-  f << obs::json::Value(std::move(doc)).dump() << "\n";
-  std::printf("\nper-cell rows written to BENCH_planner_cost.json\n");
+  report.write(argc, argv);
   return 0;
 }

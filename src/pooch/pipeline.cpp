@@ -252,7 +252,7 @@ MeasuredPipelineResult run_pooch_measured(
             .set(options.replan_threshold);
       }
       if (drift <= options.replan_threshold ||
-          out.replans >= options.max_replans) {
+          out.replans >= kMaxReplans) {
         break;
       }
 

@@ -104,6 +104,9 @@ void run_incore_reference(const graph::Graph& graph,
 // remains bit-identical to serial in-core training.
 // ---------------------------------------------------------------------
 
+/// Upper bound on drift-triggered re-planning rounds.
+inline constexpr int kMaxReplans = 2;
+
 struct MeasuredPipelineOptions {
   /// Options of the initial (simulated-profile) planning pass.
   PipelineOptions pipeline;
@@ -113,8 +116,6 @@ struct MeasuredPipelineOptions {
   cost::CalibrationOptions calibrate;
   /// Re-plan when |predicted - observed| / observed exceeds this.
   double replan_threshold = 0.25;
-  /// Upper bound on drift-triggered re-planning rounds.
-  int max_replans = 2;
   /// Extra measured iterations executed under the final plan; the
   /// reported calibrated error is out-of-sample, scored on these.
   int validation_iterations = 2;

@@ -125,10 +125,8 @@ void PoochPlanner::for_candidates(
 PoochPlanner::Eval PoochPlanner::simulate(const Classification& classes,
                                           bool unbounded,
                                           SearchCtx& ctx) const {
-  sim::RunOptions ro;
-  ro.swapin_policy = options_.policy;
   const sim::RunResult r =
-      (unbounded ? unbounded_runtime_ : runtime_).run(classes, ro);
+      (unbounded ? unbounded_runtime_ : runtime_).run(classes);
   ctx.sims.fetch_add(1, std::memory_order_relaxed);
   Eval e;
   e.feasible = r.ok;
@@ -169,9 +167,7 @@ PlannerResult PoochPlanner::run_step1(SearchCtx& ctx) const {
 
   // 1. Simulate the safe default: everything swapped (§4.4.2 step 1).
   Classification all_swap(graph_, ValueClass::kSwap);
-  sim::RunOptions ro;
-  ro.swapin_policy = options_.policy;
-  const sim::RunResult base = runtime_.run(all_swap, ro);
+  const sim::RunResult base = runtime_.run(all_swap);
   ctx.sims.fetch_add(1, std::memory_order_relaxed);
   if (!base.ok) {
     // Even swap-all does not fit: report infeasibility with the safest
@@ -401,9 +397,7 @@ void PoochPlanner::run_step2(PlannerResult& result, SearchCtx& ctx) const {
 
     // Stall attribution of the current classification: the fallback
     // estimate of swap_overhead(X) when keeping X does not fit.
-    sim::RunOptions ro;
-    ro.swapin_policy = options_.policy;
-    const sim::RunResult cur_run = runtime_.run(current, ro);
+    const sim::RunResult cur_run = runtime_.run(current);
     ctx.sims.fetch_add(1, std::memory_order_relaxed);
 
     // Probe every candidate with X=keep and X=recompute concurrently.
@@ -524,7 +518,7 @@ PlannerResult PoochPlanner::plan() const {
   PlannerResult result = run_step1(ctx);
   result.step1_simulations = ctx.sims.load(std::memory_order_relaxed);
   const auto t1 = clock::now();
-  if (result.feasible && options_.enable_recompute) {
+  if (result.feasible) {
     run_step2(result, ctx);
   }
   result.step2_simulations =

@@ -52,16 +52,14 @@ class StatsRegistry;
 
 namespace pooch::planner {
 
+/// Every planning simulation runs with the default sim::RunOptions:
+/// §4.3's memory-aware eager swap-in policy, the one execute_plan tries
+/// first. plan_keep_swap_only() is step 1 alone (the paper's swap-opt).
 struct PlannerOptions {
-  /// Swap-in scheduling assumed by the simulations (and used at
-  /// execution); §4.3's memory-aware eager policy by default.
-  sim::SwapInPolicy policy = sim::SwapInPolicy::kEagerMemoryAware;
   /// Exhaustive search bound: 2^|L_I| leaves up to this size.
   int bruteforce_cap = 14;
   /// Beam width of the fallback search above the cap.
   int beam_width = 32;
-  /// Run step 2 (recompute classification). Off reproduces "swap-opt".
-  bool enable_recompute = true;
   /// Fraction of device capacity withheld during planning. Profiled
   /// times differ from execution times, which perturbs the malloc/free
   /// order; planning against a slightly smaller device keeps the chosen

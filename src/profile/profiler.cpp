@@ -19,7 +19,7 @@ ProfileData run_profiler(const Graph& graph,
   // What the profiled iterations observe: the hardware through jittery
   // measurements. Sigma 0 degenerates to exact observation.
   sim::NoisyTimeModel observed(ground_truth, options.noise_sigma,
-                               options.noise_seed);
+                               kNoiseSeed);
   sim::Runtime runtime(graph, tape, machine, observed);
 
   // §4.2: "all feature maps are classified into swap as the default".
@@ -27,21 +27,17 @@ ProfileData run_profiler(const Graph& graph,
   // profiler then falls back to on-demand swap-ins (slower iterations,
   // but the measured per-op times are the same).
   const sim::Classification swap_all(graph, sim::ValueClass::kSwap);
-  data.policy_used = options.policy;
-  {
-    sim::RunOptions probe_opts;
-    probe_opts.swapin_policy = data.policy_used;
-    if (!runtime.run(swap_all, probe_opts).ok) {
-      data.policy_used = sim::SwapInPolicy::kOnDemand;
-      probe_opts.swapin_policy = data.policy_used;
-      if (!runtime.run(swap_all, probe_opts).ok) {
-        POOCH_LOG_WARN("profiling impossible: swap-all OOMs even with "
-                       "on-demand scheduling");
-        data.ok = false;
-        return data;
-      }
-      POOCH_LOG_INFO("profiler fell back to on-demand swap-ins");
+  if (!runtime.run(swap_all).ok) {
+    data.policy_used = sim::SwapInPolicy::kOnDemand;
+    sim::RunOptions on_demand;
+    on_demand.swapin_policy = data.policy_used;
+    if (!runtime.run(swap_all, on_demand).ok) {
+      POOCH_LOG_WARN("profiling impossible: swap-all OOMs even with "
+                     "on-demand scheduling");
+      data.ok = false;
+      return data;
     }
+    POOCH_LOG_INFO("profiler fell back to on-demand swap-ins");
   }
 
   MeasuredProfile samples(graph.num_nodes(), graph.num_values());

@@ -19,21 +19,22 @@
 
 namespace pooch::profile {
 
+/// Seed of the measurement noise, fixed so a profile is reproducible.
+inline constexpr std::uint64_t kNoiseSeed = 0x9e3779b9;
+
 struct ProfileOptions {
   /// Training iterations to profile (paper: "the first several").
   int iterations = 3;
   /// Relative measurement noise injected per kernel/transfer observation.
   double noise_sigma = 0.02;
-  std::uint64_t noise_seed = 0x9e3779b9;
-  /// Swap-in scheduling used during the profiled iterations.
-  sim::SwapInPolicy policy = sim::SwapInPolicy::kEagerMemoryAware;
 };
 
 struct ProfileData {
   /// False when no profiling iteration could complete (even swap-all
   /// with on-demand scheduling OOMs): the workload is out of reach.
   bool ok = true;
-  /// Scheduling actually used (falls back to on-demand under pressure).
+  /// Scheduling actually used: the memory-aware eager policy, or
+  /// on-demand when eager swap-all does not fit.
   sim::SwapInPolicy policy_used = sim::SwapInPolicy::kEagerMemoryAware;
 
   /// Per-op mean over the profiled iterations, one sample per observed

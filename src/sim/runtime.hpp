@@ -67,8 +67,9 @@ struct RunOptions {
   /// Scales the free-memory headroom the eager prefetcher preserves.
   double headroom_factor = 1.0;
   /// Disable the two-ended (lifetime-aware) placement and allocate
-  /// everything bottom-up, as cudaMalloc-pool-era systems did; used by
-  /// the SuperNeurons baseline.
+  /// everything bottom-up, as cudaMalloc-pool-era systems did. Only
+  /// bench_ablation_design's placement ablation sets it; the SuperNeurons
+  /// baseline keeps the two-ended allocator.
   bool naive_placement = false;
   /// Restrict the device pool to this many usable bytes (0 = use the
   /// machine's full capacity). planner::execute_plan's first attempt

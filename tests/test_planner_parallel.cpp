@@ -39,12 +39,10 @@ struct Rig {
   }
 };
 
-PlannerResult plan_with(const Rig& rig, int threads, bool cache,
-                        bool recompute = true) {
+PlannerResult plan_with(const Rig& rig, int threads, bool cache) {
   PlannerOptions po;
   po.threads = threads;
   po.cache = cache;
-  po.enable_recompute = recompute;
   PoochPlanner planner(rig.g, rig.tape, rig.machine, *rig.tm, po);
   return planner.plan();
 }

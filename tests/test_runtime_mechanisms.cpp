@@ -347,13 +347,6 @@ TEST(Profiler, RecordsThePolicyItActuallyUsed) {
       profile::run_profiler(rig.g, rig.tape, rig.machine, *rig.tm, {});
   ASSERT_TRUE(data.ok);
   EXPECT_EQ(data.policy_used, SwapInPolicy::kEagerMemoryAware);
-  // Requesting on-demand profiling is honoured as-is.
-  profile::ProfileOptions od;
-  od.policy = SwapInPolicy::kOnDemand;
-  const auto data2 =
-      profile::run_profiler(rig.g, rig.tape, rig.machine, *rig.tm, od);
-  ASSERT_TRUE(data2.ok);
-  EXPECT_EQ(data2.policy_used, SwapInPolicy::kOnDemand);
 }
 
 TEST(Profiler, ReportsFailureWhenNothingFits) {

@@ -4,87 +4,92 @@
 Usage:
     tools/bench_compare.py baseline.json candidate.json [--tolerance 0.10]
 
-Supports the repo's bench JSON convention `{"bench": <name>, "rows": [...]}`:
+Every regression-gated bench writes one self-describing document
+(bench::Report in bench/bench_common.hpp):
 
-    kernels      rows keyed on (kernel, shape, threads), metric `seconds`
-                 (lower is better: memory-bound rows do no FLOPs, and a
-                 row's FLOPs are fixed per key, so seconds gives the
-                 compute rows the verdicts gflops gave them);
-    async_exec   rows keyed on (model, policy, copy_workers,
-                 compute_workers), metric `vs_incore` = incore_seconds /
-                 async_seconds, the in-core stream and the out-of-core
-                 schedule replayed on the same executor (higher is
-                 better — a drop means out-of-core execution got more
-                 expensive relative to in-core); compute_workers
-                 defaults to 1 so baselines predating the multi-worker
-                 scheduler still parse;
-    calibration  rows keyed on (model,), metric `calibrated_error` =
-                 |calibrated_predicted - observed| / observed (LOWER is
-                 better — a rise means the measured time model lost
-                 accuracy against the wall clock);
-    planner_cost rows keyed on (model, threads, cache), metric
-                 `sims_per_s` = timeline simulations per wall second of
-                 the PoocH search (higher is better — a drop means the
-                 planner got slower per simulation).
+    {"bench": "<name>", "cpus": <hardware threads>,
+     "key": ["<field>", ...], "metric": "<field>",
+     "better": "higher" | "lower", "rows": [{...}, ...]}
+
+Rows are matched on the values of the `key` fields and compared on
+`metric`; `better` says which direction is good. The tool names no
+bench: the document that owns the rows declares how they are gated.
 
 A row regresses when its candidate metric moves more than `tolerance`
 (default 10%) in the bad direction relative to the baseline. Rows present
 on only one side are reported but do not fail the comparison (the corpus
-may legitimately grow). An envelope without a "bench" key, or with one
-this tool does not know, is a hard error — silently assuming a schema
-would let a renamed bench pass vacuously. Comparing files from different
-bench kinds is an error. Exit status: 0 when no row regresses, 1 on
-regression, 2 on a schema/usage error.
+may legitimately grow).
+
+Schema errors: a document missing any envelope field, a `better` that is
+neither "higher" nor "lower", a row without a key field or a numeric
+metric, or two rows with one key. The baseline is the trust anchor: the
+candidate must agree with it on `bench`, `key`, `metric` and `better`,
+so it cannot relax its own gate, and on `cpus`, so only like is
+compared with like. Exit status: 0 when no row regresses, 1 on
+regression, 2 on a schema or usage error.
 """
 
 import argparse
 import json
 import sys
 
-# bench name -> (key fields, metric field, direction)
-# direction: "higher" = drops regress, "lower" = rises regress.
-SCHEMAS = {
-    "kernels": (("kernel", "shape", "threads"), "seconds", "lower"),
-    "async_exec": (("model", "policy", "copy_workers", "compute_workers"),
-                   "vs_incore", "higher"),
-    "calibration": (("model",), "calibrated_error", "lower"),
-    "planner_cost": (("model", "threads", "cache"), "sims_per_s", "higher"),
-}
+ENVELOPE = ("bench", "cpus", "key", "metric", "better", "rows")
+# Header fields on which the candidate must match the baseline.
+MUST_MATCH = ("bench", "cpus", "key", "metric", "better")
 
-# Key fields that may be absent in older baselines, with the value the
-# bench used implicitly back then. Everything else is required.
-OPTIONAL_KEY_DEFAULTS = {
-    "compute_workers": 1,  # scheduler was serial before the key existed
-}
+
+class SchemaError(Exception):
+    pass
 
 
 def load(path):
-    with open(path) as f:
-        doc = json.load(f)
-    if isinstance(doc, dict):
-        if "bench" not in doc:
-            sys.exit(f"error: {path}: envelope has no 'bench' key; refusing "
-                     f"to guess a schema (known: {', '.join(SCHEMAS)})")
-        kind = doc["bench"]
-        rows = doc["rows"]
-    else:  # legacy bare-list files predate the envelope
-        print(f"warning: {path}: legacy bare-list file, assuming 'kernels'",
-              file=sys.stderr)
-        kind = "kernels"
-        rows = doc
-    if kind not in SCHEMAS:
-        sys.exit(f"error: {path}: unknown bench kind '{kind}' "
-                 f"(known: {', '.join(SCHEMAS)})")
-    key_fields, metric, direction = SCHEMAS[kind]
+    """Return (header, {key tuple: row}) of one bench document."""
+    try:
+        with open(path) as f:
+            doc = json.load(f)
+    except (OSError, ValueError) as e:
+        raise SchemaError(f"{path}: {e}")
+    if not isinstance(doc, dict):
+        raise SchemaError(f"{path}: not a bench document (expected an "
+                          f"object with {', '.join(ENVELOPE)})")
+    for field in ENVELOPE:
+        if field not in doc:
+            raise SchemaError(f"{path}: no '{field}' field; refusing to "
+                              f"guess a schema")
+    key_fields, metric, better = doc["key"], doc["metric"], doc["better"]
+    if (not isinstance(key_fields, list) or not key_fields
+            or not all(isinstance(k, str) for k in key_fields)):
+        raise SchemaError(f"{path}: 'key' must be a non-empty list of "
+                          f"field names")
+    if not isinstance(metric, str):
+        raise SchemaError(f"{path}: 'metric' must be a field name")
+    if better not in ("higher", "lower"):
+        raise SchemaError(f"{path}: 'better' is {better!r}, not 'higher' "
+                          f"or 'lower'")
+    if not isinstance(doc["rows"], list):
+        raise SchemaError(f"{path}: 'rows' must be a list")
 
-    def key_of(r):
-        return tuple(r[k] if k in r else OPTIONAL_KEY_DEFAULTS[k]
-                     for k in key_fields)
+    rows = {}
+    for i, row in enumerate(doc["rows"]):
+        if not isinstance(row, dict):
+            raise SchemaError(f"{path}: row {i} is not an object")
+        for field in key_fields + [metric]:
+            if field not in row:
+                raise SchemaError(f"{path}: row {i} has no '{field}'")
+        value = row[metric]
+        if isinstance(value, bool) or not isinstance(value, (int, float)):
+            raise SchemaError(f"{path}: row {i} '{metric}' is not a number")
+        key = tuple(row[k] for k in key_fields)
+        if any(isinstance(v, (list, dict)) for v in key):
+            raise SchemaError(f"{path}: row {i} has a non-scalar key field")
+        if key in rows:
+            raise SchemaError(f"{path}: row {i} repeats the key {key}")
+        rows[key] = row
+    header = {field: doc[field] for field in MUST_MATCH}
+    return header, rows
 
-    return kind, metric, direction, {key_of(r): r for r in rows}
 
-
-def compare(base, cand, metric, direction, tolerance, out=sys.stdout):
+def compare(base, cand, metric, better, tolerance, out=sys.stdout):
     """Print the row-by-row table; return the list of regressed keys."""
     def fmt_key(key):
         return " ".join(f"{v}" for v in key)
@@ -101,7 +106,7 @@ def compare(base, cand, metric, direction, tolerance, out=sys.stdout):
         b = base[key][metric]
         c = cand[key][metric]
         delta = (c - b) / b if b > 0 else 0.0
-        bad = delta < -tolerance if direction == "higher" \
+        bad = delta < -tolerance if better == "higher" \
             else delta > tolerance
         flag = ""
         if bad:
@@ -124,12 +129,21 @@ def main():
                          "direction (default 0.10)")
     args = ap.parse_args()
 
-    base_kind, metric, direction, base = load(args.baseline)
-    cand_kind, _, _, cand = load(args.candidate)
-    if base_kind != cand_kind:
-        sys.exit(f"error: bench kind mismatch: {base_kind} vs {cand_kind}")
+    try:
+        base_header, base = load(args.baseline)
+        cand_header, cand = load(args.candidate)
+        for field in MUST_MATCH:
+            if base_header[field] != cand_header[field]:
+                raise SchemaError(
+                    f"'{field}' mismatch: baseline {base_header[field]!r}, "
+                    f"candidate {cand_header[field]!r}")
+    except SchemaError as e:
+        print(f"error: {e}", file=sys.stderr)
+        return 2
 
-    regressions = compare(base, cand, metric, direction, args.tolerance)
+    metric = base_header["metric"]
+    regressions = compare(base, cand, metric, base_header["better"],
+                          args.tolerance)
     if regressions:
         print(f"\n{len(regressions)} {metric} row(s) regressed more than "
               f"{args.tolerance:.0%}", file=sys.stderr)

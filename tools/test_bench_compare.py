@@ -32,15 +32,46 @@ def write_doc(tmp, name, doc):
     return path
 
 
+def bench_doc(bench, key, metric, better, rows, cpus=4):
+    return {"bench": bench, "cpus": cpus, "key": key, "metric": metric,
+            "better": better, "rows": rows}
+
+
 def kernels_doc(seconds, kernel="gemm", gflops=1.0):
-    return {"bench": "kernels",
-            "rows": [{"kernel": kernel, "shape": "256", "threads": 1,
-                      "seconds": seconds, "gflops": gflops}]}
+    return bench_doc("kernels", ["kernel", "shape", "threads"], "seconds",
+                     "lower",
+                     [{"kernel": kernel, "shape": "256", "threads": 1,
+                       "seconds": seconds, "gflops": gflops}])
 
 
 def calibration_doc(error):
-    return {"bench": "calibration",
-            "rows": [{"model": "resnet50", "calibrated_error": error}]}
+    return bench_doc("calibration", ["model"], "calibrated_error", "lower",
+                     [{"model": "resnet50", "calibrated_error": error}])
+
+
+def async_exec_doc(rows):
+    return bench_doc("async_exec",
+                     ["model", "policy", "copy_workers", "compute_workers"],
+                     "vs_incore", "higher", rows)
+
+
+def planner_cost_doc(sims_per_s):
+    return bench_doc("planner_cost", ["model", "threads", "cache"],
+                     "sims_per_s", "higher",
+                     [{"model": "ResNet-50 (b640)", "threads": 4,
+                       "cache": True, "wall_seconds": 3207 / sims_per_s,
+                       "sims_per_s": sims_per_s}])
+
+
+def expect_schema_error(base_doc, cand_doc, *needles):
+    """The tool must exit 2 and name every needle on stderr."""
+    with tempfile.TemporaryDirectory() as tmp:
+        base = write_doc(tmp, "base.json", base_doc)
+        cand = write_doc(tmp, "cand.json", cand_doc)
+        r = run_tool(base, cand)
+        assert r.returncode == 2, (r.returncode, r.stdout, r.stderr)
+        for needle in needles:
+            assert needle in r.stderr, (needle, r.stderr)
 
 
 def test_higher_is_better_regression():
@@ -101,56 +132,95 @@ def test_rows_on_one_side_do_not_fail():
     assert regs == [], regs
 
 
-def test_missing_bench_key_is_loud_error():
+def test_the_document_declares_its_gate():
+    # The tool knows no bench: a name it has never seen gates on the key,
+    # metric and direction its document declares.
+    def doc(latency):
+        return bench_doc("never_seen", ["op"], "latency", "lower",
+                         [{"op": "x", "latency": latency}])
+
     with tempfile.TemporaryDirectory() as tmp:
-        bad = write_doc(tmp, "bad.json", {"rows": []})
-        good = write_doc(tmp, "good.json", kernels_doc(1.0))
-        r = run_tool(bad, good)
-        assert r.returncode != 0, r.stdout
-        assert "no 'bench' key" in r.stderr, r.stderr
-
-
-def test_unknown_bench_kind_is_loud_error():
-    with tempfile.TemporaryDirectory() as tmp:
-        bad = write_doc(tmp, "bad.json", {"bench": "nonsense", "rows": []})
-        good = write_doc(tmp, "good.json", kernels_doc(1.0))
-        r = run_tool(bad, good)
-        assert r.returncode != 0, r.stdout
-        assert "unknown bench kind" in r.stderr, r.stderr
-
-
-def test_kind_mismatch_is_error():
-    with tempfile.TemporaryDirectory() as tmp:
-        a = write_doc(tmp, "a.json", kernels_doc(1.0))
-        b = write_doc(tmp, "b.json", calibration_doc(0.1))
-        r = run_tool(a, b)
-        assert r.returncode != 0, r.stdout
-        assert "mismatch" in r.stderr, r.stderr
-
-
-def async_exec_doc(vs_incore, compute_workers=None):
-    row = {"model": "alexnet", "policy": "swap-all", "copy_workers": 2,
-           "vs_incore": vs_incore}
-    if compute_workers is not None:
-        row["compute_workers"] = compute_workers
-    return {"bench": "async_exec", "rows": [row]}
-
-
-def test_async_exec_compute_workers_defaults_to_one():
-    # A baseline predating the multi-worker scheduler (no compute_workers
-    # field) must compare against a candidate that spells out
-    # compute_workers=1 — same key, regression still caught.
-    with tempfile.TemporaryDirectory() as tmp:
-        old = write_doc(tmp, "old.json", async_exec_doc(1.5))
-        slower = write_doc(tmp, "slower.json",
-                           async_exec_doc(0.5, compute_workers=1))
-        same = write_doc(tmp, "same.json",
-                         async_exec_doc(1.5, compute_workers=1))
-        r = run_tool(old, slower)
+        base = write_doc(tmp, "base.json", doc(1.0))
+        same = write_doc(tmp, "same.json", doc(1.05))
+        worse = write_doc(tmp, "worse.json", doc(2.0))
+        r = run_tool(base, same)
+        assert r.returncode == 0, (r.returncode, r.stdout, r.stderr)
+        r = run_tool(base, worse)
         assert r.returncode == 1, (r.returncode, r.stdout, r.stderr)
         assert "REGRESSION" in r.stdout, r.stdout
-        r = run_tool(old, same)
-        assert r.returncode == 0, (r.returncode, r.stdout, r.stderr)
+
+
+def test_missing_envelope_field_is_schema_error():
+    for field in bench_compare.ENVELOPE:
+        bad = kernels_doc(1.0)
+        del bad[field]
+        expect_schema_error(bad, kernels_doc(1.0), "base.json",
+                            f"no '{field}'")
+        expect_schema_error(kernels_doc(1.0), bad, "cand.json",
+                            f"no '{field}'")
+
+
+def test_bare_list_is_schema_error():
+    expect_schema_error(kernels_doc(1.0)["rows"], kernels_doc(1.0),
+                        "base.json", "not a bench document")
+
+
+def test_better_must_be_higher_or_lower():
+    bad = kernels_doc(1.0)
+    bad["better"] = "faster"
+    expect_schema_error(bad, bad, "base.json", "'faster'")
+
+
+def test_kind_mismatch_is_schema_error():
+    expect_schema_error(kernels_doc(1.0), calibration_doc(0.1),
+                        "'bench' mismatch")
+
+
+def test_candidate_cannot_relax_its_gate():
+    # The baseline is the trust anchor: a candidate that flips the
+    # direction, swaps the metric or re-keys its rows is refused rather
+    # than gated by its own rules.
+    flipped = kernels_doc(1.0)
+    flipped["better"] = "higher"
+    expect_schema_error(kernels_doc(1.0), flipped, "'better' mismatch")
+    other_metric = kernels_doc(1.0)
+    other_metric["metric"] = "gflops"
+    expect_schema_error(kernels_doc(1.0), other_metric, "'metric' mismatch")
+    rekeyed = kernels_doc(1.0)
+    rekeyed["key"] = ["kernel", "shape"]
+    expect_schema_error(kernels_doc(1.0), rekeyed, "'key' mismatch")
+
+
+def test_cpus_mismatch_is_schema_error():
+    one_cpu = kernels_doc(1.0)
+    one_cpu["cpus"] = 1
+    expect_schema_error(kernels_doc(1.0), one_cpu, "'cpus' mismatch")
+
+
+def test_row_without_key_field_names_file_and_row():
+    # A row from before the compute_workers key existed is not defaulted.
+    rows = [{"model": "alexnet", "policy": "swap-all", "copy_workers": 1,
+             "compute_workers": 1, "vs_incore": 1.0},
+            {"model": "alexnet", "policy": "swap-all", "copy_workers": 2,
+             "vs_incore": 1.5}]
+    good = async_exec_doc(rows[:1])
+    expect_schema_error(async_exec_doc(rows), good, "base.json", "row 1",
+                        "'compute_workers'")
+    expect_schema_error(good, async_exec_doc(rows), "cand.json", "row 1",
+                        "'compute_workers'")
+
+
+def test_bad_rows_are_schema_errors():
+    no_metric = kernels_doc(1.0)
+    del no_metric["rows"][0]["seconds"]
+    expect_schema_error(no_metric, kernels_doc(1.0), "row 0", "'seconds'")
+    text_metric = kernels_doc(1.0)
+    text_metric["rows"][0]["seconds"] = "fast"
+    expect_schema_error(text_metric, kernels_doc(1.0), "row 0",
+                        "not a number")
+    twice = kernels_doc(1.0)
+    twice["rows"].append(dict(twice["rows"][0]))
+    expect_schema_error(twice, kernels_doc(1.0), "row 1", "repeats the key")
 
 
 def test_async_exec_compute_worker_rows_are_distinct():
@@ -173,13 +243,6 @@ def test_calibration_end_to_end():
         assert "REGRESSION" in r.stdout, r.stdout
         r = run_tool(base, same)
         assert r.returncode == 0, (r.returncode, r.stdout, r.stderr)
-
-
-def planner_cost_doc(sims_per_s):
-    return {"bench": "planner_cost", "cpus": 4,
-            "rows": [{"model": "ResNet-50 (b640)", "threads": 4,
-                      "cache": True, "wall_seconds": 3207 / sims_per_s,
-                      "sims_per_s": sims_per_s}]}
 
 
 def test_planner_cost_end_to_end():
