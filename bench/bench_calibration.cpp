@@ -5,11 +5,12 @@
 //
 // For each OOC workload (ResNet-50 and AlexNet under a device capacity
 // tight enough to force swap traffic) the bench runs the full measured
-// calibration loop — plan on the analytic model, execute the plan for
-// real through exec::AsyncExecutor, rebuild the planner's time source as
-// a cost::CalibratedTimeModel from the measured per-op wall times — and
-// scores both models out-of-sample against the observed median wall time
-// of the final validation iterations:
+// calibration loop — profile the swap-all schedule for real through
+// exec::AsyncExecutor, build the planner's time source as a
+// cost::CalibratedTimeModel from the measured per-op wall times, plan
+// once, execute and measure the plan — and scores both models, each
+// simulating the final plan, out-of-sample against the observed median
+// wall time of the final validation iterations:
 //
 //   roofline_error   = |roofline_predicted   - observed| / observed
 //   calibrated_error = |calibrated_predicted - observed| / observed

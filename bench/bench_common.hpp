@@ -7,12 +7,11 @@
 // much, where methods fail) is the reproduction target. EXPERIMENTS.md
 // records paper-vs-measured for every row.
 //
-// Set POOCH_BENCH_VALIDATE=1 in the environment to run every method
-// with its op stream recorded and push the result through the
-// obs::TimelineValidator; any invariant violation aborts the bench with
-// a diagnostic. The tier-1 ctest bench_validate does this for three
-// benches to keep the simulator honest while the default bench runs
-// stay fast.
+// Every method runs with its op stream recorded, and every completed
+// run goes through the obs::TimelineValidator; any invariant violation
+// aborts the bench with a diagnostic, so no reported number comes from
+// a schedule that breaks the timeline invariants. The tier-1 ctest
+// bench_validate runs three benches that cover every method hook.
 //
 // The benches that gate regressions (bench_kernels, bench_async_exec,
 // bench_calibration, bench_planner_cost) also write one JSON document
@@ -147,32 +146,23 @@ struct MethodResult {
   std::array<int, 3> counts{0, 0, 0};
 };
 
-inline bool validate_enabled() {
-  static const bool on = [] {
-    const char* v = std::getenv("POOCH_BENCH_VALIDATE");
-    return v != nullptr && *v != '\0' && *v != '0';
-  }();
-  return on;
-}
-
-/// POOCH_BENCH_VALIDATE hook: check a recorded run against the timeline
-/// invariants and abort loudly on violation. No-op when validation is
-/// off or the run did not complete.
+/// Check a recorded run against the timeline invariants and abort
+/// loudly on violation. No-op when the run did not complete.
 inline void validate_run(const Workload& w, const char* what,
                          const sim::RunResult& r) {
-  if (!validate_enabled() || !r.ok) return;
+  if (!r.ok) return;
   obs::TimelineValidator validator(w.g, w.tape);
   const obs::ValidationReport rep =
       validator.check_run(r, w.machine.usable_gpu_bytes());
   if (rep.ok()) return;
-  std::fprintf(stderr, "POOCH_BENCH_VALIDATE: %s violates timeline "
-               "invariants\n%s", what, rep.to_string().c_str());
+  std::fprintf(stderr, "%s violates timeline invariants\n%s", what,
+               rep.to_string().c_str());
   std::exit(1);
 }
 
 inline MethodResult run_in_core(const Workload& w, std::int64_t batch) {
   sim::RunOptions ro;
-  ro.record_stream = validate_enabled();
+  ro.record_stream = true;
   const auto r =
       w.rt.run(sim::Classification(w.g, sim::ValueClass::kKeep), ro);
   validate_run(w, "in-core", r);
@@ -183,7 +173,7 @@ inline MethodResult run_swap_all(const Workload& w, std::int64_t batch,
                                  bool scheduled) {
   auto opts = scheduled ? baselines::swap_all_scheduled_options()
                         : baselines::swap_all_naive_options();
-  opts.record_stream = validate_enabled();
+  opts.record_stream = true;
   const auto r =
       w.rt.run(sim::Classification(w.g, sim::ValueClass::kSwap), opts);
   validate_run(w, scheduled ? "swap-all" : "swap-all-naive", r);
@@ -194,7 +184,7 @@ inline MethodResult run_superneurons(const Workload& w, std::int64_t batch) {
   const auto plan =
       baselines::superneurons_plan(w.g, w.tape, w.machine, w.tm);
   auto opts = baselines::superneurons_run_options();
-  opts.record_stream = validate_enabled();
+  opts.record_stream = true;
   const auto r = w.rt.run(plan.classes, opts);
   validate_run(w, "superneurons", r);
   return {r.ok, r.iteration_time, r.ok ? r.throughput(batch) : 0.0,
@@ -206,7 +196,7 @@ inline MethodResult run_pooch_method(
     planner::PlannerResult* plan_out = nullptr) {
   const auto out = planner::run_pooch(w.g, w.tape, w.machine, w.tm);
   if (plan_out) *plan_out = out.plan;
-  if (validate_enabled() && out.ok) {
+  if (out.ok) {
     // The pipeline's execution runs without recording; repeat it with
     // recording on so there are spans to validate.
     sim::RunOptions ro;

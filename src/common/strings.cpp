@@ -36,14 +36,6 @@ std::string format_time(double seconds) {
   return printf_string("%.1f us", seconds * 1e6);
 }
 
-std::string format_fixed(double value, int digits) {
-  char fmt[16];
-  std::snprintf(fmt, sizeof(fmt), "%%.%df", digits);
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), fmt, value);
-  return std::string(buf);
-}
-
 std::string join(const std::vector<std::string>& parts,
                  const std::string& sep) {
   std::string out;

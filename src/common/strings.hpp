@@ -13,9 +13,6 @@ std::string format_bytes(std::size_t bytes);
 /// "12.34 ms", "1.20 s", "450 us" — human-readable durations from seconds.
 std::string format_time(double seconds);
 
-/// Fixed-point with `digits` decimals.
-std::string format_fixed(double value, int digits);
-
 /// Join strings with a separator.
 std::string join(const std::vector<std::string>& parts, const std::string& sep);
 

@@ -22,9 +22,7 @@ constexpr double gbps_to_bytes_per_sec(double gbps) { return gbps * 1e9; }
 constexpr double tflops_to_flops(double tflops) { return tflops * 1e12; }
 
 constexpr double us_to_sec(double us) { return us * 1e-6; }
-constexpr double ms_to_sec(double ms) { return ms * 1e-3; }
 constexpr double sec_to_ms(double sec) { return sec * 1e3; }
-constexpr double sec_to_us(double sec) { return sec * 1e6; }
 
 /// Bytes expressed as a fractional number of GiB (for reporting only).
 constexpr double bytes_to_gib(std::size_t bytes) {

@@ -13,10 +13,13 @@
 // One subtlety (documented in docs/PROFILING.md):
 //
 //   Fallback scaling. Measured times (CPU wall clock) and roofline times
-//   (simulated V100) live on different scales. An op the measuring runs
-//   never executed (e.g. the swap-in of a value the initial plan kept
-//   resident) cannot be served raw roofline time next to measured
-//   neighbours — it would be off by orders of magnitude. Instead the
+//   (simulated V100) live on different scales. Both pipelines profile
+//   the swap-all schedule first, so a classifiable map's transfers are
+//   always measured; an op the measuring runs never executed (a map
+//   swap-all never moves, or after a re-plan the swap-in of a value the
+//   re-measured plan kept resident) cannot be served raw roofline time
+//   next to measured neighbours — it would be off by orders of
+//   magnitude. Instead the
 //   model learns one scale factor per category (forward / backward /
 //   d2h / h2d) from the ops observed in *both* domains and serves
 //   fallback = roofline * category_scale. The roofline keeps its job of
@@ -32,7 +35,7 @@
 // dispatch (exec::AsyncOptions::time_model): critical-path priorities
 // computed from calibrated per-op times rank ready ops by how much
 // wall clock actually hangs off them, not by roofline guesses. The
-// measured pipeline wires it through automatically after a re-plan.
+// measured pipeline wires it through for every plan it measures.
 #pragma once
 
 #include "graph/graph.hpp"

@@ -184,12 +184,6 @@ std::size_t Graph::workspace_bytes(NodeId id) const {
                                                 std::get<ConvAttrs>(n.attrs)));
 }
 
-std::size_t Graph::total_value_bytes() const {
-  std::size_t bytes = 0;
-  for (const Value& v : values_) bytes += v.byte_size();
-  return bytes;
-}
-
 void Graph::validate() const {
   for (const Node& n : nodes_) {
     POOCH_CHECK(n.output >= 0 && n.output < num_values());

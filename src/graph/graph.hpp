@@ -81,9 +81,6 @@ class Graph {
       std::size_t{1} << 30;  // 1 GiB
   std::size_t workspace_bytes(NodeId id) const;
 
-  /// Sum of all feature-map (value) bytes.
-  std::size_t total_value_bytes() const;
-
   /// Sanity-check the invariants (shapes consistent, DAG ordering).
   void validate() const;
 

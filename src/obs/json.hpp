@@ -33,10 +33,6 @@ class Value {
 
   bool is_null() const { return std::holds_alternative<std::nullptr_t>(v_); }
   bool is_bool() const { return std::holds_alternative<bool>(v_); }
-  bool is_number() const {
-    return std::holds_alternative<double>(v_) ||
-           std::holds_alternative<std::int64_t>(v_);
-  }
   bool is_string() const { return std::holds_alternative<std::string>(v_); }
   bool is_array() const { return std::holds_alternative<Array>(v_); }
   bool is_object() const { return std::holds_alternative<Object>(v_); }

@@ -65,10 +65,6 @@ int Histogram::bucket_of(double x) {
   return std::clamp(decade, 0, kBuckets - 1);
 }
 
-double Histogram::bucket_lower_bound(int i) {
-  return std::pow(10.0, static_cast<double>(i - 12));
-}
-
 Counter& StatsRegistry::counter(const std::string& name) {
   std::lock_guard<std::mutex> lock(mu_);
   return counters_[name];

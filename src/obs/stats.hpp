@@ -66,7 +66,6 @@ class Histogram {
   std::array<std::uint64_t, kBuckets> buckets() const;
 
   static int bucket_of(double x);
-  static double bucket_lower_bound(int i);
 
  private:
   mutable std::mutex mu_;

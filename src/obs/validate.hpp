@@ -26,7 +26,7 @@
 //     arena peak, and peak fits the device.
 //
 // Used by tests (including the random-graph fuzzer), the bench harness
-// (POOCH_BENCH_VALIDATE=1) and `pooch_cli --validate`.
+// (every reported run) and `pooch_cli --validate`.
 #pragma once
 
 #include <string>

@@ -2,6 +2,7 @@
 
 #include <cmath>
 #include <memory>
+#include <optional>
 
 #include "common/error.hpp"
 #include "common/logging.hpp"
@@ -181,29 +182,24 @@ MeasuredPipelineResult run_pooch_measured(
       profile::MeasuredProfile(graph.num_nodes(), graph.num_values());
   obs::StatsRegistry* stats = options.stats;
 
-  // Phase 1: the standard simulated-profile pipeline chooses the initial
-  // plan — the paper's profile -> classify pass, roofline-observed.
-  out.initial =
-      run_pooch(graph, tape, machine, ground_truth, options.pipeline);
-  if (!out.initial.ok) {
-    out.failure = out.initial.plan.feasible
-                      ? "initial pipeline execution failed"
-                      : "initial plan infeasible";
+  // The profile runs swap-all (§4.2: every map swapped, so every map's
+  // transfers are measured) under the one swap-all rule, on the
+  // ground-truth runtime. Nothing executes when no policy fits.
+  const sim::Runtime gt_runtime(graph, tape, machine, ground_truth);
+  const std::optional<sim::SwapInPolicy> policy =
+      profile::swap_all_policy(gt_runtime);
+  if (!policy) {
+    out.failure = "profiling impossible: swap-all OOMs even with "
+                  "on-demand swap-ins";
     return out;
   }
-  out.final_plan = out.initial.plan;
-  out.roofline_predicted = out.initial.plan.predicted_time;
 
-  // Phase 2: execute the plan for real and measure it. The stream is
-  // recorded under the model the plan was made with; the backend then
-  // runs warm-up + k genuine training iterations through the async
-  // executor while MeasuredProfile collects per-op wall times.
-  sim::Runtime gt_runtime(graph, tape, machine, ground_truth);
   profile::MeasureOptions mo = options.measure;
   mo.stats = stats;
-  // Priorities for the multi-worker compute dispatch: the plan's own
-  // time model (replaced by the calibrated model after a re-plan).
-  if (!mo.time_model) mo.time_model = &ground_truth;
+  // Priorities for the multi-worker compute dispatch: the ground truth
+  // for the swap-all profile, the latest calibrated model after it.
+  const bool own_priorities = options.measure.time_model == nullptr;
+  if (own_priorities) mo.time_model = &ground_truth;
   std::vector<exec::AsyncResult> session_runs;
   if (options.collect_session_trace) mo.keep_runs = &session_runs;
 
@@ -213,11 +209,9 @@ MeasuredPipelineResult run_pooch_measured(
   std::uint64_t next_iteration = 0;
   double session_clock = 0.0;
   std::size_t session_consumed = 0;
-  std::unique_ptr<cost::CalibratedTimeModel> model;
-  std::unique_ptr<sim::Runtime> cal_runtime;
-  double predicted = 0.0;
-  try {
-    exec::OpStream stream = export_plan_stream(gt_runtime, out.final_plan);
+  // Run warm-up + k measured iterations of `stream` into out.measured,
+  // continuing the training trajectory and the session trace.
+  const auto measure = [&](const exec::OpStream& stream) {
     out.measured = profile::measure_op_stream(graph, stream, data, mo,
                                               next_iteration);
     next_iteration += static_cast<std::uint64_t>(mo.warmup_iterations +
@@ -225,24 +219,49 @@ MeasuredPipelineResult run_pooch_measured(
     session_clock = append_session_runs(out, session_clock, stream,
                                         session_runs, session_consumed);
     session_consumed = session_runs.size();
+  };
+  // The calibrated model over the latest measurement round; the
+  // multi-worker dispatch priorities follow it.
+  std::unique_ptr<cost::CalibratedTimeModel> model;
+  const auto calibrate = [&] {
+    model = std::make_unique<cost::CalibratedTimeModel>(
+        graph, out.measured, ground_truth, options.calibrate);
+    if (own_priorities) mo.time_model = model.get();
+  };
+  try {
+    // Phase 1: profile the swap-all stream on the executor.
+    sim::RunOptions profiling;
+    profiling.swapin_policy = *policy;
+    measure(record_op_stream(
+        gt_runtime, sim::Classification(graph, sim::ValueClass::kSwap),
+        profiling));
 
-    // Phase 3 + 4: calibrate, check drift, re-plan while it persists.
-    // Each round rebuilds the model from the latest measurements (real
-    // drift is absorbed; an injected miscalibration persists by design)
-    // and re-checks the calibrated prediction against the observation.
-    double observed = out.measured.iteration_seconds();
+    // Phase 2: one calibrated model over that profile, one plan.
+    calibrate();
+    out.final_plan = PoochPlanner(graph, tape, machine, *model,
+                                  options.pipeline.planner)
+                         .plan();
+    if (!out.final_plan.feasible) {
+      throw Error("plan infeasible on the measured profile");
+    }
+
+    // Phase 3 + 4: execute and measure the plan under the model that
+    // chose it, and check that model's prediction against the
+    // observation — out of sample, since the model never saw this plan
+    // run. On drift, re-plan on a model rebuilt from the latest
+    // measurement (real drift is absorbed; an injected miscalibration
+    // persists by design).
+    exec::OpStream stream;
     for (;;) {
-      model = std::make_unique<cost::CalibratedTimeModel>(
-          graph, out.measured, ground_truth, options.calibrate);
-      // After a re-plan the priorities follow the latest calibrated
-      // model; the one they pointed at was just replaced.
-      if (out.replans > 0 && options.measure.time_model == nullptr) {
-        mo.time_model = model.get();
+      double drift = 0.0;
+      {
+        const sim::Runtime cal_runtime(graph, tape, machine, *model);
+        stream = export_plan_stream(cal_runtime, out.final_plan);
+        measure(stream);
+        drift = relative_error(
+            predict_iteration_time(cal_runtime, out.final_plan),
+            out.measured.iteration_seconds());
       }
-      cal_runtime = std::make_unique<sim::Runtime>(graph, tape, machine,
-                                                   *model);
-      predicted = predict_iteration_time(*cal_runtime, out.final_plan);
-      const double drift = relative_error(predicted, observed);
       ++out.drift_checks;
       out.last_drift_error = drift;
       if (stats) {
@@ -251,13 +270,14 @@ MeasuredPipelineResult run_pooch_measured(
         stats->gauge("profile.drift.last.threshold")
             .set(options.replan_threshold);
       }
+      calibrate();
       if (drift <= options.replan_threshold ||
           out.replans >= kMaxReplans) {
         break;
       }
 
       // Drift: the calibrated simulation disagrees with the hardware.
-      // Re-plan on the calibrated times and keep training.
+      // Re-plan on the latest measurement and keep training.
       ++out.replans;
       if (stats) stats->counter("profile.drift.replans").add(1);
       out.trace_markers.emplace_back(
@@ -267,31 +287,26 @@ MeasuredPipelineResult run_pooch_measured(
       POOCH_LOG_INFO("drift " << drift * 100 << "% > threshold "
                               << options.replan_threshold * 100
                               << "%: re-planning on calibrated times");
-      PoochPlanner replanner(graph, tape, machine, *model,
-                             options.pipeline.planner);
-      const PlannerResult replanned = replanner.plan();
+      const PlannerResult replanned =
+          PoochPlanner(graph, tape, machine, *model, options.pipeline.planner)
+              .plan();
       if (!replanned.feasible) {
         POOCH_LOG_WARN("re-plan infeasible; keeping the current plan");
         break;
       }
       out.final_plan = replanned;
-      stream = export_plan_stream(*cal_runtime, out.final_plan);
-      if (options.measure.time_model == nullptr) {
-        mo.time_model = model.get();  // calibrated priorities from here on
-      }
-      out.measured = profile::measure_op_stream(graph, stream, data, mo,
-                                                next_iteration);
-      next_iteration += static_cast<std::uint64_t>(mo.warmup_iterations +
-                                                   mo.iterations);
-      session_clock = append_session_runs(out, session_clock, stream,
-                                          session_runs, session_consumed);
-      session_consumed = session_runs.size();
-      observed = out.measured.iteration_seconds();
     }
+    // Both predictors price the plan that runs: the analytic model, and
+    // the model calibrated on the plan's own latest measured round (the
+    // one a further re-plan would use). Validation never feeds either.
+    out.roofline_predicted = predict_iteration_time(gt_runtime, out.final_plan);
+    out.calibrated_predicted = predict_iteration_time(
+        sim::Runtime(graph, tape, machine, *model), out.final_plan);
 
     // Phase 5: out-of-sample validation — fresh iterations under the
     // final plan score both predictors against wall time the calibration
     // never saw.
+    double observed = out.measured.iteration_seconds();
     if (options.validation_iterations > 0) {
       profile::MeasureOptions vo = mo;
       vo.warmup_iterations = 0;
@@ -307,18 +322,18 @@ MeasuredPipelineResult run_pooch_measured(
       observed = validation.iteration_seconds();
     }
     out.observed_seconds = observed;
-    out.calibrated_predicted = predicted;
     out.roofline_error = relative_error(out.roofline_predicted, observed);
-    out.calibrated_error = relative_error(predicted, observed);
+    out.calibrated_error =
+        relative_error(out.calibrated_predicted, observed);
   } catch (const Error& e) {
     out.failure = e.what();
     return out;
   }
   out.iterations_executed = static_cast<int>(next_iteration);
 
-  // Phase 6: the whole measured trajectory — across warm-ups, both
-  // plans, and the re-records — must be bit-identical to serial in-core
-  // training of the same iterations (the transparency contract).
+  // Phase 6: the whole measured trajectory — across warm-ups, the
+  // swap-all profile and every plan — must be bit-identical to serial
+  // in-core training of the same iterations (the transparency contract).
   out.loss = data.loss();
   sim::DataBackend ref(graph, options.data_seed, options.learning_rate);
   try {

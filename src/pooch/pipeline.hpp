@@ -92,23 +92,26 @@ void run_incore_reference(const graph::Graph& graph,
 // ---------------------------------------------------------------------
 // Measured-profile calibration loop (docs/PROFILING.md).
 //
-// run_pooch(...) plans from *simulated* profiling of the analytic time
-// model. run_pooch_measured(...) closes the paper's loop against real
-// hardware: it executes the plan through exec::AsyncExecutor on a real
-// DataBackend, records wall-clock per-op times into a
-// profile::MeasuredProfile, rebuilds the planner's time source as a
-// cost::CalibratedTimeModel, and — when the calibrated simulation's
-// predicted iteration time drifts from the observed wall time by more
-// than `replan_threshold` — re-runs the planner on the calibrated times
-// and continues training under the new plan. Every executed iteration
-// remains bit-identical to serial in-core training.
+// run_pooch(...) and run_pooch_measured(...) are one sequence — profile
+// the swap-all schedule, build one cost::CalibratedTimeModel over the
+// profile, plan once — and differ only in the observer. run_pooch
+// simulates noisy iterations of the analytic model (run_profiler);
+// run_pooch_measured replays the swap-all stream through
+// exec::AsyncExecutor on a real DataBackend and records wall-clock
+// per-op times into a profile::MeasuredProfile (measure_op_stream). It
+// then executes and measures the plan, and when the model's predicted
+// iteration time drifts from the observed wall time by more than
+// `replan_threshold`, rebuilds the model from the latest measurement,
+// re-plans and continues training under the new plan. Every executed
+// iteration remains bit-identical to serial in-core training.
 // ---------------------------------------------------------------------
 
 /// Upper bound on drift-triggered re-planning rounds.
 inline constexpr int kMaxReplans = 2;
 
 struct MeasuredPipelineOptions {
-  /// Options of the initial (simulated-profile) planning pass.
+  /// Only `pipeline.planner` is read: the measured path profiles on the
+  /// executor, so `pipeline.profile` (the simulated profiler) is unused.
   PipelineOptions pipeline;
   /// Wall-clock measurement: warm-up, median-of-k, outlier rejection.
   profile::MeasureOptions measure;
@@ -136,17 +139,18 @@ struct MeasuredPipelineResult {
   bool ok = false;
   std::string failure;
 
-  /// The initial, roofline-planned pipeline (phase 1-3 of run_pooch).
-  PipelineResult initial;
   /// Wall-clock profile of the *last* measurement round.
   profile::MeasuredProfile measured{0, 0};
-  /// Plan actually executing at the end (== initial.plan when no drift).
+  /// Plan actually executing at the end: the plan made on the swap-all
+  /// profile, or the last re-plan after drift.
   PlannerResult final_plan;
 
-  // Planned-vs-actual iteration time, both scored against the observed
-  // median wall time of the final validation iterations.
-  double roofline_predicted = 0.0;    // initial plan, analytic model
-  double calibrated_predicted = 0.0;  // final plan, calibrated model
+  // Planned-vs-actual iteration time of the final plan, both scored
+  // against the observed median wall time of the final validation
+  // iterations: on the analytic model, and on the model calibrated on
+  // the final plan's own latest measured round.
+  double roofline_predicted = 0.0;
+  double calibrated_predicted = 0.0;
   double observed_seconds = 0.0;
   double roofline_error = 0.0;    // |roofline_predicted - observed|/observed
   double calibrated_error = 0.0;  // |calibrated_predicted - observed|/observed
@@ -172,10 +176,13 @@ struct MeasuredPipelineResult {
 };
 
 /// Run the measured calibration loop end-to-end:
-/// plan (simulated profile) -> execute & measure -> calibrate -> drift
-/// check -> re-plan on drift -> validate -> verify bit-identity.
-/// `ground_truth` is both the initial planning model and the calibrated
-/// model's fallback for unobserved ops.
+/// profile swap-all on the executor -> calibrate -> plan -> execute &
+/// measure -> drift check -> re-plan on drift -> validate -> verify
+/// bit-identity. `ground_truth` records the swap-all schedule, is the
+/// calibrated model's fallback for unobserved ops, and prices
+/// `roofline_predicted`. `failure` names the phase that failed:
+/// profiling (swap-all OOMs under every policy), planning, execution or
+/// bit-identity.
 MeasuredPipelineResult run_pooch_measured(
     const graph::Graph& graph, const std::vector<graph::BwdStep>& tape,
     const cost::MachineConfig& machine, const sim::TimeModel& ground_truth,

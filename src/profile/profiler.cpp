@@ -7,6 +7,20 @@ namespace pooch::profile {
 
 using graph::Graph;
 
+std::optional<sim::SwapInPolicy> swap_all_policy(const sim::Runtime& runtime) {
+  const sim::Classification swap_all(runtime.graph(), sim::ValueClass::kSwap);
+  if (runtime.run(swap_all).ok) return sim::SwapInPolicy::kEagerMemoryAware;
+  sim::RunOptions on_demand;
+  on_demand.swapin_policy = sim::SwapInPolicy::kOnDemand;
+  if (!runtime.run(swap_all, on_demand).ok) {
+    POOCH_LOG_WARN("profiling impossible: swap-all OOMs even with "
+                   "on-demand scheduling");
+    return std::nullopt;
+  }
+  POOCH_LOG_INFO("profiling falls back to on-demand swap-ins");
+  return sim::SwapInPolicy::kOnDemand;
+}
+
 ProfileData run_profiler(const Graph& graph,
                          const std::vector<graph::BwdStep>& tape,
                          const cost::MachineConfig& machine,
@@ -22,23 +36,13 @@ ProfileData run_profiler(const Graph& graph,
                                kNoiseSeed);
   sim::Runtime runtime(graph, tape, machine, observed);
 
-  // §4.2: "all feature maps are classified into swap as the default".
-  // Under extreme memory pressure even the eager schedule can fail; the
-  // profiler then falls back to on-demand swap-ins (slower iterations,
-  // but the measured per-op times are the same).
-  const sim::Classification swap_all(graph, sim::ValueClass::kSwap);
-  if (!runtime.run(swap_all).ok) {
-    data.policy_used = sim::SwapInPolicy::kOnDemand;
-    sim::RunOptions on_demand;
-    on_demand.swapin_policy = data.policy_used;
-    if (!runtime.run(swap_all, on_demand).ok) {
-      POOCH_LOG_WARN("profiling impossible: swap-all OOMs even with "
-                     "on-demand scheduling");
-      data.ok = false;
-      return data;
-    }
-    POOCH_LOG_INFO("profiler fell back to on-demand swap-ins");
+  const std::optional<sim::SwapInPolicy> policy = swap_all_policy(runtime);
+  if (!policy) {
+    data.ok = false;
+    return data;
   }
+  data.policy_used = *policy;
+  const sim::Classification swap_all(graph, sim::ValueClass::kSwap);
 
   MeasuredProfile samples(graph.num_nodes(), graph.num_values());
   for (int it = 0; it < options.iterations; ++it) {

@@ -11,6 +11,7 @@
 #pragma once
 
 #include <cstdint>
+#include <optional>
 #include <vector>
 
 #include "profile/measured_profile.hpp"
@@ -47,6 +48,16 @@ struct ProfileData {
   double profiled_seconds = 0.0;
   int iterations = 0;
 };
+
+/// The swap-in policy of the swap-all profiling schedule (§4.2: "all
+/// feature maps are classified into swap as the default"), found by
+/// simulating swap-all on `runtime`: eager memory-aware swap-ins; under
+/// extreme memory pressure, on-demand swap-ins (slower iterations, the
+/// same per-op times); std::nullopt when both OOM — the workload cannot
+/// be profiled, a reported outcome rather than an error. Both pipelines
+/// profile under it: run_profiler on its noisy runtime, the measured
+/// pipeline on the ground-truth runtime whose stream it then executes.
+std::optional<sim::SwapInPolicy> swap_all_policy(const sim::Runtime& runtime);
 
 /// Run the profiling phase. `ground_truth` is the hardware being
 /// observed; measurements pass through NoisyTimeModel jitter and are

@@ -424,10 +424,6 @@ const std::vector<Tensor>& DataBackend::params(NodeId node) const {
   return params_[static_cast<std::size_t>(node)];
 }
 
-const std::vector<Tensor>& DataBackend::param_grads(NodeId node) const {
-  return param_grads_[static_cast<std::size_t>(node)];
-}
-
 double DataBackend::param_norm() const {
   double acc = 0.0;
   for (const auto& ps : params_) {

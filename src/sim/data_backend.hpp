@@ -73,7 +73,6 @@ class DataBackend {
   bool value_resident(graph::ValueId v) const;
   const Tensor& grad(graph::ValueId v) const;
   const std::vector<Tensor>& params(graph::NodeId node) const;
-  const std::vector<Tensor>& param_grads(graph::NodeId node) const;
 
   /// Flat L2 norm over all parameters (cheap convergence signal).
   double param_norm() const;

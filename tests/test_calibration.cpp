@@ -6,12 +6,16 @@
 //     observed ops as measured, and stays concurrent_safe (the parallel
 //     planner must choose the identical plan at any thread count under
 //     it);
-//   - run_pooch_measured calibrates below the roofline's error and stays
-//     bit-identical to serial in-core training — including when a stale
-//     (drift-injected) profile forces the drift detector to re-plan.
+//   - run_pooch_measured profiles the swap-all stream first, calibrates
+//     below the roofline's error and stays bit-identical to serial
+//     in-core training — including when a stale (drift-injected) profile
+//     forces the drift detector to re-plan, after which the roofline
+//     scores the plan that ran.
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
+#include <cstring>
 
 #include "common/units.hpp"
 #include "cost/calibrated_time_model.hpp"
@@ -20,6 +24,7 @@
 #include "graph/liveness.hpp"
 #include "kernels/kernel_context.hpp"
 #include "models/models.hpp"
+#include "obs/stats.hpp"
 #include "obs/trace.hpp"
 #include "pooch/pipeline.hpp"
 #include "profile/measured_profile.hpp"
@@ -364,6 +369,222 @@ TEST(MeasuredPipeline, InjectedDriftForcesReplanBitIdentically) {
     EXPECT_GE(seconds, 0.0);
     EXPECT_NE(label.find("re-plan"), std::string::npos);
   }
+}
+
+TEST(MeasuredPipeline, ProfilesTheSwapAllStreamFirst) {
+  // §4.2: the first measured iterations run every feature map swapped,
+  // so every map's transfers are observed before anything is planned.
+  PipelineRig rig;
+  planner::MeasuredPipelineOptions mo;
+  mo.measure.warmup_iterations = 1;
+  mo.measure.iterations = 2;
+  mo.collect_session_trace = true;
+  const auto out = planner::run_pooch_measured(rig.g, rig.tape, rig.machine,
+                                               *rig.tm, mo);
+  ASSERT_TRUE(out.failure.empty()) << out.failure;
+  const sim::Runtime gt(rig.g, rig.tape, rig.machine, *rig.tm);
+  const exec::OpStream swap_all = planner::record_op_stream(
+      gt, sim::Classification(rig.g, sim::ValueClass::kSwap));
+  ASSERT_FALSE(swap_all.ops.empty());
+  const std::size_t runs = static_cast<std::size_t>(
+      mo.measure.warmup_iterations + mo.measure.iterations);
+  ASSERT_GT(out.session_stream.ops.size(), runs * swap_all.ops.size());
+  for (std::size_t i = 0; i < runs * swap_all.ops.size(); ++i) {
+    const exec::StreamOp& got = out.session_stream.ops[i];
+    const exec::StreamOp& want = swap_all.ops[i % swap_all.ops.size()];
+    ASSERT_TRUE(got.type == want.type && got.node == want.node &&
+                got.value == want.value)
+        << "session op " << i << " is not the swap-all stream's op "
+        << i % swap_all.ops.size();
+  }
+}
+
+TEST(MeasuredPipeline, RooflinePredictsTheExecutedPlan) {
+  // After a re-plan the roofline must score the plan that ran, not the
+  // first one.
+  PipelineRig rig;
+  planner::MeasuredPipelineOptions mo;
+  mo.measure.iterations = 2;
+  mo.calibrate.inject_drift = 4.0;
+  const auto out = planner::run_pooch_measured(rig.g, rig.tape, rig.machine,
+                                               *rig.tm, mo);
+  ASSERT_TRUE(out.failure.empty()) << out.failure;
+  ASSERT_GE(out.replans, 1);
+  const sim::Runtime gt(rig.g, rig.tape, rig.machine, *rig.tm);
+  const sim::RunResult executed = planner::execute_plan(gt, out.final_plan);
+  ASSERT_TRUE(executed.ok) << executed.failure;
+  EXPECT_EQ(out.roofline_predicted, executed.iteration_time);
+}
+
+TEST(CalibratedTimeModel, SwapAllProfileServesEveryTransferMeasured) {
+  // §4.2: profiling runs every map swapped, so every transfer any plan
+  // can issue is observed, and the calibrated model serves each one
+  // from measurement instead of from the scaled roofline.
+  PipelineRig rig;
+  const sim::Runtime rt(rig.g, rig.tape, rig.machine, *rig.tm);
+  const exec::OpStream swap_all = planner::record_op_stream(
+      rt, sim::Classification(rig.g, sim::ValueClass::kSwap));
+  sim::DataBackend data(rig.g, /*seed=*/1);
+  profile::MeasureOptions mo;
+  mo.iterations = 2;
+  const MeasuredProfile p =
+      profile::measure_op_stream(rig.g, swap_all, data, mo);
+  EXPECT_DOUBLE_EQ(p.compute_coverage(), 1.0);
+  const cost::CalibratedTimeModel cal(rig.g, p, *rig.tm);
+  int transfers = 0;
+  for (const exec::StreamOp& op : swap_all.ops) {
+    if (op.type == exec::OpType::kSwapOut) {
+      ASSERT_TRUE(p.has_d2h(op.value)) << "v" << op.value;
+      EXPECT_EQ(cal.d2h_time(op.value), p.d2h_seconds(op.value));
+      ++transfers;
+    } else if (op.type == exec::OpType::kSwapIn) {
+      ASSERT_TRUE(p.has_h2d(op.value)) << "v" << op.value;
+      EXPECT_EQ(cal.h2d_time(op.value), p.h2d_seconds(op.value));
+      ++transfers;
+    }
+  }
+  EXPECT_GT(transfers, 0);
+}
+
+TEST(MeasuredPipeline, NoDriftMeansOneCheckAndNoReplan) {
+  // Under a threshold no prediction can exceed, the plan made on the
+  // swap-all profile is measured once, checked once and kept: two
+  // measured rounds (profile, plan) plus the validation iterations.
+  PipelineRig rig;
+  planner::MeasuredPipelineOptions mo;
+  mo.measure.warmup_iterations = 1;
+  mo.measure.iterations = 2;
+  mo.replan_threshold = 1e9;
+  const auto out = planner::run_pooch_measured(rig.g, rig.tape, rig.machine,
+                                               *rig.tm, mo);
+  ASSERT_TRUE(out.failure.empty()) << out.failure;
+  EXPECT_TRUE(out.bit_identical);
+  EXPECT_EQ(out.drift_checks, 1);
+  EXPECT_EQ(out.replans, 0);
+  EXPECT_TRUE(out.trace_markers.empty());
+  EXPECT_EQ(out.iterations_executed, 2 * 3 + mo.validation_iterations);
+  EXPECT_TRUE(out.final_plan.feasible);
+}
+
+TEST(MeasuredPipeline, ReplansStopAtMaxReplans) {
+  // A zero threshold calls every prediction drifted: the loop re-plans
+  // kMaxReplans times, checks once more, and stops. Every check costs
+  // one measured round, and all of them train bit-identically.
+  PipelineRig rig;
+  planner::MeasuredPipelineOptions mo;
+  mo.measure.warmup_iterations = 1;
+  mo.measure.iterations = 2;
+  mo.calibrate.inject_drift = 4.0;
+  mo.replan_threshold = 0.0;
+  const auto out = planner::run_pooch_measured(rig.g, rig.tape, rig.machine,
+                                               *rig.tm, mo);
+  ASSERT_TRUE(out.failure.empty()) << out.failure;
+  EXPECT_TRUE(out.bit_identical);
+  EXPECT_EQ(out.replans, planner::kMaxReplans);
+  EXPECT_EQ(out.drift_checks, planner::kMaxReplans + 1);
+  EXPECT_GT(out.last_drift_error, 0.0);
+  EXPECT_EQ(out.iterations_executed,
+            3 * (1 + out.drift_checks) + mo.validation_iterations);
+}
+
+TEST(MeasuredPipeline, WithoutValidationTheLastRoundIsObserved) {
+  // validation_iterations = 0 skips the out-of-sample round: the
+  // predictors are scored against the plan's last measured round, and
+  // no extra iteration runs.
+  PipelineRig rig;
+  planner::MeasuredPipelineOptions mo;
+  mo.measure.warmup_iterations = 1;
+  mo.measure.iterations = 2;
+  mo.replan_threshold = 1e9;
+  mo.validation_iterations = 0;
+  const auto out = planner::run_pooch_measured(rig.g, rig.tape, rig.machine,
+                                               *rig.tm, mo);
+  ASSERT_TRUE(out.failure.empty()) << out.failure;
+  EXPECT_TRUE(out.bit_identical);
+  EXPECT_EQ(out.iterations_executed, 2 * 3);
+  EXPECT_GT(out.observed_seconds, 0.0);
+  EXPECT_EQ(out.observed_seconds, out.measured.iteration_seconds());
+}
+
+TEST(MeasuredPipeline, StatsMirrorTheDriftDetector) {
+  PipelineRig rig;
+  obs::StatsRegistry stats;
+  planner::MeasuredPipelineOptions mo;
+  mo.measure.iterations = 2;
+  mo.calibrate.inject_drift = 4.0;
+  mo.replan_threshold = 0.25;
+  mo.stats = &stats;
+  const auto out = planner::run_pooch_measured(rig.g, rig.tape, rig.machine,
+                                               *rig.tm, mo);
+  ASSERT_TRUE(out.failure.empty()) << out.failure;
+  ASSERT_GE(out.replans, 1);
+  EXPECT_EQ(stats.counter_value("profile.drift.checks"),
+            static_cast<std::uint64_t>(out.drift_checks));
+  EXPECT_EQ(stats.counter_value("profile.drift.replans"),
+            static_cast<std::uint64_t>(out.replans));
+  EXPECT_EQ(stats.gauge_value("profile.drift.last.relative_error"),
+            out.last_drift_error);
+  EXPECT_EQ(stats.gauge_value("profile.drift.last.threshold"), 0.25);
+  EXPECT_EQ(stats.gauge_value("calibration.last.observed_seconds"),
+            out.observed_seconds);
+  EXPECT_EQ(stats.gauge_value("calibration.last.predicted_seconds"),
+            out.calibrated_predicted);
+  EXPECT_EQ(stats.gauge_value("calibration.last.roofline_error"),
+            out.roofline_error);
+  EXPECT_EQ(stats.gauge_value("calibration.last.calibrated_error"),
+            out.calibrated_error);
+}
+
+TEST(MeasuredPipeline, SessionTraceHoldsEveryExecutedIteration) {
+  // Warm-ups, the swap-all profile, every plan round and validation all
+  // land in the session trace, one run per iteration, on one clock that
+  // never runs backwards from one run to the next.
+  PipelineRig rig;
+  planner::MeasuredPipelineOptions mo;
+  mo.measure.iterations = 2;
+  mo.calibrate.inject_drift = 4.0;
+  mo.collect_session_trace = true;
+  const auto out = planner::run_pooch_measured(rig.g, rig.tape, rig.machine,
+                                               *rig.tm, mo);
+  ASSERT_TRUE(out.failure.empty()) << out.failure;
+  ASSERT_EQ(out.session_spans.size(), out.session_stream.ops.size());
+  int runs = 0;
+  double last_begin = -1.0;
+  for (std::size_t i = 0; i < out.session_stream.ops.size(); ++i) {
+    if (out.session_stream.ops[i].type != exec::OpType::kBeginIteration) {
+      continue;
+    }
+    ++runs;
+    EXPECT_GE(out.session_spans[i].start, last_begin) << "run " << runs;
+    last_begin = out.session_spans[i].start;
+  }
+  EXPECT_EQ(runs, out.iterations_executed);
+}
+
+TEST(MeasuredPipeline, LossDependsOnlyOnTheDataSeed) {
+  // Transparency: the plans and measured times may differ run to run,
+  // but the trained weights may not. The same seed and iteration count
+  // give the same loss bit for bit; another seed trains another model.
+  PipelineRig rig;
+  planner::MeasuredPipelineOptions mo;
+  mo.measure.iterations = 2;
+  mo.replan_threshold = 1e9;
+  const auto a = planner::run_pooch_measured(rig.g, rig.tape, rig.machine,
+                                             *rig.tm, mo);
+  mo.measure.compute_workers = 2;
+  mo.measure.copy_workers = 2;
+  const auto b = planner::run_pooch_measured(rig.g, rig.tape, rig.machine,
+                                             *rig.tm, mo);
+  mo.data_seed += 1;
+  const auto c = planner::run_pooch_measured(rig.g, rig.tape, rig.machine,
+                                             *rig.tm, mo);
+  for (const auto* out : {&a, &b, &c}) {
+    ASSERT_TRUE(out->failure.empty()) << out->failure;
+    ASSERT_EQ(out->iterations_executed, a.iterations_executed);
+  }
+  EXPECT_EQ(std::memcmp(&a.loss, &b.loss, sizeof a.loss), 0)
+      << a.loss << " vs " << b.loss;
+  EXPECT_NE(a.loss, c.loss);
 }
 
 }  // namespace

@@ -12,6 +12,7 @@
 #include "cost/cost_model.hpp"
 #include "exec/op_stream.hpp"
 #include "graph/autodiff.hpp"
+#include "graph/liveness.hpp"
 #include "models/models.hpp"
 #include "obs/stats.hpp"
 #include "pooch/pipeline.hpp"
@@ -337,20 +338,50 @@ TEST(ExecutePlan, RecordsTheRunItReturns) {
 }
 
 TEST(Profiler, RecordsThePolicyItActuallyUsed) {
-  // Under normal conditions the eager policy profiles fine and is
-  // recorded as used; the on-demand fallback exists for the (now rare,
-  // thanks to the rescue chain) configurations where eager swap-all
-  // cannot fit. The hard-failure path is covered by
-  // ReportsFailureWhenNothingFits below.
+  // The swap-all rule has three outcomes: eager swap-ins, on-demand
+  // swap-ins when the eager schedule OOMs
+  // (FallsBackToOnDemandWhenEagerSwapAllOOMs below), and no profile at
+  // all (ReportsFailureWhenNothingFits below). Under normal conditions
+  // the eager policy profiles fine and is recorded as used.
   Rig rig(models::paper_example(16, 56, 64), 96, 1.0);
+  EXPECT_EQ(profile::swap_all_policy(*rig.rt),
+            SwapInPolicy::kEagerMemoryAware);
   const auto data =
       profile::run_profiler(rig.g, rig.tape, rig.machine, *rig.tm, {});
   ASSERT_TRUE(data.ok);
   EXPECT_EQ(data.policy_used, SwapInPolicy::kEagerMemoryAware);
 }
 
+TEST(Profiler, FallsBackToOnDemandWhenEagerSwapAllOOMs) {
+  // A narrow band of capacities (here 71.2% of the in-core peak on the
+  // x86 machine) where the eager swap-all schedule OOMs but fetching
+  // only on demand fits: both pipelines must profile on demand, and the
+  // measured one must still plan, train and stay bit-identical.
+  const graph::Graph g = models::paper_example(8, 32);
+  const auto tape = graph::build_backward_tape(g);
+  cost::MachineConfig machine = cost::x86_pcie();
+  machine.gpu_capacity_bytes = graph::incore_peak_bytes(g) * 712 / 1000;
+  machine.gpu_reserved_bytes = 0;
+  const CostTimeModel tm(g, machine);
+  const Runtime rt(g, tape, machine, tm);
+  ASSERT_FALSE(rt.run(Classification(g, ValueClass::kSwap)).ok)
+      << "eager swap-all must OOM in this regime";
+  EXPECT_EQ(profile::swap_all_policy(rt), SwapInPolicy::kOnDemand);
+  const auto on_demand = profile::run_profiler(g, tape, machine, tm, {});
+  ASSERT_TRUE(on_demand.ok);
+  EXPECT_EQ(on_demand.policy_used, SwapInPolicy::kOnDemand);
+
+  planner::MeasuredPipelineOptions mo;
+  mo.measure.iterations = 2;
+  const auto out = planner::run_pooch_measured(g, tape, machine, tm, mo);
+  EXPECT_TRUE(out.failure.empty()) << out.failure;
+  EXPECT_TRUE(out.ok);
+  EXPECT_TRUE(out.bit_identical);
+}
+
 TEST(Profiler, ReportsFailureWhenNothingFits) {
   Rig rig(models::paper_example(16, 56, 64), 16, 1.0);
+  EXPECT_FALSE(profile::swap_all_policy(*rig.rt).has_value());
   const auto data =
       profile::run_profiler(rig.g, rig.tape, rig.machine, *rig.tm, {});
   EXPECT_FALSE(data.ok);
@@ -358,6 +389,15 @@ TEST(Profiler, ReportsFailureWhenNothingFits) {
   const auto out =
       planner::run_pooch(rig.g, rig.tape, rig.machine, *rig.tm, po);
   EXPECT_FALSE(out.ok);
+  // The measured pipeline stops at the same rule: nothing ran, so
+  // nothing may be called bit-identical.
+  const auto measured =
+      planner::run_pooch_measured(rig.g, rig.tape, rig.machine, *rig.tm);
+  EXPECT_FALSE(measured.ok);
+  EXPECT_FALSE(measured.bit_identical);
+  EXPECT_EQ(measured.iterations_executed, 0);
+  EXPECT_NE(measured.failure.find("profiling"), std::string::npos)
+      << measured.failure;
 }
 
 }  // namespace

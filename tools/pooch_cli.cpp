@@ -104,10 +104,11 @@ void usage() {
       "                  critical-path priority over the hazard-derived\n"
       "                  dependency DAG; results stay bit-identical\n"
       "  --measured-profile\n"
-      "                  close the profiling loop: plan on the analytic\n"
-      "                  model, execute the plan for real through the\n"
+      "                  close the profiling loop, profile first: run\n"
+      "                  the swap-all schedule for real through the\n"
       "                  async executor, calibrate the planner's time\n"
-      "                  model from measured per-op wall times, re-plan\n"
+      "                  model from its measured per-op wall times, plan\n"
+      "                  once, execute and measure the plan, re-plan\n"
       "                  when predicted vs observed iteration time\n"
       "                  drifts, and verify every executed iteration\n"
       "                  bit-identical to serial in-core training;\n"
@@ -409,9 +410,10 @@ void report(Context& ctx, const char* name, const sim::RunResult& r,
 }
 
 /// --measured-profile: the full calibration loop (docs/PROFILING.md).
-/// Plans on the analytic model, executes the plan for real, calibrates
-/// the time model from measured per-op wall times, re-plans on drift,
-/// and verifies bit-identity against serial in-core training.
+/// Profiles the swap-all schedule for real, calibrates the time model
+/// from its measured per-op wall times, plans once, executes and
+/// measures the plan, re-plans on drift, and verifies bit-identity
+/// against serial in-core training.
 void run_measured_profile(Context& ctx) {
   obs::StatsRegistry* stats =
       ctx.o.show_stats ? &obs::StatsRegistry::global() : nullptr;
