@@ -7,8 +7,10 @@
 // GEMM, a ResNet-50 mid-network convolution, an AlexNet fully-connected
 // layer, a 3-D ResNeXt convolution, and forward+backward of the
 // late-stage ResNet-50 convolutions whose outputs are only 2x2 to 16x16
-// — across a thread sweep, then skinny GEMMs and the Inception toy's
-// branch convolutions at 1, 2 and 4 threads, then the memory-bound
+// — across a thread sweep, then skinny GEMMs, every Inception-toy conv
+// and every other stride-1 ResNet-50 conv at 1, 2 and 4 threads (the
+// shapes that pick between the direct and the im2col + GEMM conv
+// paths), then the memory-bound
 // kernels (batch norm, ReLU and 2-D max pooling, forward and backward) at
 // the Inception toy's and ResNet-50's shapes at 1, 2 and 4 threads, and
 // writes a bench::Report (default BENCH_kernels.json) keyed on (kernel,
@@ -137,6 +139,56 @@ double conv_flops(const Shape& xs, const ConvAttrs& a) {
   return 2.0 * outs * cin_per_group * kvol;
 }
 
+struct ConvPass {
+  const char* shape;
+  Shape xs;
+  ConvAttrs attrs;
+};
+
+// Forward and backward of one conv, as training runs it: y, dX, dW and,
+// with a bias, dbias.
+void run_conv_pass(const ConvPass& p, const std::vector<int>& thread_sweep,
+                   std::uint64_t& seed, bench::Report& report) {
+  const ConvAttrs& attrs = p.attrs;
+  const Shape ys = conv_output_shape(p.xs, attrs);
+  const Tensor x = random_tensor(p.xs, seed++);
+  const Tensor w = random_tensor(conv_weight_shape(p.xs, attrs), seed++);
+  const Tensor dy = random_tensor(ys, seed++);
+  Tensor bias, db, db_ref;
+  if (attrs.has_bias) {
+    bias = random_tensor(Shape{attrs.out_channels}, seed++);
+    db = Tensor(bias.shape());
+    db_ref = Tensor(bias.shape());
+  }
+  const Tensor* bp = attrs.has_bias ? &bias : nullptr;
+  Tensor* dbp = attrs.has_bias ? &db : nullptr;
+  Tensor* dbp_ref = attrs.has_bias ? &db_ref : nullptr;
+  Tensor y(ys), y_ref(ys);
+  Tensor dx(p.xs), dx_ref(p.xs);
+  Tensor dw(w.shape()), dw_ref(w.shape());
+  Case cs;
+  cs.kernel = "conv2d_fwdbwd";
+  cs.shape = p.shape;
+  cs.flops = 3.0 * conv_flops(p.xs, attrs);  // y, dW and dX
+  cs.fast = [&](KernelContext& ctx) {
+    conv_forward(x, w, bp, y, attrs, ctx);
+    conv_backward(x, w, dy, &dx, dw, dbp, attrs, ctx);
+  };
+  cs.ref = [&] {
+    conv_forward_ref(x, w, bp, y_ref, attrs);
+    conv_backward_ref(x, w, dy, &dx_ref, dw_ref, dbp_ref, attrs);
+  };
+  cs.outs = {{&y, &y_ref}, {&dx, &dx_ref}, {&dw, &dw_ref}};
+  if (attrs.has_bias) cs.outs.push_back({&db, &db_ref});
+  run_case(cs, thread_sweep, report);
+}
+
+// A ResNet conv: no bias, since it feeds batch norm.
+ConvAttrs no_bias(ConvAttrs a) {
+  a.has_bias = false;
+  return a;
+}
+
 int run(int argc, char** argv) {
   const std::vector<int> sweep{1, 2, 4, 8};
   bench::Report report("kernels", {"kernel", "shape", "threads"}, "seconds",
@@ -236,42 +288,16 @@ int run(int argc, char** argv) {
   // Late-stage ResNet-50 convolutions (b4, 64x64 input), forward and
   // backward: outputs of 2x2 to 16x16, so one sample's GEMM would be only
   // 4 to 256 columns wide.
-  struct ConvPass {
-    const char* shape;
-    Shape xs;
-    ConvAttrs attrs;
-  };
   const ConvPass passes[] = {
-      {"4x512x2x2 k3", Shape{4, 512, 2, 2}, ConvAttrs::conv2d(512, 3, 1, 1)},
-      {"4x256x4x4 k3", Shape{4, 256, 4, 4}, ConvAttrs::conv2d(256, 3, 1, 1)},
-      {"4x64x16x16 k1", Shape{4, 64, 16, 16}, ConvAttrs::conv2d(256, 1)},
+      {"4x512x2x2 k3", Shape{4, 512, 2, 2},
+       no_bias(ConvAttrs::conv2d(512, 3, 1, 1))},
+      {"4x256x4x4 k3", Shape{4, 256, 4, 4},
+       no_bias(ConvAttrs::conv2d(256, 3, 1, 1))},
+      {"4x64x16x16 k1", Shape{4, 64, 16, 16},
+       no_bias(ConvAttrs::conv2d(256, 1))},
   };
   std::uint64_t seed = 12;
-  for (const ConvPass& p : passes) {
-    ConvAttrs attrs = p.attrs;
-    attrs.has_bias = false;  // ResNet convs feed batch norm
-    const Shape ys = conv_output_shape(p.xs, attrs);
-    const Tensor x = random_tensor(p.xs, seed++);
-    const Tensor w = random_tensor(conv_weight_shape(p.xs, attrs), seed++);
-    const Tensor dy = random_tensor(ys, seed++);
-    Tensor y(ys), y_ref(ys);
-    Tensor dx(p.xs), dx_ref(p.xs);
-    Tensor dw(w.shape()), dw_ref(w.shape());
-    Case cs;
-    cs.kernel = "conv2d_fwdbwd";
-    cs.shape = p.shape;
-    cs.flops = 3.0 * conv_flops(p.xs, attrs);  // y, dW and dX
-    cs.fast = [&](KernelContext& ctx) {
-      conv_forward(x, w, nullptr, y, attrs, ctx);
-      conv_backward(x, w, dy, &dx, dw, nullptr, attrs, ctx);
-    };
-    cs.ref = [&] {
-      conv_forward_ref(x, w, nullptr, y_ref, attrs);
-      conv_backward_ref(x, w, dy, &dx_ref, dw_ref, nullptr, attrs);
-    };
-    cs.outs = {{&y, &y_ref}, {&dx, &dx_ref}, {&dw, &dw_ref}};
-    run_case(cs, sweep, report);
-  }
+  for (const ConvPass& p : passes) run_conv_pass(p, sweep, seed, report);
 
   // Skinny shapes: one side of C is a few register tiles wide, so a
   // split over row panels leaves threads idle and a packed panel is read
@@ -313,40 +339,65 @@ int run(int argc, char** argv) {
     run_case(cs, skinny_sweep, report);
   }
 
-  // The Inception toy's first-module 5x5 and 3x3 branches (b32, 16x16
-  // input), forward and backward with bias as in the model.
+  // Every conv of the Inception toy (b32, 32x32 input), forward and
+  // backward with bias as in the model: the stem, then each module's
+  // 1x1, 3x3, 5x5 and pool-projection 1x1 branches.
   const ConvPass inception[] = {
       {"32x32x16x16 k5 oc8", Shape{32, 32, 16, 16},
        ConvAttrs::conv2d(8, 5, 1, 2)},
       {"32x32x16x16 k3 oc32", Shape{32, 32, 16, 16},
        ConvAttrs::conv2d(32, 3, 1, 1)},
+      {"32x3x32x32 k3 oc32", Shape{32, 3, 32, 32},
+       ConvAttrs::conv2d(32, 3, 1, 1)},
+      {"32x32x16x16 k1 oc16", Shape{32, 32, 16, 16},
+       ConvAttrs::conv2d(16, 1, 1, 0)},
+      {"32x32x16x16 k1 oc8", Shape{32, 32, 16, 16},
+       ConvAttrs::conv2d(8, 1, 1, 0)},
+      {"32x64x8x8 k1 oc32", Shape{32, 64, 8, 8},
+       ConvAttrs::conv2d(32, 1, 1, 0)},
+      {"32x64x8x8 k3 oc48", Shape{32, 64, 8, 8},
+       ConvAttrs::conv2d(48, 3, 1, 1)},
+      {"32x64x8x8 k5 oc12", Shape{32, 64, 8, 8},
+       ConvAttrs::conv2d(12, 5, 1, 2)},
+      {"32x64x8x8 k1 oc12", Shape{32, 64, 8, 8},
+       ConvAttrs::conv2d(12, 1, 1, 0)},
   };
   for (const ConvPass& p : inception) {
-    const ConvAttrs& attrs = p.attrs;
-    const Shape ys = conv_output_shape(p.xs, attrs);
-    const Tensor x = random_tensor(p.xs, seed++);
-    const Tensor w = random_tensor(conv_weight_shape(p.xs, attrs), seed++);
-    const Tensor bias = random_tensor(Shape{attrs.out_channels}, seed++);
-    const Tensor dy = random_tensor(ys, seed++);
-    Tensor y(ys), y_ref(ys);
-    Tensor dx(p.xs), dx_ref(p.xs);
-    Tensor dw(w.shape()), dw_ref(w.shape());
-    Tensor db(bias.shape()), db_ref(bias.shape());
-    Case cs;
-    cs.kernel = "conv2d_fwdbwd";
-    cs.shape = p.shape;
-    cs.flops = 3.0 * conv_flops(p.xs, attrs);
-    cs.fast = [&](KernelContext& ctx) {
-      conv_forward(x, w, &bias, y, attrs, ctx);
-      conv_backward(x, w, dy, &dx, dw, &db, attrs, ctx);
-    };
-    cs.ref = [&] {
-      conv_forward_ref(x, w, &bias, y_ref, attrs);
-      conv_backward_ref(x, w, dy, &dx_ref, dw_ref, &db_ref, attrs);
-    };
-    cs.outs = {{&y, &y_ref}, {&dx, &dx_ref}, {&dw, &dw_ref}, {&db, &db_ref}};
-    run_case(cs, skinny_sweep, report);
+    run_conv_pass(p, skinny_sweep, seed, report);
   }
+
+  // The other stride-1 convs of ResNet-50 (b4, 64x64 input), stage by
+  // stage: 16x16, 8x8, 4x4 and 2x2 planes. With the late-stage rows
+  // above, these cover every stride-1 layer shape of the model.
+  const ConvPass resnet[] = {
+      {"4x64x16x16 k1 oc64", Shape{4, 64, 16, 16},
+       no_bias(ConvAttrs::conv2d(64, 1))},
+      {"4x64x16x16 k3 oc64", Shape{4, 64, 16, 16},
+       no_bias(ConvAttrs::conv2d(64, 3, 1, 1))},
+      {"4x256x16x16 k1 oc64", Shape{4, 256, 16, 16},
+       no_bias(ConvAttrs::conv2d(64, 1))},
+      {"4x256x16x16 k1 oc128", Shape{4, 256, 16, 16},
+       no_bias(ConvAttrs::conv2d(128, 1))},
+      {"4x128x8x8 k3 oc128", Shape{4, 128, 8, 8},
+       no_bias(ConvAttrs::conv2d(128, 3, 1, 1))},
+      {"4x128x8x8 k1 oc512", Shape{4, 128, 8, 8},
+       no_bias(ConvAttrs::conv2d(512, 1))},
+      {"4x512x8x8 k1 oc128", Shape{4, 512, 8, 8},
+       no_bias(ConvAttrs::conv2d(128, 1))},
+      {"4x512x8x8 k1 oc256", Shape{4, 512, 8, 8},
+       no_bias(ConvAttrs::conv2d(256, 1))},
+      {"4x256x4x4 k1 oc1024", Shape{4, 256, 4, 4},
+       no_bias(ConvAttrs::conv2d(1024, 1))},
+      {"4x1024x4x4 k1 oc256", Shape{4, 1024, 4, 4},
+       no_bias(ConvAttrs::conv2d(256, 1))},
+      {"4x1024x4x4 k1 oc512", Shape{4, 1024, 4, 4},
+       no_bias(ConvAttrs::conv2d(512, 1))},
+      {"4x512x2x2 k1 oc2048", Shape{4, 512, 2, 2},
+       no_bias(ConvAttrs::conv2d(2048, 1))},
+      {"4x2048x2x2 k1 oc512", Shape{4, 2048, 2, 2},
+       no_bias(ConvAttrs::conv2d(512, 1))},
+  };
+  for (const ConvPass& p : resnet) run_conv_pass(p, skinny_sweep, seed, report);
 
   // Memory-bound kernels: the Inception toy's (b32, 32x32 input) and
   // ResNet-50's (b4, 64x64 input) batch-norm and ReLU tensors, and their

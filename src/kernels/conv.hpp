@@ -1,5 +1,11 @@
-// Grouped N-dimensional convolution (2-D and 3-D), forward and backward,
-// implemented with im2col + one matmul per group over a batch of samples.
+// Grouped N-dimensional convolution (2-D and 3-D), forward and backward.
+//
+// Two paths, picked by shape alone. A stride-1 2-D convolution with
+// "same" padding (2 * pad = kernel - 1) and one group, whose output rows
+// are whole vectors, runs directly on zero-padded planes with no column
+// matrix (docs/KERNELS.md, "Direct convolution"). Every other one runs
+// im2col + one matmul per group over a batch of samples. Both are
+// bit-identical to the *_ref oracles at any thread count.
 //
 // Layouts:
 //   2-D: x (N,C,H,W),   w (O, C/g, Kh, Kw),     y (N,O,outH,outW)
@@ -25,21 +31,29 @@ Shape conv_weight_shape(const Shape& input_shape, const ConvAttrs& attrs);
 std::size_t conv_workspace_bytes(const Shape& input_shape,
                                  const ConvAttrs& attrs);
 
-/// Forward = one blocked GEMM per group over a batch of samples: im2col
-/// fills adjacent column blocks of one [K, N*HW] matrix, W_g times it
-/// gives every sample's output, and a scatter to NCHW adds the bias.
-/// Samples are chunked in order under a fixed cap on the column matrix.
-/// With a pooled context the im2col, GEMM and scatter parallelize inside;
-/// output is bit-identical to conv_forward_ref.
+/// Direct path: register tiles of output channels x row vectors take one
+/// broadcast-weight multiply-add per (c, kh, kw), in im2col row order;
+/// published as kernel.conv_forward_direct. GEMM path: one blocked GEMM
+/// per group over a batch of samples: im2col fills adjacent column
+/// blocks of one [K, N*HW] matrix, W_g times it gives every sample's
+/// output, and a scatter to NCHW adds the bias. Either path chunks
+/// samples in order under a fixed cap on its scratch and parallelizes
+/// over independent outputs; output is bit-identical to
+/// conv_forward_ref.
 void conv_forward(const Tensor& x, const Tensor& w, const Tensor* bias,
                   Tensor& y, const ConvAttrs& attrs,
                   KernelContext& ctx = KernelContext::serial());
 
 /// dx may be null when the input needs no gradient (network input).
-/// Batched like the forward: dY is gathered into [og, N*HW], one GEMM
-/// gives dW (its k runs sample-major, the reference's accumulation
-/// order), one gives the column gradient, and col2im runs per sample.
-/// dbias adds one partial sum per sample, in sample order.
+/// Direct path (kernel.conv_backward_direct): dX sums each tap's column
+/// gradient chain over zero-padded dY and stores every dx element once;
+/// dW runs its lanes over input channels of a channel-last padded copy
+/// of x, one chain per element in (n, oh, ow) order, and falls back to
+/// the GEMM when the input channels fill no vector. GEMM path, batched
+/// like the forward: dY is gathered into [og, N*HW], one GEMM gives dW
+/// (its k runs sample-major, the reference's accumulation order), one
+/// gives the column gradient, and col2im runs per sample. dbias adds
+/// one partial sum per sample, in sample order.
 void conv_backward(const Tensor& x, const Tensor& w, const Tensor& dy,
                    Tensor* dx, Tensor& dw, Tensor* dbias,
                    const ConvAttrs& attrs,

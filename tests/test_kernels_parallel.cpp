@@ -12,6 +12,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 #include <cstdint>
 #include <cstring>
 #include <limits>
@@ -38,12 +39,17 @@ namespace {
 
 using testing::random_tensor;
 
+// With nan_class, any NaN matches any NaN: IEEE 754 leaves open which
+// of two NaN operands an add returns, and x86 picks by operand order,
+// which the compiler chooses per loop. Every other value, signed zeros
+// and infinities included, must still match bit for bit.
 void expect_bits(const Tensor& got, const Tensor& want,
-                 const std::string& what) {
+                 const std::string& what, bool nan_class = false) {
   ASSERT_EQ(got.shape(), want.shape()) << what;
   for (std::int64_t i = 0; i < got.numel(); ++i) {
     std::uint32_t gb = 0, wb = 0;
     const float gv = got[i], wv = want[i];
+    if (nan_class && std::isnan(gv) && std::isnan(wv)) continue;
     std::memcpy(&gb, &gv, sizeof(gb));
     std::memcpy(&wb, &wv, sizeof(wb));
     ASSERT_EQ(gb, wb) << what << ": first bit difference at flat index " << i
@@ -156,16 +162,46 @@ TEST_P(KernelBitIdentity, MatmulAllVariants) {
   }
 }
 
+// Conv operands on which the order of every term shows: mostly uniform,
+// one in eight a signed zero and one in fifty a NaN or an infinity. A
+// multiply-add with a zero of the padding then gives NaN for an infinite
+// or NaN operand, and -0 or +0 by the other operand's sign, so a kernel
+// that drops, adds or reorders padding terms gives NaN where the
+// reference is finite, or the reverse, or a zero of the other sign.
+Tensor sparse_special_tensor(const Shape& shape, std::uint64_t seed) {
+  const float inf = std::numeric_limits<float>::infinity();
+  const float table[5] = {std::numeric_limits<float>::quiet_NaN(), inf, -inf,
+                          0.0f, -0.0f};
+  Tensor t = random_tensor(shape, seed);
+  Tensor pick = random_tensor(shape, seed + 1, 0.0f, 1.0f);
+  for (std::int64_t i = 0; i < t.numel(); ++i) {
+    const float u = pick[i];
+    if (u < 0.02f) {
+      t[i] = table[std::min(2, static_cast<int>(u * 150.0f))];
+    } else if (u < 0.145f) {
+      t[i] = table[u < 0.0825f ? 3 : 4];
+    }
+  }
+  return t;
+}
+
 TEST_P(KernelBitIdentity, ConvForwardBackward) {
   struct Case {
     const char* name;
     Shape xs;
     ConvAttrs attrs;
     bool want_dx;
+    bool special = false;
   };
   // Conv runs one GEMM per group over a chunk of samples whose column
   // blocks sit side by side, so the corpus puts sample boundaries inside
   // 16-wide column panels and chunk boundaries inside the batch.
+  // Stride-1 "same" convolutions whose rows are 8, 16 or 32 floats take
+  // the direct path instead ("chunked", "inception_*" and "direct_*"):
+  // its register tiles have remainders in channels and row vectors, its
+  // padded planes are read a vector at a time up to the last column, and
+  // its dW needs input channels that fill vectors (C = 3 falls back to
+  // the GEMM for dW but not for dX).
   const Case cases[] = {
       {"batch8", Shape{8, 4, 9, 9}, ConvAttrs::conv2d(6, 3, 1, 1), true},
       {"batch1", Shape{1, 3, 13, 13}, ConvAttrs::conv2d(5, 3, 2, 1), true},
@@ -188,31 +224,65 @@ TEST_P(KernelBitIdentity, ConvForwardBackward) {
        ConvAttrs::conv2d(9, 3, 2, 1, 3, /*bias=*/false), false},
       {"conv3d_b3", Shape{3, 3, 4, 3, 3}, ConvAttrs::conv3d(4, 2, 1, 0),
        true},
-      // (144 + 5) x 1024 scratch floats per sample: more samples than one
-      // chunk holds, so dW accumulates across chunks.
       {"chunked", Shape{9, 16, 32, 32}, ConvAttrs::conv2d(5, 3, 1, 1), true},
-      // The Inception toy's 5x5 branch: two samples per chunk, four
-      // chunks, and 8 x 800 x 512 GEMMs split by columns.
+      // (144 + 5) x 900 scratch floats per sample: more samples than one
+      // chunk holds, so the GEMM's dW accumulates across chunks.
+      {"chunked_gemm", Shape{9, 16, 32, 32}, ConvAttrs::conv2d(5, 3, 1, 0),
+       true},
+      // The Inception toy's 5x5 branch.
       {"inception_b5", Shape{8, 32, 16, 16}, ConvAttrs::conv2d(8, 5, 1, 2),
        true},
+      {"inception_stem", Shape{3, 3, 32, 32}, ConvAttrs::conv2d(32, 3, 1, 1),
+       false},
+      {"direct_w8_k1", Shape{3, 16, 8, 8}, ConvAttrs::conv2d(12, 1, 1, 0),
+       true},
+      {"direct_w16_k3", Shape{1, 32, 5, 16}, ConvAttrs::conv2d(29, 3, 1, 1),
+       true},
+      {"direct_w32_k5", Shape{3, 16, 3, 32}, ConvAttrs::conv2d(12, 5, 1, 2),
+       true},
+      {"direct_w8_k5", Shape{5, 64, 8, 8}, ConvAttrs::conv2d(12, 5, 1, 2),
+       true},
+      {"direct_c3", Shape{2, 3, 6, 16}, ConvAttrs::conv2d(7, 3, 1, 1), true},
+      {"direct_nobias_nodx", Shape{3, 32, 7, 16},
+       ConvAttrs::conv2d(29, 3, 1, 1, 1, /*bias=*/false), false},
+      // A 1x1 kernel folds its plane into one row: 72 floats, where a
+      // 12-float row alone fills no vector.
+      {"direct_k1_folded", Shape{2, 16, 6, 12}, ConvAttrs::conv2d(12, 1, 1, 0),
+       true},
+      // 160 output channels: the dX chains over o run in blocks, parked
+      // between them.
+      {"direct_dx_oblocks", Shape{2, 8, 6, 16}, ConvAttrs::conv2d(160, 3, 1, 1),
+       true},
+      // 34 * 34 * 64 channel-last floats per sample: seven samples per
+      // dW chunk, so its chains continue across two chunks.
+      {"direct_dw_chunks", Shape{9, 64, 32, 32}, ConvAttrs::conv2d(5, 3, 1, 1),
+       true},
+      {"direct_special_k3", Shape{3, 16, 6, 16}, ConvAttrs::conv2d(12, 3, 1, 1),
+       true, true},
+      {"direct_special_k5", Shape{2, 32, 8, 8}, ConvAttrs::conv2d(5, 5, 1, 2),
+       true, true},
+      {"direct_special_k1", Shape{2, 16, 4, 32}, ConvAttrs::conv2d(3, 1, 1, 0),
+       true, true},
   };
   std::uint64_t seed = 500;
   for (const Case& c : cases) {
-    const Tensor x = random_tensor(c.xs, seed++);
-    const Tensor w = random_tensor(conv_weight_shape(c.xs, c.attrs), seed++);
+    const auto make = [&](const Shape& shape) {
+      return c.special ? sparse_special_tensor(shape, seed += 2)
+                       : random_tensor(shape, seed++);
+    };
+    const Tensor x = make(c.xs);
+    const Tensor w = make(conv_weight_shape(c.xs, c.attrs));
     const Shape ys = conv_output_shape(c.xs, c.attrs);
     Tensor bias;
-    if (c.attrs.has_bias) {
-      bias = random_tensor(Shape{c.attrs.out_channels}, seed++);
-    }
+    if (c.attrs.has_bias) bias = make(Shape{c.attrs.out_channels});
     const Tensor* bp = c.attrs.has_bias ? &bias : nullptr;
 
     Tensor y(ys), y_ref(ys);
     conv_forward(x, w, bp, y, c.attrs, ctx_);
     conv_forward_ref(x, w, bp, y_ref, c.attrs);
-    expect_bits(y, y_ref, std::string("conv_forward ") + c.name);
+    expect_bits(y, y_ref, std::string("conv_forward ") + c.name, c.special);
 
-    const Tensor dy = random_tensor(ys, seed++);
+    const Tensor dy = make(ys);
     // The fast path's gradients start as garbage: conv_backward must
     // overwrite them, as a training step reusing its buffers relies on.
     Tensor dx = random_tensor(c.xs, seed++), dx_ref(c.xs);
@@ -226,10 +296,13 @@ TEST_P(KernelBitIdentity, ConvForwardBackward) {
                   c.attrs.has_bias ? &dbias : nullptr, c.attrs, ctx_);
     conv_backward_ref(x, w, dy, c.want_dx ? &dx_ref : nullptr, dw_ref,
                       c.attrs.has_bias ? &dbias_ref : nullptr, c.attrs);
-    expect_bits(dw, dw_ref, std::string("conv dw ") + c.name);
-    if (c.want_dx) expect_bits(dx, dx_ref, std::string("conv dx ") + c.name);
+    expect_bits(dw, dw_ref, std::string("conv dw ") + c.name, c.special);
+    if (c.want_dx) {
+      expect_bits(dx, dx_ref, std::string("conv dx ") + c.name, c.special);
+    }
     if (c.attrs.has_bias) {
-      expect_bits(dbias, dbias_ref, std::string("conv dbias ") + c.name);
+      expect_bits(dbias, dbias_ref, std::string("conv dbias ") + c.name,
+                  c.special);
     }
   }
 }

@@ -8,14 +8,20 @@
 
 #include "baselines/policies.hpp"
 #include "baselines/superneurons.hpp"
+#include "exec/async_executor.hpp"
 #include "graph/autodiff.hpp"
+#include "kernels/conv.hpp"
+#include "kernels/kernel_context.hpp"
 #include "models/models.hpp"
 #include "obs/json.hpp"
 #include "obs/stats.hpp"
 #include "obs/trace.hpp"
 #include "obs/validate.hpp"
+#include "pooch/pipeline.hpp"
 #include "pooch/planner.hpp"
+#include "sim/data_backend.hpp"
 #include "sim/runtime.hpp"
+#include "testing_util.hpp"
 
 namespace pooch::obs {
 namespace {
@@ -356,6 +362,54 @@ TEST(StatsWiring, PlannerPublishesSearchCounters) {
   EXPECT_EQ(reg.counter_value("planner.simulations"),
             static_cast<std::uint64_t>(plan.simulations));
   EXPECT_GT(reg.gauge_value("planner.last.total_seconds"), 0.0);
+}
+
+TEST(StatsWiring, ConvKernelsPublishTheirPath) {
+  // One in-core Inception-toy iteration at 32x32: every conv is a
+  // stride-1 "same" conv on 32-, 16- or 8-wide rows, so each forward and
+  // each backward that computes dX takes the direct path. The stem's
+  // backward has no dX (the network input needs none), and its 3 input
+  // channels fill no vector, so its dW runs on the GEMM.
+  const Graph g = models::inception_toy(2, 32);
+  const auto tape = graph::build_backward_tape(g);
+  const cost::MachineConfig machine = cost::x86_pcie();
+  const sim::CostTimeModel tm(g, machine);
+  const sim::Runtime rt(g, tape, machine, tm);
+  const exec::OpStream stream =
+      planner::record_op_stream(rt, Classification(g, ValueClass::kKeep));
+  StatsRegistry reg;
+  kernels::KernelContext kctx(2);
+  kctx.stats = &reg;
+  sim::DataBackend data(g, /*seed=*/1, 0.01f, &kctx);
+  const exec::AsyncResult res = exec::AsyncExecutor(g, stream).run(data);
+  ASSERT_TRUE(res.ok) << res.failure;
+  std::uint64_t convs = 0;
+  for (graph::NodeId n = 0; n < g.num_nodes(); ++n) {
+    if (g.node(n).kind == graph::LayerKind::kConv) ++convs;
+  }
+  ASSERT_EQ(convs, 9u);
+  EXPECT_EQ(reg.counter_value("kernel.conv_forward_direct.calls"), convs);
+  EXPECT_EQ(reg.counter_value("kernel.conv_forward.calls"), 0u);
+  EXPECT_EQ(reg.counter_value("kernel.conv_backward_direct.calls"),
+            convs - 1);
+  EXPECT_EQ(reg.counter_value("kernel.conv_backward.calls"), 1u);
+
+  // A strided conv keeps im2col + GEMM in both directions.
+  const Shape xs{2, 8, 16, 16};
+  const ConvAttrs strided = ConvAttrs::conv2d(8, 3, 2, 1);
+  const Tensor x = pooch::testing::random_tensor(xs, 1);
+  const Tensor w =
+      pooch::testing::random_tensor(kernels::conv_weight_shape(xs, strided), 2);
+  const Tensor b = pooch::testing::random_tensor(Shape{8}, 3);
+  Tensor y(kernels::conv_output_shape(xs, strided));
+  Tensor dx(xs), dw(w.shape()), db(b.shape());
+  kernels::conv_forward(x, w, &b, y, strided, kctx);
+  kernels::conv_backward(x, w, y, &dx, dw, &db, strided, kctx);
+  EXPECT_EQ(reg.counter_value("kernel.conv_forward.calls"), 1u);
+  EXPECT_EQ(reg.counter_value("kernel.conv_backward.calls"), 2u);
+  EXPECT_EQ(reg.counter_value("kernel.conv_forward_direct.calls"), convs);
+  EXPECT_EQ(reg.counter_value("kernel.conv_backward_direct.calls"),
+            convs - 1);
 }
 
 }  // namespace
