@@ -57,11 +57,16 @@ struct Dispatcher {
   }
 };
 
+std::size_t align_up(std::size_t bytes, std::size_t alignment) {
+  return (bytes + alignment - 1) / alignment * alignment;
+}
+
 /// Shared mutable state of one run, owned by AsyncExecutor::run's stack.
 struct RunState {
   const graph::Graph& graph;
   const OpStream& stream;
   const Schedule& sched;
+  const SlabLayout& layout;
   sim::DataBackend& data;
   const AsyncOptions& opts;
   mem::Staging staging;
@@ -83,10 +88,11 @@ struct RunState {
   std::vector<double> worker_idle;
 
   RunState(const graph::Graph& g, const OpStream& s, const Schedule& sc,
-           sim::DataBackend& d, const AsyncOptions& o)
+           const SlabLayout& l, sim::DataBackend& d, const AsyncOptions& o)
       : graph(g),
         stream(s),
         sched(sc),
+        layout(l),
         data(d),
         opts(o),
         staging(kStagingSlots),
@@ -104,7 +110,15 @@ struct RunState {
     aborted.store(true, std::memory_order_release);
   }
 
-  void execute(const StreamOp& op) {
+  void execute(const StreamOp& op, std::int32_t index) {
+    for (const Placement& p : op.places) {
+      const std::size_t offset = layout.device_offset(p.offset);
+      if (p.grad) {
+        data.place_grad(p.value, offset);
+      } else {
+        data.place_value(p.value, offset);
+      }
+    }
     switch (op.type) {
       case OpType::kBeginIteration:
         data.begin_iteration();
@@ -128,7 +142,8 @@ struct RunState {
           throw Error("async exec: host pool exhausted swapping out v" +
                       std::to_string(op.value));
         }
-        data.swap_out(op.value);
+        data.swap_out(op.value,
+                      layout.host_offset(static_cast<std::size_t>(index)));
         data.free_value(op.value);
         staging.release(slot);
         break;
@@ -167,7 +182,7 @@ struct RunState {
     span.seq_start = seq.fetch_add(1, std::memory_order_acq_rel);
     if (!aborted.load(std::memory_order_acquire)) {
       try {
-        execute(op);
+        execute(op, index);
       } catch (const std::exception& e) {
         fail(std::string(op_type_name(op.type)) + " op " +
              std::to_string(index) + ": " + e.what());
@@ -235,17 +250,66 @@ struct RunState {
 
 }  // namespace
 
+SlabLayout::SlabLayout(const OpStream& stream)
+    : host_offset_(stream.ops.size(), 0) {
+  // The union of the placement ranges, as disjoint sorted regions.
+  for (const StreamOp& op : stream.ops) {
+    for (const Placement& p : op.places) {
+      regions_.push_back(
+          {p.offset, align_up(p.offset + p.bytes, kSlabAlignment), 0});
+    }
+  }
+  std::sort(regions_.begin(), regions_.end(),
+            [](const Region& a, const Region& b) {
+              return a.arena_begin < b.arena_begin;
+            });
+  std::size_t merged = 0;
+  for (const Region& r : regions_) {
+    if (merged > 0 && r.arena_begin <= regions_[merged - 1].arena_end) {
+      Region& last = regions_[merged - 1];
+      last.arena_end = std::max(last.arena_end, r.arena_end);
+    } else {
+      regions_[merged++] = r;
+    }
+  }
+  regions_.resize(merged);
+  // Each region keeps its arena alignment: the slab squeezes out only
+  // whole kSlabAlignment units of never-used arena.
+  for (Region& r : regions_) {
+    r.slab_begin = device_bytes_ + r.arena_begin % kSlabAlignment;
+    device_bytes_ = r.slab_begin + (r.arena_end - r.arena_begin);
+  }
+  for (std::size_t i = 0; i < stream.ops.size(); ++i) {
+    if (stream.ops[i].type != OpType::kSwapOut) continue;
+    host_offset_[i] = host_bytes_;
+    host_bytes_ += stream.ops[i].bytes;
+  }
+}
+
+std::size_t SlabLayout::device_offset(std::size_t arena_offset) const {
+  // The last region starting at or below the offset holds it.
+  auto it = std::upper_bound(
+      regions_.begin(), regions_.end(), arena_offset,
+      [](std::size_t off, const Region& r) { return off < r.arena_begin; });
+  POOCH_CHECK_MSG(it != regions_.begin() && arena_offset < (it - 1)->arena_end,
+                  "arena offset " << arena_offset << " is not a placement");
+  --it;
+  return it->slab_begin + (arena_offset - it->arena_begin);
+}
+
 AsyncExecutor::AsyncExecutor(const graph::Graph& graph, const OpStream& stream)
     : graph_(graph),
       stream_(stream),
       tape_(graph::build_backward_tape(graph)),
-      schedule_(build_schedule(graph, tape_, stream)) {}
+      schedule_(build_schedule(graph, tape_, stream)),
+      layout_(stream) {}
 
 AsyncResult AsyncExecutor::run(sim::DataBackend& data,
                                const AsyncOptions& options) const {
   POOCH_CHECK(options.compute_workers >= 1);
   POOCH_CHECK(options.workers_per_copy_lane >= 1);
-  RunState state(graph_, stream_, schedule_, data, options);
+  data.reserve_slabs(layout_.device_bytes(), layout_.host_bytes());
+  RunState state(graph_, stream_, schedule_, layout_, data, options);
 
   // Dispatch priorities. Copy lanes always pop FIFO (stream-index
   // order); so does a single-worker compute lane, which reproduces the
@@ -308,6 +372,8 @@ AsyncResult AsyncExecutor::run(sim::DataBackend& data,
   result.spans = std::move(state.spans);
   result.staging_acquisitions = state.staging.acquisitions();
   result.staging_peak_held = state.staging.peak_held();
+  result.device_slab_bytes = layout_.device_bytes();
+  result.host_slab_bytes = layout_.host_bytes();
   result.compute_worker_busy = std::move(state.worker_busy);
   result.compute_worker_idle = std::move(state.worker_idle);
   result.critical_path_seconds = critical_path_seconds;
@@ -336,6 +402,10 @@ AsyncResult AsyncExecutor::run(sim::DataBackend& data,
     s.gauge("exec.last.h2d_wait_seconds").set(result.lane_wait[kH2DLane]);
     s.gauge("exec.last.staging_peak_held")
         .set(static_cast<double>(result.staging_peak_held));
+    s.gauge("exec.last.device_slab_bytes")
+        .set(static_cast<double>(result.device_slab_bytes));
+    s.gauge("exec.last.host_slab_bytes")
+        .set(static_cast<double>(result.host_slab_bytes));
     s.gauge("exec.sched.compute_workers")
         .set(static_cast<double>(options.compute_workers));
     s.gauge("exec.sched.critical_path_seconds")

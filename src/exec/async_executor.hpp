@@ -27,6 +27,15 @@
 // already completed — it is in some lane's ready queue, so some worker
 // is always runnable, at any worker count.
 //
+// Memory: the backend keeps every feature map and gradient in one
+// device slab, at the offset the simulated arena placed it
+// (StreamOp::places), and every swapped value in a fixed host slot, so
+// no iteration allocates, zero-fills or frees a tensor. SlabLayout maps
+// the stream's arena offsets into the slab: the arena ranges no
+// placement ever touches are squeezed out, which keeps every overlap
+// (and so every range hazard) exactly the arena's while the slab spans
+// only what the stream uses. Host slots are packed in swap-out order.
+//
 // This executor is the only code that runs real kernels: sim::Runtime
 // only simulates and records the op list. One compute worker replays
 // the stream in serial program order, which is why the keep-all stream
@@ -66,6 +75,43 @@ namespace pooch::exec {
 /// Staging slots bounding concurrent D2H retirement: classic double
 /// buffering.
 inline constexpr int kStagingSlots = 2;
+
+/// Where replay puts a stream's buffers: every placement's device-slab
+/// offset (its arena offset less the never-used arena bytes below it)
+/// and every swap-out's host-slab slot.
+class SlabLayout {
+ public:
+  explicit SlabLayout(const OpStream& stream);
+
+  /// Bytes the device slab spans: the union of the stream's placement
+  /// ranges, each rounded up to kSlabAlignment. At most the arena's
+  /// capacity.
+  std::size_t device_bytes() const { return device_bytes_; }
+  /// Bytes of the host slab: the stream's swap-out bytes.
+  std::size_t host_bytes() const { return host_bytes_; }
+
+  /// Slab offset of a placement at arena offset `arena_offset`.
+  std::size_t device_offset(std::size_t arena_offset) const;
+  /// Host-slab offset of the swap-out stream.ops[index].
+  std::size_t host_offset(std::size_t index) const {
+    return host_offset_[index];
+  }
+
+  /// Slab placements keep this alignment when the arena's offsets have
+  /// it (mem::Arena aligns every block to 256 bytes).
+  static constexpr std::size_t kSlabAlignment = 256;
+
+ private:
+  struct Region {
+    std::size_t arena_begin = 0;
+    std::size_t arena_end = 0;
+    std::size_t slab_begin = 0;
+  };
+  std::vector<Region> regions_;  // disjoint, sorted by arena_begin
+  std::vector<std::size_t> host_offset_;  // per op; 0 unless a swap-out
+  std::size_t device_bytes_ = 0;
+  std::size_t host_bytes_ = 0;
+};
 
 struct AsyncOptions {
   /// Threads serving the compute lane. 1 (default) keeps today's
@@ -111,6 +157,10 @@ struct AsyncResult {
   double lane_wait[kNumLanes] = {};
   std::uint64_t staging_acquisitions = 0;
   int staging_peak_held = 0;
+  /// Bytes of the device and host slabs the stream's layout spans
+  /// (SlabLayout).
+  std::size_t device_slab_bytes = 0;
+  std::size_t host_slab_bytes = 0;
 
   /// Scheduler diagnostics: per-compute-worker execution and idle
   /// (ready-queue wait) time, the modeled critical path (the lower
@@ -145,11 +195,14 @@ class AsyncExecutor {
   /// i.e. simulated-span fallback).
   const Schedule& schedule() const { return schedule_; }
 
+  const SlabLayout& layout() const { return layout_; }
+
  private:
   const graph::Graph& graph_;
   const OpStream& stream_;
   std::vector<graph::BwdStep> tape_;
   Schedule schedule_;
+  SlabLayout layout_;
 };
 
 }  // namespace pooch::exec

@@ -96,6 +96,78 @@ struct SlotState {
   bool host = false;    // host_[v] holds a swap copy
 };
 
+/// The placements live during an index-order replay, and the memory
+/// rules of validate() over them.
+class LivePlacements {
+ public:
+  LivePlacements(const graph::Graph& graph, std::size_t capacity,
+                 std::vector<std::string>& errors)
+      : graph_(graph), capacity_(capacity), errors_(errors) {}
+
+  /// Check `p`, placed by op `i`, against the arena bounds and every
+  /// live placement, then make it live.
+  void place(int i, const StreamOp& op, const Placement& p) {
+    if (p.offset + p.bytes > capacity_) {
+      std::ostringstream os;
+      os << describe(i, p) << " ends past the arena capacity " << capacity_;
+      errors_.push_back(os.str());
+    }
+    for (const Placement& q : live_) {
+      if (same_buffer(p, q) || !overlap(p, q) || in_place_grad(op, p, q)) {
+        continue;
+      }
+      std::ostringstream os;
+      os << describe(i, p) << " overlaps the live "
+         << (q.grad ? "gradient" : "value") << " of v" << q.value << " at ["
+         << q.offset << ", " << q.offset + q.bytes << ")";
+      errors_.push_back(os.str());
+    }
+    drop(p.value, p.grad);
+    live_.push_back(p);
+  }
+
+  void drop(graph::ValueId v, bool grad) {
+    std::erase_if(live_, [&](const Placement& q) {
+      return q.value == v && q.grad == grad;
+    });
+  }
+
+  bool placed(graph::ValueId v, bool grad) const {
+    return std::any_of(live_.begin(), live_.end(), [&](const Placement& q) {
+      return q.value == v && q.grad == grad;
+    });
+  }
+
+ private:
+  static bool same_buffer(const Placement& a, const Placement& b) {
+    return a.value == b.value && a.grad == b.grad;
+  }
+  static bool overlap(const Placement& a, const Placement& b) {
+    return a.offset < b.offset + b.bytes && b.offset < a.offset + a.bytes;
+  }
+  /// dx written into dy: the gradient of a backward node's input takes
+  /// exactly the buffer of the live gradient of the node's output.
+  bool in_place_grad(const StreamOp& op, const Placement& p,
+                     const Placement& q) const {
+    if (op.type != OpType::kBackward || !p.grad || !q.grad) return false;
+    const graph::Node& n = graph_.node(op.node);
+    return p.value == n.inputs[0] && q.value == n.output &&
+           p.offset == q.offset && p.bytes == q.bytes;
+  }
+  static std::string describe(int i, const Placement& p) {
+    std::ostringstream os;
+    os << "op " << i << ": placement of " << (p.grad ? "gradient of v" : "v")
+       << p.value << " at [" << p.offset << ", " << p.offset + p.bytes
+       << ")";
+    return os.str();
+  }
+
+  const graph::Graph& graph_;
+  std::size_t capacity_;
+  std::vector<std::string>& errors_;
+  std::vector<Placement> live_;
+};
+
 }  // namespace
 
 std::vector<std::string> OpStream::validate(
@@ -111,21 +183,34 @@ std::vector<std::string> OpStream::validate(
   }
 
   std::vector<SlotState> slot(static_cast<std::size_t>(graph.num_values()));
+  LivePlacements memory(graph, arena_capacity, errors);
+  auto prefix = [&](int i) {
+    std::ostringstream os;
+    os << "op " << i << " ("
+       << op_type_name(ops[static_cast<std::size_t>(i)].type) << "): ";
+    return os.str();
+  };
   auto require_resident = [&](graph::ValueId v, int i, const char* why) {
     if (!slot[static_cast<std::size_t>(v)].device) {
-      std::ostringstream os;
-      os << "op " << i << " (" << op_type_name(ops[static_cast<std::size_t>(i)].type)
-         << "): value v" << v << " not device-resident for " << why;
-      err(os.str());
+      err(prefix(i) + "value v" + std::to_string(v) +
+          " not device-resident for " + why);
+    }
+  };
+  auto require_placed = [&](graph::ValueId v, bool grad, int i) {
+    if (!memory.placed(v, grad)) {
+      err(prefix(i) + (grad ? "gradient of v" : "v") + std::to_string(v) +
+          " written without a placement");
     }
   };
 
   for (int i = 0; i < static_cast<int>(ops.size()); ++i) {
     const StreamOp& op = ops[static_cast<std::size_t>(i)];
+    for (const Placement& p : op.places) memory.place(i, op, p);
     switch (op.type) {
       case OpType::kBeginIteration:
         for (graph::ValueId v : graph.inputs()) {
           slot[static_cast<std::size_t>(v)].device = true;
+          require_placed(v, false, i);
         }
         break;
       case OpType::kForward:
@@ -139,6 +224,7 @@ std::vector<std::string> OpStream::validate(
           err(os.str());
         }
         out.device = true;
+        require_placed(n.output, false, i);
         break;
       }
       case OpType::kBackward: {
@@ -148,6 +234,8 @@ std::vector<std::string> OpStream::validate(
         for (graph::ValueId v : step->needed) {
           require_resident(v, i, "backward needed");
         }
+        require_placed(graph.node(op.node).output, true, i);
+        for (graph::ValueId v : step->grad_outputs) require_placed(v, true, i);
         break;
       }
       case OpType::kUpdate:
@@ -157,6 +245,7 @@ std::vector<std::string> OpStream::validate(
         SlotState& s = slot[static_cast<std::size_t>(op.value)];
         s.device = false;
         s.host = true;
+        memory.drop(op.value, false);
         break;
       }
       case OpType::kSwapIn: {
@@ -173,15 +262,18 @@ std::vector<std::string> OpStream::validate(
           err(os.str());
         }
         s.device = true;
+        require_placed(op.value, false, i);
         break;
       }
       case OpType::kFreeValue: {
         SlotState& s = slot[static_cast<std::size_t>(op.value)];
         s.device = false;
         if (op.releases_host) s.host = false;
+        memory.drop(op.value, false);
         break;
       }
       case OpType::kFreeGrad:
+        memory.drop(op.value, true);
         break;
     }
   }

@@ -28,6 +28,13 @@
 // A prefetch the rescue chain cancels (the transfer never ran) is erased
 // from the stream again — a recorded stream never contains a dangling
 // H2D op without a consumer.
+//
+// Every op that allocates device memory carries the placement the
+// simulated arena chose for it: the graph inputs at begin-iteration, a
+// forward or recompute output, a swap-in buffer, and the gradients a
+// backward step writes first (an in-place gradient alias shares its
+// owner's offset). Replay puts each tensor at exactly that offset of one
+// device slab, so the plan's memory layout is the real one.
 #pragma once
 
 #include <cstddef>
@@ -46,7 +53,7 @@ enum class OpType : std::uint8_t {
   kBackward,        // backward step of `node` (reads its tape `needed` set)
   kRecompute,       // re-run forward of `node` to rematerialize `value`
   kUpdate,          // SGD parameter update
-  kSwapOut,         // move `value` device->host, then free the device copy
+  kSwapOut,         // copy `value` device->host, then free the device copy
   kSwapIn,          // deep-copy `value` host->device
   kFreeValue,       // drop the device copy of `value`
   kFreeGrad,        // drop the gradient slot of `value`
@@ -73,6 +80,14 @@ const char* stall_cause_name(StallCause cause);
 /// are not spans of the schedule.
 bool is_bookkeeping(OpType type);
 
+/// A buffer an op allocates, where the simulated device arena put it.
+struct Placement {
+  graph::ValueId value = -1;
+  bool grad = false;       // the gradient of `value`, else its feature map
+  std::size_t offset = 0;  // byte offset in the arena
+  std::size_t bytes = 0;   // the tensor's bytes
+};
+
 struct StreamOp {
   OpType type{};
   graph::NodeId node = graph::kNoNode;
@@ -89,12 +104,16 @@ struct StreamOp {
   double stall = 0.0;
   StallCause stall_cause = StallCause::kNone;
   graph::ValueId stall_value = -1;
+  /// The buffers this op allocates (see the header comment).
+  std::vector<Placement> places = {};
 };
 
 struct OpStream {
   std::vector<StreamOp> ops;
   /// Iteration index the schedule was recorded for (dropout key epoch).
   std::uint64_t iteration = 0;
+  /// Capacity of the device arena the placements were carved from.
+  std::size_t arena_capacity = 0;
 
   int count(OpType type) const;
   int lane_count(Lane lane) const;
@@ -105,7 +124,11 @@ struct OpStream {
   /// every read residency-correct — each forward/backward/recompute
   /// input is device-resident when used, a swap-in targets a
   /// host-resident, device-absent slot (a dangling or duplicated H2D op
-  /// is reported here), and frees drop live copies.
+  /// is reported here), and frees drop live copies. Memory is checked
+  /// too: every buffer an op writes is placed, every placement lies
+  /// inside arena_capacity, and none overlaps a live placement — except
+  /// an in-place gradient, which takes exactly the offset of the live
+  /// gradient of its node's output.
   /// Returns human-readable violations; empty means the stream is sound.
   std::vector<std::string> validate(
       const graph::Graph& graph,

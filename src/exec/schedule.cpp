@@ -30,6 +30,67 @@ struct ResourceState {
   std::vector<std::int32_t> readers_since;
 };
 
+/// A device-slab range and the VALUE or GRAD resource placed in it. The
+/// occupant's hazard state is its resource's while it is current; once
+/// the resource is placed elsewhere, the state it had on leaving is
+/// frozen here.
+struct Occupant {
+  std::size_t begin = 0;
+  std::size_t end = 0;
+  std::int32_t resource = -1;
+  std::int32_t placer = -1;  // the op that placed it
+  bool current = true;
+  ResourceState frozen;
+};
+
+/// The device-range resource space: an op that places a buffer depends
+/// on the last writer (the free) and every reader of each earlier
+/// occupant its range overlaps.
+class DeviceRanges {
+ public:
+  explicit DeviceRanges(std::int32_t resources)
+      : current_(static_cast<std::size_t>(resources), -1) {}
+
+  /// Add op `self`'s range deps for placing [begin, end) to `deps`.
+  void depend(std::size_t begin, std::size_t end, std::int32_t self,
+              const std::vector<ResourceState>& state,
+              std::vector<std::int32_t>& deps) {
+    // An occupant an earlier placement covers entirely is reached
+    // through that placement's writer chain and leaves the list.
+    std::erase_if(occupants_, [&](const Occupant& o) {
+      if (o.end <= begin || end <= o.begin) return false;
+      const ResourceState& st =
+          o.current ? state[static_cast<std::size_t>(o.resource)] : o.frozen;
+      if (st.last_writer >= 0) deps.push_back(st.last_writer);
+      deps.insert(deps.end(), st.readers_since.begin(),
+                  st.readers_since.end());
+      return o.placer < self && begin <= o.begin && o.end <= end &&
+             !o.current;
+    });
+  }
+
+  /// Make [begin, end) the current range of `resource`, freezing the
+  /// state of the range it leaves.
+  void place(std::size_t begin, std::size_t end, std::int32_t resource,
+             std::int32_t self, const std::vector<ResourceState>& state) {
+    std::int32_t& cur = current_[static_cast<std::size_t>(resource)];
+    if (cur >= 0) {
+      for (Occupant& o : occupants_) {
+        if (o.current && o.resource == resource) {
+          o.current = false;
+          o.frozen = state[static_cast<std::size_t>(resource)];
+        }
+      }
+    }
+    cur = self;
+    occupants_.push_back({begin, end, resource, self, true, {}});
+  }
+
+ private:
+  std::vector<Occupant> occupants_;
+  std::vector<std::int32_t> current_;  // per resource: placer, or -1
+};
+
 /// The read/write footprint of one op, as resource-id lists.
 struct Footprint {
   std::vector<std::int32_t> reads;
@@ -85,7 +146,8 @@ void footprint_of(const graph::Graph& graph,
       }
       break;
     case OpType::kSwapOut:
-      // Destructive move device -> host: a write on both sides.
+      // Copies device -> host and frees the device copy: a write on both
+      // sides.
       fp.writes.push_back(rs.value(op.value));
       fp.writes.push_back(rs.host(op.value));
       break;
@@ -147,6 +209,7 @@ Schedule build_schedule(const graph::Graph& graph,
   sched.cost.resize(n_ops);
 
   std::vector<ResourceState> state(static_cast<std::size_t>(rs.total()));
+  DeviceRanges ranges(rs.total());
   Footprint fp;
   for (std::size_t i = 0; i < n_ops; ++i) {
     const StreamOp& op = stream.ops[i];
@@ -154,6 +217,14 @@ Schedule build_schedule(const graph::Graph& graph,
     footprint_of(graph, step_of_node, rs, op, fp);
 
     std::vector<std::int32_t>& deps = sched.deps[i];
+    for (const Placement& p : op.places) {
+      ranges.depend(p.offset, p.offset + p.bytes, self, state, deps);
+    }
+    for (const Placement& p : op.places) {
+      ranges.place(p.offset, p.offset + p.bytes,
+                   p.grad ? rs.grad(p.value) : rs.value(p.value), self,
+                   state);
+    }
     for (std::int32_t r : fp.reads) {
       ResourceState& st = state[static_cast<std::size_t>(r)];
       if (st.last_writer >= 0) deps.push_back(st.last_writer);

@@ -10,7 +10,14 @@
 //             the grads while reading the params, update writes both)
 //   HOST(v)   host swap copy of v           (host_ slot)
 //
-// and the classic hazard rules over them:
+// plus a fifth, the device slab's byte ranges: an op that places a
+// buffer (StreamOp::places) depends on the last writer — the free or
+// swap-out that vacated it — and every reader of each earlier VALUE or
+// GRAD occupant whose range it overlaps. That turns the simulator's
+// memory waits into real ones: a buffer is never overwritten while an
+// op may still read its previous occupant, at any worker count.
+//
+// The classic hazard rules over the slots:
 //   - a reader depends on the last writer of each resource it reads
 //     (RAW); concurrent readers do not serialize against each other;
 //   - a writer depends on the last writer (WAW) *and on every reader

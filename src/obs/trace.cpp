@@ -78,6 +78,19 @@ json::Object op_args(const Graph& g, const StreamOp& op,
   if (op.node != graph::kNoNode) {
     args["node"] = json::Value(static_cast<std::int64_t>(op.node));
   }
+  // Where the arena placed each buffer the op allocates.
+  if (!op.places.empty()) {
+    json::Array places;
+    for (const exec::Placement& p : op.places) {
+      json::Object place;
+      place["value"] = json::Value(static_cast<std::int64_t>(p.value));
+      place["buffer"] = json::Value(p.grad ? "gradient" : "feature map");
+      place["offset"] = json::Value(p.offset);
+      place["bytes"] = json::Value(p.bytes);
+      places.emplace_back(std::move(place));
+    }
+    args["placements"] = json::Value(std::move(places));
+  }
   return args;
 }
 

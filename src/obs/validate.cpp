@@ -431,7 +431,7 @@ namespace {
 /// Per-value residency history over a replay, ordered by the exact
 /// completion-sequence numbers. A materialization is effective at the
 /// op's seq_end (the data exists once the op finished); a kill
-/// (swap-out move, free) is effective at the op's seq_start (the data
+/// (swap-out, free) is effective at the op's seq_start (the data
 /// may be gone the moment the op begins).
 struct ReplayHistory {
   struct EventRec {
@@ -592,7 +592,7 @@ ValidationReport TimelineValidator::check_replay(
         break;
       }
       case exec::OpType::kSwapOut:
-        // The move reads the device copy at its own start; its kill
+        // The swap-out reads the device copy at its own start; its kill
         // event carries the same seq, and latest_before is strict, so
         // the op does not shadow its own read.
         check_read(op.value, i, at);
@@ -602,7 +602,7 @@ ValidationReport TimelineValidator::check_replay(
     }
   }
   // No kill may land inside a reader's window: a reader that *started*
-  // on a materialized value must also *finish* before a swap-out moves
+  // on a materialized value must also *finish* before a swap-out retires
   // the buffer or a free drops it. This is exactly the hazard a missing
   // WAR edge would let through once readers run concurrently.
   for (std::size_t i = 0; i < stream.ops.size(); ++i) {

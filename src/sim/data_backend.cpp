@@ -6,6 +6,8 @@
 #include <utility>
 #include <vector>
 
+#include <sys/mman.h>
+
 #include "common/error.hpp"
 #include "common/parallel.hpp"
 #include "common/rng.hpp"
@@ -27,13 +29,35 @@ using graph::Node;
 using graph::NodeId;
 using graph::ValueId;
 
+namespace {
+
+/// Per-thread buffer for gradient contributions that land on an earlier
+/// one: grows geometrically, is reused across calls, and its contents
+/// are unspecified on entry (kernels overwrite their outputs).
+float* thread_scratch(std::size_t floats) {
+  thread_local std::vector<float> buffer;
+  if (buffer.size() < floats) buffer.resize(std::max(floats, 2 * buffer.size()));
+  return buffer.data();
+}
+
+std::size_t numel_of(const Tensor& t) {
+  return static_cast<std::size_t>(t.numel());
+}
+
+}  // namespace
+
 DataBackend::DataBackend(const Graph& graph, std::uint64_t seed, float lr,
                          kernels::KernelContext* ctx)
     : graph_(graph), lr_(lr), ctx_(ctx) {
   const std::size_t nv = static_cast<std::size_t>(graph.num_values());
-  values_.resize(nv);
-  host_.resize(nv);
-  grads_.resize(nv);
+  // Shape-only views, bound to slab memory as the executor places them.
+  for (const graph::Value& v : graph.values()) {
+    values_.push_back(Tensor::view(v.shape, nullptr));
+    host_.push_back(Tensor::view(v.shape, nullptr));
+    grads_.push_back(Tensor::view(v.shape, nullptr));
+    scratch_views_.push_back(Tensor::view(v.shape, nullptr));
+  }
+  grad_written_.assign(nv, 0);
   params_.resize(static_cast<std::size_t>(graph.num_nodes()));
   param_grads_.resize(static_cast<std::size_t>(graph.num_nodes()));
 
@@ -71,7 +95,9 @@ DataBackend::DataBackend(const Graph& graph, std::uint64_t seed, float lr,
         for (int d = 1; d < shapes[i].rank(); ++d) fan_in *= shapes[i][d];
         POOCH_CHECK(fan_in > 0);
         add_fill(p, std::sqrt(2.0f / static_cast<float>(fan_in)));
-      }  // biases stay zero
+      } else {
+        p.fill(0.0f);  // biases
+      }
     }
   }
 
@@ -143,35 +169,91 @@ kernels::KernelContext& DataBackend::kctx() const {
   return ctx_ ? *ctx_ : kernels::KernelContext::serial();
 }
 
+DataBackend::Slab::~Slab() {
+  if (base_) munmap(base_, bytes_);
+}
+
+bool DataBackend::Slab::grow(std::size_t bytes) {
+  if (bytes <= bytes_) return false;
+  if (base_) munmap(base_, bytes_);
+  base_ = mmap(nullptr, bytes, PROT_READ | PROT_WRITE,
+               MAP_PRIVATE | MAP_ANONYMOUS | MAP_NORESERVE, -1, 0);
+  if (base_ == MAP_FAILED) {
+    base_ = nullptr;
+    bytes_ = 0;
+    throw Error("cannot map a " + std::to_string(bytes) + "-byte slab");
+  }
+  bytes_ = bytes;
+  return true;
+}
+
+float* DataBackend::Slab::at(std::size_t offset) const {
+  POOCH_CHECK_MSG(offset % sizeof(float) == 0 && offset < bytes_,
+                  "slab offset " << offset << " outside the " << bytes_
+                                 << "-byte slab");
+  return static_cast<float*>(base_) + offset / sizeof(float);
+}
+
+void DataBackend::reserve_slabs(std::size_t device_bytes,
+                                std::size_t host_bytes) {
+  if (device_.grow(device_bytes)) {
+    for (Tensor& t : values_) t.release();
+    for (Tensor& t : grads_) t.release();
+  }
+  if (host_slab_.grow(host_bytes)) {
+    for (Tensor& t : host_) t.release();
+  }
+}
+
+void DataBackend::place_value(ValueId v, std::size_t offset) {
+  values_[static_cast<std::size_t>(v)].view_at(device_.at(offset));
+}
+
+void DataBackend::place_grad(ValueId v, std::size_t offset) {
+  grads_[static_cast<std::size_t>(v)].view_at(device_.at(offset));
+  grad_written_[static_cast<std::size_t>(v)] = 0;
+}
+
 void DataBackend::begin_iteration() {
   const auto& ins = graph_.inputs();
   for (std::size_t i = 0; i < ins.size(); ++i) {
-    values_[static_cast<std::size_t>(ins[i])] = input_batch_[i];
+    Tensor& t = values_[static_cast<std::size_t>(ins[i])];
+    const Tensor& batch = input_batch_[i];
+    if (t.empty()) {
+      t.view_at(input_batch_[i].data());  // read-only: kernels never write
+    } else if (t.data() != batch.data()) {
+      std::memcpy(t.data(), batch.data(), batch.byte_size());
+    }
   }
-}
-
-Tensor& DataBackend::ensure_value(ValueId v) {
-  Tensor& t = values_[static_cast<std::size_t>(v)];
-  if (t.numel() == 0 || t.empty()) t = Tensor(graph_.value(v).shape);
-  return t;
 }
 
 Tensor& DataBackend::ensure_grad(ValueId v) {
-  Tensor& t = grads_[static_cast<std::size_t>(v)];
-  if (t.numel() == 0 || t.empty()) {
-    t = Tensor(graph_.value(v).shape);
-    // The loss output's gradient is the backward seed.
-    if (v == graph_.output()) t.fill(1.0f);
+  const std::size_t vi = static_cast<std::size_t>(v);
+  Tensor& t = grads_[vi];
+  POOCH_CHECK_MSG(!t.empty(), "gradient of v" << v << " has no placement");
+  if (!grad_written_[vi]) {
+    t.fill(v == graph_.output() ? 1.0f : 0.0f);
+    grad_written_[vi] = 1;
   }
   return t;
 }
 
-void DataBackend::accumulate_grad(ValueId v, Tensor contribution) {
-  Tensor& t = grads_[static_cast<std::size_t>(v)];
-  if (t.numel() == 0 || t.empty()) {
-    t = std::move(contribution);
+Tensor& DataBackend::contribution(ValueId v, bool first) {
+  const std::size_t vi = static_cast<std::size_t>(v);
+  POOCH_CHECK_MSG(!grads_[vi].empty(),
+                  "gradient of v" << v << " has no placement");
+  if (first) return grads_[vi];
+  Tensor& s = scratch_views_[vi];
+  s.view_at(thread_scratch(numel_of(s)));
+  return s;
+}
+
+void DataBackend::commit(ValueId v, const Tensor& written) {
+  const std::size_t vi = static_cast<std::size_t>(v);
+  if (&written == &grads_[vi]) {
+    grad_written_[vi] = 1;
   } else {
-    accumulate(t, contribution);
+    accumulate(grads_[vi], written);
   }
 }
 
@@ -183,7 +265,10 @@ void DataBackend::forward(NodeId id, std::uint64_t iteration) {
                                    << " not resident");
   }
   const Tensor& x = values_[static_cast<std::size_t>(n.inputs[0])];
-  Tensor& y = ensure_value(n.output);
+  Tensor& y = values_[static_cast<std::size_t>(n.output)];
+  POOCH_CHECK_MSG(!y.empty(), "forward of '" << n.name << "': output v"
+                                             << n.output
+                                             << " has no placement");
   auto& ps = params_[static_cast<std::size_t>(id)];
   switch (n.kind) {
     case LayerKind::kConv: {
@@ -244,7 +329,6 @@ void DataBackend::backward(NodeId id, std::uint64_t iteration) {
   auto& ps = params_[static_cast<std::size_t>(id)];
   auto& gs = param_grads_[static_cast<std::size_t>(id)];
   const ValueId x_id = n.inputs[0];
-  const Shape& x_shape = graph_.value(x_id).shape;
   const bool want_dx = graph_.value(x_id).producer != graph::kNoNode;
 
   auto stored = [&](ValueId v) -> const Tensor& {
@@ -253,129 +337,151 @@ void DataBackend::backward(NodeId id, std::uint64_t iteration) {
                                            << " not resident");
     return values_[static_cast<std::size_t>(v)];
   };
+  if (n.kind == LayerKind::kAdd || n.kind == LayerKind::kConcat) {
+    backward_fan_in(n, dy);
+    return;
+  }
+  // The kernels below write dx only when x takes a gradient; the layers
+  // that have no other output skip the kernel otherwise.
+  Tensor* dx = nullptr;
+  if (want_dx) {
+    dx = &contribution(x_id, !grad_written_[static_cast<std::size_t>(x_id)]);
+  }
 
   switch (n.kind) {
     case LayerKind::kConv: {
       const auto& a = std::get<ConvAttrs>(n.attrs);
-      Tensor dx;
-      if (want_dx) dx = Tensor(x_shape);
-      kernels::conv_backward(stored(x_id), ps[0], dy,
-                             want_dx ? &dx : nullptr, gs[0],
+      kernels::conv_backward(stored(x_id), ps[0], dy, dx, gs[0],
                              a.has_bias ? &gs[1] : nullptr, a, kctx());
-      if (want_dx) accumulate_grad(x_id, std::move(dx));
       break;
     }
     case LayerKind::kMaxPool:
     case LayerKind::kAvgPool: {
+      if (!dx) break;
       const auto& a = std::get<PoolAttrs>(n.attrs);
-      Tensor dx(x_shape);
-      if (a.mode == PoolMode::kMax) {
-        kernels::pool_backward(stored(x_id), dy, dx, a, kctx());
-      } else {
-        // Average pooling backward needs only shapes; synthesize a zero
-        // input of the right shape for the kernel's geometry checks.
-        Tensor zero_x(x_shape);
-        kernels::pool_backward(zero_x, dy, dx, a, kctx());
+      // Average pooling backward needs only x's shape, which the unbound
+      // view of x carries.
+      const Tensor& x = a.mode == PoolMode::kMax
+                            ? stored(x_id)
+                            : values_[static_cast<std::size_t>(x_id)];
+      kernels::pool_backward(x, dy, *dx, a, kctx());
+      break;
+    }
+    case LayerKind::kGlobalAvgPool:
+      if (dx) {
+        kernels::global_avg_pool_backward(dx->shape(), dy, *dx, kctx());
       }
-      if (want_dx) accumulate_grad(x_id, std::move(dx));
       break;
-    }
-    case LayerKind::kGlobalAvgPool: {
-      Tensor dx(x_shape);
-      kernels::global_avg_pool_backward(x_shape, dy, dx, kctx());
-      if (want_dx) accumulate_grad(x_id, std::move(dx));
-      break;
-    }
-    case LayerKind::kBatchNorm: {
-      Tensor dx;
-      if (want_dx) dx = Tensor(x_shape);
-      kernels::batchnorm_backward(stored(x_id), ps[0], dy,
-                                  want_dx ? &dx : nullptr, gs[0], gs[1],
+    case LayerKind::kBatchNorm:
+      kernels::batchnorm_backward(stored(x_id), ps[0], dy, dx, gs[0], gs[1],
                                   std::get<BatchNormAttrs>(n.attrs), kctx());
-      if (want_dx) accumulate_grad(x_id, std::move(dx));
       break;
-    }
-    case LayerKind::kReLU: {
-      Tensor dx(x_shape);
-      kernels::relu_backward(stored(n.output), dy, dx, kctx());
-      if (want_dx) accumulate_grad(x_id, std::move(dx));
+    case LayerKind::kReLU:
+      // An in-place gradient writes dx over dy: elementwise, so safe.
+      if (dx) kernels::relu_backward(stored(n.output), dy, *dx, kctx());
       break;
-    }
     case LayerKind::kFullyConnected: {
       const auto& a = std::get<FcAttrs>(n.attrs);
-      Tensor dx;
-      if (want_dx) dx = Tensor(x_shape);
-      kernels::fc_backward(stored(x_id), ps[0], dy, want_dx ? &dx : nullptr,
-                           gs[0], a.has_bias ? &gs[1] : nullptr, a, kctx());
-      if (want_dx) accumulate_grad(x_id, std::move(dx));
+      kernels::fc_backward(stored(x_id), ps[0], dy, dx, gs[0],
+                           a.has_bias ? &gs[1] : nullptr, a, kctx());
       break;
     }
-    case LayerKind::kSoftmaxLoss: {
-      Tensor dx(x_shape);
-      kernels::softmax_xent_backward(stored(x_id), labels_, dy, dx, kctx());
-      if (want_dx) accumulate_grad(x_id, std::move(dx));
-      break;
-    }
-    case LayerKind::kAdd: {
-      for (ValueId in : n.inputs) {
-        if (graph_.value(in).producer == graph::kNoNode) continue;
-        Tensor d(graph_.value(in).shape);
-        std::memcpy(d.data(), dy.data(),
-                    static_cast<std::size_t>(dy.numel()) * sizeof(float));
-        accumulate_grad(in, std::move(d));
+    case LayerKind::kSoftmaxLoss:
+      if (dx) {
+        kernels::softmax_xent_backward(stored(x_id), labels_, dy, *dx,
+                                       kctx());
       }
       break;
-    }
-    case LayerKind::kConcat: {
-      std::vector<Tensor> parts;
-      std::vector<Tensor*> ptrs;
-      parts.reserve(n.inputs.size());
-      for (ValueId in : n.inputs) {
-        parts.emplace_back(graph_.value(in).shape);
-        ptrs.push_back(&parts.back());
-      }
-      kernels::concat_backward(dy, ptrs, kctx());
-      for (std::size_t i = 0; i < n.inputs.size(); ++i) {
-        if (graph_.value(n.inputs[i]).producer == graph::kNoNode) continue;
-        accumulate_grad(n.inputs[i], std::move(parts[i]));
+    case LayerKind::kAdd:
+    case LayerKind::kConcat:
+      break;  // backward_fan_in
+    case LayerKind::kFlatten:
+      // In place, dx already is dy.
+      if (dx && dx->data() != dy.data()) {
+        kernels::flatten_backward(dx->shape(), dy, *dx, kctx());
       }
       break;
-    }
-    case LayerKind::kFlatten: {
-      Tensor dx(x_shape);
-      kernels::flatten_backward(x_shape, dy, dx, kctx());
-      if (want_dx) accumulate_grad(x_id, std::move(dx));
+    case LayerKind::kDropout:
+      if (dx) {
+        kernels::dropout_backward(dy, *dx, std::get<DropoutAttrs>(n.attrs),
+                                  iteration, kctx());
+      }
       break;
-    }
-    case LayerKind::kDropout: {
-      Tensor dx(x_shape);
-      kernels::dropout_backward(dy, dx, std::get<DropoutAttrs>(n.attrs),
-                                iteration, kctx());
-      if (want_dx) accumulate_grad(x_id, std::move(dx));
-      break;
-    }
   }
-  (void)iteration;
+  if (dx) commit(x_id, *dx);
 }
 
-void DataBackend::swap_out(ValueId v) {
+void DataBackend::backward_fan_in(const Node& n, const Tensor& dy) {
+  if (n.kind == LayerKind::kAdd) {
+    // dx = dy for each input: copied into a first contribution, added
+    // straight onto a later one.
+    for (ValueId in : n.inputs) {
+      if (graph_.value(in).producer == graph::kNoNode) continue;
+      const std::size_t ii = static_cast<std::size_t>(in);
+      if (grad_written_[ii]) {
+        accumulate(grads_[ii], dy);
+      } else {
+        Tensor& d = contribution(in, /*first=*/true);
+        std::memcpy(d.data(), dy.data(), dy.byte_size());
+        commit(in, d);
+      }
+    }
+    return;
+  }
+  // Concat: a part lands in its gradient's buffer when the gradient
+  // holds no contribution and no earlier part of this concat feeds it.
+  // The other parts go to the thread's scratch, sized for all of them
+  // before any view is taken; inputs without a gradient to a throwaway.
+  const std::size_t k = n.inputs.size();
+  std::vector<char> first(k, 0);
+  std::size_t later = 0;
+  for (std::size_t i = 0; i < k; ++i) {
+    const ValueId in = n.inputs[i];
+    first[i] = !grad_written_[static_cast<std::size_t>(in)] &&
+               graph_.value(in).producer != graph::kNoNode &&
+               std::find(n.inputs.begin(), n.inputs.begin() + i, in) ==
+                   n.inputs.begin() + i;
+    if (!first[i]) later += numel_of(values_[static_cast<std::size_t>(in)]);
+  }
+  float* scratch = thread_scratch(later);
+  std::vector<Tensor*> parts;
+  std::vector<Tensor> scratch_parts;
+  scratch_parts.reserve(k);  // parts point into it
+  for (std::size_t i = 0; i < k; ++i) {
+    const ValueId in = n.inputs[i];
+    if (first[i]) {
+      parts.push_back(&contribution(in, true));
+      continue;
+    }
+    parts.push_back(
+        &scratch_parts.emplace_back(Tensor::view(graph_.value(in).shape,
+                                                 scratch)));
+    scratch += numel_of(*parts.back());
+  }
+  kernels::concat_backward(dy, parts, kctx());
+  for (std::size_t i = 0; i < k; ++i) {
+    if (graph_.value(n.inputs[i]).producer == graph::kNoNode) continue;
+    commit(n.inputs[i], *parts[i]);
+  }
+}
+
+void DataBackend::swap_out(ValueId v, std::size_t host_offset) {
   POOCH_CHECK_MSG(value_resident(v), "swap_out of non-resident v" << v);
-  // Move the buffer host-side instead of deep-copying: a swap-out frees
-  // the device copy anyway, and moving keeps peak footprint at one copy
-  // of the tensor instead of two.
-  host_[static_cast<std::size_t>(v)] =
-      std::move(values_[static_cast<std::size_t>(v)]);
-  values_[static_cast<std::size_t>(v)] = Tensor();
+  const Tensor& d = values_[static_cast<std::size_t>(v)];
+  Tensor& h = host_[static_cast<std::size_t>(v)];
+  h.view_at(host_slab_.at(host_offset));
+  std::memcpy(h.data(), d.data(), d.byte_size());
 }
 
 void DataBackend::swap_in(ValueId v) {
-  Tensor& h = host_[static_cast<std::size_t>(v)];
-  POOCH_CHECK_MSG(h.numel() > 0 && h.materialized(),
-                  "swap_in without host copy for v" << v);
+  const Tensor& h = host_[static_cast<std::size_t>(v)];
+  Tensor& d = values_[static_cast<std::size_t>(v)];
+  POOCH_CHECK_MSG(!h.empty(), "swap_in without host copy for v" << v);
+  POOCH_CHECK_MSG(!d.empty(), "swap_in of v" << v << " without a placement");
   // Copy, not move: the schedule treats a swapped-in value as a clean
   // page whose host copy stays valid — rescue eviction drops the device
   // buffer without re-writing host and re-fetches later.
-  values_[static_cast<std::size_t>(v)] = h;
+  std::memcpy(d.data(), h.data(), h.byte_size());
 }
 
 void DataBackend::free_value(ValueId v) {

@@ -2,9 +2,18 @@
 //
 // exec::AsyncExecutor drives this backend by replaying an exported op
 // stream: forward/backward kernels, host<->device copies, frees, and the
-// SGD update, each op one call below. "Device" tensors live in
-// values_/grads_; a swap-out moves to host_ and drops the device buffer,
-// mirroring what the simulator scheduled.
+// SGD update, each op one call below.
+//
+// Memory is the plan's. Every feature map and gradient is a view into
+// one device slab, at the offset the simulated arena placed it (the
+// executor binds each placement before the op that writes it), and a
+// swap-out copies into the value's fixed slot of one host slab. Neither
+// slab is ever zero-filled: kernels overwrite their outputs, a gradient
+// nothing flowed into is filled explicitly, and a second contribution to
+// a gradient is computed into per-thread scratch and added. So an
+// iteration allocates, zero-fills and frees no tensor, and a placement
+// that overlaps a live buffer corrupts the numbers the differential
+// tests compare.
 //
 // Its purpose is verification: a training iteration executed under any
 // feasible classification must produce bit-identical losses, gradients
@@ -54,15 +63,28 @@ class DataBackend {
     kernels::KernelContext* prev_ctx_;
   };
 
+  // --- memory, driven by the executor (exec::SlabLayout) ---
+  /// Grow the device and host slabs to at least these sizes; they never
+  /// shrink, and their pages are never touched here. Growing drops every
+  /// view into the old slab: a run places each buffer before writing it.
+  void reserve_slabs(std::size_t device_bytes, std::size_t host_bytes);
+  /// Bind v's feature map / gradient to the device slab at byte `offset`.
+  /// A freshly placed gradient holds no contribution yet.
+  void place_value(graph::ValueId v, std::size_t offset);
+  void place_grad(graph::ValueId v, std::size_t offset);
+
   // --- ops invoked by the executor, one per StreamOp ---
-  /// Re-installs the input batch (mirrors the per-iteration H2D upload of
-  /// training data); the first op of every exported stream.
+  /// Copies the input batch into the placed input buffers (mirrors the
+  /// per-iteration H2D upload of training data); the first op of every
+  /// exported stream. Unplaced inputs view the pristine batch.
   void begin_iteration();
   void forward(graph::NodeId node, std::uint64_t iteration);
   void backward(graph::NodeId node, std::uint64_t iteration);
-  void swap_out(graph::ValueId value);  // device -> host (buffer moves)
-  void swap_in(graph::ValueId value);   // host -> device (copies; the
-                                        // host copy stays a clean page)
+  /// Device -> host: copies v into its host slot at byte `host_offset`.
+  void swap_out(graph::ValueId value, std::size_t host_offset);
+  /// Host -> device: copies the host slot into v's placed buffer (the
+  /// host copy stays a clean page).
+  void swap_in(graph::ValueId value);
   void free_value(graph::ValueId value);
   void free_grad(graph::ValueId value);
   void update();
@@ -84,9 +106,37 @@ class DataBackend {
   std::string first_difference(const DataBackend& other) const;
 
  private:
-  Tensor& ensure_value(graph::ValueId v);
+  /// One anonymous memory mapping the views point into. Mapped outside
+  /// malloc, so freeing a slab never moves malloc's mmap threshold
+  /// (which would leave later heap allocations resident), and no page
+  /// is touched until an op writes it.
+  class Slab {
+   public:
+    Slab() = default;
+    ~Slab();
+    Slab(const Slab&) = delete;
+    Slab& operator=(const Slab&) = delete;
+
+    /// Remap to at least `bytes` when larger; returns whether it moved.
+    bool grow(std::size_t bytes);
+    float* at(std::size_t offset) const;
+
+   private:
+    void* base_ = nullptr;
+    std::size_t bytes_ = 0;
+  };
+
+  /// v's gradient as dy: a gradient nothing flowed into is filled here —
+  /// with the backward seed 1 for the loss output, with 0 otherwise.
   Tensor& ensure_grad(graph::ValueId v);
-  void accumulate_grad(graph::ValueId v, Tensor contribution);
+  /// Where a contribution to v's gradient goes: the gradient's own
+  /// buffer for the `first`, else the thread's scratch.
+  Tensor& contribution(graph::ValueId v, bool first);
+  /// Land a contribution written into contribution(v): mark the first,
+  /// add a later one.
+  void commit(graph::ValueId v, const Tensor& written);
+  /// Backward of an Add or Concat: a gradient to every input.
+  void backward_fan_in(const graph::Node& n, const Tensor& dy);
   kernels::KernelContext& kctx() const;
 
   const graph::Graph& graph_;
@@ -97,9 +147,15 @@ class DataBackend {
   static thread_local const DataBackend* tls_backend_;
   static thread_local kernels::KernelContext* tls_ctx_;
   std::vector<Tensor> input_batch_;  // pristine per-iteration inputs
-  std::vector<Tensor> values_;       // device feature maps
-  std::vector<Tensor> host_;         // swapped-out host copies
-  std::vector<Tensor> grads_;        // feature-map gradients
+  Slab device_;
+  Slab host_slab_;
+  std::vector<Tensor> values_;       // device feature maps (slab views)
+  std::vector<Tensor> host_;         // swapped-out copies (host views)
+  std::vector<Tensor> grads_;        // feature-map gradients (slab views)
+  std::vector<char> grad_written_;   // per value: a contribution landed
+  // Per value: a shape-only view for later contributions, bound to the
+  // thread's scratch when used.
+  std::vector<Tensor> scratch_views_;
   std::vector<std::vector<Tensor>> params_;       // per node
   std::vector<std::vector<Tensor>> param_grads_;  // per node
   std::vector<std::int64_t> labels_;

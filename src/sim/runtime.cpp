@@ -28,7 +28,8 @@ struct RuntimeTables {
       : plan(graph, tape),
         persistent_bytes(2 * graph.total_param_bytes()),
         grad_arena_free_by_step(tape.size()),
-        grad_backend_free_by_step(tape.size()) {
+        grad_backend_free_by_step(tape.size()),
+        grad_alias_first_by_step(tape.size()) {
     // kLookaheadPrevConv: a swap-in needed at step k triggers at the
     // nearest earlier convolution's step (0 when there is none).
     prev_conv_step.reserve(tape.size());
@@ -55,6 +56,11 @@ struct RuntimeTables {
                                       skel.grad_last_step[vi])]
             .push_back(v);
       }
+      if (skel.grad_first_step[vi] >= 0 && skel.grad_root[vi] != v) {
+        grad_alias_first_by_step[static_cast<std::size_t>(
+                                     skel.grad_first_step[vi])]
+            .push_back(v);
+      }
     }
   }
 
@@ -65,6 +71,9 @@ struct RuntimeTables {
   // released after it.
   std::vector<std::vector<ValueId>> grad_arena_free_by_step;
   std::vector<std::vector<ValueId>> grad_backend_free_by_step;
+  // Per tape step: in-place gradients (not their own alias root) first
+  // written by it; they take their root's buffer.
+  std::vector<std::vector<ValueId>> grad_alias_first_by_step;
 };
 
 namespace {
@@ -206,6 +215,9 @@ class Exec {
     }
     arena_ = mem::Arena(usable - result_.persistent_bytes);
     result_.arena_capacity = arena_.capacity();
+    if (opts_.record_stream) {
+      result_.stream.arena_capacity = result_.arena_capacity;
+    }
     const std::size_t nv = static_cast<std::size_t>(g_.num_values());
     states_.assign(nv, ValueState{});
     grad_dev_.assign(nv, std::nullopt);
@@ -317,6 +329,17 @@ class Exec {
         .releases_host = releases_host,
         .sim_start = t,
         .sim_end = t});
+  }
+
+  exec::Placement placement(ValueId v, mem::Offset off, bool grad) const {
+    return {.value = v, .grad = grad, .offset = off, .bytes = vbytes(v)};
+  }
+
+  /// The placement of v's feature map at `off`, for the op that
+  /// allocates it; nothing when the run does not record.
+  std::vector<exec::Placement> placed(ValueId v, mem::Offset off) const {
+    if (!opts_.record_stream) return {};
+    return {placement(v, off, false)};
   }
 
   static void mark_unhidden(std::vector<ValueId>& set, ValueId v) {
@@ -667,7 +690,8 @@ class Exec {
     record({.type = OpType::kSwapIn,
             .value = v,
             .sim_start = start,
-            .sim_end = end});
+            .sim_end = end,
+            .places = placed(v, off)});
     if (!blocking) {
       issued_.push_back(IssuedPrefetch{v, off, start, prev_cursor,
                                        queue_index});
@@ -734,10 +758,15 @@ class Exec {
   // ---- forward phase -------------------------------------------------
 
   void place_graph_inputs() {
+    const std::size_t begin = result_.stream.ops.size();
     record_bookkeeping(OpType::kBeginIteration, -1, 0.0);
     for (ValueId in : g_.inputs()) {
       AllocOutcome a =
           blocking_alloc(vbytes(in), 0.0, "graph input", value_side(in));
+      if (opts_.record_stream) {
+        result_.stream.ops[begin].places.push_back(
+            placement(in, a.offset, false));
+      }
       st(in).dev = a.offset;
       st(in).ready = 0.0;
       if (st(in).fwd_remaining == 0) finish_forward_use(in, 0.0);
@@ -797,7 +826,8 @@ class Exec {
               .sim_end = end,
               .stall = stall,
               .stall_cause = cause,
-              .stall_value = blame});
+              .stall_value = blame,
+              .places = placed(out, a_out.offset)});
       st(out).dev = a_out.offset;
       st(out).ready = end;
       if (ws_off) schedule_free(*ws_off, end, -1, false);
@@ -893,7 +923,8 @@ class Exec {
             .sim_end = end,
             .stall = stall,
             .stall_cause = cause,
-            .stall_value = blame});
+            .stall_value = blame,
+            .places = placed(out, a_out.offset)});
     if (ws_off) schedule_free(*ws_off, end, -1, false);
     ValueState& s = st(out);
     s.dev = a_out.offset;
@@ -987,7 +1018,8 @@ class Exec {
               .sim_end = end,
               .stall = stall,
               .stall_cause = cause,
-              .stall_value = blame});
+              .stall_value = blame,
+              .places = grad_placements(k)});
       t_comp_ = end;
       clear_pins();
 
@@ -1020,6 +1052,25 @@ class Exec {
         record_bookkeeping(OpType::kFreeGrad, v, end);
       }
     }
+  }
+
+  /// The gradients backward step k writes first: the buffers it
+  /// allocated, then the in-place gradients sharing their root's buffer.
+  std::vector<exec::Placement> grad_placements(std::size_t k) const {
+    std::vector<exec::Placement> places;
+    if (!opts_.record_stream) return places;
+    for (ValueId v : plan_.steps[k].grad_allocs) {
+      places.push_back(
+          placement(v, *grad_dev_[static_cast<std::size_t>(v)], true));
+    }
+    for (ValueId v : tables_.grad_alias_first_by_step[k]) {
+      const auto& root = grad_dev_[static_cast<std::size_t>(
+          plan_.grad_root[static_cast<std::size_t>(v)])];
+      POOCH_CHECK_MSG(root.has_value(),
+                      "in-place gradient of v" << v << " before its root");
+      places.push_back(placement(v, *root, true));
+    }
+    return places;
   }
 
   void run_update() {

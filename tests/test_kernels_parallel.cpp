@@ -12,13 +12,16 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <cstdint>
 #include <cstring>
+#include <functional>
 #include <limits>
 #include <mutex>
 #include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/parallel.hpp"
@@ -584,6 +587,177 @@ TEST_P(KernelBitIdentity, ConcatFlattenMatchSerial) {
   flatten_backward(xs, df, dx, ctx_);
   flatten_backward(xs, df, dx_ref, serial);
   expect_bits(dx, dx_ref, "flatten backward");
+}
+
+// Kernels overwrite every element of their outputs and never read one
+// first: the data backend hands them device-slab memory that is never
+// zero-filled. So outputs that start as garbage (a NaN with a payload,
+// -inf, a huge finite value in turn) must come out bit for bit as
+// outputs that start at zero, for every kernel and every path.
+TEST_P(KernelBitIdentity, OutputsAreOverwrittenNeverRead) {
+  using MakeOut = std::function<Tensor(const Shape&)>;
+  using Outputs = std::vector<Tensor>;
+  const MakeOut zeros = [](const Shape& s) { return Tensor(s); };
+  const MakeOut garbage = [](const Shape& s) {
+    const float pattern[3] = {std::bit_cast<float>(0x7fa5a5a5u),
+                              -std::numeric_limits<float>::infinity(),
+                              3e38f};
+    Tensor t(s);
+    for (std::int64_t i = 0; i < t.numel(); ++i) t[i] = pattern[i % 3];
+    return t;
+  };
+  const auto check = [&](const std::string& what,
+                         const std::function<Outputs(const MakeOut&)>& run) {
+    const Outputs want = run(zeros);
+    const Outputs got = run(garbage);
+    ASSERT_EQ(got.size(), want.size()) << what;
+    for (std::size_t i = 0; i < got.size(); ++i) {
+      expect_bits(got[i], want[i], what + " output " + std::to_string(i));
+    }
+  };
+  std::uint64_t seed = 3100;
+
+  // Direct (stride-1 rows of 16, C = 3 dW on the GEMM), GEMM, grouped
+  // and 3-D convolutions.
+  const std::pair<Shape, ConvAttrs> convs[] = {
+      {Shape{2, 16, 8, 16}, ConvAttrs::conv2d(12, 3, 1, 1)},
+      {Shape{2, 3, 6, 16}, ConvAttrs::conv2d(7, 3, 1, 1)},
+      {Shape{3, 4, 9, 9}, ConvAttrs::conv2d(6, 3, 2, 1)},
+      {Shape{2, 4, 8, 8}, ConvAttrs::conv2d(4, 3, 1, 1, 2)},
+      {Shape{2, 2, 5, 5, 5}, ConvAttrs::conv3d(3, 3, 1, 1)},
+  };
+  for (const auto& [xs, attrs] : convs) {
+    const Tensor x = random_tensor(xs, seed++);
+    const Tensor w = random_tensor(conv_weight_shape(xs, attrs), seed++);
+    const Tensor bias = random_tensor(Shape{attrs.out_channels}, seed++);
+    const Shape ys = conv_output_shape(xs, attrs);
+    const Tensor dy = random_tensor(ys, seed++);
+    check("conv " + xs.to_string(), [&](const MakeOut& out) {
+      Outputs o{out(ys), out(xs), out(w.shape()), out(bias.shape())};
+      conv_forward(x, w, &bias, o[0], attrs, ctx_);
+      conv_backward(x, w, dy, &o[1], o[2], &o[3], attrs, ctx_);
+      return o;
+    });
+  }
+
+  {
+    FcAttrs attrs;
+    attrs.out_features = 17;
+    const Tensor x = random_tensor(Shape{5, 33}, seed++);
+    const Tensor w = random_tensor(Shape{17, 33}, seed++);
+    const Tensor bias = random_tensor(Shape{17}, seed++);
+    const Tensor dy = random_tensor(Shape{5, 17}, seed++);
+    check("fc", [&](const MakeOut& out) {
+      Outputs o{out(dy.shape()), out(x.shape()), out(w.shape()),
+                out(bias.shape())};
+      fc_forward(x, w, &bias, o[0], attrs, ctx_);
+      fc_backward(x, w, dy, &o[1], o[2], &o[3], attrs, ctx_);
+      return o;
+    });
+  }
+
+  for (const Shape& xs : {Shape{4, 5, 6, 7}, Shape{2, 16, 32, 33}}) {
+    const Tensor x = random_tensor(xs, seed++);
+    const Tensor gamma = random_tensor(Shape{xs[1]}, seed++, 0.5f, 1.5f);
+    const Tensor beta = random_tensor(Shape{xs[1]}, seed++);
+    const Tensor dy = random_tensor(xs, seed++);
+    check("batchnorm " + xs.to_string(), [&](const MakeOut& out) {
+      Outputs o{out(xs), out(xs), out(gamma.shape()), out(gamma.shape())};
+      batchnorm_forward(x, gamma, beta, o[0], BatchNormAttrs{}, ctx_);
+      batchnorm_backward(x, gamma, dy, &o[1], o[2], o[3], BatchNormAttrs{},
+                         ctx_);
+      return o;
+    });
+  }
+
+  // 2-D max pooling's padded-plane path, the generic window walk (3-D
+  // and average) and global average pooling.
+  const std::pair<Shape, PoolAttrs> pools[] = {
+      {Shape{2, 4, 16, 16}, PoolAttrs::pool2d(PoolMode::kMax, 3, 1, 1)},
+      {Shape{2, 3, 15, 15}, PoolAttrs::pool2d(PoolMode::kMax, 2, 2)},
+      {Shape{1, 2, 6, 6, 6}, PoolAttrs::pool3d(PoolMode::kMax, 2, 2)},
+      {Shape{2, 3, 9, 9}, PoolAttrs::pool2d(PoolMode::kAvg, 3, 2, 1)},
+  };
+  for (const auto& [xs, attrs] : pools) {
+    const Tensor x = random_tensor(xs, seed++);
+    const Shape ys = pool_output_shape(xs, attrs);
+    const Tensor dy = random_tensor(ys, seed++);
+    check("pool " + xs.to_string(), [&](const MakeOut& out) {
+      Outputs o{out(ys), out(xs)};
+      pool_forward(x, o[0], attrs, ctx_);
+      pool_backward(x, dy, o[1], attrs, ctx_);
+      return o;
+    });
+  }
+  {
+    const Shape xs{3, 4, 5, 7};
+    const Tensor x = random_tensor(xs, seed++);
+    const Shape ys = global_avg_pool_output_shape(xs);
+    const Tensor dy = random_tensor(ys, seed++);
+    check("global_avg_pool", [&](const MakeOut& out) {
+      Outputs o{out(ys), out(xs)};
+      global_avg_pool_forward(x, o[0], ctx_);
+      global_avg_pool_backward(xs, dy, o[1], ctx_);
+      return o;
+    });
+  }
+
+  {
+    const Shape odd{(1 << 16) + 13};
+    const Tensor a = random_tensor(odd, seed++);
+    const Tensor b = random_tensor(odd, seed++);
+    const Tensor dy = random_tensor(odd, seed++);
+    DropoutAttrs drop;
+    drop.rate = 0.3f;
+    drop.key = 77;
+    check("elementwise", [&](const MakeOut& out) {
+      Outputs o;
+      for (int i = 0; i < 7; ++i) o.push_back(out(odd));
+      relu_forward(a, o[0], ctx_);
+      relu_backward(a, dy, o[1], ctx_);
+      add_forward(a, b, o[2], ctx_);
+      add_backward(dy, o[3], o[4], ctx_);
+      dropout_forward(a, o[5], drop, /*iteration=*/5, ctx_);
+      dropout_backward(dy, o[6], drop, /*iteration=*/5, ctx_);
+      return o;
+    });
+  }
+
+  {
+    const Shape ls{9, 13};
+    const Tensor logits = random_tensor(ls, seed++, -4.0f, 4.0f);
+    std::vector<std::int64_t> labels;
+    for (std::int64_t n = 0; n < ls[0]; ++n) labels.push_back(n % ls[1]);
+    Tensor dloss(Shape{1});
+    dloss[0] = 1.0f;
+    check("softmax", [&](const MakeOut& out) {
+      Outputs o{out(Shape{1}), out(ls)};
+      softmax_xent_forward(logits, labels, o[0], ctx_);
+      softmax_xent_backward(logits, labels, dloss, o[1], ctx_);
+      return o;
+    });
+  }
+
+  {
+    const Tensor a = random_tensor(Shape{2, 3, 4, 4}, seed++);
+    const Tensor b = random_tensor(Shape{2, 5, 4, 4}, seed++);
+    const std::vector<const Tensor*> inputs{&a, &b};
+    const Shape ys = concat_output_shape(inputs);
+    const Tensor dy = random_tensor(ys, seed++);
+    const Shape xs{4, 3, 5, 5};
+    const Tensor x = random_tensor(xs, seed++);
+    const Tensor df = random_tensor(Shape{4, 75}, seed++);
+    check("concat flatten", [&](const MakeOut& out) {
+      Outputs o{out(ys), out(a.shape()), out(b.shape()), out(df.shape()),
+                out(xs)};
+      concat_forward(inputs, o[0], ctx_);
+      std::vector<Tensor*> douts{&o[1], &o[2]};
+      concat_backward(dy, douts, ctx_);
+      flatten_forward(x, o[3], ctx_);
+      flatten_backward(xs, df, o[4], ctx_);
+      return o;
+    });
+  }
 }
 
 // ---------- parallel_for scheduling primitive ----------

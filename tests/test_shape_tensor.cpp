@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <utility>
+#include <vector>
+
 #include "common/error.hpp"
 #include "common/rng.hpp"
 #include "tensor/dtype.hpp"
@@ -82,6 +85,38 @@ TEST(Tensor, ReleaseAndMaterialize) {
   t.materialize();
   EXPECT_TRUE(t.materialized());
   EXPECT_EQ(t[3], 0.0f);  // rematerialized contents are zero
+}
+
+TEST(Tensor, ViewsShareMemoryAndCopiesOwnIt) {
+  std::vector<float> memory(6, 1.0f);
+  Tensor view = Tensor::view(Shape{2, 3}, memory.data());
+  EXPECT_EQ(view.data(), memory.data());
+  view[4] = 7.0f;
+  EXPECT_EQ(memory[4], 7.0f);
+
+  // A copy owns its elements; a move hands the view over.
+  Tensor copy = view;
+  EXPECT_NE(copy.data(), memory.data());
+  EXPECT_EQ(copy[4], 7.0f);
+  Tensor moved = std::move(view);
+  EXPECT_EQ(moved.data(), memory.data());
+  EXPECT_TRUE(view.empty());
+
+  // Re-pointing keeps the shape; releasing drops the view, not the
+  // memory.
+  moved.view_at(memory.data() + 3);
+  EXPECT_EQ(moved.shape(), (Shape{2, 3}));
+  EXPECT_EQ(moved[1], 7.0f);
+  moved.release();
+  EXPECT_TRUE(moved.empty());
+  EXPECT_EQ(moved.shape(), (Shape{2, 3}));
+  EXPECT_EQ(memory[4], 7.0f);
+
+  // An unbound view carries only its shape.
+  const Tensor unbound = Tensor::view(Shape{4}, nullptr);
+  EXPECT_TRUE(unbound.empty());
+  EXPECT_FALSE(unbound.materialized());
+  EXPECT_EQ(unbound.numel(), 4);
 }
 
 TEST(Tensor, AtBoundsChecked) {
