@@ -54,7 +54,6 @@ double time_replay(const char* name, const Workload& w,
   exec::AsyncOptions ao;
   ao.workers_per_copy_lane = copy_workers;
   ao.compute_workers = compute_workers;
-  ao.time_model = &w.tm;
   double best = 1e300;
   for (int rep = 0; rep < reps; ++rep) {
     sim::DataBackend data(w.g, kSeed);

@@ -196,13 +196,7 @@ inline MethodResult run_pooch_method(
     planner::PlannerResult* plan_out = nullptr) {
   const auto out = planner::run_pooch(w.g, w.tape, w.machine, w.tm);
   if (plan_out) *plan_out = out.plan;
-  if (out.ok) {
-    // The pipeline's execution runs without recording; repeat it with
-    // recording on so there are spans to validate.
-    sim::RunOptions ro;
-    ro.record_stream = true;
-    validate_run(w, "pooch", planner::execute_plan(w.rt, out.plan, ro));
-  }
+  if (out.ok) validate_run(w, "pooch", out.execution);
   return {out.ok, out.iteration_time, out.throughput(batch), out.plan.counts};
 }
 

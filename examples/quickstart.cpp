@@ -48,22 +48,16 @@ int main() {
   // 3. PoocH: profile a few swap-all iterations, classify every feature
   // map into keep/swap/recompute, execute.
   planner::PipelineOptions options;
-  const auto result = planner::run_pooch(g, tape, machine, hardware, options);
+  auto result = planner::run_pooch(g, tape, machine, hardware, options);
   if (!result.ok) {
     std::printf("PoocH could not fit this workload: %s\n",
                 result.execution.failure.c_str());
     return 1;
   }
   std::printf("\n%s", result.plan.summary(g).c_str());
-  // Execute the plan once more with recording on: the op stream is the
-  // schedule of exactly the run printed here.
-  sim::RunOptions run_options;
-  run_options.record_stream = true;
-  auto run = planner::execute_plan(runtime, result.plan, run_options);
-  if (!run.ok) {
-    std::printf("planned execution failed: %s\n", run.failure.c_str());
-    return 1;
-  }
+  // The executed run carries its op stream: the schedule of exactly the
+  // run printed here.
+  const sim::RunResult& run = result.execution;
   std::printf("iteration: %s -> %.0f images/s (peak %.1f of %.1f MiB)\n",
               format_time(run.iteration_time).c_str(), run.throughput(32),
               bytes_to_mib(run.peak_bytes),
@@ -74,7 +68,7 @@ int main() {
   // serial — every kernel is bit-identical at any thread count, so the
   // comparison still demands exact equality). The schedule is recorded
   // once and replayed every iteration, as a training loop would.
-  exec::OpStream& stream = run.stream;
+  exec::OpStream& stream = result.execution.stream;
   const exec::AsyncExecutor executor(g, stream);
   kernels::KernelContext kctx(/*threads=*/4);
   sim::DataBackend ooc_backend(g, /*seed=*/42, /*learning_rate=*/0.05f,

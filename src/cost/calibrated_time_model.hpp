@@ -30,12 +30,12 @@
 // per-op means, where the learned scales sit near 1) for run_pooch's
 // classification, so there is one rule for ops profiling never saw.
 //
-// Besides pricing the planner's timeline simulations, this model is the
-// preferred priority source for the executor's multi-worker compute
-// dispatch (exec::AsyncOptions::time_model): critical-path priorities
-// computed from calibrated per-op times rank ready ops by how much
-// wall clock actually hangs off them, not by roofline guesses. The
-// measured pipeline wires it through for every plan it measures.
+// Besides pricing the planner's timeline simulations, this model prices
+// the executor's multi-worker compute dispatch of every plan the
+// measured pipeline records under it: each recorded op's span is this
+// model's time for it, so the critical-path priorities built from the
+// spans rank ready ops by how much wall clock actually hangs off them,
+// not by roofline guesses.
 #pragma once
 
 #include "graph/graph.hpp"

@@ -30,8 +30,9 @@ double seconds_since(Clock::time_point t0) {
 
 /// Ready-queue entry: (priority, -index). Lexicographic max order pops
 /// the highest priority first, then the lowest index — a total,
-/// deterministic dispatch order. Copy lanes and single-worker compute
-/// push priority 0, so they pop in pure stream-index (FIFO) order.
+/// deterministic dispatch order. With one compute worker every op
+/// pushes priority 0, so every lane pops in pure stream-index (FIFO)
+/// order.
 using ReadyEntry = std::pair<double, std::int32_t>;
 
 /// Dependency-counted dispatcher shared by every worker of a run. An op
@@ -80,10 +81,6 @@ struct RunState {
   std::string failure;
 
   Dispatcher dispatch;
-  /// Dispatch priority of each op (critical path under opts.time_model;
-  /// zeroed for the compute lane when it runs single-worker so FIFO
-  /// order — the serial program order — is preserved exactly).
-  std::vector<double> priority;
   std::vector<double> worker_busy;  // per compute worker
   std::vector<double> worker_idle;
 
@@ -101,6 +98,13 @@ struct RunState {
         spans(s.ops.size()),
         worker_busy(static_cast<std::size_t>(o.compute_workers), 0.0),
         worker_idle(static_cast<std::size_t>(o.compute_workers), 0.0) {}
+
+  /// Dispatch priority of op i: its critical path to sink over the
+  /// stream's spans, or 0 when the compute lane runs single-worker so
+  /// FIFO order — the serial program order — is preserved exactly.
+  double priority(std::size_t i) const {
+    return opts.compute_workers > 1 ? sched.priority[i] : 0.0;
+  }
 
   void fail(const std::string& what) {
     {
@@ -224,7 +228,7 @@ struct RunState {
           const int succ_lane =
               lane_of(stream.ops[static_cast<std::size_t>(s)].type);
           dispatch.push_ready_locked(succ_lane, s,
-                                     priority[static_cast<std::size_t>(s)]);
+                                     priority(static_cast<std::size_t>(s)));
         }
       }
       if (--dispatch.remaining[lane] == 0) dispatch.cv[lane].notify_all();
@@ -311,25 +315,7 @@ AsyncResult AsyncExecutor::run(sim::DataBackend& data,
   data.reserve_slabs(layout_.device_bytes(), layout_.host_bytes());
   RunState state(graph_, stream_, schedule_, layout_, data, options);
 
-  // Dispatch priorities. Copy lanes always pop FIFO (stream-index
-  // order); so does a single-worker compute lane, which reproduces the
-  // serial replay exactly. Multi-worker compute pops by critical path —
-  // priced by options.time_model when attached, else the simulated
-  // spans baked into the stream at export time. The reported critical
-  // path uses the same pricing.
   const std::size_t n_ops = stream_.ops.size();
-  state.priority = schedule_.priority;
-  double critical_path_seconds = schedule_.critical_path_seconds;
-  if (options.time_model) {
-    std::vector<double> cost(n_ops);
-    for (std::size_t i = 0; i < n_ops; ++i) {
-      cost[i] = op_cost(stream_.ops[i], options.time_model);
-    }
-    critical_path_seconds =
-        critical_path(schedule_.succs, cost, state.priority);
-  }
-  if (options.compute_workers == 1) state.priority.assign(n_ops, 0.0);
-
   // Seed the dispatcher: indegrees from the hazard edges, sources ready.
   state.dispatch.indegree.resize(n_ops);
   if (options.stats) {
@@ -346,7 +332,7 @@ AsyncResult AsyncExecutor::run(sim::DataBackend& data,
       if (state.dispatch.indegree[i] == 0) {
         state.dispatch.push_ready_locked(lane_of(stream_.ops[i].type),
                                          static_cast<std::int32_t>(i),
-                                         state.priority[i]);
+                                         state.priority(i));
       }
     }
   }
@@ -376,7 +362,7 @@ AsyncResult AsyncExecutor::run(sim::DataBackend& data,
   result.host_slab_bytes = layout_.host_bytes();
   result.compute_worker_busy = std::move(state.worker_busy);
   result.compute_worker_idle = std::move(state.worker_idle);
-  result.critical_path_seconds = critical_path_seconds;
+  result.critical_path_seconds = schedule_.critical_path_seconds;
   result.ready_peak = state.dispatch.ready_peak;
 
   for (std::size_t i = 0; i < stream_.ops.size(); ++i) {

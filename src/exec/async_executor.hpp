@@ -3,12 +3,14 @@
 //
 // Threading model (a dependency-counted multi-worker scheduler):
 //   - `compute_workers` threads (the calling thread plus N-1 helpers)
-//     serve the compute lane, popping ready ops by critical-path
-//     priority (largest remaining downstream chain first — priorities
-//     come from AsyncOptions::time_model, typically the calibrated
-//     profile, falling back to the stream's simulated roofline spans);
+//     serve the compute lane. With N > 1 every lane pops ready ops by
+//     critical-path priority (largest remaining downstream chain
+//     first), each op costing its span in the stream — the times of
+//     the model that recorded it, so a stream recorded under the
+//     calibrated model dispatches by measured cost; one compute worker
+//     pops in stream-index (FIFO) order;
 //   - `workers_per_copy_lane` dedicated threads each serve the D2H and
-//     H2D lanes, popping ready ops in stream-index (FIFO) order.
+//     H2D lanes.
 // An op becomes ready when its per-op dependency counter reaches zero.
 // The stream itself carries no edges: exec::build_schedule derives the
 // full RAW/WAR/WAW hazard partial order over value/grad/param/host slots
@@ -67,7 +69,6 @@ class StatsRegistry;
 }
 namespace pooch::sim {
 class DataBackend;
-class TimeModel;
 }
 
 namespace pooch::exec {
@@ -124,11 +125,6 @@ struct AsyncOptions {
   /// Optional host swap-space accounting: swap-outs reserve, releasing
   /// frees return; reservation failure aborts the run.
   mem::HostPool* host_pool = nullptr;
-  /// Prices the critical-path priorities and the reported
-  /// AsyncResult::critical_path_seconds (and nothing else — never the
-  /// numerics). Attach the CalibratedTimeModel to schedule by measured
-  /// cost; null falls back to the stream's simulated roofline spans.
-  const sim::TimeModel* time_model = nullptr;
   /// Metrics sink (exec.* and exec.sched.* counters/gauges/histograms).
   obs::StatsRegistry* stats = nullptr;
 };
@@ -163,9 +159,9 @@ struct AsyncResult {
   std::size_t host_slab_bytes = 0;
 
   /// Scheduler diagnostics: per-compute-worker execution and idle
-  /// (ready-queue wait) time, the modeled critical path (the lower
-  /// bound no worker count can beat, priced like the dispatch
-  /// priorities), and the deepest the compute ready queue ever got
+  /// (ready-queue wait) time, the critical path over the stream's spans
+  /// (Schedule::critical_path_seconds, the lower bound no worker count
+  /// can beat), and the deepest the compute ready queue ever got
   /// (ready_peak ≤ 1 means the schedule exposes no compute parallelism
   /// to exploit).
   std::vector<double> compute_worker_busy;
@@ -190,9 +186,8 @@ class AsyncExecutor {
   AsyncResult run(sim::DataBackend& data,
                   const AsyncOptions& options = {}) const;
 
-  /// The hazard-complete dependency topology replay dispatches on
-  /// (costs/priorities are those of construction time: no time model —
-  /// i.e. simulated-span fallback).
+  /// The hazard-complete dependency topology and the span-priced
+  /// priorities replay dispatches on.
   const Schedule& schedule() const { return schedule_; }
 
   const SlabLayout& layout() const { return layout_; }

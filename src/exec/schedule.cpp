@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "common/error.hpp"
-#include "sim/time_model.hpp"
 
 namespace pooch::exec {
 
@@ -168,32 +167,9 @@ void footprint_of(const graph::Graph& graph,
 
 }  // namespace
 
-double op_cost(const StreamOp& op, const sim::TimeModel* tm) {
-  if (!tm) return std::max(0.0, op.sim_end - op.sim_start);
-  switch (op.type) {
-    case OpType::kForward:
-    case OpType::kRecompute:
-      return tm->forward_time(op.node);
-    case OpType::kBackward:
-      return tm->backward_time(op.node);
-    case OpType::kUpdate:
-      return tm->update_time();
-    case OpType::kSwapOut:
-      return tm->d2h_time(op.value);
-    case OpType::kSwapIn:
-      return tm->h2d_time(op.value);
-    case OpType::kBeginIteration:
-    case OpType::kFreeValue:
-    case OpType::kFreeGrad:
-      return 0.0;
-  }
-  return 0.0;
-}
-
 Schedule build_schedule(const graph::Graph& graph,
                         const std::vector<graph::BwdStep>& tape,
-                        const OpStream& stream,
-                        const sim::TimeModel* time_model) {
+                        const OpStream& stream) {
   const std::size_t n_ops = stream.ops.size();
   const ResourceSpace rs{graph.num_values(), graph.num_nodes()};
 
@@ -206,7 +182,6 @@ Schedule build_schedule(const graph::Graph& graph,
   Schedule sched;
   sched.deps.resize(n_ops);
   sched.succs.resize(n_ops);
-  sched.cost.resize(n_ops);
 
   std::vector<ResourceState> state(static_cast<std::size_t>(rs.total()));
   DeviceRanges ranges(rs.total());
@@ -245,32 +220,22 @@ Schedule build_schedule(const graph::Graph& graph,
       POOCH_CHECK_MSG(d >= 0 && d < self, "hazard edge out of range");
       sched.succs[static_cast<std::size_t>(d)].push_back(self);
     }
-
-    sched.cost[i] = op_cost(op, time_model);
   }
 
-  sched.critical_path_seconds =
-      critical_path(sched.succs, sched.cost, sched.priority);
-  return sched;
-}
-
-double critical_path(const std::vector<std::vector<std::int32_t>>& succs,
-                     const std::vector<double>& cost,
-                     std::vector<double>& priority) {
-  // Successors always carry larger indices, so a reverse index sweep
-  // sees every successor before the op itself.
-  const std::size_t n_ops = succs.size();
-  priority.assign(n_ops, 0.0);
-  double longest = 0.0;
+  // Critical path to sink. Successors always carry larger indices, so a
+  // reverse index sweep sees every successor before the op itself.
+  sched.priority.assign(n_ops, 0.0);
   for (std::size_t i = n_ops; i-- > 0;) {
     double tail = 0.0;
-    for (std::int32_t s : succs[i]) {
-      tail = std::max(tail, priority[static_cast<std::size_t>(s)]);
+    for (std::int32_t s : sched.succs[i]) {
+      tail = std::max(tail, sched.priority[static_cast<std::size_t>(s)]);
     }
-    priority[i] = cost[i] + tail;
-    longest = std::max(longest, priority[i]);
+    const StreamOp& op = stream.ops[i];
+    sched.priority[i] = std::max(0.0, op.sim_end - op.sim_start) + tail;
+    sched.critical_path_seconds =
+        std::max(sched.critical_path_seconds, sched.priority[i]);
   }
-  return longest;
+  return sched;
 }
 
 }  // namespace pooch::exec

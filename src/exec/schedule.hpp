@@ -42,10 +42,6 @@
 #include "graph/autodiff.hpp"
 #include "graph/graph.hpp"
 
-namespace pooch::sim {
-class TimeModel;
-}
-
 namespace pooch::exec {
 
 /// The dependency-counted schedule of one op stream: full hazard edges,
@@ -56,13 +52,12 @@ struct Schedule {
   std::vector<std::vector<std::int32_t>> deps;
   /// Transpose of `deps`.
   std::vector<std::vector<std::int32_t>> succs;
-  /// Modeled execution cost of each op in seconds (0 for bookkeeping
-  /// ops: begin-iteration and frees).
-  std::vector<double> cost;
-  /// Critical-path-to-sink including the op's own cost: cost[i] plus the
-  /// longest downstream chain. Scheduling the largest priority first is
-  /// the classic critical-path list-scheduling heuristic; an op's slack
-  /// is critical_path_seconds - priority[i] - (longest chain into i).
+  /// Critical-path-to-sink: the op's own cost — its simulated span
+  /// (`sim_end - sim_start`), the recording time model's time for it —
+  /// plus the longest downstream chain. Scheduling the largest priority
+  /// first is the classic critical-path list-scheduling heuristic; an
+  /// op's slack is critical_path_seconds - priority[i] - (longest chain
+  /// into i).
   std::vector<double> priority;
   /// Length of the longest dependency chain — the wall-clock lower bound
   /// no worker count can beat.
@@ -71,27 +66,12 @@ struct Schedule {
   std::size_t size() const { return deps.size(); }
 };
 
-/// Per-op modeled cost: forward/backward/update from the time model's
-/// kernel entries, swaps from its transfer entries; begin/frees are free.
-/// When `time_model` is null, falls back to the simulated span recorded
-/// in the stream (`sim_end - sim_start` — the roofline schedule).
-double op_cost(const StreamOp& op, const sim::TimeModel* time_model);
-
-/// Critical path to sink over the successor lists `succs` with op i
-/// costing `cost[i]`: fills `priority[i]` with cost[i] plus the longest
-/// downstream chain and returns the longest chain overall. The one
-/// sweep behind Schedule::priority and any re-pricing of it.
-double critical_path(const std::vector<std::vector<std::int32_t>>& succs,
-                     const std::vector<double>& cost,
-                     std::vector<double>& priority);
-
 /// Build the hazard-complete schedule for `stream`. `tape` must be the
 /// backward tape of `graph` (backward footprints read its `needed` sets).
-/// `time_model` (optional) prices the critical-path priorities; null
-/// falls back to the stream's simulated spans.
+/// Each op costs its simulated span, so the priorities are the recording
+/// time model's.
 Schedule build_schedule(const graph::Graph& graph,
                         const std::vector<graph::BwdStep>& tape,
-                        const OpStream& stream,
-                        const sim::TimeModel* time_model = nullptr);
+                        const OpStream& stream);
 
 }  // namespace pooch::exec

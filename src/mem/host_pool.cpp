@@ -24,11 +24,14 @@ bool HostPool::reserve(std::size_t bytes) {
 }
 
 void HostPool::release(std::size_t bytes) {
-  const std::size_t before = in_use_.fetch_sub(bytes, std::memory_order_relaxed);
-  POOCH_CHECK_MSG(bytes <= before, "host pool underflow");
+  // Check before subtracting, so a rejected release leaves the pool as
+  // it was.
+  std::size_t before = in_use_.load(std::memory_order_relaxed);
+  do {
+    POOCH_CHECK_MSG(bytes <= before, "host pool underflow");
+  } while (!in_use_.compare_exchange_weak(before, before - bytes,
+                                          std::memory_order_relaxed));
 }
-
-void HostPool::reset() { in_use_.store(0, std::memory_order_relaxed); }
 
 Staging::Staging(int slots) : busy_(static_cast<std::size_t>(slots), 0) {
   POOCH_CHECK(slots >= 1);

@@ -26,6 +26,8 @@ class HostPool {
   /// Reserve `bytes`; returns false when host memory would be exceeded.
   /// Thread-safe: concurrent reservations never over-commit capacity.
   bool reserve(std::size_t bytes);
+  /// Return `bytes`; throws pooch::Error, leaving the pool unchanged,
+  /// when fewer are in use.
   void release(std::size_t bytes);
 
   std::size_t capacity() const { return capacity_; }
@@ -35,8 +37,6 @@ class HostPool {
   std::size_t peak_in_use() const {
     return peak_in_use_.load(std::memory_order_relaxed);
   }
-
-  void reset();
 
  private:
   std::size_t capacity_;

@@ -39,9 +39,13 @@ PipelineResult run_pooch(const graph::Graph& graph,
   }
 
   // Phase 3: execution on the ground-truth hardware. The model is
-  // deterministic, so one simulated iteration is the iteration time.
+  // deterministic, so one simulated iteration is the iteration time; the
+  // run records its op stream, the schedule exec::AsyncExecutor replays.
   const sim::Runtime runtime(graph, tape, machine, ground_truth);
-  out.execution = execute_plan(runtime, out.plan);
+  sim::RunOptions run_options;
+  run_options.record_stream = true;
+  run_options.stats = options.planner.stats;
+  out.execution = execute_plan(runtime, out.plan, run_options);
   if (!out.execution.ok) {
     POOCH_LOG_WARN("planned classification failed at execution: "
                    << out.execution.failure);
@@ -128,10 +132,10 @@ double relative_error(double predicted, double observed) {
   return observed > 0.0 ? std::fabs(predicted - observed) / observed : 0.0;
 }
 
-/// The replayable op stream of the run execute_plan picks for `plan`
-/// under `runtime`'s time model. Throws when every attempt of the
+/// The run execute_plan picks for `plan` under `runtime`'s time model,
+/// with its replayable op stream. Throws when every attempt of the
 /// fallback chain is infeasible.
-exec::OpStream export_plan_stream(const sim::Runtime& runtime,
+sim::RunResult export_plan_stream(const sim::Runtime& runtime,
                                   const PlannerResult& plan) {
   sim::RunOptions options;
   options.record_stream = true;
@@ -139,7 +143,7 @@ exec::OpStream export_plan_stream(const sim::Runtime& runtime,
   if (!r.ok) {
     throw Error("planned classification failed at execution: " + r.failure);
   }
-  return std::move(r.stream);
+  return r;
 }
 
 /// Predicted iteration time of `plan` under `runtime`'s time model,
@@ -196,10 +200,6 @@ MeasuredPipelineResult run_pooch_measured(
 
   profile::MeasureOptions mo = options.measure;
   mo.stats = stats;
-  // Priorities for the multi-worker compute dispatch: the ground truth
-  // for the swap-all profile, the latest calibrated model after it.
-  const bool own_priorities = options.measure.time_model == nullptr;
-  if (own_priorities) mo.time_model = &ground_truth;
   std::vector<exec::AsyncResult> session_runs;
   if (options.collect_session_trace) mo.keep_runs = &session_runs;
 
@@ -220,13 +220,11 @@ MeasuredPipelineResult run_pooch_measured(
                                         session_runs, session_consumed);
     session_consumed = session_runs.size();
   };
-  // The calibrated model over the latest measurement round; the
-  // multi-worker dispatch priorities follow it.
+  // The calibrated model over the latest measurement round.
   std::unique_ptr<cost::CalibratedTimeModel> model;
   const auto calibrate = [&] {
     model = std::make_unique<cost::CalibratedTimeModel>(
         graph, out.measured, ground_truth, options.calibrate);
-    if (own_priorities) mo.time_model = model.get();
   };
   try {
     // Phase 1: profile the swap-all stream on the executor.
@@ -250,18 +248,16 @@ MeasuredPipelineResult run_pooch_measured(
     // observation — out of sample, since the model never saw this plan
     // run. On drift, re-plan on a model rebuilt from the latest
     // measurement (real drift is absorbed; an injected miscalibration
-    // persists by design).
-    exec::OpStream stream;
+    // persists by design). The recorded run is the prediction, and its
+    // stream's spans are that model's times, so the multi-worker
+    // dispatch follows the model too.
+    sim::RunResult run;
     for (;;) {
-      double drift = 0.0;
-      {
-        const sim::Runtime cal_runtime(graph, tape, machine, *model);
-        stream = export_plan_stream(cal_runtime, out.final_plan);
-        measure(stream);
-        drift = relative_error(
-            predict_iteration_time(cal_runtime, out.final_plan),
-            out.measured.iteration_seconds());
-      }
+      run = export_plan_stream(sim::Runtime(graph, tape, machine, *model),
+                               out.final_plan);
+      measure(run.stream);
+      const double drift = relative_error(run.iteration_time,
+                                          out.measured.iteration_seconds());
       ++out.drift_checks;
       out.last_drift_error = drift;
       if (stats) {
@@ -312,11 +308,11 @@ MeasuredPipelineResult run_pooch_measured(
       vo.warmup_iterations = 0;
       vo.iterations = options.validation_iterations;
       const profile::MeasuredProfile validation =
-          profile::measure_op_stream(graph, stream, data, vo,
+          profile::measure_op_stream(graph, run.stream, data, vo,
                                      next_iteration);
       next_iteration +=
           static_cast<std::uint64_t>(options.validation_iterations);
-      session_clock = append_session_runs(out, session_clock, stream,
+      session_clock = append_session_runs(out, session_clock, run.stream,
                                           session_runs, session_consumed);
       session_consumed = session_runs.size();
       observed = validation.iteration_seconds();

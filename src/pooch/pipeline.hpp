@@ -31,7 +31,9 @@ struct PipelineOptions {
 struct PipelineResult {
   profile::ProfileData profile;
   PlannerResult plan;
-  /// Execution of the planned classification on the ground-truth model.
+  /// Execution of the planned classification on the ground-truth model
+  /// (execute_plan's choice), with the op stream it scored: the
+  /// schedule exec::AsyncExecutor replays.
   sim::RunResult execution;
   double iteration_time = 0.0;  // execution.iteration_time when ok
   bool ok = false;
@@ -47,7 +49,8 @@ struct PipelineResult {
 /// `ground_truth` is the hardware model; profiling observes it with
 /// noise, the classifier plans on cost::CalibratedTimeModel over the
 /// profiled means (ground truth as its fallback), and execution runs
-/// against the ground truth again.
+/// against the ground truth again, recording its stream and publishing
+/// runtime.* metrics into `options.planner.stats`.
 PipelineResult run_pooch(const graph::Graph& graph,
                          const std::vector<graph::BwdStep>& tape,
                          const cost::MachineConfig& machine,

@@ -12,20 +12,24 @@ namespace pooch::profile {
 
 namespace {
 
-/// `samples` sorted, minus those outside [median/f, median*f]. Nothing
-/// is dropped when f <= 1 (rejection off) or the median is not
+/// Samples further than this factor from their median are outliers.
+constexpr double kOutlierFactor = 3.0;
+
+/// `samples` sorted, minus those outside [median/kOutlierFactor,
+/// median*kOutlierFactor]. Nothing is dropped when the median is not
 /// positive; otherwise the window holds the median, so a non-empty set
 /// keeps at least one sample.
-std::vector<double> survivors(const std::vector<double>& samples, double f) {
+std::vector<double> survivors(const std::vector<double>& samples) {
   std::vector<double> sorted = samples;
   std::sort(sorted.begin(), sorted.end());
   if (sorted.empty()) return sorted;
   const double median = sorted[sorted.size() / 2];
-  if (f <= 1.0 || median <= 0.0) return sorted;
-  sorted.erase(std::upper_bound(sorted.begin(), sorted.end(), median * f),
+  if (median <= 0.0) return sorted;
+  sorted.erase(std::upper_bound(sorted.begin(), sorted.end(),
+                                median * kOutlierFactor),
                sorted.end());
-  sorted.erase(sorted.begin(),
-               std::lower_bound(sorted.begin(), sorted.end(), median / f));
+  sorted.erase(sorted.begin(), std::lower_bound(sorted.begin(), sorted.end(),
+                                                median / kOutlierFactor));
   return sorted;
 }
 
@@ -94,7 +98,7 @@ void MeasuredProfile::record_update(double seconds) {
 }
 
 double MeasuredProfile::estimate(const std::vector<double>& samples) const {
-  const std::vector<double> kept = survivors(samples, outlier_factor_);
+  const std::vector<double> kept = survivors(samples);
   return kept.empty() ? 0.0 : kept[kept.size() / 2];
 }
 
@@ -147,7 +151,7 @@ std::int64_t MeasuredProfile::outliers_rejected() const {
   std::int64_t n = 0;
   auto add = [&](const std::vector<double>& samples) {
     n += static_cast<std::int64_t>(
-        samples.size() - survivors(samples, outlier_factor_).size());
+        samples.size() - survivors(samples).size());
   };
   for (const auto& s : fwd_) add(s);
   for (const auto& s : bwd_) add(s);
@@ -160,7 +164,6 @@ std::int64_t MeasuredProfile::outliers_rejected() const {
 
 MeasuredProfile MeasuredProfile::mean() const {
   MeasuredProfile out(num_nodes(), num_values());
-  out.outlier_factor_ = outlier_factor_;
   out.iterations_recorded_ = iterations_recorded_;
   auto collapse = [](const std::vector<std::vector<double>>& from,
                      std::vector<std::vector<double>>& to) {
@@ -193,7 +196,6 @@ MeasuredProfile measure_op_stream(const graph::Graph& graph,
   POOCH_CHECK(options.warmup_iterations >= 0);
   POOCH_CHECK(options.iterations >= 1);
   MeasuredProfile profile(graph.num_nodes(), graph.num_values());
-  profile.set_outlier_factor(options.outlier_factor);
 
   // The stream's schedule is iteration-invariant; only the dropout epoch
   // advances. Patch it per run instead of re-recording.
@@ -202,7 +204,6 @@ MeasuredProfile measure_op_stream(const graph::Graph& graph,
   exec::AsyncOptions ao;
   ao.compute_workers = options.compute_workers;
   ao.workers_per_copy_lane = options.copy_workers;
-  ao.time_model = options.time_model;
   ao.stats = options.stats;
 
   const int total = options.warmup_iterations + options.iterations;

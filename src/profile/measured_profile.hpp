@@ -20,10 +20,10 @@
 //   - warm-up iterations are executed but never recorded (cold caches,
 //     first-touch page faults, scratch-arena growth);
 //   - each measured iteration contributes one sample per op;
-//   - per op, samples outside [median/outlier_factor,
-//     median*outlier_factor] are rejected (a context switch or page-fault
-//     storm must not poison the estimate), and the estimate is the
-//     median of the survivors — median-of-k, robust to one-sided noise.
+//   - per op, samples outside [median/3, median*3] are rejected (a
+//     context switch or page-fault storm must not poison the estimate),
+//     and the estimate is the median of the survivors — median-of-k,
+//     robust to one-sided noise.
 #pragma once
 
 #include <cstdint>
@@ -45,9 +45,6 @@ struct MeasureOptions {
   /// Recorded iterations; each contributes one sample per op ("k" of
   /// median-of-k).
   int iterations = 3;
-  /// Samples outside [median/f, median*f] are discarded before the
-  /// final median. <= 1 disables rejection.
-  double outlier_factor = 3.0;
   /// Copy workers per transfer lane for the measuring runs.
   int copy_workers = 1;
   /// Compute workers for the measuring runs
@@ -55,9 +52,6 @@ struct MeasureOptions {
   /// worker that ran them either way; durations stay pure execution
   /// time because OpSpan::start is taken after the dependency waits.
   int compute_workers = 1;
-  /// Priority source for the multi-worker dispatch (null = critical
-  /// path over the recorded simulated spans).
-  const sim::TimeModel* time_model = nullptr;
   /// Metrics sink (calibration.* counters/gauges).
   obs::StatsRegistry* stats = nullptr;
   /// When set, every executed run's AsyncResult (warm-up runs included)
@@ -106,8 +100,7 @@ class MeasuredProfile {
   /// Fraction of (forward + backward) op slots with at least one sample.
   double compute_coverage() const;
 
-  /// Samples the outlier filter rejects, summed over every sample set
-  /// at the current outlier factor.
+  /// Samples the outlier filter rejects, summed over every sample set.
   std::int64_t outliers_rejected() const;
   std::int64_t total_samples() const;
   int iterations_recorded() const { return iterations_recorded_; }
@@ -116,17 +109,12 @@ class MeasuredProfile {
   /// one sample per op, which every estimate then serves exactly.
   MeasuredProfile mean() const;
 
-  /// Set the rejection window (see MeasureOptions::outlier_factor).
-  void set_outlier_factor(double f) { outlier_factor_ = f; }
-  double outlier_factor() const { return outlier_factor_; }
-
   int num_nodes() const { return static_cast<int>(fwd_.size()); }
   int num_values() const { return static_cast<int>(d2h_.size()); }
 
  private:
   double estimate(const std::vector<double>& samples) const;
 
-  double outlier_factor_ = 3.0;
   int iterations_recorded_ = 0;
   std::vector<std::vector<double>> fwd_, bwd_;   // per node
   std::vector<std::vector<double>> d2h_, h2d_;   // per value

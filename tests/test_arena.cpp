@@ -243,7 +243,9 @@ TEST(HostPool, ReserveAndRelease) {
   p.release(600);
   EXPECT_EQ(p.in_use(), 400u);
   EXPECT_THROW(p.release(401), Error);
-  p.reset();
+  // A rejected release leaves the pool as it was, so it stays usable.
+  EXPECT_EQ(p.in_use(), 400u);
+  p.release(400);
   EXPECT_EQ(p.in_use(), 0u);
   EXPECT_EQ(p.peak_in_use(), 1000u);
 }

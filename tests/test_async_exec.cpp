@@ -333,7 +333,7 @@ TEST(AsyncSchedSchedule, HazardEdgesTopologicalAndPriced) {
   const exec::OpStream stream = planner::record_op_stream(
       *env.rt, Classification(env.g, ValueClass::kSwap));
   const exec::Schedule sched =
-      exec::build_schedule(env.g, env.tape, stream, env.tm.get());
+      exec::build_schedule(env.g, env.tape, stream);
   ASSERT_EQ(sched.size(), stream.ops.size());
   int same_lane_edges = 0;
   int cross_lane_edges = 0;
@@ -348,7 +348,8 @@ TEST(AsyncSchedSchedule, HazardEdgesTopologicalAndPriced) {
           exec::lane_of(stream.ops[i].type);
       ++(same ? same_lane_edges : cross_lane_edges);
     }
-    EXPECT_GE(sched.priority[i], sched.cost[i] - 1e-12) << "op " << i;
+    const double span = stream.ops[i].sim_end - stream.ops[i].sim_start;
+    EXPECT_GE(sched.priority[i], span - 1e-12) << "op " << i;
     max_priority = std::max(max_priority, sched.priority[i]);
   }
   // With several compute workers, stream order alone orders nothing, so
@@ -359,33 +360,21 @@ TEST(AsyncSchedSchedule, HazardEdgesTopologicalAndPriced) {
   EXPECT_DOUBLE_EQ(sched.critical_path_seconds, max_priority);
 }
 
-/// 1 s per kernel, 0.5 s per transfer: far from any simulated span.
-class FlatTimeModel : public TimeModel {
- public:
-  double forward_time(graph::NodeId) const override { return 1.0; }
-  double backward_time(graph::NodeId) const override { return 1.0; }
-  double d2h_time(graph::ValueId) const override { return 0.5; }
-  double h2d_time(graph::ValueId) const override { return 0.5; }
-  double update_time() const override { return 1.0; }
-};
-
 TEST(AsyncSchedSchedule, CriticalPathIsPricedLikeTheDispatch) {
-  // A flat model far from the simulated spans: the reported critical
-  // path must be this model's, at any compute-worker count, not the
-  // spans baked into the stream.
+  // The reported critical path is the schedule's, priced by the
+  // stream's spans like the dispatch priorities, at any compute-worker
+  // count.
   AsyncEnv env(models::small_cnn(2, 16), 8192);
   const exec::OpStream stream = planner::record_op_stream(
       *env.rt, Classification(env.g, ValueClass::kSwap));
-  const FlatTimeModel flat;
   const double want =
-      exec::build_schedule(env.g, env.tape, stream, &flat)
-          .critical_path_seconds;
+      exec::build_schedule(env.g, env.tape, stream).critical_path_seconds;
+  EXPECT_GT(want, 0.0);
   const exec::AsyncExecutor executor(env.g, stream);
   for (const int workers : {1, 2}) {
     DataBackend backend(env.g, kDataSeed);
     exec::AsyncOptions ao;
     ao.compute_workers = workers;
-    ao.time_model = &flat;
     const auto res = executor.run(backend, ao);
     ASSERT_TRUE(res.ok) << res.failure;
     EXPECT_EQ(res.critical_path_seconds, want) << workers << " workers";
@@ -531,7 +520,6 @@ TEST(AsyncSchedStats, PublishesSchedulerMetricsAndWorkerSpans) {
   const exec::AsyncExecutor executor(env.g, stream);
   exec::AsyncOptions ao;
   ao.compute_workers = 2;
-  ao.time_model = env.tm.get();
   ao.stats = &stats;
   const auto res = executor.run(backend, ao);
   ASSERT_TRUE(res.ok) << res.failure;

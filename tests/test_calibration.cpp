@@ -38,7 +38,6 @@ using profile::MeasuredProfile;
 
 TEST(MeasuredProfile, MedianOfSamples) {
   MeasuredProfile p(2, 3);
-  p.set_outlier_factor(0.0);  // disable rejection: pure median
   p.record_forward(0, 3.0);
   p.record_forward(0, 1.0);
   p.record_forward(0, 2.0);
@@ -50,7 +49,6 @@ TEST(MeasuredProfile, MedianOfSamples) {
 
 TEST(MeasuredProfile, OutlierRejection) {
   MeasuredProfile p(1, 1);
-  p.set_outlier_factor(3.0);
   // Median of {1.0, 1.1, 1.2, 100.0} is 1.15; 100.0 falls outside
   // [1.15/3, 1.15*3] and must not drag the estimate.
   p.record_backward(0, 1.0);
@@ -66,11 +64,6 @@ TEST(MeasuredProfile, OutlierRejection) {
     EXPECT_LE(est, 1.2);
   }
   EXPECT_EQ(p.outliers_rejected(), 1);
-
-  // factor <= 1 disables rejection: the high-side median returns.
-  p.set_outlier_factor(1.0);
-  EXPECT_DOUBLE_EQ(p.backward_seconds(0), 1.2);
-  EXPECT_EQ(p.outliers_rejected(), 0);
 }
 
 TEST(MeasuredProfile, MeanKeepsOneSamplePerOp) {
@@ -444,6 +437,84 @@ TEST(CalibratedTimeModel, SwapAllProfileServesEveryTransferMeasured) {
     }
   }
   EXPECT_GT(transfers, 0);
+}
+
+TEST(CalibratedTimeModel, RecordedSpansAreTheModelsTimes) {
+  // A stream recorded under a calibrated model carries that model's time
+  // in every timed op's span, up to one rounding, and bookkeeping ops
+  // take none: the stream alone prices the executor's dispatch.
+  PipelineRig rig;
+  MeasuredProfile p(rig.g.num_nodes(), rig.g.num_values());
+  // Some ops measured at uneven multiples of the roofline, the rest
+  // served from the scaled fallback.
+  for (graph::NodeId n = 0; n < rig.g.num_nodes(); n += 2) {
+    p.record_forward(n, 2.7 * rig.tm->forward_time(n));
+    p.record_backward(n, 1.3 * rig.tm->backward_time(n));
+  }
+  for (graph::ValueId v = 1; v < rig.g.num_values(); v += 3) {
+    p.record_d2h(v, 4.1 * rig.tm->d2h_time(v));
+    p.record_h2d(v, 3.9 * rig.tm->h2d_time(v));
+  }
+  p.record_update(0.7 * rig.tm->update_time());
+  const cost::CalibratedTimeModel cal(rig.g, p, *rig.tm);
+  ASSERT_GT(cal.measured_ops(), 0);
+  ASSERT_GT(cal.fallback_ops(), 0);
+  const sim::Runtime rt(rig.g, rig.tape, rig.machine, cal);
+
+  // The swap-all profile schedule and the plan chosen on this model.
+  const auto policy = profile::swap_all_policy(rt);
+  ASSERT_TRUE(policy.has_value());
+  sim::RunOptions profiling;
+  profiling.swapin_policy = *policy;
+  const planner::PlannerResult plan =
+      planner::PoochPlanner(rig.g, rig.tape, rig.machine, cal).plan();
+  ASSERT_TRUE(plan.feasible);
+  sim::RunOptions ro;
+  ro.record_stream = true;
+  const sim::RunResult planned = planner::execute_plan(rt, plan, ro);
+  ASSERT_TRUE(planned.ok) << planned.failure;
+  const exec::OpStream streams[] = {
+      planner::record_op_stream(
+          rt, sim::Classification(rig.g, sim::ValueClass::kSwap), profiling),
+      planned.stream};
+
+  const auto model_time = [&](const exec::StreamOp& op) {
+    switch (op.type) {
+      case exec::OpType::kForward:
+      case exec::OpType::kRecompute:
+        return cal.forward_time(op.node);
+      case exec::OpType::kBackward:
+        return cal.backward_time(op.node);
+      case exec::OpType::kSwapOut:
+        return cal.d2h_time(op.value);
+      case exec::OpType::kSwapIn:
+        return cal.h2d_time(op.value);
+      case exec::OpType::kUpdate:
+        return cal.update_time();
+      case exec::OpType::kBeginIteration:
+      case exec::OpType::kFreeValue:
+      case exec::OpType::kFreeGrad:
+        break;
+    }
+    return 0.0;
+  };
+  int timed = 0;
+  for (const exec::OpStream& stream : streams) {
+    for (std::size_t i = 0; i < stream.ops.size(); ++i) {
+      const exec::StreamOp& op = stream.ops[i];
+      const double span = op.sim_end - op.sim_start;
+      const double want = model_time(op);
+      if (exec::is_bookkeeping(op.type)) {
+        EXPECT_EQ(span, 0.0) << "op " << i;
+        continue;
+      }
+      ASSERT_GT(want, 0.0) << "op " << i;
+      EXPECT_NEAR(span, want, 1e-12 * want)
+          << exec::op_type_name(op.type) << " op " << i;
+      ++timed;
+    }
+  }
+  EXPECT_GT(timed, 0);
 }
 
 TEST(MeasuredPipeline, NoDriftMeansOneCheckAndNoReplan) {

@@ -3,6 +3,7 @@
 #include "baselines/policies.hpp"
 #include "graph/autodiff.hpp"
 #include "models/models.hpp"
+#include "obs/stats.hpp"
 #include "pooch/pipeline.hpp"
 #include "pooch/planner.hpp"
 #include "testing_util.hpp"
@@ -190,6 +191,51 @@ TEST(Pipeline, EndToEndMatchesDirectPlanning) {
   const auto direct = planner.plan();
   EXPECT_DOUBLE_EQ(out.iteration_time, rig.run_time(direct.classes));
   EXPECT_GT(out.throughput(16), 0.0);
+}
+
+TEST(Pipeline, ExecutionCarriesTheStreamOfTheScoredRun) {
+  // run_pooch records the run it scores, so its stream is op for op the
+  // one execute_plan records for the same plan: no caller needs to
+  // simulate the plan again to replay it.
+  Rig rig = out_of_core_rig();
+  obs::StatsRegistry stats;
+  PipelineOptions opts;
+  opts.planner.stats = &stats;
+  const auto out = run_pooch(rig.g, rig.tape, rig.machine, *rig.tm, opts);
+  ASSERT_TRUE(out.ok) << out.execution.failure;
+  sim::RunOptions ro;
+  ro.record_stream = true;
+  const sim::RunResult again = execute_plan(*rig.rt, out.plan, ro);
+  ASSERT_TRUE(again.ok) << again.failure;
+  EXPECT_EQ(out.iteration_time, again.iteration_time);
+  const exec::OpStream& got = out.execution.stream;
+  const exec::OpStream& want = again.stream;
+  ASSERT_GT(want.ops.size(), 0u);
+  ASSERT_EQ(got.ops.size(), want.ops.size());
+  EXPECT_EQ(got.arena_capacity, want.arena_capacity);
+  for (std::size_t i = 0; i < want.ops.size(); ++i) {
+    const exec::StreamOp& a = got.ops[i];
+    const exec::StreamOp& b = want.ops[i];
+    EXPECT_EQ(a.type, b.type) << "op " << i;
+    EXPECT_EQ(a.node, b.node) << "op " << i;
+    EXPECT_EQ(a.value, b.value) << "op " << i;
+    EXPECT_EQ(a.bytes, b.bytes) << "op " << i;
+    EXPECT_EQ(a.releases_host, b.releases_host) << "op " << i;
+    EXPECT_EQ(a.sim_start, b.sim_start) << "op " << i;
+    EXPECT_EQ(a.sim_end, b.sim_end) << "op " << i;
+    EXPECT_EQ(a.stall, b.stall) << "op " << i;
+    EXPECT_EQ(a.stall_cause, b.stall_cause) << "op " << i;
+    EXPECT_EQ(a.stall_value, b.stall_value) << "op " << i;
+    ASSERT_EQ(a.places.size(), b.places.size()) << "op " << i;
+    for (std::size_t k = 0; k < b.places.size(); ++k) {
+      EXPECT_EQ(a.places[k].value, b.places[k].value) << "op " << i;
+      EXPECT_EQ(a.places[k].grad, b.places[k].grad) << "op " << i;
+      EXPECT_EQ(a.places[k].offset, b.places[k].offset) << "op " << i;
+      EXPECT_EQ(a.places[k].bytes, b.places[k].bytes) << "op " << i;
+    }
+  }
+  // The scored run publishes into the planner's stats sink.
+  EXPECT_GT(stats.counter("runtime.runs").value(), 0u);
 }
 
 TEST(Pipeline, NoisyProfileStillProducesFeasiblePlan) {

@@ -60,7 +60,6 @@ inline std::unique_ptr<sim::DataBackend> async_replay(
     exec::AsyncOptions ao;
     ao.workers_per_copy_lane = copy_workers;
     ao.compute_workers = compute_workers;
-    ao.time_model = &rt.time_model();
     const exec::AsyncResult res = executor.run(*backend, ao);
     EXPECT_TRUE(res.ok) << res.failure;
     const auto oracle = validator.check_replay(stream, res.spans);

@@ -304,7 +304,6 @@ void execute_for_real(Context& ctx, const char* name,
   exec::AsyncOptions ao;
   ao.workers_per_copy_lane = ctx.o.copy_workers;
   ao.compute_workers = ctx.o.compute_workers;
-  ao.time_model = ctx.hardware.get();
   ao.stats = stats;
   const exec::AsyncResult res = executor.run(data, ao);
   if (!res.ok) {
@@ -553,12 +552,7 @@ void run_method(Context& ctx, const std::string& method) {
       not_executed(ctx, why);
       return;
     }
-    // The pipeline's own execution recorded no stream, so re-simulate
-    // the plan whenever one is needed.
-    const auto r = ro.record_stream
-                       ? planner::execute_plan(*ctx.runtime, out.plan, ro)
-                       : out.execution;
-    report(ctx, "pooch", r, out.plan.classes, &out.plan.counts);
+    report(ctx, "pooch", out.execution, out.plan.classes, &out.plan.counts);
     if (ctx.o.show_classes) {
       std::fputs(out.plan.classes.to_string(ctx.g).c_str(), stdout);
     }
