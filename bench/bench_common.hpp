@@ -11,7 +11,9 @@
 // run goes through the obs::TimelineValidator; any invariant violation
 // aborts the bench with a diagnostic, so no reported number comes from
 // a schedule that breaks the timeline invariants. The tier-1 ctest
-// bench_validate runs three benches that cover every method hook.
+// bench_validate runs the benches that together cover every method:
+// in-core, swap-all with and without scheduling, swap-opt,
+// SuperNeurons, vDNN, sublinear checkpointing and PoocH.
 //
 // The benches that gate regressions (bench_kernels, bench_async_exec,
 // bench_calibration, bench_planner_cost) also write one JSON document

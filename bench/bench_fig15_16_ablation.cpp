@@ -19,8 +19,12 @@ void ablation_row(const char* model_name, graph::Graph g, std::int64_t batch,
   planner::PoochPlanner planner(w.g, w.tape, w.machine, w.tm);
   const auto opt_plan = planner.plan_keep_swap_only();
   const auto pooch_plan = planner.plan();
-  const auto opt_run = planner::execute_plan(w.rt, opt_plan);
-  const auto pooch_run = planner::execute_plan(w.rt, pooch_plan);
+  sim::RunOptions ro;
+  ro.record_stream = true;
+  const auto opt_run = planner::execute_plan(w.rt, opt_plan, ro);
+  const auto pooch_run = planner::execute_plan(w.rt, pooch_plan, ro);
+  bench::validate_run(w, "swap-opt", opt_run);
+  bench::validate_run(w, "pooch", pooch_run);
 
   auto speedup = [&](bool ok, double t) {
     return ok && naive.ok ? naive.iteration_time / t : 0.0;

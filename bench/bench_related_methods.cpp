@@ -11,14 +11,19 @@ namespace {
 void row(const char* name, graph::Graph g, std::int64_t batch,
          const cost::MachineConfig& machine) {
   bench::Workload w(std::move(g), machine);
-  auto run = [&](const sim::Classification& c,
-                 sim::RunOptions ro = {}) -> std::string {
+  auto run = [&](const char* method,
+                 const sim::Classification& c) -> std::string {
+    sim::RunOptions ro;
+    ro.record_stream = true;
     const auto r = w.rt.run(c, ro);
+    bench::validate_run(w, method, r);
     return r.ok ? bench::fmt(r.throughput(batch), 0) : "OOM";
   };
-  const auto incore = run(sim::Classification(w.g, sim::ValueClass::kKeep));
-  const auto vdnn = run(baselines::vdnn_conv_classify(w.g, w.tape));
-  const auto sublinear = run(baselines::sublinear_classify(w.g, w.tape));
+  const auto incore =
+      run("in-core", sim::Classification(w.g, sim::ValueClass::kKeep));
+  const auto vdnn = run("vdnn", baselines::vdnn_conv_classify(w.g, w.tape));
+  const auto sublinear =
+      run("sublinear", baselines::sublinear_classify(w.g, w.tape));
   planner::PlannerResult plan;
   const auto pooch = bench::run_pooch_method(w, batch, &plan);
   std::printf("| %s (b=%ld) | %s | %s | %s | %s |\n", name,

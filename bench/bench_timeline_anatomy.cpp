@@ -12,6 +12,7 @@ void show(const char* title, const bench::Workload& w,
   sim::RunOptions ro = opts;
   ro.record_stream = true;
   const auto r = w.rt.run(classes, ro);
+  bench::validate_run(w, title, r);
   std::printf("\n### %s\n", title);
   if (!r.ok) {
     std::printf("OOM: %s\n", r.failure.c_str());

@@ -58,6 +58,27 @@ struct Dispatcher {
   }
 };
 
+/// The most swap-outs whose [seq_start, seq_end] intervals overlap.
+/// Every sequence number is distinct, so a sweep in sequence order is
+/// exact.
+int peak_swap_outs_in_flight(const OpStream& stream,
+                             const std::vector<OpSpan>& spans) {
+  std::vector<std::pair<std::uint64_t, int>> edges;
+  for (std::size_t i = 0; i < stream.ops.size(); ++i) {
+    if (stream.ops[i].type != OpType::kSwapOut) continue;
+    edges.push_back({spans[i].seq_start, 1});
+    edges.push_back({spans[i].seq_end, -1});
+  }
+  std::sort(edges.begin(), edges.end());
+  int held = 0;
+  int peak = 0;
+  for (const auto& [seq, delta] : edges) {
+    held += delta;
+    peak = std::max(peak, held);
+  }
+  return peak;
+}
+
 std::size_t align_up(std::size_t bytes, std::size_t alignment) {
   return (bytes + alignment - 1) / alignment * alignment;
 }
@@ -70,7 +91,6 @@ struct RunState {
   const SlabLayout& layout;
   sim::DataBackend& data;
   const AsyncOptions& opts;
-  mem::Staging staging;
   Clock::time_point t0;
 
   std::vector<Event> events;
@@ -92,7 +112,6 @@ struct RunState {
         layout(l),
         data(d),
         opts(o),
-        staging(kStagingSlots),
         t0(Clock::now()),
         events(s.ops.size()),
         spans(s.ops.size()),
@@ -137,29 +156,16 @@ struct RunState {
       case OpType::kUpdate:
         data.update();
         break;
-      case OpType::kSwapOut: {
-        // Double-buffered retirement: at most kStagingSlots swap-outs
-        // may be moving through the bounce buffers at once.
-        const int slot = staging.acquire();
-        if (opts.host_pool && !opts.host_pool->reserve(op.bytes)) {
-          staging.release(slot);
-          throw Error("async exec: host pool exhausted swapping out v" +
-                      std::to_string(op.value));
-        }
+      case OpType::kSwapOut:
         data.swap_out(op.value,
                       layout.host_offset(static_cast<std::size_t>(index)));
         data.free_value(op.value);
-        staging.release(slot);
         break;
-      }
       case OpType::kSwapIn:
         data.swap_in(op.value);
         break;
       case OpType::kFreeValue:
         data.free_value(op.value);
-        if (opts.host_pool && op.releases_host) {
-          opts.host_pool->release(op.bytes);
-        }
         break;
       case OpType::kFreeGrad:
         data.free_grad(op.value);
@@ -312,6 +318,22 @@ AsyncResult AsyncExecutor::run(sim::DataBackend& data,
                                const AsyncOptions& options) const {
   POOCH_CHECK(options.compute_workers >= 1);
   POOCH_CHECK(options.workers_per_copy_lane >= 1);
+  // The run's host memory is its host slab: claim it whole before the
+  // backend is touched, and return it however the run ends.
+  if (options.host_pool && !options.host_pool->reserve(layout_.host_bytes())) {
+    AsyncResult result;
+    result.failure = "async exec: host pool cannot hold the " +
+                     std::to_string(layout_.host_bytes()) +
+                     "-byte host slab";
+    return result;
+  }
+  struct HostRelease {
+    mem::HostPool* pool;
+    std::size_t bytes;
+    ~HostRelease() {
+      if (pool) pool->release(bytes);
+    }
+  } host_release{options.host_pool, layout_.host_bytes()};
   data.reserve_slabs(layout_.device_bytes(), layout_.host_bytes());
   RunState state(graph_, stream_, schedule_, layout_, data, options);
 
@@ -356,8 +378,11 @@ AsyncResult AsyncExecutor::run(sim::DataBackend& data,
   result.failure = state.failure;
   result.ok = result.failure.empty();
   result.spans = std::move(state.spans);
-  result.staging_acquisitions = state.staging.acquisitions();
-  result.staging_peak_held = state.staging.peak_held();
+  if (result.ok) {
+    result.staging_acquisitions =
+        static_cast<std::uint64_t>(stream_.count(OpType::kSwapOut));
+    result.staging_peak_held = peak_swap_outs_in_flight(stream_, result.spans);
+  }
   result.device_slab_bytes = layout_.device_bytes();
   result.host_slab_bytes = layout_.host_bytes();
   result.compute_worker_busy = std::move(state.worker_busy);

@@ -73,10 +73,6 @@ class DataBackend;
 
 namespace pooch::exec {
 
-/// Staging slots bounding concurrent D2H retirement: classic double
-/// buffering.
-inline constexpr int kStagingSlots = 2;
-
 /// Where replay puts a stream's buffers: every placement's device-slab
 /// offset (its arena offset less the never-used arena bytes below it)
 /// and every swap-out's host-slab slot.
@@ -122,8 +118,10 @@ struct AsyncOptions {
   int compute_workers = 1;
   /// Threads serving each copy lane (1 = one H2D + one D2H worker).
   int workers_per_copy_lane = 1;
-  /// Optional host swap-space accounting: swap-outs reserve, releasing
-  /// frees return; reservation failure aborts the run.
+  /// Optional host memory accounting. A run reserves its whole host
+  /// slab (SlabLayout::host_bytes) once, before any op runs, and
+  /// releases it when the run ends; a pool that cannot hold the slab
+  /// fails the run without touching the backend.
   mem::HostPool* host_pool = nullptr;
   /// Metrics sink (exec.* and exec.sched.* counters/gauges/histograms).
   obs::StatsRegistry* stats = nullptr;
@@ -151,6 +149,10 @@ struct AsyncResult {
   double wall_seconds = 0.0;
   double lane_busy[kNumLanes] = {};
   double lane_wait[kNumLanes] = {};
+  /// Swap-outs executed, and the most of them in flight at once (their
+  /// [seq_start, seq_end] intervals overlapping). Each swap-out copies
+  /// straight into its own host-slab slot; the names are historical.
+  /// Both stay 0 when the run failed.
   std::uint64_t staging_acquisitions = 0;
   int staging_peak_held = 0;
   /// Bytes of the device and host slabs the stream's layout spans

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <vector>
 
 #include "common/rng.hpp"
@@ -247,6 +248,17 @@ TEST(HostPool, ReserveAndRelease) {
   EXPECT_EQ(p.in_use(), 400u);
   p.release(400);
   EXPECT_EQ(p.in_use(), 0u);
+  EXPECT_EQ(p.peak_in_use(), 1000u);
+}
+
+TEST(HostPool, ReserveNeverWraps) {
+  HostPool p(1000);
+  ASSERT_TRUE(p.reserve(10));
+  EXPECT_FALSE(p.reserve(SIZE_MAX - 5));
+  EXPECT_EQ(p.in_use(), 10u);
+  EXPECT_FALSE(p.reserve(SIZE_MAX));
+  EXPECT_TRUE(p.reserve(990));
+  EXPECT_EQ(p.in_use(), 1000u);
   EXPECT_EQ(p.peak_in_use(), 1000u);
 }
 

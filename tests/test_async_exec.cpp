@@ -113,29 +113,6 @@ TEST(AsyncExecEvent, WaitBlocksUntilCrossThreadSignal) {
   EXPECT_TRUE(observed.load());
 }
 
-TEST(AsyncExecStaging, DoubleBufferBoundsConcurrentHolders) {
-  mem::Staging staging(2);
-  std::atomic<int> held{0};
-  std::atomic<int> peak{0};
-  std::vector<std::thread> threads;
-  for (int t = 0; t < 6; ++t) {
-    threads.emplace_back([&] {
-      const int slot = staging.acquire();
-      const int now = held.fetch_add(1) + 1;
-      int p = peak.load();
-      while (now > p && !peak.compare_exchange_weak(p, now)) {
-      }
-      std::this_thread::sleep_for(std::chrono::milliseconds(2));
-      held.fetch_sub(1);
-      staging.release(slot);
-    });
-  }
-  for (auto& t : threads) t.join();
-  EXPECT_LE(peak.load(), 2);
-  EXPECT_EQ(staging.acquisitions(), 6u);
-  EXPECT_LE(staging.peak_held(), 2);
-}
-
 // ---- op-stream export ------------------------------------------------
 
 TEST(AsyncExecStream, RecordedStreamIsReplayable) {
@@ -312,18 +289,38 @@ TEST(AsyncExecHostPool, SwapAccountingBalances) {
             static_cast<std::uint64_t>(stream.count(exec::OpType::kSwapOut)));
 }
 
+TEST(AsyncExecHostPool, PoolOfExactlyTheHostSlabSuffices) {
+  AsyncEnv env(models::small_cnn(2, 16), 8192);
+  const exec::OpStream stream = planner::record_op_stream(
+      *env.rt, Classification(env.g, ValueClass::kSwap));
+  DataBackend backend(env.g, kDataSeed);
+  const exec::AsyncExecutor executor(env.g, stream);
+  const std::size_t slab = executor.layout().host_bytes();
+  ASSERT_GT(slab, 0u);
+  mem::HostPool pool(slab);
+  exec::AsyncOptions ao;
+  ao.host_pool = &pool;
+  const auto res = executor.run(backend, ao);
+  ASSERT_TRUE(res.ok) << res.failure;
+  EXPECT_EQ(pool.peak_in_use(), slab);
+  EXPECT_EQ(pool.in_use(), 0u);
+}
+
 TEST(AsyncExecHostPool, ExhaustedPoolFailsLoudly) {
   AsyncEnv env(models::small_cnn(2, 16), 8192);
   const exec::OpStream stream = planner::record_op_stream(
       *env.rt, Classification(env.g, ValueClass::kSwap));
   DataBackend backend(env.g, kDataSeed);
-  mem::HostPool pool(1);  // nothing fits
   const exec::AsyncExecutor executor(env.g, stream);
+  mem::HostPool pool(executor.layout().host_bytes() - 1);
   exec::AsyncOptions ao;
   ao.host_pool = &pool;
   const auto res = executor.run(backend, ao);
   EXPECT_FALSE(res.ok);
   EXPECT_NE(res.failure.find("host pool"), std::string::npos) << res.failure;
+  // It failed before any op ran: the backend is still freshly seeded.
+  EXPECT_EQ(backend.first_difference(DataBackend(env.g, kDataSeed)), "");
+  EXPECT_EQ(pool.in_use(), 0u);
 }
 
 // ---- multi-worker compute scheduling (exec/schedule.hpp) -------------
