@@ -10,7 +10,7 @@
 // — across a thread sweep, then skinny GEMMs, every Inception-toy conv
 // and every other stride-1 ResNet-50 conv at 1, 2 and 4 threads (the
 // shapes that pick between the direct and the im2col + GEMM conv
-// paths), then the memory-bound
+// paths), and ResNet-50's strided convs, then the memory-bound
 // kernels (batch norm, ReLU and 2-D max pooling, forward and backward) at
 // the Inception toy's and ResNet-50's shapes at 1, 2 and 4 threads, and
 // writes a bench::Report (default BENCH_kernels.json) keyed on (kernel,
@@ -304,8 +304,11 @@ int run(int argc, char** argv) {
   // only once. 8x800x512 is the forward GEMM of the Inception toy's first
   // 5x5 branch (8 output channels over a two-sample chunk), and
   // 12x800x512 the same with the 12 output channels of its second;
-  // 512x4608x16 is the forward GEMM of a ResNet-50 3x3 conv with a 2x2
-  // output, and matmul_bt 8x512x800 the first branch's dW GEMM.
+  // matmul_bt 8x512x800 is the first branch's dW GEMM. A ResNet-50 3x3
+  // conv with 512 channels on 2x2 planes runs the same weights through
+  // three GEMMs of equal FLOPs: 512x4608x16 forward, matmul_bt
+  // 512x16x4608 for dW and matmul_at 4608x512x16 for dX. matmul_at
+  // 1000x4x2048 is the dW of its fc layer at batch 4.
   const std::vector<int> skinny_sweep{1, 2, 4};
   struct MatmulShape {
     const char* kernel;
@@ -314,27 +317,31 @@ int run(int argc, char** argv) {
   const MatmulShape skinny[] = {{"matmul", 8, 800, 512},
                                 {"matmul", 12, 800, 512},
                                 {"matmul", 512, 4608, 16},
-                                {"matmul_bt", 8, 512, 800}};
+                                {"matmul_bt", 8, 512, 800},
+                                {"matmul_bt", 512, 16, 4608},
+                                {"matmul_at", 4608, 512, 16},
+                                {"matmul_at", 1000, 4, 2048}};
   for (const MatmulShape& s : skinny) {
-    const bool bt = std::string(s.kernel) == "matmul_bt";
-    const Tensor a = random_tensor(Shape{s.m, s.k}, seed++);
+    const std::string kernel = s.kernel;
+    const bool at = kernel == "matmul_at";
+    const bool bt = kernel == "matmul_bt";
+    const Tensor a =
+        random_tensor(at ? Shape{s.k, s.m} : Shape{s.m, s.k}, seed++);
     const Tensor b =
         random_tensor(bt ? Shape{s.n, s.k} : Shape{s.k, s.n}, seed++);
     Tensor c(Shape{s.m, s.n});
     Tensor c_ref(Shape{s.m, s.n});
+    const auto fast_fn = at ? matmul_at : bt ? matmul_bt : matmul;
+    const auto ref_fn = at ? matmul_at_ref : bt ? matmul_bt_ref : matmul_ref;
     Case cs;
-    cs.kernel = s.kernel;
+    cs.kernel = kernel;
     cs.shape = std::to_string(s.m) + "x" + std::to_string(s.k) + "x" +
                std::to_string(s.n);
     cs.flops = 2.0 * static_cast<double>(s.m) * s.k * s.n;
     cs.fast = [&](KernelContext& ctx) {
-      (bt ? matmul_bt : matmul)(a.data(), b.data(), c.data(), s.m, s.k, s.n,
-                                ctx);
+      fast_fn(a.data(), b.data(), c.data(), s.m, s.k, s.n, ctx);
     };
-    cs.ref = [&] {
-      (bt ? matmul_bt_ref : matmul_ref)(a.data(), b.data(), c_ref.data(),
-                                        s.m, s.k, s.n);
-    };
+    cs.ref = [&] { ref_fn(a.data(), b.data(), c_ref.data(), s.m, s.k, s.n); };
     cs.outs = {{&c, &c_ref}};
     run_case(cs, skinny_sweep, report);
   }
@@ -398,6 +405,25 @@ int run(int argc, char** argv) {
        no_bias(ConvAttrs::conv2d(512, 1))},
   };
   for (const ConvPass& p : resnet) run_conv_pass(p, skinny_sweep, seed, report);
+
+  // Its strided convs, which keep im2col + GEMM: the 7x7 s2 stem, the
+  // 1x1 s2 projections into stages 1 to 3, and the 3x3 s2 entry of the
+  // last stage.
+  const ConvPass strided[] = {
+      {"4x3x64x64 k7 s2 oc64", Shape{4, 3, 64, 64},
+       no_bias(ConvAttrs::conv2d(64, 7, 2, 3))},
+      {"4x256x16x16 k1 s2 oc512", Shape{4, 256, 16, 16},
+       no_bias(ConvAttrs::conv2d(512, 1, 2))},
+      {"4x512x8x8 k1 s2 oc1024", Shape{4, 512, 8, 8},
+       no_bias(ConvAttrs::conv2d(1024, 1, 2))},
+      {"4x1024x4x4 k1 s2 oc2048", Shape{4, 1024, 4, 4},
+       no_bias(ConvAttrs::conv2d(2048, 1, 2))},
+      {"4x512x4x4 k3 s2 oc512", Shape{4, 512, 4, 4},
+       no_bias(ConvAttrs::conv2d(512, 3, 2, 1))},
+  };
+  for (const ConvPass& p : strided) {
+    run_conv_pass(p, skinny_sweep, seed, report);
+  }
 
   // Memory-bound kernels: the Inception toy's (b32, 32x32 input) and
   // ResNet-50's (b4, 64x64 input) batch-norm and ReLU tensors, and their

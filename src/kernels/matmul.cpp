@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstring>
+#include <utility>
 
 #include "common/parallel.hpp"
 #include "kernels/simd.hpp"
@@ -39,10 +40,37 @@ struct GemmShape {
   bool overwrite = true; // C = A*B (beta=0 store path) vs C += A*B
 };
 
+// Lane i of zip<0>(a, b) is lane i/2 of a (even i) or of b (odd i);
+// zip<1> does the same from the upper halves.
+template <int kHi, std::size_t... I>
+Vec zip(Vec a, Vec b, std::index_sequence<I...>) {
+  return __builtin_shufflevector(
+      a, b, static_cast<int>(I / 2 + kHi * (kVF / 2) + (I % 2) * kVF)...);
+}
+
+// Transpose kVF x kVF floats in registers: lane l of rows[r] moves to
+// lane r of rows[l]. Each of the log2(kVF) rounds zips row r with row
+// r + kVF/2 into rows 2r and 2r + 1.
+void transpose(Vec (&rows)[kVF]) {
+  constexpr auto lanes = std::make_index_sequence<kVF>{};
+#pragma GCC unroll 4
+  for (std::int64_t round = 1; round < kVF; round *= 2) {
+    Vec out[kVF];
+#pragma GCC unroll 8
+    for (std::int64_t r = 0; r < kVF / 2; ++r) {
+      out[2 * r] = zip<0>(rows[r], rows[r + kVF / 2], lanes);
+      out[2 * r + 1] = zip<1>(rows[r], rows[r + kVF / 2], lanes);
+    }
+#pragma GCC unroll 16
+    for (std::int64_t r = 0; r < kVF; ++r) rows[r] = out[r];
+  }
+}
+
 // Pack B(k0:k0+kc, j0:j0+nc) into NR-wide column panels:
 // bp[jb][p][jr] with zero fill past nc. Both layouts read their source
 // contiguously: rows of a (k,n) B, columns (rows of storage) of a
-// transposed (n,k) B.
+// transposed (n,k) B. A transposed B is turned in registers, kVF rows
+// of storage by kVF k steps at a time.
 void pack_b(const GemmShape& g, std::int64_t k0, std::int64_t kc,
             std::int64_t j0, std::int64_t nc, float* bp) {
   for (std::int64_t jb = 0; jb * kNR < nc; ++jb) {
@@ -50,12 +78,27 @@ void pack_b(const GemmShape& g, std::int64_t k0, std::int64_t kc,
     const std::int64_t j = j0 + jb * kNR;
     const std::int64_t jw = std::min(kNR, nc - jb * kNR);
     if (g.b_trans) {
-      for (std::int64_t jr = 0; jr < jw; ++jr) {
-        const float* src = g.b + (j + jr) * g.k + k0;
-        for (std::int64_t p = 0; p < kc; ++p) panel[p * kNR + jr] = src[p];
+      const float* src = g.b + j * g.k + k0;
+      std::int64_t p = 0;
+      for (; p + kVF <= kc; p += kVF) {
+        for (std::int64_t r0 = 0; r0 < kNR; r0 += kVF) {
+          Vec rows[kVF];
+#pragma GCC unroll 16
+          for (std::int64_t r = 0; r < kVF; ++r) {
+            rows[r] = r0 + r < jw ? simd::load<Vec>(src + (r0 + r) * g.k + p)
+                                  : Vec{};
+          }
+          transpose(rows);
+#pragma GCC unroll 16
+          for (std::int64_t t = 0; t < kVF; ++t) {
+            simd::store(panel + (p + t) * kNR + r0, rows[t]);
+          }
+        }
       }
-      for (std::int64_t jr = jw; jr < kNR; ++jr) {
-        for (std::int64_t p = 0; p < kc; ++p) panel[p * kNR + jr] = 0.0f;
+      for (; p < kc; ++p) {
+        for (std::int64_t jr = 0; jr < kNR; ++jr) {
+          panel[p * kNR + jr] = jr < jw ? src[jr * g.k + p] : 0.0f;
+        }
       }
       continue;
     }
@@ -171,6 +214,41 @@ void tile(const float* ap, std::int64_t lda, const float* bp,
 constexpr std::size_t kGemmScratchFloats =
     static_cast<std::size_t>(kKC * kNC + kMC * kKC);
 
+// Rows of A that one k panel may stream at once when A is read in place
+// transposed: the L2 hardware prefetcher follows 32 streams, one per
+// 4 KiB page (Intel cores since Sandy Bridge).
+constexpr std::int64_t kPrefetchStreams = 32;
+
+// Panel extents of one block. They only regroup the loops over k panels
+// and C tiles, so every C element still gets its k products in ascending
+// order, and every panel fits the scratch above.
+struct Extents {
+  std::int64_t kc;  // k-panel depth
+  std::int64_t nc;  // B panel width, a multiple of kNR
+  std::int64_t mc;  // A panel height, a multiple of kMR
+};
+
+// The shape picks the extents:
+// - A transposed A read in place (a block of one column panel: the dX
+//   of a conv whose chunk spans at most NR output columns, ResNet-50's
+//   2x2 stage). A tile reads MR floats from each of kc rows of A, m
+//   floats apart, and the next tile continues the same rows, so each
+//   row is a stream of its own, in its own page once m >= 1024. The k
+//   panel is only as deep as the prefetcher follows streams; C is
+//   reloaded between the shallower panels.
+// - Otherwise a k that fits one panel (the dW of a conv whose chunk
+//   spans at most KC output columns, ResNet-50's 4x4 and 2x2 stages,
+//   and every fc dW, whose k is the batch). C is then far larger than
+//   both operands, and a tile does only k multiply-add steps per 12
+//   rows of C it stores. The B panel takes the whole KC x NC budget in
+//   width, and C is swept in MR-row strips across it, so each C row is
+//   written in one long run instead of 64-byte pieces 96 rows apart.
+Extents block_extents(const GemmShape& g, bool a_in_place) {
+  if (g.a_trans && a_in_place) return {kPrefetchStreams, kNC, kMC};
+  if (g.k <= kKC) return {g.k, kKC * kNC / g.k / kNR * kNR, kMR};
+  return {kKC, kNC, kMC};
+}
+
 // Run the blocked GEMM for the block C(r0:r1, c0:c1) only, using the
 // caller's packing scratch. Thread-safe across disjoint blocks with
 // distinct scratch.
@@ -188,18 +266,19 @@ void gemm_block(const GemmShape& g, std::int64_t r0, std::int64_t r1,
   float* ap = scratch + kKC * kNC;   // kMC * kKC
   const bool b_in_place = !g.b_trans && r1 - r0 <= kMR;
   const bool a_in_place = c1 - c0 <= kNR;
+  const Extents e = block_extents(g, a_in_place);
   const std::int64_t ldc = g.n;
-  for (std::int64_t jc = c0; jc < c1; jc += kNC) {
-    const std::int64_t nc = std::min(kNC, c1 - jc);
-    for (std::int64_t pc = 0; pc < g.k; pc += kKC) {
-      const std::int64_t kc = std::min(kKC, g.k - pc);
+  for (std::int64_t jc = c0; jc < c1; jc += e.nc) {
+    const std::int64_t nc = std::min(e.nc, c1 - jc);
+    for (std::int64_t pc = 0; pc < g.k; pc += e.kc) {
+      const std::int64_t kc = std::min(e.kc, g.k - pc);
       if (!b_in_place) pack_b(g, pc, kc, jc, nc, bp);
       // beta=0 store path: the first k panel writes C outright instead
       // of memset-then-accumulate; later panels reload and continue the
       // ascending-k accumulation.
       const bool zero_init = g.overwrite && pc == 0;
-      for (std::int64_t ic = r0; ic < r1; ic += kMC) {
-        const std::int64_t mc = std::min(kMC, r1 - ic);
+      for (std::int64_t ic = r0; ic < r1; ic += e.mc) {
+        const std::int64_t mc = std::min(e.mc, r1 - ic);
         if (!a_in_place) pack_a(g, ic, mc, pc, kc, ap);
         for (std::int64_t jb = 0; jb * kNR < nc; ++jb) {
           const std::int64_t j = jc + jb * kNR;

@@ -121,12 +121,23 @@ TEST_P(KernelBitIdentity, MatmulAllVariants) {
   // read in place, n ragged across 240-column blocks, two row panels.
   // n <= 16 splits row panels into blocks of one column panel that read
   // A in place; n = 17 has two column panels and packs A.
+  // Then the shape-derived orders. A k <= 256 goes into one panel as
+  // wide as the budget, and C is swept in 12-row strips: the dW shapes
+  // of ResNet-50's 3x3 convs on 2x2 planes (512x16x4608, 512x16x2048),
+  // a ragged strip and last column (13x16x4609), and k at, just under
+  // and just over the one-panel bound with C wider than 1000 columns. A
+  // transposed A read in place runs 32-deep k panels: the matching dX
+  // shapes (4608x512x16, 2048x512x16) and one with odd m, k and n and a
+  // one-step last panel (4609x33x15).
   const Case cases[] = {{1, 1, 1},      {3, 7, 5},       {4, 16, 16},
                         {5, 17, 33},    {64, 256, 240},  {67, 129, 241},
                         {2, 300, 1},    {12, 300, 16},   {13, 300, 16},
                         {25, 513, 16},  {97, 300, 40},   {8, 800, 512},
                         {1, 2000, 1200}, {12, 800, 517}, {13, 600, 500},
-                        {300, 700, 15}, {400, 900, 16},  {200, 900, 17}};
+                        {300, 700, 15}, {400, 900, 16},  {200, 900, 17},
+                        {512, 16, 4608}, {512, 16, 2048}, {13, 16, 4609},
+                        {20, 255, 1030}, {20, 256, 1030}, {20, 257, 1030},
+                        {4608, 512, 16}, {2048, 512, 16}, {4609, 33, 15}};
   std::uint64_t seed = 100;
   for (const Case& c : cases) {
     const std::string tag = "m" + std::to_string(c.m) + "k" +
@@ -266,6 +277,16 @@ TEST_P(KernelBitIdentity, ConvForwardBackward) {
        true, true},
       {"direct_special_k1", Shape{2, 16, 4, 32}, ConvAttrs::conv2d(3, 1, 1, 0),
        true, true},
+      // ResNet-50's late-stage GEMM convs (b4, 64x64 input), whose dW and
+      // dX take the shape-derived GEMM orders: a 3x3 on 2x2 planes and the
+      // strided 1x1 projection into the last stage. Then its 7x7 s2 stem,
+      // whose 147-row dW packs a ragged transposed B panel.
+      {"r50_s3_k3", Shape{4, 512, 2, 2},
+       ConvAttrs::conv2d(512, 3, 1, 1, 1, /*bias=*/false), true},
+      {"r50_s3_proj", Shape{4, 1024, 4, 4},
+       ConvAttrs::conv2d(2048, 1, 2, 0, 1, /*bias=*/false), true},
+      {"r50_stem", Shape{4, 3, 64, 64},
+       ConvAttrs::conv2d(64, 7, 2, 3, 1, /*bias=*/false), true},
   };
   std::uint64_t seed = 500;
   for (const Case& c : cases) {

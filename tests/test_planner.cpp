@@ -153,7 +153,9 @@ TEST(Planner, BeamFallbackStaysFeasible) {
   PoochPlanner planner(rig.g, rig.tape, rig.machine, *rig.tm, opts);
   const auto plan = planner.plan();
   ASSERT_TRUE(plan.feasible);
-  if (plan.li.size() > 1) EXPECT_TRUE(plan.used_beam_fallback);
+  if (plan.li.size() > 1) {
+    EXPECT_TRUE(plan.used_beam_fallback);
+  }
   rig.run_time(plan.classes);  // asserts ok inside
 
   // The exhaustive plan is at least as good as the narrow beam's.

@@ -1,7 +1,7 @@
 // pooch — command-line front end for the library.
 //
 //   pooch --model resnet50 --batch 512 --machine x86 --method pooch
-//   pooch --model resnext3d --frames 96 --image 384 --machine power9 \
+//   pooch --model resnext3d --frames 96 --image 384 --machine power9
 //         --method all --timeline
 //   pooch --model vgg16 --batch 320 --gpu-gb 24 --link-gbps 32 --method all
 //
