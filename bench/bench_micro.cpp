@@ -1,102 +1,19 @@
-// Micro-benchmarks (google-benchmark): the CPU kernels, the arena
-// allocator, plan construction and the timeline simulator itself — the
-// inner loop of the classifier, whose speed bounds how large a search
-// the planner can afford.
+// Micro-benchmarks (google-benchmark): the arena allocator, plan
+// construction, graph construction and the timeline simulator itself —
+// the inner loop of the classifier, whose speed bounds how large a
+// search the planner can afford. The CPU kernels are timed, bit-checked
+// at 1/2/4 threads, by bench_kernels.
 #include <benchmark/benchmark.h>
 
 #include "common/rng.hpp"
 #include "graph/autodiff.hpp"
-#include "kernels/batchnorm.hpp"
-#include "kernels/conv.hpp"
-#include "kernels/activations.hpp"
-#include "kernels/fc.hpp"
 #include "mem/arena.hpp"
 #include "models/models.hpp"
 #include "sim/runtime.hpp"
-#include "tensor/tensor_ops.hpp"
 
 namespace {
 
 using namespace pooch;
-
-void BM_Conv2dForward(benchmark::State& state) {
-  const std::int64_t c = state.range(0);
-  ConvAttrs a = ConvAttrs::conv2d(c, 3, 1, 1);
-  Tensor x(Shape{1, c, 28, 28});
-  Rng rng(1);
-  fill_uniform(x, rng);
-  Tensor w(kernels::conv_weight_shape(x.shape(), a));
-  fill_uniform(w, rng);
-  Tensor b(Shape{c});
-  Tensor y(kernels::conv_output_shape(x.shape(), a));
-  for (auto _ : state) {
-    kernels::conv_forward(x, w, &b, y, a);
-    benchmark::DoNotOptimize(y.data());
-  }
-  state.SetItemsProcessed(state.iterations() * y.numel());
-}
-BENCHMARK(BM_Conv2dForward)->Arg(16)->Arg(32)->Arg(64);
-
-void BM_Conv2dBackward(benchmark::State& state) {
-  const std::int64_t c = state.range(0);
-  ConvAttrs a = ConvAttrs::conv2d(c, 3, 1, 1);
-  Tensor x(Shape{1, c, 28, 28});
-  Rng rng(1);
-  fill_uniform(x, rng);
-  Tensor w(kernels::conv_weight_shape(x.shape(), a));
-  fill_uniform(w, rng);
-  Tensor dy(kernels::conv_output_shape(x.shape(), a));
-  fill_uniform(dy, rng);
-  Tensor dx(x.shape()), dw(w.shape()), db(Shape{c});
-  for (auto _ : state) {
-    kernels::conv_backward(x, w, dy, &dx, dw, &db, a);
-    benchmark::DoNotOptimize(dx.data());
-  }
-}
-BENCHMARK(BM_Conv2dBackward)->Arg(16)->Arg(32);
-
-void BM_BatchNormForward(benchmark::State& state) {
-  Tensor x(Shape{8, 64, 28, 28});
-  Rng rng(2);
-  fill_uniform(x, rng);
-  Tensor gamma(Shape{64}), beta(Shape{64}), y(x.shape());
-  gamma.fill(1.0f);
-  for (auto _ : state) {
-    kernels::batchnorm_forward(x, gamma, beta, y, {});
-    benchmark::DoNotOptimize(y.data());
-  }
-  state.SetBytesProcessed(state.iterations() * x.byte_size() * 2);
-}
-BENCHMARK(BM_BatchNormForward);
-
-void BM_ReluForward(benchmark::State& state) {
-  Tensor x(Shape{1 << 20});
-  Rng rng(3);
-  fill_uniform(x, rng);
-  Tensor y(x.shape());
-  for (auto _ : state) {
-    kernels::relu_forward(x, y);
-    benchmark::DoNotOptimize(y.data());
-  }
-  state.SetBytesProcessed(state.iterations() * x.byte_size() * 2);
-}
-BENCHMARK(BM_ReluForward);
-
-void BM_FcForward(benchmark::State& state) {
-  FcAttrs a;
-  a.out_features = 512;
-  Tensor x(Shape{32, 512});
-  Rng rng(4);
-  fill_uniform(x, rng);
-  Tensor w(kernels::fc_weight_shape(x.shape(), a));
-  fill_uniform(w, rng);
-  Tensor b(Shape{512}), y(Shape{32, 512});
-  for (auto _ : state) {
-    kernels::fc_forward(x, w, &b, y, a);
-    benchmark::DoNotOptimize(y.data());
-  }
-}
-BENCHMARK(BM_FcForward);
 
 void BM_ArenaAllocFreeCycle(benchmark::State& state) {
   mem::Arena arena(std::size_t{1} << 30);

@@ -60,7 +60,7 @@ int main() {
   planner::PoochPlanner planner(w.g, w.tape, w.machine, w.tm);
   const auto plan = planner.plan();
   std::printf("\n### Figures 11/13/14 — PoocH classification from L_O/L_I\n");
-  std::fputs(plan.summary(w.g).c_str(), stdout);
+  std::fputs(plan.summary().c_str(), stdout);
   show("PoocH plan executed", w, plan.classes, {});
   return 0;
 }

@@ -58,7 +58,7 @@ int main(int argc, char** argv) {
   const auto pooch = planner::run_pooch(g, tape, machine, hardware, options);
   report("PoocH", pooch.execution);
   if (pooch.ok) {
-    std::printf("\n%s", pooch.plan.summary(g).c_str());
+    std::printf("\n%s", pooch.plan.summary().c_str());
     std::printf("profiled %d iterations (%s simulated time)\n",
                 pooch.profile.iterations,
                 format_time(pooch.profile.profiled_seconds).c_str());

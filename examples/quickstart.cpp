@@ -54,7 +54,7 @@ int main() {
                 result.execution.failure.c_str());
     return 1;
   }
-  std::printf("\n%s", result.plan.summary(g).c_str());
+  std::printf("\n%s", result.plan.summary().c_str());
   // The executed run carries its op stream: the schedule of exactly the
   // run printed here.
   const sim::RunResult& run = result.execution;

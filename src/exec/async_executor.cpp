@@ -12,7 +12,6 @@
 #include <utility>
 
 #include "common/error.hpp"
-#include "exec/event.hpp"
 #include "kernels/kernel_context.hpp"
 #include "mem/host_pool.hpp"
 #include "obs/stats.hpp"
@@ -35,19 +34,28 @@ double seconds_since(Clock::time_point t0) {
 /// order.
 using ReadyEntry = std::pair<double, std::int32_t>;
 
-/// Dependency-counted dispatcher shared by every worker of a run. An op
-/// enters its lane's ready queue when its indegree hits zero; a lane's
-/// workers pop under the mutex and execute outside it.
+/// Dependency-counted dispatcher shared by every worker of a run, and
+/// the run's only synchronization. An op enters its lane's ready queue
+/// when its last dependency retires; a lane's workers pop under the
+/// mutex and execute outside it, and retire under it again. So a pop
+/// happens after every dependency's retire: after its writes and its
+/// seq_end.
 struct Dispatcher {
   std::mutex mu;
   std::condition_variable cv[kNumLanes];
+  /// Unretired dependencies per op; -1 once the op has retired.
   std::vector<int> indegree;
+  /// When each op entered its lane's ready queue, in seconds since the
+  /// run started.
+  std::vector<double> ready_at;
   std::priority_queue<ReadyEntry> ready[kNumLanes];
   int remaining[kNumLanes] = {};
   int ready_peak = 0;  // compute lane
   obs::Histogram* depth_hist = nullptr;
 
-  void push_ready_locked(int lane, std::int32_t index, double priority) {
+  void push_ready_locked(int lane, std::int32_t index, double priority,
+                         double now) {
+    ready_at[static_cast<std::size_t>(index)] = now;
     ready[lane].push({priority, -index});
     if (lane == kComputeLane) {
       const int depth = static_cast<int>(ready[lane].size());
@@ -93,7 +101,6 @@ struct RunState {
   const AsyncOptions& opts;
   Clock::time_point t0;
 
-  std::vector<Event> events;
   std::vector<OpSpan> spans;
   std::atomic<std::uint64_t> seq{0};
   std::atomic<bool> aborted{false};
@@ -101,8 +108,7 @@ struct RunState {
   std::string failure;
 
   Dispatcher dispatch;
-  std::vector<double> worker_busy;  // per compute worker
-  std::vector<double> worker_idle;
+  std::vector<double> worker_idle;  // per compute worker
 
   RunState(const graph::Graph& g, const OpStream& s, const Schedule& sc,
            const SlabLayout& l, sim::DataBackend& d, const AsyncOptions& o)
@@ -113,9 +119,7 @@ struct RunState {
         data(d),
         opts(o),
         t0(Clock::now()),
-        events(s.ops.size()),
         spans(s.ops.size()),
-        worker_busy(static_cast<std::size_t>(o.compute_workers), 0.0),
         worker_idle(static_cast<std::size_t>(o.compute_workers), 0.0) {}
 
   /// Dispatch priority of op i: its critical path to sink over the
@@ -173,23 +177,20 @@ struct RunState {
     }
   }
 
-  /// Run one op end-to-end: wait for its dependency events (already
-  /// signalled by dispatch time — the waits carry the acquire edges and
-  /// keep the sequence-number invariant), execute, stamp the span,
-  /// signal. The end sequence number is taken *before* the signal, so
-  /// every waiter observes seq_end(dep) < seq_start(op).
+  /// Run one popped op: stamp its start (its wait is the time since it
+  /// entered the ready queue), execute it, stamp its end. seq_start is
+  /// taken after the pop and seq_end before the retire, and the
+  /// dispatcher's mutex orders a dependency's retire before its
+  /// consumer's pop, so every consumer sees seq_end(dep) <
+  /// seq_start(op); that order is all the counter needs, hence relaxed.
   void run_op(std::int32_t index, int lane, int worker) {
     const StreamOp& op = stream.ops[static_cast<std::size_t>(index)];
     OpSpan& span = spans[static_cast<std::size_t>(index)];
     span.lane = lane;
     span.worker = worker;
-    const double wait_begin = seconds_since(t0);
-    for (std::int32_t d : sched.deps[static_cast<std::size_t>(index)]) {
-      events[static_cast<std::size_t>(d)].wait();
-    }
     span.start = seconds_since(t0);
-    span.wait = span.start - wait_begin;
-    span.seq_start = seq.fetch_add(1, std::memory_order_acq_rel);
+    span.wait = span.start - dispatch.ready_at[static_cast<std::size_t>(index)];
+    span.seq_start = seq.fetch_add(1, std::memory_order_relaxed);
     if (!aborted.load(std::memory_order_acquire)) {
       try {
         execute(op, index);
@@ -199,13 +200,34 @@ struct RunState {
       }
     }
     span.end = seconds_since(t0);
-    span.seq_end = seq.fetch_add(1, std::memory_order_acq_rel);
-    events[static_cast<std::size_t>(index)].signal();
+    span.seq_end = seq.fetch_add(1, std::memory_order_relaxed);
+  }
+
+  /// Retire op `index` of `lane`, under the dispatcher's lock: every
+  /// successor whose last dependency this was enters its lane's ready
+  /// queue now. An op retires once, and no indegree drops below zero.
+  void retire_locked(std::int32_t index, int lane) {
+    std::vector<int>& indegree = dispatch.indegree;
+    POOCH_CHECK_MSG(indegree[static_cast<std::size_t>(index)] == 0,
+                    "op " << index << " retired twice");
+    indegree[static_cast<std::size_t>(index)] = -1;
+    const double now = seconds_since(t0);
+    for (std::int32_t s : sched.succs[static_cast<std::size_t>(index)]) {
+      int& pending = indegree[static_cast<std::size_t>(s)];
+      POOCH_CHECK_MSG(pending > 0, "op " << s << " has no dependency left for "
+                                         << index << " to retire");
+      if (--pending == 0) {
+        dispatch.push_ready_locked(
+            lane_of(stream.ops[static_cast<std::size_t>(s)].type), s,
+            priority(static_cast<std::size_t>(s)), now);
+      }
+    }
+    if (--dispatch.remaining[lane] == 0) dispatch.cv[lane].notify_all();
   }
 
   /// Dependency-counted worker loop: pop the lane's best ready op,
-  /// execute it, retire it (unlocking successors into their lanes).
-  /// Exits when the lane has no unexecuted ops left.
+  /// execute it, retire it. Exits when the lane has no unexecuted ops
+  /// left.
   void worker_loop(int lane, int worker) {
     std::unique_lock<std::mutex> lock(dispatch.mu);
     for (;;) {
@@ -223,21 +245,8 @@ struct RunState {
       lock.unlock();
 
       run_op(index, lane, worker);
-      if (lane == kComputeLane) {
-        const OpSpan& span = spans[static_cast<std::size_t>(index)];
-        worker_busy[static_cast<std::size_t>(worker)] += span.end - span.start;
-      }
-
       lock.lock();
-      for (std::int32_t s : sched.succs[static_cast<std::size_t>(index)]) {
-        if (--dispatch.indegree[static_cast<std::size_t>(s)] == 0) {
-          const int succ_lane =
-              lane_of(stream.ops[static_cast<std::size_t>(s)].type);
-          dispatch.push_ready_locked(succ_lane, s,
-                                     priority(static_cast<std::size_t>(s)));
-        }
-      }
-      if (--dispatch.remaining[lane] == 0) dispatch.cv[lane].notify_all();
+      retire_locked(index, lane);
     }
   }
 
@@ -340,6 +349,7 @@ AsyncResult AsyncExecutor::run(sim::DataBackend& data,
   const std::size_t n_ops = stream_.ops.size();
   // Seed the dispatcher: indegrees from the hazard edges, sources ready.
   state.dispatch.indegree.resize(n_ops);
+  state.dispatch.ready_at.resize(n_ops);
   if (options.stats) {
     state.dispatch.depth_hist =
         &options.stats->histogram("exec.sched.ready_depth");
@@ -350,11 +360,12 @@ AsyncResult AsyncExecutor::run(sim::DataBackend& data,
   }
   {
     std::lock_guard<std::mutex> lock(state.dispatch.mu);
+    const double now = seconds_since(state.t0);
     for (std::size_t i = 0; i < n_ops; ++i) {
       if (state.dispatch.indegree[i] == 0) {
         state.dispatch.push_ready_locked(lane_of(stream_.ops[i].type),
                                          static_cast<std::int32_t>(i),
-                                         state.priority(i));
+                                         state.priority(i), now);
       }
     }
   }
@@ -385,16 +396,20 @@ AsyncResult AsyncExecutor::run(sim::DataBackend& data,
   }
   result.device_slab_bytes = layout_.device_bytes();
   result.host_slab_bytes = layout_.host_bytes();
-  result.compute_worker_busy = std::move(state.worker_busy);
+  result.compute_worker_busy.assign(
+      static_cast<std::size_t>(options.compute_workers), 0.0);
   result.compute_worker_idle = std::move(state.worker_idle);
   result.critical_path_seconds = schedule_.critical_path_seconds;
   result.ready_peak = state.dispatch.ready_peak;
 
-  for (std::size_t i = 0; i < stream_.ops.size(); ++i) {
-    const OpSpan& span = result.spans[i];
-    const int lane = lane_of(stream_.ops[i].type);
-    result.lane_busy[lane] += span.end - span.start;
-    result.lane_wait[lane] += span.wait;
+  for (const OpSpan& span : result.spans) {
+    const double busy = span.end - span.start;
+    result.lane_busy[span.lane] += busy;
+    result.lane_wait[span.lane] += span.wait;
+    if (span.lane == kComputeLane) {
+      result.compute_worker_busy[static_cast<std::size_t>(span.worker)] +=
+          busy;
+    }
   }
 
   if (options.stats) {

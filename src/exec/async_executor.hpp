@@ -16,11 +16,13 @@
 // full RAW/WAR/WAW hazard partial order over value/grad/param/host slots
 // from the ops' footprints, so ops touching disjoint slots run
 // concurrently while order-sensitive chains (e.g. gradient accumulation)
-// replay in serial program order. Each op still
-// owns one exec::Event, signalled on completion — by dispatch time every
-// dependency event is already set, so the waits are free; they carry the
-// acquire/release edges and the completion-sequence numbers the ordering
-// oracle (obs::TimelineValidator::check_replay) audits.
+// replay in serial program order. The dispatcher's one mutex is the only
+// synchronization between workers: an op retires under it, pushing the
+// successors it unblocks into their ready queues, and a worker pops
+// under it. So every op starts after its dependencies' writes, and its
+// seq_start (taken after the pop) exceeds their seq_end (taken before
+// the retire): the completion-sequence numbers the ordering oracle
+// (obs::TimelineValidator::check_replay) audits.
 //
 // Why this cannot deadlock: the hazard edges keep every dep index
 // strictly below the op that carries it, so the dependency graph is
@@ -135,7 +137,9 @@ struct AsyncOptions {
 struct OpSpan {
   double start = 0.0;  // seconds since run start
   double end = 0.0;
-  double wait = 0.0;  // time spent blocked on dependency events
+  // Time in the lane's ready queue: from the retire of the op's last
+  // dependency (or the run's start) to a worker starting it.
+  double wait = 0.0;
   std::uint64_t seq_start = 0;
   std::uint64_t seq_end = 0;
   int lane = 0;
@@ -160,8 +164,9 @@ struct AsyncResult {
   std::size_t device_slab_bytes = 0;
   std::size_t host_slab_bytes = 0;
 
-  /// Scheduler diagnostics: per-compute-worker execution and idle
-  /// (ready-queue wait) time, the critical path over the stream's spans
+  /// Scheduler diagnostics: per-compute-worker execution time (the sum
+  /// of its spans) and idle time (waiting on an empty ready queue), the
+  /// critical path over the stream's spans
   /// (Schedule::critical_path_seconds, the lower bound no worker count
   /// can beat), and the deepest the compute ready queue ever got
   /// (ready_peak ≤ 1 means the schedule exposes no compute parallelism

@@ -35,14 +35,6 @@ void add_forward(const Tensor& a, const Tensor& b, Tensor& y,
                });
 }
 
-void add_backward(const Tensor& dy, Tensor& da, Tensor& db,
-                  KernelContext& ctx) {
-  POOCH_CHECK(da.shape() == dy.shape() && db.shape() == dy.shape());
-  KernelTimer timer(ctx, "add");
-  parallel_copy(da.data(), dy.data(), dy.numel(), ctx.pool());
-  parallel_copy(db.data(), dy.data(), dy.numel(), ctx.pool());
-}
-
 Shape concat_output_shape(const std::vector<const Tensor*>& inputs) {
   POOCH_CHECK_MSG(!inputs.empty(), "concat needs at least one input");
   const Shape& first = inputs[0]->shape();
@@ -137,14 +129,6 @@ void add_forward_ref(const Tensor& a, const Tensor& b, Tensor& y) {
   float* yp = y.data();
   const std::int64_t n = a.numel();
   for (std::int64_t i = 0; i < n; ++i) yp[i] = ap[i] + bp[i];
-}
-
-void add_backward_ref(const Tensor& dy, Tensor& da, Tensor& db) {
-  POOCH_CHECK(da.shape() == dy.shape() && db.shape() == dy.shape());
-  const std::size_t bytes =
-      static_cast<std::size_t>(dy.numel()) * sizeof(float);
-  std::memcpy(da.data(), dy.data(), bytes);
-  std::memcpy(db.data(), dy.data(), bytes);
 }
 
 }  // namespace pooch::kernels

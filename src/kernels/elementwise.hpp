@@ -18,10 +18,6 @@ namespace pooch::kernels {
 void add_forward(const Tensor& a, const Tensor& b, Tensor& y,
                  KernelContext& ctx = KernelContext::serial());
 
-/// Both inputs receive dy unchanged; provided for symmetry/clarity.
-void add_backward(const Tensor& dy, Tensor& da, Tensor& db,
-                  KernelContext& ctx = KernelContext::serial());
-
 /// Concatenate along the channel axis (axis 1). All inputs share every
 /// other extent.
 Shape concat_output_shape(const std::vector<const Tensor*>& inputs);
@@ -38,6 +34,5 @@ void flatten_backward(const Shape& input_shape, const Tensor& dy, Tensor& dx,
 
 // --- scalar reference oracles (single-threaded) ---
 void add_forward_ref(const Tensor& a, const Tensor& b, Tensor& y);
-void add_backward_ref(const Tensor& dy, Tensor& da, Tensor& db);
 
 }  // namespace pooch::kernels

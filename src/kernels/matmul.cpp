@@ -371,12 +371,6 @@ void matmul(const float* a, const float* b, float* c, std::int64_t m,
   gemm({a, b, c, m, k, n, false, false, true}, ctx);
 }
 
-void matmul_acc(const float* a, const float* b, float* c, std::int64_t m,
-                std::int64_t k, std::int64_t n, KernelContext& ctx) {
-  KernelTimer t(ctx, "matmul_acc");
-  gemm({a, b, c, m, k, n, false, false, false}, ctx);
-}
-
 void matmul_at(const float* a, const float* b, float* c, std::int64_t m,
                std::int64_t k, std::int64_t n, KernelContext& ctx) {
   KernelTimer t(ctx, "matmul_at");
@@ -405,11 +399,6 @@ void matmul_bt_acc(const float* a, const float* b, float* c, std::int64_t m,
 void matmul_ref(const float* a, const float* b, float* c, std::int64_t m,
                 std::int64_t k, std::int64_t n) {
   std::memset(c, 0, static_cast<std::size_t>(m * n) * sizeof(float));
-  matmul_acc_ref(a, b, c, m, k, n);
-}
-
-void matmul_acc_ref(const float* a, const float* b, float* c, std::int64_t m,
-                    std::int64_t k, std::int64_t n) {
   for (std::int64_t i = 0; i < m; ++i) {
     const float* arow = a + i * k;
     float* crow = c + i * n;

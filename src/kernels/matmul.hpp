@@ -27,11 +27,6 @@ void matmul(const float* a, const float* b, float* c, std::int64_t m,
             std::int64_t k, std::int64_t n,
             KernelContext& ctx = KernelContext::serial());
 
-/// C(m,n) += A(m,k) * B(k,n).
-void matmul_acc(const float* a, const float* b, float* c, std::int64_t m,
-                std::int64_t k, std::int64_t n,
-                KernelContext& ctx = KernelContext::serial());
-
 /// C(m,n) = A^T(m,k) * B(k,n) where A is stored (k,m); C is overwritten.
 void matmul_at(const float* a, const float* b, float* c, std::int64_t m,
                std::int64_t k, std::int64_t n,
@@ -50,8 +45,6 @@ void matmul_bt_acc(const float* a, const float* b, float* c, std::int64_t m,
 // --- scalar reference oracles (single-threaded, unblocked) ---
 void matmul_ref(const float* a, const float* b, float* c, std::int64_t m,
                 std::int64_t k, std::int64_t n);
-void matmul_acc_ref(const float* a, const float* b, float* c, std::int64_t m,
-                    std::int64_t k, std::int64_t n);
 void matmul_at_ref(const float* a, const float* b, float* c, std::int64_t m,
                    std::int64_t k, std::int64_t n);
 void matmul_bt_ref(const float* a, const float* b, float* c, std::int64_t m,

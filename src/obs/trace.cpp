@@ -304,7 +304,7 @@ json::Value async_chrome_trace(const Graph& graph,
     json::Object args = op_args(graph, op, options);
     args["op_index"] = json::Value(static_cast<std::int64_t>(i));
     if (span.wait > 0.0) {
-      args["dep_wait_us"] = json::Value(span.wait * kToMicros);
+      args["ready_wait_us"] = json::Value(span.wait * kToMicros);
     }
     e["args"] = json::Value(std::move(args));
     events.push_back(json::Value(std::move(e)));

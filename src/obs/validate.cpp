@@ -504,6 +504,14 @@ ValidationReport TimelineValidator::check_replay(
               std::to_string(s.start) + " precedes dependency " +
               std::to_string(d) + " wall end " + std::to_string(ds.end));
       }
+      // An op becomes ready when its last dependency retires, so it
+      // cannot have entered its ready queue before any dependency ended.
+      const double ready = s.start - s.wait;
+      if (ready < ds.end - eps(ds.end)) {
+        error("op " + std::to_string(i) + " ready at " +
+              std::to_string(ready) + " before dependency " +
+              std::to_string(d) + " wall end " + std::to_string(ds.end));
+      }
     }
   }
 

@@ -72,8 +72,10 @@ class TimelineValidator {
   /// recompute, or completed swap-in) and not subsequently freed or
   /// moved out before the op began. Ordering comparisons use the spans'
   /// exact completion-sequence numbers, not wall times, so clock
-  /// resolution cannot mask or fake a violation. Per-(lane,worker)
-  /// span disjointness is also enforced.
+  /// resolution cannot mask or fake a violation. Wall times must agree:
+  /// no op starts, or enters its ready queue (start - wait), before a
+  /// dependency ends. Per-(lane,worker) span disjointness is also
+  /// enforced.
   ValidationReport check_replay(const exec::OpStream& stream,
                                 const std::vector<exec::OpSpan>& spans) const;
 

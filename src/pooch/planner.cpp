@@ -23,14 +23,6 @@ using sim::ValueClass;
 
 namespace {
 
-cost::MachineConfig make_unbounded(const cost::MachineConfig& machine) {
-  cost::MachineConfig m = machine;
-  m.gpu_capacity_bytes = std::size_t{1} << 41;  // 2 TiB: never binds
-  m.gpu_reserved_bytes = 0;
-  m.host_capacity_bytes = std::size_t{1} << 42;
-  return m;
-}
-
 cost::MachineConfig with_safety_margin(const cost::MachineConfig& machine,
                                        double margin) {
   POOCH_CHECK_MSG(margin >= 0.0 && margin < 0.5,
@@ -67,8 +59,7 @@ struct PoochPlanner::EvalCache {
   std::unordered_map<std::string, Eval> map;
 };
 
-std::string PlannerResult::summary(const Graph& graph) const {
-  (void)graph;
+std::string PlannerResult::summary() const {
   std::ostringstream os;
   os << "PoocH plan: " << (feasible ? "feasible" : "INFEASIBLE")
      << ", predicted " << format_time(predicted_time) << ", peak "
@@ -95,9 +86,7 @@ PoochPlanner::PoochPlanner(const Graph& graph,
       machine_(with_safety_margin(machine, options.memory_safety_margin)),
       options_(options),
       classifiable_(sim::classifiable_values(graph, tape)),
-      runtime_(graph_, tape_, machine_, time_model),
-      unbounded_machine_(make_unbounded(machine)),
-      unbounded_runtime_(graph, tape, unbounded_machine_, time_model) {
+      runtime_(graph_, tape_, machine_, time_model) {
   int threads = options_.threads == 0 ? ThreadPool::hardware_threads()
                                       : options_.threads;
   POOCH_CHECK_MSG(threads >= 0, "negative planner thread count");
@@ -123,10 +112,8 @@ void PoochPlanner::for_candidates(
 }
 
 PoochPlanner::Eval PoochPlanner::simulate(const Classification& classes,
-                                          bool unbounded,
                                           SearchCtx& ctx) const {
-  const sim::RunResult r =
-      (unbounded ? unbounded_runtime_ : runtime_).run(classes);
+  const sim::RunResult r = runtime_.run(classes);
   ctx.sims.fetch_add(1, std::memory_order_relaxed);
   Eval e;
   e.feasible = r.ok;
@@ -136,14 +123,12 @@ PoochPlanner::Eval PoochPlanner::simulate(const Classification& classes,
 }
 
 PoochPlanner::Eval PoochPlanner::evaluate(const Classification& classes,
-                                          bool unbounded,
                                           SearchCtx& ctx) const {
-  if (!cache_) return simulate(classes, unbounded, ctx);
-  // Canonical key: one char per value plus the machine tag. Exact-match
-  // lookups mean a hit returns precisely what the miss computed, so the
-  // cache can never steer the search — only shortcut it.
+  if (!cache_) return simulate(classes, ctx);
+  // Canonical key: one char per value. Exact-match lookups mean a hit
+  // returns precisely what the miss computed, so the cache can never
+  // steer the search — only shortcut it.
   std::string key = classes.serialize();
-  key.push_back(unbounded ? 'U' : 'B');
   {
     std::lock_guard<std::mutex> lock(cache_->mu);
     const auto it = cache_->map.find(key);
@@ -154,7 +139,7 @@ PoochPlanner::Eval PoochPlanner::evaluate(const Classification& classes,
   }
   // Simulate outside the lock: concurrent workers may race to fill the
   // same key, at worst duplicating one simulation of identical result.
-  const Eval e = simulate(classes, unbounded, ctx);
+  const Eval e = simulate(classes, ctx);
   {
     std::lock_guard<std::mutex> lock(cache_->mu);
     cache_->map.emplace(std::move(key), e);
@@ -240,7 +225,7 @@ PlannerResult PoochPlanner::run_step1(SearchCtx& ctx) const {
       }
       std::vector<Eval> evals(expanded.size());
       for_candidates(expanded.size(), ctx, [&](std::size_t j) {
-        evals[j] = evaluate(classification_of(expanded[j]), false, ctx);
+        evals[j] = evaluate(classification_of(expanded[j]), ctx);
       });
       std::vector<std::pair<double, std::size_t>> scored;
       for (std::size_t j = 0; j < expanded.size(); ++j) {
@@ -275,11 +260,11 @@ PlannerResult PoochPlanner::run_step1(SearchCtx& ctx) const {
   auto score_assignment = [&](const std::vector<bool>& bits,
                               Classification* out_classes) {
     Classification c = classification_of(bits);
-    Eval e = evaluate(c, false, ctx);
+    Eval e = evaluate(c, ctx);
     if (e.feasible) {
       for (ValueId v : lo_only) {
         c.set(v, ValueClass::kKeep);
-        const Eval trial = evaluate(c, false, ctx);
+        const Eval trial = evaluate(c, ctx);
         if (!trial.feasible) {
           c.set(v, ValueClass::kSwap);  // does not fit: leave it swapped
         } else {
@@ -348,7 +333,7 @@ PlannerResult PoochPlanner::run_step1(SearchCtx& ctx) const {
     sort_from_output_layer(remaining, graph_);
     for (ValueId v : remaining) {
       c.set(v, ValueClass::kKeep);
-      const Eval e = evaluate(c, false, ctx);
+      const Eval e = evaluate(c, ctx);
       if (!e.feasible || e.time > time || e.peak > absorb_limit) {
         c.set(v, ValueClass::kSwap);
       } else {
@@ -412,9 +397,9 @@ void PoochPlanner::run_step2(PlannerResult& result, SearchCtx& ctx) const {
     for_candidates(pool.size(), ctx, [&](std::size_t j) {
       Classification c = current;
       c.set(pool[j], ValueClass::kKeep);
-      probes[j].keep = evaluate(c, /*unbounded=*/false, ctx);
+      probes[j].keep = evaluate(c, ctx);
       c.set(pool[j], ValueClass::kRecompute);
-      probes[j].rec = evaluate(c, /*unbounded=*/false, ctx);
+      probes[j].rec = evaluate(c, ctx);
     });
 
     // Sequential reduction in pool order, identical to the sequential
@@ -531,7 +516,7 @@ PlannerResult PoochPlanner::plan() const {
     options_.stats->gauge("planner.last.step2_seconds")
         .set(std::chrono::duration<double>(t2 - t1).count());
   }
-  POOCH_LOG_INFO(result.summary(graph_));
+  POOCH_LOG_INFO(result.summary());
   return result;
 }
 

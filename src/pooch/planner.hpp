@@ -11,9 +11,10 @@
 // Step 2 (swap vs recompute, §4.4.3): greedy loop on the overhead ratio
 //   r(X) = recompute_overhead(X) / swap_overhead(X),
 // both overheads measured as simulated-iteration-time deltas against the
-// same classification with X kept (memory constraint lifted for the
-// baseline); each round moves the smallest r(X) < 1 to `recompute` and
-// retires every X with r(X) >= 1 to `swap`.
+// same classification with X kept, under the same memory bound; when
+// keeping X does not fit, the baseline is the current time less the
+// stall attributed to X. Each round moves the smallest r(X) < 1 to
+// `recompute` and retires every X with r(X) >= 1 to `swap`.
 //
 // All simulations run through the same Runtime that will execute the
 // winning classification — the strongest form of the paper's premise
@@ -113,7 +114,7 @@ struct PlannerResult {
   bool used_beam_fallback = false;
   double planning_wall_seconds = 0.0;  // real CPU time of the search
 
-  std::string summary(const graph::Graph& graph) const;
+  std::string summary() const;
 };
 
 class PoochPlanner {
@@ -140,10 +141,8 @@ class PoochPlanner {
   };
   struct SearchCtx;  // per-plan counters (sims, cache hits, utilization)
 
-  Eval evaluate(const sim::Classification& classes, bool unbounded,
-                SearchCtx& ctx) const;
-  Eval simulate(const sim::Classification& classes, bool unbounded,
-                SearchCtx& ctx) const;
+  Eval evaluate(const sim::Classification& classes, SearchCtx& ctx) const;
+  Eval simulate(const sim::Classification& classes, SearchCtx& ctx) const;
   /// Run fn(i) for i in [0, n) on the pool (inline when sequential) and
   /// fold the fan-out's wall/busy seconds into ctx.
   void for_candidates(std::size_t n, SearchCtx& ctx,
@@ -162,17 +161,15 @@ class PoochPlanner {
   std::vector<graph::ValueId> classifiable_;
 
   sim::Runtime runtime_;
-  cost::MachineConfig unbounded_machine_;
-  sim::Runtime unbounded_runtime_;
 
   /// Fan-out pool; null when the effective thread count is 1.
   std::unique_ptr<ThreadPool> pool_;
 
-  /// Memo cache: canonical classification (+ bounded/unbounded tag) →
-  /// Eval. Mutable because the search is logically const; guarded by
-  /// cache_mu_ so concurrent workers share hits. Entries are exact —
-  /// the full serialized key is stored, so a hash collision can at
-  /// worst cost a rehash, never a wrong Eval.
+  /// Memo cache: canonical classification → Eval. Mutable because the
+  /// search is logically const; guarded by its own mutex so concurrent
+  /// workers share hits. Entries are exact — the full serialized key is
+  /// stored, so a hash collision can at worst cost a rehash, never a
+  /// wrong Eval.
   struct EvalCache;
   std::unique_ptr<EvalCache> cache_;
 };

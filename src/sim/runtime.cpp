@@ -871,7 +871,7 @@ class Exec {
     pins_.clear();
   }
 
-  void run_recompute(const PrepOp& op, int step) {
+  void run_recompute(const PrepOp& op) {
     const auto& node = g_.node(op.node);
     const ValueId out = op.value;
     // Sources were materialized by earlier preps of this (or a prior)
@@ -932,7 +932,6 @@ class Exec {
     s.consumed = true;
     t_comp_ = end;
     clear_pins();
-    (void)step;
   }
 
   void run_backward_phase() {
@@ -952,7 +951,7 @@ class Exec {
             issue_swap_in(op.value, t_comp_, /*blocking=*/true, 0);
           }
         } else {
-          run_recompute(op, step);
+          run_recompute(op);
         }
       }
 

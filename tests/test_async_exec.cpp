@@ -11,12 +11,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <atomic>
-#include <thread>
 
 #include "cost/cost_model.hpp"
 #include "exec/async_executor.hpp"
-#include "exec/event.hpp"
 #include "exec/op_stream.hpp"
 #include "exec/schedule.hpp"
 #include "graph/autodiff.hpp"
@@ -57,60 +54,6 @@ struct AsyncEnv {
 void expect_bit_identical(const DataBackend& a, const DataBackend& b,
                           const std::string& what) {
   EXPECT_EQ(a.first_difference(b), "") << what;
-}
-
-// ---- primitives ------------------------------------------------------
-
-TEST(AsyncExecEvent, SignalBeforeWaitReturnsImmediately) {
-  exec::Event e;
-  EXPECT_FALSE(e.ready());
-  e.signal();
-  EXPECT_TRUE(e.ready());
-  e.wait();  // must not block
-  EXPECT_TRUE(e.ready());
-}
-
-TEST(AsyncExecEvent, DoubleSignalThrows) {
-  // One-shot means one-shot: with several compute workers retiring ops,
-  // a second signal would mean two workers completed the same op.
-  exec::Event e;
-  e.signal();
-  EXPECT_THROW(e.signal(), pooch::Error);
-  EXPECT_TRUE(e.ready());  // the first signal still stands
-}
-
-TEST(AsyncExecEvent, MovedFromEventRefusesUse) {
-  exec::Event src;
-  exec::Event dst(std::move(src));
-  EXPECT_THROW(src.wait(), pooch::Error);
-  EXPECT_THROW(src.signal(), pooch::Error);
-  // The destination carries the (unset) state and works normally.
-  EXPECT_FALSE(dst.ready());
-  dst.signal();
-  EXPECT_TRUE(dst.ready());
-}
-
-TEST(AsyncExecEvent, MoveTransfersSignaledState) {
-  exec::Event src;
-  src.signal();
-  exec::Event dst(std::move(src));
-  EXPECT_TRUE(dst.ready());
-  dst.wait();  // must not block
-  EXPECT_THROW(src.wait(), pooch::Error);
-}
-
-TEST(AsyncExecEvent, WaitBlocksUntilCrossThreadSignal) {
-  exec::Event e;
-  std::atomic<bool> observed{false};
-  std::thread waiter([&] {
-    e.wait();
-    observed.store(true);
-  });
-  std::this_thread::sleep_for(std::chrono::milliseconds(10));
-  EXPECT_FALSE(observed.load());
-  e.signal();
-  waiter.join();
-  EXPECT_TRUE(observed.load());
 }
 
 // ---- op-stream export ------------------------------------------------
@@ -413,6 +356,36 @@ TEST(AsyncSchedOracle, FlagsHazardOnlyEdgeViolation) {
     EXPECT_TRUE(corrupted) << (same_lane ? "no same-lane" : "no cross-lane")
                            << " edge in the schedule";
   }
+}
+
+TEST(AsyncSchedOracle, FlagsReadyBeforeDependencyEnd) {
+  AsyncEnv env(models::small_cnn(2, 16), 8192);
+  const exec::OpStream stream = planner::record_op_stream(
+      *env.rt, Classification(env.g, ValueClass::kSwap));
+  DataBackend backend(env.g, kDataSeed);
+  const exec::AsyncExecutor executor(env.g, stream);
+  auto res = executor.run(backend, {});
+  ASSERT_TRUE(res.ok) << res.failure;
+  const obs::TimelineValidator validator(env.g, env.tape);
+  ASSERT_TRUE(validator.check_replay(stream, res.spans).ok());
+
+  // Stretch one op's ready-queue wait back past its dependency's end:
+  // start and sequence numbers stay as measured, so only the ready time
+  // (start - wait) tells that the op was queued before it could be.
+  const exec::Schedule& sched = executor.schedule();
+  bool corrupted = false;
+  for (std::size_t i = 0; i < stream.ops.size() && !corrupted; ++i) {
+    if (sched.deps[i].empty()) continue;
+    const exec::OpSpan& dep =
+        res.spans[static_cast<std::size_t>(sched.deps[i].front())];
+    res.spans[i].wait = res.spans[i].start - (dep.end - 1e-3);
+    corrupted = true;
+  }
+  ASSERT_TRUE(corrupted) << "no op with a dependency";
+  const auto rep = validator.check_replay(stream, res.spans);
+  EXPECT_FALSE(rep.ok());
+  EXPECT_NE(rep.to_string().find("ready at"), std::string::npos)
+      << rep.to_string();
 }
 
 TEST(AsyncSchedOracle, FlagsKillInsideReaderWindow) {

@@ -154,12 +154,6 @@ TEST_P(KernelBitIdentity, MatmulAllVariants) {
     matmul_ref(a.data(), b.data(), want.data(), c.m, c.k, c.n);
     expect_bits(got, want, "matmul " + tag);
 
-    got = init;
-    want = init;
-    matmul_acc(a.data(), b.data(), got.data(), c.m, c.k, c.n, ctx_);
-    matmul_acc_ref(a.data(), b.data(), want.data(), c.m, c.k, c.n);
-    expect_bits(got, want, "matmul_acc " + tag);
-
     matmul_at(at.data(), b.data(), got.data(), c.m, c.k, c.n, ctx_);
     matmul_at_ref(at.data(), b.data(), want.data(), c.m, c.k, c.n);
     expect_bits(got, want, "matmul_at " + tag);
@@ -535,11 +529,6 @@ TEST_P(KernelBitIdentity, EltwiseActivationsDropoutSoftmax) {
     add_forward(a, b, y, ctx_);
     add_forward_ref(a, b, y_ref);
     expect_bits(y, y_ref, "add forward");
-    Tensor da(flat), db(flat), da_ref(flat), db_ref(flat);
-    add_backward(y, da, db, ctx_);
-    add_backward_ref(y_ref, da_ref, db_ref);
-    expect_bits(da, da_ref, "add backward da");
-    expect_bits(db, db_ref, "add backward db");
   }
   {
     DropoutAttrs attrs;
@@ -733,13 +722,12 @@ TEST_P(KernelBitIdentity, OutputsAreOverwrittenNeverRead) {
     drop.key = 77;
     check("elementwise", [&](const MakeOut& out) {
       Outputs o;
-      for (int i = 0; i < 7; ++i) o.push_back(out(odd));
+      for (int i = 0; i < 5; ++i) o.push_back(out(odd));
       relu_forward(a, o[0], ctx_);
       relu_backward(a, dy, o[1], ctx_);
       add_forward(a, b, o[2], ctx_);
-      add_backward(dy, o[3], o[4], ctx_);
-      dropout_forward(a, o[5], drop, /*iteration=*/5, ctx_);
-      dropout_backward(dy, o[6], drop, /*iteration=*/5, ctx_);
+      dropout_forward(a, o[3], drop, /*iteration=*/5, ctx_);
+      dropout_backward(dy, o[4], drop, /*iteration=*/5, ctx_);
       return o;
     });
   }

@@ -57,7 +57,7 @@ TEST(Planner, PlanIsFeasibleAndBeatsSwapAll) {
   const double pooch = rig.run_time(plan.classes);
   EXPECT_LE(pooch, swap_all * 1.0001);
   EXPECT_GT(plan.simulations, 1);
-  EXPECT_FALSE(plan.summary(rig.g).empty());
+  EXPECT_FALSE(plan.summary().empty());
 }
 
 TEST(Planner, SimulationCountIsTheSumOfItsSteps) {

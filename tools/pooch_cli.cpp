@@ -556,7 +556,7 @@ void run_method(Context& ctx, const std::string& method) {
     if (ctx.o.show_classes) {
       std::fputs(out.plan.classes.to_string(ctx.g).c_str(), stdout);
     }
-    std::printf("%s", out.plan.summary(ctx.g).c_str());
+    std::printf("%s", out.plan.summary().c_str());
     if (!ctx.o.save_plan.empty()) {
       std::ofstream f(ctx.o.save_plan);
       f << out.plan.classes.serialize() << "\n";
