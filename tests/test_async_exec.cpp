@@ -11,6 +11,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
+#include <string>
+#include <vector>
 
 #include "cost/cost_model.hpp"
 #include "exec/async_executor.hpp"
@@ -20,6 +23,7 @@
 #include "mem/host_pool.hpp"
 #include "models/models.hpp"
 #include "obs/stats.hpp"
+#include "obs/trace.hpp"
 #include "obs/validate.hpp"
 #include "pooch/pipeline.hpp"
 #include "pooch/planner.hpp"
@@ -388,6 +392,25 @@ TEST(AsyncSchedOracle, FlagsReadyBeforeDependencyEnd) {
       << rep.to_string();
 }
 
+TEST(AsyncSchedOracle, FlagsNegativeReadyWait) {
+  AsyncEnv env(models::small_cnn(2, 16), 8192);
+  const exec::OpStream stream = planner::record_op_stream(
+      *env.rt, Classification(env.g, ValueClass::kSwap));
+  DataBackend backend(env.g, kDataSeed);
+  const exec::AsyncExecutor executor(env.g, stream);
+  auto res = executor.run(backend, {});
+  ASSERT_TRUE(res.ok) << res.failure;
+  const obs::TimelineValidator validator(env.g, env.tape);
+  ASSERT_TRUE(validator.check_replay(stream, res.spans).ok());
+
+  // A worker cannot start an op before it entered the ready queue.
+  res.spans.back().wait = -1e-3;
+  const auto rep = validator.check_replay(stream, res.spans);
+  EXPECT_FALSE(rep.ok());
+  EXPECT_NE(rep.to_string().find("malformed span"), std::string::npos)
+      << rep.to_string();
+}
+
 TEST(AsyncSchedOracle, FlagsKillInsideReaderWindow) {
   AsyncEnv env(models::small_cnn(2, 16), 8192);
   const exec::OpStream stream = planner::record_op_stream(
@@ -422,6 +445,153 @@ TEST(AsyncSchedOracle, FlagsKillInsideReaderWindow) {
   EXPECT_FALSE(rep.ok());
   EXPECT_NE(rep.to_string().find("was still reading"), std::string::npos)
       << rep.to_string();
+}
+
+// ---- measured spans and the totals summed from them -------------------
+
+/// A swap-all replay with two compute workers and two workers per copy
+/// lane, so every lane queues ops and several workers pop from each.
+struct QueuedRun {
+  AsyncEnv env{models::small_cnn(2, 16), 8192};
+  exec::OpStream stream = planner::record_op_stream(
+      *env.rt, Classification(env.g, ValueClass::kSwap));
+  obs::StatsRegistry stats;
+  exec::AsyncResult res;
+
+  QueuedRun() {
+    DataBackend backend(env.g, kDataSeed);
+    const exec::AsyncExecutor executor(env.g, stream);
+    exec::AsyncOptions ao;
+    ao.compute_workers = 2;
+    ao.workers_per_copy_lane = 2;
+    ao.stats = &stats;
+    res = executor.run(backend, ao);
+  }
+};
+
+TEST(AsyncExecSpans, ReadyTimeFollowsEveryDependencyEnd) {
+  // An op enters its ready queue when its last dependency retires, and
+  // a dependency retires after its span ends: the ready time (start -
+  // wait) lies between the latest dependency end and the op's start.
+  const QueuedRun run;
+  ASSERT_TRUE(run.res.ok) << run.res.failure;
+  const exec::Schedule sched =
+      exec::build_schedule(run.env.g, run.env.tape, run.stream);
+  int with_deps = 0;
+  for (std::size_t i = 0; i < run.stream.ops.size(); ++i) {
+    const exec::OpSpan& s = run.res.spans[i];
+    EXPECT_GE(s.wait, 0.0) << "op " << i;
+    const double ready = s.start - s.wait;
+    EXPECT_GE(ready, -1e-12) << "op " << i;
+    for (std::int32_t d : sched.deps[i]) {
+      EXPECT_GE(ready, run.res.spans[static_cast<std::size_t>(d)].end - 1e-12)
+          << "op " << i << " dep " << d;
+    }
+    with_deps += !sched.deps[i].empty();
+  }
+  EXPECT_GT(with_deps, 0);
+}
+
+TEST(AsyncExecSpans, SourcesAreReadyFirstAndTogether) {
+  // Ops without dependencies are all queued at once, before any op runs,
+  // so they share one ready time and no op is ready earlier.
+  const QueuedRun run;
+  ASSERT_TRUE(run.res.ok) << run.res.failure;
+  const exec::Schedule sched =
+      exec::build_schedule(run.env.g, run.env.tape, run.stream);
+  std::vector<double> source_ready;
+  double earliest_start = run.res.wall_seconds;
+  double earliest_dependent_ready = run.res.wall_seconds;
+  for (std::size_t i = 0; i < run.stream.ops.size(); ++i) {
+    const exec::OpSpan& s = run.res.spans[i];
+    earliest_start = std::min(earliest_start, s.start);
+    if (sched.deps[i].empty()) {
+      source_ready.push_back(s.start - s.wait);
+    } else {
+      earliest_dependent_ready =
+          std::min(earliest_dependent_ready, s.start - s.wait);
+    }
+  }
+  ASSERT_FALSE(source_ready.empty());
+  for (const double r : source_ready) {
+    EXPECT_NEAR(r, source_ready.front(), 1e-12);
+    EXPECT_LE(r, earliest_start + 1e-12);
+    EXPECT_LE(r, earliest_dependent_ready + 1e-12);
+  }
+}
+
+TEST(AsyncExecResult, LaneTotalsAreSumsOverSpans) {
+  // Busy and wait per lane are sums over the lane's spans, and the
+  // exec.last.* gauges publish exactly those sums.
+  const QueuedRun run;
+  ASSERT_TRUE(run.res.ok) << run.res.failure;
+  double busy[exec::kNumLanes] = {};
+  double wait[exec::kNumLanes] = {};
+  for (const exec::OpSpan& s : run.res.spans) {
+    ASSERT_GE(s.lane, 0);
+    ASSERT_LT(s.lane, exec::kNumLanes);
+    busy[s.lane] += s.end - s.start;
+    wait[s.lane] += s.wait;
+  }
+  const char* names[exec::kNumLanes] = {"compute", "d2h", "h2d"};
+  for (int lane = 0; lane < exec::kNumLanes; ++lane) {
+    const std::string prefix = std::string("exec.last.") + names[lane];
+    EXPECT_NEAR(run.res.lane_busy[lane], busy[lane], 1e-9) << names[lane];
+    EXPECT_NEAR(run.res.lane_wait[lane], wait[lane], 1e-9) << names[lane];
+    EXPECT_DOUBLE_EQ(run.stats.gauge_value(prefix + "_busy_seconds"),
+                     run.res.lane_busy[lane]);
+    EXPECT_DOUBLE_EQ(run.stats.gauge_value(prefix + "_wait_seconds"),
+                     run.res.lane_wait[lane]);
+  }
+  // A swap-all stream swaps every feature map out and back in.
+  EXPECT_GT(busy[exec::kD2HLane], 0.0);
+  EXPECT_GT(busy[exec::kH2DLane], 0.0);
+}
+
+TEST(AsyncExecResult, WorkerBusyAndIdleFitInTheWall) {
+  // A compute worker is either running an op or idle on an empty ready
+  // queue, never both, so the two add up to no more than the run's wall
+  // time; and the workers' busy times add up to the compute lane's.
+  const QueuedRun run;
+  ASSERT_TRUE(run.res.ok) << run.res.failure;
+  ASSERT_EQ(run.res.compute_worker_busy.size(), 2u);
+  ASSERT_EQ(run.res.compute_worker_idle.size(), 2u);
+  double busy_total = 0.0;
+  for (std::size_t w = 0; w < 2; ++w) {
+    EXPECT_GE(run.res.compute_worker_idle[w], 0.0) << "worker " << w;
+    EXPECT_LE(run.res.compute_worker_busy[w] + run.res.compute_worker_idle[w],
+              run.res.wall_seconds + 1e-9)
+        << "worker " << w;
+    busy_total += run.res.compute_worker_busy[w];
+  }
+  EXPECT_NEAR(busy_total, run.res.lane_busy[exec::kComputeLane], 1e-9);
+}
+
+TEST(AsyncExecTrace, ReadyWaitArgIsTheSpanWait) {
+  // Each executed slice carries its ready-queue wait in microseconds,
+  // under ready_wait_us, whenever the op waited at all.
+  const QueuedRun run;
+  ASSERT_TRUE(run.res.ok) << run.res.failure;
+  const obs::json::Value trace =
+      obs::async_chrome_trace(run.env.g, run.stream, run.res.spans);
+  int slices = 0;
+  int waited = 0;
+  for (const obs::json::Value& e : trace.find("traceEvents")->as_array()) {
+    const obs::json::Value* args = e.find("args");
+    const obs::json::Value* index = args ? args->find("op_index") : nullptr;
+    if (!index) continue;
+    ++slices;
+    const exec::OpSpan& span =
+        run.res.spans[static_cast<std::size_t>(index->as_int())];
+    EXPECT_EQ(args->find("dep_wait_us"), nullptr);
+    const obs::json::Value* wait = args->find("ready_wait_us");
+    ASSERT_EQ(wait != nullptr, span.wait > 0.0) << "op " << index->as_int();
+    if (!wait) continue;
+    EXPECT_NEAR(wait->as_double(), span.wait * 1e6, 1e-6);
+    ++waited;
+  }
+  EXPECT_GT(slices, 0);
+  EXPECT_GT(waited, 0);
 }
 
 // ---- the multi-worker differential corpus ----------------------------
