@@ -169,8 +169,9 @@ void pool_backward_planes(const Tensor& x, const Tensor& dy, Tensor& dx,
 // order, so values, ties, +-0, NaN and the arg-max all match it.
 // Backward records each output's arg-max in scratch, then gives every
 // dx element, from 0, the dy of the windows that chose it in ascending
-// output order, the reference's add order: by a scatter, or for stride 1
-// by a gather per input element.
+// output order, the reference's add order: by a scatter, for stride 1 by
+// a gather per input element, or, where the windows tile the plane
+// without overlap, by writing each element once.
 
 // Minimum floats per parallel block: a tensor under twice this runs
 // inline.
@@ -358,6 +359,68 @@ void gather_plane(const float* args, const float* dys, const Padded2d& p,
   }
 }
 
+/// Lanes (v * L + j) / kW, j < L, of the L-lane x: in a row of windows
+/// kW columns wide, input vector v of the kW that L outputs cover takes
+/// its window's value in every lane.
+template <int kW, int v, typename T, int... I>
+T spread(T x, std::integer_sequence<int, I...>) {
+  return __builtin_shufflevector(x, x, ((v * sizeof...(I) + I) / kW)...);
+}
+
+/// dx of one plane whose windows tile it (kernel == stride, no padding,
+/// kW columns per window), L outputs of a row per step: each input
+/// element lies in at most one window, so it is written once, 0 + dy
+/// where it is that window's arg-max and 0 elsewhere. That is the
+/// reference's sum from a zeroed dx, so a -0 dy lands as +0. Rows and
+/// columns that no window covers get 0. args and dys are laid out as for
+/// the gather.
+template <int L, int kW>
+void tile_plane(const float* args, const float* dys, const Padded2d& p,
+                float* dx) {
+  typedef simd::Vec<float, L> V;
+  typedef simd::Vec<std::int32_t, L> VI;
+  constexpr auto lanes = std::make_integer_sequence<int, L>{};
+  VI lane;
+  for (int l = 0; l < L; ++l) lane[l] = l;
+  const std::int64_t cover_w = p.out_w * kW;
+  for (std::int64_t oh = 0; oh < p.out_h; ++oh) {
+    for (std::int64_t h = oh * p.kh; h < (oh + 1) * p.kh; ++h) {
+      float* row = dx + h * p.in_w;
+      for (std::int64_t ow0 = 0; ow0 < p.out_w; ow0 += L) {
+        const VI arg = simd::load<VI>(args + p.arg_at(oh, ow0));
+        const V d = V{} + simd::load<V>(dys + p.arg_at(oh, ow0));
+        const auto write = [&]<int v>(std::integral_constant<int, v>) {
+          const std::int64_t w0 = kW * ow0 + v * L;
+          if (w0 >= cover_w) return;
+          const VI self = lane + static_cast<std::int32_t>(h * p.in_w + w0);
+          store_lanes(row + w0,
+                      spread<kW, v>(arg, lanes) == self
+                          ? spread<kW, v>(d, lanes)
+                          : V{},
+                      std::min<std::int64_t>(L, cover_w - w0));
+        };
+        [&]<int... v>(std::integer_sequence<int, v...>) {
+          (write(std::integral_constant<int, v>{}), ...);
+        }(std::make_integer_sequence<int, kW>{});
+      }
+      std::fill(row + cover_w, row + p.in_w, 0.0f);
+    }
+  }
+  std::fill(dx + p.out_h * p.kh * p.in_w, dx + p.in_h * p.in_w, 0.0f);
+}
+
+using TileFn = void (*)(const float*, const float*, const Padded2d&, float*);
+
+/// The tiling dx writer for p, or null when its windows overlap, are
+/// padded, or are not 2 or 3 columns wide.
+template <int L>
+TileFn pick_tile(const Padded2d& p) {
+  if (p.kh != p.sh || p.kw != p.sw || p.ph != 0 || p.pw != 0) return nullptr;
+  if (p.kw == 2) return tile_plane<L, 2>;
+  if (p.kw == 3) return tile_plane<L, 3>;
+  return nullptr;
+}
+
 using ScanFn = void (*)(const float*, const Padded2d&, float*);
 
 template <int L, bool kArg>
@@ -384,9 +447,13 @@ void max_pool2d(const Tensor& x, Tensor* y, const Tensor* dy, Tensor* dx,
                        : pick_scan<simd::kLanes / 2, true>(p.sw))
                : (full ? pick_scan<simd::kLanes, false>(p.sw)
                        : pick_scan<simd::kLanes / 2, false>(p.sw));
-  // The gather pays kh * kw vector steps per input vector. With half
-  // vectors (rows of at most kLanes / 2) that is no fewer operations than
-  // the scatter, so those rows scatter.
+  // Tiling windows write dx directly. The gather pays kh * kw vector
+  // steps per input vector; with half vectors (rows of at most
+  // kLanes / 2) that is no fewer operations than the scatter, so those
+  // rows scatter.
+  const TileFn tile = !backward ? nullptr
+                      : full    ? pick_tile<simd::kLanes>(p)
+                                : pick_tile<simd::kLanes / 2>(p);
   const bool gather = backward && p.sh == 1 && p.sw == 1 && full;
   const std::int64_t in_sz = p.in_h * p.in_w;
   const std::int64_t out_sz = p.out_h * p.out_w;
@@ -402,8 +469,8 @@ void max_pool2d(const Tensor& x, Tensor* y, const Tensor* dy, Tensor* dx,
                                  static_cast<std::size_t>(p.rows * p.cols));
         std::fill(buf, buf + p.rows * p.cols,
                   -std::numeric_limits<float>::infinity());
-        // Backward: the arg-max plane, then (gather) dy in its layout.
-        // Only their interiors are rewritten per plane.
+        // Backward: the arg-max plane, then (gather, tile) dy in its
+        // layout. Only their interiors are rewritten per plane.
         float* args = nullptr;
         float* dys = nullptr;
         if (backward) {
@@ -425,14 +492,18 @@ void max_pool2d(const Tensor& x, Tensor* y, const Tensor* dy, Tensor* dx,
           scan(buf, p, args);
           const float* dyq = dyp + q * out_sz;
           float* dxq = outp + q * in_sz;
-          if (!gather) {
+          if (!tile && !gather) {
             scatter_plane(args, p, dyq, dxq);
             continue;
           }
           for (std::int64_t oh = 0; oh < p.out_h; ++oh) {
             copy_row(dyq + oh * p.out_w, dys + p.arg_at(oh, 0), p.out_w);
           }
-          gather_plane<simd::kLanes>(args, dys, p, dxq);
+          if (tile) {
+            tile(args, dys, p, dxq);
+          } else {
+            gather_plane<simd::kLanes>(args, dys, p, dxq);
+          }
         }
       });
 }

@@ -62,41 +62,60 @@ DataBackend::DataBackend(const Graph& graph, std::uint64_t seed, float lr,
   param_grads_.resize(static_cast<std::size_t>(graph.num_nodes()));
 
   // Every random value comes from one SplitMix64 stream of `seed`, in a
-  // fixed order: Kaiming weights (two draws per value), then inputs (one
-  // per value), then labels. Each fill records where in the stream it
-  // starts; blocks of the fills then run in parallel, each from a copy of
-  // the generator advanced to its first draw, and still produce the
-  // serial stream's values bit for bit.
+  // fixed order: Kaiming-uniform weights, then inputs, then labels, one
+  // draw per value. Each fill is uniform in [-bound, bound] (closed: the
+  // float cast can round up to the bound) and records where in the
+  // stream it starts; blocks of the fills then run in parallel, each from
+  // a copy of the generator advanced to its first draw, and still produce
+  // the serial stream's values bit for bit.
   struct Fill {
     float* data;
     std::int64_t n;
     std::uint64_t first_draw;
-    float stddev;  // Kaiming normal; 0 for uniform in [-1, 1)
+    float bound;
   };
   std::vector<Fill> fills;
   std::uint64_t draws = 0;
-  auto add_fill = [&](Tensor& t, float stddev) {
-    fills.push_back({t.data(), t.numel(), draws, stddev});
-    draws += static_cast<std::uint64_t>(t.numel()) * (stddev > 0.0f ? 2 : 1);
+  auto add_fill = [&](Tensor& t, float bound) {
+    fills.push_back({t.data(), t.numel(), draws, bound});
+    draws += static_cast<std::uint64_t>(t.numel());
   };
-  // Parameters: Kaiming for weights, zeros for biases/beta, ones for gamma.
+  // Parameters and their gradients are views into one slab, each at a
+  // 64-byte boundary. Its pages come zeroed from the kernel, so biases,
+  // beta and every gradient start at 0 without a write, and a weight's
+  // pages are first touched by the parallel fill below.
+  constexpr std::size_t kParamAlign = 64 / sizeof(float);
+  const auto padded = [](const Shape& s) {
+    const auto n = static_cast<std::size_t>(s.numel());
+    return (n + kParamAlign - 1) / kParamAlign * kParamAlign;
+  };
+  std::size_t param_floats = 0;
+  for (const Node& n : graph.nodes()) {
+    for (const Shape& s : graph.param_shapes(n.id)) {
+      param_floats += 2 * padded(s);
+    }
+  }
+  std::size_t param_at = 0;
+  const auto carve = [&](const Shape& s) {
+    Tensor t = Tensor::view(s, param_slab_.at(param_at * sizeof(float)));
+    param_at += padded(s);
+    return t;
+  };
+  param_slab_.grow(param_floats * sizeof(float));
+  // Kaiming for weights, zeros for biases/beta, ones for gamma.
   for (const Node& n : graph.nodes()) {
     const auto shapes = graph.param_shapes(n.id);
     auto& ps = params_[static_cast<std::size_t>(n.id)];
     auto& gs = param_grads_[static_cast<std::size_t>(n.id)];
-    ps.reserve(shapes.size());  // fills point into these tensors
     for (std::size_t i = 0; i < shapes.size(); ++i) {
-      Tensor& p = ps.emplace_back(shapes[i]);
-      gs.emplace_back(shapes[i]);
-      if (n.kind == LayerKind::kBatchNorm) {
-        p.fill(i == 0 ? 1.0f : 0.0f);  // gamma, beta
-      } else if (shapes[i].rank() >= 2) {
+      Tensor& p = ps.emplace_back(carve(shapes[i]));
+      gs.emplace_back(carve(shapes[i]));
+      if (n.kind == LayerKind::kBatchNorm && i == 0) {
+        p.fill(1.0f);  // gamma
+      } else if (n.kind != LayerKind::kBatchNorm && shapes[i].rank() >= 2) {
         std::int64_t fan_in = 1;
         for (int d = 1; d < shapes[i].rank(); ++d) fan_in *= shapes[i][d];
-        POOCH_CHECK(fan_in > 0);
-        add_fill(p, std::sqrt(2.0f / static_cast<float>(fan_in)));
-      } else {
-        p.fill(0.0f);  // biases
+        add_fill(p, kaiming_bound(fan_in));
       }
     }
   }
@@ -104,7 +123,7 @@ DataBackend::DataBackend(const Graph& graph, std::uint64_t seed, float lr,
   // Synthetic inputs: a pristine copy survives across iterations.
   input_batch_.reserve(graph.inputs().size());
   for (ValueId in : graph.inputs()) {
-    add_fill(input_batch_.emplace_back(graph.value(in).shape), 0.0f);
+    add_fill(input_batch_.emplace_back(graph.value(in).shape), 1.0f);
   }
 
   // One parallel_for over blocks of every fill: a call per tensor would
@@ -121,15 +140,11 @@ DataBackend::DataBackend(const Graph& graph, std::uint64_t seed, float lr,
       [&](std::int64_t b0, std::int64_t b1, int) {
         for (std::int64_t b = b0; b < b1; ++b) {
           const auto [f, i0] = blocks[static_cast<std::size_t>(b)];
-          const std::uint64_t per_value = f->stddev > 0.0f ? 2 : 1;
           Rng rng(seed);
-          rng.discard(f->first_draw +
-                      static_cast<std::uint64_t>(i0) * per_value);
+          rng.discard(f->first_draw + static_cast<std::uint64_t>(i0));
           const std::int64_t i1 = std::min(i0 + kFillGrain, f->n);
           for (std::int64_t i = i0; i < i1; ++i) {
-            f->data[i] = f->stddev > 0.0f
-                             ? static_cast<float>(rng.normal(0.0f, f->stddev))
-                             : static_cast<float>(rng.uniform(-1.0f, 1.0f));
+            f->data[i] = static_cast<float>(rng.uniform(-f->bound, f->bound));
           }
         }
       });

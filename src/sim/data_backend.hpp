@@ -13,7 +13,8 @@
 // a gradient is computed into per-thread scratch and added. So an
 // iteration allocates, zero-fills and frees no tensor, and a placement
 // that overlaps a live buffer corrupts the numbers the differential
-// tests compare.
+// tests compare. Parameters and their gradients sit in a third slab,
+// whose fresh pages are the zeros they start from.
 //
 // Its purpose is verification: a training iteration executed under any
 // feasible classification must produce bit-identical losses, gradients
@@ -156,8 +157,9 @@ class DataBackend {
   // Per value: a shape-only view for later contributions, bound to the
   // thread's scratch when used.
   std::vector<Tensor> scratch_views_;
-  std::vector<std::vector<Tensor>> params_;       // per node
-  std::vector<std::vector<Tensor>> param_grads_;  // per node
+  Slab param_slab_;  // parameters and their gradients
+  std::vector<std::vector<Tensor>> params_;       // per node (slab views)
+  std::vector<std::vector<Tensor>> param_grads_;  // per node (slab views)
   std::vector<std::int64_t> labels_;
   float last_loss_ = 0.0f;
 };

@@ -15,18 +15,14 @@ void fill_uniform(Tensor& t, Rng& rng, float lo, float hi) {
   }
 }
 
-void fill_normal(Tensor& t, Rng& rng, float mean, float stddev) {
-  float* p = t.data();
-  const std::int64_t n = t.numel();
-  for (std::int64_t i = 0; i < n; ++i) {
-    p[i] = static_cast<float>(rng.normal(mean, stddev));
-  }
+float kaiming_bound(std::int64_t fan_in) {
+  POOCH_CHECK(fan_in > 0);
+  return std::sqrt(6.0f / static_cast<float>(fan_in));
 }
 
 void fill_kaiming(Tensor& t, Rng& rng, std::int64_t fan_in) {
-  POOCH_CHECK(fan_in > 0);
-  const float stddev = std::sqrt(2.0f / static_cast<float>(fan_in));
-  fill_normal(t, rng, 0.0f, stddev);
+  const float bound = kaiming_bound(fan_in);
+  fill_uniform(t, rng, -bound, bound);
 }
 
 float max_abs_diff(const Tensor& a, const Tensor& b) {

@@ -8,13 +8,17 @@
 
 namespace pooch {
 
-/// Fill with i.i.d. uniform values in [lo, hi).
+/// Fill with i.i.d. uniform values in [lo, hi], one draw each. The
+/// interval is closed: the float cast of a double just below hi can
+/// round up to hi.
 void fill_uniform(Tensor& t, Rng& rng, float lo = -1.0f, float hi = 1.0f);
 
-/// Fill with i.i.d. normal values.
-void fill_normal(Tensor& t, Rng& rng, float mean = 0.0f, float stddev = 1.0f);
+/// Kaiming-uniform bound for weights: sqrt(6 / fan_in), so that
+/// uniform(-bound, bound) has variance 2 / fan_in, the Kaiming variance.
+float kaiming_bound(std::int64_t fan_in);
 
-/// Kaiming-style init for weights: stddev = sqrt(2 / fan_in).
+/// Kaiming-uniform init for weights: fill_uniform over
+/// [-kaiming_bound(fan_in), kaiming_bound(fan_in)].
 void fill_kaiming(Tensor& t, Rng& rng, std::int64_t fan_in);
 
 /// Largest absolute elementwise difference; shapes must match.

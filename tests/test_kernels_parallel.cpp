@@ -488,6 +488,39 @@ TEST_P(KernelBitIdentity, Pooling) {
     }
   }
 
+  // Windows that tile the plane (kernel == stride, no padding) write dx
+  // directly. Odd extents leave rows and columns no window covers; a -0
+  // dy must land as the reference's +0; a window of only -inf and NaN has
+  // no arg-max, so all its inputs get 0. Rows of 8 or fewer outputs run
+  // half vectors, wider ones full vectors with a partial last one.
+  const std::pair<Shape, int> tiled[] = {
+      {Shape{2, 3, 15, 17}, 2}, {Shape{2, 4, 33, 35}, 2},
+      {Shape{3, 2, 13, 11}, 3}, {Shape{2, 2, 10, 64}, 3}};
+  for (const auto& [xs, k] : tiled) {
+    const PoolAttrs attrs = PoolAttrs::pool2d(kMax, k, k);
+    const std::string tag =
+        "tiled k" + std::to_string(k) + " " + xs.to_string();
+    Tensor x = special_tensor(xs, seed++);
+    const Shape ys = pool_output_shape(xs, attrs);
+    for (std::int64_t q = 0; q < xs[0] * xs[1]; ++q) {
+      for (std::int64_t oh = 0; oh < ys[2]; ++oh) {
+        for (std::int64_t ow = oh % 3; ow < ys[3]; ow += 3) {
+          for (std::int64_t i = 0; i < k * k; ++i) {
+            x[(q * xs[2] + oh * k + i / k) * xs[3] + ow * k + i % k] =
+                i % 2 ? std::numeric_limits<float>::quiet_NaN()
+                      : -std::numeric_limits<float>::infinity();
+          }
+        }
+      }
+    }
+    Tensor dy = random_tensor(ys, seed++);
+    for (std::int64_t i = 0; i < dy.numel(); i += 2) dy[i] = -0.0f;
+    Tensor dx(xs), dx_ref(xs);
+    pool_backward(x, dy, dx, attrs, ctx_);
+    pool_backward_ref(x, dy, dx_ref, attrs);
+    expect_bits(dx, dx_ref, "pool backward " + tag);
+  }
+
   const Shape gs{3, 4, 5, 7};
   const Tensor x = random_tensor(gs, seed++);
   Tensor y(global_avg_pool_output_shape(gs));

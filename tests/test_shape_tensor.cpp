@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <utility>
 #include <vector>
 
@@ -182,6 +183,25 @@ TEST(TensorOps, KaimingVariance) {
   }
   EXPECT_NEAR(sq / static_cast<double>(t.numel()), 2.0 / 50.0,
               0.004);  // var = 2 / fan_in
+}
+
+TEST(TensorOps, KaimingUniformWithinBoundAndCentred) {
+  Tensor t(Shape{200, 50});
+  Rng rng(11);
+  fill_kaiming(t, rng, 50);
+  const float bound = kaiming_bound(50);
+  EXPECT_FLOAT_EQ(bound, std::sqrt(6.0f / 50.0f));
+  double total = 0.0;
+  for (std::int64_t i = 0; i < t.numel(); ++i) {
+    // Closed at both ends: the float cast of a draw just below the bound
+    // may round up to it.
+    EXPECT_GE(t[i], -bound);
+    EXPECT_LE(t[i], bound);
+    total += t[i];
+  }
+  // The mean of 10,000 draws has a standard deviation of
+  // sqrt(0.04 / 10000) = 0.002; allow five of them.
+  EXPECT_NEAR(total / static_cast<double>(t.numel()), 0.0, 0.01);
 }
 
 }  // namespace
