@@ -10,8 +10,10 @@
 // Besides the markdown tables, the bench writes a bench::Report
 // (default BENCH_planner_cost.json) with one row per (model, threads,
 // cache) cell: wall seconds, simulations per wall second, per-phase
-// simulation counts and cache hits. It is keyed on (model, threads,
-// cache) and gated on sims_per_s, higher is better.
+// simulation counts, cache hits and forward_skip_share (the share of
+// forward nodes the simulations skipped by resuming from a checkpoint).
+// It is keyed on (model, threads, cache) and gated on sims_per_s, higher
+// is better.
 #include "bench_common.hpp"
 
 using namespace pooch;
@@ -39,6 +41,7 @@ void record_row(bench::Report& report, const char* name,
   row["step1_simulations"] = plan.step1_simulations;
   row["step2_simulations"] = plan.step2_simulations;
   row["cache_hits"] = plan.cache_hits;
+  row["forward_skip_share"] = plan.forward_skip_share();
   row["recompute_rounds"] = plan.recompute_rounds;
   row["predicted_time"] = plan.predicted_time;
   report.add(std::move(row));
@@ -90,10 +93,11 @@ void model_rows(bench::Report& report, const char* name, graph::Graph g,
   planner::PoochPlanner ref_planner(w.g, w.tape, w.machine, w.tm, ref_po);
   const auto ref = ref_planner.plan();
 
-  std::printf("| %s | %d | %zu | %d | %d | %d | %s | %s |\n", name,
+  std::printf("| %s | %d | %zu | %d | %d | %d | %s | %s | %s |\n", name,
               w.g.num_nodes(),
               sim::classifiable_values(w.g, w.tape).size(), ref.simulations,
               ref.step1_simulations, ref.step2_simulations,
+              bench::fmt(ref.forward_skip_share(), 3).c_str(),
               bench::fmt(ref.planning_wall_seconds, 2).c_str(),
               ref.feasible ? (ref.used_beam_fallback ? "beam" : "exact")
                            : "infeasible");
@@ -110,12 +114,12 @@ void model_rows(bench::Report& report, const char* name, graph::Graph g,
     bool cache;
   };
   const Config sweep[] = {{1, true}, {2, true}, {4, true}, {8, true}};
-  std::printf("|   sweep |  |  |  |  |  |  |  |\n");
+  std::printf("|   sweep |  |  |  |  |  |  |  |  |\n");
   const double base = ref.planning_wall_seconds;
   for (const Config& cfg : sweep) {
     const Cell cell =
         run_cell(report, name, w, cfg.threads, cfg.cache, &ref);
-    std::printf("|   threads=%d cache=%s | | | %d | | | %s | x%.2f |\n",
+    std::printf("|   threads=%d cache=%s | | | %d | | | | %s | x%.2f |\n",
                 cfg.threads, cfg.cache ? "on" : "off", cell.simulations,
                 bench::fmt(cell.wall, 2).c_str(),
                 cell.wall > 0.0 ? base / cell.wall : 0.0);
@@ -129,7 +133,8 @@ int main(int argc, char** argv) {
                        "sims_per_s", bench::Report::Better::kHigher);
   std::printf("\n## Planner cost (paper: ~2 min for ResNeXt-101, amortized)\n\n");
   std::printf("| model | layers | feature maps | simulations | step1 | step2 "
-              "| wall time (s) | search |\n|---|---|---|---|---|---|---|---|\n");
+              "| forward skip share | wall time (s) | search |\n"
+              "|---|---|---|---|---|---|---|---|---|\n");
   const auto x86 = cost::x86_pcie();
   model_rows(report, "paper-example (b16)",
              models::paper_example(16, 56, 64), cost::test_machine(96));

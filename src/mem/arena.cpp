@@ -10,7 +10,7 @@ namespace pooch::mem {
 
 namespace {
 
-/// First block of an offset-sorted list at or above `offset`.
+/// First free block at or above `offset`.
 template <typename Blocks>
 auto lower_bound(Blocks& blocks, Offset offset) {
   return std::lower_bound(
@@ -35,10 +35,55 @@ std::size_t Arena::align_up(std::size_t bytes) const {
   return (bytes + alignment_ - 1) / alignment_ * alignment_;
 }
 
-Arena::Blocks::const_iterator Arena::find_allocated(Offset offset) const {
-  const auto it = lower_bound(allocated_, offset);
-  return it != allocated_.end() && it->offset == offset ? it
-                                                        : allocated_.end();
+std::size_t Arena::home_slot(Offset offset) const {
+  return static_cast<std::size_t>(
+      (static_cast<std::uint64_t>(offset) * 0x9E3779B97F4A7C15ull) >>
+      (64 - slot_bits_));
+}
+
+std::size_t Arena::find_allocated(Offset offset) const {
+  if (allocated_.empty()) return kNoSlot;
+  const std::size_t mask = allocated_.size() - 1;
+  for (std::size_t i = home_slot(offset); allocated_[i].size != 0;
+       i = (i + 1) & mask) {
+    if (allocated_[i].offset == offset) return i;
+  }
+  return kNoSlot;
+}
+
+void Arena::insert_allocated(Offset offset, std::size_t size) {
+  if (2 * (allocated_count_ + 1) > allocated_.size()) {
+    Blocks old = std::move(allocated_);
+    slot_bits_ = old.empty() ? 6 : slot_bits_ + 1;
+    allocated_.assign(std::size_t{1} << slot_bits_, Block{0, 0});
+    allocated_count_ = 0;
+    for (const Block& b : old) {
+      if (b.size != 0) insert_allocated(b.offset, b.size);
+    }
+  }
+  const std::size_t mask = allocated_.size() - 1;
+  std::size_t i = home_slot(offset);
+  while (allocated_[i].size != 0) i = (i + 1) & mask;
+  allocated_[i] = {offset, size};
+  ++allocated_count_;
+}
+
+void Arena::erase_allocated(std::size_t slot) {
+  // Backward-shift deletion: pull each later entry of the probe run into
+  // the hole unless its home slot lies cyclically after the hole, so no
+  // tombstones accumulate.
+  const std::size_t mask = allocated_.size() - 1;
+  std::size_t hole = slot;
+  for (std::size_t j = (hole + 1) & mask; allocated_[j].size != 0;
+       j = (j + 1) & mask) {
+    if (((j - home_slot(allocated_[j].offset)) & mask) >=
+        ((j - hole) & mask)) {
+      allocated_[hole] = allocated_[j];
+      hole = j;
+    }
+  }
+  allocated_[hole].size = 0;
+  --allocated_count_;
 }
 
 std::optional<Offset> Arena::allocate(std::size_t bytes, AllocSide side) {
@@ -81,7 +126,7 @@ std::optional<Offset> Arena::allocate(std::size_t bytes, AllocSide side) {
   } else {
     free_blocks_.erase(chosen);
   }
-  allocated_.insert(lower_bound(allocated_, offset), {offset, need});
+  insert_allocated(offset, need);
   stats_.in_use += need;
   stats_.free_bytes -= need;
   stats_.peak_in_use = std::max(stats_.peak_in_use, stats_.in_use);
@@ -90,11 +135,10 @@ std::optional<Offset> Arena::allocate(std::size_t bytes, AllocSide side) {
 }
 
 void Arena::free(Offset offset) {
-  const auto it = find_allocated(offset);
-  POOCH_CHECK_MSG(it != allocated_.end(),
-                  "freeing unallocated offset " << offset);
-  const std::size_t length = it->size;
-  allocated_.erase(it);
+  const std::size_t slot = find_allocated(offset);
+  POOCH_CHECK_MSG(slot != kNoSlot, "freeing unallocated offset " << offset);
+  const std::size_t length = allocated_[slot].size;
+  erase_allocated(slot);
   stats_.in_use -= length;
   stats_.free_bytes += length;
   ++stats_.free_count;
@@ -123,9 +167,9 @@ void Arena::free(Offset offset) {
 }
 
 std::size_t Arena::block_size(Offset offset) const {
-  const auto it = find_allocated(offset);
-  POOCH_CHECK_MSG(it != allocated_.end(), "unknown offset " << offset);
-  return it->size;
+  const std::size_t slot = find_allocated(offset);
+  POOCH_CHECK_MSG(slot != kNoSlot, "unknown offset " << offset);
+  return allocated_[slot].size;
 }
 
 std::size_t Arena::largest_free_block() const {
@@ -140,7 +184,8 @@ const ArenaStats& Arena::stats() const {
 }
 
 void Arena::reset() {
-  allocated_.clear();
+  std::fill(allocated_.begin(), allocated_.end(), Block{0, 0});
+  allocated_count_ = 0;
   free_blocks_.clear();
   if (capacity_ > 0) free_blocks_.push_back({0, capacity_});
   stats_.in_use = 0;
@@ -155,7 +200,7 @@ std::string Arena::debug_string() const {
      << " largest_free=" << format_bytes(largest_free_block())
      << " allocs=" << stats_.alloc_count << " frees=" << stats_.free_count
      << "\n";
-  os << "  allocated blocks: " << allocated_.size()
+  os << "  allocated blocks: " << allocated_count_
      << ", free blocks: " << free_blocks_.size() << "\n";
   return os.str();
 }

@@ -8,11 +8,13 @@
 // feasibility — the effect behind the paper's cross-environment OOM
 // (§5.2, running the POWER9 classification on the x86 machine).
 //
-// The free list and the allocated set are flat, offset-sorted vectors, as
-// GPU caching allocators keep them: the simulator performs hundreds of
-// allocations per simulated iteration and the planner thousands of
-// iterations, and a few hundred contiguous blocks scan and shift faster
-// than a node-based tree rebalances.
+// The free list is a flat, offset-sorted vector, as GPU caching
+// allocators keep it: neighbour coalescing keeps it short (a handful of
+// blocks on the paper's models), so the best-fit scan and its inserts are
+// cheap. The allocated set is an open-addressing table keyed by offset:
+// the simulator performs hundreds of allocations per simulated iteration
+// and the planner thousands of iterations, with about a hundred blocks
+// live at once, and a hash probe neither searches nor shifts them.
 #pragma once
 
 #include <cstdint>
@@ -87,16 +89,27 @@ class Arena {
     std::size_t size;
   };
   using Blocks = std::vector<Block>;
+  static constexpr std::size_t kNoSlot = ~std::size_t{0};
 
   std::size_t align_up(std::size_t bytes) const;
-  Blocks::const_iterator find_allocated(Offset offset) const;
+  /// Home slot of an offset in allocated_ (Fibonacci hashing).
+  std::size_t home_slot(Offset offset) const;
+  /// Slot of the allocated block starting at `offset`, or kNoSlot.
+  std::size_t find_allocated(Offset offset) const;
+  void insert_allocated(Offset offset, std::size_t size);
+  void erase_allocated(std::size_t slot);
 
   std::size_t capacity_;
   std::size_t alignment_;
   // Disjoint, sorted by offset. Free blocks are never adjacent (free()
   // coalesces neighbours).
   Blocks free_blocks_;
+  // Linear-probing table of the allocated blocks; a slot of size 0 is
+  // empty (every block is at least one alignment unit). Its length is a
+  // power of two, at least twice the live count.
   Blocks allocated_;
+  std::size_t allocated_count_ = 0;
+  int slot_bits_ = 0;
   mutable ArenaStats stats_;
 };
 

@@ -3,8 +3,10 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <iomanip>
 #include <limits>
 #include <mutex>
+#include <numeric>
 #include <sstream>
 #include <unordered_map>
 
@@ -42,7 +44,45 @@ void sort_from_output_layer(std::vector<ValueId>& values, const Graph& g) {
   });
 }
 
+/// Checkpoint nodes for runs that first differ, in scan order, at the
+/// forward nodes `flips` (latest first): every ⌈√m⌉-th of the m flip
+/// points and the last one, so a run resumes at most ⌈√m⌉ flip points
+/// early and a chain holds about √m checkpoints. Graph inputs (producer
+/// kNoNode) differ before node 0 and get none.
+std::vector<graph::NodeId> spaced_checkpoints(
+    std::vector<graph::NodeId> flips) {
+  std::erase_if(flips, [](graph::NodeId k) { return k < 0; });
+  std::vector<graph::NodeId> at;
+  if (flips.empty()) return at;
+  const std::size_t m = flips.size();
+  std::size_t step = 1;
+  while (step * step < m) ++step;
+  for (std::size_t i = 0; i < m; i += step) at.push_back(flips[i]);
+  at.push_back(flips.back());
+  return at;
+}
+
+/// spaced_checkpoints() at the producers of `values`, scanned in order.
+std::vector<graph::NodeId> producer_checkpoints(
+    const std::vector<ValueId>& values, const Graph& g) {
+  std::vector<graph::NodeId> flips;
+  flips.reserve(values.size());
+  for (ValueId v : values) flips.push_back(g.value(v).producer);
+  return spaced_checkpoints(std::move(flips));
+}
+
 }  // namespace
+
+/// A chain of candidates scanned output first, each differing from the
+/// chain's first classification at one more flipped value (the L_O greedy
+/// and the absorption scans). Its first run the cache does not serve
+/// resumes from `parent` and records the chain's own checkpoints; every
+/// later flip point lies before that run's first difference, so its
+/// states there serve the whole chain.
+struct PoochPlanner::Chain {
+  const sim::ForwardCheckpoints* parent = nullptr;
+  sim::ForwardCheckpoints own;
+};
 
 /// Per-plan mutable state threaded through the (const) search: simulation
 /// and cache-hit tallies (atomic — workers bump them concurrently) and
@@ -50,6 +90,8 @@ void sort_from_output_layer(std::vector<ValueId>& values, const Graph& g) {
 struct PoochPlanner::SearchCtx {
   std::atomic<int> sims{0};
   std::atomic<int> cache_hits{0};
+  std::atomic<std::int64_t> forward_simulated{0};
+  std::atomic<std::int64_t> forward_skipped{0};
   double parallel_wall_seconds = 0.0;
   double parallel_busy_seconds = 0.0;
 };
@@ -58,6 +100,13 @@ struct PoochPlanner::EvalCache {
   std::mutex mu;
   std::unordered_map<std::string, Eval> map;
 };
+
+double PlannerResult::forward_skip_share() const {
+  const std::int64_t total = forward_nodes_simulated + forward_nodes_skipped;
+  return total > 0 ? static_cast<double>(forward_nodes_skipped) /
+                         static_cast<double>(total)
+                   : 0.0;
+}
 
 std::string PlannerResult::summary() const {
   std::ostringstream os;
@@ -70,7 +119,10 @@ std::string PlannerResult::summary() const {
      << simulations << " timeline simulations (" << step1_simulations
      << " step 1, " << step2_simulations << " step 2), " << cache_hits
      << " cache hits, " << recompute_rounds << " recompute rounds"
-     << (used_beam_fallback ? ", beam fallback" : "") << ", " << threads_used
+     << (used_beam_fallback ? ", beam fallback" : "") << "\n"
+     << "  " << std::fixed << std::setprecision(1)
+     << 100.0 * forward_skip_share() << std::defaultfloat
+     << "% of forward nodes skipped by resuming, " << threads_used
      << (threads_used == 1 ? " thread, " : " threads, ")
      << format_time(planning_wall_seconds) << " planning time\n";
   return os.str();
@@ -111,10 +163,26 @@ void PoochPlanner::for_candidates(
   ctx.parallel_busy_seconds += pool_->last_busy_seconds();
 }
 
-PoochPlanner::Eval PoochPlanner::simulate(const Classification& classes,
-                                          SearchCtx& ctx) const {
-  const sim::RunResult r = runtime_.run(classes);
+sim::RunResult PoochPlanner::run_counted(
+    const Classification& classes, SearchCtx& ctx,
+    const sim::ForwardCheckpoints* from,
+    sim::ForwardCheckpoints* record) const {
+  // The search reads scores and stall attributions, never an OOM's
+  // description.
+  sim::Resume resume{.from = from, .record = record, .describe_oom = false};
+  sim::RunResult r = runtime_.run(classes, {}, resume);
   ctx.sims.fetch_add(1, std::memory_order_relaxed);
+  ctx.forward_simulated.fetch_add(graph_.num_nodes() - resume.started_at,
+                                  std::memory_order_relaxed);
+  ctx.forward_skipped.fetch_add(resume.started_at, std::memory_order_relaxed);
+  return r;
+}
+
+PoochPlanner::Eval PoochPlanner::simulate(
+    const Classification& classes, SearchCtx& ctx,
+    const sim::ForwardCheckpoints* from,
+    sim::ForwardCheckpoints* record) const {
+  const sim::RunResult r = run_counted(classes, ctx, from, record);
   Eval e;
   e.feasible = r.ok;
   e.time = r.iteration_time;
@@ -123,8 +191,17 @@ PoochPlanner::Eval PoochPlanner::simulate(const Classification& classes,
 }
 
 PoochPlanner::Eval PoochPlanner::evaluate(const Classification& classes,
-                                          SearchCtx& ctx) const {
-  if (!cache_) return simulate(classes, ctx);
+                                          SearchCtx& ctx, Chain& chain) const {
+  return chain.own.recorded()
+             ? evaluate(classes, ctx, &chain.own, nullptr)
+             : evaluate(classes, ctx, chain.parent, &chain.own);
+}
+
+PoochPlanner::Eval PoochPlanner::evaluate(
+    const Classification& classes, SearchCtx& ctx,
+    const sim::ForwardCheckpoints* from,
+    sim::ForwardCheckpoints* record) const {
+  if (!cache_) return simulate(classes, ctx, from, record);
   // Canonical key: one char per value. Exact-match lookups mean a hit
   // returns precisely what the miss computed, so the cache can never
   // steer the search — only shortcut it.
@@ -139,7 +216,7 @@ PoochPlanner::Eval PoochPlanner::evaluate(const Classification& classes,
   }
   // Simulate outside the lock: concurrent workers may race to fill the
   // same key, at worst duplicating one simulation of identical result.
-  const Eval e = simulate(classes, ctx);
+  const Eval e = simulate(classes, ctx, from, record);
   {
     std::lock_guard<std::mutex> lock(cache_->mu);
     cache_->map.emplace(std::move(key), e);
@@ -151,9 +228,17 @@ PlannerResult PoochPlanner::run_step1(SearchCtx& ctx) const {
   PlannerResult result;
 
   // 1. Simulate the safe default: everything swapped (§4.4.2 step 1).
+  // Its forward states, taken every ⌈√n⌉ nodes, are where the beam's
+  // candidates and each chain's first run resume; workers share them
+  // read-only.
   Classification all_swap(graph_, ValueClass::kSwap);
-  const sim::RunResult base = runtime_.run(all_swap);
-  ctx.sims.fetch_add(1, std::memory_order_relaxed);
+  std::vector<graph::NodeId> every_node(
+      static_cast<std::size_t>(graph_.num_nodes()));
+  std::iota(every_node.rbegin(), every_node.rend(), 0);  // latest first
+  sim::ForwardCheckpoints swap_all_states(
+      spaced_checkpoints(std::move(every_node)));
+  const sim::RunResult base =
+      run_counted(all_swap, ctx, nullptr, &swap_all_states);
   if (!base.ok) {
     // Even swap-all does not fit: report infeasibility with the safest
     // classification; callers surface this as the paper's OOM outcome.
@@ -225,7 +310,8 @@ PlannerResult PoochPlanner::run_step1(SearchCtx& ctx) const {
       }
       std::vector<Eval> evals(expanded.size());
       for_candidates(expanded.size(), ctx, [&](std::size_t j) {
-        evals[j] = evaluate(classification_of(expanded[j]), ctx);
+        evals[j] = evaluate(classification_of(expanded[j]), ctx,
+                            &swap_all_states);
       });
       std::vector<std::pair<double, std::size_t>> scored;
       for (std::size_t j = 0; j < expanded.size(); ++j) {
@@ -257,14 +343,17 @@ PlannerResult PoochPlanner::run_step1(SearchCtx& ctx) const {
   // candidate; the winning classification is re-derived afterwards (from
   // cache when enabled), which keeps memory O(candidates), not
   // O(candidates × values), when bruteforce_cap is raised.
+  const std::vector<graph::NodeId> lo_checkpoints =
+      producer_checkpoints(lo_only, graph_);
   auto score_assignment = [&](const std::vector<bool>& bits,
                               Classification* out_classes) {
+    Chain chain{&swap_all_states, sim::ForwardCheckpoints(lo_checkpoints)};
     Classification c = classification_of(bits);
-    Eval e = evaluate(c, ctx);
+    Eval e = evaluate(c, ctx, chain);
     if (e.feasible) {
       for (ValueId v : lo_only) {
         c.set(v, ValueClass::kKeep);
-        const Eval trial = evaluate(c, ctx);
+        const Eval trial = evaluate(c, ctx, chain);
         if (!trial.feasible) {
           c.set(v, ValueClass::kSwap);  // does not fit: leave it swapped
         } else {
@@ -331,9 +420,11 @@ PlannerResult PoochPlanner::run_step1(SearchCtx& ctx) const {
       if (c.of(v) == ValueClass::kSwap) remaining.push_back(v);
     }
     sort_from_output_layer(remaining, graph_);
+    Chain chain{&swap_all_states, sim::ForwardCheckpoints(
+                                      producer_checkpoints(remaining, graph_))};
     for (ValueId v : remaining) {
       c.set(v, ValueClass::kKeep);
-      const Eval e = evaluate(c, ctx);
+      const Eval e = evaluate(c, ctx, chain);
       if (!e.feasible || e.time > time || e.peak > absorb_limit) {
         c.set(v, ValueClass::kSwap);
       } else {
@@ -382,8 +473,7 @@ void PoochPlanner::run_step2(PlannerResult& result, SearchCtx& ctx) const {
 
     // Stall attribution of the current classification: the fallback
     // estimate of swap_overhead(X) when keeping X does not fit.
-    const sim::RunResult cur_run = runtime_.run(current);
-    ctx.sims.fetch_add(1, std::memory_order_relaxed);
+    const sim::RunResult cur_run = run_counted(current, ctx);
 
     // Probe every candidate with X=keep and X=recompute concurrently.
     // Each probe takes a private copy of `current` (workers must not
@@ -461,6 +551,10 @@ void PoochPlanner::finish(PlannerResult& result, SearchCtx& ctx,
   }
   result.simulations = ctx.sims.load(std::memory_order_relaxed);
   result.cache_hits = ctx.cache_hits.load(std::memory_order_relaxed);
+  result.forward_nodes_simulated =
+      ctx.forward_simulated.load(std::memory_order_relaxed);
+  result.forward_nodes_skipped =
+      ctx.forward_skipped.load(std::memory_order_relaxed);
   result.threads_used = pool_ ? pool_->size() : 1;
   result.counts = result.classes.counts(classifiable_);
   result.planning_wall_seconds =
@@ -473,6 +567,10 @@ void PoochPlanner::finish(PlannerResult& result, SearchCtx& ctx,
       .add(static_cast<std::uint64_t>(result.simulations));
   st.counter("planner.cache_hits")
       .add(static_cast<std::uint64_t>(result.cache_hits));
+  st.counter("planner.forward_nodes_simulated")
+      .add(static_cast<std::uint64_t>(result.forward_nodes_simulated));
+  st.counter("planner.forward_nodes_skipped")
+      .add(static_cast<std::uint64_t>(result.forward_nodes_skipped));
   st.counter("planner.recompute_rounds")
       .add(static_cast<std::uint64_t>(result.recompute_rounds));
   st.gauge("planner.last.threads")

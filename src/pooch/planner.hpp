@@ -108,12 +108,19 @@ struct PlannerResult {
   /// Candidate evaluations served from the memo cache instead of being
   /// re-simulated.
   int cache_hits = 0;
+  /// Forward nodes the simulations ran, and the ones they skipped by
+  /// resuming from a checkpoint of the run their candidate was derived
+  /// from (sim::ForwardCheckpoints). Their sum is simulations × nodes.
+  std::int64_t forward_nodes_simulated = 0;
+  std::int64_t forward_nodes_skipped = 0;
   /// Parallelism the search actually used (1 = sequential).
   int threads_used = 1;
   int recompute_rounds = 0;
   bool used_beam_fallback = false;
   double planning_wall_seconds = 0.0;  // real CPU time of the search
 
+  /// forward_nodes_skipped over all forward nodes; 0 with no simulation.
+  double forward_skip_share() const;
   std::string summary() const;
 };
 
@@ -140,9 +147,24 @@ class PoochPlanner {
     std::size_t peak = 0;
   };
   struct SearchCtx;  // per-plan counters (sims, cache hits, utilization)
+  struct Chain;      // forward checkpoints of one chain of candidates
 
-  Eval evaluate(const sim::Classification& classes, SearchCtx& ctx) const;
-  Eval simulate(const sim::Classification& classes, SearchCtx& ctx) const;
+  /// Score a candidate: from the cache, or by a simulation that resumes
+  /// from `from` and records into `record` (see sim::Resume).
+  Eval evaluate(const sim::Classification& classes, SearchCtx& ctx,
+                const sim::ForwardCheckpoints* from = nullptr,
+                sim::ForwardCheckpoints* record = nullptr) const;
+  Eval simulate(const sim::Classification& classes, SearchCtx& ctx,
+                const sim::ForwardCheckpoints* from,
+                sim::ForwardCheckpoints* record) const;
+  /// evaluate() for the next candidate of `chain`.
+  Eval evaluate(const sim::Classification& classes, SearchCtx& ctx,
+                Chain& chain) const;
+  /// One counted simulation (ctx.sims and the forward-node tallies).
+  sim::RunResult run_counted(const sim::Classification& classes,
+                             SearchCtx& ctx,
+                             const sim::ForwardCheckpoints* from = nullptr,
+                             sim::ForwardCheckpoints* record = nullptr) const;
   /// Run fn(i) for i in [0, n) on the pool (inline when sequential) and
   /// fold the fan-out's wall/busy seconds into ctx.
   void for_candidates(std::size_t n, SearchCtx& ctx,

@@ -29,7 +29,8 @@ struct RuntimeTables {
         persistent_bytes(2 * graph.total_param_bytes()),
         grad_arena_free_by_step(tape.size()),
         grad_backend_free_by_step(tape.size()),
-        grad_alias_first_by_step(tape.size()) {
+        grad_alias_first_by_step(tape.size()),
+        fwd_prefix(static_cast<std::size_t>(graph.num_nodes())) {
     // kLookaheadPrevConv: a swap-in needed at step k triggers at the
     // nearest earlier convolution's step (0 when there is none).
     prev_conv_step.reserve(tape.size());
@@ -62,6 +63,21 @@ struct RuntimeTables {
             .push_back(v);
       }
     }
+    // Value ids follow creation order, so the values a forward checkpoint
+    // at node k must hold — every graph input and the outputs of nodes
+    // before k — are an id prefix.
+    std::size_t inputs_end = 0;
+    for (ValueId in : graph.inputs()) {
+      inputs_end = std::max(inputs_end, static_cast<std::size_t>(in) + 1);
+    }
+    for (const auto& node : graph.nodes()) {
+      const std::size_t k = static_cast<std::size_t>(node.id);
+      fwd_prefix[k] =
+          k == 0 ? inputs_end
+                 : std::max(inputs_end,
+                            static_cast<std::size_t>(
+                                graph.node(node.id - 1).output) + 1);
+    }
   }
 
   PlanTables plan;
@@ -74,6 +90,8 @@ struct RuntimeTables {
   // Per tape step: in-place gradients (not their own alias root) first
   // written by it; they take their root's buffer.
   std::vector<std::vector<ValueId>> grad_alias_first_by_step;
+  // Per forward node k: how many leading value ids a checkpoint at k holds.
+  std::vector<std::size_t> fwd_prefix;
 };
 
 namespace {
@@ -178,12 +196,42 @@ struct RunScratch {
   bool in_use = false;
 };
 
+}  // namespace
+
+/// Everything the forward phase has written by the start of one node: the
+/// arena, the host pool, the pending frees, the states of the values
+/// produced so far, the clocks, and the RunResult fields forward writes.
+struct ForwardCheckpoints::State {
+  std::size_t node = 0;
+  mem::Arena arena{0};
+  mem::HostPool host{0};
+  std::vector<FreeEvent> pending;
+  std::vector<ValueState> states;      // value ids [0, fwd_prefix[node])
+  std::vector<double> stall_by_value;  // the same prefix
+  std::vector<ValueId> unhidden_swapouts;
+  double t_comp = 0.0;
+  double t_d2h = 0.0;
+  double compute_busy = 0.0;
+  double compute_stall = 0.0;
+  double d2h_busy = 0.0;
+  double memory_stall = 0.0;
+};
+
+ForwardCheckpoints::ForwardCheckpoints(std::vector<NodeId> at)
+    : at_(std::move(at)) {
+  std::erase_if(at_, [](NodeId k) { return k < 0; });
+  std::sort(at_.begin(), at_.end());
+  at_.erase(std::unique(at_.begin(), at_.end()), at_.end());
+}
+
+namespace detail {
+
 class Exec {
  public:
   Exec(const Graph& graph, const std::vector<BwdStep>& tape,
        const RuntimeTables& tables, const cost::MachineConfig& machine,
        const TimeModel& tm, const Classification& classes,
-       const RunOptions& opts, RunScratch& scratch)
+       const RunOptions& opts, RunScratch& scratch, bool describe_oom)
       : g_(graph),
         tape_(tape),
         tables_(tables),
@@ -200,7 +248,8 @@ class Exec {
         queue_(scratch.queue),
         issued_(scratch.issued),
         values_by_last_use_(scratch.values_by_last_use),
-        pins_(scratch.pins) {
+        pins_(scratch.pins),
+        describe_oom_(describe_oom) {
     build_backward_plan(graph, tape, tables.plan, classes, plan_);
     result_.persistent_bytes = tables.persistent_bytes;
     std::size_t usable = machine_.usable_gpu_bytes();
@@ -236,7 +285,19 @@ class Exec {
     build_free_indices();
   }
 
-  RunResult run() {
+  /// Simulate the iteration: from the latest checkpoint of `from` this
+  /// run's forward decisions allow (or from op 0), saving forward states
+  /// into `record` on the way.
+  RunResult run(const ForwardCheckpoints* from, ForwardCheckpoints* record) {
+    const ForwardCheckpoints::State* start =
+        from ? resume_point(*from) : nullptr;
+    if (start) {
+      restore(*start);
+      started_at_ = start->node;
+    } else {
+      place_graph_inputs();
+    }
+    if (record) begin_recording(*record, from, start);
     run_forward_phase();
     run_backward_phase();
     run_update();
@@ -257,7 +318,103 @@ class Exec {
     return std::move(result_);
   }
 
+  /// The forward node the run started at (0 = op 0).
+  std::size_t started_at() const { return started_at_; }
+
  private:
+  // ---- forward checkpoints -------------------------------------------
+
+  /// The latest checkpoint of `cp` this run may start from: one at a
+  /// node no later than the first value whose lowered forward decisions
+  /// differ from the recording run's, taken by a run of this Runtime on
+  /// the same arena and placement rule.
+  const ForwardCheckpoints::State* resume_point(
+      const ForwardCheckpoints& cp) const {
+    if (cp.saved_.empty() || cp.tables_ != &tables_ ||
+        cp.arena_capacity_ != arena_.capacity() ||
+        cp.naive_placement_ != opts_.naive_placement) {
+      return nullptr;
+    }
+    NodeId first_diff = g_.num_nodes();
+    for (std::size_t v = 0; v < plan_.swap_out.size(); ++v) {
+      if (plan_.swap_out[v] != cp.swap_out_[v] ||
+          plan_.discard[v] != cp.discard_[v]) {
+        // A graph input (producer kNoNode = -1) is placed before node 0.
+        first_diff = std::min(
+            first_diff, g_.value(static_cast<ValueId>(v)).producer);
+      }
+    }
+    const ForwardCheckpoints::State* best = nullptr;
+    for (const auto& state : cp.saved_) {
+      if (static_cast<NodeId>(state->node) > first_diff) break;
+      best = state.get();
+    }
+    return best;
+  }
+
+  void restore(const ForwardCheckpoints::State& s) {
+    arena_ = s.arena;
+    host_ = s.host;
+    pending_ = s.pending;
+    std::copy(s.states.begin(), s.states.end(), states_.begin());
+    std::copy(s.stall_by_value.begin(), s.stall_by_value.end(),
+              result_.stall_by_value.begin());
+    result_.unhidden_swapouts = s.unhidden_swapouts;
+    t_comp_ = s.t_comp;
+    t_d2h_ = s.t_d2h;
+    result_.compute_busy = s.compute_busy;
+    result_.compute_stall = s.compute_stall;
+    result_.d2h_busy = s.d2h_busy;
+    result_.memory_stall = s.memory_stall;
+  }
+
+  /// Make `record` this run's checkpoint set. A resumed run inherits the
+  /// source's checkpoints up to its start — its own states there are the
+  /// same — and takes its own at the later nodes of `record`.
+  void begin_recording(ForwardCheckpoints& record,
+                       const ForwardCheckpoints* from,
+                       const ForwardCheckpoints::State* start) {
+    record.recorded_ = true;
+    record.tables_ = &tables_;
+    record.swap_out_ = plan_.swap_out;
+    record.discard_ = plan_.discard;
+    record.arena_capacity_ = arena_.capacity();
+    record.naive_placement_ = opts_.naive_placement;
+    record.saved_.clear();
+    if (start) {
+      for (const auto& state : from->saved_) {
+        if (state->node > started_at_) break;
+        record.saved_.push_back(state);
+      }
+    }
+    record_ = &record;
+    const NodeId after = start ? static_cast<NodeId>(started_at_) + 1 : 0;
+    next_record_ = static_cast<std::size_t>(
+        std::lower_bound(record.at_.begin(), record.at_.end(), after) -
+        record.at_.begin());
+  }
+
+  /// Save the state at the start of forward node k.
+  void save(std::size_t k) {
+    auto s = std::make_shared<ForwardCheckpoints::State>();
+    s->node = k;
+    s->arena = arena_;
+    s->host = host_;
+    s->pending = pending_;
+    const auto prefix = static_cast<std::ptrdiff_t>(tables_.fwd_prefix[k]);
+    s->states.assign(states_.begin(), states_.begin() + prefix);
+    s->stall_by_value.assign(result_.stall_by_value.begin(),
+                             result_.stall_by_value.begin() + prefix);
+    s->unhidden_swapouts = result_.unhidden_swapouts;
+    s->t_comp = t_comp_;
+    s->t_d2h = t_d2h_;
+    s->compute_busy = result_.compute_busy;
+    s->compute_stall = result_.compute_stall;
+    s->d2h_busy = result_.d2h_busy;
+    s->memory_stall = result_.memory_stall;
+    record_->saved_.push_back(std::move(s));
+  }
+
   // ---- bookkeeping -------------------------------------------------
 
   ValueState& st(ValueId v) { return states_[static_cast<std::size_t>(v)]; }
@@ -447,6 +604,7 @@ class Exec {
       if (evict_completed_prefetch(out.time)) continue;
       if (evict_clean_resident(out.time)) continue;
       if (wait_and_evict_inflight_prefetch(out.time)) continue;
+      if (!describe_oom_) throw OomUnwind{};
       std::ostringstream os;
       os << "device OOM allocating " << format_bytes(bytes) << " for " << what
          << " at t=" << format_time(out.time) << "\n"
@@ -791,8 +949,14 @@ class Exec {
   }
 
   void run_forward_phase() {
-    place_graph_inputs();
-    for (const auto& node : g_.nodes()) {
+    const auto& nodes = g_.nodes();
+    for (std::size_t k = started_at_; k < nodes.size(); ++k) {
+      if (record_ && next_record_ < record_->at_.size() &&
+          static_cast<std::size_t>(record_->at_[next_record_]) == k) {
+        save(k);
+        ++next_record_;
+      }
+      const auto& node = nodes[k];
       const ValueId out = node.output;
       AllocOutcome a_out = blocking_alloc(vbytes(out), t_comp_,
                                           g_.node(node.id).name.c_str(),
@@ -1141,10 +1305,15 @@ class Exec {
   double t_d2h_ = 0.0;
   double t_h2d_ = 0.0;
 
+  const bool describe_oom_;
+  std::size_t started_at_ = 0;
+  ForwardCheckpoints* record_ = nullptr;
+  std::size_t next_record_ = 0;  // index into record_->at_
+
   RunResult result_;
 };
 
-}  // namespace
+}  // namespace detail
 
 Runtime::Runtime(const Graph& graph, const std::vector<BwdStep>& tape,
                  const cost::MachineConfig& machine,
@@ -1157,6 +1326,26 @@ Runtime::Runtime(const Graph& graph, const std::vector<BwdStep>& tape,
 
 RunResult Runtime::run(const Classification& classes,
                        const RunOptions& options) const {
+  Resume none;
+  return run_exec(classes, options, nullptr, none);
+}
+
+RunResult Runtime::run(const Classification& classes,
+                       const RunOptions& options, Resume& resume) const {
+  POOCH_CHECK_MSG(options.stats == nullptr && !options.record_stream,
+                  "a resumable run takes no stats sink and records no "
+                  "stream");
+  POOCH_CHECK_MSG(resume.record == nullptr || resume.record != resume.from,
+                  "a run cannot record into the checkpoints it resumes from");
+  return run_exec(classes, options,
+                  time_model_.concurrent_safe() ? resume.from : nullptr,
+                  resume);
+}
+
+RunResult Runtime::run_exec(const Classification& classes,
+                            const RunOptions& options,
+                            const ForwardCheckpoints* from,
+                            Resume& resume) const {
   // The thread's scratch set, unless a run is already using it further
   // up this thread's stack; then a fresh one keeps run() re-entrant.
   thread_local RunScratch thread_scratch;
@@ -1167,12 +1356,16 @@ RunResult Runtime::run(const Classification& classes,
     explicit Lease(RunScratch& scratch) : s(scratch) { s.in_use = true; }
     ~Lease() { s.in_use = false; }
   } lease(scratch);
+  resume.started_at = 0;
   try {
-    Exec exec(graph_, tape_, *tables_, machine_, time_model_, classes,
-              options, scratch);
+    detail::Exec exec(graph_, tape_, *tables_, machine_, time_model_, classes,
+                      options, scratch, resume.describe_oom);
     try {
-      return exec.run();
+      RunResult r = exec.run(from, resume.record);
+      resume.started_at = static_cast<int>(exec.started_at());
+      return r;
     } catch (const OomUnwind& oom) {
+      resume.started_at = static_cast<int>(exec.started_at());
       return exec.fail(oom.what);
     }
   } catch (const OomUnwind& oom) {

@@ -38,6 +38,9 @@ class StatsRegistry;
 namespace pooch::sim {
 
 struct RuntimeTables;
+namespace detail {
+class Exec;
+}
 
 enum class SwapInPolicy : std::uint8_t {
   /// Swap-in issued only when the needing backward step starts.
@@ -129,6 +132,65 @@ struct RunResult {
   }
 };
 
+/// Forward states of one run, saved at chosen forward nodes, from which
+/// later runs start instead of simulating the forward pass from op 0.
+///
+/// The state at the start of forward node k — before its output is
+/// allocated — depends only on the lowered forward decisions
+/// (BackwardPlan::swap_out and discard) of the graph inputs and of the
+/// outputs of nodes 0..k-1: nothing else of the classification is read
+/// before the backward phase. Lowered decisions, not classes, are what
+/// must agree: setting a later value to `recompute` can make an earlier
+/// value needed that was discarded. A run resumes from the latest
+/// checkpoint whose prefix its own lowered decisions agree on, and from
+/// there it is the same Exec code run to the end (the backward phase and
+/// the update always run in full), so its RunResult equals the full
+/// run's field for field.
+///
+/// A recording run that itself resumed inherits its source's checkpoints
+/// up to the node it resumed at (shared, never copied), so a chain of
+/// runs derived from one parent keeps the parent's early states. Once
+/// recorded the object is read-only; concurrent runs may resume from it.
+class ForwardCheckpoints {
+ public:
+  /// Checkpoints to take at these forward node indices (any order).
+  explicit ForwardCheckpoints(std::vector<graph::NodeId> at);
+
+  /// Whether a run has recorded into it.
+  bool recorded() const { return recorded_; }
+  /// Checkpoints held, inherited ones included.
+  std::size_t size() const { return saved_.size(); }
+
+ private:
+  friend class detail::Exec;
+  struct State;  // one saved forward state; defined in runtime.cpp
+
+  std::vector<graph::NodeId> at_;  // ascending
+  bool recorded_ = false;
+  // The recording run's lowered forward decisions and its forward set-up.
+  const RuntimeTables* tables_ = nullptr;  // identifies the Runtime
+  std::vector<char> swap_out_;
+  std::vector<char> discard_;
+  std::size_t arena_capacity_ = 0;
+  bool naive_placement_ = false;
+  std::vector<std::shared_ptr<const State>> saved_;  // ascending node
+};
+
+/// How a run reuses and leaves forward state (Runtime::run's third form).
+struct Resume {
+  /// Start from the latest usable checkpoint of `from` (none usable: run
+  /// from op 0).
+  const ForwardCheckpoints* from = nullptr;
+  /// Save this run's forward state at `record`'s nodes.
+  ForwardCheckpoints* record = nullptr;
+  /// Build RunResult::failure on OOM: the arena summary and the resident
+  /// buffers. A search that never reports why a candidate failed turns
+  /// it off; an OOM then leaves failure empty.
+  bool describe_oom = true;
+  /// Set by the run: the forward node it started at (0 = op 0).
+  int started_at = 0;
+};
+
 class Runtime {
  public:
   Runtime(const graph::Graph& graph, const std::vector<graph::BwdStep>& tape,
@@ -149,12 +211,24 @@ class Runtime {
   RunResult run(const Classification& classes,
                 const RunOptions& options = {}) const;
 
+  /// The same run, resuming from and recording forward checkpoints as
+  /// `resume` asks. The RunResult equals run(classes, options) in every
+  /// field (failure too, unless describe_oom is off). It takes neither a
+  /// stats sink nor stream recording: the skipped prefix's counters and
+  /// ops would be missing. A time model that is not concurrent_safe()
+  /// never resumes — skipping its queries would shift every later draw.
+  RunResult run(const Classification& classes, const RunOptions& options,
+                Resume& resume) const;
+
   const graph::Graph& graph() const { return graph_; }
   const std::vector<graph::BwdStep>& tape() const { return tape_; }
   const cost::MachineConfig& machine() const { return machine_; }
   const TimeModel& time_model() const { return time_model_; }
 
  private:
+  RunResult run_exec(const Classification& classes, const RunOptions& options,
+                     const ForwardCheckpoints* from, Resume& resume) const;
+
   const graph::Graph& graph_;
   const std::vector<graph::BwdStep>& tape_;
   const cost::MachineConfig& machine_;

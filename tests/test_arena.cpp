@@ -103,6 +103,44 @@ TEST(Arena, DoubleFreeThrows) {
   EXPECT_THROW(a.free(999), Error);
 }
 
+TEST(Arena, FreeOfAnInteriorOffsetThrows) {
+  Arena a(4096, 256);
+  const auto b = a.allocate(1024);
+  ASSERT_TRUE(b.has_value());
+  // Offsets inside a live block, aligned or not, name no block.
+  EXPECT_THROW(a.free(*b + 256), Error);
+  EXPECT_THROW(a.free(*b + 768), Error);
+  EXPECT_THROW(a.free(*b + 1), Error);
+  EXPECT_THROW((void)a.block_size(*b + 512), Error);
+  // The failed frees changed nothing: the block is still whole and live.
+  EXPECT_EQ(a.block_size(*b), 1024u);
+  EXPECT_EQ(a.in_use(), 1024u);
+  EXPECT_EQ(a.stats().free_count, 0u);
+  a.free(*b);
+  EXPECT_EQ(a.in_use(), 0u);
+}
+
+TEST(Arena, FreeOfAnOffsetNeverAllocatedThrows) {
+  Arena a(1 << 20, 256);
+  // Enough live blocks to grow the allocated table past its first size.
+  std::vector<Offset> live;
+  for (int i = 0; i < 100; ++i) {
+    const auto b =
+        a.allocate(256, i % 2 ? AllocSide::kTop : AllocSide::kBottom);
+    ASSERT_TRUE(b.has_value());
+    live.push_back(*b);
+  }
+  // Free offsets inside the arena that no allocation returned, and ones
+  // past its end.
+  EXPECT_THROW(a.free(200 * 256), Error);
+  EXPECT_THROW(a.free(a.capacity()), Error);
+  EXPECT_THROW(a.free(a.capacity() + 256), Error);
+  EXPECT_EQ(a.in_use(), 100u * 256u);
+  for (Offset off : live) a.free(off);
+  EXPECT_EQ(a.in_use(), 0u);
+  EXPECT_THROW(a.free(live.front()), Error);
+}
+
 TEST(Arena, ResetRestoresCapacity) {
   Arena a(1024, 256);
   (void)a.allocate(512);

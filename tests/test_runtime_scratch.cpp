@@ -79,49 +79,6 @@ void add_cases(const Rig& rig, std::uint64_t seed, std::vector<Case>& cases) {
   }
 }
 
-void expect_same(const RunResult& a, const RunResult& b,
-                 const std::string& what) {
-  EXPECT_EQ(a.ok, b.ok) << what;
-  EXPECT_EQ(a.oom, b.oom) << what;
-  EXPECT_EQ(a.failure, b.failure) << what;
-  EXPECT_EQ(a.iteration_time, b.iteration_time) << what;
-  EXPECT_EQ(a.forward_time, b.forward_time) << what;
-  EXPECT_EQ(a.arena_capacity, b.arena_capacity) << what;
-  EXPECT_EQ(a.persistent_bytes, b.persistent_bytes) << what;
-  EXPECT_EQ(a.peak_arena_bytes, b.peak_arena_bytes) << what;
-  EXPECT_EQ(a.peak_bytes, b.peak_bytes) << what;
-  EXPECT_EQ(a.peak_host_bytes, b.peak_host_bytes) << what;
-  EXPECT_EQ(a.compute_busy, b.compute_busy) << what;
-  EXPECT_EQ(a.d2h_busy, b.d2h_busy) << what;
-  EXPECT_EQ(a.h2d_busy, b.h2d_busy) << what;
-  EXPECT_EQ(a.compute_stall, b.compute_stall) << what;
-  EXPECT_EQ(a.swapin_stall, b.swapin_stall) << what;
-  EXPECT_EQ(a.memory_stall, b.memory_stall) << what;
-  EXPECT_EQ(a.recompute_seconds, b.recompute_seconds) << what;
-  EXPECT_EQ(a.swapped_bytes, b.swapped_bytes) << what;
-  EXPECT_EQ(a.recomputed_bytes, b.recomputed_bytes) << what;
-  EXPECT_EQ(a.stall_by_value, b.stall_by_value) << what;
-  EXPECT_EQ(a.unhidden_swapouts, b.unhidden_swapouts) << what;
-  EXPECT_EQ(a.unhidden_swapins, b.unhidden_swapins) << what;
-  EXPECT_EQ(a.stream.iteration, b.stream.iteration) << what;
-  ASSERT_EQ(a.stream.ops.size(), b.stream.ops.size()) << what;
-  for (std::size_t i = 0; i < a.stream.ops.size(); ++i) {
-    const exec::StreamOp& x = a.stream.ops[i];
-    const exec::StreamOp& y = b.stream.ops[i];
-    const std::string at = what + " op " + std::to_string(i);
-    EXPECT_EQ(x.type, y.type) << at;
-    EXPECT_EQ(x.node, y.node) << at;
-    EXPECT_EQ(x.value, y.value) << at;
-    EXPECT_EQ(x.bytes, y.bytes) << at;
-    EXPECT_EQ(x.releases_host, y.releases_host) << at;
-    EXPECT_EQ(x.sim_start, y.sim_start) << at;
-    EXPECT_EQ(x.sim_end, y.sim_end) << at;
-    EXPECT_EQ(x.stall, y.stall) << at;
-    EXPECT_EQ(x.stall_cause, y.stall_cause) << at;
-    EXPECT_EQ(x.stall_value, y.stall_value) << at;
-  }
-}
-
 class RuntimeScratch : public ::testing::Test {
  protected:
   void SetUp() override {
@@ -141,7 +98,8 @@ class RuntimeScratch : public ::testing::Test {
     for (std::size_t k = 0; k < 2 * n; ++k) {
       // 37 is coprime with the case count, so this visits every case.
       const std::size_t i = (start + k * 37) % n;
-      expect_same(cases_[i].run(), fresh_[i], "case " + std::to_string(i));
+      pooch::testing::expect_same_run(cases_[i].run(), fresh_[i],
+                                      "case " + std::to_string(i));
     }
   }
 

@@ -4,7 +4,9 @@
 // reference and an exported schedule replayed through the AsyncExecutor.
 #pragma once
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <functional>
 #include <memory>
 #include <string>
@@ -114,6 +116,62 @@ inline Tensor random_tensor(const Shape& shape, std::uint64_t seed,
 /// Random DAG builder shared by the fuzz suites: a trunk of mixed layers
 /// with occasional residual adds and branches, always terminating in
 /// GAP -> FC -> loss. Same seed → same graph.
+/// The bits of a double: equal bits are the same result, where == would
+/// equate -0.0 with 0.0 and never a NaN with itself.
+inline std::uint64_t bits_of(double x) {
+  return std::bit_cast<std::uint64_t>(x);
+}
+
+/// Two simulations produced the same RunResult: every field, doubles
+/// compared by bits, and the recorded stream op for op.
+inline void expect_same_run(const sim::RunResult& a, const sim::RunResult& b,
+                            const std::string& what) {
+  EXPECT_EQ(a.ok, b.ok) << what;
+  EXPECT_EQ(a.oom, b.oom) << what;
+  EXPECT_EQ(a.failure, b.failure) << what;
+  EXPECT_EQ(bits_of(a.iteration_time), bits_of(b.iteration_time)) << what;
+  EXPECT_EQ(bits_of(a.forward_time), bits_of(b.forward_time)) << what;
+  EXPECT_EQ(a.arena_capacity, b.arena_capacity) << what;
+  EXPECT_EQ(a.persistent_bytes, b.persistent_bytes) << what;
+  EXPECT_EQ(a.peak_arena_bytes, b.peak_arena_bytes) << what;
+  EXPECT_EQ(a.peak_bytes, b.peak_bytes) << what;
+  EXPECT_EQ(a.peak_host_bytes, b.peak_host_bytes) << what;
+  EXPECT_EQ(bits_of(a.compute_busy), bits_of(b.compute_busy)) << what;
+  EXPECT_EQ(bits_of(a.d2h_busy), bits_of(b.d2h_busy)) << what;
+  EXPECT_EQ(bits_of(a.h2d_busy), bits_of(b.h2d_busy)) << what;
+  EXPECT_EQ(bits_of(a.compute_stall), bits_of(b.compute_stall)) << what;
+  EXPECT_EQ(bits_of(a.swapin_stall), bits_of(b.swapin_stall)) << what;
+  EXPECT_EQ(bits_of(a.memory_stall), bits_of(b.memory_stall)) << what;
+  EXPECT_EQ(bits_of(a.recompute_seconds), bits_of(b.recompute_seconds))
+      << what;
+  EXPECT_EQ(a.swapped_bytes, b.swapped_bytes) << what;
+  EXPECT_EQ(a.recomputed_bytes, b.recomputed_bytes) << what;
+  ASSERT_EQ(a.stall_by_value.size(), b.stall_by_value.size()) << what;
+  for (std::size_t v = 0; v < a.stall_by_value.size(); ++v) {
+    EXPECT_EQ(bits_of(a.stall_by_value[v]), bits_of(b.stall_by_value[v]))
+        << what << " stall of v" << v;
+  }
+  EXPECT_EQ(a.unhidden_swapouts, b.unhidden_swapouts) << what;
+  EXPECT_EQ(a.unhidden_swapins, b.unhidden_swapins) << what;
+  EXPECT_EQ(a.stream.iteration, b.stream.iteration) << what;
+  ASSERT_EQ(a.stream.ops.size(), b.stream.ops.size()) << what;
+  for (std::size_t i = 0; i < a.stream.ops.size(); ++i) {
+    const exec::StreamOp& x = a.stream.ops[i];
+    const exec::StreamOp& y = b.stream.ops[i];
+    const std::string at = what + " op " + std::to_string(i);
+    EXPECT_EQ(x.type, y.type) << at;
+    EXPECT_EQ(x.node, y.node) << at;
+    EXPECT_EQ(x.value, y.value) << at;
+    EXPECT_EQ(x.bytes, y.bytes) << at;
+    EXPECT_EQ(x.releases_host, y.releases_host) << at;
+    EXPECT_EQ(bits_of(x.sim_start), bits_of(y.sim_start)) << at;
+    EXPECT_EQ(bits_of(x.sim_end), bits_of(y.sim_end)) << at;
+    EXPECT_EQ(bits_of(x.stall), bits_of(y.stall)) << at;
+    EXPECT_EQ(x.stall_cause, y.stall_cause) << at;
+    EXPECT_EQ(x.stall_value, y.stall_value) << at;
+  }
+}
+
 inline graph::Graph random_graph(std::uint64_t seed) {
   using graph::Graph;
   using graph::LayerKind;
