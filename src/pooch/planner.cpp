@@ -247,6 +247,13 @@ PlannerResult PoochPlanner::run_step1(SearchCtx& ctx) const {
     result.predicted_time = 0.0;
     return result;
   }
+  // The search's all-swap candidates (the beam's first bit=0 expansion,
+  // the exhaustive search's all-zero assignment) are this run.
+  if (cache_) {
+    std::lock_guard<std::mutex> lock(cache_->mu);
+    cache_->map.emplace(all_swap.serialize(),
+                        Eval{true, base.iteration_time, base.peak_bytes});
+  }
 
   // 2. Extract the exposed swaps (Figure 11): L_O and L_I, restricted to
   // the classifiable feature maps.

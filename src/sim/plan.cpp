@@ -245,7 +245,7 @@ void build_backward_plan(const Graph& graph, const std::vector<BwdStep>& tape,
       op.kind = PrepOp::Kind::kSwapIn;
       op.value = v;
       sp.preps.push_back(op);
-      plan.swapin_order.push_back(v);
+      plan.swapin_order.push_back({v, step});
       materialized[vi] = 1;
       return;
     }
@@ -271,6 +271,12 @@ void build_backward_plan(const Graph& graph, const std::vector<BwdStep>& tape,
   for (std::size_t k = 0; k < tape.size(); ++k) {
     for (ValueId v : tape[k].needed) {
       require(require, v, static_cast<int>(k));
+    }
+  }
+  for (ValueId v = 0; v < graph.num_values(); ++v) {
+    const int last = plan.last_use_step[static_cast<std::size_t>(v)];
+    if (last >= 0) {
+      plan.steps[static_cast<std::size_t>(last)].frees.push_back(v);
     }
   }
 

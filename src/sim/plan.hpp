@@ -79,6 +79,18 @@ struct StepPlan {
   /// workspace + recompute outputs): the eager prefetcher keeps at least
   /// this much headroom free.
   std::size_t transient_bytes = 0;
+  /// Feature maps whose last backward use is this step, freed after it
+  /// (ascending value id).
+  std::vector<graph::ValueId> frees;
+};
+
+/// One entry of the prefetch queue: a swapped value and the backward
+/// step that first needs it.
+struct SwapInNeed {
+  graph::ValueId value = -1;
+  int step = 0;
+
+  bool operator==(const SwapInNeed&) const = default;
 };
 
 struct BackwardPlan {
@@ -103,7 +115,7 @@ struct BackwardPlan {
   std::vector<int> root_free_step;  // -1 for non-owners
 
   /// Swapped values in order of first backward need — the prefetch queue.
-  std::vector<graph::ValueId> swapin_order;
+  std::vector<SwapInNeed> swapin_order;
 
   /// Total bytes re-materialized by recomputation (diagnostics).
   std::size_t recompute_bytes = 0;

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <bit>
+#include <limits>
 #include <optional>
 #include <sstream>
 
@@ -102,17 +103,11 @@ struct OomUnwind {
   std::string what;
 };
 
-struct FreeEvent {
-  double time = 0.0;
+/// A swap-out whose device buffer is reclaimable once its D2H copy ends.
+struct SwapOutInFlight {
+  double end = 0.0;
   mem::Offset offset = 0;
-  ValueId blame = -1;
-  bool from_d2h = false;
-};
-
-struct FreeEventLater {
-  bool operator()(const FreeEvent& a, const FreeEvent& b) const {
-    return a.time > b.time;
-  }
+  ValueId value = -1;
 };
 
 struct ValueState {
@@ -126,18 +121,12 @@ struct ValueState {
   int fwd_remaining = 0;
 };
 
-struct QueueEntry {
-  ValueId value = -1;
-  int need_step = 0;
-  int trigger_step = 0;
-};
-
 struct IssuedPrefetch {
   ValueId value = -1;
   mem::Offset offset = 0;
   double h2d_start = 0.0;
   double prev_cursor = 0.0;  // h2d cursor before this issue (for rollback)
-  std::size_t queue_index = 0;
+  std::size_t queue_index = 0;  // into BackwardPlan::swapin_order
 };
 
 struct AllocOutcome {
@@ -188,24 +177,23 @@ struct RunScratch {
   TransientMax transients;
   std::vector<ValueState> states;
   std::vector<std::optional<mem::Offset>> grad_dev;
-  std::vector<FreeEvent> pending;  // min-heap on time (FreeEventLater)
-  std::vector<QueueEntry> queue;
+  std::vector<SwapOutInFlight> swapouts;  // in completion order
   std::vector<IssuedPrefetch> issued;
   std::vector<ValueId> pins;
-  std::vector<std::vector<ValueId>> values_by_last_use;  // per tape step
   bool in_use = false;
 };
 
 }  // namespace
 
 /// Everything the forward phase has written by the start of one node: the
-/// arena, the host pool, the pending frees, the states of the values
-/// produced so far, the clocks, and the RunResult fields forward writes.
+/// arena, the host pool, the swap-outs still in flight, the states of the
+/// values produced so far, the clocks, and the RunResult fields forward
+/// writes.
 struct ForwardCheckpoints::State {
   std::size_t node = 0;
   mem::Arena arena{0};
   mem::HostPool host{0};
-  std::vector<FreeEvent> pending;
+  std::vector<SwapOutInFlight> swapouts;
   std::vector<ValueState> states;      // value ids [0, fwd_prefix[node])
   std::vector<double> stall_by_value;  // the same prefix
   std::vector<ValueId> unhidden_swapouts;
@@ -242,12 +230,10 @@ class Exec {
         transients_(scratch.transients),
         arena_(0),
         host_(machine.host_capacity_bytes),
-        pending_(scratch.pending),
+        swapouts_(scratch.swapouts),
         states_(scratch.states),
         grad_dev_(scratch.grad_dev),
-        queue_(scratch.queue),
         issued_(scratch.issued),
-        values_by_last_use_(scratch.values_by_last_use),
         pins_(scratch.pins),
         describe_oom_(describe_oom) {
     build_backward_plan(graph, tape, tables.plan, classes, plan_);
@@ -274,15 +260,13 @@ class Exec {
     for (std::size_t v = 0; v < nv; ++v) {
       states_[v].fwd_remaining = plan_.fwd_consumers[v];
     }
-    pending_.clear();
+    swapouts_.clear();
     issued_.clear();
     pins_.clear();
     result_.stream.iteration = opts_.iteration;
     if (opts_.swapin_policy == SwapInPolicy::kEagerMemoryAware) {
       transients_.build(plan_.steps);
     }
-    build_prefetch_queue();
-    build_free_indices();
   }
 
   /// Simulate the iteration: from the latest checkpoint of `from` this
@@ -301,6 +285,9 @@ class Exec {
     run_forward_phase();
     run_backward_phase();
     run_update();
+    // Release the buffers of swap-outs no later allocation waited for,
+    // so the arena's statistics cover the whole iteration.
+    apply_frees_until(std::numeric_limits<double>::infinity());
     result_.ok = true;
     result_.iteration_time = t_comp_;
     bump("runtime.runs");
@@ -355,7 +342,8 @@ class Exec {
   void restore(const ForwardCheckpoints::State& s) {
     arena_ = s.arena;
     host_ = s.host;
-    pending_ = s.pending;
+    swapouts_ = s.swapouts;
+    swapouts_head_ = 0;
     std::copy(s.states.begin(), s.states.end(), states_.begin());
     std::copy(s.stall_by_value.begin(), s.stall_by_value.end(),
               result_.stall_by_value.begin());
@@ -400,7 +388,9 @@ class Exec {
     s->node = k;
     s->arena = arena_;
     s->host = host_;
-    s->pending = pending_;
+    s->swapouts.assign(
+        swapouts_.begin() + static_cast<std::ptrdiff_t>(swapouts_head_),
+        swapouts_.end());
     const auto prefix = static_cast<std::ptrdiff_t>(tables_.fwd_prefix[k]);
     s->states.assign(states_.begin(), states_.begin() + prefix);
     s->stall_by_value.assign(result_.stall_by_value.begin(),
@@ -515,20 +505,6 @@ class Exec {
     if (opts_.stats) opts_.stats->histogram(name).add(v);
   }
 
-  void build_prefetch_queue() {
-    queue_.clear();
-    for (std::size_t k = 0; k < plan_.steps.size(); ++k) {
-      for (const PrepOp& op : plan_.steps[k].preps) {
-        if (op.kind != PrepOp::Kind::kSwapIn) continue;
-        QueueEntry e;
-        e.value = op.value;
-        e.need_step = static_cast<int>(k);
-        e.trigger_step = trigger_step_for(static_cast<int>(k));
-        queue_.push_back(e);
-      }
-    }
-  }
-
   int trigger_step_for(int need_step) const {
     switch (opts_.swapin_policy) {
       case SwapInPolicy::kOnDemand:
@@ -543,41 +519,25 @@ class Exec {
     return need_step;
   }
 
-  void build_free_indices() {
-    values_by_last_use_.resize(plan_.steps.size());
-    for (auto& values : values_by_last_use_) values.clear();
-    for (ValueId v = 0; v < g_.num_values(); ++v) {
-      const int last = plan_.last_use_step[static_cast<std::size_t>(v)];
-      if (last >= 0) {
-        values_by_last_use_[static_cast<std::size_t>(last)].push_back(v);
-      }
-    }
-  }
-
   // ---- memory ------------------------------------------------------
+  //
+  // A buffer freed at the compute cursor (a discard, a workspace, a last
+  // use, a gradient) goes straight back to the arena: the free is stamped
+  // with the end of the op just recorded, which is the new cursor, and
+  // every later request is made at or after it. Only a swapped-out
+  // buffer waits, until its D2H copy ends; the D2H lane runs one copy at
+  // a time, so those completions queue in time order.
 
-  void schedule_free(mem::Offset off, double time, ValueId blame,
-                     bool from_d2h) {
-    pending_.push_back(FreeEvent{time, off, blame, from_d2h});
-    std::push_heap(pending_.begin(), pending_.end(), FreeEventLater{});
-  }
-
-  /// Remove and return the earliest pending free.
-  FreeEvent pop_pending() {
-    std::pop_heap(pending_.begin(), pending_.end(), FreeEventLater{});
-    const FreeEvent ev = pending_.back();
-    pending_.pop_back();
-    return ev;
-  }
-
+  /// Release the buffers of the swap-outs completed by time t.
   void apply_frees_until(double t) {
-    while (!pending_.empty() && pending_.front().time <= t) {
-      arena_.free(pop_pending().offset);
+    while (swapouts_head_ < swapouts_.size() &&
+           swapouts_[swapouts_head_].end <= t) {
+      arena_.free(swapouts_[swapouts_head_++].offset);
     }
   }
 
-  /// Allocate, advancing virtual time through pending frees if needed.
-  /// Tries to cancel not-yet-started prefetches before giving up.
+  /// Allocate, advancing virtual time through in-flight swap-outs if
+  /// needed. Tries to cancel not-yet-started prefetches before giving up.
   AllocOutcome blocking_alloc(std::size_t bytes, double t_req,
                               const char* what,
                               mem::AllocSide side = mem::AllocSide::kBottom) {
@@ -590,11 +550,11 @@ class Exec {
         out.offset = *off;
         return out;
       }
-      if (!pending_.empty()) {
-        const FreeEvent ev = pop_pending();
-        arena_.free(ev.offset);
-        out.time = std::max(out.time, ev.time);
-        if (ev.from_d2h) out.blame = ev.blame;
+      if (swapouts_head_ < swapouts_.size()) {
+        const SwapOutInFlight& next = swapouts_[swapouts_head_++];
+        arena_.free(next.offset);
+        out.time = std::max(out.time, next.end);
+        out.blame = next.value;
         continue;
       }
       // Rescue chain: revoke or drop clean pages before giving up. (The
@@ -686,11 +646,28 @@ class Exec {
     }
   }
 
-  bool cancel_latest_prefetch(double now) {
+  /// Pop the latest issue records that are already needed or stale.
+  void pop_dead_prefetches() {
     while (!issued_.empty() && (st(issued_.back().value).consumed ||
                                 !prefetch_record_valid(issued_.back()))) {
-      issued_.pop_back();  // already needed or stale; not cancellable
+      issued_.pop_back();
     }
+  }
+
+  /// Drop v's device copy, a clean page (its host copy is intact), at
+  /// `now`; a later use re-fetches it.
+  void drop_clean_page(ValueId v, double now, const char* counter) {
+    ValueState& s = st(v);
+    arena_.free(*s.dev);
+    s.dev.reset();
+    s.swapin_issued = false;
+    s.ready = 0.0;
+    record_bookkeeping(OpType::kFreeValue, v, now);
+    bump(counter);
+  }
+
+  bool cancel_latest_prefetch(double now) {
+    pop_dead_prefetches();
     if (issued_.empty()) return false;
     const IssuedPrefetch p = issued_.back();
     if (p.h2d_start <= now) return false;  // DMA already in flight
@@ -713,23 +690,16 @@ class Exec {
   /// simply re-fetched later; the wasted transfer time is real and stays
   /// on the timeline. Evict the latest-needed one first.
   bool evict_completed_prefetch(double now) {
-    while (!issued_.empty() && (st(issued_.back().value).consumed ||
-                                !prefetch_record_valid(issued_.back()))) {
-      issued_.pop_back();
-    }
+    pop_dead_prefetches();
     for (auto it = issued_.rbegin(); it != issued_.rend(); ++it) {
-      ValueState& s = st(it->value);
+      const ValueState& s = st(it->value);
       if (s.consumed || !prefetch_record_valid(*it) || s.ready > now) {
         continue;  // already needed, stale, or DMA still active
       }
-      arena_.free(it->offset);
-      s.swapin_issued = false;
-      s.dev.reset();
-      s.ready = 0.0;
-      record_bookkeeping(OpType::kFreeValue, it->value, now);
+      drop_clean_page(it->value, now,
+                      "runtime.rescue.evict_completed_prefetch");
       next_q_ = std::min(next_q_, it->queue_index);
       issued_.erase(std::next(it).base());
-      bump("runtime.rescue.evict_completed_prefetch");
       return true;
     }
     return false;
@@ -755,13 +725,7 @@ class Exec {
     }
     if (best < 0) return false;
     now = std::max(now, earliest);
-    ValueState& s = st(best);
-    arena_.free(*s.dev);
-    s.dev.reset();
-    s.swapin_issued = false;
-    s.ready = 0.0;
-    record_bookkeeping(OpType::kFreeValue, best, now);
-    bump("runtime.rescue.wait_inflight_prefetch");
+    drop_clean_page(best, now, "runtime.rescue.wait_inflight_prefetch");
     return true;
   }
 
@@ -783,13 +747,7 @@ class Exec {
       }
     }
     if (best < 0) return false;
-    ValueState& s = st(best);
-    arena_.free(*s.dev);
-    s.dev.reset();
-    s.swapin_issued = false;
-    s.ready = 0.0;
-    record_bookkeeping(OpType::kFreeValue, best, now);
-    bump("runtime.rescue.evict_clean_resident");
+    drop_clean_page(best, now, "runtime.rescue.evict_clean_resident");
     return true;
   }
 
@@ -812,7 +770,8 @@ class Exec {
             .sim_start = start,
             .sim_end = end});
     // The device buffer is reclaimable only once the copy has finished.
-    schedule_free(*s.dev, end, v, /*from_d2h=*/true);
+    POOCH_CHECK(swapouts_.empty() || swapouts_.back().end <= end);
+    swapouts_.push_back(SwapOutInFlight{end, *s.dev, v});
     s.dev.reset();
   }
 
@@ -861,8 +820,8 @@ class Exec {
   /// policy, for which there is memory headroom).
   void prefetch_tick(int step, double t) {
     const bool eager = opts_.swapin_policy == SwapInPolicy::kEagerMemoryAware;
-    while (next_q_ < queue_.size()) {
-      const QueueEntry& e = queue_[next_q_];
+    while (next_q_ < plan_.swapin_order.size()) {
+      const SwapInNeed& e = plan_.swapin_order[next_q_];
       ValueState& s = st(e.value);
       // Skip entries that no longer need a transfer: already issued or
       // resident, or (after a queue rewind past a clean-page eviction)
@@ -871,14 +830,14 @@ class Exec {
         ++next_q_;
         continue;
       }
-      if (e.trigger_step > step) break;
+      if (trigger_step_for(e.step) > step) break;
       if (eager) {
         // §4.3: issue only "when there is room in the GPU memory" — room
         // meaning the buffer plus the near-future transient needs.
         if (s.d2h_end > t) break;  // still being copied out
         apply_frees_until(t);
         const std::size_t headroom = static_cast<std::size_t>(
-            static_cast<double>(upcoming_transients(step, e.need_step)) *
+            static_cast<double>(upcoming_transients(step, e.step)) *
             opts_.headroom_factor);
         if (arena_.free_bytes() < vbytes(e.value) + headroom) {
           bump("runtime.prefetch.headroom_blocked");
@@ -936,7 +895,7 @@ class Exec {
     ValueState& s = st(v);
     if (!s.dev.has_value()) return;
     if (plan_.discard[vi]) {
-      schedule_free(*s.dev, t, v, /*from_d2h=*/false);
+      arena_.free(*s.dev);
       s.dev.reset();
       record_bookkeeping(OpType::kFreeValue, v, t);
       return;
@@ -994,7 +953,7 @@ class Exec {
               .places = placed(out, a_out.offset)});
       st(out).dev = a_out.offset;
       st(out).ready = end;
-      if (ws_off) schedule_free(*ws_off, end, -1, false);
+      if (ws_off) arena_.free(*ws_off);
       t_comp_ = end;
       for (ValueId in : node.inputs) {
         if (--st(in).fwd_remaining == 0) finish_forward_use(in, end);
@@ -1035,6 +994,32 @@ class Exec {
     pins_.clear();
   }
 
+  struct Stall {
+    double seconds = 0.0;
+    StallCause cause = StallCause::kNone;
+    ValueId value = -1;
+  };
+
+  /// The stall of a backward-phase compute op (a recompute or a backward
+  /// kernel) that starts at `start`: its latest input, when a swap-in
+  /// and no earlier than its memory; else the swap-out its memory waited
+  /// for; else its inputs.
+  Stall backward_stall(double start, double dep, ValueId dep_blame,
+                       double t_alloc, ValueId mem_blame) {
+    Stall s{.seconds = start - t_comp_};
+    if (s.seconds <= 0.0) return s;
+    if (dep >= t_alloc && dep_blame >= 0 && st(dep_blame).swapin_issued) {
+      s.cause = StallCause::kSwapInWait;
+      s.value = dep_blame;
+    } else if (mem_blame >= 0) {
+      s.cause = StallCause::kMemoryWait;
+      s.value = mem_blame;
+    } else {
+      s.cause = StallCause::kDependency;
+    }
+    return s;
+  }
+
   void run_recompute(const PrepOp& op) {
     const auto& node = g_.node(op.node);
     const ValueId out = op.value;
@@ -1063,20 +1048,8 @@ class Exec {
       if (a_ws.blame >= 0) mem_blame = a_ws.blame;
     }
     const double start = std::max({t_comp_, t_alloc, dep});
-    const double stall = start - t_comp_;
-    StallCause cause = StallCause::kNone;
-    ValueId blame = -1;
-    if (stall > 0.0) {
-      if (dep >= t_alloc && dep_blame >= 0 && st(dep_blame).swapin_issued) {
-        cause = StallCause::kSwapInWait;
-        blame = dep_blame;
-      } else if (mem_blame >= 0) {
-        cause = StallCause::kMemoryWait;
-        blame = mem_blame;
-      } else {
-        cause = StallCause::kDependency;
-      }
-    }
+    const Stall stall =
+        backward_stall(start, dep, dep_blame, t_alloc, mem_blame);
     const double dur = tm_.forward_time(node.id);
     const double end = start + dur;
     result_.recompute_seconds += dur;
@@ -1085,11 +1058,11 @@ class Exec {
             .value = node.output,
             .sim_start = start,
             .sim_end = end,
-            .stall = stall,
-            .stall_cause = cause,
-            .stall_value = blame,
+            .stall = stall.seconds,
+            .stall_cause = stall.cause,
+            .stall_value = stall.value,
             .places = placed(out, a_out.offset)});
-    if (ws_off) schedule_free(*ws_off, end, -1, false);
+    if (ws_off) arena_.free(*ws_off);
     ValueState& s = st(out);
     s.dev = a_out.offset;
     s.ready = end;
@@ -1160,42 +1133,30 @@ class Exec {
       }
 
       const double start = std::max({t_comp_, t_alloc, dep});
-      const double stall = start - t_comp_;
-      StallCause cause = StallCause::kNone;
-      ValueId blame = -1;
-      if (stall > 0.0) {
-        if (dep >= t_alloc && dep_blame >= 0 && st(dep_blame).swapin_issued) {
-          cause = StallCause::kSwapInWait;
-          blame = dep_blame;
-        } else if (mem_blame >= 0) {
-          cause = StallCause::kMemoryWait;
-          blame = mem_blame;
-        } else {
-          cause = StallCause::kDependency;
-        }
-      }
+      const Stall stall =
+          backward_stall(start, dep, dep_blame, t_alloc, mem_blame);
       const double end = start + tm_.backward_time(bstep.node);
       record({.type = OpType::kBackward,
               .node = bstep.node,
               .sim_start = start,
               .sim_end = end,
-              .stall = stall,
-              .stall_cause = cause,
-              .stall_value = blame,
+              .stall = stall.seconds,
+              .stall_cause = stall.cause,
+              .stall_value = stall.value,
               .places = grad_placements(k)});
       t_comp_ = end;
       clear_pins();
 
-      if (ws_off) schedule_free(*ws_off, end, -1, false);
-      if (ws2_off) schedule_free(*ws2_off, end, -1, false);
+      if (ws_off) arena_.free(*ws_off);
+      if (ws2_off) arena_.free(*ws2_off);
 
       // Free feature maps whose last backward use was this step.
-      for (ValueId v : values_by_last_use_[k]) {
+      for (ValueId v : splan.frees) {
         ValueState& s = st(v);
         record_bookkeeping(OpType::kFreeValue, v, end,
                            /*releases_host=*/s.on_host);
         if (s.dev.has_value()) {
-          schedule_free(*s.dev, end, v, false);
+          arena_.free(*s.dev);
           s.dev.reset();
         }
         if (s.on_host) {
@@ -1207,7 +1168,7 @@ class Exec {
       for (ValueId v : tables_.grad_arena_free_by_step[k]) {
         auto& go = grad_dev_[static_cast<std::size_t>(v)];
         if (go.has_value()) {
-          schedule_free(*go, end, v, false);
+          arena_.free(*go);
           go.reset();
         }
       }
@@ -1291,14 +1252,13 @@ class Exec {
 
   mem::Arena arena_;
   mem::HostPool host_;
-  std::vector<FreeEvent>& pending_;
+  std::vector<SwapOutInFlight>& swapouts_;
+  std::size_t swapouts_head_ = 0;  // first one not yet released
 
   std::vector<ValueState>& states_;
   std::vector<std::optional<mem::Offset>>& grad_dev_;
-  std::vector<QueueEntry>& queue_;
-  std::size_t next_q_ = 0;
+  std::size_t next_q_ = 0;  // into plan_.swapin_order
   std::vector<IssuedPrefetch>& issued_;
-  std::vector<std::vector<ValueId>>& values_by_last_use_;
   std::vector<ValueId>& pins_;
 
   double t_comp_ = 0.0;

@@ -53,9 +53,11 @@ TEST_P(RandomGraphFuzz, PlanInvariantsHold) {
     const Classification c = random_classes(g, rng);
     const auto plan = build_backward_plan(g, tape, c);
     // Every swapped-in value has backward uses and a valid last-use.
-    for (ValueId v : plan.swapin_order) {
-      EXPECT_GT(plan.bwd_uses[static_cast<std::size_t>(v)], 0);
-      EXPECT_GE(plan.last_use_step[static_cast<std::size_t>(v)], 0);
+    for (const SwapInNeed& need : plan.swapin_order) {
+      const auto v = static_cast<std::size_t>(need.value);
+      EXPECT_GT(plan.bwd_uses[v], 0);
+      EXPECT_GE(plan.last_use_step[v], need.step);
+      EXPECT_GE(need.step, 0);
     }
     // Recompute preps: within each step, a recomputed value's producer
     // inputs were materialized by earlier preps or are keep/swapped-in.

@@ -350,6 +350,34 @@ TEST(StatsWiring, RuntimePublishesTransferCounters) {
                 reg.counter_value("runtime.swapouts"));
 }
 
+TEST(StatsWiring, ArenaStatisticsCoverTheWholeIteration) {
+  // A completed iteration frees every buffer it allocated — the last
+  // swap-outs' buffers included, which no later allocation waits for —
+  // so its arena statistics end with the arena empty.
+  const Graph g = models::resnet50(512);
+  const auto tape = graph::build_backward_tape(g);
+  const cost::MachineConfig machine = cost::x86_pcie();
+  const sim::CostTimeModel tm(g, machine);
+  const sim::Runtime rt(g, tape, machine, tm);
+  for (const auto policy :
+       {sim::SwapInPolicy::kOnDemand, sim::SwapInPolicy::kLookahead1,
+        sim::SwapInPolicy::kLookaheadPrevConv,
+        sim::SwapInPolicy::kEagerMemoryAware}) {
+    StatsRegistry reg;
+    sim::RunOptions opts;
+    opts.swapin_policy = policy;
+    opts.stats = &reg;
+    const RunResult r = rt.run(Classification(g, ValueClass::kSwap), opts);
+    ASSERT_TRUE(r.ok) << r.failure;
+    EXPECT_GT(reg.counter_value("arena.allocs"), 0u);
+    EXPECT_EQ(reg.counter_value("arena.frees"),
+              reg.counter_value("arena.allocs"))
+        << "policy " << static_cast<int>(policy);
+    EXPECT_EQ(reg.gauge_value("arena.last.fragmentation"), 0.0)
+        << "policy " << static_cast<int>(policy);
+  }
+}
+
 TEST(StatsWiring, PlannerPublishesSearchCounters) {
   SwapAllRun run;
   StatsRegistry reg;

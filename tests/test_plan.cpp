@@ -61,8 +61,10 @@ TEST(Plan, AllSwapSwapsExactlyTheNeededValues) {
   const Graph g = chain();
   const auto tape = graph::build_backward_tape(g);
   const auto plan = build_backward_plan(g, tape, {g, ValueClass::kSwap});
-  // Each classifiable value is swapped in exactly once.
-  EXPECT_EQ(plan.swapin_order, (std::vector<ValueId>{5, 4, 3, 1, 0}));
+  // Each classifiable value is swapped in exactly once, at the step of
+  // its first need.
+  EXPECT_EQ(plan.swapin_order, (std::vector<SwapInNeed>{
+                                   {5, 0}, {4, 1}, {3, 3}, {1, 4}, {0, 5}}));
   // Values with no backward use are discarded, not swapped.
   EXPECT_TRUE(plan.discard[2]);
   EXPECT_FALSE(plan.swap_out[2]);
@@ -82,6 +84,13 @@ TEST(Plan, LastUseStepsAreConsistent) {
   EXPECT_EQ(plan.last_use_step[0], 5);  // conv input
   EXPECT_EQ(plan.last_use_step[2], -1);
   EXPECT_EQ(plan.last_use_step[6], -1);
+  // Each step frees the feature maps whose last use it is.
+  EXPECT_EQ(plan.steps[0].frees, (std::vector<ValueId>{5}));
+  EXPECT_EQ(plan.steps[1].frees, (std::vector<ValueId>{4}));
+  EXPECT_TRUE(plan.steps[2].frees.empty());
+  EXPECT_EQ(plan.steps[3].frees, (std::vector<ValueId>{3}));
+  EXPECT_EQ(plan.steps[4].frees, (std::vector<ValueId>{1}));
+  EXPECT_EQ(plan.steps[5].frees, (std::vector<ValueId>{0}));
 }
 
 TEST(Plan, RecomputeChainExpandsInTopologicalOrder) {
@@ -125,7 +134,7 @@ TEST(Plan, SwapSourceInsideRecomputeChain) {
   EXPECT_EQ(preps[1].kind, PrepOp::Kind::kRecompute);
   EXPECT_EQ(preps[1].value, 2);
   EXPECT_EQ(preps[2].value, 3);
-  EXPECT_EQ(plan.swapin_order, (std::vector<ValueId>{1}));
+  EXPECT_EQ(plan.swapin_order, (std::vector<SwapInNeed>{{1, 3}}));
 }
 
 TEST(Plan, InputClassifiedRecomputeThrows) {
@@ -188,9 +197,10 @@ TEST(Plan, ResNetScaleSmoke) {
   EXPECT_EQ(plan.steps.size(), tape.size());
   EXPECT_GT(plan.swapin_order.size(), 50u);
   // Every swapped-in value must have a positive use count and a last-use.
-  for (ValueId v : plan.swapin_order) {
-    EXPECT_GT(plan.bwd_uses[static_cast<std::size_t>(v)], 0);
-    EXPECT_GE(plan.last_use_step[static_cast<std::size_t>(v)], 0);
+  for (const SwapInNeed& need : plan.swapin_order) {
+    const auto v = static_cast<std::size_t>(need.value);
+    EXPECT_GT(plan.bwd_uses[v], 0);
+    EXPECT_GE(plan.last_use_step[v], need.step);
   }
 }
 

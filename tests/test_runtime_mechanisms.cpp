@@ -275,6 +275,100 @@ TEST(StallAttribution, BlamesTheSlowValues) {
   EXPECT_GT(attributed, 0.0);
 }
 
+/// Every forward node takes 1 s and every copy 10 s, so each swap-out is
+/// still in flight when the next nodes allocate.
+class SlowCopies : public TimeModel {
+ public:
+  double forward_time(graph::NodeId) const override { return 1.0; }
+  double backward_time(graph::NodeId) const override { return 1.0; }
+  double d2h_time(graph::ValueId) const override { return 10.0; }
+  double h2d_time(graph::ValueId) const override { return 10.0; }
+  double update_time() const override { return 1.0; }
+};
+
+TEST(StallAttribution, MemoryWaitBlamesTheSwapOutItWaitedFor) {
+  // x -relu-> r1 ... -relu-> r5 -fc-> e -loss: every map is `s` bytes
+  // but e, which is two. r1..r5 are swapped and e is recomputed. The
+  // arena holds five maps; x, needed by no backward step, stays in one.
+  // r1..r4 take the other four, so r5 waits for r1's swap-out, and e,
+  // two maps in one piece, waits through r2's and then r3's.
+  constexpr std::int64_t n = 1024;
+  const std::size_t s = n * sizeof(float);
+  graph::Graph g;
+  auto x = g.add_input(Shape{1, n}, "x");
+  for (const char* name : {"relu1", "relu2", "relu3", "relu4", "relu5"}) {
+    x = g.add(graph::LayerKind::kReLU, std::monostate{}, {x}, name);
+  }
+  const graph::ValueId e = g.add(graph::LayerKind::kFullyConnected,
+                                 FcAttrs{.out_features = 2 * n}, {x}, "fc");
+  g.add(graph::LayerKind::kSoftmaxLoss, std::monostate{}, {e}, "loss");
+  const auto tape = graph::build_backward_tape(g);
+  const SlowCopies tm;
+  cost::MachineConfig machine = cost::test_machine(0);
+  // One alignment unit more holds the loss output.
+  machine.gpu_capacity_bytes = 2 * g.total_param_bytes() + 5 * s + 256;
+  const Runtime rt(g, tape, machine, tm);
+  Classification classes(g, ValueClass::kSwap);
+  classes.set(e, ValueClass::kRecompute);
+  RunOptions ro;
+  ro.record_stream = true;
+  const RunResult r = rt.run(classes, ro);
+  ASSERT_TRUE(r.ok) << r.failure;
+
+  std::vector<double> swapout_end(static_cast<std::size_t>(g.num_values()),
+                                  -1.0);
+  for (const auto& op : r.stream.ops) {
+    if (op.type == exec::OpType::kSwapOut) {
+      swapout_end[static_cast<std::size_t>(op.value)] = op.sim_end;
+    }
+  }
+  struct Wait {
+    graph::NodeId node;
+    graph::ValueId blamed;
+    int awaited;  // swap-outs that completed during the stall
+    double stall;
+  };
+  std::vector<Wait> waits;
+  double cursor = 0.0;  // end of the previous compute op
+  double memory_waits = 0.0;
+  for (const auto& op : r.stream.ops) {
+    if (exec::lane_of(op.type) != exec::kComputeLane ||
+        exec::is_bookkeeping(op.type)) {
+      continue;
+    }
+    if (op.stall_cause == exec::StallCause::kMemoryWait) {
+      // Only a swap-out is ever waited for: never a workspace or a
+      // feature map freed at the compute cursor.
+      ASSERT_GE(op.stall_value, 0) << "node " << op.node;
+      const double end =
+          swapout_end[static_cast<std::size_t>(op.stall_value)];
+      ASSERT_GE(end, 0.0) << "v" << op.stall_value << " not swapped out";
+      EXPECT_EQ(op.stall, end - cursor) << "node " << op.node;
+      EXPECT_EQ(op.sim_start, end) << "node " << op.node;
+      int awaited = 0;
+      for (double t : swapout_end) awaited += t > cursor && t <= end;
+      waits.push_back({op.node, op.stall_value, awaited, op.stall});
+      memory_waits += op.stall;
+      EXPECT_TRUE(std::binary_search(r.unhidden_swapouts.begin(),
+                                     r.unhidden_swapouts.end(),
+                                     op.stall_value));
+    }
+    cursor = op.sim_end;
+  }
+  // r5 (node 4) waits for r1 (v1) from 4 s to 12 s; e (node 5) waits
+  // through r2 and r3 (v3) from 13 s to 32 s.
+  ASSERT_EQ(waits.size(), 2u);
+  EXPECT_EQ(waits[0].node, 4);
+  EXPECT_EQ(waits[0].blamed, 1);
+  EXPECT_EQ(waits[0].awaited, 1);
+  EXPECT_EQ(waits[0].stall, 8.0);
+  EXPECT_EQ(waits[1].node, 5);
+  EXPECT_EQ(waits[1].blamed, 3);
+  EXPECT_EQ(waits[1].awaited, 2);
+  EXPECT_EQ(waits[1].stall, 19.0);
+  EXPECT_EQ(r.memory_stall, memory_waits);
+}
+
 TEST(ExecutePlan, FallsBackWhenScheduleCannotRun) {
   // A plan whose planning capacity cannot even hold the parameters must
   // still execute via the dynamic fallback.
