@@ -5,12 +5,13 @@
 //
 // Measures the numeric workhorses on representative shapes — a square
 // GEMM, a ResNet-50 mid-network convolution, an AlexNet fully-connected
-// layer, a 3-D ResNeXt convolution, and forward+backward of the
-// late-stage ResNet-50 convolutions whose outputs are only 2x2 to 16x16
-// — across a thread sweep, then skinny GEMMs, every Inception-toy conv
-// and every other stride-1 ResNet-50 conv at 1, 2 and 4 threads (the
-// shapes that pick between the direct and the im2col + GEMM conv
-// paths), and ResNet-50's strided convs, then the memory-bound
+// layer, a 3-D ResNeXt convolution, and the late-stage ResNet-50
+// convolutions whose outputs are only 2x2 to 16x16 — across a thread
+// sweep, then skinny GEMMs, every Inception-toy conv and every other
+// stride-1 ResNet-50 conv at 1, 2 and 4 threads (the shapes that pick
+// between the direct and the im2col + GEMM conv paths), and ResNet-50's
+// strided convs, each conv as three rows (conv2d_fwd, conv2d_dx where
+// the model takes dX, conv2d_dw with dbias), then the memory-bound
 // kernels (batch norm, ReLU and 2-D max pooling, forward and backward) at
 // the Inception toy's and ResNet-50's shapes at 1, 2 and 4 threads, and
 // writes a bench::Report (default BENCH_kernels.json) keyed on (kernel,
@@ -143,10 +144,12 @@ struct ConvPass {
   const char* shape;
   Shape xs;
   ConvAttrs attrs;
+  bool dx = true;  // false for a conv on the network input
 };
 
-// Forward and backward of one conv, as training runs it: y, dX, dW and,
-// with a bias, dbias.
+// One conv as training runs it, part by part: the forward (y), dX where
+// the model takes it, and dW with dbias when the conv has a bias. The
+// model's backward is the dX and dW rows together.
 void run_conv_pass(const ConvPass& p, const std::vector<int>& thread_sweep,
                    std::uint64_t& seed, bench::Report& report) {
   const ConvAttrs& attrs = p.attrs;
@@ -166,21 +169,45 @@ void run_conv_pass(const ConvPass& p, const std::vector<int>& thread_sweep,
   Tensor y(ys), y_ref(ys);
   Tensor dx(p.xs), dx_ref(p.xs);
   Tensor dw(w.shape()), dw_ref(w.shape());
-  Case cs;
-  cs.kernel = "conv2d_fwdbwd";
-  cs.shape = p.shape;
-  cs.flops = 3.0 * conv_flops(p.xs, attrs);  // y, dW and dX
-  cs.fast = [&](KernelContext& ctx) {
-    conv_forward(x, w, bp, y, attrs, ctx);
-    conv_backward(x, w, dy, &dx, dw, dbp, attrs, ctx);
+  const double flops = conv_flops(p.xs, attrs);
+
+  Case fwd;
+  fwd.kernel = "conv2d_fwd";
+  fwd.shape = p.shape;
+  fwd.flops = flops;
+  fwd.fast = [&](KernelContext& ctx) { conv_forward(x, w, bp, y, attrs, ctx); };
+  fwd.ref = [&] { conv_forward_ref(x, w, bp, y_ref, attrs); };
+  fwd.outs = {{&y, &y_ref}};
+  run_case(fwd, thread_sweep, report);
+
+  if (p.dx) {
+    Case bwd_data;
+    bwd_data.kernel = "conv2d_dx";
+    bwd_data.shape = p.shape;
+    bwd_data.flops = flops;
+    bwd_data.fast = [&](KernelContext& ctx) {
+      conv_backward_data(w, dy, dx, attrs, ctx);
+    };
+    bwd_data.ref = [&] {
+      conv_backward_ref(x, w, dy, &dx_ref, dw_ref, nullptr, attrs);
+    };
+    bwd_data.outs = {{&dx, &dx_ref}};
+    run_case(bwd_data, thread_sweep, report);
+  }
+
+  Case bwd_weights;
+  bwd_weights.kernel = "conv2d_dw";
+  bwd_weights.shape = p.shape;
+  bwd_weights.flops = flops;
+  bwd_weights.fast = [&](KernelContext& ctx) {
+    conv_backward(x, w, dy, nullptr, dw, dbp, attrs, ctx);
   };
-  cs.ref = [&] {
-    conv_forward_ref(x, w, bp, y_ref, attrs);
-    conv_backward_ref(x, w, dy, &dx_ref, dw_ref, dbp_ref, attrs);
+  bwd_weights.ref = [&] {
+    conv_backward_ref(x, w, dy, nullptr, dw_ref, dbp_ref, attrs);
   };
-  cs.outs = {{&y, &y_ref}, {&dx, &dx_ref}, {&dw, &dw_ref}};
-  if (attrs.has_bias) cs.outs.push_back({&db, &db_ref});
-  run_case(cs, thread_sweep, report);
+  bwd_weights.outs = {{&dw, &dw_ref}};
+  if (attrs.has_bias) bwd_weights.outs.push_back({&db, &db_ref});
+  run_case(bwd_weights, thread_sweep, report);
 }
 
 // A ResNet conv: no bias, since it feeds batch norm.
@@ -347,15 +374,16 @@ int run(int argc, char** argv) {
   }
 
   // Every conv of the Inception toy (b32, 32x32 input), forward and
-  // backward with bias as in the model: the stem, then each module's
-  // 1x1, 3x3, 5x5 and pool-projection 1x1 branches.
+  // backward with bias as in the model: the stem (no dX: it reads the
+  // network input), then each module's 1x1, 3x3, 5x5 and
+  // pool-projection 1x1 branches.
   const ConvPass inception[] = {
       {"32x32x16x16 k5 oc8", Shape{32, 32, 16, 16},
        ConvAttrs::conv2d(8, 5, 1, 2)},
       {"32x32x16x16 k3 oc32", Shape{32, 32, 16, 16},
        ConvAttrs::conv2d(32, 3, 1, 1)},
       {"32x3x32x32 k3 oc32", Shape{32, 3, 32, 32},
-       ConvAttrs::conv2d(32, 3, 1, 1)},
+       ConvAttrs::conv2d(32, 3, 1, 1), /*dx=*/false},
       {"32x32x16x16 k1 oc16", Shape{32, 32, 16, 16},
        ConvAttrs::conv2d(16, 1, 1, 0)},
       {"32x32x16x16 k1 oc8", Shape{32, 32, 16, 16},
@@ -406,12 +434,12 @@ int run(int argc, char** argv) {
   };
   for (const ConvPass& p : resnet) run_conv_pass(p, skinny_sweep, seed, report);
 
-  // Its strided convs, which keep im2col + GEMM: the 7x7 s2 stem, the
-  // 1x1 s2 projections into stages 1 to 3, and the 3x3 s2 entry of the
-  // last stage.
+  // Its strided convs, which keep im2col + GEMM: the 7x7 s2 stem (no
+  // dX), the 1x1 s2 projections into stages 1 to 3, and the 3x3 s2 entry
+  // of the last stage.
   const ConvPass strided[] = {
       {"4x3x64x64 k7 s2 oc64", Shape{4, 3, 64, 64},
-       no_bias(ConvAttrs::conv2d(64, 7, 2, 3))},
+       no_bias(ConvAttrs::conv2d(64, 7, 2, 3)), /*dx=*/false},
       {"4x256x16x16 k1 s2 oc512", Shape{4, 256, 16, 16},
        no_bias(ConvAttrs::conv2d(512, 1, 2))},
       {"4x512x8x8 k1 s2 oc1024", Shape{4, 512, 8, 8},

@@ -1,6 +1,5 @@
 #include "common/logging.hpp"
 
-#include <atomic>
 #include <cstdio>
 #include <mutex>
 
@@ -8,7 +7,6 @@ namespace pooch {
 
 namespace {
 
-std::atomic<int> g_level{static_cast<int>(LogLevel::kWarn)};
 std::mutex g_mutex;
 
 const char* level_tag(LogLevel level) {
@@ -24,9 +22,7 @@ const char* level_tag(LogLevel level) {
 
 }  // namespace
 
-void set_log_level(LogLevel level) { g_level = static_cast<int>(level); }
-
-LogLevel log_level() { return static_cast<LogLevel>(g_level.load()); }
+LogLevel log_level() { return LogLevel::kWarn; }
 
 namespace detail {
 

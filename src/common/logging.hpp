@@ -1,8 +1,8 @@
 // Minimal leveled logger.
 //
-// The library itself logs sparingly (planner progress, OOM diagnostics);
-// benches and examples raise the level for narration. Output goes to
-// stderr so bench CSV on stdout stays machine-readable.
+// The library itself logs sparingly (planner progress, OOM diagnostics),
+// at a fixed threshold of kWarn. Output goes to stderr so bench CSV on
+// stdout stays machine-readable.
 #pragma once
 
 #include <sstream>
@@ -12,8 +12,7 @@ namespace pooch {
 
 enum class LogLevel { kDebug = 0, kInfo = 1, kWarn = 2, kError = 3, kOff = 4 };
 
-/// Global log threshold; messages below it are dropped.
-void set_log_level(LogLevel level);
+/// Global log threshold (kWarn); messages below it are dropped.
 LogLevel log_level();
 
 namespace detail {

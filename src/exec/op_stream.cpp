@@ -280,22 +280,6 @@ std::vector<std::string> OpStream::validate(
   return errors;
 }
 
-std::string OpStream::to_string(const graph::Graph& graph) const {
-  std::ostringstream os;
-  os << "OpStream: " << ops.size() << " ops (compute "
-     << lane_count(kComputeLane) << ", d2h " << lane_count(kD2HLane)
-     << ", h2d " << lane_count(kH2DLane) << "), iteration " << iteration
-     << "\n";
-  for (int i = 0; i < static_cast<int>(ops.size()); ++i) {
-    const StreamOp& op = ops[static_cast<std::size_t>(i)];
-    os << "  [" << i << "] " << op_type_name(op.type);
-    if (op.node != graph::kNoNode) os << " " << graph.node(op.node).name;
-    if (op.value >= 0) os << " v" << op.value;
-    os << "\n";
-  }
-  return os.str();
-}
-
 namespace {
 
 char op_glyph(OpType type) {

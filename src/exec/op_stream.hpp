@@ -134,8 +134,6 @@ struct OpStream {
       const graph::Graph& graph,
       const std::vector<graph::BwdStep>& tape) const;
 
-  std::string to_string(const graph::Graph& graph) const;
-
   /// ASCII Gantt chart of the simulated spans: one row per lane,
   /// `width` columns, '#' marking compute stalls.
   std::string render(int width = 100) const;

@@ -1,7 +1,5 @@
 #include "graph/graph.hpp"
 
-#include <sstream>
-
 #include "common/error.hpp"
 #include "kernels/conv.hpp"
 #include "kernels/fc.hpp"
@@ -25,10 +23,6 @@ const char* layer_kind_name(LayerKind kind) {
     case LayerKind::kDropout: return "dropout";
   }
   return "?";
-}
-
-bool is_compute_bound(LayerKind kind) {
-  return kind == LayerKind::kConv || kind == LayerKind::kFullyConnected;
 }
 
 ValueId Graph::add_input(Shape shape, std::string name) {
@@ -201,21 +195,6 @@ void Graph::validate() const {
       POOCH_CHECK(found);
     }
   }
-}
-
-std::string Graph::to_string() const {
-  std::ostringstream os;
-  for (const Node& n : nodes_) {
-    os << "#" << n.id << " " << layer_kind_name(n.kind) << " '" << n.name
-       << "' (";
-    for (std::size_t i = 0; i < n.inputs.size(); ++i) {
-      if (i != 0) os << ", ";
-      os << "v" << n.inputs[i];
-    }
-    os << ") -> v" << n.output << " "
-       << value(n.output).shape.to_string() << "\n";
-  }
-  return os.str();
 }
 
 }  // namespace pooch::graph

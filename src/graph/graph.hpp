@@ -84,9 +84,6 @@ class Graph {
   /// Sanity-check the invariants (shapes consistent, DAG ordering).
   void validate() const;
 
-  /// Human-readable multi-line dump.
-  std::string to_string() const;
-
  private:
   Shape infer_output_shape(LayerKind kind, const LayerAttrs& attrs,
                            const std::vector<ValueId>& inputs) const;

@@ -30,11 +30,6 @@ enum class LayerKind {
 
 const char* layer_kind_name(LayerKind kind);
 
-/// True for kinds whose dominant cost is arithmetic (conv, fc); the rest
-/// are bandwidth-bound on a GPU. Used by the roofline cost model and by
-/// the SuperNeurons baseline's type-based policy.
-bool is_compute_bound(LayerKind kind);
-
 using LayerAttrs = std::variant<std::monostate, ConvAttrs, PoolAttrs,
                                 BatchNormAttrs, FcAttrs, DropoutAttrs>;
 

@@ -46,18 +46,25 @@ void conv_forward(const Tensor& x, const Tensor& w, const Tensor* bias,
 
 /// dx may be null when the input needs no gradient (network input).
 /// Direct path (kernel.conv_backward_direct): dX sums each tap's column
-/// gradient chain over zero-padded dY and stores every dx element once;
-/// dW runs its lanes over input channels of a channel-last padded copy
-/// of x, one chain per element in (n, oh, ow) order, and falls back to
-/// the GEMM when the input channels fill no vector. GEMM path, batched
-/// like the forward: dY is gathered into [og, N*HW], one GEMM gives dW
-/// (its k runs sample-major, the reference's accumulation order), one
-/// gives the column gradient, and col2im runs per sample. dbias adds
-/// one partial sum per sample, in sample order.
+/// gradient chain over dY and stores every dx element once; dW keeps
+/// one chain per element in (n, oh, ow) order, with lanes over input
+/// channels of a channel-last padded copy of x, or over output channels
+/// of transposed dY rows when the input channels fill no vector or a
+/// 1x1 kernel shrinks the channels. GEMM path, batched like the
+/// forward: dY is gathered into [og, N*HW], one GEMM gives dW (its k
+/// runs sample-major, the reference's accumulation order), one gives
+/// the column gradient, and col2im runs per sample. dbias sums each
+/// (n, o) plane in one chain and adds the sums in sample order.
+/// docs/KERNELS.md tables which path each part takes per shape.
 void conv_backward(const Tensor& x, const Tensor& w, const Tensor& dy,
                    Tensor* dx, Tensor& dw, Tensor* dbias,
                    const ConvAttrs& attrs,
                    KernelContext& ctx = KernelContext::serial());
+
+/// dX alone, as conv_backward computes it (the input's shape is dx's).
+void conv_backward_data(const Tensor& w, const Tensor& dy, Tensor& dx,
+                        const ConvAttrs& attrs,
+                        KernelContext& ctx = KernelContext::serial());
 
 // --- scalar reference oracles (single-threaded, naive matmul) ---
 void conv_forward_ref(const Tensor& x, const Tensor& w, const Tensor* bias,

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cstring>
-#include <utility>
 
 #include "common/parallel.hpp"
 #include "kernels/simd.hpp"
@@ -40,32 +39,6 @@ struct GemmShape {
   bool overwrite = true; // C = A*B (beta=0 store path) vs C += A*B
 };
 
-// Lane i of zip<0>(a, b) is lane i/2 of a (even i) or of b (odd i);
-// zip<1> does the same from the upper halves.
-template <int kHi, std::size_t... I>
-Vec zip(Vec a, Vec b, std::index_sequence<I...>) {
-  return __builtin_shufflevector(
-      a, b, static_cast<int>(I / 2 + kHi * (kVF / 2) + (I % 2) * kVF)...);
-}
-
-// Transpose kVF x kVF floats in registers: lane l of rows[r] moves to
-// lane r of rows[l]. Each of the log2(kVF) rounds zips row r with row
-// r + kVF/2 into rows 2r and 2r + 1.
-void transpose(Vec (&rows)[kVF]) {
-  constexpr auto lanes = std::make_index_sequence<kVF>{};
-#pragma GCC unroll 4
-  for (std::int64_t round = 1; round < kVF; round *= 2) {
-    Vec out[kVF];
-#pragma GCC unroll 8
-    for (std::int64_t r = 0; r < kVF / 2; ++r) {
-      out[2 * r] = zip<0>(rows[r], rows[r + kVF / 2], lanes);
-      out[2 * r + 1] = zip<1>(rows[r], rows[r + kVF / 2], lanes);
-    }
-#pragma GCC unroll 16
-    for (std::int64_t r = 0; r < kVF; ++r) rows[r] = out[r];
-  }
-}
-
 // Pack B(k0:k0+kc, j0:j0+nc) into NR-wide column panels:
 // bp[jb][p][jr] with zero fill past nc. Both layouts read their source
 // contiguously: rows of a (k,n) B, columns (rows of storage) of a
@@ -88,7 +61,7 @@ void pack_b(const GemmShape& g, std::int64_t k0, std::int64_t kc,
             rows[r] = r0 + r < jw ? simd::load<Vec>(src + (r0 + r) * g.k + p)
                                   : Vec{};
           }
-          transpose(rows);
+          simd::transpose<kVF>(rows);
 #pragma GCC unroll 16
           for (std::int64_t t = 0; t < kVF; ++t) {
             simd::store(panel + (p + t) * kNR + r0, rows[t]);

@@ -14,6 +14,7 @@
 
 #include <cstddef>
 #include <cstring>
+#include <utility>
 
 namespace pooch::kernels::simd {
 
@@ -40,6 +41,34 @@ inline V load(const void* p) {
 template <typename V>
 inline void store(void* p, V v) {
   std::memcpy(p, &v, sizeof(v));
+}
+
+/// Lane i of zip<kHi>(a, b) is lane i/2 of a (even i) or of b (odd i),
+/// from the lower (kHi = 0) or upper (kHi = 1) halves.
+template <int kHi, int N, std::size_t... I>
+inline Vec<float, N> zip(Vec<float, N> a, Vec<float, N> b,
+                         std::index_sequence<I...>) {
+  return __builtin_shufflevector(
+      a, b, static_cast<int>(I / 2 + kHi * (N / 2) + (I % 2) * N)...);
+}
+
+/// Transposes N x N floats in registers: lane l of rows[r] moves to lane
+/// r of rows[l]. Each of the log2(N) rounds zips row r with row r + N/2
+/// into rows 2r and 2r + 1.
+template <int N>
+inline void transpose(Vec<float, N> (&rows)[N]) {
+  constexpr auto lanes = std::make_index_sequence<N>{};
+#pragma GCC unroll 4
+  for (int round = 1; round < N; round *= 2) {
+    Vec<float, N> out[N];
+#pragma GCC unroll 8
+    for (int r = 0; r < N / 2; ++r) {
+      out[2 * r] = zip<0, N>(rows[r], rows[r + N / 2], lanes);
+      out[2 * r + 1] = zip<1, N>(rows[r], rows[r + N / 2], lanes);
+    }
+#pragma GCC unroll 16
+    for (int r = 0; r < N; ++r) rows[r] = out[r];
+  }
 }
 
 }  // namespace pooch::kernels::simd

@@ -22,13 +22,6 @@ void Histogram::add(double x) {
   ++b_[static_cast<std::size_t>(i)];
 }
 
-void Histogram::reset() {
-  std::lock_guard<std::mutex> lock(mu_);
-  count_ = 0;
-  sum_ = min_ = max_ = 0.0;
-  b_.fill(0);
-}
-
 std::uint64_t Histogram::count() const {
   std::lock_guard<std::mutex> lock(mu_);
   return count_;

@@ -56,7 +56,6 @@ class Histogram {
   static constexpr int kBuckets = 25;
 
   void add(double x);
-  void reset();
 
   std::uint64_t count() const;
   double sum() const;

@@ -537,10 +537,6 @@ bool DataBackend::value_resident(ValueId v) const {
   return t.numel() == 0 ? false : !t.empty();
 }
 
-const Tensor& DataBackend::grad(ValueId v) const {
-  return grads_[static_cast<std::size_t>(v)];
-}
-
 const std::vector<Tensor>& DataBackend::params(NodeId node) const {
   return params_[static_cast<std::size_t>(node)];
 }

@@ -94,7 +94,6 @@ class DataBackend {
   float loss() const;
   const Tensor& value(graph::ValueId v) const;
   bool value_resident(graph::ValueId v) const;
-  const Tensor& grad(graph::ValueId v) const;
   const std::vector<Tensor>& params(graph::NodeId node) const;
 
   /// Flat L2 norm over all parameters (cheap convergence signal).

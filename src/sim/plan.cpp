@@ -286,8 +286,8 @@ void build_backward_plan(const Graph& graph, const std::vector<BwdStep>& tape,
     const bool needed_in_bwd = plan.bwd_uses[vi] > 0;
     if (!needed_in_bwd) {
       // Never needed again: always freed after the last forward use,
-      // whatever the nominal class says.
-      plan.discard[vi] = graph.value(v).producer != kNoNode ? 1 : 0;
+      // whatever the nominal class says. A graph input too.
+      plan.discard[vi] = 1;
       continue;
     }
     switch (classes.of(v)) {

@@ -200,6 +200,7 @@ TEST_P(KernelBitIdentity, ConvForwardBackward) {
     ConvAttrs attrs;
     bool want_dx;
     bool special = false;
+    bool neg_zero_dy = false;  // dY all -0, x and w non-negative
   };
   // Conv runs one GEMM per group over a chunk of samples whose column
   // blocks sit side by side, so the corpus puts sample boundaries inside
@@ -208,8 +209,8 @@ TEST_P(KernelBitIdentity, ConvForwardBackward) {
   // the direct path instead ("chunked", "inception_*" and "direct_*"):
   // its register tiles have remainders in channels and row vectors, its
   // padded planes are read a vector at a time up to the last column, and
-  // its dW needs input channels that fill vectors (C = 3 falls back to
-  // the GEMM for dW but not for dX).
+  // its dW runs its lanes over input channels when they fill vectors and
+  // over output channels otherwise ("thin_*", "k1_shrink_*").
   const Case cases[] = {
       {"batch8", Shape{8, 4, 9, 9}, ConvAttrs::conv2d(6, 3, 1, 1), true},
       {"batch1", Shape{1, 3, 13, 13}, ConvAttrs::conv2d(5, 3, 2, 1), true},
@@ -281,6 +282,78 @@ TEST_P(KernelBitIdentity, ConvForwardBackward) {
        ConvAttrs::conv2d(2048, 1, 2, 0, 1, /*bias=*/false), true},
       {"r50_stem", Shape{4, 3, 64, 64},
        ConvAttrs::conv2d(64, 7, 2, 3, 1, /*bias=*/false), true},
+      // Output-channel lanes for inputs too thin to fill a vector: C of
+      // 1, 2, 3 and 5 under 3x3, 5x5 and 7x7 kernels, odd plane heights,
+      // output channels that leave part of a vector or a tile of vectors
+      // empty, and padding zeros at every border.
+      {"thin_c1_k3", Shape{2, 1, 7, 16}, ConvAttrs::conv2d(5, 3, 1, 1), true},
+      {"thin_c2_k5", Shape{3, 2, 5, 8}, ConvAttrs::conv2d(20, 5, 1, 2), true},
+      {"thin_c3_k7", Shape{2, 3, 9, 32}, ConvAttrs::conv2d(40, 7, 1, 3),
+       false},
+      {"thin_c5_k3", Shape{4, 5, 5, 16}, ConvAttrs::conv2d(33, 3, 1, 1),
+       true},
+      {"thin_c3_k5_o70", Shape{2, 3, 5, 16}, ConvAttrs::conv2d(70, 5, 1, 2),
+       false},
+      {"thin_special_c3", Shape{3, 3, 7, 16}, ConvAttrs::conv2d(24, 3, 1, 1),
+       true, true},
+      // A 9x9 kernel is past the tile's widths: its dW takes the GEMM.
+      {"thin_k9_gemm", Shape{2, 3, 5, 16}, ConvAttrs::conv2d(6, 9, 1, 4),
+       true},
+      // 5 * 68 * 68 padded floats per sample: two chunks, so the dW and
+      // dbias chains continue across them.
+      {"thin_chunks", Shape{23, 5, 64, 64}, ConvAttrs::conv2d(3, 5, 1, 2),
+       false},
+      // 1x1 kernels with no more output than input channels take the
+      // output-channel lanes too: half vectors for o <= 8, and
+      // part-filled vectors, tiles and thread splits past that.
+      {"k1_shrink_o8", Shape{3, 32, 8, 8}, ConvAttrs::conv2d(8, 1, 1, 0), true},
+      {"k1_shrink_o20", Shape{2, 48, 8, 8}, ConvAttrs::conv2d(20, 1, 1, 0),
+       true},
+      {"k1_shrink_o70", Shape{2, 96, 4, 16}, ConvAttrs::conv2d(70, 1, 1, 0),
+       true},
+      // Three output vectors per tile: 80-position blocks, 128 positions.
+      {"k1_shrink_o40", Shape{2, 48, 8, 16}, ConvAttrs::conv2d(40, 1, 1, 0),
+       true},
+      // Past two blocks of output vectors the input-channel lanes take it.
+      {"k1_shrink_o160", Shape{2, 320, 4, 16}, ConvAttrs::conv2d(160, 1, 1, 0),
+       true},
+      {"k1_shrink_special", Shape{3, 32, 4, 16}, ConvAttrs::conv2d(12, 1, 1, 0),
+       true, true},
+      // Bias chains over a batch that is no multiple of the interleave
+      // width, on the input-channel lanes and on the GEMM.
+      {"bias_b11_direct", Shape{11, 16, 4, 16}, ConvAttrs::conv2d(5, 3, 1, 1),
+       true},
+      {"bias_b13_gemm", Shape{13, 4, 5, 5}, ConvAttrs::conv2d(3, 3, 1, 1),
+       true},
+      // Half-width rows on planes of whole vectors: dX runs full vectors
+      // over flat planes, with channel remainders, with chains over o
+      // parked between blocks (5x5, 64 output channels) and with
+      // non-finite weights, which need the lane masks. A plane of 40
+      // floats keeps the padded half-width rows.
+      {"flat_dx_c6", Shape{3, 6, 8, 8}, ConvAttrs::conv2d(10, 3, 1, 1), true},
+      {"flat_dx_c9_k5", Shape{2, 9, 6, 8}, ConvAttrs::conv2d(7, 5, 1, 2), true},
+      {"flat_dx_oblocks", Shape{2, 5, 8, 8}, ConvAttrs::conv2d(64, 5, 1, 2),
+       true},
+      {"flat_dx_special", Shape{2, 8, 8, 8}, ConvAttrs::conv2d(12, 3, 1, 1),
+       true, true},
+      {"half_dx_plane40", Shape{2, 5, 5, 8}, ConvAttrs::conv2d(6, 3, 1, 1),
+       true},
+      // Their 3x3 forwards ("flat_dx_c6", "flat_dx_special") read shifted
+      // padded planes with full vectors; 64 * 3 * 10 * 8 floats a sample
+      // put 35 samples in two chunks.
+      {"shifted_fwd_chunks", Shape{35, 64, 8, 8},
+       ConvAttrs::conv2d(12, 3, 1, 1), true},
+      // dY of -0 only, on each path: every chain starts at +0.
+      {"negzero_thin", Shape{2, 3, 6, 16}, ConvAttrs::conv2d(20, 3, 1, 1),
+       true, false, true},
+      {"negzero_k1_shrink", Shape{2, 32, 8, 8}, ConvAttrs::conv2d(12, 1, 1, 0),
+       true, false, true},
+      {"negzero_direct", Shape{2, 16, 4, 16}, ConvAttrs::conv2d(5, 3, 1, 1),
+       true, false, true},
+      {"negzero_flat_dx", Shape{2, 6, 8, 8}, ConvAttrs::conv2d(10, 5, 1, 2),
+       true, false, true},
+      {"negzero_gemm", Shape{3, 4, 5, 5}, ConvAttrs::conv2d(3, 3, 2, 1), true,
+       false, true},
   };
   std::uint64_t seed = 500;
   for (const Case& c : cases) {
@@ -288,8 +361,17 @@ TEST_P(KernelBitIdentity, ConvForwardBackward) {
       return c.special ? sparse_special_tensor(shape, seed += 2)
                        : random_tensor(shape, seed++);
     };
-    const Tensor x = make(c.xs);
-    const Tensor w = make(conv_weight_shape(c.xs, c.attrs));
+    Tensor x = make(c.xs);
+    Tensor w = make(conv_weight_shape(c.xs, c.attrs));
+    if (c.neg_zero_dy) {
+      // Non-negative operands: every product with dY is -0, so a chain
+      // ends at -0 if it starts from -0 or from its first product.
+      for (Tensor* t : {&x, &w}) {
+        for (std::int64_t i = 0; i < t->numel(); ++i) {
+          (*t)[i] = std::fabs((*t)[i]);
+        }
+      }
+    }
     const Shape ys = conv_output_shape(c.xs, c.attrs);
     Tensor bias;
     if (c.attrs.has_bias) bias = make(Shape{c.attrs.out_channels});
@@ -300,7 +382,8 @@ TEST_P(KernelBitIdentity, ConvForwardBackward) {
     conv_forward_ref(x, w, bp, y_ref, c.attrs);
     expect_bits(y, y_ref, std::string("conv_forward ") + c.name, c.special);
 
-    const Tensor dy = make(ys);
+    Tensor dy = make(ys);
+    if (c.neg_zero_dy) dy.fill(-0.0f);
     // The fast path's gradients start as garbage: conv_backward must
     // overwrite them, as a training step reusing its buffers relies on.
     Tensor dx = random_tensor(c.xs, seed++), dx_ref(c.xs);
@@ -320,6 +403,13 @@ TEST_P(KernelBitIdentity, ConvForwardBackward) {
     }
     if (c.attrs.has_bias) {
       expect_bits(dbias, dbias_ref, std::string("conv dbias ") + c.name,
+                  c.special);
+    }
+    // dX alone, where the model takes it.
+    if (c.want_dx) {
+      Tensor dx_only = random_tensor(c.xs, seed++);
+      conv_backward_data(w, dy, dx_only, c.attrs, ctx_);
+      expect_bits(dx_only, dx_ref, std::string("conv dx alone ") + c.name,
                   c.special);
     }
   }

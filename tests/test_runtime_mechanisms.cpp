@@ -289,9 +289,11 @@ class SlowCopies : public TimeModel {
 TEST(StallAttribution, MemoryWaitBlamesTheSwapOutItWaitedFor) {
   // x -relu-> r1 ... -relu-> r5 -fc-> e -loss: every map is `s` bytes
   // but e, which is two. r1..r5 are swapped and e is recomputed. The
-  // arena holds five maps; x, needed by no backward step, stays in one.
-  // r1..r4 take the other four, so r5 waits for r1's swap-out, and e,
-  // two maps in one piece, waits through r2's and then r3's.
+  // arena holds four maps; x, needed by no backward step, is freed once
+  // relu1 has read it, and r2 takes its place. r1..r4 fill the arena, so
+  // r5 waits for r1's swap-out and takes r1's place, between r2's and
+  // r3's. e, two maps in one piece, then waits through the swap-outs of
+  // r2, r3 and r4: only r3's and r4's places are adjacent.
   constexpr std::int64_t n = 1024;
   const std::size_t s = n * sizeof(float);
   graph::Graph g;
@@ -306,7 +308,7 @@ TEST(StallAttribution, MemoryWaitBlamesTheSwapOutItWaitedFor) {
   const SlowCopies tm;
   cost::MachineConfig machine = cost::test_machine(0);
   // One alignment unit more holds the loss output.
-  machine.gpu_capacity_bytes = 2 * g.total_param_bytes() + 5 * s + 256;
+  machine.gpu_capacity_bytes = 2 * g.total_param_bytes() + 4 * s + 256;
   const Runtime rt(g, tape, machine, tm);
   Classification classes(g, ValueClass::kSwap);
   classes.set(e, ValueClass::kRecompute);
@@ -356,17 +358,66 @@ TEST(StallAttribution, MemoryWaitBlamesTheSwapOutItWaitedFor) {
     cursor = op.sim_end;
   }
   // r5 (node 4) waits for r1 (v1) from 4 s to 12 s; e (node 5) waits
-  // through r2 and r3 (v3) from 13 s to 32 s.
+  // through r2, r3 and r4 (v4) from 13 s to 42 s.
   ASSERT_EQ(waits.size(), 2u);
   EXPECT_EQ(waits[0].node, 4);
   EXPECT_EQ(waits[0].blamed, 1);
   EXPECT_EQ(waits[0].awaited, 1);
   EXPECT_EQ(waits[0].stall, 8.0);
   EXPECT_EQ(waits[1].node, 5);
-  EXPECT_EQ(waits[1].blamed, 3);
-  EXPECT_EQ(waits[1].awaited, 2);
-  EXPECT_EQ(waits[1].stall, 19.0);
+  EXPECT_EQ(waits[1].blamed, 4);
+  EXPECT_EQ(waits[1].awaited, 3);
+  EXPECT_EQ(waits[1].stall, 29.0);
   EXPECT_EQ(r.memory_stall, memory_waits);
+}
+
+TEST(StallAttribution, UnreadGraphInputIsFreedInForward) {
+  // x -relu-> r1 -relu-> r2 -fc-> e -loss, all kept. ReLU's backward
+  // reads its output, so no backward step reads x: it is freed once
+  // relu1 has read it, and the iteration frees every buffer it
+  // allocated.
+  constexpr std::int64_t n = 1024;
+  graph::Graph g;
+  const graph::ValueId in = g.add_input(Shape{1, n}, "x");
+  graph::ValueId x = in;
+  for (const char* name : {"relu1", "relu2"}) {
+    x = g.add(graph::LayerKind::kReLU, std::monostate{}, {x}, name);
+  }
+  x = g.add(graph::LayerKind::kFullyConnected, FcAttrs{.out_features = n},
+            {x}, "fc");
+  g.add(graph::LayerKind::kSoftmaxLoss, std::monostate{}, {x}, "loss");
+  const auto tape = graph::build_backward_tape(g);
+  const Classification keep(g, ValueClass::kKeep);
+  const sim::BackwardPlan plan = sim::build_backward_plan(g, tape, keep);
+  EXPECT_EQ(plan.bwd_uses[static_cast<std::size_t>(in)], 0);
+  EXPECT_EQ(plan.discard[static_cast<std::size_t>(in)], 1);
+
+  const SlowCopies tm;
+  const cost::MachineConfig machine = cost::test_machine();
+  const Runtime rt(g, tape, machine, tm);
+  obs::StatsRegistry reg;
+  RunOptions ro;
+  ro.record_stream = true;
+  ro.stats = &reg;
+  const RunResult r = rt.run(keep, ro);
+  ASSERT_TRUE(r.ok) << r.failure;
+  EXPECT_GT(reg.counter_value("arena.allocs"), 0u);
+  EXPECT_EQ(reg.counter_value("arena.frees"),
+            reg.counter_value("arena.allocs"));
+  bool freed = false;
+  for (const auto& op : r.stream.ops) {
+    if (op.type == exec::OpType::kFreeValue && op.value == in) {
+      freed = true;
+      EXPECT_EQ(op.sim_start, 1.0);  // relu1's end
+    }
+  }
+  EXPECT_TRUE(freed);
+
+  // Replayed for three iterations, each placing x afresh, it trains to
+  // the in-core numbers.
+  const auto replayed = testing::async_replay(rt, keep, 1, 1, {}, 3);
+  const auto reference = testing::serial_reference(g, tape, 3);
+  EXPECT_EQ(replayed->first_difference(*reference), "");
 }
 
 TEST(ExecutePlan, FallsBackWhenScheduleCannotRun) {
