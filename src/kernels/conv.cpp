@@ -1281,17 +1281,23 @@ void direct_backward_weights(const Tensor& x, const Tensor& dy, Tensor& dw,
     }
     return;
   }
-  const int lanes =
-      kHalfLanes >= 4 && d.o <= kHalfLanes ? kHalfLanes : simd::kLanes;
-  const std::int64_t ovecs = ceil_div(d.o, lanes);
+  if constexpr (kHalfLanes >= 4) {
+    if (d.o <= kHalfLanes) {
+      with_kernel_width(d.kw, [&](auto kw) {
+        thin_backward_weights<kHalfLanes, 1, kw>(x, dy, dw, dbias, d,
+                                                 g.batch, ctx);
+      });
+      return;
+    }
+  }
+  const std::int64_t ovecs = ceil_div(d.o, simd::kLanes);
   const std::int64_t vecs =
       d.c < d.o ? ceil_div(ovecs, parallel_blocks(ctx.pool(), ovecs, 1))
                 : ovecs;
-  with_lanes(lanes, [&](auto l) {
-    with_count<kThinVecs>(vecs, [&](auto ov) {
-      with_kernel_width(d.kw, [&](auto kw) {
-        thin_backward_weights<l, ov, kw>(x, dy, dw, dbias, d, g.batch, ctx);
-      });
+  with_count<kThinVecs>(vecs, [&](auto ov) {
+    with_kernel_width(d.kw, [&](auto kw) {
+      thin_backward_weights<simd::kLanes, ov, kw>(x, dy, dw, dbias, d,
+                                                  g.batch, ctx);
     });
   });
 }
