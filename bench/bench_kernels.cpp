@@ -186,7 +186,7 @@ void run_conv_pass(const ConvPass& p, const std::vector<int>& thread_sweep,
     bwd_data.shape = p.shape;
     bwd_data.flops = flops;
     bwd_data.fast = [&](KernelContext& ctx) {
-      conv_backward_data(w, dy, dx, attrs, ctx);
+      conv_backward(x, w, dy, &dx, nullptr, nullptr, attrs, ctx);
     };
     bwd_data.ref = [&] {
       conv_backward_ref(x, w, dy, &dx_ref, dw_ref, nullptr, attrs);
@@ -200,7 +200,7 @@ void run_conv_pass(const ConvPass& p, const std::vector<int>& thread_sweep,
   bwd_weights.shape = p.shape;
   bwd_weights.flops = flops;
   bwd_weights.fast = [&](KernelContext& ctx) {
-    conv_backward(x, w, dy, nullptr, dw, dbp, attrs, ctx);
+    conv_backward(x, w, dy, nullptr, &dw, dbp, attrs, ctx);
   };
   bwd_weights.ref = [&] {
     conv_backward_ref(x, w, dy, nullptr, dw_ref, dbp_ref, attrs);

@@ -197,9 +197,9 @@ void gemm_forward(const Tensor& x, const Tensor& w, const Tensor* bias,
   }
 }
 
-// dW from x when dw is set, and dX from w when dx is set. dx must be
-// zeroed: col2im adds into it.
-void gemm_backward(const float* x, const float* w, const Tensor& dy,
+// dW when dw is set, and dX when dx is set. dx must be zeroed: col2im
+// adds into it.
+void gemm_backward(const Tensor& x, const Tensor& w, const Tensor& dy,
                    Tensor* dx, Tensor* dw, const ConvGeom& g,
                    KernelContext& ctx) {
   const std::int64_t col_rows = g.col.rows();
@@ -223,8 +223,8 @@ void gemm_backward(const float* x, const float* w, const Tensor& dy,
     const std::int64_t ld = cgeom.col_ld();
     for (std::int64_t grp = 0; grp < g.groups; ++grp) {
       if (dw) {
-        im2col(x + n0 * g.in_sample_stride() + grp * in_group_stride, col,
-               cgeom, pool);
+        im2col(x.data() + n0 * g.in_sample_stride() + grp * in_group_stride,
+               col, cgeom, pool);
       }
       parallel_for(
           pool, g.og, copy_grain(ld),
@@ -254,8 +254,8 @@ void gemm_backward(const float* x, const float* w, const Tensor& dy,
       }
       if (dx) {
         // col_grad (rows, nb*cols) = W_g^T (rows, og) * dY_g (og, nb*cols)
-        matmul_at(w + grp * w_group_stride, dyg, col, col_rows, g.og, ld,
-                  ctx);
+        matmul_at(w.data() + grp * w_group_stride, dyg, col, col_rows, g.og,
+                  ld, ctx);
         col2im(col,
                dx->data() + n0 * g.in_sample_stride() + grp * in_group_stride,
                cgeom, pool);
@@ -515,14 +515,19 @@ void for_padded_chunks(const float* src, std::int64_t per,
 
 // Where the forward tile reads its input: plane s of the sample at
 // s * ps floats, tap (kh, kw) a further kh * hs + kw * ks floats on,
-// rows hs floats apart. Zero-padded planes read {pplane, pcol, 1};
-// shifted ones {kw * prow * w, w, prow * w}, where a vector of 2w
-// floats covers two rows.
+// rows hs floats apart. Zero-padded planes read {pplane, pcol, 1}, a
+// kw step the compiler sees as 1; shifted ones (kShifted) read
+// {kw * prow * w, w, prow * w}, where a vector of 2w floats covers two
+// rows.
 struct XView {
   std::int64_t ps, hs, ks;
 };
 
-XView padded_view(const DirectGeom& d) { return {d.pplane(), d.pcol, 1}; }
+template <bool kShifted>
+XView x_view(const DirectGeom& d) {
+  if (kShifted) return {d.kw * d.prow * d.w, d.w, d.prow * d.w};
+  return {d.pplane(), d.pcol, 1};
+}
 
 // Forward: output channels [o0, o0 + OB) of one sample, vectors
 // [r0, r0 + RV) of the output plane. xs is the sample's padded input,
@@ -535,12 +540,12 @@ XView padded_view(const DirectGeom& d) { return {d.pplane(), d.pcol, 1}; }
 // ws[ob * w_out + s * w_in] for output ob and plane s: (c, ckk, 1) for
 // the forward. The 1x1 dX is the same sum over dY planes with
 // (o, 1, ckk), whose "bias" of zeros is col2im's add onto the zeroed dx.
-template <int L, int OB, int RV>
-void fwd_tile(const DirectGeom& d, const float* xs, const XView& view,
-              const float* ws, std::int64_t planes, std::int64_t w_out,
-              std::int64_t w_in, const float* bias, float* ys,
-              std::int64_t r0) {
+template <int L, int OB, int RV, bool kShifted>
+void fwd_tile(const DirectGeom& d, const float* xs, const float* ws,
+              std::int64_t planes, std::int64_t w_out, std::int64_t w_in,
+              const float* bias, float* ys, std::int64_t r0) {
   typedef simd::Vec<float, L> V;
+  const XView view = x_view<kShifted>(d);
   std::int64_t xoff[RV];
   for (int r = 0; r < RV; ++r) {
     const std::int64_t p0 = (r0 + r) * L;
@@ -611,6 +616,8 @@ struct DyView {
 // from +0 is never -0, so adding a zero of either sign changes no bit.
 // kMasked adds +0 there, whatever t holds. Without it, t itself must be
 // a zero there: true on zero-padded planes when every weight is finite.
+// Masking there too made the dX on 16x16 padded planes 17% (3x3) and
+// 31% (5x5) slower (EXPERIMENTS.md, "Conv backward at forward speed").
 //
 // kBlocked chains walk o in blocks of `oblock` planes, so one block of
 // operands stays in L1 across all taps; between blocks each tap's chain
@@ -777,29 +784,29 @@ void dw_tile(const DirectGeom& d, const float* xt, const float* dyc,
 
 // fwd_tile over every vector of the plane, in tiles as even as
 // kRowVecs allows.
-template <int L, int OB>
-void fwd_plane(const DirectGeom& d, const float* xs, const XView& xv,
-               const float* ws, std::int64_t planes, std::int64_t w_out,
-               std::int64_t w_in, const float* bias, float* ys) {
+template <int L, int OB, bool kShifted>
+void fwd_plane(const DirectGeom& d, const float* xs, const float* ws,
+               std::int64_t planes, std::int64_t w_out, std::int64_t w_in,
+               const float* bias, float* ys) {
   const std::int64_t rvecs = d.plane() / L;
   const std::int64_t tiles = ceil_div(rvecs, kRowVecs);
   for (std::int64_t i = 0; i < tiles; ++i) {
     const std::int64_t r0 = block_begin(rvecs, tiles, i);
     with_count<kRowVecs>(block_begin(rvecs, tiles, i + 1) - r0, [&](auto rv) {
-      fwd_tile<L, OB, rv>(d, xs, xv, ws, planes, w_out, w_in, bias, ys, r0);
+      fwd_tile<L, OB, rv, kShifted>(d, xs, ws, planes, w_out, w_in, bias, ys,
+                                    r0);
     });
   }
 }
 
-// With `shifted`, the input is read from shifted padded planes
+// With kShifted, the input is read from shifted padded planes
 // (pad_shifted_plane) with vectors of 2w floats.
-template <int L>
+template <int L, bool kShifted>
 void direct_forward(const Tensor& x, const Tensor& w, const Tensor* bias,
                     Tensor& y, const DirectGeom& d, std::int64_t batch,
-                    bool shifted, KernelContext& ctx) {
+                    KernelContext& ctx) {
   const std::int64_t oblocks = ceil_div(d.o, kFwdChannels);
-  const XView xv = shifted ? XView{d.kw * d.prow * d.w, d.w, d.prow * d.w}
-                           : padded_view(d);
+  const XView xv = x_view<kShifted>(d);
   for_padded_chunks(
       x.data(), d.c, batch, d, ctx,
       [&](std::int64_t n0, std::int64_t nb, const float* xin) {
@@ -815,12 +822,12 @@ void direct_forward(const Tensor& x, const Tensor& w, const Tensor* bias,
             const float* bs = bias ? bias->data() + o0 : nullptr;
             float* ys = y.data() + ((n0 + n) * d.o + o0) * d.plane();
             with_count<kFwdChannels>(o1 - o0, [&](auto ob) {
-              fwd_plane<L, ob>(d, xs, xv, ws, d.c, d.ckk(), 1, bs, ys);
+              fwd_plane<L, ob, kShifted>(d, xs, ws, d.c, d.ckk(), 1, bs, ys);
             });
           }
         });
       },
-      shifted);
+      kShifted);
 }
 
 // x - x is +0 for a finite x and NaN for an infinite or NaN one, and a
@@ -883,8 +890,8 @@ void direct_backward_data(const Tensor& w, const Tensor& dy, Tensor& dx,
         float* dxs = dx.data() + ((n0 + n) * d.c + c0) * d.plane();
         if (k1) {
           with_count<kFwdChannels>(c1 - c0, [&](auto cb) {
-            fwd_plane<L, cb>(d, dyv.origin, padded_view(d), wc, d.o, 1, d.c,
-                             kZeros, dxs);
+            fwd_plane<L, cb, false>(d, dyv.origin, wc, d.o, 1, d.c, kZeros,
+                                    dxs);
           });
           continue;
         }
@@ -1261,9 +1268,10 @@ void direct_backward_data(const Tensor& w, const Tensor& dy, Tensor& dx,
 // the channels into as many blocks as there are threads when the input
 // is the thinner operand (every block then re-reads x, while every row
 // range re-reads dY), and into the fewest blocks otherwise.
-void direct_backward_weights(const Tensor& x, const Tensor& dy, Tensor& dw,
-                             Tensor* dbias, const ConvGeom& g,
-                             const DirectGeom& d, KernelContext& ctx) {
+void direct_backward_weights(const Tensor& x, const Tensor& w,
+                             const Tensor& dy, Tensor& dw, Tensor* dbias,
+                             const ConvGeom& g, const DirectGeom& d,
+                             KernelContext& ctx) {
   const bool k1_shrink = d.kvol() == 1 && d.o <= d.c &&
                          d.o <= 2 * kThinVecs * simd::kLanes;
   const bool channel_lanes = lanes_for(d.c) > 0 && !k1_shrink;
@@ -1277,7 +1285,7 @@ void direct_backward_weights(const Tensor& x, const Tensor& dy, Tensor& dw,
         direct_backward_weights<lanes>(x, dy, dw, d, g.batch, ctx);
       });
     } else {
-      gemm_backward(x.data(), nullptr, dy, nullptr, &dw, g, ctx);
+      gemm_backward(x, w, dy, nullptr, &dw, g, ctx);
     }
     return;
   }
@@ -1322,8 +1330,12 @@ void conv_forward(const Tensor& x, const Tensor& w, const Tensor* bias,
     const bool shifted = d.kvol() > 1 && d.kw <= 3 &&
                          2 * d.w == simd::kLanes &&
                          d.plane() % simd::kLanes == 0;
-    with_lanes(shifted ? simd::kLanes : lanes_for(d.w), [&](auto lanes) {
-      direct_forward<lanes>(x, w, b, y, d, g.batch, shifted, ctx);
+    if (shifted) {
+      direct_forward<simd::kLanes, true>(x, w, b, y, d, g.batch, ctx);
+      return;
+    }
+    with_lanes(lanes_for(d.w), [&](auto lanes) {
+      direct_forward<lanes, false>(x, w, b, y, d, g.batch, ctx);
     });
     return;
   }
@@ -1332,12 +1344,13 @@ void conv_forward(const Tensor& x, const Tensor& w, const Tensor* bias,
 }
 
 void conv_backward(const Tensor& x, const Tensor& w, const Tensor& dy,
-                   Tensor* dx, Tensor& dw, Tensor* dbias,
+                   Tensor* dx, Tensor* dw, Tensor* dbias,
                    const ConvAttrs& attrs, KernelContext& ctx) {
   const ConvGeom g = make_geom(x.shape(), attrs);
   POOCH_CHECK(dy.shape() == conv_output_shape(x.shape(), attrs));
-  POOCH_CHECK(dw.shape() == conv_weight_shape(x.shape(), attrs));
+  POOCH_CHECK(w.shape() == conv_weight_shape(x.shape(), attrs));
   if (dx) POOCH_CHECK(dx->shape() == x.shape());
+  if (dw) POOCH_CHECK(dw->shape() == w.shape());
   Tensor* db = attrs.has_bias ? dbias : nullptr;
   const bool direct = takes_direct(g, attrs);
   KernelTimer timer(ctx, direct ? "conv_backward_direct" : "conv_backward");
@@ -1347,27 +1360,17 @@ void conv_backward(const Tensor& x, const Tensor& w, const Tensor& dy,
                     g.col.cols(), ctx.pool());
     }
     if (dx) dx->zero();
-    gemm_backward(x.data(), w.data(), dy, dx, &dw, g, ctx);
+    gemm_backward(x, w, dy, dx, dw, g, ctx);
     return;
   }
   const DirectGeom d = direct_geom(g, attrs);
   if (dx) direct_backward_data(w, dy, *dx, d, g.batch, ctx);
-  direct_backward_weights(x, dy, dw, db, g, d, ctx);
-}
-
-void conv_backward_data(const Tensor& w, const Tensor& dy, Tensor& dx,
-                        const ConvAttrs& attrs, KernelContext& ctx) {
-  const ConvGeom g = make_geom(dx.shape(), attrs);
-  POOCH_CHECK(dy.shape() == conv_output_shape(dx.shape(), attrs));
-  POOCH_CHECK(w.shape() == conv_weight_shape(dx.shape(), attrs));
-  const bool direct = takes_direct(g, attrs);
-  KernelTimer timer(ctx, direct ? "conv_backward_direct" : "conv_backward");
-  if (direct) {
-    direct_backward_data(w, dy, dx, direct_geom(g, attrs), g.batch, ctx);
-    return;
+  if (dw) {
+    direct_backward_weights(x, w, dy, *dw, db, g, d, ctx);
+  } else if (db) {
+    bias_backward(dy.data(), db->data(), g.batch, d.o, d.plane(),
+                  ctx.pool());
   }
-  dx.zero();
-  gemm_backward(nullptr, w.data(), dy, &dx, nullptr, g, ctx);
 }
 
 void conv_forward_ref(const Tensor& x, const Tensor& w, const Tensor* bias,

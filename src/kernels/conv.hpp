@@ -44,7 +44,8 @@ void conv_forward(const Tensor& x, const Tensor& w, const Tensor* bias,
                   Tensor& y, const ConvAttrs& attrs,
                   KernelContext& ctx = KernelContext::serial());
 
-/// dx may be null when the input needs no gradient (network input).
+/// dx may be null when the input needs no gradient (network input), and
+/// dw when only dX (and dbias, when set) is wanted.
 /// Direct path (kernel.conv_backward_direct): dX sums each tap's column
 /// gradient chain over dY and stores every dx element once; dW keeps
 /// one chain per element in (n, oh, ow) order, with lanes over input
@@ -57,14 +58,9 @@ void conv_forward(const Tensor& x, const Tensor& w, const Tensor* bias,
 /// (n, o) plane in one chain and adds the sums in sample order.
 /// docs/KERNELS.md tables which path each part takes per shape.
 void conv_backward(const Tensor& x, const Tensor& w, const Tensor& dy,
-                   Tensor* dx, Tensor& dw, Tensor* dbias,
+                   Tensor* dx, Tensor* dw, Tensor* dbias,
                    const ConvAttrs& attrs,
                    KernelContext& ctx = KernelContext::serial());
-
-/// dX alone, as conv_backward computes it (the input's shape is dx's).
-void conv_backward_data(const Tensor& w, const Tensor& dy, Tensor& dx,
-                        const ConvAttrs& attrs,
-                        KernelContext& ctx = KernelContext::serial());
 
 // --- scalar reference oracles (single-threaded, naive matmul) ---
 void conv_forward_ref(const Tensor& x, const Tensor& w, const Tensor* bias,

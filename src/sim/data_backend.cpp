@@ -366,7 +366,7 @@ void DataBackend::backward(NodeId id, std::uint64_t iteration) {
   switch (n.kind) {
     case LayerKind::kConv: {
       const auto& a = std::get<ConvAttrs>(n.attrs);
-      kernels::conv_backward(stored(x_id), ps[0], dy, dx, gs[0],
+      kernels::conv_backward(stored(x_id), ps[0], dy, dx, &gs[0],
                              a.has_bias ? &gs[1] : nullptr, a, kctx());
       break;
     }

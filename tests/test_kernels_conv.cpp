@@ -202,7 +202,7 @@ TEST_P(ConvGradient, InputWeightBiasGradients) {
 
   // Analytic gradients with dy = probe.
   Tensor dx(xs), dw(w.shape()), db(b.shape());
-  conv_backward(x, w, probe, &dx, dw, &db, a);
+  conv_backward(x, w, probe, &dx, &dw, &db, a);
 
   auto fwd_x = [&](const Tensor& xin) {
     Tensor y(ys);
@@ -250,7 +250,7 @@ TEST(Conv2d, NoBiasPath) {
   EXPECT_NO_THROW(conv_forward(x, w, nullptr, y, a));
   Tensor dy = random_tensor(y.shape(), 22);
   Tensor dx(xs), dw(w.shape());
-  EXPECT_NO_THROW(conv_backward(x, w, dy, &dx, dw, nullptr, a));
+  EXPECT_NO_THROW(conv_backward(x, w, dy, &dx, &dw, nullptr, a));
 }
 
 TEST(Conv2d, NullDxSkipsInputGradient) {
@@ -261,7 +261,7 @@ TEST(Conv2d, NullDxSkipsInputGradient) {
   Tensor b = random_tensor(Shape{2}, 32);
   Tensor dy = random_tensor(conv_output_shape(xs, a), 33);
   Tensor dw(w.shape()), db(b.shape());
-  EXPECT_NO_THROW(conv_backward(x, w, dy, nullptr, dw, &db, a));
+  EXPECT_NO_THROW(conv_backward(x, w, dy, nullptr, &dw, &db, a));
   EXPECT_GT(l2_norm(dw), 0.0);
 }
 

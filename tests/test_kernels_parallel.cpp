@@ -393,7 +393,7 @@ TEST_P(KernelBitIdentity, ConvForwardBackward) {
       dbias = random_tensor(Shape{c.attrs.out_channels}, seed++);
       dbias_ref = Tensor(Shape{c.attrs.out_channels});
     }
-    conv_backward(x, w, dy, c.want_dx ? &dx : nullptr, dw,
+    conv_backward(x, w, dy, c.want_dx ? &dx : nullptr, &dw,
                   c.attrs.has_bias ? &dbias : nullptr, c.attrs, ctx_);
     conv_backward_ref(x, w, dy, c.want_dx ? &dx_ref : nullptr, dw_ref,
                       c.attrs.has_bias ? &dbias_ref : nullptr, c.attrs);
@@ -405,12 +405,20 @@ TEST_P(KernelBitIdentity, ConvForwardBackward) {
       expect_bits(dbias, dbias_ref, std::string("conv dbias ") + c.name,
                   c.special);
     }
-    // dX alone, where the model takes it.
+    // Without dW: dX where the model takes it, and dbias.
+    Tensor dx_only = random_tensor(c.xs, seed++), dbias_only;
+    if (c.attrs.has_bias) {
+      dbias_only = random_tensor(Shape{c.attrs.out_channels}, seed++);
+    }
+    conv_backward(x, w, dy, c.want_dx ? &dx_only : nullptr, nullptr,
+                  c.attrs.has_bias ? &dbias_only : nullptr, c.attrs, ctx_);
     if (c.want_dx) {
-      Tensor dx_only = random_tensor(c.xs, seed++);
-      conv_backward_data(w, dy, dx_only, c.attrs, ctx_);
       expect_bits(dx_only, dx_ref, std::string("conv dx alone ") + c.name,
                   c.special);
+    }
+    if (c.attrs.has_bias) {
+      expect_bits(dbias_only, dbias_ref,
+                  std::string("conv dbias alone ") + c.name, c.special);
     }
   }
 }
@@ -768,7 +776,7 @@ TEST_P(KernelBitIdentity, OutputsAreOverwrittenNeverRead) {
     check("conv " + xs.to_string(), [&](const MakeOut& out) {
       Outputs o{out(ys), out(xs), out(w.shape()), out(bias.shape())};
       conv_forward(x, w, &bias, o[0], attrs, ctx_);
-      conv_backward(x, w, dy, &o[1], o[2], &o[3], attrs, ctx_);
+      conv_backward(x, w, dy, &o[1], &o[2], &o[3], attrs, ctx_);
       return o;
     });
   }

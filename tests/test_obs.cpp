@@ -430,7 +430,7 @@ TEST(StatsWiring, ConvKernelsPublishTheirPath) {
   Tensor y(kernels::conv_output_shape(xs, strided));
   Tensor dx(xs), dw(w.shape()), db(b.shape());
   kernels::conv_forward(x, w, &b, y, strided, kctx);
-  kernels::conv_backward(x, w, y, &dx, dw, &db, strided, kctx);
+  kernels::conv_backward(x, w, y, &dx, &dw, &db, strided, kctx);
   EXPECT_EQ(reg.counter_value("kernel.conv_forward.calls"), 1u);
   EXPECT_EQ(reg.counter_value("kernel.conv_backward.calls"), 1u);
   EXPECT_EQ(reg.counter_value("kernel.conv_forward_direct.calls"), convs);
